@@ -1,12 +1,10 @@
 //! The analysis commands: `explain`, `profile`, `check`, `lint`,
 //! `verify`, and `graph`.
 
-use super::{
-    build_scenario, err, find_flag, parse_kind, parse_opts, parse_policy, parse_size, CliError,
-    Opts,
-};
+use super::args::{positive, text, uint};
+use super::{err, find_flag, parse_size, plan, policy, CliError, Selection};
 use flagsim_core::config::ActivityConfig;
-use flagsim_core::faults::FaultPlan;
+use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
 use flagsim_core::layered;
 use flagsim_core::work::PreparedFlag;
 use flagsim_core::TeamKit;
@@ -15,62 +13,90 @@ use flagsim_simcheck as simcheck;
 use flagsim_taskgraph::{analysis, list_schedule, Priority};
 use std::fmt::Write as _;
 
+options! {
+    /// The diagnostics-output group of `check`, `verify` and `lint`.
+    struct Diagnostics |a| {
+        format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
+        deny: simcheck::Severity =
+            a.opt("deny", "note|warning|error", severity)?.unwrap_or(simcheck::Severity::Error),
+        allow: Vec<String> = a.opt("allow", "IDS", id_list)?.unwrap_or_default(),
+    }
+}
+
+impl Diagnostics {
+    /// Render a finished report and enforce `--deny`: the report is always
+    /// the command's stdout output; when it trips the deny level it is
+    /// printed here and the command fails (nonzero exit) with a short
+    /// summary on stderr.
+    fn finish(&self, mut report: simcheck::Report) -> Result<String, CliError> {
+        report.allow(&self.allow);
+        report.sort();
+        let rendered = match self.format {
+            "json" => {
+                let mut j = report.to_json();
+                j.push('\n');
+                j
+            }
+            _ => report.render_text(),
+        };
+        if report.denies(self.deny) {
+            print!("{rendered}");
+            return err(format!(
+                "check failed for {}: {}",
+                report.target,
+                report.summary()
+            ));
+        }
+        Ok(rendered)
+    }
+}
+
+fn severity(s: &str) -> Result<simcheck::Severity, String> {
+    simcheck::Severity::parse(s).ok_or_else(|| "expected note, warning, or error".to_owned())
+}
+
+/// `--allow IDS`: comma-separated diagnostic ids.
+fn id_list(s: &str) -> Result<Vec<String>, String> {
+    Ok(s.split(',').map(|id| id.trim().to_owned()).collect())
+}
+
+options! {
+    pub(super) struct ExplainArgs("explain") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
+        sel: Selection = Selection::declare(a)?,
+        team: Option<usize> = a.opt("team", "N", positive)?,
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+    }
+}
+
 /// `flagsim explain` — run a scenario once, deterministically, and show
 /// *why* it took as long as it did: the executed critical path overlaid
 /// on the gantt, the per-marker contention blame table, and the what-if
 /// bounds (infinite implements, zero warmup, perfect balance),
 /// cross-checked against the trace-derived task graph's span.
 /// `--format json` emits the same analysis machine-readably.
-pub(super) fn cmd_explain(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["flag", "kind", "seed", "team", "jobs", "format"])?;
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim explain <SCENARIO> [--format text|json] [--flag NAME] \
-             [--kind KIND] [--seed N] [--team N] [--jobs N]",
-        );
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let jobs: usize = opts
-        .value("jobs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --jobs".into(),
-        })?;
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let team: usize = match opts.value("team") {
-        Some(t) => t.parse().map_err(|_| CliError {
-            message: "bad --team".into(),
-        })?,
-        None => scenario.team_size(&flag, &cfg),
-    };
-    if team == 0 {
-        return err("--team must be at least 1");
-    }
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let explanation =
-        flagsim_core::explain::explain_scenario(&scenario, &flag, &kit, &cfg, team, jobs)
-            .map_err(|message| CliError { message })?;
-    match opts.value("format").unwrap_or("text") {
-        "text" => Ok(explanation.render_text(72)),
-        "json" => Ok(explanation.to_json()),
-        other => err(format!("unknown format {other:?} (use text or json)")),
+pub(super) fn cmd_explain(a: ExplainArgs) -> Result<String, CliError> {
+    let s = a.sel.setup(&a.scenario)?;
+    let team = a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg));
+    let explanation = flagsim_core::explain::explain_scenario(
+        &s.scenario, &s.flag, &s.kit, &s.cfg, team, a.jobs,
+    )?;
+    Ok(match a.format {
+        "json" => explanation.to_json(),
+        _ => explanation.render_text(72),
+    })
+}
+
+options! {
+    pub(super) struct ProfileArgs("profile") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        out: Option<String> = a.opt("out", "FILE", text)?,
+        format: &'static str = a.choice("format", "chrome|folded|table")?.unwrap_or("chrome"),
+        metrics: bool = a.switch("metrics"),
+        reps: u64 = a.opt("reps", "M", positive)?.unwrap_or(4),
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+        sel: Selection = Selection::declare(a)?,
     }
 }
 
@@ -79,64 +105,13 @@ pub(super) fn cmd_explain(args: &[String]) -> Result<String, CliError> {
 /// JSON (load it in `chrome://tracing` or Perfetto), collapsed
 /// flamegraph stacks, or an aggregated self-time table. `--metrics`
 /// appends the metrics registry in text exposition.
-pub(super) fn cmd_profile(args: &[String]) -> Result<String, CliError> {
+pub(super) fn cmd_profile(a: ProfileArgs) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
-    let opts = parse_opts(
-        args,
-        &["out", "format", "reps", "jobs", "flag", "kind", "seed"],
-    )?;
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim profile <SCENARIO> [--out FILE] \
-             [--format chrome|folded|table] [--metrics] [--reps M] [--jobs N] \
-             [--flag NAME] [--kind KIND] [--seed N]",
-        );
-    };
-    let format = opts.value("format").unwrap_or("chrome");
-    if !matches!(format, "chrome" | "folded" | "table") {
-        return err(format!(
-            "unknown format {format:?} (use chrome, folded, or table)"
-        ));
-    }
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let reps: u64 = opts
-        .value("reps")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --reps".into(),
-        })?;
-    if reps == 0 {
-        return err("--reps must be at least 1");
-    }
-    let jobs: usize = opts
-        .value("jobs")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --jobs".into(),
-        })?;
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
-        .team_size(scenario.team_size(&flag, &cfg))
+    let s = a.sel.setup(&a.scenario)?;
+    let (format, reps, jobs) = (a.format, a.reps, a.jobs);
+    let runner = SweepRunner::new(&s.scenario, &s.flag, &s.kit, &s.cfg)
+        .team_size(s.scenario.team_size(&s.flag, &s.cfg))
         .reps(reps)
         .jobs(jobs)
         .retain_reports(false);
@@ -146,24 +121,20 @@ pub(super) fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     // Always finish the collector (disabling telemetry) before surfacing
     // any sweep error.
     let set = collector.finish();
-    run_result.map_err(|e| CliError {
-        message: e.to_string(),
-    })?;
+    run_result.map_err(|e| e.to_string())?;
     let rendered = match format {
         "folded" => set.folded_stacks(),
         "table" => set.self_time_table(),
         _ => set.chrome_trace(),
     };
     let mut out = String::new();
-    match opts.value("out") {
+    match &a.out {
         Some(path) => {
-            std::fs::write(path, &rendered).map_err(|e| CliError {
-                message: format!("cannot write {path}: {e}"),
-            })?;
+            std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
             let _ = writeln!(
                 out,
                 "profile: {} — {} rep(s), {} job(s); {} span(s) written to {path} ({format})",
-                scenario.name,
+                s.scenario.name,
                 reps,
                 jobs,
                 set.len()
@@ -171,7 +142,7 @@ pub(super) fn cmd_profile(args: &[String]) -> Result<String, CliError> {
         }
         None => out.push_str(&rendered),
     }
-    if opts.flag("metrics") {
+    if a.metrics {
         if !out.is_empty() && !out.ends_with('\n') {
             out.push('\n');
         }
@@ -181,55 +152,17 @@ pub(super) fn cmd_profile(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// Parse `--deny LEVEL` / `--allow IDS` / `--format F` shared by `check`
-/// and `lint`.
-fn parse_diag_opts(opts: &Opts) -> Result<(simcheck::Severity, Vec<String>, String), CliError> {
-    let deny_name = opts.value("deny").unwrap_or("error");
-    let Some(deny) = simcheck::Severity::parse(deny_name) else {
-        return err(format!(
-            "unknown --deny level {deny_name:?} (use note, warning, or error)"
-        ));
-    };
-    let allow: Vec<String> = opts
-        .value("allow")
-        .map(|s| s.split(',').map(|a| a.trim().to_owned()).collect())
-        .unwrap_or_default();
-    let format = opts.value("format").unwrap_or("text");
-    if !matches!(format, "text" | "json") {
-        return err(format!("unknown format {format:?} (use text or json)"));
+options! {
+    pub(super) struct CheckArgs("check") |a| {
+        target: String = a.operand("<SCENARIO|FLAG|PLAN|demo-deadlock>"),
+        diag: Diagnostics = Diagnostics::declare(a)?,
+        static_only: bool = a.switch("static-only"),
+        sel: Selection = Selection::declare(a)?,
+        team: Option<usize> = a.opt("team", "N", uint)?,
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+        plan: Option<FaultPlan> = plan(a)?,
+        policy: Option<RecoveryPolicy> = policy(a)?,
     }
-    Ok((deny, allow, format.to_owned()))
-}
-
-/// Render a finished report and enforce `--deny`: the report is always
-/// the command's stdout output; when it trips the deny level it is
-/// printed here and the command fails (nonzero exit) with a short
-/// summary on stderr.
-fn finish_report(
-    mut report: simcheck::Report,
-    deny: simcheck::Severity,
-    allow: &[String],
-    format: &str,
-) -> Result<String, CliError> {
-    report.allow(allow);
-    report.sort();
-    let rendered = match format {
-        "json" => {
-            let mut j = report.to_json();
-            j.push('\n');
-            j
-        }
-        _ => report.render_text(),
-    };
-    if report.denies(deny) {
-        print!("{rendered}");
-        return err(format!(
-            "check failed for {}: {}",
-            report.target,
-            report.summary()
-        ));
-    }
-    Ok(rendered)
 }
 
 /// `flagsim check` — the static analyzer front door. The positional
@@ -238,31 +171,17 @@ fn finish_report(
 /// happens-before race analysis), a library flag (spec lints), a fault
 /// plan string (plan validation), or `demo-deadlock` (the lock-order
 /// cycle the drill is built to have).
-pub(super) fn cmd_check(args: &[String]) -> Result<String, CliError> {
+pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "team", "seed", "jobs", "plan", "policy", "format", "deny", "allow",
-        ],
-    )?;
-    let Some(what) = opts.positional.first() else {
-        return err(
-            "usage: flagsim check <SCENARIO|FLAG|PLAN|demo-deadlock> \
-             [--format text|json] [--deny note|warning|error] [--allow IDS] \
-             [--static-only] [--flag NAME] [--kind KIND] [--team N] [--seed N] \
-             [--jobs N] [--plan SPEC] [--policy P] [--no-check is for run/sweep/faults]",
-        );
-    };
-    let (deny, allow, format) = parse_diag_opts(&opts)?;
+    let what = a.target.as_str();
 
     // Target: the demo-deadlock drill — purely static.
     if what == "demo-deadlock" {
         let graph = simcheck::LockOrderGraph::build(&simcheck::demo_deadlock_seqs());
         let mut report = simcheck::Report::new("demo-deadlock drill");
         report.extend(graph.diags());
-        return finish_report(report, deny, &allow, &format);
+        return a.diag.finish(report);
     }
 
     // Target: a library flag — spec lints only. (No flag is named like a
@@ -274,30 +193,7 @@ pub(super) fn cmd_check(args: &[String]) -> Result<String, CliError> {
             spec.default_width,
             spec.default_height,
         ));
-        return finish_report(report, deny, &allow, &format);
-    }
-
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let mut plan = match opts.value("plan") {
-        Some(s) => FaultPlan::parse(s, "cli plan").map_err(|message| CliError { message })?,
-        None => FaultPlan::none(),
-    };
-    if let Some(p) = opts.value("policy") {
-        plan = plan.with_policy(parse_policy(p)?);
+        return a.diag.finish(report);
     }
 
     // Target: a bare fault-plan string — validate it against the team
@@ -305,68 +201,45 @@ pub(super) fn cmd_check(args: &[String]) -> Result<String, CliError> {
     // coloring students on Mauritius). Scenario tokens contain neither
     // ':' nor '@', so this cannot shadow the scenario branch either.
     if what.contains(':') || what.contains('@') {
-        let mut plan =
-            FaultPlan::parse(what, "cli plan").map_err(|message| CliError { message })?;
-        if let Some(p) = opts.value("policy") {
-            plan = plan.with_policy(parse_policy(p)?);
+        let mut plan = FaultPlan::parse(what, "cli plan")?;
+        if let Some(p) = a.policy {
+            plan = plan.with_policy(p);
         }
-        let coloring: usize = match opts.value("team") {
-            Some(t) => t.parse().map_err(|_| CliError {
-                message: "bad --team".into(),
-            })?,
-            None => 4,
-        };
+        let flag = PreparedFlag::new(&a.sel.spec);
         let mut report = simcheck::Report::new(format!("fault plan {what:?}"));
         report.extend(simcheck::check_fault_plan(
             &plan,
-            coloring,
-            &flag.colors_needed(&cfg.skip_colors),
-            &kit,
+            a.team.unwrap_or(4),
+            &flag.colors_needed(&a.sel.config().skip_colors),
+            &a.sel.kit(&flag),
         ));
-        return finish_report(report, deny, &allow, &format);
+        return a.diag.finish(report);
     }
 
     // Target: a scenario — the full battery.
-    let scenario = build_scenario(what, &flag)?;
-    let team: usize = match opts.value("team") {
-        Some(t) => t.parse().map_err(|_| CliError {
-            message: "bad --team".into(),
-        })?,
-        None => scenario.team_size(&flag, &cfg).max(1) + 1, // + the timer
-    };
-    let target = simcheck::CheckTarget {
-        spec: &spec,
-        flag: &flag,
-        scenario: &scenario,
-        kit: &kit,
-        team_size: team,
-        config: &cfg,
-        plan: &plan,
-    };
-    let mut report = simcheck::full_report(&target);
-    if !opts.flag("static-only") {
+    let mut plan = a.plan.unwrap_or_else(FaultPlan::none);
+    if let Some(p) = a.policy {
+        plan = plan.with_policy(p);
+    }
+    let s = a.sel.setup(what)?;
+    let (flag, scenario, cfg) = (&s.flag, &s.scenario, &s.cfg);
+    let team = a
+        .team
+        .unwrap_or_else(|| scenario.team_size(flag, cfg).max(1) + 1); // + the timer
+    let mut report = simcheck::full_report(&s.target(team, &plan));
+    if !a.static_only {
+        // Chatter to stderr: stdout is the report.
+        eprintln!(
+            "check: running {} once (seed {}) for happens-before analysis",
+            scenario.name, a.sel.seed
+        );
         // One deterministic repetition through the sweep runner: rep 0
         // derives the same seed on any job count, so `--jobs` can never
         // change the findings (asserted byte-for-byte in the tests).
-        let jobs: usize = opts
-            .value("jobs")
-            .unwrap_or("1")
-            .parse()
-            .map_err(|_| CliError {
-                message: "bad --jobs".into(),
-            })?;
-        if jobs == 0 {
-            return err("--jobs must be at least 1");
-        }
-        // Chatter to stderr: stdout is the report.
-        eprintln!(
-            "check: running {} once (seed {seed}) for happens-before analysis",
-            scenario.name
-        );
-        let run = SweepRunner::new(&scenario, &flag, &kit, &cfg)
-            .team_size(scenario.team_size(&flag, &cfg).min(team))
+        let run = SweepRunner::new(scenario, flag, &s.kit, cfg)
+            .team_size(scenario.team_size(flag, cfg).min(team))
             .reps(1)
-            .jobs(jobs)
+            .jobs(a.jobs)
             .plan(&plan)
             .retain_reports(true)
             .run();
@@ -383,38 +256,44 @@ pub(super) fn cmd_check(args: &[String]) -> Result<String, CliError> {
             }
         }
     }
-    finish_report(report, deny, &allow, &format)
+    a.diag.finish(report)
+}
+
+options! {
+    pub(super) struct LintArgs("lint") |a| {
+        target: String = a.operand("<flag|file>"),
+        size: Option<(u32, u32)> = a.opt("size", "WxH", parse_size)?,
+        diag: Diagnostics = Diagnostics::declare(a)?,
+    }
 }
 
 /// `flagsim lint` — flag-spec lints for a library flag or a custom flag
 /// file, through the same diagnostics framework as `check`.
-pub(super) fn cmd_lint(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["size", "format", "deny", "allow"])?;
-    let Some(name) = opts.positional.first() else {
-        return err(
-            "usage: flagsim lint <flag|file> [--size WxH] [--format text|json] \
-             [--deny note|warning|error] [--allow IDS]",
-        );
-    };
-    let (deny, allow, format) = parse_diag_opts(&opts)?;
+pub(super) fn cmd_lint(a: LintArgs) -> Result<String, CliError> {
+    let name = &a.target;
     let spec = match library::by_name(name) {
         Some(spec) => spec,
         None => {
-            let text = std::fs::read_to_string(name).map_err(|e| CliError {
-                message: format!("{name:?} is not a library flag and cannot be read: {e}"),
-            })?;
-            flagsim_flags::parse(&text).map_err(|e| CliError {
-                message: e.to_string(),
-            })?
+            let text = std::fs::read_to_string(name)
+                .map_err(|e| format!("{name:?} is not a library flag and cannot be read: {e}"))?;
+            flagsim_flags::parse(&text).map_err(|e| e.to_string())?
         }
     };
-    let (w, h) = match opts.value("size") {
-        Some(s) => parse_size(s)?,
-        None => (spec.default_width, spec.default_height),
-    };
+    let (w, h) = a.size.unwrap_or((spec.default_width, spec.default_height));
     let mut report = simcheck::Report::new(format!("flag {} at {w}x{h}", spec.name));
     report.extend(simcheck::from_flag_lints(&flagsim_flags::lint_at(&spec, w, h)));
-    finish_report(report, deny, &allow, &format)
+    a.diag.finish(report)
+}
+
+options! {
+    pub(super) struct VerifyArgs("verify") |a| {
+        target: String = a.operand("<SCENARIO|demo-deadlock>"),
+        sel: Selection = Selection::declare(a)?,
+        max_schedules: usize = a.opt("max-schedules", "N", positive)?.unwrap_or(4096),
+        naive: bool = a.switch("naive"),
+        diag: Diagnostics = Diagnostics::declare(a)?,
+        witness_out: Option<String> = a.opt("witness-out", "PREFIX", text)?,
+    }
 }
 
 /// `flagsim verify` — the bounded model checker. Where `check` analyzes
@@ -425,34 +304,12 @@ pub(super) fn cmd_lint(args: &[String]) -> Result<String, CliError> {
 /// `demo-deadlock` target re-proves the SC204 lock-order cycle
 /// dynamically: a concrete schedule that reaches the stall (SC411),
 /// cross-checked against the live wait-for graph.
-pub(super) fn cmd_verify(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "seed", "max-schedules", "format", "deny", "allow", "witness-out",
-        ],
-    )?;
-    let Some(what) = opts.positional.first() else {
-        return err(
-            "usage: flagsim verify <SCENARIO|demo-deadlock> [--flag NAME] [--kind KIND] \
-             [--seed N] [--max-schedules N] [--naive] [--format text|json] \
-             [--deny note|warning|error] [--allow IDS] [--witness-out PREFIX]",
-        );
-    };
-    let (deny, allow, format) = parse_diag_opts(&opts)?;
-    let max_schedules: usize = opts
-        .value("max-schedules")
-        .unwrap_or("4096")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --max-schedules".into(),
-        })?;
-    if max_schedules == 0 {
-        return err("--max-schedules must be at least 1");
-    }
+pub(super) fn cmd_verify(a: VerifyArgs) -> Result<String, CliError> {
+    let what = a.target.as_str();
+    let max_schedules = a.max_schedules;
     let explore_cfg = simcheck::ExploreConfig {
         max_schedules,
-        naive: opts.flag("naive"),
+        naive: a.naive,
     };
 
     // Target: the demo-deadlock drill — the static SC204 cycle plus a
@@ -460,8 +317,7 @@ pub(super) fn cmd_verify(args: &[String]) -> Result<String, CliError> {
     if what == "demo-deadlock" {
         let graph = simcheck::LockOrderGraph::build(&simcheck::demo_deadlock_seqs());
         let cycles = graph.cycles();
-        let ex = simcheck::explore_engine(simcheck::demo_deadlock_engine, &explore_cfg)
-            .map_err(|message| CliError { message })?;
+        let ex = simcheck::explore_engine(simcheck::demo_deadlock_engine, &explore_cfg)?;
         eprintln!(
             "verify: demo-deadlock drill — {} schedule(s) explored, {} outcome class(es)",
             ex.schedules_run,
@@ -483,37 +339,20 @@ pub(super) fn cmd_verify(args: &[String]) -> Result<String, CliError> {
             report.push(d);
         }
         report.extend(simcheck::verify_diags(&ex));
-        return finish_report(report, deny, &allow, &format);
+        return a.diag.finish(report);
     }
 
     // Target: a scenario — explore its full schedule space.
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(what, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let compiled = scenario
-        .compile(&flag, &cfg)
-        .map_err(|message| CliError { message })?;
+    let s = a.sel.setup(what)?;
+    let (spec, seed) = (&a.sel.spec, a.sel.seed);
+    let compiled = s.scenario.compile(&s.flag, &s.cfg)?;
     eprintln!(
         "verify: exploring {} on {} (seed {seed}, bound {max_schedules}{})",
-        scenario.name,
+        s.scenario.name,
         spec.name,
         if explore_cfg.naive { ", naive" } else { "" }
     );
-    let ax = simcheck::explore_activity(&compiled, &kit, &cfg, &explore_cfg)
-        .map_err(|message| CliError { message })?;
+    let ax = simcheck::explore_activity(&compiled, &s.kit, &s.cfg, &explore_cfg)?;
     let ex = &ax.exploration;
     eprintln!(
         "verify: {} schedule(s) run, {} outcome class(es), {} choice state(s), \
@@ -526,19 +365,19 @@ pub(super) fn cmd_verify(args: &[String]) -> Result<String, CliError> {
     );
     let mut report = simcheck::Report::new(format!(
         "verify {} on {} (seed {seed})",
-        scenario.name, spec.name
+        s.scenario.name, spec.name
     ));
     report.extend(simcheck::verify_diags(ex));
     report.extend(simcheck::annotate_ties(&ax.ties, ex));
-    if let Some(prefix) = opts.value("witness-out") {
+    if let Some(prefix) = &a.witness_out {
         match &ex.witness {
-            Some(w) => write_witness_traces(&compiled, &kit, &cfg, w, prefix)?,
+            Some(w) => write_witness_traces(&compiled, &s.kit, &s.cfg, w, prefix)?,
             None => eprintln!(
                 "verify: no witness to write — every explored schedule converges"
             ),
         }
     }
-    finish_report(report, deny, &allow, &format)
+    a.diag.finish(report)
 }
 
 /// Replay both sides of a witness pair with trace events on and write
@@ -555,15 +394,13 @@ fn write_witness_traces(
     for (suffix, script) in [("a", &w.baseline), ("b", &w.divergent)] {
         let mut team = simcheck::explore::scenario_team(compiled);
         let (policy, _log) = flagsim_desim::ForcedSchedule::new(script.clone());
-        let outcome = compiled
-            .run_scheduled(&mut team, kit, cfg, &FaultPlan::none(), Some(policy))
-            .map_err(|message| CliError { message })?;
+        let outcome =
+            compiled.run_scheduled(&mut team, kit, cfg, &FaultPlan::none(), Some(policy))?;
         let path = format!("{prefix}-{suffix}.json");
         match outcome {
             ActivityOutcome::Completed(report) => {
-                std::fs::write(&path, report.trace.chrome_trace()).map_err(|e| CliError {
-                    message: format!("cannot write {path}: {e}"),
-                })?;
+                std::fs::write(&path, report.trace.chrome_trace())
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
                 eprintln!(
                     "verify: witness {} (schedule {}) written to {path} — open with \
                      `flagsim watch --trace {path}`",
@@ -584,22 +421,16 @@ fn write_witness_traces(
     Ok(())
 }
 
-pub(super) fn cmd_graph(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["procs"])?;
-    let Some(name) = opts.positional.first() else {
-        return err("usage: flagsim graph <flag> [--procs N]");
-    };
-    let spec = find_flag(name)?;
-    let procs: usize = opts
-        .value("procs")
-        .unwrap_or("4")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --procs".into(),
-        })?;
-    if procs == 0 {
-        return err("--procs must be at least 1");
+options! {
+    pub(super) struct GraphArgs("graph") |a| {
+        flag: String = a.operand("<flag>"),
+        procs: usize = a.opt("procs", "N", positive)?.unwrap_or(4),
     }
+}
+
+pub(super) fn cmd_graph(a: GraphArgs) -> Result<String, CliError> {
+    let spec = find_flag(&a.flag)?;
+    let procs = a.procs;
     let g = layered::flag_taskgraph(&spec, 2000);
     let mut out = g.to_dot(&spec.name);
     let (path, span) = analysis::critical_path(&g);

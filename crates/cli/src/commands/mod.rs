@@ -1,5 +1,10 @@
-//! Command dispatch.
+//! Command dispatch. Each subcommand declares its options once, as a typed
+//! argument struct (see [`args`]); the dispatch table below pairs that
+//! struct with the command body, and the usage text is rendered from the
+//! same declarations.
 
+#[macro_use]
+mod args;
 mod analysis;
 mod run;
 mod sweep;
@@ -8,15 +13,7 @@ mod watch;
 
 pub use teaching::{build_pack, grade_text, parse_text};
 
-use analysis::{cmd_check, cmd_explain, cmd_graph, cmd_lint, cmd_profile, cmd_verify};
-use run::{cmd_faults, cmd_run};
-use sweep::{cmd_sweep, cmd_worker};
-use teaching::{
-    cmd_flags, cmd_grade, cmd_pack, cmd_parse, cmd_render, cmd_report, cmd_session, cmd_slides,
-    cmd_vocab,
-};
-use watch::{cmd_replay, cmd_watch};
-
+use args::{text, uint, Args, Options};
 use flagsim_agents::ImplementKind;
 use flagsim_core::config::ActivityConfig;
 use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
@@ -40,6 +37,12 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<String> for CliError {
+    fn from(message: String) -> Self {
+        CliError { message }
+    }
+}
 
 /// Exit code for a soft-deadline expiry (`sweep --max-wall-secs`):
 /// distinct from usage/runtime errors so scripts can tell "resume me"
@@ -66,61 +69,57 @@ fn err<T>(message: impl Into<String>) -> Result<T, CliError> {
     })
 }
 
-const USAGE: &str = "\
-flagsim — the flag-coloring PDC activity simulator
+/// A subcommand: the body that runs on its parsed arguments.
+struct Entry<A>(fn(A) -> Result<String, CliError>);
 
-USAGE:
-  flagsim flags
-  flagsim render <flag> [ascii|ansi|ppm|svg] [WxH]
-  flagsim slides [<flag>]
-  flagsim run <SCENARIO> [--flag NAME] [--kind KIND]
-              [--seed N] [--markers N] [--gantt] [--trace-out FILE]
-              [--no-check]
-  flagsim faults <SCENARIO> (--plan SPEC | --random)
-                 [--policy rebalance|spare:SECS|abort] [--flag NAME]
-                 [--kind KIND] [--seed N] [--trace-out FILE] [--no-check]
-  flagsim faults --demo-deadlock
-  flagsim sweep <SCENARIO> [--reps M] [--jobs N]
-                [--flag NAME] [--kind KIND] [--seed N] [--team N]
-                [--warmup] [--stream] [--progress] [--dashboard]
-                [--trace-out FILE] [--no-check]
-                [--workers N | --connect ADDR[,ADDR..]]
-                [--checkpoint FILE] [--checkpoint-every K]
-                [--resume FILE] [--max-wall-secs S]
-                [--policy rebalance|spare:SECS|abort] [--chunk K]
-                [--obs-out FILE] [--obs-serve ADDR] [--trace-sample N]
-                [--log-level error|warn|info|debug|trace]
-  flagsim worker --listen ADDR [--once] [--quiet] [--name NAME]
-                 [--log-level error|warn|info|debug|trace]
-  flagsim explain <SCENARIO> [--format text|json] [--flag NAME]
-                  [--kind KIND] [--seed N] [--team N] [--jobs N]
-  flagsim profile <SCENARIO> [--out FILE] [--format chrome|folded|table]
-                  [--metrics] [--reps M] [--jobs N] [--flag NAME]
-                  [--kind KIND] [--seed N]
-  flagsim session [--repeat] [--seed N]
-  flagsim check <SCENARIO|FLAG|PLAN|demo-deadlock>
-                [--format text|json] [--deny note|warning|error]
-                [--allow IDS] [--static-only] [--flag NAME] [--kind KIND]
-                [--team N] [--seed N] [--jobs N] [--plan SPEC] [--policy P]
-  flagsim verify <SCENARIO|demo-deadlock> [--flag NAME] [--kind KIND]
-                 [--seed N] [--max-schedules N] [--naive]
-                 [--format text|json] [--deny note|warning|error]
-                 [--allow IDS] [--witness-out PREFIX]
-  flagsim lint <flag|file> [--size WxH] [--format text|json]
-               [--deny note|warning|error] [--allow IDS]
-  flagsim graph <flag> [--procs N]
-  flagsim grade <file>
-  flagsim parse <file>
-  flagsim pack --out DIR [--flag NAME] [--kind KIND] [--seed N]
-  flagsim vocab [<term>]
-  flagsim report [--seed N]
-  flagsim replay <SCENARIO> [--flag NAME] [--frames N]
-                 [--seed N]
-  flagsim watch <SCENARIO> [--flag NAME] [--kind KIND] [--seed N]
-                [--script KEYS] [--frames-out FILE] [--width N] [--no-check]
-  flagsim watch --trace FILE [--script KEYS] [--frames-out FILE]
-  flagsim watch (--connect ADDR | --follow FILE) [--once] [--width N]
+/// A subcommand with its argument type erased, for the dispatch table.
+trait Command {
+    fn name(&self) -> &'static str;
+    /// The declarations, for usage text.
+    fn describe(&self) -> Args;
+    /// Parse `args` strictly, then run the body.
+    fn run(&self, args: &[String]) -> Result<String, CliError>;
+}
 
+impl<A: Options> Command for Entry<A> {
+    fn name(&self) -> &'static str {
+        A::NAME
+    }
+    fn describe(&self) -> Args {
+        args::describe::<A>()
+    }
+    fn run(&self, args: &[String]) -> Result<String, CliError> {
+        (self.0)(args::parse::<A>(args)?)
+    }
+}
+
+/// Every subcommand, in usage order.
+const COMMANDS: &[&dyn Command] = &[
+    &Entry(teaching::cmd_flags),
+    &Entry(teaching::cmd_render),
+    &Entry(teaching::cmd_slides),
+    &Entry(run::cmd_run),
+    &Entry(run::cmd_faults),
+    &Entry(sweep::cmd_sweep),
+    &Entry(sweep::cmd_worker),
+    &Entry(analysis::cmd_explain),
+    &Entry(analysis::cmd_profile),
+    &Entry(teaching::cmd_session),
+    &Entry(analysis::cmd_check),
+    &Entry(analysis::cmd_verify),
+    &Entry(analysis::cmd_lint),
+    &Entry(analysis::cmd_graph),
+    &Entry(teaching::cmd_grade),
+    &Entry(teaching::cmd_parse),
+    &Entry(teaching::cmd_pack),
+    &Entry(teaching::cmd_vocab),
+    &Entry(teaching::cmd_report),
+    &Entry(watch::cmd_replay),
+    &Entry(watch::cmd_watch),
+];
+
+/// The value syntax the synopses refer to.
+const VALUE_SYNTAX: &str = "\
 SCENARIO: 1 | 2 | 3 | 4 | pipelined | alternating
           (onestripe = 3, fourslice = 4)
 
@@ -132,145 +131,153 @@ PLAN SPEC: comma-separated fault events —
   e.g. \"break:blue@20,dropout:2@30,bell@120\"
 ";
 
+/// The top-level usage text: every command's synopsis, rendered from its
+/// declarations, then the value syntax.
+fn usage() -> String {
+    let mut out = String::from("flagsim — the flag-coloring PDC activity simulator\n\nUSAGE:\n");
+    for command in COMMANDS {
+        out.push_str(&command.describe().synopsis(78));
+        out.push('\n');
+    }
+    out.push('\n');
+    out.push_str(VALUE_SYNTAX);
+    out
+}
+
 /// Execute a command line (without the program name). Returns the text to
 /// print on success.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some(cmd) = args.first() else {
-        return Ok(USAGE.to_owned());
+        return Ok(usage());
     };
+    if let Some(command) = COMMANDS.iter().find(|c| c.name() == cmd) {
+        return command.run(&args[1..]);
+    }
     match cmd.as_str() {
-        "flags" => cmd_flags(),
-        "render" => cmd_render(&args[1..]),
-        "slides" => cmd_slides(&args[1..]),
-        "run" => cmd_run(&args[1..]),
-        "faults" => cmd_faults(&args[1..]),
-        "sweep" => cmd_sweep(&args[1..]),
-        "worker" => cmd_worker(&args[1..]),
-        "explain" => cmd_explain(&args[1..]),
-        "profile" => cmd_profile(&args[1..]),
-        "session" => cmd_session(&args[1..]),
-        "check" => cmd_check(&args[1..]),
-        "verify" => cmd_verify(&args[1..]),
-        "lint" => cmd_lint(&args[1..]),
-        "graph" => cmd_graph(&args[1..]),
-        "grade" => cmd_grade(&args[1..]),
-        "parse" => cmd_parse(&args[1..]),
-        "pack" => cmd_pack(&args[1..]),
-        "vocab" => cmd_vocab(&args[1..]),
-        "report" => cmd_report(&args[1..]),
-        "replay" => cmd_replay(&args[1..]),
-        "watch" => cmd_watch(&args[1..]),
-        "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
-        other => err(format!("unknown command {other:?}\n\n{USAGE}")),
+        "help" | "--help" | "-h" => Ok(usage()),
+        other => err(format!("unknown command {other:?}\n\n{}", usage())),
     }
 }
 
-fn find_flag(name: &str) -> Result<FlagSpec, CliError> {
-    library::by_name(name).ok_or_else(|| CliError {
-        message: format!(
+options! {
+    /// The scenario-selection group: the flag, the implements, and the
+    /// seed a run uses.
+    struct Selection |a| {
+        spec: FlagSpec = a.opt("flag", "NAME", find_flag)?.unwrap_or_else(library::mauritius),
+        kind: ImplementKind =
+            a.opt("kind", "KIND", parse_kind)?.unwrap_or(ImplementKind::ThickMarker),
+        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(2025),
+    }
+}
+
+/// A [`Selection`] resolved for one scenario: everything a run needs.
+struct Setup {
+    spec: FlagSpec,
+    flag: PreparedFlag,
+    scenario: Scenario,
+    kit: TeamKit,
+    cfg: ActivityConfig,
+}
+
+impl Selection {
+    /// Prepare the flag and resolve scenario `which` on it.
+    fn setup(&self, which: &str) -> Result<Setup, CliError> {
+        let flag = PreparedFlag::new(&self.spec);
+        let scenario = build_scenario(which, &flag)?;
+        Ok(Setup {
+            spec: self.spec.clone(),
+            kit: self.kit(&flag),
+            cfg: self.config(),
+            flag,
+            scenario,
+        })
+    }
+
+    /// One implement of the selected kind per color the flag needs.
+    fn kit(&self, flag: &PreparedFlag) -> TeamKit {
+        TeamKit::uniform(self.kind, &flag.colors_needed(&[]))
+    }
+
+    fn config(&self) -> ActivityConfig {
+        ActivityConfig::default().with_seed(self.seed)
+    }
+}
+
+fn find_flag(name: &str) -> Result<FlagSpec, String> {
+    library::by_name(name).ok_or_else(|| {
+        format!(
             "unknown flag {name:?}; available: {}",
             library::all()
                 .iter()
                 .map(|f| f.name.clone())
                 .collect::<Vec<_>>()
                 .join(", ")
-        ),
+        )
     })
 }
 
-fn parse_kind(s: &str) -> Result<ImplementKind, CliError> {
-    Ok(match s {
-        "dauber" => ImplementKind::BingoDauber,
-        "thick" => ImplementKind::ThickMarker,
-        "thin" => ImplementKind::ThinMarker,
-        "crayon" => ImplementKind::Crayon,
-        other => return err(format!("unknown implement kind {other:?}")),
-    })
-}
-
-/// Pull `--key value` and `--flag`-style switches out of an arg list.
-struct Opts {
-    positional: Vec<String>,
-    options: Vec<(String, Option<String>)>,
-}
-
-fn parse_opts(args: &[String], value_keys: &[&str]) -> Result<Opts, CliError> {
-    let mut positional = Vec::new();
-    let mut options = Vec::new();
-    let mut it = args.iter().peekable();
-    while let Some(arg) = it.next() {
-        if let Some(key) = arg.strip_prefix("--") {
-            if value_keys.contains(&key) {
-                let Some(value) = it.next() else {
-                    return err(format!("--{key} needs a value"));
-                };
-                options.push((key.to_owned(), Some(value.clone())));
-            } else {
-                options.push((key.to_owned(), None));
-            }
-        } else {
-            positional.push(arg.clone());
-        }
-    }
-    Ok(Opts {
-        positional,
-        options,
-    })
-}
-
-impl Opts {
-    fn value(&self, key: &str) -> Option<&str> {
-        self.options
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.as_deref())
-    }
-    fn flag(&self, key: &str) -> bool {
-        self.options.iter().any(|(k, _)| k == key)
-    }
-    /// Every value given for a repeatable option, in order.
-    fn values<'a>(&'a self, key: &'a str) -> impl Iterator<Item = &'a str> + 'a {
-        self.options
-            .iter()
-            .filter(move |(k, _)| k == key)
-            .filter_map(|(_, v)| v.as_deref())
+/// The command-line token of each implement kind.
+fn kind_token(kind: ImplementKind) -> &'static str {
+    match kind {
+        ImplementKind::BingoDauber => "dauber",
+        ImplementKind::ThickMarker => "thick",
+        ImplementKind::ThinMarker => "thin",
+        ImplementKind::Crayon => "crayon",
     }
 }
 
-/// Run `body` with a telemetry collector installed when `--trace-out FILE`
-/// was given, then write the recorded Chrome trace to the file. The
-/// confirmation note goes to stderr so stdout stays machine-readable.
-fn with_optional_trace<T>(
+fn parse_kind(s: &str) -> Result<ImplementKind, String> {
+    ImplementKind::ALL
+        .into_iter()
+        .find(|&kind| kind_token(kind) == s)
+        .ok_or_else(|| format!("unknown implement kind {s:?}"))
+}
+
+/// `--trace-out FILE`: record telemetry spans and write them as a Chrome
+/// trace.
+fn trace_out(a: &mut Args) -> Result<Option<String>, CliError> {
+    a.opt("trace-out", "FILE", text)
+}
+
+/// `--log-level LEVEL`: filter the structured log stream.
+fn log_level(a: &mut Args) -> Result<Option<flagsim_telemetry::Level>, CliError> {
+    a.opt("log-level", "error|warn|info|debug|trace", flagsim_telemetry::Level::parse)
+}
+
+/// Finish `collector`, if one was installed, and when the run succeeded
+/// and `--trace-out` named a file, write the spans there as a Chrome trace
+/// and announce it through `note` (stderr, so stdout stays
+/// machine-readable). The trace is validated before it lands on disk: a
+/// malformed trace is a bug worth failing loudly on, not something to
+/// hand to a viewer.
+fn finish_trace(
+    collector: Option<flagsim_telemetry::Collector>,
+    ok: bool,
     path: Option<&str>,
-    body: impl FnOnce() -> Result<T, CliError>,
-) -> Result<T, CliError> {
-    let Some(path) = path else {
-        return body();
+    note: impl Fn(&str),
+) -> Result<(), CliError> {
+    let Some(set) = collector.map(flagsim_telemetry::Collector::finish) else {
+        return Ok(());
     };
-    let collector = flagsim_telemetry::Collector::install();
-    let result = body();
-    let set = collector.finish();
-    if result.is_ok() {
-        std::fs::write(path, set.chrome_trace()).map_err(|e| CliError {
-            message: format!("cannot write {path}: {e}"),
-        })?;
-        eprintln!("trace: {} span(s) written to {path}", set.len());
-    }
-    result
+    let (true, Some(path)) = (ok, path) else {
+        return Ok(());
+    };
+    let trace = set.chrome_trace();
+    flagsim_telemetry::json::validate_chrome_trace(&trace)
+        .map_err(|e| format!("trace failed validation: {e}"))?;
+    std::fs::write(path, trace).map_err(|e| format!("cannot write {path}: {e}"))?;
+    note(&format!("trace: {} span(s) written to {path}", set.len()));
+    Ok(())
 }
 
-fn parse_size(s: &str) -> Result<(u32, u32), CliError> {
+fn parse_size(s: &str) -> Result<(u32, u32), String> {
     let Some((w, h)) = s.split_once('x') else {
-        return err(format!("bad size {s:?}, expected WxH"));
+        return Err(format!("bad size {s:?}, expected WxH"));
     };
-    let w: u32 = w.parse().map_err(|_| CliError {
-        message: format!("bad width {w:?}"),
-    })?;
-    let h: u32 = h.parse().map_err(|_| CliError {
-        message: format!("bad height {h:?}"),
-    })?;
+    let w: u32 = w.parse().map_err(|_| format!("bad width {w:?}"))?;
+    let h: u32 = h.parse().map_err(|_| format!("bad height {h:?}"))?;
     if w == 0 || h == 0 {
-        return err("size must be nonzero");
+        return Err("size must be nonzero".into());
     }
     Ok((w, h))
 }
@@ -292,7 +299,12 @@ fn build_scenario(which: &str, flag: &PreparedFlag) -> Result<Scenario, CliError
     })
 }
 
-fn parse_policy(s: &str) -> Result<RecoveryPolicy, CliError> {
+/// `--policy rebalance|spare:SECS|abort`.
+fn policy(a: &mut Args) -> Result<Option<RecoveryPolicy>, CliError> {
+    a.opt("policy", "rebalance|spare:SECS|abort", parse_policy)
+}
+
+fn parse_policy(s: &str) -> Result<RecoveryPolicy, String> {
     if s == "rebalance" {
         return Ok(RecoveryPolicy::Rebalance);
     }
@@ -300,51 +312,54 @@ fn parse_policy(s: &str) -> Result<RecoveryPolicy, CliError> {
         return Ok(RecoveryPolicy::AbortAndReport);
     }
     if let Some(d) = s.strip_prefix("spare:") {
-        let secs: f64 = d.parse().map_err(|_| CliError {
-            message: format!("bad spare delay {d:?}"),
-        })?;
+        let secs: f64 = d.parse().map_err(|_| format!("bad spare delay {d:?}"))?;
         if !secs.is_finite() || secs < 0.0 {
-            return err("spare delay must be finite and non-negative");
+            return Err("spare delay must be finite and non-negative".into());
         }
         return Ok(RecoveryPolicy::SpareSwap {
             replacement_delay_secs: secs,
         });
     }
-    err(format!(
+    Err(format!(
         "unknown policy {s:?} (use rebalance, spare:SECS, or abort)"
     ))
 }
 
-/// Static preflight for `run`/`sweep`/`faults`: the same checks as
-/// `flagsim check --static-only` minus the advisory `SC4xx` checklist,
-/// failing only on Error-level findings. `--no-check` skips it.
-fn preflight_static(
-    spec: &FlagSpec,
-    flag: &PreparedFlag,
-    scenario: &Scenario,
-    kit: &TeamKit,
-    team_size: usize,
-    cfg: &ActivityConfig,
-    plan: &FaultPlan,
-) -> Result<(), CliError> {
-    let report = simcheck::static_report(&simcheck::CheckTarget {
-        spec,
-        flag,
-        scenario,
-        kit,
-        team_size,
-        config: cfg,
-        plan,
-    });
-    let (errors, _, _) = report.counts();
-    if errors > 0 {
-        return err(format!(
-            "preflight: {errors} error-level finding(s) — the run cannot work as \
-             configured (re-run with --no-check to try anyway)\n{}",
-            report.render_text()
-        ));
+/// `--plan SPEC`: a fault plan (see PLAN SPEC in the usage text).
+fn plan(a: &mut Args) -> Result<Option<FaultPlan>, CliError> {
+    a.opt("plan", "SPEC", |s| FaultPlan::parse(s, "cli plan"))
+}
+
+impl Setup {
+    /// The static checker's view of this setup.
+    fn target<'a>(&'a self, team_size: usize, plan: &'a FaultPlan) -> simcheck::CheckTarget<'a> {
+        simcheck::CheckTarget {
+            spec: &self.spec,
+            flag: &self.flag,
+            scenario: &self.scenario,
+            kit: &self.kit,
+            team_size,
+            config: &self.cfg,
+            plan,
+        }
     }
-    Ok(())
+
+    /// Static preflight for `run`/`sweep`/`faults`/`watch`: the same
+    /// checks as `flagsim check --static-only` minus the advisory `SC4xx`
+    /// checklist, failing only on Error-level findings. `--no-check`
+    /// skips it.
+    fn preflight(&self, team_size: usize, plan: &FaultPlan) -> Result<(), CliError> {
+        let report = simcheck::static_report(&self.target(team_size, plan));
+        let (errors, _, _) = report.counts();
+        if errors > 0 {
+            return err(format!(
+                "preflight: {errors} error-level finding(s) — the run cannot work as \
+                 configured (re-run with --no-check to try anyway)\n{}",
+                report.render_text()
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -1,60 +1,28 @@
 //! `flagsim run` and `flagsim faults`: one scenario, optionally under an
 //! injected fault plan.
 
-use super::{
-    build_scenario, err, find_flag, parse_kind, parse_opts, parse_policy, preflight_static,
-    with_optional_trace, CliError,
-};
+use super::args::{positive, usage_error};
+use super::{err, finish_trace, plan, policy, trace_out, CliError, Selection, Setup};
 use flagsim_agents::StudentProfile;
-use flagsim_core::config::ActivityConfig;
-use flagsim_core::faults::FaultPlan;
-use flagsim_core::work::PreparedFlag;
-use flagsim_core::TeamKit;
-use flagsim_flags::library;
+use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
+use flagsim_core::RunReport;
 use std::fmt::Write as _;
 
-pub(super) fn cmd_run(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["flag", "kind", "seed", "markers", "trace-out"])?;
-    let Some(which) = opts.positional.first() else {
-        return err("usage: flagsim run <SCENARIO> [options]");
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let markers: usize = opts
-        .value("markers")
-        .unwrap_or("1")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --markers".into(),
-        })?;
-    if markers == 0 {
-        return err("--markers must be at least 1");
+options! {
+    pub(super) struct RunArgs("run") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        sel: Selection = Selection::declare(a)?,
+        markers: usize = a.opt("markers", "N", positive)?.unwrap_or(1),
+        gantt: bool = a.switch("gantt"),
+        trace_out: Option<String> = trace_out(a)?,
+        no_check: bool = a.switch("no-check"),
     }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let size = scenario.team_size(&flag, &cfg);
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[])).with_count_all(markers);
-    if !opts.flag("no-check") {
-        preflight_static(&spec, &flag, &scenario, &kit, size + 1, &cfg, &FaultPlan::none())?;
-    }
-    let report = with_optional_trace(opts.value("trace-out"), || {
-        scenario
-            .run(&flag, &mut team, &kit, &cfg)
-            .map_err(|message| CliError { message })
-    })?;
+}
+
+pub(super) fn cmd_run(a: RunArgs) -> Result<String, CliError> {
+    let mut s = a.sel.setup(&a.scenario)?;
+    s.kit = s.kit.with_count_all(a.markers);
+    let report = run_once(&s, &FaultPlan::none(), a.no_check, a.trace_out.as_deref())?;
     // Human diagnostics go to stderr (PR-3 sweep convention) so stdout
     // stays the machine-readable report.
     if !report.correct {
@@ -67,47 +35,44 @@ pub(super) fn cmd_run(args: &[String]) -> Result<String, CliError> {
         eprintln!("run: {} implement breakage(s) during the run", report.breakages);
     }
     let mut out = report.detail();
-    if opts.flag("gantt") {
+    if a.gantt {
         let _ = writeln!(out, "\n{}", report.trace.gantt(72));
     }
     Ok(out)
 }
 
-/// Two processes, two markers, opposite acquisition order: the textbook
-/// circular wait. The engine's stall detector catches it and reports the
-/// full wait-for graph instead of hanging or panicking.
-fn demo_deadlock() -> String {
-    use flagsim_desim::{Action, Engine, FnProcess, SimDuration, SimError};
-    use std::collections::VecDeque;
+/// Run `s` once on a fresh team under `plan`, after the static preflight
+/// unless `--no-check`, recording a Chrome trace to `trace_out` if given.
+fn run_once(
+    s: &Setup,
+    plan: &FaultPlan,
+    no_check: bool,
+    trace_out: Option<&str>,
+) -> Result<RunReport, CliError> {
+    let size = s.scenario.team_size(&s.flag, &s.cfg);
+    if !no_check {
+        s.preflight(size + 1, plan)?;
+    }
+    let mut team: Vec<StudentProfile> =
+        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
+    let collector = trace_out.map(|_| flagsim_telemetry::Collector::install());
+    let report = s.scenario.run_with_faults(&s.flag, &mut team, &s.kit, &s.cfg, plan);
+    finish_trace(collector, report.is_ok(), trace_out, |line| eprintln!("{line}"))?;
+    Ok(report?)
+}
 
-    let mut engine = Engine::new();
-    let red = engine.add_resource("red marker", SimDuration::ZERO);
-    let blue = engine.add_resource("blue marker", SimDuration::ZERO);
-    let script = |actions: Vec<Action>| {
-        let mut queue: VecDeque<Action> = actions.into();
-        move |_now| queue.pop_front().unwrap_or(Action::Done)
-    };
-    engine.add_process(Box::new(FnProcess::new(
-        "grabs-red-then-blue",
-        script(vec![
-            Action::Acquire(red),
-            Action::Work(SimDuration::from_secs_f64(1.0)),
-            Action::Acquire(blue),
-        ]),
-    )));
-    engine.add_process(Box::new(FnProcess::new(
-        "grabs-blue-then-red",
-        script(vec![
-            Action::Acquire(blue),
-            Action::Work(SimDuration::from_secs_f64(1.0)),
-            Action::Acquire(red),
-        ]),
-    )));
+/// Two processes, two markers, opposite acquisition order: the textbook
+/// circular wait (the same drill `check` and `verify` analyze). The
+/// engine's stall detector catches it and reports the full wait-for graph
+/// instead of hanging or panicking.
+fn demo_deadlock() -> String {
+    use flagsim_desim::SimError;
+
     let mut out = String::from(
         "Two students, two markers, opposite grab order — the classic\n\
          circular wait. Instead of hanging, the engine reports:\n\n",
     );
-    match engine.try_run() {
+    match flagsim_simcheck::demo_deadlock_engine().try_run() {
         Err(SimError::Stalled { waiters }) => {
             let _ = writeln!(out, "error: {}", SimError::Stalled { waiters: waiters.clone() });
             let _ = writeln!(
@@ -127,56 +92,38 @@ fn demo_deadlock() -> String {
     out
 }
 
-pub(super) fn cmd_faults(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["plan", "policy", "flag", "kind", "seed", "trace-out"])?;
-    if opts.flag("demo-deadlock") {
+options! {
+    pub(super) struct FaultsArgs("faults") |a| {
+        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
+        plan: Option<FaultPlan> = plan(a)?,
+        random: bool = a.switch("random"),
+        policy: Option<RecoveryPolicy> = policy(a)?,
+        sel: Selection = Selection::declare(a)?,
+        trace_out: Option<String> = trace_out(a)?,
+        no_check: bool = a.switch("no-check"),
+        demo_deadlock: bool = a.switch("demo-deadlock"),
+    }
+}
+
+pub(super) fn cmd_faults(a: FaultsArgs) -> Result<String, CliError> {
+    if a.demo_deadlock {
         return Ok(demo_deadlock());
     }
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim faults <1|2|3|4|pipelined|alternating> (--plan SPEC | --random) \
-             [--policy P] [options], or flagsim faults --demo-deadlock",
-        );
+    let Some(which) = &a.scenario else {
+        return Err(usage_error::<FaultsArgs>());
     };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let size = scenario.team_size(&flag, &cfg);
-    let colors = flag.colors_needed(&[]);
-    let mut plan = match (opts.value("plan"), opts.flag("random")) {
-        (Some(spec), false) => {
-            FaultPlan::parse(spec, "cli plan").map_err(|message| CliError { message })?
-        }
-        (None, true) => FaultPlan::random(seed, size, &colors),
+    let s = a.sel.setup(which)?;
+    let size = s.scenario.team_size(&s.flag, &s.cfg);
+    let mut plan = match (a.plan, a.random) {
+        (Some(plan), false) => plan,
+        (None, true) => FaultPlan::random(a.sel.seed, size, &s.flag.colors_needed(&[])),
         (Some(_), true) => return err("--plan and --random are mutually exclusive"),
         (None, false) => return err("faults needs --plan SPEC or --random"),
     };
-    if let Some(p) = opts.value("policy") {
-        plan = plan.with_policy(parse_policy(p)?);
+    if let Some(p) = a.policy {
+        plan = plan.with_policy(p);
     }
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let kit = TeamKit::uniform(kind, &colors);
-    if !opts.flag("no-check") {
-        preflight_static(&spec, &flag, &scenario, &kit, size + 1, &cfg, &plan)?;
-    }
-    let report = with_optional_trace(opts.value("trace-out"), || {
-        scenario
-            .run_with_faults(&flag, &mut team, &kit, &cfg, &plan)
-            .map_err(|message| CliError { message })
-    })?;
+    let report = run_once(&s, &plan, a.no_check, a.trace_out.as_deref())?;
     // Measurements on stdout; the blow-by-blow incident narrative is
     // human diagnostics and goes to stderr (PR-3 sweep convention), so
     // `flagsim faults ... > results.txt` stays machine-readable.

@@ -1,114 +1,163 @@
 //! `flagsim sweep` (in-process and sharded) and `flagsim worker`.
 
-use super::{
-    build_scenario, err, find_flag, parse_kind, parse_opts, parse_policy, preflight_static,
-    CliError, Opts,
-};
-use flagsim_core::config::ActivityConfig;
-use flagsim_core::faults::FaultPlan;
-use flagsim_core::work::PreparedFlag;
-use flagsim_core::TeamKit;
-use flagsim_flags::library;
+use super::args::{positive, text, uint, usage_error, Args};
+use super::{err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection};
+use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
+use flagsim_core::sweep::SweepFailure;
+use flagsim_metrics::RunStats;
+use flagsim_telemetry::Level;
 use std::fmt::Write as _;
+use std::time::Duration;
+
+options! {
+    pub(super) struct SweepArgs("sweep") |a| {
+        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
+        reps: u64 = a.opt("reps", "M", positive)?.unwrap_or(32),
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or_else(available_jobs),
+        sel: Selection = Selection::declare(a)?,
+        team: Option<usize> = a.opt("team", "N", positive)?,
+        warmup: bool = a.switch("warmup"),
+        stream: bool = a.switch("stream"),
+        progress: bool = a.switch("progress"),
+        dashboard: bool = a.switch("dashboard"),
+        trace_out: Option<String> = trace_out(a)?,
+        no_check: bool = a.switch("no-check"),
+        shard: ShardArgs = ShardArgs::declare(a)?,
+        policy: RecoveryPolicy = policy(a)?.unwrap_or(RecoveryPolicy::Rebalance),
+        chunk: u64 = a.opt("chunk", "K", positive)?.unwrap_or(8),
+        // 0 = auto: the coordinator aims for ~256 instrumented reps
+        // per campaign so shipping cost stays bounded on huge sweeps.
+        trace_sample: u64 = a.opt("trace-sample", "N", uint)?.unwrap_or(0),
+        log_level: Option<Level> = log_level(a)?,
+    }
+}
+
+/// The sharded-sweep group. Giving any of these options routes the sweep
+/// through the shard coordinator (which also runs plain in-process
+/// sweeps, so `--checkpoint` alone works without any workers).
+struct ShardArgs {
+    workers: Option<usize>,
+    /// Every `--connect` address, in order.
+    connect: Vec<String>,
+    checkpoint: Option<String>,
+    checkpoint_every: u64,
+    resume: Option<String>,
+    max_wall: Option<Duration>,
+    obs_out: Option<String>,
+    obs_serve: Option<String>,
+    /// Whether the command line gave any option of the group.
+    given: bool,
+}
+
+impl ShardArgs {
+    fn declare(a: &mut Args) -> Result<Self, CliError> {
+        let before = a.set_count();
+        Ok(ShardArgs {
+            workers: a.opt("workers", "N", positive)?,
+            connect: a.many("connect", "ADDR[,ADDR..]", endpoints)?.concat(),
+            checkpoint: a.opt("checkpoint", "FILE", text)?,
+            checkpoint_every: a.opt("checkpoint-every", "K", positive)?.unwrap_or(64),
+            resume: a.opt("resume", "FILE", text)?,
+            max_wall: a.opt("max-wall-secs", "S", wall_budget)?,
+            obs_out: a.opt("obs-out", "FILE", text)?,
+            obs_serve: a.opt("obs-serve", "ADDR", text)?,
+            given: a.set_count() > before,
+        })
+    }
+}
+
+fn available_jobs() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// One `--connect` value: comma-separated `host:port` addresses.
+fn endpoints(s: &str) -> Result<Vec<String>, String> {
+    let parts: Vec<String> = s.split(',').filter(|p| !p.is_empty()).map(str::to_owned).collect();
+    if let Some(part) = parts.iter().find(|p| p.parse::<std::net::SocketAddr>().is_err()) {
+        return Err(format!("bad address {part:?} (want host:port)"));
+    }
+    if parts.is_empty() {
+        return Err("no usable address".into());
+    }
+    Ok(parts)
+}
+
+/// `--max-wall-secs`: a finite, non-negative number of seconds.
+fn wall_budget(s: &str) -> Result<Duration, String> {
+    s.parse::<f64>()
+        .ok()
+        .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
+        .ok_or_else(|| "must be a finite, non-negative number of seconds".to_owned())
+}
+
+/// The statistics table both sweep paths print below their header. CI's
+/// kill-and-resume smoke diffs it across the two, so there is one copy.
+fn stats_table(out: &mut String, completion: &RunStats, waiting: &RunStats) {
+    let _ = writeln!(
+        out,
+        "{:<12}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}",
+        "metric", "n", "mean s", "stddev", "min", "median", "max"
+    );
+    for (label, s) in [("completion", completion), ("waiting", waiting)] {
+        let _ = writeln!(
+            out,
+            "{:<12}{:>6}{:>10.2}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
+            label, s.n, s.mean, s.stddev, s.min, s.median, s.max
+        );
+    }
+    let _ = writeln!(
+        out,
+        "\ncompletion {} (mean ± 95% CI)",
+        completion.display_secs()
+    );
+}
+
+/// The stderr note for failed repetitions, if any failed. (Failures go
+/// to stderr so `flagsim sweep ... > results.txt` stays machine-readable.)
+fn failure_note(failures: &[SweepFailure]) -> Option<String> {
+    let first = failures.first()?;
+    Some(format!(
+        "sweep: {} repetition(s) failed; first: rep {}: {}",
+        failures.len(),
+        first.rep,
+        first.error
+    ))
+}
 
 /// `flagsim sweep` — the measurement campaign front door: run a scenario
 /// across many seeds on `--jobs` worker threads and print the summary
 /// statistics. The job count never changes the numbers, only the
 /// wall-clock time.
-pub(super) fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
+pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "seed", "reps", "jobs", "team", "trace-out", "workers", "connect",
-            "checkpoint", "checkpoint-every", "resume", "max-wall-secs", "policy", "chunk",
-            "obs-out", "obs-serve", "log-level", "trace-sample",
-        ],
-    )?;
-    if let Some(level) = opts.value("log-level") {
-        let parsed = flagsim_telemetry::Level::parse(level)
-            .map_err(|message| CliError { message })?;
-        flagsim_telemetry::log::set_level(parsed);
+    if let Some(level) = a.log_level {
+        flagsim_telemetry::log::set_level(level);
     }
-    // Any distribution/durability/observability flag routes through the
-    // shard coordinator (which also runs plain in-process sweeps, so
-    // `--checkpoint` alone works without any workers).
-    if [
-        "workers", "connect", "checkpoint", "checkpoint-every", "resume", "max-wall-secs",
-        "obs-out", "obs-serve",
-    ]
-    .iter()
-    .any(|k| opts.flag(k))
-    {
-        return cmd_sweep_shard(&opts);
+    if a.shard.given {
+        return cmd_sweep_shard(a);
     }
-    let Some(which) = opts.positional.first() else {
-        return err(
-            "usage: flagsim sweep <SCENARIO> [--reps M] [--jobs N] \
-             [--flag NAME] [--kind KIND] [--seed N] [--team N] [--warmup] [--stream] \
-             [--progress] [--dashboard] [--trace-out FILE] [--log-level LEVEL]",
-        );
+    let Some(which) = &a.scenario else {
+        return Err(usage_error::<SweepArgs>());
     };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let reps: u64 = opts
-        .value("reps")
-        .unwrap_or("32")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --reps".into(),
-        })?;
-    if reps == 0 {
-        return err("--reps must be at least 1");
+    let s = a.sel.setup(which)?;
+    let team = a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg));
+    let (reps, jobs) = (a.reps, a.jobs);
+    if !a.no_check {
+        s.preflight(team + 1, &FaultPlan::none())?;
     }
-    let jobs: usize = match opts.value("jobs") {
-        Some(j) => j.parse().map_err(|_| CliError {
-            message: "bad --jobs".into(),
-        })?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let team: usize = match opts.value("team") {
-        Some(t) => t.parse().map_err(|_| CliError {
-            message: "bad --team".into(),
-        })?,
-        None => scenario.team_size(&flag, &cfg),
-    };
-    let stream = opts.flag("stream");
-    let dashboard = opts.flag("dashboard");
-    let trace_out = opts.value("trace-out");
-    let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
-    if !opts.flag("no-check") {
-        preflight_static(&spec, &flag, &scenario, &kit, team + 1, &cfg, &FaultPlan::none())?;
-    }
-    let mut runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+    let mut runner = SweepRunner::new(&s.scenario, &s.flag, &s.kit, &s.cfg)
         .team_size(team)
-        .warmup(opts.flag("warmup"))
+        .warmup(a.warmup)
         .reps(reps)
         .jobs(jobs)
-        .retain_reports(!stream);
+        .retain_reports(!a.stream);
     // Both the trace file and the dashboard's live mean/CI gauges need a
     // telemetry collector; the global slot is generation-guarded, so
     // install exactly one and share it.
     let collector =
-        (dashboard || trace_out.is_some()).then(flagsim_telemetry::Collector::install);
-    let dash = match (&collector, dashboard) {
+        (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
+    let dash = match (&collector, a.dashboard) {
         (Some(c), true) => Some(std::sync::Arc::new(crate::dashboard::Dashboard::new(
             jobs,
             reps,
@@ -119,7 +168,7 @@ pub(super) fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
     if let Some(d) = &dash {
         let d = std::sync::Arc::clone(d);
         runner = runner.on_progress(move |p| d.update(p));
-    } else if opts.flag("progress") {
+    } else if a.progress {
         let step = (reps / 10).max(1);
         runner = runner.on_progress(move |p| {
             if p.completed % step == 0 || p.completed == p.total {
@@ -127,65 +176,28 @@ pub(super) fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
             }
         });
     }
-    let result = runner.run().map_err(|e| CliError {
-        message: e.to_string(),
-    });
+    let result = runner.run().map_err(|e| e.to_string());
     if let Some(d) = &dash {
         d.finish();
     }
-    if let Some(c) = collector {
-        let set = c.finish();
-        if result.is_ok() {
-            if let Some(path) = trace_out {
-                std::fs::write(path, set.chrome_trace()).map_err(|e| CliError {
-                    message: format!("cannot write {path}: {e}"),
-                })?;
-                eprintln!("trace: {} span(s) written to {path}", set.len());
-            }
-        }
-    }
+    finish_trace(collector, result.is_ok(), a.trace_out.as_deref(), |line| eprintln!("{line}"))?;
     let result = result?;
     let mut out = format!(
         "{} — {}, {} rep(s), {} job(s), seed {}{}\n\n",
-        scenario.name,
-        spec.name,
+        s.scenario.name,
+        a.sel.spec.name,
         reps,
         jobs,
-        seed,
-        if stream {
+        a.sel.seed,
+        if a.stream {
             ", streaming statistics (reports dropped)"
         } else {
             ""
         },
     );
-    let _ = writeln!(
-        out,
-        "{:<12}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}",
-        "metric", "n", "mean s", "stddev", "min", "median", "max"
-    );
-    for (label, s) in [("completion", &result.completion), ("waiting", &result.waiting)] {
-        let _ = writeln!(
-            out,
-            "{:<12}{:>6}{:>10.2}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
-            label, s.n, s.mean, s.stddev, s.min, s.median, s.max
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\ncompletion {} (mean ± 95% CI)",
-        result.completion.display_secs()
-    );
-    // Failure diagnostics go to stderr (and the `sweep.failures` counter
-    // when telemetry is on) so `flagsim sweep ... > results.txt` stays
-    // machine-readable.
-    if !result.failures.is_empty() {
-        let first = &result.failures[0];
-        eprintln!(
-            "sweep: {} repetition(s) failed; first: rep {}: {}",
-            result.failures.len(),
-            first.rep,
-            first.error
-        );
+    stats_table(&mut out, &result.completion, &result.waiting);
+    if let Some(note) = failure_note(&result.failures) {
+        eprintln!("{note}");
     }
     Ok(out)
 }
@@ -197,197 +209,99 @@ pub(super) fn cmd_sweep(args: &[String]) -> Result<String, CliError> {
 /// and `--max-wall-secs` (soft deadline → checkpoint + exit code 3).
 /// Statistics are bit-for-bit identical to the in-process streaming
 /// sweep at any worker count.
-pub(super) fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
+fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
     use flagsim_shard::{
         run_sweep, Checkpoint, CoordinatorConfig, JobSpec, LeaseConfig, ShardOutcome,
     };
 
+    let shard = a.shard;
     // The job: from the checkpoint on --resume (its spec is the source
     // of truth — the fingerprint guards against splicing campaigns), or
     // from the command line.
-    let resume = match opts.value("resume") {
-        Some(path) => Some(
-            Checkpoint::load(std::path::Path::new(path)).map_err(|message| CliError { message })?,
-        ),
-        None => None,
-    };
+    let resume = shard
+        .resume
+        .as_deref()
+        .map(|path| Checkpoint::load(std::path::Path::new(path)))
+        .transpose()?;
     let job = match &resume {
         Some(ck) => ck.job.clone(),
         None => {
-            let Some(which) = opts.positional.first() else {
-                return err(
-                    "usage: flagsim sweep <SCENARIO> [--workers N | --connect ADDR,..] \
-                     [--checkpoint FILE] [--checkpoint-every K] [--resume FILE] \
-                     [--max-wall-secs S] [--reps M] [--jobs N] [--flag NAME] [--kind KIND] \
-                     [--seed N] [--team N] [--warmup] [--dashboard] [--trace-out FILE] \
-                     [--trace-sample N] [--obs-out FILE] [--log-level LEVEL]",
-                );
+            let Some(which) = &a.scenario else {
+                return Err(usage_error::<SweepArgs>());
             };
-            let spec = match opts.value("flag") {
-                Some(name) => find_flag(name)?,
-                None => library::mauritius(),
-            };
-            let flag = PreparedFlag::new(&spec);
-            let scenario = build_scenario(which, &flag)?;
-            parse_kind(opts.value("kind").unwrap_or("thick"))?;
-            let seed: u64 = opts
-                .value("seed")
-                .unwrap_or("2025")
-                .parse()
-                .map_err(|_| CliError { message: "bad --seed".into() })?;
-            let reps: u64 = opts
-                .value("reps")
-                .unwrap_or("32")
-                .parse()
-                .map_err(|_| CliError { message: "bad --reps".into() })?;
-            if reps == 0 {
-                return err("--reps must be at least 1");
-            }
-            let cfg0 = ActivityConfig::default().with_seed(seed);
-            let team: usize = match opts.value("team") {
-                Some(t) => t.parse().map_err(|_| CliError { message: "bad --team".into() })?,
-                None => scenario.team_size(&flag, &cfg0),
-            };
-            if team == 0 {
-                return err("--team must be at least 1");
-            }
+            let s = a.sel.setup(which)?;
             JobSpec {
                 scenario: which.clone(),
-                flag: spec.name.clone(),
-                kind: opts.value("kind").unwrap_or("thick").to_owned(),
-                seed,
-                reps,
-                team,
-                warmup: opts.flag("warmup"),
+                flag: a.sel.spec.name.clone(),
+                kind: kind_token(a.sel.kind).to_owned(),
+                seed: a.sel.seed,
+                reps: a.reps,
+                team: a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg)),
+                warmup: a.warmup,
             }
         }
     };
     // One validation point for both paths; also names the scenario for
     // the summary header.
-    let mat = job.materialize().map_err(|message| CliError { message })?;
+    let mat = job.materialize()?;
 
-    let mut endpoints: Vec<String> = Vec::new();
-    for value in opts.values("connect") {
-        for part in value.split(',').filter(|p| !p.is_empty()) {
-            part.parse::<std::net::SocketAddr>().map_err(|_| CliError {
-                message: format!("bad --connect address {part:?} (want host:port)"),
-            })?;
-            endpoints.push(part.to_owned());
-        }
-    }
-    if opts.flag("connect") && endpoints.is_empty() {
-        return err("--connect got no usable address");
-    }
-    let workers: Option<usize> = opts
-        .value("workers")
-        .map(|w| w.parse().map_err(|_| CliError { message: "bad --workers".into() }))
-        .transpose()?;
-    if workers == Some(0) {
-        return err("--workers must be at least 1");
-    }
-    let jobs: usize = match opts.value("jobs") {
-        Some(j) => j.parse().map_err(|_| CliError { message: "bad --jobs".into() })?,
-        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    };
-    if jobs == 0 {
-        return err("--jobs must be at least 1");
-    }
-    let checkpoint_every: u64 = opts
-        .value("checkpoint-every")
-        .unwrap_or("64")
-        .parse()
-        .map_err(|_| CliError { message: "bad --checkpoint-every".into() })?;
-    if checkpoint_every == 0 {
-        return err("--checkpoint-every must be at least 1");
-    }
-    let chunk: u64 = opts
-        .value("chunk")
-        .unwrap_or("8")
-        .parse()
-        .map_err(|_| CliError { message: "bad --chunk".into() })?;
-    if chunk == 0 {
-        return err("--chunk must be at least 1");
-    }
-    let max_wall = match opts.value("max-wall-secs") {
-        Some(s) => {
-            let secs: f64 = s
-                .parse()
-                .map_err(|_| CliError { message: "bad --max-wall-secs".into() })?;
-            if !secs.is_finite() || secs < 0.0 {
-                return err("--max-wall-secs must be finite and non-negative");
-            }
-            Some(std::time::Duration::from_secs_f64(secs))
-        }
-        None => None,
-    };
-    let policy = parse_policy(opts.value("policy").unwrap_or("rebalance"))?;
+    let mut endpoints = shard.connect;
+    let jobs = a.jobs;
     // Resuming keeps checkpointing to the resume file unless overridden,
     // so a twice-killed sweep stays resumable.
-    let checkpoint_path = opts
-        .value("checkpoint")
-        .or_else(|| opts.value("resume"))
+    let checkpoint_path = shard
+        .checkpoint
+        .or_else(|| shard.resume.clone())
         .map(std::path::PathBuf::from);
 
     let mut children = Vec::new();
-    if let Some(n) = workers {
+    if let Some(n) = shard.workers {
         let (spawned, procs) = spawn_local_workers(n)?;
         endpoints.extend(spawned);
         children = procs;
     }
     let worker_count = endpoints.len();
 
-    let dashboard = opts.flag("dashboard");
-    let trace_out = opts.value("trace-out");
-    let obs_out = opts.value("obs-out");
-    // 0 = auto: the coordinator aims for ~256 instrumented reps per
-    // campaign so shipping cost stays bounded on huge sweeps.
-    let trace_sample: u64 = opts
-        .value("trace-sample")
-        .unwrap_or("0")
-        .parse()
-        .map_err(|_| CliError { message: "bad --trace-sample".into() })?;
     // Trace file and dashboard both need the telemetry collector; the
     // global slot is generation-guarded, so install exactly one. The
     // fleet hub is independent of the collector (it only powers the
     // dashboard rows and the --obs-out dump) and is cheap, so it is
     // always on for sharded runs.
     let collector =
-        (dashboard || trace_out.is_some()).then(flagsim_telemetry::Collector::install);
+        (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
     let hub = flagsim_shard::ObsHub::new();
 
     let cfg = CoordinatorConfig {
         endpoints,
         local_jobs: jobs,
         checkpoint_path,
-        checkpoint_every,
+        checkpoint_every: shard.checkpoint_every,
         resume,
-        max_wall,
-        lease: LeaseConfig { chunk, policy, ..LeaseConfig::default() },
+        max_wall: shard.max_wall,
+        lease: LeaseConfig { chunk: a.chunk, policy: a.policy, ..LeaseConfig::default() },
         halt_after_reps: None,
         quiet: false,
         obs: Some(hub.clone()),
-        trace_sample,
+        trace_sample: a.trace_sample,
     };
 
     let started = std::time::Instant::now();
     // `--obs-serve ADDR`: push fleet snapshots to attached watchers
     // (`flagsim watch --connect`). Strictly one-way — the server never
     // parses client bytes, so a watcher cannot touch the merge path.
-    let obs_server = match opts.value("obs-serve") {
+    let obs_server = match &shard.obs_serve {
         Some(addr) => {
             let t0 = started;
             let server = flagsim_shard::ObsServer::start(hub.clone(), addr, 250, move || {
                 t0.elapsed().as_millis() as u64
             })
-            .map_err(|e| CliError {
-                message: format!("cannot serve observability on {addr}: {e}"),
-            })?;
+            .map_err(|e| format!("cannot serve observability on {addr}: {e}"))?;
             eprintln!("obs: serving fleet snapshots on {}", server.local_addr());
             Some(server)
         }
         None => None,
     };
-    let dash = match (&collector, dashboard) {
+    let dash = match (&collector, a.dashboard) {
         (Some(c), true) => Some(std::sync::Arc::new(crate::dashboard::Dashboard::new(
             worker_count.max(1),
             job.reps,
@@ -440,30 +354,12 @@ pub(super) fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
         Some(d) => d.println_above(line),
         None => eprintln!("{line}"),
     };
-    if let Some(c) = collector {
-        let set = c.finish();
-        if outcome.is_ok() {
-            if let Some(path) = trace_out {
-                let trace = set.chrome_trace();
-                // The merged multi-process trace is validated before it
-                // lands on disk: a malformed trace here is a bug worth
-                // failing loudly on, not something to hand to a viewer.
-                flagsim_telemetry::json::validate_chrome_trace(&trace).map_err(|e| CliError {
-                    message: format!("merged trace failed validation: {e}"),
-                })?;
-                std::fs::write(path, trace).map_err(|e| CliError {
-                    message: format!("cannot write {path}: {e}"),
-                })?;
-                emit(&format!("trace: {} span(s) written to {path}", set.len()));
-            }
-        }
-    }
+    finish_trace(collector, outcome.is_ok(), a.trace_out.as_deref(), emit)?;
     if outcome.is_ok() {
-        if let Some(path) = obs_out {
+        if let Some(path) = &shard.obs_out {
             let now = started.elapsed().as_millis() as u64;
-            std::fs::write(path, hub.snapshot_json(now)).map_err(|e| CliError {
-                message: format!("cannot write {path}: {e}"),
-            })?;
+            std::fs::write(path, hub.snapshot_json(now))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
             emit(&format!("fleet: observability snapshot written to {path}"));
         }
     }
@@ -475,36 +371,14 @@ pub(super) fn cmd_sweep_shard(opts: &Opts) -> Result<String, CliError> {
     }
     match outcome? {
         ShardOutcome::Completed(r) => {
-            if !r.failures.is_empty() {
-                let first = &r.failures[0];
-                emit(&format!(
-                    "sweep: {} repetition(s) failed; first: rep {}: {}",
-                    r.failures.len(),
-                    first.rep,
-                    first.error
-                ));
+            if let Some(note) = failure_note(&r.failures) {
+                emit(&note);
             }
             let mut out = format!(
                 "{} — {}, {} rep(s), {} worker(s), {} job(s), seed {}, sharded\n\n",
                 mat.scenario.name, mat.spec.name, job.reps, worker_count, jobs, job.seed,
             );
-            let _ = writeln!(
-                out,
-                "{:<12}{:>6}{:>10}{:>10}{:>10}{:>10}{:>10}",
-                "metric", "n", "mean s", "stddev", "min", "median", "max"
-            );
-            for (label, s) in [("completion", &r.completion), ("waiting", &r.waiting)] {
-                let _ = writeln!(
-                    out,
-                    "{:<12}{:>6}{:>10.2}{:>10.2}{:>10.2}{:>10.2}{:>10.2}",
-                    label, s.n, s.mean, s.stddev, s.min, s.median, s.max
-                );
-            }
-            let _ = writeln!(
-                out,
-                "\ncompletion {} (mean ± 95% CI)",
-                r.completion.display_secs()
-            );
+            stats_table(&mut out, &r.completion, &r.waiting);
             Ok(out)
         }
         ShardOutcome::DeadlineExpired { merged, total, checkpoint } => {
@@ -551,9 +425,8 @@ fn spawn_local_workers(
     n: usize,
 ) -> Result<(Vec<String>, Vec<std::process::Child>), CliError> {
     use std::io::BufRead as _;
-    let exe = std::env::current_exe().map_err(|e| CliError {
-        message: format!("cannot locate own executable to spawn workers: {e}"),
-    })?;
+    let exe = std::env::current_exe()
+        .map_err(|e| format!("cannot locate own executable to spawn workers: {e}"))?;
     let mut endpoints = Vec::new();
     let mut children = Vec::new();
     for i in 0..n {
@@ -570,66 +443,58 @@ fn spawn_local_workers(
             .stdout(std::process::Stdio::piped())
             .stderr(std::process::Stdio::null())
             .spawn()
-            .map_err(|e| CliError { message: format!("cannot spawn worker {i}: {e}") })?;
-        let stdout = child.stdout.take().ok_or_else(|| CliError {
-            message: format!("worker {i} has no stdout"),
-        })?;
+            .map_err(|e| format!("cannot spawn worker {i}: {e}"))?;
+        let stdout = child.stdout.take().ok_or_else(|| format!("worker {i} has no stdout"))?;
         let mut line = String::new();
         std::io::BufReader::new(stdout)
             .read_line(&mut line)
-            .map_err(|e| CliError { message: format!("worker {i} said nothing: {e}") })?;
+            .map_err(|e| format!("worker {i} said nothing: {e}"))?;
         let addr = line
             .trim()
             .rsplit(' ')
             .next()
             .filter(|a| a.parse::<std::net::SocketAddr>().is_ok())
-            .ok_or_else(|| CliError {
-                message: format!("worker {i} printed no listen address (got {line:?})"),
-            })?;
+            .ok_or_else(|| format!("worker {i} printed no listen address (got {line:?})"))?;
         endpoints.push(addr.to_owned());
         children.push(child);
     }
     Ok((endpoints, children))
 }
 
+options! {
+    pub(super) struct WorkerArgs("worker") |a| {
+        listen: String = a.required("listen", "ADDR"),
+        once: bool = a.switch("once"),
+        quiet: bool = a.switch("quiet"),
+        name: Option<String> = a.opt("name", "NAME", text)?,
+        log_level: Option<Level> = log_level(a)?,
+    }
+}
+
 /// `flagsim worker` — serve sweep repetitions to a coordinator. Binds
 /// `--listen ADDR` (port 0 picks an ephemeral port), prints the bound
 /// address on stdout, and answers `hello`/`lease` frames until the
 /// coordinator shuts the session down (`--once`) or forever.
-pub(super) fn cmd_worker(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["listen", "name", "log-level"])?;
-    let Some(addr) = opts.value("listen") else {
-        return err(
-            "usage: flagsim worker --listen ADDR [--once] [--quiet] [--name NAME] \
-             [--log-level LEVEL]",
-        );
-    };
-    if let Some(level) = opts.value("log-level") {
-        let parsed = flagsim_telemetry::Level::parse(level)
-            .map_err(|message| CliError { message })?;
-        flagsim_telemetry::log::set_level(parsed);
+pub(super) fn cmd_worker(a: WorkerArgs) -> Result<String, CliError> {
+    let addr = &a.listen;
+    if let Some(level) = a.log_level {
+        flagsim_telemetry::log::set_level(level);
     }
-    let listener = std::net::TcpListener::bind(addr).map_err(|e| CliError {
-        message: format!("cannot listen on {addr}: {e}"),
-    })?;
-    let local = listener.local_addr().map_err(|e| CliError {
-        message: format!("cannot resolve bound address: {e}"),
-    })?;
+    let listener =
+        std::net::TcpListener::bind(addr).map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| format!("cannot resolve bound address: {e}"))?;
     // Printed (and flushed) before serving: a spawning coordinator
     // parses this line to learn the ephemeral port.
     println!("worker: listening on {local}");
     std::io::Write::flush(&mut std::io::stdout()).ok();
     let worker_opts = flagsim_shard::WorkerOptions {
-        once: opts.flag("once"),
-        name: opts
-            .value("name")
-            .map(str::to_owned)
-            .unwrap_or_else(|| format!("worker-{}", std::process::id())),
-        quiet: opts.flag("quiet"),
+        once: a.once,
+        name: a.name.unwrap_or_else(|| format!("worker-{}", std::process::id())),
+        quiet: a.quiet,
         drop_telemetry_every: 0,
     };
-    flagsim_shard::serve(&listener, &worker_opts).map_err(|e| CliError {
-        message: format!("worker failed: {e}"),
-    })?;
+    flagsim_shard::serve(&listener, &worker_opts).map_err(|e| format!("worker failed: {e}"))?;
     Ok(String::new())
 }

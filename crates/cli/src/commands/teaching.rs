@@ -1,7 +1,8 @@
 //! The classroom commands: `flags`, `render`, `slides`, `session`,
 //! `grade`, `parse`, `pack`, `vocab`, and `report`.
 
-use super::{err, find_flag, parse_kind, parse_opts, parse_size, CliError};
+use super::args::uint;
+use super::{err, find_flag, parse_size, CliError, Selection};
 use crate::submission::parse_submission;
 use flagsim_agents::{ImplementKind, StudentProfile};
 use flagsim_assessment::jordan;
@@ -18,7 +19,11 @@ use flagsim_grid::render;
 use flagsim_taskgraph::{classify, list_schedule, Priority};
 use std::fmt::Write as _;
 
-pub(super) fn cmd_flags() -> Result<String, CliError> {
+options! {
+    pub(super) struct FlagsArgs("flags") |_a| {}
+}
+
+pub(super) fn cmd_flags(_: FlagsArgs) -> Result<String, CliError> {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -39,15 +44,20 @@ pub(super) fn cmd_flags() -> Result<String, CliError> {
     Ok(out)
 }
 
-pub(super) fn cmd_render(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &[])?;
-    let Some(name) = opts.positional.first() else {
-        return err("usage: flagsim render <flag> [ascii|ansi|ppm] [WxH]");
-    };
-    let flag = find_flag(name)?;
+options! {
+    pub(super) struct RenderArgs("render") |a| {
+        flag: String = a.operand("<flag>"),
+        mode: Option<String> = a.optional_operand("ascii|ansi|ppm|svg"),
+        size: Option<String> = a.optional_operand("WxH"),
+    }
+}
+
+pub(super) fn cmd_render(a: RenderArgs) -> Result<String, CliError> {
+    let flag = find_flag(&a.flag)?;
     let mut mode = "ascii";
     let mut size = (flag.default_width, flag.default_height);
-    for extra in &opts.positional[1..] {
+    // The mode and the size may come in either order.
+    for extra in [&a.mode, &a.size].into_iter().flatten() {
         match extra.as_str() {
             "ascii" | "ansi" | "ppm" | "svg" => mode = extra,
             s if s.contains('x') => size = parse_size(s)?,
@@ -67,34 +77,36 @@ pub(super) fn cmd_render(args: &[String]) -> Result<String, CliError> {
     })
 }
 
-pub(super) fn cmd_slides(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &[])?;
-    let spec = match opts.positional.first() {
+options! {
+    pub(super) struct SlidesArgs("slides") |a| {
+        flag: Option<String> = a.optional_operand("<flag>"),
+    }
+}
+
+pub(super) fn cmd_slides(a: SlidesArgs) -> Result<String, CliError> {
+    let spec = match &a.flag {
         Some(name) => find_flag(name)?,
         None => library::mauritius(),
     };
     Ok(slides::fig1_deck(&PreparedFlag::new(&spec)))
 }
 
-pub(super) fn cmd_session(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["seed"])?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("42")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
+options! {
+    pub(super) struct SessionArgs("session") |a| {
+        repeat: bool = a.switch("repeat"),
+        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(42),
+    }
+}
+
+pub(super) fn cmd_session(a: SessionArgs) -> Result<String, CliError> {
     let mut session = ClassroomSession::new(
         &library::mauritius(),
-        ActivityConfig::default().with_seed(seed),
+        ActivityConfig::default().with_seed(a.seed),
     );
     session.add_team("Daubers", 5, ImplementKind::BingoDauber);
     session.add_team("ThickMk", 5, ImplementKind::ThickMarker);
     session.add_team("ThinMk", 5, ImplementKind::ThinMarker);
-    let all = session
-        .run_core_activity(opts.flag("repeat"))
-        .map_err(|message| CliError { message })?;
+    let all = session.run_core_activity(a.repeat)?;
     let mut out = session.board_table();
     // The debrief: lessons for team 2 (thick markers) plus the hardware
     // lesson across teams.
@@ -113,20 +125,24 @@ pub(super) fn cmd_session(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-pub(super) fn cmd_grade(args: &[String]) -> Result<String, CliError> {
-    let Some(path) = args.first() else {
-        return err("usage: flagsim grade <file>");
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| CliError {
-        message: format!("cannot read {path}: {e}"),
-    })?;
-    grade_text(&text)
+options! {
+    pub(super) struct GradeArgs("grade") |a| {
+        file: String = a.operand("<file>"),
+    }
+}
+
+pub(super) fn cmd_grade(a: GradeArgs) -> Result<String, CliError> {
+    grade_text(&read_file(&a.file)?)
+}
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
 /// Grade a submission text against the Jordan reference (separated from
 /// the file I/O so tests can call it directly).
 pub fn grade_text(text: &str) -> Result<String, CliError> {
-    let sub = parse_submission(text).map_err(|message| CliError { message })?;
+    let sub = parse_submission(text)?;
     let grade = classify(&sub, &jordan::reference_graph(), &jordan::grade_options());
     let mut out = format!("grade: {grade:?}\n");
     let _ = writeln!(
@@ -141,21 +157,25 @@ pub fn grade_text(text: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-pub(super) fn cmd_report(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["seed"])?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    Ok(flagsim_assessment::report::full_report(seed))
+options! {
+    pub(super) struct ReportArgs("report") |a| {
+        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(2025),
+    }
 }
 
-pub(super) fn cmd_vocab(args: &[String]) -> Result<String, CliError> {
+pub(super) fn cmd_report(a: ReportArgs) -> Result<String, CliError> {
+    Ok(flagsim_assessment::report::full_report(a.seed))
+}
+
+options! {
+    pub(super) struct VocabArgs("vocab") |a| {
+        term: Option<String> = a.optional_operand("<term>"),
+    }
+}
+
+pub(super) fn cmd_vocab(a: VocabArgs) -> Result<String, CliError> {
     use flagsim_core::glossary;
-    match args.first() {
+    match &a.term {
         None => Ok(glossary::render_glossary()),
         Some(word) => match glossary::lookup(word) {
             Some(t) => Ok(format!(
@@ -167,33 +187,21 @@ pub(super) fn cmd_vocab(args: &[String]) -> Result<String, CliError> {
     }
 }
 
-pub(super) fn cmd_pack(args: &[String]) -> Result<String, CliError> {
-    let opts = parse_opts(args, &["out", "flag", "kind", "seed"])?;
-    let Some(dir) = opts.value("out") else {
-        return err("usage: flagsim pack --out DIR [--flag NAME] [--kind KIND] [--seed N]");
-    };
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let kind = parse_kind(opts.value("kind").unwrap_or("thick"))?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let files = build_pack(&spec, kind, seed).map_err(|message| CliError { message })?;
-    std::fs::create_dir_all(dir).map_err(|e| CliError {
-        message: format!("cannot create {dir}: {e}"),
-    })?;
+options! {
+    pub(super) struct PackArgs("pack") |a| {
+        out: String = a.required("out", "DIR"),
+        sel: Selection = Selection::declare(a)?,
+    }
+}
+
+pub(super) fn cmd_pack(a: PackArgs) -> Result<String, CliError> {
+    let (dir, spec) = (&a.out, &a.sel.spec);
+    let files = build_pack(spec, a.sel.kind, a.sel.seed)?;
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir}: {e}"))?;
     let mut out = format!("instructor pack for {} in {dir}/:\n", spec.name);
     for (name, content) in &files {
         let path = format!("{dir}/{name}");
-        std::fs::write(&path, content).map_err(|e| CliError {
-            message: format!("cannot write {path}: {e}"),
-        })?;
+        std::fs::write(&path, content).map_err(|e| format!("cannot write {path}: {e}"))?;
         let _ = writeln!(out, "  {name} ({} bytes)", content.len());
     }
     Ok(out)
@@ -294,22 +302,20 @@ pub fn build_pack(
     Ok(files)
 }
 
-pub(super) fn cmd_parse(args: &[String]) -> Result<String, CliError> {
-    let Some(path) = args.first() else {
-        return err("usage: flagsim parse <file>");
-    };
-    let text = std::fs::read_to_string(path).map_err(|e| CliError {
-        message: format!("cannot read {path}: {e}"),
-    })?;
-    parse_text(&text)
+options! {
+    pub(super) struct ParseArgs("parse") |a| {
+        file: String = a.operand("<file>"),
+    }
+}
+
+pub(super) fn cmd_parse(a: ParseArgs) -> Result<String, CliError> {
+    parse_text(&read_file(&a.file)?)
 }
 
 /// Validate + render a custom flag text (separated from file I/O for
 /// tests). Includes the linter's findings.
 pub fn parse_text(text: &str) -> Result<String, CliError> {
-    let flag = flagsim_flags::parse(text).map_err(|e| CliError {
-        message: e.to_string(),
-    })?;
+    let flag = flagsim_flags::parse(text).map_err(|e| e.to_string())?;
     let grid = flag.rasterize();
     let lints = flagsim_flags::lint(&flag);
     Ok(format!(

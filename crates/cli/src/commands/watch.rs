@@ -1,14 +1,10 @@
 //! `flagsim watch` and `flagsim replay`: recorded and live runs.
 
-use super::{
-    build_scenario, err, find_flag, parse_kind, parse_opts, preflight_static, CliError, Opts,
-};
+use super::args::{positive, text, usage_error};
+use super::{err, CliError, Selection};
 use flagsim_agents::StudentProfile;
-use flagsim_core::config::ActivityConfig;
 use flagsim_core::faults::FaultPlan;
-use flagsim_core::work::PreparedFlag;
-use flagsim_core::TeamKit;
-use flagsim_flags::library;
+use flagsim_watch::input::{script_keys, Key};
 
 /// Re-run a recorded scenario (the scenario, flag, kind, and seed fully
 /// determine the run) and return its display title, report, and
@@ -16,74 +12,44 @@ use flagsim_flags::library;
 /// `watch`.
 fn recorded_run(
     which: &str,
-    opts: &Opts,
+    sel: &Selection,
     check: bool,
 ) -> Result<(String, flagsim_core::RunReport, Vec<Vec<flagsim_core::WorkItem>>), CliError> {
-    let spec = match opts.value("flag") {
-        Some(name) => find_flag(name)?,
-        None => library::mauritius(),
-    };
-    let flag = PreparedFlag::new(&spec);
-    let scenario = build_scenario(which, &flag)?;
-    let seed: u64 = opts
-        .value("seed")
-        .unwrap_or("2025")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --seed".into(),
-        })?;
-    let cfg = ActivityConfig::default().with_seed(seed);
-    let assignments = scenario
+    let s = sel.setup(which)?;
+    let assignments = s
+        .scenario
         .strategy
-        .assignments(&flag, scenario.order, &cfg.skip_colors);
+        .assignments(&s.flag, s.scenario.order, &s.cfg.skip_colors);
     let size = assignments.len();
     let mut team: Vec<StudentProfile> =
         (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let kit = TeamKit::uniform(
-        parse_kind(opts.value("kind").unwrap_or("thick"))?,
-        &flag.colors_needed(&[]),
-    );
     if check {
-        preflight_static(
-            &spec,
-            &flag,
-            &scenario,
-            &kit,
-            size + 1,
-            &cfg,
-            &FaultPlan::none(),
-        )?;
+        s.preflight(size + 1, &FaultPlan::none())?;
     }
     let report = flagsim_core::run_activity(
-        scenario.name.clone(),
-        &flag,
+        s.scenario.name.clone(),
+        &s.flag,
         &assignments,
         &mut team,
-        &kit,
-        &cfg,
-    )
-    .map_err(|message| CliError { message })?;
-    let title = format!("{} — {} (seed {seed})", report.label, spec.name);
+        &s.kit,
+        &s.cfg,
+    )?;
+    let title = format!("{} — {} (seed {})", report.label, s.spec.name, sel.seed);
     Ok((title, report, assignments))
 }
 
-pub(super) fn cmd_replay(args: &[String]) -> Result<String, CliError> {
-    use flagsim_core::replay::Replay;
-    let opts = parse_opts(args, &["flag", "kind", "frames", "seed"])?;
-    let Some(which) = opts.positional.first() else {
-        return err("usage: flagsim replay <1|2|3|4|pipelined|alternating> [--frames N]");
-    };
-    let frames: usize = opts
-        .value("frames")
-        .unwrap_or("6")
-        .parse()
-        .map_err(|_| CliError {
-            message: "bad --frames".into(),
-        })?;
-    if frames == 0 {
-        return err("--frames must be at least 1");
+options! {
+    pub(super) struct ReplayArgs("replay") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        sel: Selection = Selection::declare(a)?,
+        frames: usize = a.opt("frames", "N", positive)?.unwrap_or(6),
     }
-    let (_, report, assignments) = recorded_run(which, &opts, false)?;
+}
+
+pub(super) fn cmd_replay(a: ReplayArgs) -> Result<String, CliError> {
+    use flagsim_core::replay::Replay;
+    let frames = a.frames;
+    let (_, report, assignments) = recorded_run(&a.scenario, &a.sel, false)?;
     let replay = Replay::new(&report, &assignments);
     let mut out = format!("{} — the flag filling in:\n\n", report.label);
     for frame in replay.ascii_frames(frames) {
@@ -93,58 +59,64 @@ pub(super) fn cmd_replay(args: &[String]) -> Result<String, CliError> {
     Ok(out)
 }
 
-const WATCH_USAGE: &str = "usage: flagsim watch <SCENARIO> [--flag NAME] [--kind KIND] [--seed N]\n\
-       \x20      [--script KEYS] [--frames-out FILE] [--width N] [--no-check]\n\
-       flagsim watch --trace FILE [--script KEYS] [--frames-out FILE]\n\
-       flagsim watch (--connect ADDR | --follow FILE) [--once] [--width N]";
+options! {
+    pub(super) struct WatchArgs("watch") |a| {
+        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
+        sel: Selection = Selection::declare(a)?,
+        script: Option<Vec<Key>> = a.opt("script", "KEYS", script_keys)?,
+        frames_out: Option<String> = a.opt("frames-out", "FILE", text)?,
+        width: usize =
+            a.opt("width", "N", width)?.unwrap_or_else(flagsim_watch::term::detect_width),
+        no_check: bool = a.switch("no-check"),
+        trace: Option<String> = a.opt("trace", "FILE", text)?,
+        connect: Option<String> = a.opt("connect", "ADDR", text)?,
+        follow: Option<String> = a.opt("follow", "FILE", text)?,
+        once: bool = a.switch("once"),
+    }
+}
 
-pub(super) fn cmd_watch(args: &[String]) -> Result<String, CliError> {
+/// `--width N`: terminal columns, 20 to 1000.
+fn width(s: &str) -> Result<usize, String> {
+    s.parse::<usize>()
+        .ok()
+        .filter(|w| (20..=1000).contains(w))
+        .ok_or_else(|| "expected a column count from 20 to 1000".to_owned())
+}
+
+pub(super) fn cmd_watch(a: WatchArgs) -> Result<String, CliError> {
+    use flagsim_watch::live::SnapshotSource;
     use flagsim_watch::{app, chrome, frame, input};
     use std::io::IsTerminal;
-    let opts = parse_opts(
-        args,
-        &[
-            "flag", "kind", "seed", "script", "frames-out", "width", "trace", "connect",
-            "follow",
-        ],
-    )?;
-    let width = match opts.value("width") {
-        Some(w) => w
-            .parse::<usize>()
-            .ok()
-            .filter(|w| (20..=1000).contains(w))
-            .ok_or(CliError {
-                message: "bad --width (20..=1000)".into(),
-            })?,
-        None => flagsim_watch::term::detect_width(),
+    let width = a.width;
+    let live = match (&a.connect, &a.follow) {
+        (Some(addr), _) => {
+            Some(SnapshotSource::connect(addr)?)
+        }
+        (_, Some(path)) => Some(SnapshotSource::follow(path)),
+        _ => None,
     };
-    if opts.value("connect").is_some() || opts.value("follow").is_some() {
-        return watch_live(&opts, width);
+    if let Some(src) = live {
+        return watch_live(src, a.once, width);
     }
-    let data = if let Some(path) = opts.value("trace") {
-        let text = std::fs::read_to_string(path).map_err(|e| CliError {
-            message: format!("cannot read {path}: {e}"),
-        })?;
+    let data = if let Some(path) = &a.trace {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         let trace =
-            chrome::parse_chrome_trace(&text).map_err(|message| CliError { message })?;
+            chrome::parse_chrome_trace(&text)?;
         app::ReplayData::from_trace(format!("trace file {path}"), trace)
     } else {
-        let Some(which) = opts.positional.first() else {
-            return err(WATCH_USAGE);
+        let Some(which) = &a.scenario else {
+            return Err(usage_error::<WatchArgs>());
         };
-        let (title, report, assignments) = recorded_run(which, &opts, !opts.flag("no-check"))?;
+        let (title, report, assignments) = recorded_run(which, &a.sel, !a.no_check)?;
         app::ReplayData::from_report(title, &report, &assignments)
     };
     // Scripted mode: a fixed key sequence, one frame per key, no clock —
     // byte-deterministic, for tests and CI.
-    if let Some(script) = opts.value("script") {
-        let keys = input::script_keys(script).map_err(|message| CliError { message })?;
-        let frames = app::run_script(&data, &keys, width);
+    if let Some(keys) = &a.script {
+        let frames = app::run_script(&data, keys, width);
         let dump = frame::dump_frames(&frames);
-        if let Some(path) = opts.value("frames-out") {
-            std::fs::write(path, &dump).map_err(|e| CliError {
-                message: format!("cannot write {path}: {e}"),
-            })?;
+        if let Some(path) = &a.frames_out {
+            std::fs::write(path, &dump).map_err(|e| format!("cannot write {path}: {e}"))?;
             return Ok(format!("watch: {} frame(s) written to {path}\n", frames.len()));
         }
         return Ok(dump);
@@ -170,15 +142,13 @@ pub(super) fn cmd_watch(args: &[String]) -> Result<String, CliError> {
 /// Interactive stdout repaints in place; piped stdout prints one
 /// summary line per new snapshot. `--once` exits after the first
 /// snapshot (smoke tests). Never writes to the source.
-fn watch_live(opts: &Opts, width: usize) -> Result<String, CliError> {
-    use flagsim_watch::live::{render_fleet, SnapshotSource};
+fn watch_live(
+    mut src: flagsim_watch::live::SnapshotSource,
+    once: bool,
+    width: usize,
+) -> Result<String, CliError> {
+    use flagsim_watch::live::render_fleet;
     use std::io::{IsTerminal, Write as _};
-    let mut src = match (opts.value("connect"), opts.value("follow")) {
-        (Some(addr), _) => SnapshotSource::connect(addr).map_err(|message| CliError { message })?,
-        (_, Some(path)) => SnapshotSource::follow(path),
-        _ => return err(WATCH_USAGE),
-    };
-    let once = opts.flag("once");
     let mut out = std::io::stdout();
     let mut panel =
         flagsim_watch::term::Panel::new(std::io::stdout().is_terminal() && !once, width);

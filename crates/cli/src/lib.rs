@@ -3,16 +3,8 @@
 //! The `flagsim` command-line tool: everything an instructor needs to
 //! prepare and debrief the activity without writing Rust.
 //!
-//! ```text
-//! flagsim flags                          list the flag library
-//! flagsim render <flag> [ascii|ansi|ppm] [WxH]
-//! flagsim slides [<flag>]                the Fig. 1 scenario deck
-//! flagsim run <scenario> [options]       simulate one scenario
-//! flagsim session [options]              a full multi-team class session
-//! flagsim graph <flag>                   dependency graph + schedules
-//! flagsim grade <file>                   grade a dependency-graph submission
-//! flagsim parse <file>                   validate + render a custom flag file
-//! ```
+//! `flagsim help` lists every command with its options, rendered from the
+//! option declarations in [`commands`].
 //!
 //! The command logic lives in [`run`] (pure: args in, output string out)
 //! so every command is unit-testable; `src/bin/flagsim.rs` is a thin
