@@ -1,7 +1,9 @@
 //! `flagsim sweep` (in-process and sharded) and `flagsim worker`.
 
 use super::args::{positive, text, uint, usage_error, Args};
-use super::{err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection};
+use super::{
+    err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection, Setup,
+};
 use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
 use flagsim_core::sweep::SweepFailure;
 use flagsim_metrics::RunStats;
@@ -90,6 +92,20 @@ fn wall_budget(s: &str) -> Result<Duration, String> {
         .ok_or_else(|| "must be a finite, non-negative number of seconds".to_owned())
 }
 
+/// The scenario and team size of a fresh sweep, after the static
+/// preflight (unless `--no-check`) that both sweep paths run.
+fn checked_setup(a: &SweepArgs) -> Result<(&str, Setup, usize), CliError> {
+    let Some(which) = &a.scenario else {
+        return Err(usage_error::<SweepArgs>());
+    };
+    let s = a.sel.setup(which)?;
+    let team = a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg));
+    if !a.no_check {
+        s.preflight(team + 1, &FaultPlan::none())?;
+    }
+    Ok((which, s, team))
+}
+
 /// The statistics table both sweep paths print below their header. CI's
 /// kill-and-resume smoke diffs it across the two, so there is one copy.
 fn stats_table(out: &mut String, completion: &RunStats, waiting: &RunStats) {
@@ -137,15 +153,8 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
     if a.shard.given {
         return cmd_sweep_shard(a);
     }
-    let Some(which) = &a.scenario else {
-        return Err(usage_error::<SweepArgs>());
-    };
-    let s = a.sel.setup(which)?;
-    let team = a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg));
+    let (_, s, team) = checked_setup(&a)?;
     let (reps, jobs) = (a.reps, a.jobs);
-    if !a.no_check {
-        s.preflight(team + 1, &FaultPlan::none())?;
-    }
     let mut runner = SweepRunner::new(&s.scenario, &s.flag, &s.kit, &s.cfg)
         .team_size(team)
         .warmup(a.warmup)
@@ -214,7 +223,10 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         run_sweep, Checkpoint, CoordinatorConfig, JobSpec, LeaseConfig, ShardOutcome,
     };
 
-    let shard = a.shard;
+    if a.progress {
+        return err("--progress does not apply to a sharded sweep; use --dashboard to watch it");
+    }
+    let shard = &a.shard;
     // The job: from the checkpoint on --resume (its spec is the source
     // of truth — the fingerprint guards against splicing campaigns), or
     // from the command line.
@@ -225,18 +237,16 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         .transpose()?;
     let job = match &resume {
         Some(ck) => ck.job.clone(),
+        // A resumed campaign was checked when it started.
         None => {
-            let Some(which) = &a.scenario else {
-                return Err(usage_error::<SweepArgs>());
-            };
-            let s = a.sel.setup(which)?;
+            let (which, _, team) = checked_setup(&a)?;
             JobSpec {
-                scenario: which.clone(),
+                scenario: which.to_owned(),
                 flag: a.sel.spec.name.clone(),
                 kind: kind_token(a.sel.kind).to_owned(),
                 seed: a.sel.seed,
                 reps: a.reps,
-                team: a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg)),
+                team,
                 warmup: a.warmup,
             }
         }
@@ -245,12 +255,13 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
     // the summary header.
     let mat = job.materialize()?;
 
-    let mut endpoints = shard.connect;
+    let mut endpoints = shard.connect.clone();
     let jobs = a.jobs;
     // Resuming keeps checkpointing to the resume file unless overridden,
     // so a twice-killed sweep stays resumable.
     let checkpoint_path = shard
         .checkpoint
+        .clone()
         .or_else(|| shard.resume.clone())
         .map(std::path::PathBuf::from);
 
@@ -497,4 +508,30 @@ pub(super) fn cmd_worker(a: WorkerArgs) -> Result<String, CliError> {
     };
     flagsim_shard::serve(&listener, &worker_opts).map_err(|e| format!("worker failed: {e}"))?;
     Ok(String::new())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sharded_sweeps_run_the_preflight_too() {
+        // No built-in flag trips an error-level static finding, so give
+        // the sweep a flag that paints nothing (SC101). Routed through the
+        // shard coordinator by --checkpoint, it must stop at the preflight
+        // before any campaign starts.
+        let ckpt = std::env::temp_dir()
+            .join(format!("flagsim-preflight-{}.ckpt", std::process::id()));
+        let args: Vec<String> = ["1", "--reps", "2", "--checkpoint", ckpt.to_str().unwrap()]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let mut a = super::super::args::parse::<SweepArgs>(&args).unwrap();
+        let speck = "flag \"Speck\" 4x4\nlayer \"speck\" red rect 0 0 0.01 0.01\n";
+        a.sel.spec = flagsim_flags::parse(speck).unwrap();
+        let e = cmd_sweep(a).unwrap_err();
+        assert!(e.message.starts_with("preflight:"), "{e}");
+        assert!(e.message.contains("SC101"), "{e}");
+        assert!(!ckpt.exists(), "the campaign must not start");
+    }
 }

@@ -520,3 +520,34 @@ fn watch_scenario_accepts_no_check() {
     assert!(ok_a && ok_b);
     assert_eq!(with_check, without, "preflight must not change the replay");
 }
+
+#[test]
+fn sharded_sweep_rejects_progress_and_honors_no_check() {
+    let dir = std::env::temp_dir();
+    let ckpt = |tag: &str| dir.join(format!("flagsim-shard-{tag}-{}.ckpt", std::process::id()));
+    // --progress has no effect on the sharded path, so it is an error
+    // that points at the dashboard, raised before any campaign starts.
+    let rejected = ckpt("progress");
+    let (_, stderr, code) = flagsim_code(&[
+        "sweep", "4", "--reps", "2", "--checkpoint", rejected.to_str().unwrap(), "--progress",
+    ]);
+    assert_eq!(code, 2, "{stderr}");
+    assert_eq!(stderr.trim_end().lines().count(), 1, "one-line stderr: {stderr}");
+    assert!(stderr.contains("--dashboard"), "{stderr}");
+    assert!(!rejected.exists(), "the campaign must not start");
+    // A fresh sharded campaign runs the static preflight; --no-check
+    // skips it without changing the statistics.
+    let mut outs = Vec::new();
+    for (tag, extra) in [("checked", None), ("unchecked", Some("--no-check"))] {
+        let path = ckpt(tag);
+        let mut args = vec!["sweep", "onestripe", "--reps", "4", "--seed", "5"];
+        args.extend(["--checkpoint", path.to_str().unwrap()]);
+        args.extend(extra);
+        let (stdout, stderr, code) = flagsim_code(&args);
+        std::fs::remove_file(&path).ok();
+        assert_eq!(code, 0, "{stderr}");
+        outs.push(stdout);
+    }
+    assert_eq!(outs[0], outs[1]);
+    assert!(outs[0].contains("sharded"), "{}", outs[0]);
+}
