@@ -346,3 +346,126 @@ pub(super) fn positive<T: std::str::FromStr + Default + PartialEq>(s: &str) -> R
 pub(super) fn text(s: &str) -> Result<String, String> {
     Ok(s.to_owned())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::super::COMMANDS;
+    use super::*;
+
+    fn strings(words: &[&str]) -> Vec<String> {
+        words.iter().map(|w| w.to_string()).collect()
+    }
+
+    #[test]
+    fn every_command_rejects_what_it_does_not_declare() {
+        let mut with_value_options = 0;
+        for command in COMMANDS {
+            let declared = command.describe();
+            let mut bad = vec![
+                strings(&["--no-such-option"]),
+                vec!["stray".to_owned(); declared.operands.len() + 1],
+            ];
+            if let Some(d) = declared.options.iter().find(|d| d.arity == Arity::Single) {
+                let option = format!("--{}", d.name);
+                bad.push(vec![option.clone(), "1".into(), option.clone(), "1".into()]);
+                bad.push(vec![option]);
+                with_value_options += 1;
+            }
+            for args in bad {
+                let e = command.describe().split(&args).unwrap_err();
+                assert_eq!(e.exit_code(), 2, "{args:?}: {e}");
+                let named = format!("flagsim {}: ", command.name());
+                assert!(e.message.starts_with(&named), "{args:?}: {e}");
+            }
+        }
+        assert!(with_value_options >= 15, "only {with_value_options} commands checked");
+    }
+
+    /// Shell words of one command line, up to a redirect, operator, or
+    /// comment.
+    fn shell_words(line: &str) -> Vec<String> {
+        let (mut words, mut word, mut quote, mut in_word) = (Vec::new(), String::new(), None, false);
+        for c in line.chars() {
+            match (quote, c) {
+                (Some(q), c) if c == q => quote = None,
+                (Some(_), c) => word.push(c),
+                (None, '"' | '\'') => {
+                    quote = Some(c);
+                    in_word = true;
+                }
+                (None, c) if c.is_whitespace() => {
+                    if in_word {
+                        words.push(std::mem::take(&mut word));
+                        in_word = false;
+                    }
+                }
+                (None, c) => {
+                    word.push(c);
+                    in_word = true;
+                }
+            }
+        }
+        if in_word {
+            words.push(word);
+        }
+        let stop = |w: &String| {
+            ["|", "||", "&&", "&", ";"].contains(&w.as_str())
+                || w.starts_with(['#', '>'])
+                || w.starts_with("2>")
+        };
+        words.into_iter().take_while(|w| !stop(w)).collect()
+    }
+
+    /// Lines with trailing-backslash continuations joined.
+    fn joined(text: &str) -> Vec<String> {
+        let mut lines = vec![String::new()];
+        for line in text.lines() {
+            let last = lines.last_mut().expect("never empty");
+            match line.trim_end().strip_suffix('\\') {
+                Some(head) => last.push_str(head),
+                None => {
+                    last.push_str(line);
+                    lines.push(String::new());
+                }
+            }
+        }
+        lines
+    }
+
+    #[test]
+    fn documented_command_lines_parse_with_declared_options_only() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |path: &str| std::fs::read_to_string(format!("{root}/{path}")).unwrap();
+        let mut command_lines = Vec::new();
+        let mut in_block = false;
+        for line in joined(&read("README.md")) {
+            if line.trim_start().starts_with("```") {
+                in_block = !in_block;
+                continue;
+            }
+            let bare = line.trim().trim_start_matches("$ ");
+            let rest = line.split_once("--bin flagsim -- ").map(|(_, r)| r);
+            if let Some(rest) = rest.or(bare.strip_prefix("flagsim ")).filter(|_| in_block) {
+                command_lines.push(shell_words(rest));
+            }
+        }
+        for line in joined(&read(".github/workflows/ci.yml")) {
+            let rest = line.split_once("$BIN ").or(line.split_once("--bin flagsim -- "));
+            if let Some((_, rest)) = rest {
+                command_lines.push(shell_words(rest));
+            }
+        }
+        // Prose that mentions flagsim (the crate diagram) is not a command.
+        command_lines.retain(|w| {
+            w.first().is_some_and(|c| c.chars().all(|ch| ch.is_ascii_lowercase() || ch == '-'))
+        });
+        assert!(command_lines.len() >= 50, "found only {}", command_lines.len());
+        for words in command_lines {
+            let command = COMMANDS.iter().find(|c| c.name() == words[0]);
+            let command = command.unwrap_or_else(|| panic!("unknown command in {words:?}"));
+            if let Err(e) = command.describe().split(&words[1..]) {
+                panic!("{words:?} does not parse: {e}");
+            }
+        }
+    }
+}

@@ -522,6 +522,25 @@ fn watch_scenario_accepts_no_check() {
 }
 
 #[test]
+fn undeclared_options_and_stray_arguments_exit_2_naming_the_command() {
+    // Each of these used to run (exit 0) with the mistake silently ignored.
+    for (args, names) in [
+        (&["run", "4", "--sed", "7"][..], "--sed"),
+        (&["sweep", "4", "--markers", "3"], "--markers"),
+        (&["run", "4", "--gantt", "5"], "\"5\""),
+        (&["graph", "jordan", "--procs", "2", "--procs", "x"], "--procs"),
+        (&["check", "4", "--static-only", "--jobs", "0"], "--jobs"),
+    ] {
+        let (stdout, stderr, code) = flagsim_code(args);
+        assert_eq!(code, 2, "args {args:?} must exit 2, stderr: {stderr}");
+        assert!(stdout.is_empty(), "nothing may run for {args:?}: {stdout}");
+        let first = stderr.lines().next().unwrap_or("");
+        assert!(first.starts_with(&format!("error: flagsim {}: ", args[0])), "{stderr}");
+        assert!(first.contains(names), "{args:?} must name {names}: {stderr}");
+    }
+}
+
+#[test]
 fn sharded_sweep_rejects_progress_and_honors_no_check() {
     let dir = std::env::temp_dir();
     let ckpt = |tag: &str| dir.join(format!("flagsim-shard-{tag}-{}.ckpt", std::process::id()));
