@@ -384,7 +384,8 @@ mod tests {
     /// Shell words of one command line, up to a redirect, operator, or
     /// comment.
     fn shell_words(line: &str) -> Vec<String> {
-        let (mut words, mut word, mut quote, mut in_word) = (Vec::new(), String::new(), None, false);
+        let (mut words, mut word) = (Vec::new(), String::new());
+        let (mut quote, mut in_word) = (None, false);
         for c in line.chars() {
             match (quote, c) {
                 (Some(q), c) if c == q => quote = None,

@@ -14,7 +14,7 @@ mod watch;
 pub use teaching::{build_pack, grade_text, parse_text};
 
 use args::{text, uint, Args, Options};
-use flagsim_agents::ImplementKind;
+use flagsim_agents::{ImplementKind, StudentProfile};
 use flagsim_core::config::ActivityConfig;
 use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
 use flagsim_core::scenario::Scenario;
@@ -359,6 +359,28 @@ impl Setup {
             ));
         }
         Ok(())
+    }
+
+    /// Run the scenario once on a fresh team under `plan`, after the
+    /// static preflight unless `no_check`, recording a Chrome trace to
+    /// `trace_out` if given.
+    fn run_once(
+        &self,
+        plan: &FaultPlan,
+        no_check: bool,
+        trace_out: Option<&str>,
+    ) -> Result<flagsim_core::RunReport, CliError> {
+        let size = self.scenario.team_size(&self.flag, &self.cfg);
+        if !no_check {
+            self.preflight(size + 1, plan)?;
+        }
+        let mut team: Vec<StudentProfile> =
+            (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
+        let collector = trace_out.map(|_| flagsim_telemetry::Collector::install());
+        let report =
+            self.scenario.run_with_faults(&self.flag, &mut team, &self.kit, &self.cfg, plan);
+        finish_trace(collector, report.is_ok(), trace_out, |line| eprintln!("{line}"))?;
+        Ok(report?)
     }
 }
 

@@ -2,10 +2,8 @@
 //! injected fault plan.
 
 use super::args::{positive, usage_error};
-use super::{err, finish_trace, plan, policy, trace_out, CliError, Selection, Setup};
-use flagsim_agents::StudentProfile;
+use super::{err, plan, policy, trace_out, CliError, Selection};
 use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
-use flagsim_core::RunReport;
 use std::fmt::Write as _;
 
 options! {
@@ -22,7 +20,7 @@ options! {
 pub(super) fn cmd_run(a: RunArgs) -> Result<String, CliError> {
     let mut s = a.sel.setup(&a.scenario)?;
     s.kit = s.kit.with_count_all(a.markers);
-    let report = run_once(&s, &FaultPlan::none(), a.no_check, a.trace_out.as_deref())?;
+    let report = s.run_once(&FaultPlan::none(), a.no_check, a.trace_out.as_deref())?;
     // Human diagnostics go to stderr (PR-3 sweep convention) so stdout
     // stays the machine-readable report.
     if !report.correct {
@@ -39,26 +37,6 @@ pub(super) fn cmd_run(a: RunArgs) -> Result<String, CliError> {
         let _ = writeln!(out, "\n{}", report.trace.gantt(72));
     }
     Ok(out)
-}
-
-/// Run `s` once on a fresh team under `plan`, after the static preflight
-/// unless `--no-check`, recording a Chrome trace to `trace_out` if given.
-fn run_once(
-    s: &Setup,
-    plan: &FaultPlan,
-    no_check: bool,
-    trace_out: Option<&str>,
-) -> Result<RunReport, CliError> {
-    let size = s.scenario.team_size(&s.flag, &s.cfg);
-    if !no_check {
-        s.preflight(size + 1, plan)?;
-    }
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    let collector = trace_out.map(|_| flagsim_telemetry::Collector::install());
-    let report = s.scenario.run_with_faults(&s.flag, &mut team, &s.kit, &s.cfg, plan);
-    finish_trace(collector, report.is_ok(), trace_out, |line| eprintln!("{line}"))?;
-    Ok(report?)
 }
 
 /// Two processes, two markers, opposite acquisition order: the textbook
@@ -123,7 +101,7 @@ pub(super) fn cmd_faults(a: FaultsArgs) -> Result<String, CliError> {
     if let Some(p) = a.policy {
         plan = plan.with_policy(p);
     }
-    let report = run_once(&s, &plan, a.no_check, a.trace_out.as_deref())?;
+    let report = s.run_once(&plan, a.no_check, a.trace_out.as_deref())?;
     // Measurements on stdout; the blow-by-blow incident narrative is
     // human diagnostics and goes to stderr (PR-3 sweep convention), so
     // `flagsim faults ... > results.txt` stays machine-readable.

@@ -4,11 +4,13 @@ use super::args::{positive, text, uint, usage_error, Args};
 use super::{
     err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection, Setup,
 };
+use crate::dashboard::Dashboard;
 use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
 use flagsim_core::sweep::SweepFailure;
 use flagsim_metrics::RunStats;
 use flagsim_telemetry::Level;
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::Duration;
 
 options! {
@@ -106,6 +108,22 @@ fn checked_setup(a: &SweepArgs) -> Result<(&str, Setup, usize), CliError> {
     Ok((which, s, team))
 }
 
+/// The telemetry collector `--trace-out` and `--dashboard` share (the
+/// global slot is generation-guarded, so install exactly one), and the
+/// dashboard over its metrics with one row per lane.
+fn telemetry(
+    a: &SweepArgs,
+    lanes: usize,
+    reps: u64,
+) -> (Option<flagsim_telemetry::Collector>, Option<Arc<Dashboard>>) {
+    let collector =
+        (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
+    let dash = (collector.as_ref())
+        .filter(|_| a.dashboard)
+        .map(|c| Arc::new(Dashboard::new(lanes, reps, c.metrics())));
+    (collector, dash)
+}
+
 /// The statistics table both sweep paths print below their header. CI's
 /// kill-and-resume smoke diffs it across the two, so there is one copy.
 fn stats_table(out: &mut String, completion: &RunStats, waiting: &RunStats) {
@@ -161,21 +179,9 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
         .reps(reps)
         .jobs(jobs)
         .retain_reports(!a.stream);
-    // Both the trace file and the dashboard's live mean/CI gauges need a
-    // telemetry collector; the global slot is generation-guarded, so
-    // install exactly one and share it.
-    let collector =
-        (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
-    let dash = match (&collector, a.dashboard) {
-        (Some(c), true) => Some(std::sync::Arc::new(crate::dashboard::Dashboard::new(
-            jobs,
-            reps,
-            c.metrics(),
-        ))),
-        _ => None,
-    };
+    let (collector, dash) = telemetry(&a, jobs, reps);
     if let Some(d) = &dash {
-        let d = std::sync::Arc::clone(d);
+        let d = Arc::clone(d);
         runner = runner.on_progress(move |p| d.update(p));
     } else if a.progress {
         let step = (reps / 10).max(1);
@@ -273,13 +279,10 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
     }
     let worker_count = endpoints.len();
 
-    // Trace file and dashboard both need the telemetry collector; the
-    // global slot is generation-guarded, so install exactly one. The
-    // fleet hub is independent of the collector (it only powers the
+    // The fleet hub is independent of the collector (it only powers the
     // dashboard rows and the --obs-out dump) and is cheap, so it is
     // always on for sharded runs.
-    let collector =
-        (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
+    let (collector, dash) = telemetry(&a, worker_count.max(1), job.reps);
     let hub = flagsim_shard::ObsHub::new();
 
     let cfg = CoordinatorConfig {
@@ -312,27 +315,19 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         }
         None => None,
     };
-    let dash = match (&collector, a.dashboard) {
-        (Some(c), true) => Some(std::sync::Arc::new(crate::dashboard::Dashboard::new(
-            worker_count.max(1),
-            job.reps,
-            c.metrics(),
-        ))),
-        _ => None,
-    };
     // Structured logs print *above* the live panel so interleaved
     // output never shears the frame.
     if let Some(d) = &dash {
-        let d = std::sync::Arc::clone(d);
+        let d = Arc::clone(d);
         flagsim_telemetry::log::set_sink(Some(Box::new(move |rec| {
             d.println_above(&rec.render());
         })));
     }
     let poller = dash.as_ref().map(|d| {
-        let d = std::sync::Arc::clone(d);
+        let d = Arc::clone(d);
         let hub = hub.clone();
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = std::sync::Arc::clone(&stop);
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
                 let now = started.elapsed().as_millis() as u64;

@@ -2,7 +2,6 @@
 
 use super::args::{positive, text, usage_error};
 use super::{err, CliError, Selection};
-use flagsim_agents::StudentProfile;
 use flagsim_core::faults::FaultPlan;
 use flagsim_watch::input::{script_keys, Key};
 
@@ -16,24 +15,11 @@ fn recorded_run(
     check: bool,
 ) -> Result<(String, flagsim_core::RunReport, Vec<Vec<flagsim_core::WorkItem>>), CliError> {
     let s = sel.setup(which)?;
+    let report = s.run_once(&FaultPlan::none(), !check, None)?;
     let assignments = s
         .scenario
         .strategy
         .assignments(&s.flag, s.scenario.order, &s.cfg.skip_colors);
-    let size = assignments.len();
-    let mut team: Vec<StudentProfile> =
-        (1..=size).map(|i| StudentProfile::new(format!("P{i}"))).collect();
-    if check {
-        s.preflight(size + 1, &FaultPlan::none())?;
-    }
-    let report = flagsim_core::run_activity(
-        s.scenario.name.clone(),
-        &s.flag,
-        &assignments,
-        &mut team,
-        &s.kit,
-        &s.cfg,
-    )?;
     let title = format!("{} — {} (seed {})", report.label, s.spec.name, sel.seed);
     Ok((title, report, assignments))
 }
