@@ -21,6 +21,55 @@ options! {
             a.opt("deny", "note|warning|error", severity)?.unwrap_or(simcheck::Severity::Error),
         allow: Vec<String> = a.opt("allow", "IDS", id_list)?.unwrap_or_default(),
     }
+
+    pub(super) struct ExplainArgs("explain") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
+        sel: Selection = Selection::declare(a)?,
+        team: Option<usize> = a.opt("team", "N", positive)?,
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+    }
+
+    pub(super) struct ProfileArgs("profile") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        out: Option<String> = a.opt("out", "FILE", text)?,
+        format: &'static str = a.choice("format", "chrome|folded|table")?.unwrap_or("chrome"),
+        metrics: bool = a.switch("metrics"),
+        reps: u64 = a.opt("reps", "M", positive)?.unwrap_or(4),
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+        sel: Selection = Selection::declare(a)?,
+    }
+
+    pub(super) struct CheckArgs("check") |a| {
+        target: String = a.operand("<SCENARIO|FLAG|PLAN|demo-deadlock>"),
+        diag: Diagnostics = Diagnostics::declare(a)?,
+        static_only: bool = a.switch("static-only"),
+        sel: Selection = Selection::declare(a)?,
+        team: Option<usize> = a.opt("team", "N", uint)?,
+        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+        plan: Option<FaultPlan> = plan(a)?,
+        policy: Option<RecoveryPolicy> = policy(a)?,
+    }
+
+    pub(super) struct LintArgs("lint") |a| {
+        target: String = a.operand("<flag|file>"),
+        size: Option<(u32, u32)> = a.opt("size", "WxH", parse_size)?,
+        diag: Diagnostics = Diagnostics::declare(a)?,
+    }
+
+    pub(super) struct VerifyArgs("verify") |a| {
+        target: String = a.operand("<SCENARIO|demo-deadlock>"),
+        sel: Selection = Selection::declare(a)?,
+        max_schedules: usize = a.opt("max-schedules", "N", positive)?.unwrap_or(4096),
+        naive: bool = a.switch("naive"),
+        diag: Diagnostics = Diagnostics::declare(a)?,
+        witness_out: Option<String> = a.opt("witness-out", "PREFIX", text)?,
+    }
+
+    pub(super) struct GraphArgs("graph") |a| {
+        flag: String = a.operand("<flag>"),
+        procs: usize = a.opt("procs", "N", positive)?.unwrap_or(4),
+    }
 }
 
 impl Diagnostics {
@@ -60,16 +109,6 @@ fn id_list(s: &str) -> Result<Vec<String>, String> {
     Ok(s.split(',').map(|id| id.trim().to_owned()).collect())
 }
 
-options! {
-    pub(super) struct ExplainArgs("explain") |a| {
-        scenario: String = a.operand("<SCENARIO>"),
-        format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
-        sel: Selection = Selection::declare(a)?,
-        team: Option<usize> = a.opt("team", "N", positive)?,
-        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
-    }
-}
-
 /// `flagsim explain` — run a scenario once, deterministically, and show
 /// *why* it took as long as it did: the executed critical path overlaid
 /// on the gantt, the per-marker contention blame table, and the what-if
@@ -86,18 +125,6 @@ pub(super) fn cmd_explain(a: ExplainArgs) -> Result<String, CliError> {
         "json" => explanation.to_json(),
         _ => explanation.render_text(72),
     })
-}
-
-options! {
-    pub(super) struct ProfileArgs("profile") |a| {
-        scenario: String = a.operand("<SCENARIO>"),
-        out: Option<String> = a.opt("out", "FILE", text)?,
-        format: &'static str = a.choice("format", "chrome|folded|table")?.unwrap_or("chrome"),
-        metrics: bool = a.switch("metrics"),
-        reps: u64 = a.opt("reps", "M", positive)?.unwrap_or(4),
-        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
-        sel: Selection = Selection::declare(a)?,
-    }
 }
 
 /// `flagsim profile` — run a scenario sweep under an installed telemetry
@@ -150,19 +177,6 @@ pub(super) fn cmd_profile(a: ProfileArgs) -> Result<String, CliError> {
         out.push_str(&metrics.render_text());
     }
     Ok(out)
-}
-
-options! {
-    pub(super) struct CheckArgs("check") |a| {
-        target: String = a.operand("<SCENARIO|FLAG|PLAN|demo-deadlock>"),
-        diag: Diagnostics = Diagnostics::declare(a)?,
-        static_only: bool = a.switch("static-only"),
-        sel: Selection = Selection::declare(a)?,
-        team: Option<usize> = a.opt("team", "N", uint)?,
-        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
-        plan: Option<FaultPlan> = plan(a)?,
-        policy: Option<RecoveryPolicy> = policy(a)?,
-    }
 }
 
 /// `flagsim check` — the static analyzer front door. The positional
@@ -259,14 +273,6 @@ pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
     a.diag.finish(report)
 }
 
-options! {
-    pub(super) struct LintArgs("lint") |a| {
-        target: String = a.operand("<flag|file>"),
-        size: Option<(u32, u32)> = a.opt("size", "WxH", parse_size)?,
-        diag: Diagnostics = Diagnostics::declare(a)?,
-    }
-}
-
 /// `flagsim lint` — flag-spec lints for a library flag or a custom flag
 /// file, through the same diagnostics framework as `check`.
 pub(super) fn cmd_lint(a: LintArgs) -> Result<String, CliError> {
@@ -283,17 +289,6 @@ pub(super) fn cmd_lint(a: LintArgs) -> Result<String, CliError> {
     let mut report = simcheck::Report::new(format!("flag {} at {w}x{h}", spec.name));
     report.extend(simcheck::from_flag_lints(&flagsim_flags::lint_at(&spec, w, h)));
     a.diag.finish(report)
-}
-
-options! {
-    pub(super) struct VerifyArgs("verify") |a| {
-        target: String = a.operand("<SCENARIO|demo-deadlock>"),
-        sel: Selection = Selection::declare(a)?,
-        max_schedules: usize = a.opt("max-schedules", "N", positive)?.unwrap_or(4096),
-        naive: bool = a.switch("naive"),
-        diag: Diagnostics = Diagnostics::declare(a)?,
-        witness_out: Option<String> = a.opt("witness-out", "PREFIX", text)?,
-    }
 }
 
 /// `flagsim verify` — the bounded model checker. Where `check` analyzes
@@ -419,13 +414,6 @@ fn write_witness_traces(
         }
     }
     Ok(())
-}
-
-options! {
-    pub(super) struct GraphArgs("graph") |a| {
-        flag: String = a.operand("<flag>"),
-        procs: usize = a.opt("procs", "N", positive)?.unwrap_or(4),
-    }
 }
 
 pub(super) fn cmd_graph(a: GraphArgs) -> Result<String, CliError> {

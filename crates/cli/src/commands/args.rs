@@ -9,27 +9,16 @@
 
 use super::CliError;
 
-/// Declare a command's typed arguments, or an option group's, one line per
-/// field: its type, then the expression over the [`Args`] bound by `|a|`
-/// that declares and reads it. Fields are declared in usage order. A
-/// command names itself after the struct and gets an [`Options`] impl; a
-/// group gets a `declare` function its commands call.
+/// Declare typed argument structs, one line per field: its type, then
+/// the expression over the [`Args`] bound by `|a|` that declares and reads
+/// it, in usage order. Each struct gets a `declare` function. A struct
+/// named with a subcommand, `struct RunArgs("run")`, is that command's
+/// arguments and gets an [`Options`] impl; one without is an option group
+/// its commands declare.
 macro_rules! options {
-    ($(#[$meta:meta])* $vis:vis struct $name:ident($command:literal) |$a:ident| $fields:tt) => {
-        options!($(#[$meta])* $vis struct $name |$a| $fields);
-
-        impl $crate::commands::args::Options for $name {
-            const NAME: &'static str = $command;
-            fn declare(
-                a: &mut $crate::commands::args::Args,
-            ) -> Result<Self, $crate::commands::CliError> {
-                $name::declare(a)
-            }
-        }
-    };
-    ($(#[$meta:meta])* $vis:vis struct $name:ident |$a:ident| {
+    ($($(#[$meta:meta])* $vis:vis struct $name:ident $(($command:literal))? |$a:ident| {
         $($field:ident: $ty:ty = $decl:expr,)*
-    }) => {
+    })*) => {$(
         $(#[$meta])* $vis struct $name { $($field: $ty),* }
 
         impl $name {
@@ -39,7 +28,16 @@ macro_rules! options {
                 Ok($name { $($field: $decl),* })
             }
         }
-    };
+
+        $(impl $crate::commands::args::Options for $name {
+            const NAME: &'static str = $command;
+            fn declare(
+                a: &mut $crate::commands::args::Args,
+            ) -> Result<Self, $crate::commands::CliError> {
+                $name::declare(a)
+            }
+        })?
+    )*};
 }
 
 /// A command's typed arguments.
@@ -74,6 +72,7 @@ pub(super) struct Decl {
 }
 
 /// A command's declarations and, once split, its command line.
+#[derive(Default)]
 pub(super) struct Args {
     command: &'static str,
     pub(super) options: Vec<Decl>,
@@ -94,10 +93,7 @@ struct Given {
 pub(super) fn describe<A: Options>() -> Args {
     let mut a = Args {
         command: A::NAME,
-        options: Vec::new(),
-        operands: Vec::new(),
-        given: None,
-        set: 0,
+        ..Args::default()
     };
     // While describing every getter returns its default, so this cannot
     // fail; the declarations are what it leaves behind.
@@ -224,11 +220,15 @@ impl Args {
         self.next_operand(placeholder, false)
     }
 
-    /// How many declared options the command line has set so far: a
-    /// group compares the count before and after declaring itself to
-    /// learn whether any of its options was given.
-    pub(super) fn set_count(&self) -> usize {
-        self.set
+    /// Declare the option group `declare`, also reporting whether the
+    /// command line gave any of its options.
+    pub(super) fn group<T>(
+        &mut self,
+        declare: fn(&mut Args) -> Result<T, CliError>,
+    ) -> Result<(T, bool), CliError> {
+        let before = self.set;
+        let group = declare(self)?;
+        Ok((group, self.set > before))
     }
 
     /// The one-line synopsis, as the error for a command line that lacks

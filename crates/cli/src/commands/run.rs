@@ -15,6 +15,17 @@ options! {
         trace_out: Option<String> = trace_out(a)?,
         no_check: bool = a.switch("no-check"),
     }
+
+    pub(super) struct FaultsArgs("faults") |a| {
+        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
+        plan: Option<FaultPlan> = plan(a)?,
+        random: bool = a.switch("random"),
+        policy: Option<RecoveryPolicy> = policy(a)?,
+        sel: Selection = Selection::declare(a)?,
+        trace_out: Option<String> = trace_out(a)?,
+        no_check: bool = a.switch("no-check"),
+        demo_deadlock: bool = a.switch("demo-deadlock"),
+    }
 }
 
 pub(super) fn cmd_run(a: RunArgs) -> Result<String, CliError> {
@@ -68,19 +79,6 @@ fn demo_deadlock() -> String {
         }
     }
     out
-}
-
-options! {
-    pub(super) struct FaultsArgs("faults") |a| {
-        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
-        plan: Option<FaultPlan> = plan(a)?,
-        random: bool = a.switch("random"),
-        policy: Option<RecoveryPolicy> = policy(a)?,
-        sel: Selection = Selection::declare(a)?,
-        trace_out: Option<String> = trace_out(a)?,
-        no_check: bool = a.switch("no-check"),
-        demo_deadlock: bool = a.switch("demo-deadlock"),
-    }
 }
 
 pub(super) fn cmd_faults(a: FaultsArgs) -> Result<String, CliError> {

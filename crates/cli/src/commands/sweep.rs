@@ -1,6 +1,6 @@
 //! `flagsim sweep` (in-process and sharded) and `flagsim worker`.
 
-use super::args::{positive, text, uint, usage_error, Args};
+use super::args::{positive, text, uint, usage_error};
 use super::{
     err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection, Setup,
 };
@@ -26,7 +26,9 @@ options! {
         dashboard: bool = a.switch("dashboard"),
         trace_out: Option<String> = trace_out(a)?,
         no_check: bool = a.switch("no-check"),
-        shard: ShardArgs = ShardArgs::declare(a)?,
+        // Giving any option of the sharded-sweep group routes the sweep
+        // through the shard coordinator.
+        shard: (ShardArgs, bool) = a.group(ShardArgs::declare)?,
         policy: RecoveryPolicy = policy(a)?.unwrap_or(RecoveryPolicy::Rebalance),
         chunk: u64 = a.opt("chunk", "K", positive)?.unwrap_or(8),
         // 0 = auto: the coordinator aims for ~256 instrumented reps
@@ -34,39 +36,26 @@ options! {
         trace_sample: u64 = a.opt("trace-sample", "N", uint)?.unwrap_or(0),
         log_level: Option<Level> = log_level(a)?,
     }
-}
 
-/// The sharded-sweep group. Giving any of these options routes the sweep
-/// through the shard coordinator (which also runs plain in-process
-/// sweeps, so `--checkpoint` alone works without any workers).
-struct ShardArgs {
-    workers: Option<usize>,
-    /// Every `--connect` address, in order.
-    connect: Vec<String>,
-    checkpoint: Option<String>,
-    checkpoint_every: u64,
-    resume: Option<String>,
-    max_wall: Option<Duration>,
-    obs_out: Option<String>,
-    obs_serve: Option<String>,
-    /// Whether the command line gave any option of the group.
-    given: bool,
-}
+    /// The sharded-sweep group. The coordinator also runs plain in-process
+    /// sweeps, so `--checkpoint` alone works without any workers.
+    struct ShardArgs |a| {
+        workers: Option<usize> = a.opt("workers", "N", positive)?,
+        connect: Vec<String> = a.many("connect", "ADDR[,ADDR..]", endpoints)?.concat(),
+        checkpoint: Option<String> = a.opt("checkpoint", "FILE", text)?,
+        checkpoint_every: u64 = a.opt("checkpoint-every", "K", positive)?.unwrap_or(64),
+        resume: Option<String> = a.opt("resume", "FILE", text)?,
+        max_wall: Option<Duration> = a.opt("max-wall-secs", "S", wall_budget)?,
+        obs_out: Option<String> = a.opt("obs-out", "FILE", text)?,
+        obs_serve: Option<String> = a.opt("obs-serve", "ADDR", text)?,
+    }
 
-impl ShardArgs {
-    fn declare(a: &mut Args) -> Result<Self, CliError> {
-        let before = a.set_count();
-        Ok(ShardArgs {
-            workers: a.opt("workers", "N", positive)?,
-            connect: a.many("connect", "ADDR[,ADDR..]", endpoints)?.concat(),
-            checkpoint: a.opt("checkpoint", "FILE", text)?,
-            checkpoint_every: a.opt("checkpoint-every", "K", positive)?.unwrap_or(64),
-            resume: a.opt("resume", "FILE", text)?,
-            max_wall: a.opt("max-wall-secs", "S", wall_budget)?,
-            obs_out: a.opt("obs-out", "FILE", text)?,
-            obs_serve: a.opt("obs-serve", "ADDR", text)?,
-            given: a.set_count() > before,
-        })
+    pub(super) struct WorkerArgs("worker") |a| {
+        listen: String = a.required("listen", "ADDR"),
+        once: bool = a.switch("once"),
+        quiet: bool = a.switch("quiet"),
+        name: Option<String> = a.opt("name", "NAME", text)?,
+        log_level: Option<Level> = log_level(a)?,
     }
 }
 
@@ -168,7 +157,7 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
     if let Some(level) = a.log_level {
         flagsim_telemetry::log::set_level(level);
     }
-    if a.shard.given {
+    if a.shard.1 {
         return cmd_sweep_shard(a);
     }
     let (_, s, team) = checked_setup(&a)?;
@@ -232,7 +221,7 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
     if a.progress {
         return err("--progress does not apply to a sharded sweep; use --dashboard to watch it");
     }
-    let shard = &a.shard;
+    let shard = &a.shard.0;
     // The job: from the checkpoint on --resume (its spec is the source
     // of truth — the fingerprint guards against splicing campaigns), or
     // from the command line.
@@ -465,16 +454,6 @@ fn spawn_local_workers(
         children.push(child);
     }
     Ok((endpoints, children))
-}
-
-options! {
-    pub(super) struct WorkerArgs("worker") |a| {
-        listen: String = a.required("listen", "ADDR"),
-        once: bool = a.switch("once"),
-        quiet: bool = a.switch("quiet"),
-        name: Option<String> = a.opt("name", "NAME", text)?,
-        log_level: Option<Level> = log_level(a)?,
-    }
 }
 
 /// `flagsim worker` — serve sweep repetitions to a coordinator. Binds

@@ -21,6 +21,42 @@ use std::fmt::Write as _;
 
 options! {
     pub(super) struct FlagsArgs("flags") |_a| {}
+
+    pub(super) struct RenderArgs("render") |a| {
+        flag: String = a.operand("<flag>"),
+        mode: Option<String> = a.optional_operand("ascii|ansi|ppm|svg"),
+        size: Option<String> = a.optional_operand("WxH"),
+    }
+
+    pub(super) struct SlidesArgs("slides") |a| {
+        flag: Option<String> = a.optional_operand("<flag>"),
+    }
+
+    pub(super) struct SessionArgs("session") |a| {
+        repeat: bool = a.switch("repeat"),
+        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(42),
+    }
+
+    pub(super) struct GradeArgs("grade") |a| {
+        file: String = a.operand("<file>"),
+    }
+
+    pub(super) struct ReportArgs("report") |a| {
+        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(2025),
+    }
+
+    pub(super) struct VocabArgs("vocab") |a| {
+        term: Option<String> = a.optional_operand("<term>"),
+    }
+
+    pub(super) struct PackArgs("pack") |a| {
+        out: String = a.required("out", "DIR"),
+        sel: Selection = Selection::declare(a)?,
+    }
+
+    pub(super) struct ParseArgs("parse") |a| {
+        file: String = a.operand("<file>"),
+    }
 }
 
 pub(super) fn cmd_flags(_: FlagsArgs) -> Result<String, CliError> {
@@ -42,14 +78,6 @@ pub(super) fn cmd_flags(_: FlagsArgs) -> Result<String, CliError> {
         );
     }
     Ok(out)
-}
-
-options! {
-    pub(super) struct RenderArgs("render") |a| {
-        flag: String = a.operand("<flag>"),
-        mode: Option<String> = a.optional_operand("ascii|ansi|ppm|svg"),
-        size: Option<String> = a.optional_operand("WxH"),
-    }
 }
 
 pub(super) fn cmd_render(a: RenderArgs) -> Result<String, CliError> {
@@ -77,25 +105,12 @@ pub(super) fn cmd_render(a: RenderArgs) -> Result<String, CliError> {
     })
 }
 
-options! {
-    pub(super) struct SlidesArgs("slides") |a| {
-        flag: Option<String> = a.optional_operand("<flag>"),
-    }
-}
-
 pub(super) fn cmd_slides(a: SlidesArgs) -> Result<String, CliError> {
     let spec = match &a.flag {
         Some(name) => find_flag(name)?,
         None => library::mauritius(),
     };
     Ok(slides::fig1_deck(&PreparedFlag::new(&spec)))
-}
-
-options! {
-    pub(super) struct SessionArgs("session") |a| {
-        repeat: bool = a.switch("repeat"),
-        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(42),
-    }
 }
 
 pub(super) fn cmd_session(a: SessionArgs) -> Result<String, CliError> {
@@ -125,12 +140,6 @@ pub(super) fn cmd_session(a: SessionArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-options! {
-    pub(super) struct GradeArgs("grade") |a| {
-        file: String = a.operand("<file>"),
-    }
-}
-
 pub(super) fn cmd_grade(a: GradeArgs) -> Result<String, CliError> {
     grade_text(&read_file(&a.file)?)
 }
@@ -157,20 +166,8 @@ pub fn grade_text(text: &str) -> Result<String, CliError> {
     Ok(out)
 }
 
-options! {
-    pub(super) struct ReportArgs("report") |a| {
-        seed: u64 = a.opt("seed", "N", uint)?.unwrap_or(2025),
-    }
-}
-
 pub(super) fn cmd_report(a: ReportArgs) -> Result<String, CliError> {
     Ok(flagsim_assessment::report::full_report(a.seed))
-}
-
-options! {
-    pub(super) struct VocabArgs("vocab") |a| {
-        term: Option<String> = a.optional_operand("<term>"),
-    }
 }
 
 pub(super) fn cmd_vocab(a: VocabArgs) -> Result<String, CliError> {
@@ -184,13 +181,6 @@ pub(super) fn cmd_vocab(a: VocabArgs) -> Result<String, CliError> {
             )),
             None => err(format!("no glossary entry matches {word:?}")),
         },
-    }
-}
-
-options! {
-    pub(super) struct PackArgs("pack") |a| {
-        out: String = a.required("out", "DIR"),
-        sel: Selection = Selection::declare(a)?,
     }
 }
 
@@ -300,12 +290,6 @@ pub fn build_pack(
     ));
 
     Ok(files)
-}
-
-options! {
-    pub(super) struct ParseArgs("parse") |a| {
-        file: String = a.operand("<file>"),
-    }
 }
 
 pub(super) fn cmd_parse(a: ParseArgs) -> Result<String, CliError> {

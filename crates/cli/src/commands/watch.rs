@@ -5,6 +5,28 @@ use super::{err, CliError, Selection};
 use flagsim_core::faults::FaultPlan;
 use flagsim_watch::input::{script_keys, Key};
 
+options! {
+    pub(super) struct ReplayArgs("replay") |a| {
+        scenario: String = a.operand("<SCENARIO>"),
+        sel: Selection = Selection::declare(a)?,
+        frames: usize = a.opt("frames", "N", positive)?.unwrap_or(6),
+    }
+
+    pub(super) struct WatchArgs("watch") |a| {
+        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
+        sel: Selection = Selection::declare(a)?,
+        script: Option<Vec<Key>> = a.opt("script", "KEYS", script_keys)?,
+        frames_out: Option<String> = a.opt("frames-out", "FILE", text)?,
+        width: usize =
+            a.opt("width", "N", width)?.unwrap_or_else(flagsim_watch::term::detect_width),
+        no_check: bool = a.switch("no-check"),
+        trace: Option<String> = a.opt("trace", "FILE", text)?,
+        connect: Option<String> = a.opt("connect", "ADDR", text)?,
+        follow: Option<String> = a.opt("follow", "FILE", text)?,
+        once: bool = a.switch("once"),
+    }
+}
+
 /// Re-run a recorded scenario (the scenario, flag, kind, and seed fully
 /// determine the run) and return its display title, report, and
 /// assignments — the shared recorded-run source behind `replay` and
@@ -24,41 +46,16 @@ fn recorded_run(
     Ok((title, report, assignments))
 }
 
-options! {
-    pub(super) struct ReplayArgs("replay") |a| {
-        scenario: String = a.operand("<SCENARIO>"),
-        sel: Selection = Selection::declare(a)?,
-        frames: usize = a.opt("frames", "N", positive)?.unwrap_or(6),
-    }
-}
-
 pub(super) fn cmd_replay(a: ReplayArgs) -> Result<String, CliError> {
     use flagsim_core::replay::Replay;
-    let frames = a.frames;
     let (_, report, assignments) = recorded_run(&a.scenario, &a.sel, false)?;
     let replay = Replay::new(&report, &assignments);
     let mut out = format!("{} — the flag filling in:\n\n", report.label);
-    for frame in replay.ascii_frames(frames) {
+    for frame in replay.ascii_frames(a.frames) {
         out.push_str(&frame);
         out.push('\n');
     }
     Ok(out)
-}
-
-options! {
-    pub(super) struct WatchArgs("watch") |a| {
-        scenario: Option<String> = a.optional_operand("<SCENARIO>"),
-        sel: Selection = Selection::declare(a)?,
-        script: Option<Vec<Key>> = a.opt("script", "KEYS", script_keys)?,
-        frames_out: Option<String> = a.opt("frames-out", "FILE", text)?,
-        width: usize =
-            a.opt("width", "N", width)?.unwrap_or_else(flagsim_watch::term::detect_width),
-        no_check: bool = a.switch("no-check"),
-        trace: Option<String> = a.opt("trace", "FILE", text)?,
-        connect: Option<String> = a.opt("connect", "ADDR", text)?,
-        follow: Option<String> = a.opt("follow", "FILE", text)?,
-        once: bool = a.switch("once"),
-    }
 }
 
 /// `--width N`: terminal columns, 20 to 1000.
@@ -75,9 +72,7 @@ pub(super) fn cmd_watch(a: WatchArgs) -> Result<String, CliError> {
     use std::io::IsTerminal;
     let width = a.width;
     let live = match (&a.connect, &a.follow) {
-        (Some(addr), _) => {
-            Some(SnapshotSource::connect(addr)?)
-        }
+        (Some(addr), _) => Some(SnapshotSource::connect(addr)?),
         (_, Some(path)) => Some(SnapshotSource::follow(path)),
         _ => None,
     };
@@ -86,8 +81,7 @@ pub(super) fn cmd_watch(a: WatchArgs) -> Result<String, CliError> {
     }
     let data = if let Some(path) = &a.trace {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        let trace =
-            chrome::parse_chrome_trace(&text)?;
+        let trace = chrome::parse_chrome_trace(&text)?;
         app::ReplayData::from_trace(format!("trace file {path}"), trace)
     } else {
         let Some(which) = &a.scenario else {
