@@ -1,5 +1,5 @@
 //! Option declarations. Every command declares its operands and options
-//! once, in an [`Options::declare`] function that builds its typed
+//! once, in an `options!` block whose `declare` function builds its typed
 //! arguments. That one function serves three purposes: a describing pass
 //! learns the declarations (which options take a value, how many operands
 //! there are), the parsing pass reads and converts the values, and usage

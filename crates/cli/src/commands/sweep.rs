@@ -107,7 +107,8 @@ fn telemetry(
 ) -> (Option<flagsim_telemetry::Collector>, Option<Arc<Dashboard>>) {
     let collector =
         (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
-    let dash = (collector.as_ref())
+    let dash = collector
+        .as_ref()
         .filter(|_| a.dashboard)
         .map(|c| Arc::new(Dashboard::new(lanes, reps, c.metrics())));
     (collector, dash)
