@@ -75,12 +75,12 @@ fn endpoints(s: &str) -> Result<Vec<String>, String> {
     Ok(parts)
 }
 
-/// `--max-wall-secs`: a finite, non-negative number of seconds.
+/// `--max-wall-secs`: non-negative seconds that fit a `Duration`.
 fn wall_budget(s: &str) -> Result<Duration, String> {
     s.parse::<f64>()
         .ok()
         .and_then(|secs| Duration::try_from_secs_f64(secs).ok())
-        .ok_or_else(|| "must be a finite, non-negative number of seconds".to_owned())
+        .ok_or_else(|| "must be a non-negative number of seconds below 1.8e19".to_owned())
 }
 
 /// The scenario and team size of a fresh sweep, after the static
@@ -488,6 +488,14 @@ pub(super) fn cmd_worker(a: WorkerArgs) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn wall_budget_rejects_what_a_duration_cannot_hold() {
+        assert_eq!(wall_budget("1.5"), Ok(Duration::from_millis(1500)));
+        for bad in ["-1", "nan", "inf", "1e300", "soon"] {
+            assert!(wall_budget(bad).is_err(), "{bad}");
+        }
+    }
 
     #[test]
     fn sharded_sweeps_run_the_preflight_too() {
