@@ -7,9 +7,11 @@ paths become relative). Each build runs the whole corpus in order in its own
 empty working directory (under $TMPDIR), so later invocations see the files
 earlier ones wrote, and the two builds must agree byte for byte on stdout
 and on the exit status of every invocation. The old build runs the corpus
-twice: an invocation whose output differs between those two runs (wall-clock
-timings in profiles and traces) is compared with every run of digits masked,
-and reported as VARY when it matches that way. Invocations that serve or dial
+twice. An invocation whose output differs between those two runs (wall-clock
+timings in profiles and traces) is compared with every run of digits masked
+and reported as VARY when it matches that way; one that differs from itself
+even then (a trace recorded by a racing multi-worker sweep) is reported as
+UNSTABLE and not compared. Invocations that serve or dial
 the network (`worker`, `--connect`, `--obs-serve`) or tail a file forever
 (`--follow`) are listed as skipped.
 
@@ -122,7 +124,9 @@ def main():
         (rc_a, out_a), again, (rc_b, out_b) = (
             run(binary, args, cwd) for binary, cwd in zip((old, old, new), cwds)
         )
-        if (rc_a, out_a) != again and (rc_a, mask(out_a)) == (rc_b, mask(out_b)):
+        if (rc_a, mask(out_a)) != (again[0], mask(again[1])):
+            print(f"UNSTABLE      {line}")
+        elif (rc_a, out_a) != again and (rc_a, mask(out_a)) == (rc_b, mask(out_b)):
             print(f"VARY rc={rc_a} {line}")
         elif (rc_a, out_a) == (rc_b, out_b):
             digest = hashlib.sha256(out_a).hexdigest()[:12]
