@@ -345,6 +345,57 @@ mod tests {
     }
 
     #[test]
+    fn warmup_free_cells_match_the_full_formula_bitwise() {
+        // Without warm-up the multiplier skips its `exp`; every sampled
+        // cell must still equal the full `1 + w·exp(−k/τ)` chain bit for
+        // bit, with fatigue off and on (past its onset, so it bites).
+        let formula = |s: &StudentProfile| {
+            1.0 + s.warmup_amplitude * (-(s.cells_colored as f64) / s.warmup_tau).exp()
+        };
+        let imp = Implement::good(ImplementKind::ThickMarker);
+        let fill = FillStyle::Minimal;
+        let kinds = |i: usize| {
+            if i.is_multiple_of(5) {
+                CellKind::Boundary
+            } else {
+                CellKind::Interior
+            }
+        };
+        for student in [
+            StudentProfile::new("plain").without_warmup(),
+            StudentProfile::new("tired")
+                .without_warmup()
+                .with_fatigue(0.004, 40),
+        ] {
+            let mut fast = CostModel::new(17);
+            let mut old = CostModel::new(17);
+            let mut s1 = student.clone();
+            let mut s2 = student;
+            let sigma = fast.cell_sigma(fill);
+            let base_skill = imp.effective_base_secs() * s1.skill;
+            let fill_factor = fill.work_factor();
+            for i in 0..320 {
+                let got = fast.sample_cell_secs_resolved(
+                    &mut s1,
+                    base_skill,
+                    fill_factor,
+                    sigma,
+                    kinds(i),
+                );
+                let want = base_skill
+                    * formula(&s2)
+                    * s2.fatigue_multiplier()
+                    * fill_factor
+                    * kinds(i).multiplier()
+                    * old.lognormal(sigma);
+                s2.record_cell();
+                assert_eq!(got.to_bits(), want.to_bits(), "{} cell {i}", s2.name);
+            }
+            assert_eq!(s1.fatigue_multiplier() > 1.0, s1.fatigue_rate > 0.0);
+        }
+    }
+
+    #[test]
     fn handoff_positive_and_near_base() {
         let mut m = CostModel::new(11);
         let imp = Implement::good(ImplementKind::ThickMarker);

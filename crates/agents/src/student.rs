@@ -79,8 +79,13 @@ impl StudentProfile {
     }
 
     /// Current warm-up multiplier, `≥ 1`, decaying toward 1 as the student
-    /// colors more cells.
+    /// colors more cells. Exactly `1.0` without warm-up — the value the
+    /// formula gives, since `1 + 0 × finite` is `1` — without paying for
+    /// the `exp`.
     pub fn warmup_multiplier(&self) -> f64 {
+        if self.warmup_amplitude == 0.0 {
+            return 1.0;
+        }
         1.0 + self.warmup_amplitude * (-(self.cells_colored as f64) / self.warmup_tau).exp()
     }
 

@@ -13,16 +13,21 @@
 //! after finishing their own work. Orphaned cells keep their pre-sampled
 //! durations — the adopting survivor colors at the dropout's pace — a
 //! deliberate simplification that keeps the DES exact.
+//!
+//! A run has two finishes after one shared preparation: the report
+//! finish assembles a [`RunReport`] (grid, per-student and per-color
+//! breakdowns, resilience log); the stats finish reads a [`RepSample`]
+//! straight off the engine trace and skips everything only a report
+//! needs — resource labels, student names, and, without faults, the
+//! live fault state and its started-cell logs.
 
 use crate::config::{ActivityConfig, ReleasePolicy, TeamKit};
-use crate::faults::{
-    FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport,
-};
-use crate::report::{ColorContention, RunReport, StudentStats};
+use crate::faults::{FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport};
+use crate::report::{ColorContention, RepSample, RunReport, StudentStats};
 use crate::work::{PreparedFlag, WorkItem};
 use flagsim_agents::{CostModel, Implement, StudentProfile};
 use flagsim_desim::{
-    Action, Engine, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
+    Action, Engine, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime, Trace,
     WaitForGraph,
 };
 use flagsim_grid::{Color, Grid};
@@ -75,9 +80,12 @@ struct LiveFaultState {
     started: Vec<Vec<WorkItem>>,
 }
 
+/// The live fault state as the student processes share it.
+type SharedFaults = Rc<RefCell<LiveFaultState>>;
+
 impl LiveFaultState {
-    fn new(team_size: usize, plan: &FaultPlan) -> Self {
-        LiveFaultState {
+    fn shared(team_size: usize, plan: &FaultPlan) -> SharedFaults {
+        Rc::new(RefCell::new(LiveFaultState {
             abort_on_fault: plan.policy.aborts(),
             spare_delay_secs: plan.policy.spare_delay_secs(),
             dropout_at: vec![None; team_size],
@@ -89,7 +97,7 @@ impl LiveFaultState {
             time_lost_secs: 0.0,
             adopted: vec![0; team_size],
             started: vec![Vec::new(); team_size],
-        }
+        }))
     }
 
     /// A student is about to color with resource `r` at `now`: discover
@@ -139,7 +147,9 @@ struct StudentProc {
     held: Option<ResourceId>,
     pending: Option<ResourceId>,
     dropped: bool,
-    live: Rc<RefCell<LiveFaultState>>,
+    /// `None` only for a stats-only run without faults: nothing can
+    /// bite, and nobody reads the started-cell log.
+    live: Option<SharedFaults>,
 }
 
 impl Process for StudentProc {
@@ -148,8 +158,8 @@ impl Process for StudentProc {
             // Faults first: a global abort, or this student's dropout
             // falling due. Both are noticed at the student's next natural
             // pause — exactly when a real student would look up.
-            if !self.dropped {
-                let mut live = self.live.borrow_mut();
+            if let (false, Some(live)) = (self.dropped, &self.live) {
+                let mut live = live.borrow_mut();
                 let dropout_due = live.dropout_at[self.idx].is_some_and(|t| t <= now);
                 if dropout_due {
                     live.dropout_at[self.idx] = None;
@@ -212,10 +222,14 @@ impl Process for StudentProc {
                         Some(item) => item,
                         None => {
                             // Own list done: adopt orphaned work, if any.
-                            let adopted = self.live.borrow_mut().orphans.pop_front();
+                            let adopted = self.live.as_ref().and_then(|live| {
+                                let mut live = live.borrow_mut();
+                                let item = live.orphans.pop_front()?;
+                                live.adopted[self.idx] += 1;
+                                Some(item)
+                            });
                             match adopted {
                                 Some(it) => {
-                                    self.live.borrow_mut().adopted[self.idx] += 1;
                                     self.items.push(it);
                                     continue;
                                 }
@@ -231,16 +245,17 @@ impl Process for StudentProc {
                     match self.held {
                         Some(h) if h == item.resource => {
                             // About to color: does the implement still work?
-                            let outcome =
-                                self.live.borrow_mut().use_implement(item.resource, now);
-                            match outcome {
-                                UseOutcome::Abort => continue,
-                                UseOutcome::Ok(swap_delay) => {
-                                    self.step = Step::DidWork;
-                                    self.live.borrow_mut().started[self.idx].push(item.work);
-                                    return Action::Work(item.dur + swap_delay);
+                            let mut swap_delay = SimDuration::ZERO;
+                            if let Some(live) = &self.live {
+                                let mut live = live.borrow_mut();
+                                match live.use_implement(item.resource, now) {
+                                    UseOutcome::Abort => continue,
+                                    UseOutcome::Ok(delay) => swap_delay = delay,
                                 }
+                                live.started[self.idx].push(item.work);
                             }
+                            self.step = Step::DidWork;
+                            return Action::Work(item.dur + swap_delay);
                         }
                         Some(h) => {
                             self.held = None;
@@ -296,13 +311,8 @@ pub fn run_activity_with_faults(
     config: &ActivityConfig,
     plan: &FaultPlan,
 ) -> Result<RunReport, String> {
-    match run_activity_scheduled(label, flag, assignments, team, kit, config, plan, None)? {
-        ActivityOutcome::Completed(report) => Ok(*report),
-        ActivityOutcome::Stalled(waiters) => Err(format!(
-            "simulation failed: {}",
-            SimError::Stalled { waiters }
-        )),
-    }
+    let prep = prepare(assignments, team, kit, plan)?;
+    run_prepared(label.into(), flag, assignments, &prep, team, config, plan)
 }
 
 /// How a scheduled run ended: normally, with the full report, or stalled
@@ -339,10 +349,27 @@ pub fn run_activity_scheduled(
     plan: &FaultPlan,
     policy: Option<Box<dyn SchedulePolicy>>,
 ) -> Result<ActivityOutcome, String> {
-    let label = label.into();
-    let _activity_span = flagsim_telemetry::span("sim", "run.activity")
-        .arg("label", &label)
-        .arg("students", team.len());
+    let prep = prepare(assignments, team, kit, plan)?;
+    run_report(
+        label.into(),
+        flag,
+        assignments,
+        &prep,
+        team,
+        config,
+        plan,
+        policy,
+    )
+}
+
+/// Validate a run's inputs: one assignment list per student, then the
+/// plan and kit ([`RunPrep::new`]).
+fn prepare(
+    assignments: &[Vec<WorkItem>],
+    team: &[StudentProfile],
+    kit: &TeamKit,
+    plan: &FaultPlan,
+) -> Result<RunPrep, String> {
     if assignments.len() != team.len() {
         return Err(format!(
             "{} assignments for {} students",
@@ -350,20 +377,112 @@ pub fn run_activity_scheduled(
             team.len()
         ));
     }
-    plan.validate(team.len())?;
+    RunPrep::new(assignments, kit, plan)
+}
 
-    // Which colors does this run actually need?
-    let mut needed: Vec<Color> = Vec::new();
-    for part in assignments {
-        for item in part {
-            if !needed.contains(&item.color) {
-                needed.push(item.color);
+/// The seed-independent half of preparing a run: the plan and kit
+/// checked against the partition, and the per-color tables the per-cell
+/// loop indexes into. It depends only on the assignments, the kit and
+/// the plan, so a sweep builds it once and reuses it for every rep.
+#[derive(Debug, Clone)]
+pub(crate) struct RunPrep {
+    /// Colors the assignments use, sorted; resource `i` of every run is
+    /// the implement of `needed[i]`.
+    needed: Vec<Color>,
+    /// The kit's implement for each needed color.
+    implements: Vec<Implement>,
+    /// How many of each needed color's implement the kit holds.
+    counts: Vec<usize>,
+    /// Per student, per assigned item: the item's index into `needed`.
+    color_index: Vec<Vec<usize>>,
+}
+
+impl RunPrep {
+    /// Check `plan` against a team of one student per assignment list,
+    /// then `kit` against the colors the assignments use — in that order,
+    /// with the errors a run reports.
+    pub(crate) fn new(
+        assignments: &[Vec<WorkItem>],
+        kit: &TeamKit,
+        plan: &FaultPlan,
+    ) -> Result<RunPrep, String> {
+        plan.validate(assignments.len())?;
+        let mut needed: Vec<Color> = Vec::new();
+        for part in assignments {
+            for item in part {
+                if !needed.contains(&item.color) {
+                    needed.push(item.color);
+                }
             }
         }
+        needed.sort_unstable();
+        kit.check(&needed)?;
+        let implements = needed
+            .iter()
+            .map(|&c| kit.implement(c).expect("checked above"))
+            .collect();
+        let counts = needed.iter().map(|&c| kit.count(c)).collect();
+        let color_index = assignments
+            .iter()
+            .map(|part| {
+                part.iter()
+                    .map(|item| needed.binary_search(&item.color).expect("collected above"))
+                    .collect()
+            })
+            .collect();
+        Ok(RunPrep {
+            needed,
+            implements,
+            counts,
+            color_index,
+        })
     }
-    needed.sort_unstable();
-    kit.check(&needed)?;
+}
 
+/// Which result a run assembles after the engine stops.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Finish {
+    /// A full [`RunReport`].
+    Report,
+    /// Only a [`RepSample`].
+    Stats,
+}
+
+/// A run wired into an engine and ready to go.
+struct Armed {
+    engine: Engine,
+    /// The earlier of the configured deadline and any bell.
+    deadline: Option<SimTime>,
+    /// The resource of each needed color, in `RunPrep::needed` order.
+    rids: Vec<ResourceId>,
+    /// Implements that broke mid-cell while durations were sampled.
+    breakages: u64,
+}
+
+/// Run `engine` to the end, or to the bell.
+fn run_engine(engine: Engine, deadline: Option<SimTime>) -> Result<Trace, SimError> {
+    match deadline {
+        Some(deadline) => engine.try_run_until(deadline),
+        None => engine.try_run(),
+    }
+}
+
+/// Build one run's engine — the preparation both finishes share: sample
+/// every duration, add one resource per needed color and one
+/// [`StudentProc`] per student, and prime `live` from the plan. `team`
+/// holds one student per assignment list. The stats finish leaves
+/// resource labels and process names blank (they appear only in reports
+/// and engine errors) and never records trace events.
+fn arm(
+    prep: &RunPrep,
+    assignments: &[Vec<WorkItem>],
+    team: &mut [StudentProfile],
+    config: &ActivityConfig,
+    plan: &FaultPlan,
+    live: Option<&SharedFaults>,
+    finish: Finish,
+) -> Armed {
+    let report = finish == Finish::Report;
     // Ambient faults that shape the run before it starts: the earliest
     // bell wins over any configured deadline, and fumbles pad the hand-off
     // latency of their color. Faults naming colors this run never uses
@@ -387,55 +506,50 @@ pub fn run_activity_scheduled(
     // One resource per needed color; hand-off latency sampled per marker.
     // Sizing the engine up front (one slot per student, one resource per
     // color, ~4 events per cell) keeps the hot loop free of buffer growth.
+    let record = report && config.trace_events;
     let total_cells: usize = assignments.iter().map(Vec::len).sum();
     let mut engine = Engine::with_capacity(
         team.len(),
-        needed.len(),
-        if config.trace_events {
+        prep.needed.len(),
+        if record {
             total_cells * 4 + team.len() * 2
         } else {
             0
         },
     );
-    engine.set_trace_events(config.trace_events);
-    let mut res_of_color: BTreeMap<Color, ResourceId> = BTreeMap::new();
-    // Per-color tables resolved once per run, in `needed` order: the
-    // implement and resource id the per-cell loop below indexes into
-    // instead of re-querying the kit and color map per cell.
-    let mut color_implements: Vec<Implement> = Vec::with_capacity(needed.len());
-    let mut color_rids: Vec<ResourceId> = Vec::with_capacity(needed.len());
-    for &c in &needed {
-        let implement = kit.implement(c).expect("checked above");
+    engine.set_trace_events(record);
+    let mut rids: Vec<ResourceId> = Vec::with_capacity(prep.needed.len());
+    for ((&c, &implement), &count) in prep.needed.iter().zip(&prep.implements).zip(&prep.counts) {
         let mut handoff_secs = cost.sample_handoff_secs(implement);
         handoff_secs += fumble_extra.get(&c).copied().unwrap_or(0.0);
-        let rid = engine.add_resource_pool(
-            format!("{c} {}", implement.kind),
-            kit.count(c),
-            SimDuration::from_secs_f64(handoff_secs),
-        );
-        res_of_color.insert(c, rid);
-        color_implements.push(implement);
-        color_rids.push(rid);
+        let label = if report {
+            format!("{c} {}", implement.kind)
+        } else {
+            String::new()
+        };
+        rids.push(engine.add_resource_pool(label, count, SimDuration::from_secs_f64(handoff_secs)));
     }
 
-    // The shared live fault state, primed from the plan.
-    let live = Rc::new(RefCell::new(LiveFaultState::new(team.len(), plan)));
-    let mut start_at: Vec<SimTime> = vec![SimTime::ZERO; team.len()];
-    {
+    // Prime the live fault state from the plan.
+    if let Some(live) = live {
         let mut st = live.borrow_mut();
         for e in &plan.events {
             match e {
                 FaultEvent::ImplementBreaks { color, at_secs }
                 | FaultEvent::ImplementDriesOut { color, at_secs } => {
-                    if let Some(rid) = res_of_color.get(color) {
+                    if let Ok(i) = prep.needed.binary_search(color) {
                         let verb = if matches!(e, FaultEvent::ImplementBreaks { .. }) {
                             "broke"
                         } else {
                             "dried out"
                         };
                         st.broken.insert(
-                            rid.index(),
-                            (SimTime::ZERO + SimDuration::from_secs_f64(*at_secs), *color, verb),
+                            rids[i].index(),
+                            (
+                                SimTime::ZERO + SimDuration::from_secs_f64(*at_secs),
+                                *color,
+                                verb,
+                            ),
                         );
                     }
                 }
@@ -444,8 +558,6 @@ pub fn run_activity_scheduled(
                         Some(SimTime::ZERO + SimDuration::from_secs_f64(*at_secs));
                 }
                 FaultEvent::LateArrival { student, at_secs } => {
-                    let t = SimTime::ZERO + SimDuration::from_secs_f64(*at_secs);
-                    start_at[*student] = start_at[*student].max(t);
                     if *at_secs > 0.0 {
                         st.incidents.push(Incident {
                             at_secs: *at_secs,
@@ -468,19 +580,23 @@ pub fn run_activity_scheduled(
     let fill_factor = config.fill.work_factor();
     let sigma = cost.cell_sigma(config.fill);
     let mut breakages: u64 = 0;
-    let mut procs: Vec<StudentProc> = Vec::with_capacity(team.len());
-    for (idx, (student, items)) in team.iter_mut().zip(assignments).enumerate() {
-        let base_skill: Vec<f64> = color_implements
-            .iter()
-            .map(|imp| imp.effective_base_secs() * student.skill)
-            .collect();
+    let mut base_skill: Vec<f64> = Vec::with_capacity(prep.needed.len());
+    for (idx, ((student, items), colors)) in team
+        .iter_mut()
+        .zip(assignments)
+        .zip(&prep.color_index)
+        .enumerate()
+    {
+        base_skill.clear();
+        base_skill.extend(
+            prep.implements
+                .iter()
+                .map(|imp| imp.effective_base_secs() * student.skill),
+        );
         let timed: Vec<TimedItem> = items
             .iter()
-            .map(|item| {
-                let ci = needed
-                    .iter()
-                    .position(|&c| c == item.color)
-                    .expect("collected above");
+            .zip(colors)
+            .map(|(item, &ci)| {
                 let mut secs = cost.sample_cell_secs_resolved(
                     student,
                     base_skill[ci],
@@ -488,20 +604,24 @@ pub fn run_activity_scheduled(
                     sigma,
                     item.kind,
                 );
-                if cost.sample_breakage(color_implements[ci]) {
+                if cost.sample_breakage(prep.implements[ci]) {
                     breakages += 1;
                     secs += REPLACEMENT_DELAY_SECS;
                 }
                 TimedItem {
-                    resource: color_rids[ci],
+                    resource: rids[ci],
                     dur: SimDuration::from_secs_f64(secs),
                     work: *item,
                 }
             })
             .collect();
-        procs.push(StudentProc {
+        let proc = StudentProc {
             idx,
-            name: student.name.clone(),
+            name: if report {
+                student.name.clone()
+            } else {
+                String::new()
+            },
             items: timed,
             policy: config.policy,
             pos: 0,
@@ -509,24 +629,120 @@ pub fn run_activity_scheduled(
             held: None,
             pending: None,
             dropped: false,
-            live: Rc::clone(&live),
-        });
+            live: live.cloned(),
+        };
+        engine.add_process_at(Box::new(proc), arrival(plan, idx));
     }
-    for (idx, p) in procs.into_iter().enumerate() {
-        engine.add_process_at(Box::new(p), start_at[idx]);
+
+    Armed {
+        engine,
+        deadline: deadline_secs.map(|secs| SimTime::ZERO + SimDuration::from_secs_f64(secs)),
+        rids,
+        breakages,
     }
+}
+
+/// When student `idx` starts: the latest of their late arrivals, or zero.
+fn arrival(plan: &FaultPlan, idx: usize) -> SimTime {
+    plan.events.iter().fold(SimTime::ZERO, |start, e| match e {
+        FaultEvent::LateArrival { student, at_secs } if *student == idx => {
+            start.max(SimTime::ZERO + SimDuration::from_secs_f64(*at_secs))
+        }
+        _ => start,
+    })
+}
+
+/// The report finish on validated inputs, with a stall flattened into
+/// an error string — [`run_activity_with_faults`] after validation.
+pub(crate) fn run_prepared(
+    label: String,
+    flag: &PreparedFlag,
+    assignments: &[Vec<WorkItem>],
+    prep: &RunPrep,
+    team: &mut [StudentProfile],
+    config: &ActivityConfig,
+    plan: &FaultPlan,
+) -> Result<RunReport, String> {
+    match run_report(label, flag, assignments, prep, team, config, plan, None)? {
+        ActivityOutcome::Completed(report) => Ok(*report),
+        ActivityOutcome::Stalled(waiters) => Err(format!(
+            "simulation failed: {}",
+            SimError::Stalled { waiters }
+        )),
+    }
+}
+
+/// The stats finish on validated inputs: the same preparation and
+/// engine run as the report finish, then only the [`RepSample`]. An
+/// engine failure comes back as the raw [`SimError`]; its rendering
+/// names students and markers, which this finish leaves blank, so a
+/// caller wanting the report path's error text replays the run there.
+pub(crate) fn run_prepared_stats(
+    label: &str,
+    assignments: &[Vec<WorkItem>],
+    prep: &RunPrep,
+    team: &mut [StudentProfile],
+    config: &ActivityConfig,
+    plan: &FaultPlan,
+) -> Result<RepSample, SimError> {
+    let _activity_span = flagsim_telemetry::span("sim", "run.activity")
+        .arg("label", label)
+        .arg("students", team.len());
+    let live = (!plan.is_empty()).then(|| LiveFaultState::shared(team.len(), plan));
+    let Armed {
+        engine,
+        deadline,
+        breakages,
+        ..
+    } = arm(
+        prep,
+        assignments,
+        team,
+        config,
+        plan,
+        live.as_ref(),
+        Finish::Stats,
+    );
+    let trace = run_engine(engine, deadline)?;
+    flagsim_telemetry::count("run.breakages", breakages);
+    Ok(RepSample::from_trace(&trace))
+}
+
+/// The report finish: run the armed engine, then paint and verify the
+/// grid and assemble the full [`RunReport`].
+#[allow(clippy::too_many_arguments)]
+fn run_report(
+    label: String,
+    flag: &PreparedFlag,
+    assignments: &[Vec<WorkItem>],
+    prep: &RunPrep,
+    team: &mut [StudentProfile],
+    config: &ActivityConfig,
+    plan: &FaultPlan,
+    policy: Option<Box<dyn SchedulePolicy>>,
+) -> Result<ActivityOutcome, String> {
+    let _activity_span = flagsim_telemetry::span("sim", "run.activity")
+        .arg("label", &label)
+        .arg("students", team.len());
+    let live = LiveFaultState::shared(team.len(), plan);
+    let Armed {
+        mut engine,
+        deadline,
+        rids,
+        breakages,
+    } = arm(
+        prep,
+        assignments,
+        team,
+        config,
+        plan,
+        Some(&live),
+        Finish::Report,
+    );
     if let Some(policy) = policy {
         engine.set_schedule_policy(policy);
     }
-
-    let result = match deadline_secs {
-        Some(secs) => {
-            let deadline = SimTime::ZERO + SimDuration::from_secs_f64(secs);
-            engine.try_run_until(deadline)
-        }
-        None => engine.try_run(),
-    };
-    let trace = match result {
+    let trace = match run_engine(engine, deadline) {
         Ok(trace) => trace,
         // A stall is a structured outcome for the verification layer; the
         // engine (and every process's Rc handle) is already dropped.
@@ -587,11 +803,13 @@ pub fn run_activity_scheduled(
         })
         .collect();
 
-    let contention: Vec<ColorContention> = needed
+    let contention: Vec<ColorContention> = prep
+        .needed
         .iter()
-        .map(|&c| ColorContention {
+        .zip(&rids)
+        .map(|(&c, rid)| ColorContention {
             color: c,
-            stats: trace.resources[res_of_color[&c].index()].stats.clone(),
+            stats: trace.resources[rid.index()].stats.clone(),
         })
         .collect();
 
@@ -618,10 +836,15 @@ pub fn run_activity_scheduled(
                 }
             }
         }
+        // The bell bit if it set the deadline the engine ran to and the
+        // run ended there. Compared as `SimTime`s: the engine runs to
+        // whole milliseconds, so a bell at 60.0004 s stops it at 60.000 s.
         let bell = plan.events.iter().any(|e| {
             matches!(e, FaultEvent::DeadlineBell { at_secs }
-                if deadline_secs == Some(*at_secs)
-                    && (trace.end_time.as_secs_f64() - at_secs).abs() < 1e-9)
+            if deadline.is_some_and(|d| {
+                d == SimTime::ZERO + SimDuration::from_secs_f64(*at_secs)
+                    && d == trace.end_time
+            }))
         });
         if bell {
             state.incidents.push(Incident {
@@ -1101,6 +1324,38 @@ mod tests {
         );
         let res = via_fault.resilience.as_ref().unwrap();
         assert!(res.incidents.iter().any(|i| i.what.contains("bell")));
+    }
+
+    #[test]
+    fn bell_between_milliseconds_still_logs_its_incident() {
+        // Regression: the engine runs to whole milliseconds, so a bell at
+        // 60.0004 s stops the run at 60.000 s. Comparing that end time
+        // with the raw bell time lost the incident.
+        for at in [60.0, 60.0004, 59.9996] {
+            let r = run_faulted(
+                PartitionStrategy::Solo,
+                1,
+                3,
+                &FaultPlan::new("bell").bell(at),
+            );
+            assert_eq!(r.completion, SimDuration::from_millis(60_000), "bell@{at}");
+            let res = r.resilience.as_ref().unwrap();
+            assert!(
+                res.incidents
+                    .iter()
+                    .any(|i| i.what == "the bell rang with work unfinished" && i.at_secs == 60.0),
+                "bell@{at}: {:?}",
+                res.incidents
+            );
+        }
+        // A bell after the flag is done never rings.
+        let late = run_faulted(
+            PartitionStrategy::Solo,
+            1,
+            3,
+            &FaultPlan::new("bell").bell(1e5),
+        );
+        assert!(late.resilience.as_ref().unwrap().incidents.is_empty());
     }
 
     #[test]

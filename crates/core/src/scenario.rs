@@ -3,11 +3,13 @@
 use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
 use crate::partition::{verify_assignments, CellOrder, PartitionStrategy};
-use crate::report::RunReport;
-use crate::run::{run_activity_scheduled, run_activity_with_faults, ActivityOutcome};
+use crate::report::{RepSample, RunReport};
+use crate::run::{
+    run_activity_scheduled, run_prepared, run_prepared_stats, ActivityOutcome, RunPrep,
+};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
-use flagsim_desim::SchedulePolicy;
+use flagsim_desim::{SchedulePolicy, SimError};
 
 /// A named task decomposition: what the instructor projects on the slide.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,23 +203,63 @@ impl CompiledScenario {
         config: &ActivityConfig,
         plan: &FaultPlan,
     ) -> Result<RunReport, String> {
+        let prep = self.prepare(team.len(), kit, plan)?;
+        self.run_prepared(&prep, team, config, plan)
+    }
+
+    /// Everything about a run that the seed cannot change, checked in the
+    /// order a run checks it: the team is big enough, then the plan and
+    /// the kit fit the partition. `prep` arguments below must come from
+    /// this call with the same kit and plan.
+    pub(crate) fn prepare(
+        &self,
+        team_size: usize,
+        kit: &TeamKit,
+        plan: &FaultPlan,
+    ) -> Result<RunPrep, String> {
         let needed = self.assignments.len();
-        if team.len() < needed {
+        if team_size < needed {
             return Err(format!(
-                "{} needs {needed} coloring students, team has {}",
-                self.name,
-                team.len()
+                "{} needs {needed} coloring students, team has {team_size}",
+                self.name
             ));
         }
-        run_activity_with_faults(
+        RunPrep::new(&self.assignments, kit, plan)
+    }
+
+    /// [`CompiledScenario::run_with_faults`] after [`prepare`](Self::prepare).
+    pub(crate) fn run_prepared(
+        &self,
+        prep: &RunPrep,
+        team: &mut [StudentProfile],
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+    ) -> Result<RunReport, String> {
+        let team = &mut team[..self.assignments.len()];
+        run_prepared(
             self.name.clone(),
             &self.flag,
             &self.assignments,
-            &mut team[..needed],
-            kit,
+            prep,
+            team,
             config,
             plan,
         )
+    }
+
+    /// The same run as [`run_prepared`](Self::run_prepared), finished
+    /// as a [`RepSample`] instead of a report (see
+    /// [`crate::run::run_prepared_stats`] for the error contract). `team`
+    /// needs one student per part; names are not read.
+    pub(crate) fn run_prepared_stats(
+        &self,
+        prep: &RunPrep,
+        team: &mut [StudentProfile],
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+    ) -> Result<RepSample, SimError> {
+        let team = &mut team[..self.assignments.len()];
+        run_prepared_stats(&self.name, &self.assignments, prep, team, config, plan)
     }
 
     /// Run the compiled partition under a forced (or otherwise custom)

@@ -16,14 +16,17 @@
 //! [`SweepResult`] identical to the serial [`try_sweep`] for the same
 //! configuration.
 //!
-//! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` drops
-//! each [`RunReport`] after extracting its two metrics and accumulates
-//! them in O(1) memory with [`StreamingStats`]; a progress callback
-//! ([`SweepRunner::on_progress`]) gives observability either way.
+//! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` runs
+//! every repetition through the stats finish
+//! ([`SweepRunner::run_rep_stats`]), which never assembles a
+//! [`RunReport`], and accumulates the two metrics in O(1) memory with
+//! [`StreamingStats`]; a progress callback ([`SweepRunner::on_progress`])
+//! gives observability either way.
 
 use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
-use crate::report::RunReport;
+use crate::report::{RepSample, RunReport};
+use crate::run::RunPrep;
 use crate::scenario::{CompiledScenario, Scenario};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
@@ -154,6 +157,10 @@ pub struct SweepRunner<'a> {
     /// The scenario partitioned and verified once, shared by every rep
     /// (and every worker thread — the partition is seed-independent).
     compiled: OnceLock<Result<CompiledScenario, String>>,
+    /// The team size, plan and kit checked against `compiled` once, with
+    /// the per-color tables every rep indexes into. Like `compiled`, built
+    /// by the first rep; a failure is replayed to every rep.
+    prep: OnceLock<Result<RunPrep, String>>,
 }
 
 impl<'a> SweepRunner<'a> {
@@ -179,6 +186,7 @@ impl<'a> SweepRunner<'a> {
             retain_reports: true,
             progress: None,
             compiled: OnceLock::new(),
+            prep: OnceLock::new(),
         }
     }
 
@@ -214,9 +222,10 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Keep every [`RunReport`] (the default), or drop each report
-    /// after extracting its metrics and stream the statistics in O(1)
-    /// memory — the only way a million-repetition sweep fits in RAM.
+    /// Keep every [`RunReport`] (the default), or run each repetition
+    /// through [`SweepRunner::run_rep_stats`] — no report is built — and
+    /// stream the statistics in O(1) memory: the only way a
+    /// million-repetition sweep fits in RAM.
     pub fn retain_reports(mut self, retain: bool) -> Self {
         self.retain_reports = retain;
         self
@@ -253,7 +262,7 @@ impl<'a> SweepRunner<'a> {
             for rep in 0..self.reps {
                 let rep_span =
                     flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id).arg("rep", rep);
-                let outcome = self.run_rep(rep);
+                let outcome = self.run_one(rep);
                 drop(rep_span);
                 collector.accept(rep, outcome);
                 let mut p = collector.snapshot();
@@ -272,39 +281,92 @@ impl<'a> SweepRunner<'a> {
 
     /// One repetition: fresh team, derived seed — the exact recipe the
     /// serial sweep has always used, so seeds are independent of the
-    /// job count. Public so out-of-process executors (the
-    /// `flagsim-shard` worker) run the *same* repetition function the
-    /// in-process sweep runs: a shard worker handed rep `i` produces the
-    /// identical [`RunReport`] this runner would have produced for rep
-    /// `i`, which is what keeps distributed sweeps bit-for-bit equal to
-    /// serial ones.
+    /// job count. Public, with [`SweepRunner::run_rep_stats`], so
+    /// out-of-process executors (the `flagsim-shard` worker) run the
+    /// *same* repetition function the in-process sweep runs: a shard
+    /// worker handed rep `i` produces the identical numbers this runner
+    /// would have produced for rep `i`, which is what keeps distributed
+    /// sweeps bit-for-bit equal to serial ones.
     pub fn run_rep(&self, rep: u64) -> Result<RunReport, String> {
+        let (compiled, prep) = self.prepared()?;
+        let mut team = self.fresh_team(compiled.parts(), |i| format!("P{i}"));
+        let mut cfg = self.rep_config(rep);
+        if !self.retain_reports {
+            // A report wanted from a streaming runner is one-off, so
+            // recording per-event traces is pure waste; accounting is
+            // bit-identical with the sink off.
+            cfg.trace_events = false;
+        }
+        compiled.run_prepared(prep, &mut team, &cfg, &self.plan)
+    }
+
+    /// Repetition `rep` reduced to its [`RepSample`], bit-equal to
+    /// [`SweepRunner::run_rep`]`(rep)`'s `completion_secs()` and
+    /// `total_wait_secs()` — and to its error string when the rep fails.
+    /// The same preparation and engine run as `run_rep`, but no
+    /// [`RunReport`]: no grid paint-and-verify, no per-student or
+    /// per-color tables, no names or labels, and without faults no live
+    /// fault state. What streaming sweeps and shard executors run.
+    pub fn run_rep_stats(&self, rep: u64) -> Result<RepSample, String> {
+        let (compiled, prep) = self.prepared()?;
+        let mut team = self.fresh_team(compiled.parts(), |_| String::new());
+        let cfg = self.rep_config(rep);
+        compiled
+            .run_prepared_stats(prep, &mut team, &cfg, &self.plan)
+            // An engine error names students and markers, which the stats
+            // finish leaves blank: replay the rep (a fresh team, the same
+            // seed) through the report path for the identical message.
+            .or_else(|_| self.run_rep(rep).map(|report| report.sample()))
+    }
+
+    /// The compiled scenario and the run preparation, each built on first
+    /// use and shared by every later rep; their errors replay verbatim.
+    fn prepared(&self) -> Result<(&CompiledScenario, &RunPrep), String> {
         let compiled = self
             .compiled
             .get_or_init(|| self.scenario.compile(self.flag, self.config))
             .as_ref()
             .map_err(Clone::clone)?;
-        let mut team: Vec<StudentProfile> = (1..=self.team_size)
+        let prep = self
+            .prep
+            .get_or_init(|| compiled.prepare(self.team_size, self.kit, &self.plan))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        Ok((compiled, prep))
+    }
+
+    /// A fresh team of `n` students named by `name(i)` for `i` in `1..=n`.
+    fn fresh_team(&self, n: usize, name: impl Fn(usize) -> String) -> Vec<StudentProfile> {
+        (1..=n)
             .map(|i| {
-                let s = StudentProfile::new(format!("P{i}"));
+                let s = StudentProfile::new(name(i));
                 if self.warmup {
                     s
                 } else {
                     s.without_warmup()
                 }
             })
-            .collect();
-        let mut cfg = ActivityConfig {
+            .collect()
+    }
+
+    /// The configuration of repetition `rep`: the base configuration with
+    /// a seed derived from the base seed and the repetition index.
+    fn rep_config(&self, rep: u64) -> ActivityConfig {
+        ActivityConfig {
             seed: self.config.seed.wrapping_add(rep.wrapping_mul(0x9E37_79B9)),
             ..self.config.clone()
-        };
-        if !self.retain_reports {
-            // Streaming mode drops each report after extracting its
-            // aggregate metrics, so recording per-event traces is pure
-            // waste; accounting is bit-identical with the sink off.
-            cfg.trace_events = false;
         }
-        compiled.run_with_faults(&mut team, self.kit, &cfg, &self.plan)
+    }
+
+    /// One repetition as the collector takes it: through the report path
+    /// when reports are retained, through the stats finish otherwise.
+    fn run_one(&self, rep: u64) -> RepResult {
+        if self.retain_reports {
+            self.run_rep(rep)
+                .map(|report| (report.sample(), Some(report)))
+        } else {
+            self.run_rep_stats(rep).map(|sample| (sample, None))
+        }
     }
 
     /// Fan repetitions across `jobs` scoped worker threads. Workers pull
@@ -322,7 +384,7 @@ impl<'a> SweepRunner<'a> {
         collector: &mut Collector,
     ) {
         struct Reorder<'c> {
-            pending: BTreeMap<u64, Result<RunReport, String>>,
+            pending: BTreeMap<u64, RepResult>,
             next_emit: u64,
             collector: &'c mut Collector,
         }
@@ -349,7 +411,7 @@ impl<'a> SweepRunner<'a> {
                         let rep_span =
                             flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id)
                                 .arg("rep", rep);
-                        let outcome = self.run_rep(rep);
+                        let outcome = self.run_one(rep);
                         drop(rep_span);
                         let snapshot = {
                             let mut guard = shared.lock().expect("no worker panicked mid-merge");
@@ -381,6 +443,10 @@ impl<'a> SweepRunner<'a> {
         }
     }
 }
+
+/// One repetition's outcome as the collector folds it in: the sample,
+/// plus the report when reports are retained.
+type RepResult = Result<(RepSample, Option<RunReport>), String>;
 
 /// Order-respecting accumulator shared by the serial and parallel
 /// paths. In retained mode it rebuilds exactly what the historical
@@ -418,17 +484,16 @@ impl Collector {
     /// The streaming accumulators run even in retained mode: they are
     /// O(1) per repetition and feed the live `sweep.completion.*`
     /// gauges the dashboard reads mid-sweep.
-    fn accept(&mut self, rep: u64, outcome: Result<RunReport, String>) {
+    fn accept(&mut self, rep: u64, outcome: RepResult) {
         self.completed += 1;
         match outcome {
-            Ok(report) => {
-                let completion = report.completion_secs();
-                let wait = report.total_wait_secs();
+            Ok((sample, report)) => {
+                let completion = sample.completion_secs;
                 self.completion_stream.push(completion);
-                self.waiting_stream.push(wait);
-                if self.retain {
+                self.waiting_stream.push(sample.wait_secs);
+                if let Some(report) = report {
                     self.completions.push(completion);
-                    self.waits.push(wait);
+                    self.waits.push(sample.wait_secs);
                     self.reports.push(report);
                 }
                 if flagsim_telemetry::enabled() {

@@ -14,9 +14,9 @@
 //!    (bounded by the same attempt budget);
 //! 4. when every endpoint thread has given up and work remains, the
 //!    coordinator degrades to running the missing repetitions
-//!    in-process — same [`run_rep`], same answer, no cluster.
+//!    in-process — same [`run_rep_stats`], same answer, no cluster.
 //!
-//! [`run_rep`]: flagsim_core::sweep::SweepRunner::run_rep
+//! [`run_rep_stats`]: flagsim_core::sweep::SweepRunner::run_rep_stats
 //!
 //! The same code path runs pure in-process sweeps (no endpoints), which
 //! is how `--checkpoint`/`--resume`/`--max-wall-secs` work without any
@@ -323,13 +323,7 @@ fn run_local(
                         }
                     }
                     let Some(rep) = pop() else { return };
-                    let outcome = match runner.run_rep(rep) {
-                        Ok(report) => RepOutcome::Ok {
-                            completion: report.completion_secs(),
-                            waiting: report.total_wait_secs(),
-                        },
-                        Err(error) => RepOutcome::Failed { error },
-                    };
+                    let outcome = RepOutcome::from(runner.run_rep_stats(rep));
                     let mut sh = lock(shared);
                     record(&mut sh, job, cfg, rep, outcome);
                     if stop_requested(&sh) {

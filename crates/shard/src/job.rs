@@ -5,7 +5,7 @@
 //! implement kind, base seed, team size, warm-up, and the total rep
 //! count. Both sides [`materialize`](JobSpec::materialize) the spec
 //! through the *same* code path, and every repetition then runs through
-//! [`SweepRunner::run_rep`](flagsim_core::sweep::SweepRunner::run_rep) —
+//! [`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats) —
 //! so rep `i` computed on a remote worker is bit-identical to rep `i`
 //! computed in-process, which is what makes the distributed merge equal
 //! the serial sweep.
@@ -173,7 +173,7 @@ pub struct MaterializedJob {
 
 impl MaterializedJob {
     /// A sweep runner configured exactly like the serial sweep for this
-    /// job. Callers use [`SweepRunner::run_rep`] for individual
+    /// job. Callers use [`SweepRunner::run_rep_stats`] for individual
     /// repetitions (shard executors) or `run()` for the whole campaign
     /// (the in-process degradation path).
     pub fn runner(&self) -> SweepRunner<'_> {

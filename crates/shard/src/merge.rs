@@ -16,6 +16,7 @@
 //! dropped: merging is idempotent per repetition index.
 
 use flagsim_core::sweep::SweepFailure;
+use flagsim_core::RepSample;
 use flagsim_metrics::{RunStats, StreamingStats};
 use std::collections::BTreeMap;
 
@@ -34,6 +35,21 @@ pub enum RepOutcome {
         /// The error string the run reported.
         error: String,
     },
+}
+
+impl From<Result<RepSample, String>> for RepOutcome {
+    /// A repetition as [`SweepRunner::run_rep_stats`] returns it.
+    ///
+    /// [`SweepRunner::run_rep_stats`]: flagsim_core::sweep::SweepRunner::run_rep_stats
+    fn from(rep: Result<RepSample, String>) -> Self {
+        match rep {
+            Ok(sample) => RepOutcome::Ok {
+                completion: sample.completion_secs,
+                waiting: sample.wait_secs,
+            },
+            Err(error) => RepOutcome::Failed { error },
+        }
+    }
 }
 
 /// Order-restoring accumulator over per-rep outcomes.
