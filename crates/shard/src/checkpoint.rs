@@ -358,6 +358,22 @@ mod tests {
     }
 
     #[test]
+    fn nesting_bomb_checkpoint_file_is_rejected() {
+        let dir = std::env::temp_dir().join(format!("flagsim-ckpt-bomb-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        for (name, bomb) in [
+            ("arrays", "[".repeat(1_000_000)),
+            ("objects", "{\"job\":".repeat(200_000)),
+        ] {
+            let path = dir.join(format!("{name}.ckpt"));
+            fs::write(&path, bomb).unwrap();
+            let err = Checkpoint::load(&path).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn save_is_atomic_and_load_round_trips() {
         let dir = std::env::temp_dir().join(format!("flagsim-ckpt-{}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();

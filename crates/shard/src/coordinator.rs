@@ -913,6 +913,11 @@ mod tests {
             if let Some(col) = collector {
                 let _ = col.finish();
             }
+            if drop_every.is_some() {
+                // The shipping arms really shipped.
+                let shipped: u64 = hub.with(|fv| fv.workers().map(|w| w.shipped_frames).sum());
+                assert!(shipped > 0, "no telemetry frames shipped (drop every {drop_every:?})");
+            }
         }
     }
 

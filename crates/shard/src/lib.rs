@@ -33,8 +33,9 @@
 //!   and any completed-but-unmerged repetitions to a checkpoint file;
 //!   `flagsim sweep --resume <ckpt>` continues a killed million-rep
 //!   sweep from where it stopped and finishes with statistics
-//!   bit-identical to an uninterrupted run (the `shard_bench` hard
-//!   gate).
+//!   bit-identical to an uninterrupted run and a final checkpoint file
+//!   byte-identical to that run's (held by the
+//!   `crash_at_every_checkpoint_boundary_resumes_bit_identically` test).
 //!
 //! * **Distributed observability** ([`wire`], [`fleet`]): when the
 //!   coordinator is collecting telemetry, its `hello` propagates the

@@ -707,4 +707,15 @@ mod tests {
         assert!(Message::decode("{\"type\":\"warp\"}").is_err());
         assert!(Message::decode("not json").is_err());
     }
+
+    #[test]
+    fn nesting_bombs_under_the_frame_cap_are_errors() {
+        // 1 MB of nesting fits under MAX_FRAME_BYTES; decoding it must fail
+        // cleanly rather than overflow the stack of the receiving thread.
+        for bomb in ["[".repeat(1_000_000), "{\"type\":".repeat(200_000)] {
+            assert!(bomb.len() < MAX_FRAME_BYTES as usize);
+            let err = Message::decode(&bomb).unwrap_err();
+            assert!(err.contains("nesting"), "{err}");
+        }
+    }
 }

@@ -33,7 +33,7 @@ use std::net::{TcpListener, TcpStream};
 /// Drain-and-ship cadence within a lease, in repetitions. Every lease
 /// boundary also flushes, so this only bounds staleness inside one
 /// long lease; keeping it coarse keeps frame overhead off the rep hot
-/// path (the obs bench gates shipping at ≤5% wall-clock).
+/// path.
 const SHIP_EVERY_REPS: u64 = 512;
 
 /// Cap on pending records of each kind between ships; overflow is

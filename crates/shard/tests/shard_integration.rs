@@ -147,16 +147,26 @@ fn reconnect_backoff_schedule_is_deterministic() {
 
 /// The headline durability gate: kill the campaign after merging k reps
 /// — for every k — resume from the checkpoint on disk, and demand final
-/// statistics bit-identical to a never-interrupted run.
+/// statistics bit-identical to a never-interrupted run, and a final
+/// checkpoint file byte-identical to the one that run wrote.
 #[test]
 fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
     let reps = 8;
     let j = job(reps);
-    let (fresh_c, fresh_w) = completed(
-        run_sweep(&j, &CoordinatorConfig::default()).expect("uninterrupted sweep"),
-    );
     let dir = std::env::temp_dir().join(format!("flagsim-killpoints-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
+    let fresh_ckpt = dir.join("fresh.ckpt");
+    let (fresh_c, fresh_w) = completed(
+        run_sweep(
+            &j,
+            &CoordinatorConfig {
+                checkpoint_path: Some(fresh_ckpt.clone()),
+                ..CoordinatorConfig::default()
+            },
+        )
+        .expect("uninterrupted sweep"),
+    );
+    let fresh_bytes = std::fs::read(&fresh_ckpt).expect("fresh final checkpoint");
     for kill_after in 1..reps {
         let ckpt = dir.join(format!("kill-{kill_after}.ckpt"));
         let halted = run_sweep(
@@ -185,12 +195,20 @@ fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
         let (c, w) = completed(
             run_sweep(
                 &j,
-                &CoordinatorConfig { resume: Some(ck), ..CoordinatorConfig::default() },
+                &CoordinatorConfig {
+                    resume: Some(ck),
+                    checkpoint_path: Some(ckpt.clone()),
+                    ..CoordinatorConfig::default()
+                },
             )
             .unwrap_or_else(|e| panic!("resume from kill point {kill_after}: {e}")),
         );
         assert_bits_equal(&c, &fresh_c, &format!("completion after kill at {kill_after}"));
         assert_bits_equal(&w, &fresh_w, &format!("waiting after kill at {kill_after}"));
+        assert!(
+            std::fs::read(&ckpt).expect("resumed final checkpoint") == fresh_bytes,
+            "kill point {kill_after}: final checkpoint differs from the uninterrupted run's"
+        );
     }
     std::fs::remove_dir_all(&dir).ok();
 }

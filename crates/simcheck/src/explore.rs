@@ -653,9 +653,10 @@ mod tests {
         })));
     }
 
-    /// Three workers on disjoint resources: the t=0 wake-up tie orderings
-    /// all commute. DPOR collapses 3! orderings to one schedule; naive
-    /// enumeration visits all six — and both see one outcome.
+    /// Four workers on disjoint resources: the t=0 wake-up tie orderings
+    /// all commute. DPOR collapses 4! orderings to one schedule; naive
+    /// enumeration visits all 24 — and both see one outcome. That 24×
+    /// factor is the reduction gate (≥ 10×).
     #[test]
     fn independent_workers_collapse_under_dpor() {
         let build = || {
@@ -663,6 +664,7 @@ mod tests {
             worker(&mut eng, "a", "ra", 10);
             worker(&mut eng, "b", "rb", 20);
             worker(&mut eng, "c", "rc", 30);
+            worker(&mut eng, "d", "rd", 40);
             eng
         };
         let dpor = explore_engine(build, &ExploreConfig::default()).expect("dpor");
@@ -679,7 +681,7 @@ mod tests {
             },
         )
         .expect("naive");
-        assert_eq!(naive.schedules_run, 6, "{naive:?}");
+        assert_eq!(naive.schedules_run, 24, "{naive:?}");
         assert_eq!(naive.outcomes.len(), 1);
         assert_eq!(
             naive.outcomes[0].outcome.key(),

@@ -110,9 +110,15 @@ impl Value {
     }
 }
 
+/// Deepest array/object nesting [`parse`] accepts. What this workspace
+/// writes nests a handful of levels; the cap keeps a hostile document (a
+/// shard frame, a checkpoint file) from overflowing the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parse a complete JSON document. Errors carry the byte offset.
@@ -120,6 +126,7 @@ pub fn parse(text: &str) -> Result<Value, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -170,8 +177,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Value::String(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -183,6 +190,20 @@ impl<'a> Parser<'a> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the caller.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Value, String> {
@@ -278,8 +299,11 @@ impl<'a> Parser<'a> {
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
+                            // `from_str_radix` alone would accept a sign.
                             let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape {hex:?}"))?;
+                                .ok()
+                                .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .ok_or_else(|| format!("bad \\u escape {hex:?}"))?;
                             self.pos += 4;
                             // Surrogates are accepted as replacement chars;
                             // the exporters never emit them.
@@ -409,6 +433,26 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("{\"a\": nul}").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let one_more = format!("[{ok}]");
+        let err = parse(&one_more).unwrap_err();
+        assert!(err.contains("nesting") && err.contains("byte 128"), "{err}");
+        for bomb in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            assert!(parse(&bomb).unwrap_err().contains("nesting"));
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#), Ok(Value::String("A".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004""#] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

@@ -40,6 +40,23 @@ fn field_str<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
     v.get(key).and_then(Value::as_str)
 }
 
+/// Most thread tracks a trace may use. Each `tid` indexes the per-process
+/// table, so an unchecked id would size an unbounded allocation.
+const MAX_TRACKS: usize = 1 << 16;
+
+/// Event `index`'s thread track: its `tid`, or 0 when it has none.
+fn track(e: &Value, index: usize) -> Result<usize, String> {
+    let Some(tid) = e.get("tid") else {
+        return Ok(0);
+    };
+    match tid.as_f64() {
+        Some(t) if t >= 0.0 && t.fract() == 0.0 && t < MAX_TRACKS as f64 => Ok(t as usize),
+        _ => Err(format!(
+            "event {index}: tid is not a track index in 0..{MAX_TRACKS}"
+        )),
+    }
+}
+
 /// Parse a Chrome trace JSON document into a [`Trace`].
 pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
     let doc = json::parse(text).map_err(|e| format!("trace file is not valid JSON: {e}"))?;
@@ -91,9 +108,9 @@ pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
     let mut last_ms: BTreeMap<usize, u64> = BTreeMap::new();
     let mut max_tid = 0usize;
 
-    for e in events {
+    for (i, e) in events.iter().enumerate() {
         let ph = field_str(e, "ph").unwrap_or("");
-        let tid = field_f64(e, "tid").unwrap_or(0.0) as usize;
+        let tid = track(e, i)?;
         match ph {
             "M" if field_str(e, "name") == Some("thread_name") => {
                 if let Some(n) = e.get("args").and_then(|a| field_str(a, "name")) {
@@ -136,7 +153,8 @@ pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
                             dur: SimDuration(end - start),
                         },
                     });
-                    *busy.entry(tid).or_default() += end - start;
+                    let b = busy.entry(tid).or_default();
+                    *b = b.saturating_add(end - start);
                     *work_count.entry(tid).or_default() += 1;
                     let t = last_ms.entry(tid).or_default();
                     *t = (*t).max(end);
@@ -154,7 +172,8 @@ pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
                             dur: SimDuration(end - start),
                         },
                     });
-                    *busy.entry(tid).or_default() += end - start;
+                    let b = busy.entry(tid).or_default();
+                    *b = b.saturating_add(end - start);
                     *work_count.entry(tid).or_default() += 1;
                 } else if let Some(label) = name.strip_prefix("wait: ") {
                     let ri = match resources.iter().position(|r| r == label) {
@@ -174,7 +193,8 @@ pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
                         proc,
                         kind: EventKind::Acquired(ResourceId::from_index(ri)),
                     });
-                    *waiting.entry(tid).or_default() += end - start;
+                    let w = waiting.entry(tid).or_default();
+                    *w = w.saturating_add(end - start);
                 }
                 let t = last_ms.entry(tid).or_default();
                 *t = (*t).max(end);
@@ -309,5 +329,24 @@ mod tests {
         assert!(parse_chrome_trace("not json").is_err());
         assert!(parse_chrome_trace("{\"foo\": 1}").is_err());
         assert!(parse_chrome_trace("[]").is_err(), "no events");
+    }
+
+    #[test]
+    fn out_of_range_tids_are_errors_not_huge_allocations() {
+        for tid in ["1e12", "4294967296", "-1", "1.5", "\"7\""] {
+            let json = format!(
+                r#"[{{"name":"work","ph":"B","ts":0,"pid":1,"tid":0}},
+                    {{"name":"work","ph":"E","ts":1000,"pid":1,"tid":{tid}}}]"#
+            );
+            let err = parse_chrome_trace(&json).unwrap_err();
+            assert!(err.starts_with("event 1: tid"), "tid {tid}: {err}");
+        }
+        // Spans that overflow u64 milliseconds saturate instead of wrapping.
+        let json = r#"[{"name":"work","ph":"B","ts":0,"pid":1,"tid":0},
+                       {"name":"work","ph":"E","ts":1e300,"pid":1,"tid":0},
+                       {"name":"work","ph":"B","ts":0,"pid":1,"tid":0},
+                       {"name":"work","ph":"E","ts":1e300,"pid":1,"tid":0}]"#;
+        let t = parse_chrome_trace(json).expect("parses");
+        assert_eq!(t.procs[0].busy, SimDuration(u64::MAX));
     }
 }
