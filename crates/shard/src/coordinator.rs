@@ -7,9 +7,10 @@
 //! budget, and the checkpoint cadence. Failure handling is layered:
 //!
 //! 1. connect failures back off exponentially with an attempt budget;
-//! 2. a session that errors or goes silent past the heartbeat timeout
-//!    marks its worker dead, and the unfinished part of its lease is
-//!    redistributed per the campaign's `RecoveryPolicy`;
+//! 2. a session that errors, goes silent past the heartbeat timeout, or
+//!    reports a rep or `lease_done` it does not owe marks its worker
+//!    dead, and the unfinished part of its leases is redistributed per
+//!    the campaign's `RecoveryPolicy`;
 //! 3. a dead session's endpoint thread re-registers and reconnects
 //!    (bounded by the same attempt budget);
 //! 4. when every endpoint thread has given up and work remains, the
@@ -25,13 +26,13 @@
 use crate::checkpoint::Checkpoint;
 use crate::fleet::ObsHub;
 use crate::job::{JobSpec, MaterializedJob};
-use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
+use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId, LEASES_IN_FLIGHT};
 use crate::merge::{MergeState, RepOutcome};
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 use flagsim_core::sweep::SweepFailure;
 use flagsim_metrics::RunStats;
 use flagsim_telemetry::log;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -541,20 +542,27 @@ fn absorb_telemetry(
     }
 }
 
-/// After `shutdown`, drain the worker's final telemetry frames until
-/// `bye` (or EOF/error). Best-effort: the session is ending either way.
-fn drain_goodbye(
+/// Send `shutdown`, then drain the worker's final telemetry frames until
+/// `bye` (or EOF/error), skipping the `lease_done` of a lease whose reps
+/// all arrived. Any other frame means the worker is still mid-lease, so
+/// this stops there. Best-effort: the session is ending either way, and
+/// the worker survives for other sweeps.
+fn say_goodbye(
     reader: &mut impl std::io::Read,
+    writer: &mut impl std::io::Write,
     worker_name: &str,
     remap: &mut BTreeMap<u64, u64>,
     obs: Option<&ObsHub>,
-    now: u64,
+    start: Instant,
 ) {
+    let _ = wire::send(writer, &Message::Shutdown);
+    let now = now_ms(start);
     loop {
         match wire::recv(reader) {
             Ok(Some(Message::Telemetry(batch))) => {
                 absorb_telemetry(batch, worker_name, remap, obs, now);
             }
+            Ok(Some(Message::LeaseDone { .. })) => {}
             _ => return, // bye, EOF, or anything else: done
         }
     }
@@ -647,7 +655,55 @@ fn drive_session(
     result
 }
 
-/// The lease grant/report loop of an established session.
+/// A lease this session has sent and not yet seen `lease_done` for.
+#[derive(Debug)]
+struct InFlight {
+    /// The granted range, which `lease_done` must echo.
+    start: u64,
+    end: u64,
+    /// The next rep the worker owes on it.
+    next: u64,
+}
+
+/// Check a `rep` frame against the session's leases: only the next
+/// unreported rep of the oldest lease is accepted.
+fn accept_rep(in_flight: &mut VecDeque<InFlight>, rep: u64) -> Result<(), String> {
+    match in_flight.front_mut() {
+        Some(l) if l.next < l.end && rep == l.next => {
+            l.next += 1;
+            Ok(())
+        }
+        Some(l) if l.next < l.end => Err(format!(
+            "rep {rep} while lease {}..{} owes rep {}",
+            l.start, l.end, l.next
+        )),
+        Some(l) => Err(format!("rep {rep} before lease_done for {}..{}", l.start, l.end)),
+        None => Err(format!("rep {rep} while holding no lease")),
+    }
+}
+
+/// Check a `lease_done` frame: it must echo the oldest lease's range
+/// after every rep of it was reported.
+fn accept_lease_done(in_flight: &mut VecDeque<InFlight>, start: u64, end: u64) -> Result<(), String> {
+    match in_flight.front() {
+        Some(l) if (l.start, l.end) == (start, end) && l.next == end => {
+            in_flight.pop_front();
+            Ok(())
+        }
+        Some(l) if (l.start, l.end) == (start, end) => {
+            Err(format!("lease_done for {start}..{end} before rep {}", l.next))
+        }
+        Some(l) if in_flight.iter().any(|l| (l.start, l.end) == (start, end)) => Err(format!(
+            "lease_done for {start}..{end} while lease {}..{} is still open",
+            l.start, l.end
+        )),
+        _ => Err(format!("lease_done for a lease it never held ({start}..{end})")),
+    }
+}
+
+/// The lease grant/report loop of an established session. The worker
+/// is kept topped up to [`LEASES_IN_FLIGHT`] leases, so its next lease
+/// is already in its socket buffer when it finishes one.
 #[allow(clippy::too_many_arguments)]
 fn drive_leases(
     reader: &mut BufReader<TcpStream>,
@@ -665,112 +721,113 @@ fn drive_leases(
         lock(shared).table.mark_dead(w, reason, now_ms(start));
     };
     let obs = cfg.obs.as_ref();
+    let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(LEASES_IN_FLIGHT);
     loop {
         if done.load(Ordering::Relaxed) {
-            // Best-effort goodbye; the worker survives for other sweeps.
-            let _ = wire::send(writer, &Message::Shutdown);
-            drain_goodbye(reader, worker_name, remap, obs, now_ms(start));
+            say_goodbye(reader, writer, worker_name, remap, obs, start);
             return Ok(());
         }
-        let grant = {
-            let mut sh = lock(shared);
-            if sh.table.is_dead(w) {
-                return Err(()); // supervisor timed us out while idle
+        let mut finished = false;
+        while in_flight.len() < LEASES_IN_FLIGHT {
+            let grant = {
+                let mut sh = lock(shared);
+                if sh.table.is_dead(w) {
+                    return Err(()); // supervisor timed us out
+                }
+                sh.table.request_lease(w, now_ms(start))
+            };
+            let LeaseGrant::Range { start: s, end: e } = grant else {
+                finished = grant == LeaseGrant::Finished;
+                break;
+            };
+            let grant_id = if flagsim_telemetry::enabled() {
+                let id = NEXT_GRANT.fetch_add(1, Ordering::Relaxed);
+                // Start half of the grant arrow; the worker records
+                // the finish half when it picks the lease up.
+                flagsim_telemetry::flow("lease", id, true);
+                id
+            } else {
+                0
+            };
+            if wire::send(writer, &Message::Lease { start: s, end: e, grant: grant_id }).is_err() {
+                dead("lease write failed");
+                return Err(());
             }
-            sh.table.request_lease(w, now_ms(start))
-        };
-        match grant {
-            LeaseGrant::Finished => {
-                let _ = wire::send(writer, &Message::Shutdown);
-                drain_goodbye(reader, worker_name, remap, obs, now_ms(start));
+            in_flight.push_back(InFlight { start: s, end: e, next: s });
+            if let Some(hub) = obs {
+                hub.with(|fv| fv.on_lease(worker_name, now_ms(start)));
+            }
+            if flagsim_telemetry::enabled() {
+                flagsim_telemetry::count("shard.leases_granted", 1);
+            }
+        }
+        if in_flight.is_empty() {
+            if finished {
+                say_goodbye(reader, writer, worker_name, remap, obs, start);
                 return Ok(());
             }
-            LeaseGrant::Wait => {
-                thread::sleep(Duration::from_millis(2));
-            }
-            LeaseGrant::Range { start: s, end: e } => {
-                let grant_id = if flagsim_telemetry::enabled() {
-                    let id = NEXT_GRANT.fetch_add(1, Ordering::Relaxed);
-                    // Start half of the grant arrow; the worker records
-                    // the finish half when it picks the lease up.
-                    flagsim_telemetry::flow("lease", id, true);
-                    id
-                } else {
-                    0
-                };
-                if wire::send(writer, &Message::Lease { start: s, end: e, grant: grant_id })
-                    .is_err()
-                {
-                    dead("lease write failed");
+            thread::sleep(Duration::from_millis(2));
+            continue;
+        }
+        match wire::recv(reader) {
+            Ok(Some(Message::Rep { rep, outcome })) => {
+                if let Err(reason) = accept_rep(&mut in_flight, rep) {
+                    dead(&reason);
                     return Err(());
                 }
+                let now = now_ms(start);
                 if let Some(hub) = obs {
-                    hub.with(|fv| fv.on_lease(worker_name, now_ms(start)));
+                    hub.with(|fv| fv.on_rep(worker_name, now));
                 }
-                if flagsim_telemetry::enabled() {
-                    flagsim_telemetry::count("shard.leases_granted", 1);
+                let mut sh = lock(shared);
+                sh.table.on_rep_done(w, rep, now);
+                record(&mut sh, job, cfg, rep, outcome);
+                if stop_requested(&sh) {
+                    done.store(true, Ordering::Relaxed);
                 }
-                loop {
-                    match wire::recv(reader) {
-                        Ok(Some(Message::Rep { rep, outcome })) => {
-                            let now = now_ms(start);
-                            if let Some(hub) = obs {
-                                hub.with(|fv| fv.on_rep(worker_name, now));
-                            }
-                            let mut sh = lock(shared);
-                            sh.table.on_rep_done(w, rep, now);
-                            record(&mut sh, job, cfg, rep, outcome);
-                            if stop_requested(&sh) {
-                                done.store(true, Ordering::Relaxed);
-                            }
-                        }
-                        Ok(Some(Message::LeaseDone { .. })) => {
-                            let now = now_ms(start);
-                            if let Some(hub) = obs {
-                                hub.with(|fv| fv.on_lease_done(worker_name, now));
-                            }
-                            lock(shared).table.on_lease_done(w, now);
-                            break;
-                        }
-                        Ok(Some(Message::Telemetry(batch))) => {
-                            // Observational only; doubles as a heartbeat
-                            // like every other worker frame.
-                            let now = now_ms(start);
-                            lock(shared).table.on_heartbeat(w, now);
-                            absorb_telemetry(batch, worker_name, remap, obs, now);
-                        }
-                        Ok(Some(Message::Heartbeat)) => {
-                            let now = now_ms(start);
-                            if let Some(hub) = obs {
-                                hub.with(|fv| fv.on_heard(worker_name, now));
-                            }
-                            lock(shared).table.on_heartbeat(w, now);
-                        }
-                        Ok(Some(Message::Error { message })) => {
-                            dead(&format!("worker error: {message}"));
-                            return Err(());
-                        }
-                        Ok(Some(other)) => {
-                            dead(&format!("unexpected frame {other:?}"));
-                            return Err(());
-                        }
-                        Ok(None) => {
-                            dead("connection closed mid-lease");
-                            return Err(());
-                        }
-                        Err(_) => {
-                            // Read timeout or transport error: the lease
-                            // supervisor's verdict, delivered locally.
-                            dead("heartbeat timeout");
-                            return Err(());
-                        }
-                    }
-                    if done.load(Ordering::Relaxed) {
-                        let _ = wire::send(writer, &Message::Shutdown);
-                        drain_goodbye(reader, worker_name, remap, obs, now_ms(start));
-                        return Ok(());
-                    }
+            }
+            Ok(Some(Message::LeaseDone { start: s, end: e })) => {
+                if let Err(reason) = accept_lease_done(&mut in_flight, s, e) {
+                    dead(&reason);
+                    return Err(());
                 }
+                let now = now_ms(start);
+                if let Some(hub) = obs {
+                    hub.with(|fv| fv.on_lease_done(worker_name, now));
+                }
+                lock(shared).table.on_lease_done(w, now);
+            }
+            Ok(Some(Message::Telemetry(batch))) => {
+                // Observational only; doubles as a heartbeat like every
+                // other worker frame.
+                let now = now_ms(start);
+                lock(shared).table.on_heartbeat(w, now);
+                absorb_telemetry(batch, worker_name, remap, obs, now);
+            }
+            Ok(Some(Message::Heartbeat)) => {
+                let now = now_ms(start);
+                if let Some(hub) = obs {
+                    hub.with(|fv| fv.on_heard(worker_name, now));
+                }
+                lock(shared).table.on_heartbeat(w, now);
+            }
+            Ok(Some(Message::Error { message })) => {
+                dead(&format!("worker error: {message}"));
+                return Err(());
+            }
+            Ok(Some(other)) => {
+                dead(&format!("unexpected frame {other:?}"));
+                return Err(());
+            }
+            Ok(None) => {
+                dead("connection closed mid-lease");
+                return Err(());
+            }
+            Err(_) => {
+                // Read timeout or transport error: the lease supervisor's
+                // verdict, delivered locally.
+                dead("heartbeat timeout");
+                return Err(());
             }
         }
     }
@@ -780,8 +837,10 @@ fn drive_leases(
 mod tests {
     use super::*;
     use crate::worker::{serve, WorkerOptions};
+    use flagsim_core::faults::RecoveryPolicy;
     use flagsim_core::sweep::SweepRunner;
     use std::net::TcpListener;
+    use std::sync::mpsc;
 
     fn job(reps: u64) -> JobSpec {
         JobSpec {
@@ -827,6 +886,18 @@ mod tests {
         (endpoints, handles)
     }
 
+    /// Join `once` workers. A campaign can finish before an endpoint
+    /// thread ever dials its worker, which then still waits in `accept`,
+    /// so each endpoint gets one empty connection first.
+    fn join_workers(endpoints: &[String], handles: Vec<thread::JoinHandle<()>>) {
+        for endpoint in endpoints {
+            let _ = TcpStream::connect(endpoint);
+        }
+        for h in handles {
+            h.join().expect("worker thread");
+        }
+    }
+
     fn assert_stats_bits_equal(a: &RunStats, b: &RunStats) {
         assert_eq!(a.n, b.n);
         for (x, y) in [
@@ -862,7 +933,7 @@ mod tests {
         let (serial_c, serial_w) = serial_stats(&j);
         let (endpoints, handles) = spawn_workers(3);
         let cfg = CoordinatorConfig {
-            endpoints,
+            endpoints: endpoints.clone(),
             lease: LeaseConfig { chunk: 3, ..LeaseConfig::default() },
             ..CoordinatorConfig::default()
         };
@@ -873,9 +944,7 @@ mod tests {
             }
             other => panic!("expected completion, got {other:?}"),
         }
-        for h in handles {
-            h.join().expect("worker thread");
-        }
+        join_workers(&endpoints, handles);
     }
 
     #[test]
@@ -890,7 +959,7 @@ mod tests {
             let (endpoints, handles) = spawn_workers_dropping(2, drop_every.unwrap_or(0));
             let hub = ObsHub::new();
             let cfg = CoordinatorConfig {
-                endpoints,
+                endpoints: endpoints.clone(),
                 lease: LeaseConfig { chunk: 4, ..LeaseConfig::default() },
                 obs: Some(hub.clone()),
                 ..CoordinatorConfig::default()
@@ -902,9 +971,7 @@ mod tests {
                 }
                 other => panic!("expected completion, got {other:?}"),
             }
-            for h in handles {
-                h.join().expect("worker thread");
-            }
+            join_workers(&endpoints, handles);
             // Fleet view saw both worker sessions regardless of mode.
             let snap = hub.snapshot_json(1_000);
             assert!(snap.contains("\"w0\""), "fleet snapshot missing w0: {snap}");
@@ -968,7 +1035,7 @@ mod tests {
             // Dropping the streams closes the connection.
         });
         let cfg = CoordinatorConfig {
-            endpoints,
+            endpoints: endpoints.clone(),
             lease: LeaseConfig {
                 chunk: 4,
                 heartbeat_timeout_ms: 300,
@@ -983,10 +1050,158 @@ mod tests {
             ShardOutcome::Completed(r) => assert_stats_bits_equal(&r.completion, &serial_c),
             other => panic!("expected completion, got {other:?}"),
         }
+        join_workers(&endpoints, handles);
         flaky_thread.join().expect("flaky thread");
-        for h in handles {
-            h.join().expect("worker thread");
+    }
+
+    /// An endpoint that answers one session's hello, waits for the two
+    /// leases the coordinator keeps in flight, signals `leased`, then
+    /// sends whatever `script` writes. Returns whether it got that far.
+    fn scripted_worker(
+        script: impl FnOnce(&mut BufWriter<TcpStream>, [(u64, u64); 2]) + Send + 'static,
+        leased: mpsc::Sender<()>,
+    ) -> (String, thread::JoinHandle<bool>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind scripted");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let handle = thread::spawn(move || {
+            let (stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+            let mut writer = BufWriter::new(stream);
+            let Ok(Some(Message::Hello { .. })) = wire::recv(&mut reader) else {
+                return false;
+            };
+            wire::send(&mut writer, &Message::HelloOk { worker: "liar".into() }).ok();
+            let mut leases = Vec::new();
+            while leases.len() < 2 {
+                match wire::recv(&mut reader) {
+                    Ok(Some(Message::Lease { start, end, .. })) => leases.push((start, end)),
+                    _ => return false,
+                }
+            }
+            leased.send(()).ok();
+            script(&mut writer, [leases[0], leases[1]]);
+            // Hold the connection until the coordinator hangs up, so its
+            // verdict comes from the frames above, not from an EOF.
+            while let Ok(Some(_)) = wire::recv(&mut reader) {}
+            true
+        });
+        (addr, handle)
+    }
+
+    /// Run `j` over a scripted liar plus one honest worker and demand the
+    /// serial answer; then over the liar alone under `abort` and return
+    /// the abort reason, which names why the liar was cut off. Either
+    /// way the liar holds leases `0..4` and `4..8` when it lies.
+    fn liar_is_cut_off(
+        j: &JobSpec,
+        script: fn(&mut BufWriter<TcpStream>, [(u64, u64); 2]),
+    ) -> String {
+        let (serial_c, serial_w) = serial_stats(j);
+        let lease = LeaseConfig {
+            chunk: 4,
+            heartbeat_timeout_ms: 1_000,
+            backoff_base_ms: 1,
+            backoff_cap_ms: 8,
+            max_connect_attempts: 2,
+            ..LeaseConfig::default()
+        };
+        let (leased_tx, leased) = mpsc::channel();
+        let (liar, liar_thread) = scripted_worker(script, leased_tx);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind honest");
+        let honest = listener.local_addr().expect("addr").to_string();
+        let honest_thread = thread::spawn(move || {
+            // Serve only once the liar holds the first two leases.
+            leased.recv().ok();
+            let opts = WorkerOptions {
+                once: true,
+                name: "honest".into(),
+                quiet: true,
+                drop_telemetry_every: 0,
+            };
+            serve(&listener, &opts).ok();
+        });
+        let cfg = CoordinatorConfig {
+            endpoints: vec![liar, honest],
+            lease: lease.clone(),
+            ..CoordinatorConfig::default()
+        };
+        match run_sweep(j, &cfg).expect("sweep with a lying worker") {
+            ShardOutcome::Completed(r) => {
+                assert_stats_bits_equal(&r.completion, &serial_c);
+                assert_stats_bits_equal(&r.waiting, &serial_w);
+            }
+            other => panic!("expected completion, got {other:?}"),
         }
+        assert!(liar_thread.join().expect("liar thread"), "the liar never got two leases");
+        honest_thread.join().expect("honest worker thread");
+
+        let (liar, liar_thread) = scripted_worker(script, mpsc::channel().0);
+        let cfg = CoordinatorConfig {
+            endpoints: vec![liar],
+            lease: LeaseConfig { policy: RecoveryPolicy::AbortAndReport, ..lease },
+            ..CoordinatorConfig::default()
+        };
+        let reason = run_sweep(j, &cfg).expect_err("abort policy stops the campaign");
+        assert!(liar_thread.join().expect("liar thread"), "the liar never got two leases");
+        assert!(reason.contains("holding reps 0..4, 4..8"), "{reason}");
+        reason
+    }
+
+    #[test]
+    fn a_rep_the_worker_does_not_owe_is_refused() {
+        // Jump to the second lease with a poisoned outcome: merged, it
+        // would win over the honest rerun and move the statistics.
+        let reason = liar_is_cut_off(&job(40), |w, [_, (second, _)]| {
+            let poison = RepOutcome::Ok { completion: 1e9, waiting: 1e9 };
+            wire::send(w, &Message::Rep { rep: second, outcome: poison }).ok();
+        });
+        assert!(reason.contains("rep 4 while lease 0..4 owes rep 0"), "{reason}");
+    }
+
+    #[test]
+    fn a_lease_done_for_a_lease_never_held_is_refused() {
+        // Trusted, it would retire the first lease and strand its reps.
+        let reason = liar_is_cut_off(&job(40), |w, [_, (_, end)]| {
+            wire::send(w, &Message::LeaseDone { start: end, end: end + 4 }).ok();
+        });
+        assert!(reason.contains("lease_done for a lease it never held (8..12)"), "{reason}");
+    }
+
+    #[test]
+    fn a_long_lease_heartbeats_through_buffered_rep_frames() {
+        // One lease of every rep, running far past the 100 ms heartbeat
+        // timeout in a debug build and filling less than the worker's
+        // write buffer per timeout: only the worker's timed mid-lease
+        // flush keeps the session alive.
+        let j = job(3_000);
+        let (serial_c, serial_w) = serial_stats(&j);
+        let (endpoints, handles) = spawn_workers(1);
+        let hub = ObsHub::new();
+        let cfg = CoordinatorConfig {
+            endpoints: endpoints.clone(),
+            lease: LeaseConfig {
+                chunk: j.reps,
+                heartbeat_timeout_ms: 100,
+                ..LeaseConfig::default()
+            },
+            obs: Some(hub.clone()),
+            ..CoordinatorConfig::default()
+        };
+        match run_sweep(&j, &cfg).expect("one-lease sweep") {
+            ShardOutcome::Completed(r) => {
+                assert_stats_bits_equal(&r.completion, &serial_c);
+                assert_stats_bits_equal(&r.waiting, &serial_w);
+            }
+            other => panic!("expected completion, got {other:?}"),
+        }
+        join_workers(&endpoints, handles);
+        // A death would have sent the unreported reps to the in-process
+        // fallback, so the worker reporting them all proves it lived.
+        let (reps_done, leases) = hub.with(|fv| {
+            let w = fv.workers().next().expect("the worker was seen");
+            (w.reps_done, w.leases)
+        });
+        assert_eq!((reps_done, leases), (j.reps, 1), "the worker was declared dead");
     }
 
     #[test]

@@ -40,8 +40,9 @@ pub struct WorkerObs {
     pub reconnects: u64,
     /// Leases granted to this worker.
     pub leases: u64,
-    /// A granted lease has not yet reported `lease_done`.
-    pub lease_in_flight: bool,
+    /// Leases granted and not yet reported `lease_done` (the
+    /// coordinator keeps up to two in flight per worker).
+    pub leases_in_flight: u64,
     /// Repetitions this worker has reported.
     pub reps_done: u64,
     /// Milliseconds (campaign clock) of the last frame received.
@@ -61,7 +62,7 @@ impl WorkerObs {
             connected: false,
             reconnects: 0,
             leases: 0,
-            lease_in_flight: false,
+            leases_in_flight: 0,
             reps_done: 0,
             last_heard_ms: 0,
             shipped_frames: 0,
@@ -73,6 +74,11 @@ impl WorkerObs {
     /// Reps per second over the trailing rate window.
     pub fn reps_per_sec(&self) -> f64 {
         self.series.rate_per_sec(RATE_WINDOW_MS)
+    }
+
+    /// Whether any granted lease has not yet reported `lease_done`.
+    pub fn lease_in_flight(&self) -> bool {
+        self.leases_in_flight > 0
     }
 
     /// Milliseconds since this worker was last heard from.
@@ -118,7 +124,7 @@ impl FleetView {
             w.reconnects += 1;
         }
         w.connected = true;
-        w.lease_in_flight = false;
+        w.leases_in_flight = 0;
         w.last_heard_ms = t_ms;
     }
 
@@ -126,21 +132,21 @@ impl FleetView {
     pub fn on_disconnected(&mut self, name: &str) {
         let w = self.worker_mut(name);
         w.connected = false;
-        w.lease_in_flight = false;
+        w.leases_in_flight = 0;
     }
 
     /// A lease was granted to `name`.
     pub fn on_lease(&mut self, name: &str, t_ms: u64) {
         let w = self.worker_mut(name);
         w.leases += 1;
-        w.lease_in_flight = true;
+        w.leases_in_flight += 1;
         w.last_heard_ms = t_ms;
     }
 
-    /// `name` reported its lease complete.
+    /// `name` reported its oldest lease complete.
     pub fn on_lease_done(&mut self, name: &str, t_ms: u64) {
         let w = self.worker_mut(name);
-        w.lease_in_flight = false;
+        w.leases_in_flight = w.leases_in_flight.saturating_sub(1);
         w.last_heard_ms = t_ms;
     }
 
@@ -172,7 +178,7 @@ impl FleetView {
 
     /// Leases granted but not yet reported done.
     pub fn leases_in_flight(&self) -> usize {
-        self.workers.values().filter(|w| w.lease_in_flight).count()
+        self.workers.values().map(|w| w.leases_in_flight as usize).sum()
     }
 
     /// Iterate workers in name order.
@@ -250,7 +256,7 @@ impl FleetView {
             let _ = write!(out, "\"connected\": {}, ", w.connected);
             let _ = write!(out, "\"reconnects\": {}, ", w.reconnects);
             let _ = write!(out, "\"leases\": {}, ", w.leases);
-            let _ = write!(out, "\"lease_in_flight\": {}, ", w.lease_in_flight);
+            let _ = write!(out, "\"lease_in_flight\": {}, ", w.lease_in_flight());
             let _ = write!(out, "\"reps_done\": {}, ", w.reps_done);
             let _ = write!(out, "\"reps_per_s\": {:.3}, ", w.reps_per_sec());
             let _ = write!(out, "\"heartbeat_age_ms\": {}, ", w.silence_ms(now_ms));
@@ -343,7 +349,7 @@ mod tests {
         let w0 = fv.workers().find(|w| w.name == "w-0").expect("w-0");
         assert_eq!(w0.reps_done, 10);
         assert_eq!(w0.leases, 1);
-        assert!(!w0.lease_in_flight);
+        assert!(!w0.lease_in_flight());
         assert_eq!(w0.silence_ms(1_000), 30, "lease_done heard at 970");
     }
 
@@ -360,6 +366,23 @@ mod tests {
         }
         let w = fv.workers().next().expect("worker");
         assert!(w.reps_per_sec() > 0.0, "rate: {}", w.reps_per_sec());
+    }
+
+    #[test]
+    fn a_queued_lease_keeps_the_worker_in_flight() {
+        let mut fv = FleetView::default();
+        fv.reset("c".into(), 16);
+        fv.on_connected("w", 0);
+        fv.on_lease("w", 1);
+        fv.on_lease("w", 2);
+        fv.on_lease_done("w", 3);
+        assert_eq!(fv.leases_in_flight(), 1, "the queued lease is still out");
+        let w = fv.workers().next().expect("worker");
+        assert!(w.lease_in_flight());
+        assert!(fv.to_json(4).contains("\"lease_in_flight\": true"));
+        fv.on_lease_done("w", 5);
+        assert_eq!(fv.leases_in_flight(), 0);
+        assert!(fv.to_json(6).contains("\"lease_in_flight\": false"));
     }
 
     #[test]

@@ -7,13 +7,16 @@
 //! deterministically with a fake clock.
 //!
 //! A worker's life: `Connecting` (with exponential backoff between
-//! attempts) → `Active` (holding at most one contiguous rep-range
-//! lease) → `Dead` (deadline miss, connection exhaustion, or explicit
-//! error). Any protocol frame from the worker refreshes its heartbeat.
-//! When a worker dies mid-lease the *unfinished* part of its range —
-//! the worker runs reps in ascending order and reports each, so the
-//! table advances the lease start on every `on_rep_done` — goes back
-//! to the pool under the campaign's
+//! attempts) → `Active` (holding at most two contiguous rep-range
+//! leases, in grant order) → `Dead` (deadline miss, connection
+//! exhaustion, or explicit error). The second lease is the pipelining:
+//! it waits in the worker's socket buffer while the first runs, so the
+//! worker never idles for a round trip between leases. Any protocol
+//! frame from the worker refreshes its heartbeat. When a worker dies
+//! the *unfinished* part of every lease it holds — the worker runs
+//! reps in ascending order and reports each, so the table advances a
+//! lease's start on every `on_rep_done` — goes back to the pool, in
+//! ascending order, under the campaign's
 //! [`RecoveryPolicy`](flagsim_core::faults::RecoveryPolicy):
 //!
 //! * `Rebalance` — returned ranges are immediately grantable to
@@ -24,6 +27,10 @@
 //! * `AbortAndReport` — the campaign stops granting and reports.
 
 use flagsim_core::faults::RecoveryPolicy;
+
+/// Leases an `Active` worker may hold at once: the one it is running
+/// plus one queued behind it.
+pub(crate) const LEASES_IN_FLIGHT: usize = 2;
 
 /// Handle for one worker slot in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -80,8 +87,18 @@ pub enum LeaseGrant {
 #[derive(Debug, Clone)]
 enum WorkerState {
     Connecting { attempt: u32, next_try_at: u64 },
-    Active { lease: Option<(u64, u64)>, last_seen: u64 },
+    /// `leases` holds `(next unreported rep, end)` per granted lease, in
+    /// grant order. Reporting a lease's last rep empties its range (it
+    /// no longer counts as held); the entry itself stays until its
+    /// `lease_done`, so that report retires this lease and never the
+    /// one queued behind it.
+    Active { leases: Vec<(u64, u64)>, last_seen: u64 },
     Dead { reason: String },
+}
+
+/// The leases in `leases` that still owe reps.
+fn unfinished(leases: &[(u64, u64)]) -> impl Iterator<Item = &(u64, u64)> {
+    leases.iter().filter(|(start, end)| start < end)
 }
 
 #[derive(Debug, Clone)]
@@ -196,7 +213,7 @@ impl LeaseTable {
 
     /// The worker connected and completed its hello handshake.
     pub fn on_connected(&mut self, w: WorkerId, now: u64) {
-        self.workers[w.0].state = WorkerState::Active { lease: None, last_seen: now };
+        self.workers[w.0].state = WorkerState::Active { leases: Vec::new(), last_seen: now };
     }
 
     /// Any frame from the worker counts as a heartbeat.
@@ -206,14 +223,15 @@ impl LeaseTable {
         }
     }
 
-    /// Grant `w` a lease. Returned (recovered) ranges are preferred over
-    /// fresh frontier work once their embargo lapses.
+    /// Grant `w` a lease, up to [`LEASES_IN_FLIGHT`] unfinished ones at
+    /// a time. Returned (recovered) ranges are preferred over fresh
+    /// frontier work once their embargo lapses.
     pub fn request_lease(&mut self, w: WorkerId, now: u64) -> LeaseGrant {
         if self.aborted.is_some() {
             return LeaseGrant::Finished;
         }
         match &self.workers[w.0].state {
-            WorkerState::Active { lease: None, .. } => {}
+            WorkerState::Active { leases, .. } if unfinished(leases).count() < LEASES_IN_FLIGHT => {}
             _ => return LeaseGrant::Wait,
         }
         let grant = if !self.returned.is_empty() && now >= self.embargo_until {
@@ -234,8 +252,8 @@ impl LeaseTable {
         };
         match grant {
             Some((start, end)) => {
-                if let WorkerState::Active { lease, last_seen } = &mut self.workers[w.0].state {
-                    *lease = Some((start, end));
+                if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
+                    leases.push((start, end));
                     *last_seen = now;
                 }
                 LeaseGrant::Range { start, end }
@@ -246,68 +264,71 @@ impl LeaseTable {
         }
     }
 
-    /// The worker reported rep `rep` done; advance its lease start so a
-    /// later death only returns genuinely unfinished work.
+    /// The worker reported rep `rep` done; advance the start of the
+    /// lease holding it so a later death only returns genuinely
+    /// unfinished work. Reporting a lease's last rep retires that lease.
     pub fn on_rep_done(&mut self, w: WorkerId, rep: u64, now: u64) {
-        if let WorkerState::Active { lease, last_seen } = &mut self.workers[w.0].state {
+        if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
             *last_seen = now;
-            if let Some((start, end)) = lease {
-                if rep + 1 >= *end {
-                    *lease = None;
-                } else if rep >= *start {
-                    *start = rep + 1;
-                }
+            if let Some(lease) = leases.iter_mut().find(|(start, end)| (*start..*end).contains(&rep)) {
+                lease.0 = rep + 1;
             }
         }
     }
 
-    /// The worker reported its whole lease complete.
+    /// The worker reported its oldest lease complete; a lease queued
+    /// behind it stays held.
     pub fn on_lease_done(&mut self, w: WorkerId, now: u64) {
-        if let WorkerState::Active { lease, last_seen } = &mut self.workers[w.0].state {
+        if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
             *last_seen = now;
-            *lease = None;
+            if !leases.is_empty() {
+                leases.remove(0);
+            }
         }
     }
 
     /// Declare `w` dead (connection dropped, protocol error, …),
-    /// applying the recovery policy to its unfinished lease.
+    /// applying the recovery policy to the unfinished part of every
+    /// lease it holds, in ascending rep order.
     pub fn mark_dead(&mut self, w: WorkerId, reason: &str, now: u64) {
         let slot = &mut self.workers[w.0];
-        let lease = match &slot.state {
-            WorkerState::Active { lease, .. } => *lease,
+        let mut owed: Vec<(u64, u64)> = match &slot.state {
+            WorkerState::Active { leases, .. } => unfinished(leases).copied().collect(),
             WorkerState::Dead { .. } => return,
-            WorkerState::Connecting { .. } => None,
+            WorkerState::Connecting { .. } => Vec::new(),
         };
         slot.state = WorkerState::Dead { reason: reason.to_owned() };
         if flagsim_telemetry::enabled() {
             flagsim_telemetry::count("shard.worker_deaths", 1);
         }
-        if let Some((start, end)) = lease {
-            if start < end {
-                match self.cfg.policy {
-                    RecoveryPolicy::Rebalance => self.returned.push((start, end)),
-                    RecoveryPolicy::SpareSwap { replacement_delay_secs } => {
-                        self.returned.push((start, end));
-                        let delay_ms = (replacement_delay_secs.max(0.0) * 1000.0) as u64;
-                        self.embargo_until = self.embargo_until.max(now + delay_ms);
-                    }
-                    RecoveryPolicy::AbortAndReport => {
-                        self.returned.push((start, end));
-                        self.aborted = Some(format!(
-                            "worker {} died ({reason}) holding reps {start}..{end}; policy is abort",
-                            slot.name
-                        ));
-                    }
-                }
+        if owed.is_empty() {
+            return;
+        }
+        owed.sort_unstable();
+        match self.cfg.policy {
+            RecoveryPolicy::Rebalance => {}
+            RecoveryPolicy::SpareSwap { replacement_delay_secs } => {
+                let delay_ms = (replacement_delay_secs.max(0.0) * 1000.0) as u64;
+                self.embargo_until = self.embargo_until.max(now + delay_ms);
+            }
+            RecoveryPolicy::AbortAndReport => {
+                let ranges: Vec<String> = owed.iter().map(|(s, e)| format!("{s}..{e}")).collect();
+                self.aborted = Some(format!(
+                    "worker {} died ({reason}) holding reps {}; policy is abort",
+                    slot.name,
+                    ranges.join(", ")
+                ));
             }
         }
+        self.returned.extend(owed);
     }
 
     /// Sweep heartbeats against `now`; returns the workers newly
     /// declared dead this call. Only workers *holding a lease* are
-    /// subject to the timeout: a leased worker streams one frame per
-    /// repetition so silence means death, while an idle worker is
-    /// silent simply because the coordinator drives the protocol.
+    /// subject to the timeout: a leased worker's rep frames are flushed
+    /// at each lease end and at least every 25 ms, so silence means
+    /// death, while an idle worker is silent simply because the
+    /// coordinator drives the protocol.
     pub fn check_deadlines(&mut self, now: u64) -> Vec<WorkerId> {
         let timeout = self.cfg.heartbeat_timeout_ms;
         let stale: Vec<WorkerId> = self
@@ -315,8 +336,9 @@ impl LeaseTable {
             .iter()
             .enumerate()
             .filter_map(|(i, s)| match &s.state {
-                WorkerState::Active { lease: Some(_), last_seen }
-                    if now.saturating_sub(*last_seen) > timeout =>
+                WorkerState::Active { leases, last_seen }
+                    if unfinished(leases).next().is_some()
+                        && now.saturating_sub(*last_seen) > timeout =>
                 {
                     Some(WorkerId(i))
                 }
@@ -366,8 +388,9 @@ impl LeaseTable {
 
     /// Whether any active worker still holds a lease.
     fn any_outstanding_lease(&self) -> bool {
-        self.workers.iter().any(|s| {
-            matches!(s.state, WorkerState::Active { lease: Some(_), .. })
+        self.workers.iter().any(|s| match &s.state {
+            WorkerState::Active { leases, .. } => unfinished(leases).next().is_some(),
+            _ => false,
         })
     }
 
@@ -567,6 +590,112 @@ mod tests {
         let b = t.add_worker("b");
         t.on_connected(b, 0);
         assert_eq!(t.request_lease(b, 0), LeaseGrant::Range { start: 0, end: 10 });
+    }
+
+    /// A connected worker holding `0..4` and `4..8`.
+    fn holding_two(policy: RecoveryPolicy) -> (LeaseTable, WorkerId) {
+        let mut t = LeaseTable::new(12, LeaseConfig { policy, ..cfg() });
+        let a = t.add_worker("a");
+        t.on_connected(a, 0);
+        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 4 });
+        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 4, end: 8 });
+        (t, a)
+    }
+
+    #[test]
+    fn a_worker_holds_at_most_two_leases() {
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        assert_eq!(t.request_lease(a, 1), LeaseGrant::Wait, "third lease while two are open");
+        for r in 0..4 {
+            t.on_rep_done(a, r, 2);
+        }
+        // The first lease's last rep retired it, so a third one is grantable.
+        assert_eq!(t.request_lease(a, 3), LeaseGrant::Range { start: 8, end: 12 });
+    }
+
+    #[test]
+    fn rep_done_crosses_the_lease_boundary() {
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        for r in 0..6 {
+            t.on_rep_done(a, r, 1);
+        }
+        t.mark_dead(a, "killed", 2);
+        let b = t.add_worker("b");
+        t.on_connected(b, 2);
+        // Lease 0..4 is fully reported; only the second lease's tail returns.
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 6, end: 8 });
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 8, end: 12 });
+    }
+
+    #[test]
+    fn lease_done_of_the_first_lease_keeps_the_second() {
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        for r in 0..4 {
+            t.on_rep_done(a, r, 1);
+        }
+        t.on_lease_done(a, 2);
+        t.mark_dead(a, "killed", 3);
+        let b = t.add_worker("b");
+        t.on_connected(b, 3);
+        assert_eq!(t.request_lease(b, 4), LeaseGrant::Range { start: 4, end: 8 });
+    }
+
+    #[test]
+    fn death_holding_two_leases_returns_both_suffixes_in_order() {
+        // Rebalance: both unfinished suffixes come back, lowest first.
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        t.on_rep_done(a, 0, 1);
+        t.mark_dead(a, "killed", 2);
+        let b = t.add_worker("b");
+        t.on_connected(b, 2);
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 1, end: 4 });
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Wait, "b holds two");
+
+        // Spare: both are embargoed for the replacement delay.
+        let (mut t, a) = holding_two(RecoveryPolicy::SpareSwap { replacement_delay_secs: 1.0 });
+        t.on_rep_done(a, 0, 1);
+        t.mark_dead(a, "killed", 100);
+        let b = t.add_worker("b");
+        t.on_connected(b, 100);
+        assert_eq!(t.request_lease(b, 200), LeaseGrant::Range { start: 8, end: 12 });
+        t.on_lease_done(b, 300);
+        assert_eq!(t.request_lease(b, 1099), LeaseGrant::Wait, "embargo holds");
+        assert_eq!(t.request_lease(b, 1100), LeaseGrant::Range { start: 1, end: 4 });
+        assert_eq!(t.request_lease(b, 1100), LeaseGrant::Range { start: 4, end: 8 });
+
+        // Abort: the reason names every unfinished range.
+        let (mut t, a) = holding_two(RecoveryPolicy::AbortAndReport);
+        t.on_rep_done(a, 0, 1);
+        t.mark_dead(a, "socket reset", 2);
+        let reason = t.abort_reason().expect("abort recorded");
+        assert!(reason.contains("socket reset"), "{reason}");
+        assert!(reason.contains("holding reps 1..4, 4..8"), "{reason}");
+    }
+
+    #[test]
+    fn a_request_report_done_loop_gets_one_grant_per_chunk() {
+        // One worker that asks only after finishing (the benchmark's
+        // lease probe) never holds two leases.
+        let chunk = LeaseConfig::default().chunk;
+        let mut t = LeaseTable::new(64 * chunk, LeaseConfig::default());
+        let w = t.add_worker("w");
+        t.on_connected(w, 0);
+        let mut grants = 0;
+        loop {
+            match t.request_lease(w, grants) {
+                LeaseGrant::Range { start, end } => {
+                    grants += 1;
+                    for rep in start..end {
+                        t.on_rep_done(w, rep, grants);
+                    }
+                    t.on_lease_done(w, grants);
+                }
+                LeaseGrant::Finished => break,
+                LeaseGrant::Wait => panic!("a lone worker was told to wait"),
+            }
+        }
+        assert_eq!(grants, 64);
     }
 
     #[test]

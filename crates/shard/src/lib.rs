@@ -13,10 +13,12 @@
 //! The paper's scenario 4 teaches that real parallel systems lose
 //! workers; this crate survives failure at every layer:
 //!
-//! * **Leases + heartbeats** ([`lease`]): every worker holds at most one
-//!   rep-range lease; any frame it sends refreshes its heartbeat, and a
-//!   deadline miss declares it dead and returns the unfinished part of
-//!   its lease to the pool under the same [`RecoveryPolicy`] vocabulary
+//! * **Leases + heartbeats** ([`lease`]): every worker holds at most two
+//!   rep-range leases, the second queued behind the first so it never
+//!   waits a round trip between them; any frame it sends refreshes its
+//!   heartbeat, and a deadline miss (or a frame reporting work it does
+//!   not owe) declares it dead and returns the unfinished part of its
+//!   leases to the pool under the same [`RecoveryPolicy`] vocabulary
 //!   the in-simulation fault drills use — `rebalance` hands the work to
 //!   the survivors immediately, `spare:SECS` embargoes it while a
 //!   replacement is fetched, `abort` stops the campaign and reports.

@@ -22,9 +22,13 @@
 //! W → C   bye
 //! ```
 //!
-//! Any frame a worker sends doubles as a heartbeat: repetitions take
-//! milliseconds, so a healthy worker is never silent for long, and the
-//! coordinator's lease supervisor treats prolonged silence as death.
+//! Any frame a worker sends doubles as a heartbeat: a worker flushes its
+//! `rep` frames at each lease end and at least every 25 ms within one,
+//! so a healthy worker is never silent for long, and the coordinator's
+//! lease supervisor treats prolonged silence as death. The coordinator
+//! keeps up to two leases in flight, so the next `lease` frame is
+//! already waiting when a worker sends `lease_done`; each side still
+//! sends the same frames in the same order as with one lease at a time.
 //!
 //! `telemetry` frames are strictly *observational*: the coordinator
 //! routes them into its collector and fleet view only — never into the
@@ -46,8 +50,14 @@ pub const PROTOCOL_VERSION: u64 = 1;
 /// length prefix instead of attempting a multi-gigabyte allocation.
 pub const MAX_FRAME_BYTES: u32 = 4 * 1024 * 1024;
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame and flush it.
 pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
+    queue_frame(w, body)?;
+    w.flush()
+}
+
+/// Write one length-prefixed frame into `w` without flushing.
+fn queue_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
     let len = body.len() as u64;
     if len > MAX_FRAME_BYTES as u64 {
         return Err(io::Error::new(
@@ -56,8 +66,7 @@ pub fn write_frame(w: &mut impl Write, body: &str) -> io::Result<()> {
         ));
     }
     w.write_all(&(len as u32).to_be_bytes())?;
-    w.write_all(body.as_bytes())?;
-    w.flush()
+    w.write_all(body.as_bytes())
 }
 
 /// Read one length-prefixed frame. Returns `Ok(None)` on a clean EOF at
@@ -522,9 +531,15 @@ fn decode_telemetry(v: &Value) -> Result<TelemetryBatch, String> {
     })
 }
 
-/// Write one encoded [`Message`] as a frame.
+/// Write one encoded [`Message`] as a frame and flush it.
 pub fn send(w: &mut impl Write, msg: &Message) -> io::Result<()> {
     write_frame(w, &msg.encode())
+}
+
+/// Write one encoded [`Message`] as a frame without flushing, so a
+/// buffered writer can carry several frames in one `write`.
+pub fn queue(w: &mut impl Write, msg: &Message) -> io::Result<()> {
+    queue_frame(w, &msg.encode())
 }
 
 /// Read and decode one [`Message`]; `Ok(None)` on clean EOF.

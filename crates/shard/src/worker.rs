@@ -10,6 +10,12 @@
 //! same rep locally. Reps inside a lease run in ascending order and are
 //! reported one frame each; that ordering is what lets the coordinator
 //! shrink a dead worker's lease to only the genuinely unfinished reps.
+//! `rep` frames are buffered, not flushed one by one: the `lease_done`
+//! send flushes them, and so does any rep that finds [`FLUSH_EVERY`]
+//! passed since the last flush, which keeps a long lease heartbeating.
+//! Every other frame is flushed as it is sent. The coordinator queues
+//! the next lease before this one ends, so the worker goes straight on
+//! to it.
 //!
 //! A failed repetition is reported (`ok:false`) and the lease continues:
 //! per-rep failures are campaign data, not worker faults.
@@ -29,6 +35,17 @@ use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 use flagsim_telemetry::{log, Collector, FlowRecord, LogRecord, SpanRecord};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
+use std::time::{Duration, Instant};
+
+/// Longest a worker holds buffered `rep` frames within a lease before
+/// flushing them: well under any heartbeat timeout, so the frames keep
+/// heartbeating, yet long enough that a short lease flushes once.
+const FLUSH_EVERY: Duration = Duration::from_millis(25);
+
+/// Session write buffer: room for a few thousand `rep` frames, so within
+/// a long lease [`FLUSH_EVERY`], not the buffer filling up, paces the
+/// writes.
+const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 
 /// Drain-and-ship cadence within a lease, in repetitions. Every lease
 /// boundary also flushes, so this only bounds staleness inside one
@@ -190,7 +207,7 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
     let _span = flagsim_telemetry::span("shard", "worker_session");
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut writer = BufWriter::with_capacity(WRITE_BUFFER_BYTES, stream.try_clone()?);
 
     // Handshake: hello carries the whole job (and the trace context).
     let (job, trace): (JobSpec, Option<TraceConfig>) = match wire::recv(&mut reader)? {
@@ -254,6 +271,7 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
                         .arg("lease", format!("{start}..{end}"))
                         .arg("grant", grant)
                 });
+                let mut flushed_at = Instant::now();
                 for rep in start..end {
                     // Rep sampling: unsampled reps run with recording
                     // paused, so neither the rep span nor the engine's
@@ -269,7 +287,11 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
                             .then(|| flagsim_telemetry::span("sim", "sweep.rep").arg("rep", rep));
                         RepOutcome::from(runner.run_rep_stats(rep))
                     };
-                    wire::send(&mut writer, &Message::Rep { rep, outcome })?;
+                    wire::queue(&mut writer, &Message::Rep { rep, outcome })?;
+                    if flushed_at.elapsed() >= FLUSH_EVERY {
+                        writer.flush()?;
+                        flushed_at = Instant::now();
+                    }
                     if flagsim_telemetry::enabled() {
                         flagsim_telemetry::count("shard.worker_reps", 1);
                     }
