@@ -26,13 +26,13 @@
 use crate::checkpoint::Checkpoint;
 use crate::fleet::ObsHub;
 use crate::job::{JobSpec, MaterializedJob};
-use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId, LEASES_IN_FLIGHT};
+use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
 use crate::merge::{MergeState, RepOutcome};
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 use flagsim_core::sweep::SweepFailure;
 use flagsim_metrics::RunStats;
 use flagsim_telemetry::log;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -655,55 +655,11 @@ fn drive_session(
     result
 }
 
-/// A lease this session has sent and not yet seen `lease_done` for.
-#[derive(Debug)]
-struct InFlight {
-    /// The granted range, which `lease_done` must echo.
-    start: u64,
-    end: u64,
-    /// The next rep the worker owes on it.
-    next: u64,
-}
-
-/// Check a `rep` frame against the session's leases: only the next
-/// unreported rep of the oldest lease is accepted.
-fn accept_rep(in_flight: &mut VecDeque<InFlight>, rep: u64) -> Result<(), String> {
-    match in_flight.front_mut() {
-        Some(l) if l.next < l.end && rep == l.next => {
-            l.next += 1;
-            Ok(())
-        }
-        Some(l) if l.next < l.end => Err(format!(
-            "rep {rep} while lease {}..{} owes rep {}",
-            l.start, l.end, l.next
-        )),
-        Some(l) => Err(format!("rep {rep} before lease_done for {}..{}", l.start, l.end)),
-        None => Err(format!("rep {rep} while holding no lease")),
-    }
-}
-
-/// Check a `lease_done` frame: it must echo the oldest lease's range
-/// after every rep of it was reported.
-fn accept_lease_done(in_flight: &mut VecDeque<InFlight>, start: u64, end: u64) -> Result<(), String> {
-    match in_flight.front() {
-        Some(l) if (l.start, l.end) == (start, end) && l.next == end => {
-            in_flight.pop_front();
-            Ok(())
-        }
-        Some(l) if (l.start, l.end) == (start, end) => {
-            Err(format!("lease_done for {start}..{end} before rep {}", l.next))
-        }
-        Some(l) if in_flight.iter().any(|l| (l.start, l.end) == (start, end)) => Err(format!(
-            "lease_done for {start}..{end} while lease {}..{} is still open",
-            l.start, l.end
-        )),
-        _ => Err(format!("lease_done for a lease it never held ({start}..{end})")),
-    }
-}
-
 /// The lease grant/report loop of an established session. The worker
-/// is kept topped up to [`LEASES_IN_FLIGHT`] leases, so its next lease
-/// is already in its socket buffer when it finishes one.
+/// is kept topped up to two leases that still owe reps, so its next
+/// lease is already in its socket buffer when it finishes one. The
+/// lease table checks every `rep` and `lease_done` against the leases
+/// it granted, and declares the worker dead on a frame it does not owe.
 #[allow(clippy::too_many_arguments)]
 fn drive_leases(
     reader: &mut BufReader<TcpStream>,
@@ -721,81 +677,83 @@ fn drive_leases(
         lock(shared).table.mark_dead(w, reason, now_ms(start));
     };
     let obs = cfg.obs.as_ref();
-    let mut in_flight: VecDeque<InFlight> = VecDeque::with_capacity(LEASES_IN_FLIGHT);
     loop {
         if done.load(Ordering::Relaxed) {
             say_goodbye(reader, writer, worker_name, remap, obs, start);
             return Ok(());
         }
-        let mut finished = false;
-        while in_flight.len() < LEASES_IN_FLIGHT {
-            let grant = {
-                let mut sh = lock(shared);
-                if sh.table.is_dead(w) {
-                    return Err(()); // supervisor timed us out
+        let (grant, holding) = {
+            let mut sh = lock(shared);
+            if sh.table.is_dead(w) {
+                return Err(()); // supervisor timed us out
+            }
+            let grant = sh.table.request_lease(w, now_ms(start));
+            (grant, sh.table.holds_lease(w))
+        };
+        match grant {
+            LeaseGrant::Range { start: s, end: e } => {
+                let grant_id = if flagsim_telemetry::enabled() {
+                    let id = NEXT_GRANT.fetch_add(1, Ordering::Relaxed);
+                    // Start half of the grant arrow; the worker records
+                    // the finish half when it picks the lease up.
+                    flagsim_telemetry::flow("lease", id, true);
+                    id
+                } else {
+                    0
+                };
+                if wire::send(writer, &Message::Lease { start: s, end: e, grant: grant_id }).is_err()
+                {
+                    dead("lease write failed");
+                    return Err(());
                 }
-                sh.table.request_lease(w, now_ms(start))
-            };
-            let LeaseGrant::Range { start: s, end: e } = grant else {
-                finished = grant == LeaseGrant::Finished;
-                break;
-            };
-            let grant_id = if flagsim_telemetry::enabled() {
-                let id = NEXT_GRANT.fetch_add(1, Ordering::Relaxed);
-                // Start half of the grant arrow; the worker records
-                // the finish half when it picks the lease up.
-                flagsim_telemetry::flow("lease", id, true);
-                id
-            } else {
-                0
-            };
-            if wire::send(writer, &Message::Lease { start: s, end: e, grant: grant_id }).is_err() {
-                dead("lease write failed");
-                return Err(());
+                if let Some(hub) = obs {
+                    hub.with(|fv| fv.on_lease(worker_name, now_ms(start)));
+                }
+                if flagsim_telemetry::enabled() {
+                    flagsim_telemetry::count("shard.leases_granted", 1);
+                }
+                continue; // top up before reading
             }
-            in_flight.push_back(InFlight { start: s, end: e, next: s });
-            if let Some(hub) = obs {
-                hub.with(|fv| fv.on_lease(worker_name, now_ms(start)));
-            }
-            if flagsim_telemetry::enabled() {
-                flagsim_telemetry::count("shard.leases_granted", 1);
-            }
-        }
-        if in_flight.is_empty() {
-            if finished {
+            LeaseGrant::Finished if !holding => {
                 say_goodbye(reader, writer, worker_name, remap, obs, start);
                 return Ok(());
             }
-            thread::sleep(Duration::from_millis(2));
-            continue;
+            _ if !holding => {
+                thread::sleep(Duration::from_millis(2));
+                continue;
+            }
+            _ => {}
         }
         match wire::recv(reader) {
             Ok(Some(Message::Rep { rep, outcome })) => {
-                if let Err(reason) = accept_rep(&mut in_flight, rep) {
-                    dead(&reason);
-                    return Err(());
-                }
                 let now = now_ms(start);
+                {
+                    let mut sh = lock(shared);
+                    sh.table.on_rep_done(w, rep, now);
+                    if sh.table.is_dead(w) {
+                        return Err(()); // a rep it did not owe, or timed out
+                    }
+                    record(&mut sh, job, cfg, rep, outcome);
+                    if stop_requested(&sh) {
+                        done.store(true, Ordering::Relaxed);
+                    }
+                }
                 if let Some(hub) = obs {
                     hub.with(|fv| fv.on_rep(worker_name, now));
                 }
-                let mut sh = lock(shared);
-                sh.table.on_rep_done(w, rep, now);
-                record(&mut sh, job, cfg, rep, outcome);
-                if stop_requested(&sh) {
-                    done.store(true, Ordering::Relaxed);
-                }
             }
             Ok(Some(Message::LeaseDone { start: s, end: e })) => {
-                if let Err(reason) = accept_lease_done(&mut in_flight, s, e) {
-                    dead(&reason);
-                    return Err(());
-                }
                 let now = now_ms(start);
+                {
+                    let mut sh = lock(shared);
+                    sh.table.on_lease_done_for(w, s, e, now);
+                    if sh.table.is_dead(w) {
+                        return Err(()); // a lease_done it did not owe
+                    }
+                }
                 if let Some(hub) = obs {
                     hub.with(|fv| fv.on_lease_done(worker_name, now));
                 }
-                lock(shared).table.on_lease_done(w, now);
             }
             Ok(Some(Message::Telemetry(batch))) => {
                 // Observational only; doubles as a heartbeat like every
@@ -1169,24 +1127,38 @@ mod tests {
 
     #[test]
     fn a_long_lease_heartbeats_through_buffered_rep_frames() {
-        // One lease of every rep, running far past the 100 ms heartbeat
-        // timeout in a debug build and filling less than the worker's
-        // write buffer per timeout: only the worker's timed mid-lease
-        // flush keeps the session alive.
-        let j = job(3_000);
-        let (serial_c, serial_w) = serial_stats(&j);
+        // One lease of every rep under a short heartbeat timeout: the
+        // worker buffers its rep frames, and the session must still hear
+        // from it often enough to stay alive. Reps are doubled until the
+        // serial sweep alone outlasts three timeouts, so in any build the
+        // lease runs far past one. (Reps take microseconds, so it is the
+        // write buffer filling, more than the worker's timed flush, that
+        // paces the frames here; `worker`'s own test pins the timed
+        // flush.)
+        let timeout = Duration::from_millis(250);
+        let mut reps = 1_000;
+        let (j, serial_c, serial_w) = loop {
+            let j = job(reps);
+            let t = Instant::now();
+            let (c, w) = serial_stats(&j);
+            if t.elapsed() > 3 * timeout {
+                break (j, c, w);
+            }
+            reps *= 2;
+        };
         let (endpoints, handles) = spawn_workers(1);
         let hub = ObsHub::new();
         let cfg = CoordinatorConfig {
             endpoints: endpoints.clone(),
             lease: LeaseConfig {
                 chunk: j.reps,
-                heartbeat_timeout_ms: 100,
+                heartbeat_timeout_ms: timeout.as_millis() as u64,
                 ..LeaseConfig::default()
             },
             obs: Some(hub.clone()),
             ..CoordinatorConfig::default()
         };
+        let t = Instant::now();
         match run_sweep(&j, &cfg).expect("one-lease sweep") {
             ShardOutcome::Completed(r) => {
                 assert_stats_bits_equal(&r.completion, &serial_c);
@@ -1194,6 +1166,7 @@ mod tests {
             }
             other => panic!("expected completion, got {other:?}"),
         }
+        assert!(t.elapsed() > timeout, "the lease ended within one timeout: {:?}", t.elapsed());
         join_workers(&endpoints, handles);
         // A death would have sent the unreported reps to the in-process
         // fallback, so the worker reporting them all proves it lived.

@@ -8,14 +8,17 @@
 //!
 //! A worker's life: `Connecting` (with exponential backoff between
 //! attempts) → `Active` (holding at most two contiguous rep-range
-//! leases, in grant order) → `Dead` (deadline miss, connection
-//! exhaustion, or explicit error). The second lease is the pipelining:
-//! it waits in the worker's socket buffer while the first runs, so the
-//! worker never idles for a round trip between leases. Any protocol
-//! frame from the worker refreshes its heartbeat. When a worker dies
-//! the *unfinished* part of every lease it holds — the worker runs
-//! reps in ascending order and reports each, so the table advances a
-//! lease's start on every `on_rep_done` — goes back to the pool, in
+//! leases that still owe reps, in grant order) → `Dead` (deadline miss,
+//! connection exhaustion, protocol violation, or explicit error). The
+//! second lease is the pipelining: it waits in the worker's socket
+//! buffer while the first runs, so the worker never idles for a round
+//! trip between leases. Any protocol
+//! frame from the worker refreshes its heartbeat. The worker runs reps
+//! in ascending order and reports each, so the table accepts only the
+//! next unreported rep of the oldest lease that owes one, and a
+//! `lease_done` only for the oldest lease once all its reps are in;
+//! anything else declares the worker dead. When a worker dies the
+//! *unfinished* part of every lease it holds goes back to the pool, in
 //! ascending order, under the campaign's
 //! [`RecoveryPolicy`](flagsim_core::faults::RecoveryPolicy):
 //!
@@ -28,9 +31,9 @@
 
 use flagsim_core::faults::RecoveryPolicy;
 
-/// Leases an `Active` worker may hold at once: the one it is running
-/// plus one queued behind it.
-pub(crate) const LEASES_IN_FLIGHT: usize = 2;
+/// Leases that still owe reps an `Active` worker may hold at once: the
+/// one it is running plus one queued behind it.
+const LEASES_IN_FLIGHT: usize = 2;
 
 /// Handle for one worker slot in the table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -84,21 +87,75 @@ pub enum LeaseGrant {
     Finished,
 }
 
+/// One granted lease: its range as granted, and the next rep the
+/// worker still owes on it.
+#[derive(Debug, Clone, Copy)]
+struct Lease {
+    start: u64,
+    next: u64,
+    end: u64,
+}
+
+impl Lease {
+    /// Whether the worker still owes reps on this lease.
+    fn owes(&self) -> bool {
+        self.next < self.end
+    }
+}
+
 #[derive(Debug, Clone)]
 enum WorkerState {
     Connecting { attempt: u32, next_try_at: u64 },
-    /// `leases` holds `(next unreported rep, end)` per granted lease, in
-    /// grant order. Reporting a lease's last rep empties its range (it
-    /// no longer counts as held); the entry itself stays until its
-    /// `lease_done`, so that report retires this lease and never the
-    /// one queued behind it.
-    Active { leases: Vec<(u64, u64)>, last_seen: u64 },
+    /// `leases` holds every granted lease in grant order until its
+    /// `lease_done`. Reporting a lease's last rep retires it (it no
+    /// longer counts as held for granting or deadlines); the entry
+    /// stays so that the `lease_done` can be checked against it.
+    Active { leases: Vec<Lease>, last_seen: u64 },
     Dead { reason: String },
 }
 
-/// The leases in `leases` that still owe reps.
-fn unfinished(leases: &[(u64, u64)]) -> impl Iterator<Item = &(u64, u64)> {
-    leases.iter().filter(|(start, end)| start < end)
+/// Check rep `rep` against `leases`: only the next unreported rep of the
+/// oldest lease that still owes reps is accepted.
+fn accept_rep(leases: &mut [Lease], rep: u64) -> Result<(), String> {
+    match leases.iter_mut().find(|l| l.owes()) {
+        Some(l) if rep == l.next => {
+            l.next += 1;
+            Ok(())
+        }
+        Some(l) => Err(format!("rep {rep} while lease {}..{} owes rep {}", l.start, l.end, l.next)),
+        None => Err(format!("rep {rep} while it owes none")),
+    }
+}
+
+/// Check a `lease_done` against `leases`: it must name the oldest lease
+/// (`None` means whichever that is) after every rep of it was reported.
+fn accept_lease_done(leases: &mut Vec<Lease>, range: Option<(u64, u64)>) -> Result<(), String> {
+    let Some(oldest) = leases.first() else {
+        return Err(match range {
+            Some((start, end)) => format!("lease_done for a lease it never held ({start}..{end})"),
+            None => "lease_done while holding no lease".to_owned(),
+        });
+    };
+    let (start, end) = range.unwrap_or((oldest.start, oldest.end));
+    if (oldest.start, oldest.end) == (start, end) {
+        if oldest.owes() {
+            return Err(format!("lease_done for {start}..{end} before rep {}", oldest.next));
+        }
+        leases.remove(0);
+        Ok(())
+    } else if leases.iter().any(|l| (l.start, l.end) == (start, end)) {
+        Err(format!(
+            "lease_done for {start}..{end} while lease {}..{} is still open",
+            oldest.start, oldest.end
+        ))
+    } else {
+        Err(format!("lease_done for a lease it never held ({start}..{end})"))
+    }
+}
+
+/// The unfinished suffixes `next..end` of `leases`.
+fn unfinished(leases: &[Lease]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    leases.iter().filter(|l| l.owes()).map(|l| (l.next, l.end))
 }
 
 #[derive(Debug, Clone)]
@@ -223,9 +280,9 @@ impl LeaseTable {
         }
     }
 
-    /// Grant `w` a lease, up to [`LEASES_IN_FLIGHT`] unfinished ones at
-    /// a time. Returned (recovered) ranges are preferred over fresh
-    /// frontier work once their embargo lapses.
+    /// Grant `w` a lease, up to two (`LEASES_IN_FLIGHT`) that still owe
+    /// reps at a time. Returned (recovered) ranges are preferred over
+    /// fresh frontier work once their embargo lapses.
     pub fn request_lease(&mut self, w: WorkerId, now: u64) -> LeaseGrant {
         if self.aborted.is_some() {
             return LeaseGrant::Finished;
@@ -253,7 +310,7 @@ impl LeaseTable {
         match grant {
             Some((start, end)) => {
                 if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
-                    leases.push((start, end));
+                    leases.push(Lease { start, next: start, end });
                     *last_seen = now;
                 }
                 LeaseGrant::Range { start, end }
@@ -264,27 +321,50 @@ impl LeaseTable {
         }
     }
 
-    /// The worker reported rep `rep` done; advance the start of the
-    /// lease holding it so a later death only returns genuinely
-    /// unfinished work. Reporting a lease's last rep retires that lease.
+    /// The worker reported rep `rep` done. It must be the next
+    /// unreported rep of its oldest lease that still owes reps; the
+    /// lease's start then advances past it, so a later death returns
+    /// only genuinely unfinished work, and reporting a lease's last rep
+    /// retires that lease. Any other rep is a protocol violation: `w` is
+    /// declared dead with a reason naming it, as by
+    /// [`mark_dead`](Self::mark_dead), and the rep must not be merged.
     pub fn on_rep_done(&mut self, w: WorkerId, rep: u64, now: u64) {
         if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
             *last_seen = now;
-            if let Some(lease) = leases.iter_mut().find(|(start, end)| (*start..*end).contains(&rep)) {
-                lease.0 = rep + 1;
+            if let Err(reason) = accept_rep(leases, rep) {
+                self.mark_dead(w, &reason, now);
             }
         }
     }
 
-    /// The worker reported its oldest lease complete; a lease queued
-    /// behind it stays held.
+    /// The worker reported its oldest lease complete, whatever its
+    /// range; see [`on_lease_done_for`](Self::on_lease_done_for).
     pub fn on_lease_done(&mut self, w: WorkerId, now: u64) {
+        self.lease_done(w, None, now);
+    }
+
+    /// The worker reported lease `start..end` complete. It must be the
+    /// oldest lease `w` holds, with every rep reported; a lease queued
+    /// behind it stays held. Anything else is a protocol violation: `w`
+    /// is declared dead with a reason naming it, as by
+    /// [`mark_dead`](Self::mark_dead).
+    pub fn on_lease_done_for(&mut self, w: WorkerId, start: u64, end: u64, now: u64) {
+        self.lease_done(w, Some((start, end)), now);
+    }
+
+    fn lease_done(&mut self, w: WorkerId, range: Option<(u64, u64)>, now: u64) {
         if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
             *last_seen = now;
-            if !leases.is_empty() {
-                leases.remove(0);
+            if let Err(reason) = accept_lease_done(leases, range) {
+                self.mark_dead(w, &reason, now);
             }
         }
+    }
+
+    /// Whether `w` holds any lease, counting one whose reps are all
+    /// reported but whose `lease_done` has not arrived yet.
+    pub fn holds_lease(&self, w: WorkerId) -> bool {
+        matches!(&self.workers[w.0].state, WorkerState::Active { leases, .. } if !leases.is_empty())
     }
 
     /// Declare `w` dead (connection dropped, protocol error, …),
@@ -293,7 +373,7 @@ impl LeaseTable {
     pub fn mark_dead(&mut self, w: WorkerId, reason: &str, now: u64) {
         let slot = &mut self.workers[w.0];
         let mut owed: Vec<(u64, u64)> = match &slot.state {
-            WorkerState::Active { leases, .. } => unfinished(leases).copied().collect(),
+            WorkerState::Active { leases, .. } => unfinished(leases).collect(),
             WorkerState::Dead { .. } => return,
             WorkerState::Connecting { .. } => Vec::new(),
         };
@@ -430,6 +510,15 @@ mod tests {
         }
     }
 
+    /// `w` reports every rep of `start..end`, then its `lease_done`.
+    fn complete(t: &mut LeaseTable, w: WorkerId, (start, end): (u64, u64), now: u64) {
+        for rep in start..end {
+            t.on_rep_done(w, rep, now);
+        }
+        t.on_lease_done_for(w, start, end, now);
+        assert!(!t.is_dead(w), "{:?}", t.dead_reason(w));
+    }
+
     #[test]
     fn leases_cover_the_range_exactly_once() {
         let mut t = LeaseTable::new(10, cfg());
@@ -516,7 +605,7 @@ mod tests {
         let _ = t.check_deadlines(200); // a dies; 0..4 embargoed until 1200
         // b gets fresh work while the recovered range is embargoed...
         assert_eq!(t.request_lease(b, 300), LeaseGrant::Range { start: 4, end: 8 });
-        t.on_lease_done(b, 400);
+        complete(&mut t, b, (4, 8), 400);
         // ...must Wait during the embargo even though work exists...
         assert_eq!(t.request_lease(b, 500), LeaseGrant::Wait);
         // ...and claims it once the replacement delay lapses.
@@ -582,9 +671,9 @@ mod tests {
         let a = t2.add_worker("a");
         t2.on_connected(a, 0);
         assert_eq!(t2.request_lease(a, 0), LeaseGrant::Range { start: 3, end: 5 });
-        t2.on_lease_done(a, 1);
+        complete(&mut t2, a, (3, 5), 1);
         assert_eq!(t2.request_lease(a, 1), LeaseGrant::Range { start: 8, end: 10 });
-        t2.on_lease_done(a, 2);
+        complete(&mut t2, a, (8, 10), 2);
         assert_eq!(t2.request_lease(a, 2), LeaseGrant::Finished);
         // An un-resumed table over the same total serves everything.
         let b = t.add_worker("b");
@@ -659,7 +748,7 @@ mod tests {
         let b = t.add_worker("b");
         t.on_connected(b, 100);
         assert_eq!(t.request_lease(b, 200), LeaseGrant::Range { start: 8, end: 12 });
-        t.on_lease_done(b, 300);
+        complete(&mut t, b, (8, 12), 300);
         assert_eq!(t.request_lease(b, 1099), LeaseGrant::Wait, "embargo holds");
         assert_eq!(t.request_lease(b, 1100), LeaseGrant::Range { start: 1, end: 4 });
         assert_eq!(t.request_lease(b, 1100), LeaseGrant::Range { start: 4, end: 8 });
@@ -696,6 +785,83 @@ mod tests {
             }
         }
         assert_eq!(grants, 64);
+    }
+
+    /// Run `lie` on a worker holding `0..4` and `4..8` with rep 0
+    /// reported, under `abort`; return why it was declared dead.
+    fn lie_under_abort(lie: impl FnOnce(&mut LeaseTable, WorkerId)) -> String {
+        let (mut t, a) = holding_two(RecoveryPolicy::AbortAndReport);
+        t.on_rep_done(a, 0, 1);
+        lie(&mut t, a);
+        let abort = t.abort_reason().expect("a protocol violation kills the worker");
+        assert!(abort.contains("holding reps 1..4, 4..8"), "{abort}");
+        t.dead_reason(a).expect("dead").to_owned()
+    }
+
+    #[test]
+    fn a_rep_the_worker_does_not_owe_kills_it() {
+        let skip = lie_under_abort(|t, a| t.on_rep_done(a, 4, 2));
+        assert_eq!(skip, "rep 4 while lease 0..4 owes rep 1");
+        let again = lie_under_abort(|t, a| t.on_rep_done(a, 0, 2));
+        assert_eq!(again, "rep 0 while lease 0..4 owes rep 1");
+        let foreign = lie_under_abort(|t, a| t.on_rep_done(a, 9, 2));
+        assert_eq!(foreign, "rep 9 while lease 0..4 owes rep 1");
+
+        // Under rebalance the whole unfinished remainder goes to a survivor.
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        t.on_rep_done(a, 0, 1);
+        t.on_rep_done(a, 2, 2);
+        assert!(t.is_dead(a));
+        let b = t.add_worker("b");
+        t.on_connected(b, 3);
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 1, end: 4 });
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 4, end: 8 });
+
+        // A worker that owes nothing may report nothing.
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        for r in 0..8 {
+            t.on_rep_done(a, r, 1);
+        }
+        t.on_rep_done(a, 8, 2);
+        assert_eq!(t.dead_reason(a), Some("rep 8 while it owes none"));
+    }
+
+    #[test]
+    fn a_lease_done_the_worker_does_not_owe_kills_it() {
+        let never = lie_under_abort(|t, a| t.on_lease_done_for(a, 8, 12, 2));
+        assert_eq!(never, "lease_done for a lease it never held (8..12)");
+        let early = lie_under_abort(|t, a| t.on_lease_done_for(a, 0, 4, 2));
+        assert_eq!(early, "lease_done for 0..4 before rep 1");
+        let early = lie_under_abort(|t, a| t.on_lease_done(a, 2));
+        assert_eq!(early, "lease_done for 0..4 before rep 1");
+        let skipped = lie_under_abort(|t, a| t.on_lease_done_for(a, 4, 8, 2));
+        assert_eq!(skipped, "lease_done for 4..8 while lease 0..4 is still open");
+
+        // One lease_done per lease: a second one for the same range is
+        // a lease the worker no longer holds.
+        let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
+        complete(&mut t, a, (0, 4), 1);
+        t.on_lease_done_for(a, 0, 4, 2);
+        assert_eq!(t.dead_reason(a), Some("lease_done for a lease it never held (0..4)"));
+        let b = t.add_worker("b");
+        t.on_connected(b, 3);
+        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 4, end: 8 });
+    }
+
+    #[test]
+    fn holds_lease_lasts_until_lease_done() {
+        let mut t = LeaseTable::new(4, cfg());
+        let a = t.add_worker("a");
+        t.on_connected(a, 0);
+        assert!(!t.holds_lease(a));
+        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 4 });
+        for r in 0..4 {
+            t.on_rep_done(a, r, 1);
+        }
+        assert!(t.holds_lease(a), "lease_done still owed");
+        assert_eq!(t.request_lease(a, 1), LeaseGrant::Finished);
+        t.on_lease_done_for(a, 0, 4, 2);
+        assert!(!t.holds_lease(a) && !t.is_dead(a));
     }
 
     #[test]

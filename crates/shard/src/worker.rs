@@ -12,7 +12,8 @@
 //! shrink a dead worker's lease to only the genuinely unfinished reps.
 //! `rep` frames are buffered, not flushed one by one: the `lease_done`
 //! send flushes them, and so does any rep that finds [`FLUSH_EVERY`]
-//! passed since the last flush, which keeps a long lease heartbeating.
+//! passed since the last flush, which keeps a long lease heartbeating
+//! however slow its reps (a full write buffer also writes itself out).
 //! Every other frame is flushed as it is sent. The coordinator queues
 //! the next lease before this one ends, so the worker goes straight on
 //! to it.
@@ -39,13 +40,9 @@ use std::time::{Duration, Instant};
 
 /// Longest a worker holds buffered `rep` frames within a lease before
 /// flushing them: well under any heartbeat timeout, so the frames keep
-/// heartbeating, yet long enough that a short lease flushes once.
+/// heartbeating even when reps are slow, yet long enough that a short
+/// lease flushes once.
 const FLUSH_EVERY: Duration = Duration::from_millis(25);
-
-/// Session write buffer: room for a few thousand `rep` frames, so within
-/// a long lease [`FLUSH_EVERY`], not the buffer filling up, paces the
-/// writes.
-const WRITE_BUFFER_BYTES: usize = 256 * 1024;
 
 /// Drain-and-ship cadence within a lease, in repetitions. Every lease
 /// boundary also flushes, so this only bounds staleness inside one
@@ -202,12 +199,22 @@ pub fn serve(listener: &TcpListener, opts: &WorkerOptions) -> io::Result<()> {
     }
 }
 
+/// Flush `writer` if [`FLUSH_EVERY`] has passed at `now` since
+/// `flushed_at`, the time of its last flush.
+fn flush_if_due(writer: &mut impl Write, flushed_at: &mut Instant, now: Instant) -> io::Result<()> {
+    if now.duration_since(*flushed_at) >= FLUSH_EVERY {
+        writer.flush()?;
+        *flushed_at = now;
+    }
+    Ok(())
+}
+
 /// Serve one coordinator session on an established stream.
 pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()> {
     let _span = flagsim_telemetry::span("shard", "worker_session");
     stream.set_nodelay(true).ok();
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::with_capacity(WRITE_BUFFER_BYTES, stream.try_clone()?);
+    let mut writer = BufWriter::new(stream.try_clone()?);
 
     // Handshake: hello carries the whole job (and the trace context).
     let (job, trace): (JobSpec, Option<TraceConfig>) = match wire::recv(&mut reader)? {
@@ -288,10 +295,7 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
                         RepOutcome::from(runner.run_rep_stats(rep))
                     };
                     wire::queue(&mut writer, &Message::Rep { rep, outcome })?;
-                    if flushed_at.elapsed() >= FLUSH_EVERY {
-                        writer.flush()?;
-                        flushed_at = Instant::now();
-                    }
+                    flush_if_due(&mut writer, &mut flushed_at, Instant::now())?;
                     if flagsim_telemetry::enabled() {
                         flagsim_telemetry::count("shard.worker_reps", 1);
                     }
@@ -399,6 +403,32 @@ mod tests {
         wire::send(&mut w, &Message::Shutdown).unwrap();
         assert_eq!(wire::recv(&mut r).unwrap(), Some(Message::Bye));
         handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn buffered_rep_frames_flush_every_interval() {
+        // Counts flushes; the frames themselves go nowhere.
+        struct Flushes(u32);
+        impl Write for Flushes {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.0 += 1;
+                Ok(())
+            }
+        }
+        // A rep every 10 ms for 200 ms on a fake clock: however slowly
+        // the buffer fills, a flush lands at least every FLUSH_EVERY.
+        let t0 = Instant::now();
+        let mut flushed_at = t0;
+        let mut writer = Flushes(0);
+        for ms in (10..=200).step_by(10) {
+            let now = t0 + Duration::from_millis(ms);
+            flush_if_due(&mut writer, &mut flushed_at, now).unwrap();
+            assert!(now - flushed_at < FLUSH_EVERY, "no flush since {flushed_at:?} at {ms} ms");
+        }
+        assert_eq!(writer.0, 6, "flushes at 30, 60, …, 180 ms");
     }
 
     #[test]
