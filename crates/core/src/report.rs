@@ -70,7 +70,7 @@ pub struct RunReport {
 }
 
 /// The two numbers a sweep keeps of each repetition. A stats-only run
-/// reads them straight off the engine trace; for the same run they are
+/// reads them straight off the engine's slots; for the same run they are
 /// bit-equal to [`RunReport::completion_secs`] and
 /// [`RunReport::total_wait_secs`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -79,18 +79,6 @@ pub struct RepSample {
     pub completion_secs: f64,
     /// Total waiting across the team, in seconds.
     pub wait_secs: f64,
-}
-
-impl RepSample {
-    /// The sample of the run that produced `trace`: the report's
-    /// completion is the trace's makespan, and its per-student waits are
-    /// the trace's per-process waits in the same order.
-    pub(crate) fn from_trace(trace: &Trace) -> RepSample {
-        RepSample {
-            completion_secs: trace.makespan().as_secs_f64(),
-            wait_secs: trace.procs.iter().map(|p| p.waiting.as_secs_f64()).sum(),
-        }
-    }
 }
 
 impl RunReport {

@@ -17,18 +17,26 @@
 //! A run has two finishes after one shared preparation: the report
 //! finish assembles a [`RunReport`] (grid, per-student and per-color
 //! breakdowns, resilience log); the stats finish reads a [`RepSample`]
-//! straight off the engine trace and skips everything only a report
+//! straight off the engine's slots and skips everything only a report
 //! needs — resource labels, student names, and, without faults, the
 //! live fault state and its started-cell logs.
+//!
+//! Preparation itself has two halves. Sampling draws every duration into
+//! a [`World`]; loading resets an `Engine<StudentProc, _>` and fills it
+//! from the world. Both reuse their buffers, so the stats finish keeps one
+//! world and one engine per thread and allocates nothing per rep, and
+//! [`ScheduledRuns`] samples once and reloads the same world under every
+//! schedule `flagsim verify` explores.
 
 use crate::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use crate::faults::{FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport};
 use crate::report::{ColorContention, RepSample, RunReport, StudentStats};
+use crate::scenario::CompiledScenario;
 use crate::work::{PreparedFlag, WorkItem};
 use flagsim_agents::{CostModel, Implement, StudentProfile};
 use flagsim_desim::{
-    Action, Engine, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime, Trace,
-    WaitForGraph,
+    Action, Engine, NoPolicy, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
+    Trace, WaitForGraph,
 };
 use flagsim_grid::{Color, Grid};
 use std::cell::RefCell;
@@ -63,6 +71,7 @@ enum UseOutcome {
 /// Mutable state shared by every student process during a faulted run:
 /// pending dropouts, broken implements, the orphaned-work pool, and the
 /// incident/action log that becomes the [`ResilienceReport`].
+#[derive(Default)]
 struct LiveFaultState {
     abort_on_fault: bool,
     spare_delay_secs: Option<f64>,
@@ -84,20 +93,53 @@ struct LiveFaultState {
 type SharedFaults = Rc<RefCell<LiveFaultState>>;
 
 impl LiveFaultState {
-    fn shared(team_size: usize, plan: &FaultPlan) -> SharedFaults {
-        Rc::new(RefCell::new(LiveFaultState {
+    /// The state at the start of a run, primed from `plan`. Resource `i`
+    /// of the run is the implement of `needed[i]`.
+    fn shared(team_size: usize, plan: &FaultPlan, needed: &[Color]) -> SharedFaults {
+        let mut st = LiveFaultState {
             abort_on_fault: plan.policy.aborts(),
             spare_delay_secs: plan.policy.spare_delay_secs(),
             dropout_at: vec![None; team_size],
-            broken: BTreeMap::new(),
-            orphans: VecDeque::new(),
-            aborted: None,
-            incidents: Vec::new(),
-            actions: Vec::new(),
-            time_lost_secs: 0.0,
             adopted: vec![0; team_size],
             started: vec![Vec::new(); team_size],
-        }))
+            ..LiveFaultState::default()
+        };
+        for e in &plan.events {
+            match e {
+                FaultEvent::ImplementBreaks { color, at_secs }
+                | FaultEvent::ImplementDriesOut { color, at_secs } => {
+                    if let Ok(i) = needed.binary_search(color) {
+                        let verb = if matches!(e, FaultEvent::ImplementBreaks { .. }) {
+                            "broke"
+                        } else {
+                            "dried out"
+                        };
+                        st.broken.insert(
+                            i,
+                            (
+                                SimTime::ZERO + SimDuration::from_secs_f64(*at_secs),
+                                *color,
+                                verb,
+                            ),
+                        );
+                    }
+                }
+                FaultEvent::Dropout { student, at_secs } => {
+                    st.dropout_at[*student] =
+                        Some(SimTime::ZERO + SimDuration::from_secs_f64(*at_secs));
+                }
+                FaultEvent::LateArrival { student, at_secs } => {
+                    if *at_secs > 0.0 {
+                        st.incidents.push(Incident {
+                            at_secs: *at_secs,
+                            what: format!("P{} arrived {at_secs:.1}s late", student + 1),
+                        });
+                    }
+                }
+                FaultEvent::HandoffFumble { .. } | FaultEvent::DeadlineBell { .. } => {}
+            }
+        }
+        Rc::new(RefCell::new(st))
     }
 
     /// A student is about to color with resource `r` at `now`: discover
@@ -137,7 +179,7 @@ impl LiveFaultState {
 }
 
 /// A student as a DES process.
-struct StudentProc {
+pub(crate) struct StudentProc {
     idx: usize,
     name: String,
     items: Vec<TimedItem>,
@@ -311,8 +353,24 @@ pub fn run_activity_with_faults(
     config: &ActivityConfig,
     plan: &FaultPlan,
 ) -> Result<RunReport, String> {
-    let prep = prepare(assignments, team, kit, plan)?;
-    run_prepared(label.into(), flag, assignments, &prep, team, config, plan)
+    if assignments.len() != team.len() {
+        return Err(format!(
+            "{} assignments for {} students",
+            assignments.len(),
+            team.len()
+        ));
+    }
+    let prep = RunPrep::new(assignments, kit, plan)?;
+    let label = label.into();
+    Run {
+        label: &label,
+        flag,
+        assignments,
+        prep: &prep,
+        config,
+        plan,
+    }
+    .report(team)
 }
 
 /// How a scheduled run ended: normally, with the full report, or stalled
@@ -326,58 +384,6 @@ pub enum ActivityOutcome {
     /// The run stalled: the event queue emptied with processes still
     /// blocked on resources. Carries the wait-for graph at the stall.
     Stalled(WaitForGraph),
-}
-
-/// [`run_activity_with_faults`] with an optional [`SchedulePolicy`]
-/// threaded through to the engine, and with deadlock surfaced
-/// structurally instead of as an error string. This is the entry point
-/// schedule-space exploration drives: a [`ForcedSchedule`]
-/// (`flagsim_desim::ForcedSchedule`) policy replays one concrete
-/// resolution of every scheduling tie, and a stall under some resolution
-/// is a *result* (a reachable deadlock), not a failure.
-///
-/// With `policy: None` the engine behaves exactly as in
-/// [`run_activity_with_faults`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_activity_scheduled(
-    label: impl Into<String>,
-    flag: &PreparedFlag,
-    assignments: &[Vec<WorkItem>],
-    team: &mut [StudentProfile],
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    plan: &FaultPlan,
-    policy: Option<Box<dyn SchedulePolicy>>,
-) -> Result<ActivityOutcome, String> {
-    let prep = prepare(assignments, team, kit, plan)?;
-    run_report(
-        label.into(),
-        flag,
-        assignments,
-        &prep,
-        team,
-        config,
-        plan,
-        policy,
-    )
-}
-
-/// Validate a run's inputs: one assignment list per student, then the
-/// plan and kit ([`RunPrep::new`]).
-fn prepare(
-    assignments: &[Vec<WorkItem>],
-    team: &[StudentProfile],
-    kit: &TeamKit,
-    plan: &FaultPlan,
-) -> Result<RunPrep, String> {
-    if assignments.len() != team.len() {
-        return Err(format!(
-            "{} assignments for {} students",
-            assignments.len(),
-            team.len()
-        ));
-    }
-    RunPrep::new(assignments, kit, plan)
 }
 
 /// The seed-independent half of preparing a run: the plan and kit
@@ -439,206 +445,189 @@ impl RunPrep {
     }
 }
 
-/// Which result a run assembles after the engine stops.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Finish {
-    /// A full [`RunReport`].
-    Report,
-    /// Only a [`RepSample`].
-    Stats,
+/// One run's validated inputs. `team` arguments below hold one student
+/// per assignment list.
+pub(crate) struct Run<'a> {
+    pub(crate) label: &'a str,
+    pub(crate) flag: &'a PreparedFlag,
+    pub(crate) assignments: &'a [Vec<WorkItem>],
+    pub(crate) prep: &'a RunPrep,
+    pub(crate) config: &'a ActivityConfig,
+    pub(crate) plan: &'a FaultPlan,
 }
 
-/// A run wired into an engine and ready to go.
-struct Armed {
-    engine: Engine,
+/// Every duration one run draws from the cost model, and the deadline it
+/// runs to: the sampled half of arming a run. It is kept apart from the
+/// engine so that an engine reloads it without drawing again, and every
+/// buffer in it survives to the next [`World::sample`].
+#[derive(Default)]
+pub(crate) struct World {
     /// The earlier of the configured deadline and any bell.
     deadline: Option<SimTime>,
-    /// The resource of each needed color, in `RunPrep::needed` order.
-    rids: Vec<ResourceId>,
+    /// Each needed color's hand-off latency, in `RunPrep::needed` order.
+    handoffs: Vec<SimDuration>,
+    /// Per student, the pre-timed cell list. [`World::load`] moves each
+    /// list into its process; [`World::run`] takes the buffer back.
+    items: Vec<Vec<TimedItem>>,
     /// Implements that broke mid-cell while durations were sampled.
     breakages: u64,
+    /// Scratch: one student's `base × skill` cost prefix per needed color.
+    base_skill: Vec<f64>,
 }
 
-/// Run `engine` to the end, or to the bell.
-fn run_engine(engine: Engine, deadline: Option<SimTime>) -> Result<Trace, SimError> {
-    match deadline {
-        Some(deadline) => engine.try_run_until(deadline),
-        None => engine.try_run(),
-    }
-}
-
-/// Build one run's engine — the preparation both finishes share: sample
-/// every duration, add one resource per needed color and one
-/// [`StudentProc`] per student, and prime `live` from the plan. `team`
-/// holds one student per assignment list. The stats finish leaves
-/// resource labels and process names blank (they appear only in reports
-/// and engine errors) and never records trace events.
-fn arm(
-    prep: &RunPrep,
-    assignments: &[Vec<WorkItem>],
-    team: &mut [StudentProfile],
-    config: &ActivityConfig,
-    plan: &FaultPlan,
-    live: Option<&SharedFaults>,
-    finish: Finish,
-) -> Armed {
-    let report = finish == Finish::Report;
-    // Ambient faults that shape the run before it starts: the earliest
-    // bell wins over any configured deadline, and fumbles pad the hand-off
-    // latency of their color. Faults naming colors this run never uses
-    // are planned-but-cannot-bite and stay out of the incident log.
-    let mut deadline_secs = config.deadline_secs;
-    let mut fumble_extra: BTreeMap<Color, f64> = BTreeMap::new();
-    for e in &plan.events {
-        match e {
-            FaultEvent::DeadlineBell { at_secs } => {
-                deadline_secs = Some(deadline_secs.map_or(*at_secs, |d| d.min(*at_secs)));
-            }
-            FaultEvent::HandoffFumble { color, extra_secs } => {
-                *fumble_extra.entry(*color).or_insert(0.0) += extra_secs;
-            }
-            _ => {}
-        }
-    }
-
-    let mut cost = CostModel::with_params(config.seed, config.cost_params.clone());
-
-    // One resource per needed color; hand-off latency sampled per marker.
-    // Sizing the engine up front (one slot per student, one resource per
-    // color, ~4 events per cell) keeps the hot loop free of buffer growth.
-    let record = report && config.trace_events;
-    let total_cells: usize = assignments.iter().map(Vec::len).sum();
-    let mut engine = Engine::with_capacity(
-        team.len(),
-        prep.needed.len(),
-        if record {
-            total_cells * 4 + team.len() * 2
-        } else {
-            0
-        },
-    );
-    engine.set_trace_events(record);
-    let mut rids: Vec<ResourceId> = Vec::with_capacity(prep.needed.len());
-    for ((&c, &implement), &count) in prep.needed.iter().zip(&prep.implements).zip(&prep.counts) {
-        let mut handoff_secs = cost.sample_handoff_secs(implement);
-        handoff_secs += fumble_extra.get(&c).copied().unwrap_or(0.0);
-        let label = if report {
-            format!("{c} {}", implement.kind)
-        } else {
-            String::new()
-        };
-        rids.push(engine.add_resource_pool(label, count, SimDuration::from_secs_f64(handoff_secs)));
-    }
-
-    // Prime the live fault state from the plan.
-    if let Some(live) = live {
-        let mut st = live.borrow_mut();
+impl World {
+    /// Draw every duration of `run`; the team's warm-up advances.
+    fn sample(&mut self, run: &Run<'_>, team: &mut [StudentProfile]) {
+        let Run {
+            prep, config, plan, ..
+        } = *run;
+        // Ambient faults that shape the run before it starts: the earliest
+        // bell wins over any configured deadline, and fumbles pad the
+        // hand-off latency of their color. Faults naming colors this run
+        // never uses are planned-but-cannot-bite and stay out of the
+        // incident log.
+        let mut deadline_secs = config.deadline_secs;
+        let mut fumble_extra: BTreeMap<Color, f64> = BTreeMap::new();
         for e in &plan.events {
             match e {
-                FaultEvent::ImplementBreaks { color, at_secs }
-                | FaultEvent::ImplementDriesOut { color, at_secs } => {
-                    if let Ok(i) = prep.needed.binary_search(color) {
-                        let verb = if matches!(e, FaultEvent::ImplementBreaks { .. }) {
-                            "broke"
-                        } else {
-                            "dried out"
-                        };
-                        st.broken.insert(
-                            rids[i].index(),
-                            (
-                                SimTime::ZERO + SimDuration::from_secs_f64(*at_secs),
-                                *color,
-                                verb,
-                            ),
-                        );
-                    }
+                FaultEvent::DeadlineBell { at_secs } => {
+                    deadline_secs = Some(deadline_secs.map_or(*at_secs, |d| d.min(*at_secs)));
                 }
-                FaultEvent::Dropout { student, at_secs } => {
-                    st.dropout_at[*student] =
-                        Some(SimTime::ZERO + SimDuration::from_secs_f64(*at_secs));
+                FaultEvent::HandoffFumble { color, extra_secs } => {
+                    *fumble_extra.entry(*color).or_insert(0.0) += extra_secs;
                 }
-                FaultEvent::LateArrival { student, at_secs } => {
-                    if *at_secs > 0.0 {
-                        st.incidents.push(Incident {
-                            at_secs: *at_secs,
-                            what: format!("P{} arrived {at_secs:.1}s late", student + 1),
-                        });
-                    }
-                }
-                FaultEvent::HandoffFumble { .. } | FaultEvent::DeadlineBell { .. } => {}
+                _ => {}
             }
         }
-    }
+        self.deadline = deadline_secs.map(|secs| SimTime::ZERO + SimDuration::from_secs_f64(secs));
 
-    // Pre-sample durations student-major (deterministic, interleaving-free).
-    // Crayons occasionally break mid-cell (§V: "to avoid breakage"); a
-    // break costs the student a fetch-a-replacement delay on that cell.
-    // The fill-style factors are constant for the run and the
-    // `base × skill` cost prefix is constant per (student, color), so
-    // both are resolved outside the per-cell loop; the RNG draw order —
-    // and therefore every sampled duration — is unchanged.
-    let fill_factor = config.fill.work_factor();
-    let sigma = cost.cell_sigma(config.fill);
-    let mut breakages: u64 = 0;
-    let mut base_skill: Vec<f64> = Vec::with_capacity(prep.needed.len());
-    for (idx, ((student, items), colors)) in team
-        .iter_mut()
-        .zip(assignments)
-        .zip(&prep.color_index)
-        .enumerate()
-    {
-        base_skill.clear();
-        base_skill.extend(
-            prep.implements
-                .iter()
-                .map(|imp| imp.effective_base_secs() * student.skill),
-        );
-        let timed: Vec<TimedItem> = items
-            .iter()
-            .zip(colors)
-            .map(|(item, &ci)| {
+        let mut cost = CostModel::with_params(config.seed, config.cost_params.clone());
+        // Hand-off latency sampled per marker, before any cell.
+        self.handoffs.clear();
+        for (&c, &implement) in prep.needed.iter().zip(&prep.implements) {
+            let mut handoff_secs = cost.sample_handoff_secs(implement);
+            handoff_secs += fumble_extra.get(&c).copied().unwrap_or(0.0);
+            self.handoffs.push(SimDuration::from_secs_f64(handoff_secs));
+        }
+
+        // Pre-sample durations student-major (deterministic,
+        // interleaving-free). Crayons occasionally break mid-cell (§V: "to
+        // avoid breakage"); a break costs the student a
+        // fetch-a-replacement delay on that cell. The fill-style factors
+        // are constant for the run and the `base × skill` cost prefix is
+        // constant per (student, color), so both are resolved outside the
+        // per-cell loop; the RNG draw order — and therefore every sampled
+        // duration — is unchanged.
+        let fill_factor = config.fill.work_factor();
+        let sigma = cost.cell_sigma(config.fill);
+        self.breakages = 0;
+        self.items.resize_with(team.len(), Vec::new);
+        for ((student, items), (colors, timed)) in team
+            .iter_mut()
+            .zip(run.assignments)
+            .zip(prep.color_index.iter().zip(&mut self.items))
+        {
+            self.base_skill.clear();
+            self.base_skill.extend(
+                prep.implements
+                    .iter()
+                    .map(|imp| imp.effective_base_secs() * student.skill),
+            );
+            timed.clear();
+            // One allocation at the final size for a fresh world, not a
+            // doubling series whose freed steps fragment the heap.
+            timed.reserve_exact(items.len());
+            for (item, &ci) in items.iter().zip(colors) {
                 let mut secs = cost.sample_cell_secs_resolved(
                     student,
-                    base_skill[ci],
+                    self.base_skill[ci],
                     fill_factor,
                     sigma,
                     item.kind,
                 );
                 if cost.sample_breakage(prep.implements[ci]) {
-                    breakages += 1;
+                    self.breakages += 1;
                     secs += REPLACEMENT_DELAY_SECS;
                 }
-                TimedItem {
-                    resource: rids[ci],
+                timed.push(TimedItem {
+                    resource: ResourceId::from_index(ci),
                     dur: SimDuration::from_secs_f64(secs),
                     work: *item,
-                }
-            })
-            .collect();
-        let proc = StudentProc {
-            idx,
-            name: if report {
-                student.name.clone()
-            } else {
-                String::new()
-            },
-            items: timed,
-            policy: config.policy,
-            pos: 0,
-            step: Step::NeedItem,
-            held: None,
-            pending: None,
-            dropped: false,
-            live: live.cloned(),
-        };
-        engine.add_process_at(Box::new(proc), arrival(plan, idx));
+                });
+            }
+        }
     }
 
-    Armed {
-        engine,
-        deadline: deadline_secs.map(|secs| SimTime::ZERO + SimDuration::from_secs_f64(secs)),
-        rids,
-        breakages,
+    /// Reset `engine` and load this world into it: one resource per
+    /// needed color (resource `i` is `prep.needed[i]`'s implement) and one
+    /// [`StudentProc`] per student, woken at their arrival. The stats
+    /// finish (`report == false`) leaves resource labels and process names
+    /// blank — they appear only in reports and engine errors — and never
+    /// records trace events.
+    fn load<Pol: SchedulePolicy>(
+        &mut self,
+        engine: &mut Engine<StudentProc, Pol>,
+        run: &Run<'_>,
+        team: &[StudentProfile],
+        live: Option<&SharedFaults>,
+        report: bool,
+    ) {
+        let Run {
+            prep, config, plan, ..
+        } = *run;
+        engine.reset();
+        // ~4 events per cell: the hot loop never grows the event buffer.
+        let record = report && config.trace_events;
+        engine.set_trace_events(record);
+        if record {
+            let cells: usize = self.items.iter().map(Vec::len).sum();
+            engine.reserve_events(cells * 4 + team.len() * 2);
+        }
+        for ((&c, &implement), (&count, &handoff)) in prep
+            .needed
+            .iter()
+            .zip(&prep.implements)
+            .zip(prep.counts.iter().zip(&self.handoffs))
+        {
+            let label = if report {
+                format!("{c} {}", implement.kind)
+            } else {
+                String::new()
+            };
+            engine.add_resource_pool(label, count, handoff);
+        }
+        for (idx, (student, items)) in team.iter().zip(&mut self.items).enumerate() {
+            let proc = StudentProc {
+                idx,
+                name: if report {
+                    student.name.clone()
+                } else {
+                    String::new()
+                },
+                items: std::mem::take(items),
+                policy: config.policy,
+                pos: 0,
+                step: Step::NeedItem,
+                held: None,
+                pending: None,
+                dropped: false,
+                live: live.cloned(),
+            };
+            engine.add_process_at(proc, arrival(plan, idx));
+        }
+    }
+
+    /// Run the loaded `engine` to the end or the deadline, then take
+    /// each process's item buffer back for the next sample.
+    fn run<Pol: SchedulePolicy>(
+        &mut self,
+        engine: &mut Engine<StudentProc, Pol>,
+    ) -> Result<SimTime, SimError> {
+        let end = engine.run_in_place(self.deadline.unwrap_or(SimTime(u64::MAX)));
+        for (items, p) in self.items.iter_mut().zip(engine.processes_mut()) {
+            std::mem::swap(items, &mut p.items);
+        }
+        end
     }
 }
 
@@ -652,108 +641,200 @@ fn arrival(plan: &FaultPlan, idx: usize) -> SimTime {
     })
 }
 
-/// The report finish on validated inputs, with a stall flattened into
-/// an error string — [`run_activity_with_faults`] after validation.
-pub(crate) fn run_prepared(
-    label: String,
-    flag: &PreparedFlag,
-    assignments: &[Vec<WorkItem>],
-    prep: &RunPrep,
-    team: &mut [StudentProfile],
-    config: &ActivityConfig,
-    plan: &FaultPlan,
-) -> Result<RunReport, String> {
-    match run_report(label, flag, assignments, prep, team, config, plan, None)? {
-        ActivityOutcome::Completed(report) => Ok(*report),
-        ActivityOutcome::Stalled(waiters) => Err(format!(
-            "simulation failed: {}",
-            SimError::Stalled { waiters }
-        )),
+/// One thread's stats-finish state, reused rep after rep: the team, the
+/// sampled world and the engine. Steady-state reps allocate nothing.
+#[derive(Default)]
+pub(crate) struct StatsScratch {
+    /// The rep's team, one student per part; refilled by the caller.
+    pub(crate) team: Vec<StudentProfile>,
+    world: World,
+    engine: Engine<StudentProc>,
+}
+
+/// A finished engine run, as the report assembly reads it.
+struct Ran {
+    trace: Trace,
+    /// The live fault state, taken from the processes' shared handle.
+    state: LiveFaultState,
+    deadline: Option<SimTime>,
+    breakages: u64,
+}
+
+impl Run<'_> {
+    /// The report finish, with a stall flattened into an error string.
+    pub(crate) fn report(&self, team: &mut [StudentProfile]) -> Result<RunReport, String> {
+        match self.fresh(team, NoPolicy)? {
+            ActivityOutcome::Completed(report) => Ok(*report),
+            ActivityOutcome::Stalled(waiters) => Err(format!(
+                "simulation failed: {}",
+                SimError::Stalled { waiters }
+            )),
+        }
+    }
+
+    /// The report finish under `policy`: sample a fresh world and run it
+    /// on a fresh engine. World and engine are dropped before the report
+    /// is assembled, so their buffers do not fragment the kept ones.
+    pub(crate) fn fresh<Pol: SchedulePolicy>(
+        &self,
+        team: &mut [StudentProfile],
+        policy: Pol,
+    ) -> Result<ActivityOutcome, String> {
+        self.finish(team.len(), || {
+            let mut world = World::default();
+            world.sample(self, team);
+            let mut engine = Engine::with_policy(policy, team.len(), self.prep.needed.len(), 0);
+            self.simulate(team, &mut world, &mut engine)
+        })
+    }
+
+    /// The stats finish: the same preparation and engine run as the
+    /// report finish, then only the [`RepSample`], read straight from the
+    /// engine's slots. An engine failure comes back as the raw
+    /// [`SimError`]; its rendering names students and markers, which this
+    /// finish leaves blank, so a caller wanting the report path's error
+    /// text replays the run there.
+    pub(crate) fn stats(&self, scratch: &mut StatsScratch) -> Result<RepSample, SimError> {
+        let StatsScratch {
+            team,
+            world,
+            engine,
+        } = scratch;
+        let team = &mut team[..self.assignments.len()];
+        let _activity_span = flagsim_telemetry::span("sim", "run.activity")
+            .arg("label", self.label)
+            .arg("students", team.len());
+        let live = (!self.plan.is_empty())
+            .then(|| LiveFaultState::shared(team.len(), self.plan, &self.prep.needed));
+        world.sample(self, team);
+        world.load(engine, self, team, live.as_ref(), false);
+        let end = world.run(engine)?;
+        flagsim_telemetry::count("run.breakages", world.breakages);
+        Ok(RepSample {
+            completion_secs: (end - SimTime::ZERO).as_secs_f64(),
+            wait_secs: engine.waiting().map(SimDuration::as_secs_f64).sum(),
+        })
+    }
+
+    /// The report finish's engine half: load `world` into `engine`, run
+    /// it, and take the trace and the fault log — or, when the run stalls,
+    /// the wait-for graph.
+    fn simulate<Pol: SchedulePolicy>(
+        &self,
+        team: &[StudentProfile],
+        world: &mut World,
+        engine: &mut Engine<StudentProc, Pol>,
+    ) -> Result<Result<Ran, WaitForGraph>, String> {
+        let live = LiveFaultState::shared(team.len(), self.plan, &self.prep.needed);
+        world.load(engine, self, team, Some(&live), true);
+        match world.run(engine) {
+            Ok(_) => Ok(Ok(Ran {
+                trace: engine.take_trace(),
+                state: live.take(),
+                deadline: world.deadline,
+                breakages: world.breakages,
+            })),
+            // A stall is a structured outcome for the verification layer.
+            Err(SimError::Stalled { waiters }) => Ok(Err(waiters)),
+            Err(e) => Err(format!("simulation failed: {e}")),
+        }
+    }
+
+    /// The report finish around `simulate`: run it, then assemble.
+    fn finish(
+        &self,
+        students: usize,
+        simulate: impl FnOnce() -> Result<Result<Ran, WaitForGraph>, String>,
+    ) -> Result<ActivityOutcome, String> {
+        let _activity_span = flagsim_telemetry::span("sim", "run.activity")
+            .arg("label", self.label)
+            .arg("students", students);
+        Ok(match simulate()? {
+            Ok(ran) => ActivityOutcome::Completed(Box::new(assemble(self, ran))),
+            Err(waiters) => ActivityOutcome::Stalled(waiters),
+        })
     }
 }
 
-/// The stats finish on validated inputs: the same preparation and
-/// engine run as the report finish, then only the [`RepSample`]. An
-/// engine failure comes back as the raw [`SimError`]; its rendering
-/// names students and markers, which this finish leaves blank, so a
-/// caller wanting the report path's error text replays the run there.
-pub(crate) fn run_prepared_stats(
-    label: &str,
-    assignments: &[Vec<WorkItem>],
-    prep: &RunPrep,
-    team: &mut [StudentProfile],
-    config: &ActivityConfig,
-    plan: &FaultPlan,
-) -> Result<RepSample, SimError> {
-    let _activity_span = flagsim_telemetry::span("sim", "run.activity")
-        .arg("label", label)
-        .arg("students", team.len());
-    let live = (!plan.is_empty()).then(|| LiveFaultState::shared(team.len(), plan));
-    let Armed {
-        engine,
-        deadline,
-        breakages,
-        ..
-    } = arm(
-        prep,
-        assignments,
-        team,
-        config,
-        plan,
-        live.as_ref(),
-        Finish::Stats,
-    );
-    let trace = run_engine(engine, deadline)?;
-    flagsim_telemetry::count("run.breakages", breakages);
-    Ok(RepSample::from_trace(&trace))
+/// One sampled run replayed under many schedules — `flagsim verify`'s
+/// per-verdict unit. Building it validates the inputs and draws every
+/// duration once (advancing the team's warm-up once). Each
+/// [`ScheduledRuns::run`] reloads that same world into one reused engine,
+/// so a schedule costs the event loop and the report, not the setup.
+/// Built by
+/// [`CompiledScenario::scheduled_runs`](crate::scenario::CompiledScenario::scheduled_runs).
+pub struct ScheduledRuns<'a, Pol> {
+    scenario: &'a CompiledScenario,
+    config: &'a ActivityConfig,
+    plan: &'a FaultPlan,
+    prep: RunPrep,
+    team: Vec<StudentProfile>,
+    world: World,
+    /// The sampled cell lists, which every run copies into `world`.
+    items: Vec<Vec<TimedItem>>,
+    engine: Engine<StudentProc, Pol>,
 }
 
-/// The report finish: run the armed engine, then paint and verify the
-/// grid and assemble the full [`RunReport`].
-#[allow(clippy::too_many_arguments)]
-fn run_report(
-    label: String,
-    flag: &PreparedFlag,
-    assignments: &[Vec<WorkItem>],
-    prep: &RunPrep,
-    team: &mut [StudentProfile],
-    config: &ActivityConfig,
-    plan: &FaultPlan,
-    policy: Option<Box<dyn SchedulePolicy>>,
-) -> Result<ActivityOutcome, String> {
-    let _activity_span = flagsim_telemetry::span("sim", "run.activity")
-        .arg("label", &label)
-        .arg("students", team.len());
-    let live = LiveFaultState::shared(team.len(), plan);
-    let Armed {
-        mut engine,
-        deadline,
-        rids,
-        breakages,
-    } = arm(
-        prep,
+impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
+    /// Sample the world of `scenario` on `prep` with `team`, one student
+    /// per part.
+    pub(crate) fn new(
+        scenario: &'a CompiledScenario,
+        prep: RunPrep,
+        mut team: Vec<StudentProfile>,
+        config: &'a ActivityConfig,
+        plan: &'a FaultPlan,
+        policy: Pol,
+    ) -> Self {
+        let mut world = World::default();
+        world.sample(&scenario.run(&prep, config, plan), &mut team);
+        let engine = Engine::with_policy(policy, team.len(), prep.needed.len(), 0);
+        ScheduledRuns {
+            scenario,
+            config,
+            plan,
+            prep,
+            team,
+            items: world.items.clone(),
+            world,
+            engine,
+        }
+    }
+
+    /// The policy, e.g. to restart a scripted one before the next run.
+    pub fn policy_mut(&mut self) -> &mut Pol {
+        self.engine.policy_mut()
+    }
+
+    /// Run the sampled world once more under the policy as it stands —
+    /// the outcome a fresh run of the same inputs and policy gives.
+    pub fn run(&mut self) -> Result<ActivityOutcome, String> {
+        for (to, from) in self.world.items.iter_mut().zip(&self.items) {
+            to.clone_from(from);
+        }
+        let run = self.scenario.run(&self.prep, self.config, self.plan);
+        let (team, world, engine) = (&self.team, &mut self.world, &mut self.engine);
+        run.finish(team.len(), || run.simulate(team, world, engine))
+    }
+}
+
+/// The report finish's assembly half: paint and verify the grid and
+/// assemble the full [`RunReport`].
+fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
+    let Run {
+        label,
+        flag,
         assignments,
-        team,
+        prep,
         config,
         plan,
-        Some(&live),
-        Finish::Report,
-    );
-    if let Some(policy) = policy {
-        engine.set_schedule_policy(policy);
-    }
-    let trace = match run_engine(engine, deadline) {
-        Ok(trace) => trace,
-        // A stall is a structured outcome for the verification layer; the
-        // engine (and every process's Rc handle) is already dropped.
-        Err(SimError::Stalled { waiters }) => return Ok(ActivityOutcome::Stalled(waiters)),
-        Err(e) => return Err(format!("simulation failed: {e}")),
-    };
-
-    // The engine (and every boxed process) is gone; reclaim the log.
-    let mut state = Rc::try_unwrap(live)
-        .map_err(|_| "fault state still shared after the run".to_owned())?
-        .into_inner();
+    } = *run;
+    let Ran {
+        trace,
+        mut state,
+        deadline,
+        breakages,
+    } = ran;
 
     // Cells each student actually completed, straight from the engine's
     // per-process counter (with a deadline, in-flight work at the bell is
@@ -806,10 +887,10 @@ fn run_report(
     let contention: Vec<ColorContention> = prep
         .needed
         .iter()
-        .zip(&rids)
-        .map(|(&c, rid)| ColorContention {
+        .zip(&trace.resources)
+        .map(|(&c, r)| ColorContention {
             color: c,
-            stats: trace.resources[rid.index()].stats.clone(),
+            stats: r.stats.clone(),
         })
         .collect();
 
@@ -882,8 +963,8 @@ fn run_report(
     };
 
     flagsim_telemetry::count("run.breakages", breakages);
-    Ok(ActivityOutcome::Completed(Box::new(RunReport {
-        label,
+    RunReport {
+        label: label.to_owned(),
         flag_name: flag.name.clone(),
         completion: trace.makespan(),
         students,
@@ -894,7 +975,7 @@ fn run_report(
         resilience,
         trace,
         cell_log,
-    })))
+    }
 }
 
 #[cfg(test)]
@@ -915,19 +996,27 @@ mod tests {
         TeamKit::uniform(ImplementKind::ThickMarker, &Color::MAURITIUS)
     }
 
-    fn run_scenario(strategy: PartitionStrategy, n: usize, seed: u64) -> RunReport {
+    /// Mauritius, partitioned row-major by `strategy`.
+    fn mauritius(strategy: PartitionStrategy) -> (PreparedFlag, Vec<Vec<WorkItem>>) {
         let pf = PreparedFlag::new(&library::mauritius());
         let assignments = strategy.assignments(&pf, CellOrder::RowMajor, &[]);
-        let mut t = team(n);
-        run_activity(
-            "test",
-            &pf,
-            &assignments,
-            &mut t,
-            &kit(),
-            &ActivityConfig::default().with_seed(seed),
-        )
-        .unwrap()
+        (pf, assignments)
+    }
+
+    /// `assignments` run by a fresh team of one student per list.
+    fn run_with(
+        pf: &PreparedFlag,
+        assignments: &[Vec<WorkItem>],
+        kit: &TeamKit,
+        config: &ActivityConfig,
+        plan: &FaultPlan,
+    ) -> Result<RunReport, String> {
+        let mut t = team(assignments.len());
+        run_activity_with_faults("test", pf, assignments, &mut t, kit, config, plan)
+    }
+
+    fn run_scenario(strategy: PartitionStrategy, n: usize, seed: u64) -> RunReport {
+        run_faulted(strategy, n, seed, &FaultPlan::none())
     }
 
     fn run_faulted(
@@ -936,19 +1025,10 @@ mod tests {
         seed: u64,
         plan: &FaultPlan,
     ) -> RunReport {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments = strategy.assignments(&pf, CellOrder::RowMajor, &[]);
-        let mut t = team(n);
-        run_activity_with_faults(
-            "faulted",
-            &pf,
-            &assignments,
-            &mut t,
-            &kit(),
-            &ActivityConfig::default().with_seed(seed),
-            plan,
-        )
-        .unwrap()
+        let (pf, assignments) = mauritius(strategy);
+        assert_eq!(assignments.len(), n);
+        let config = ActivityConfig::default().with_seed(seed);
+        run_with(&pf, &assignments, &kit(), &config, plan).unwrap()
     }
 
     #[test]
@@ -1005,10 +1085,7 @@ mod tests {
 
     #[test]
     fn dead_marker_fails_the_dry_run_check() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments =
-            PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
-        let mut t = team(1);
+        let (pf, assignments) = mauritius(PartitionStrategy::Solo);
         let bad_kit = kit().with_implement(
             Color::Yellow,
             Implement {
@@ -1016,39 +1093,22 @@ mod tests {
                 condition: Condition::Dead,
             },
         );
-        let err = run_activity(
-            "test",
-            &pf,
-            &assignments,
-            &mut t,
-            &bad_kit,
-            &ActivityConfig::default(),
-        )
-        .unwrap_err();
+        let cfg = ActivityConfig::default();
+        let err = run_with(&pf, &assignments, &bad_kit, &cfg, &FaultPlan::none()).unwrap_err();
         assert!(err.contains("dead"));
     }
 
     #[test]
     fn mismatched_team_size_rejected() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments =
-            PartitionStrategy::HorizontalBands(4).assignments(&pf, CellOrder::RowMajor, &[]);
+        let (pf, assignments) = mauritius(PartitionStrategy::HorizontalBands(4));
         let mut t = team(2);
-        assert!(run_activity(
-            "test",
-            &pf,
-            &assignments,
-            &mut t,
-            &kit(),
-            &ActivityConfig::default()
-        )
-        .is_err());
+        let cfg = ActivityConfig::default();
+        assert!(run_activity("test", &pf, &assignments, &mut t, &kit(), &cfg).is_err());
     }
 
     #[test]
     fn warmup_advances_across_runs() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
+        let (pf, assignments) = mauritius(PartitionStrategy::Solo);
         let mut t = vec![StudentProfile::new("P1")]; // with warm-up
         let cfg = ActivityConfig::default();
         let first = run_activity("run 1", &pf, &assignments, &mut t, &kit(), &cfg).unwrap();
@@ -1063,20 +1123,10 @@ mod tests {
 
     #[test]
     fn release_each_cell_is_no_faster() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments =
-            PartitionStrategy::VerticalSlices(4).assignments(&pf, CellOrder::RowMajor, &[]);
+        let (pf, assignments) = mauritius(PartitionStrategy::VerticalSlices(4));
         let run = |policy| {
-            let mut t = team(4);
-            run_activity(
-                "p",
-                &pf,
-                &assignments,
-                &mut t,
-                &kit(),
-                &ActivityConfig::default().with_policy(policy),
-            )
-            .unwrap()
+            let cfg = ActivityConfig::default().with_policy(policy);
+            run_with(&pf, &assignments, &kit(), &cfg, &FaultPlan::none()).unwrap()
         };
         let keep = run(ReleasePolicy::KeepUntilColorChange);
         let each = run(ReleasePolicy::ReleaseEachCell);
@@ -1085,48 +1135,30 @@ mod tests {
 
     #[test]
     fn extra_markers_dissolve_scenario_4_contention() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments =
-            PartitionStrategy::VerticalSlices(4).assignments(&pf, CellOrder::RowMajor, &[]);
-        let run_with = |kit: TeamKit| {
-            let mut t = team(4);
-            run_activity(
-                "kit sweep",
-                &pf,
-                &assignments,
-                &mut t,
-                &kit,
-                &ActivityConfig::default(),
-            )
-            .unwrap()
-        };
-        let one = run_with(kit());
-        let four = run_with(kit().with_count_all(4));
+        let (pf, assignments) = mauritius(PartitionStrategy::VerticalSlices(4));
+        let cfg = ActivityConfig::default();
+        let run = |kit: TeamKit| run_with(&pf, &assignments, &kit, &cfg, &FaultPlan::none()).unwrap();
+        let one = run(kit());
+        let four = run(kit().with_count_all(4));
         // With a marker of each color per student, nobody ever waits.
         assert_eq!(four.total_wait_secs(), 0.0);
         assert!(one.total_wait_secs() > 0.0);
         assert!(four.completion < one.completion);
         // Intermediate stocking helps monotonically.
-        let two = run_with(kit().with_count_all(2));
+        let two = run(kit().with_count_all(2));
         assert!(two.total_wait_secs() < one.total_wait_secs());
         assert!(two.completion <= one.completion);
     }
 
     #[test]
     fn class_bell_cuts_the_run_short() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
+        let (pf, assignments) = mauritius(PartitionStrategy::Solo);
+        let run = |deadline_secs| {
+            let cfg = ActivityConfig::default().with_deadline_secs(deadline_secs);
+            run_with(&pf, &assignments, &kit(), &cfg, &FaultPlan::none()).unwrap()
+        };
         // A full solo run takes ~190s without warm-up; ring the bell at 60.
-        let mut t = team(1);
-        let cut = run_activity(
-            "bell",
-            &pf,
-            &assignments,
-            &mut t,
-            &kit(),
-            &ActivityConfig::default().with_deadline_secs(60.0),
-        )
-        .unwrap();
+        let cut = run(60.0);
         assert!(!cut.correct, "incomplete flag cannot be correct");
         assert!(cut.grid.blank_cells() > 0);
         let done = cut.students[0].completed;
@@ -1137,16 +1169,7 @@ mod tests {
             assert_eq!(cut.grid.get(item.cell), pf.reference.get(item.cell));
         }
         // A generous deadline changes nothing.
-        let mut t2 = team(1);
-        let full = run_activity(
-            "no bell",
-            &pf,
-            &assignments,
-            &mut t2,
-            &kit(),
-            &ActivityConfig::default().with_deadline_secs(100_000.0),
-        )
-        .unwrap();
+        let full = run(100_000.0);
         assert!(full.correct);
         assert_eq!(full.students[0].completed, 96);
     }
@@ -1155,20 +1178,13 @@ mod tests {
     fn crayons_break_markers_do_not() {
         let pf = PreparedFlag::at_size(&library::mauritius(), 48, 32); // 1536 cells
         let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
-        let run_with = |kind: ImplementKind| {
-            let mut t = team(1);
-            run_activity(
-                "breakage",
-                &pf,
-                &assignments,
-                &mut t,
-                &TeamKit::uniform(kind, &Color::MAURITIUS),
-                &ActivityConfig::default().with_seed(5),
-            )
-            .unwrap()
+        let cfg = ActivityConfig::default().with_seed(5);
+        let run = |kind: ImplementKind| {
+            let kit = TeamKit::uniform(kind, &Color::MAURITIUS);
+            run_with(&pf, &assignments, &kit, &cfg, &FaultPlan::none()).unwrap()
         };
-        let crayon = run_with(ImplementKind::Crayon);
-        let marker = run_with(ImplementKind::ThickMarker);
+        let crayon = run(ImplementKind::Crayon);
+        let marker = run(ImplementKind::ThickMarker);
         assert!(crayon.breakages > 0, "1536 crayon cells should break a few");
         assert_eq!(marker.breakages, 0);
         assert!(crayon.correct && marker.correct);
@@ -1177,19 +1193,10 @@ mod tests {
     #[test]
     fn dropout_rebalanced_run_still_completes() {
         use crate::partition::rebalance_dropout;
-        let pf = PreparedFlag::new(&library::mauritius());
-        let a = PartitionStrategy::HorizontalBands(4).assignments(&pf, CellOrder::RowMajor, &[]);
+        let (pf, a) = mauritius(PartitionStrategy::HorizontalBands(4));
         let rebalanced = rebalance_dropout(&a, 1, 6);
-        let mut t = team(4);
-        let r = run_activity(
-            "dropout",
-            &pf,
-            &rebalanced,
-            &mut t,
-            &kit(),
-            &ActivityConfig::default(),
-        )
-        .unwrap();
+        let cfg = ActivityConfig::default();
+        let r = run_with(&pf, &rebalanced, &kit(), &cfg, &FaultPlan::none()).unwrap();
         assert!(r.correct);
         assert_eq!(r.students[1].cells, 6);
     }
@@ -1198,22 +1205,10 @@ mod tests {
     fn skip_colors_verifies_blank_cells() {
         let pf = PreparedFlag::new(&library::jordan());
         let skip = [Color::White];
-        let assignments =
-            PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &skip);
-        let mut t = team(1);
-        let jk = TeamKit::uniform(
-            ImplementKind::ThickMarker,
-            &[Color::Black, Color::Green, Color::Red],
-        );
-        let r = run_activity(
-            "jordan no white",
-            &pf,
-            &assignments,
-            &mut t,
-            &jk,
-            &ActivityConfig::default().skipping(&skip),
-        )
-        .unwrap();
+        let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &skip);
+        let jk = TeamKit::uniform(ImplementKind::ThickMarker, &[Color::Black, Color::Green, Color::Red]);
+        let cfg = ActivityConfig::default().skipping(&skip);
+        let r = run_with(&pf, &assignments, &jk, &cfg, &FaultPlan::none()).unwrap();
         assert!(r.correct);
         assert!(r.grid.blank_cells() > 0);
     }
@@ -1294,34 +1289,13 @@ mod tests {
 
     #[test]
     fn bell_fault_matches_configured_deadline() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
-        let mut t1 = team(1);
-        let via_config = run_activity(
-            "config bell",
-            &pf,
-            &assignments,
-            &mut t1,
-            &kit(),
-            &ActivityConfig::default().with_deadline_secs(60.0),
-        )
-        .unwrap();
-        let mut t2 = team(1);
-        let via_fault = run_activity_with_faults(
-            "fault bell",
-            &pf,
-            &assignments,
-            &mut t2,
-            &kit(),
-            &ActivityConfig::default(),
-            &FaultPlan::new("bell").bell(60.0),
-        )
-        .unwrap();
+        let (pf, assignments) = mauritius(PartitionStrategy::Solo);
+        let bell = ActivityConfig::default().with_deadline_secs(60.0);
+        let via_config = run_with(&pf, &assignments, &kit(), &bell, &FaultPlan::none()).unwrap();
+        let plan = FaultPlan::new("bell").bell(60.0);
+        let via_fault = run_with(&pf, &assignments, &kit(), &ActivityConfig::default(), &plan).unwrap();
         assert_eq!(via_config.completion, via_fault.completion);
-        assert_eq!(
-            via_config.students[0].completed,
-            via_fault.students[0].completed
-        );
+        assert_eq!(via_config.students[0].completed, via_fault.students[0].completed);
         let res = via_fault.resilience.as_ref().unwrap();
         assert!(res.incidents.iter().any(|i| i.what.contains("bell")));
     }
@@ -1424,19 +1398,9 @@ mod tests {
 
     #[test]
     fn plan_validation_is_enforced() {
-        let pf = PreparedFlag::new(&library::mauritius());
-        let assignments = PartitionStrategy::Solo.assignments(&pf, CellOrder::RowMajor, &[]);
-        let mut t = team(1);
-        let err = run_activity_with_faults(
-            "bad",
-            &pf,
-            &assignments,
-            &mut t,
-            &kit(),
-            &ActivityConfig::default(),
-            &FaultPlan::new("bad").dropout(3, 10.0),
-        )
-        .unwrap_err();
+        let (pf, assignments) = mauritius(PartitionStrategy::Solo);
+        let plan = FaultPlan::new("bad").dropout(3, 10.0);
+        let err = run_with(&pf, &assignments, &kit(), &ActivityConfig::default(), &plan).unwrap_err();
         assert!(err.contains("student #4"), "{err}");
     }
 }

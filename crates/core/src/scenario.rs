@@ -3,13 +3,11 @@
 use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
 use crate::partition::{verify_assignments, CellOrder, PartitionStrategy};
-use crate::report::{RepSample, RunReport};
-use crate::run::{
-    run_activity_scheduled, run_prepared, run_prepared_stats, ActivityOutcome, RunPrep,
-};
+use crate::report::RunReport;
+use crate::run::{ActivityOutcome, Run, RunPrep, ScheduledRuns};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
-use flagsim_desim::{SchedulePolicy, SimError};
+use flagsim_desim::{NoPolicy, SchedulePolicy};
 
 /// A named task decomposition: what the instructor projects on the slide.
 #[derive(Debug, Clone, PartialEq)]
@@ -204,13 +202,13 @@ impl CompiledScenario {
         plan: &FaultPlan,
     ) -> Result<RunReport, String> {
         let prep = self.prepare(team.len(), kit, plan)?;
-        self.run_prepared(&prep, team, config, plan)
+        self.run(&prep, config, plan)
+            .report(&mut team[..self.assignments.len()])
     }
 
     /// Everything about a run that the seed cannot change, checked in the
     /// order a run checks it: the team is big enough, then the plan and
-    /// the kit fit the partition. `prep` arguments below must come from
-    /// this call with the same kit and plan.
+    /// the kit fit the partition.
     pub(crate) fn prepare(
         &self,
         team_size: usize,
@@ -227,45 +225,29 @@ impl CompiledScenario {
         RunPrep::new(&self.assignments, kit, plan)
     }
 
-    /// [`CompiledScenario::run_with_faults`] after [`prepare`](Self::prepare).
-    pub(crate) fn run_prepared(
-        &self,
-        prep: &RunPrep,
-        team: &mut [StudentProfile],
-        config: &ActivityConfig,
-        plan: &FaultPlan,
-    ) -> Result<RunReport, String> {
-        let team = &mut team[..self.assignments.len()];
-        run_prepared(
-            self.name.clone(),
-            &self.flag,
-            &self.assignments,
+    /// One run of the compiled partition; `prep` must come from
+    /// [`prepare`](Self::prepare) with the same kit and plan.
+    pub(crate) fn run<'a>(
+        &'a self,
+        prep: &'a RunPrep,
+        config: &'a ActivityConfig,
+        plan: &'a FaultPlan,
+    ) -> Run<'a> {
+        Run {
+            label: &self.name,
+            flag: &self.flag,
+            assignments: &self.assignments,
             prep,
-            team,
             config,
             plan,
-        )
-    }
-
-    /// The same run as [`run_prepared`](Self::run_prepared), finished
-    /// as a [`RepSample`] instead of a report (see
-    /// [`crate::run::run_prepared_stats`] for the error contract). `team`
-    /// needs one student per part; names are not read.
-    pub(crate) fn run_prepared_stats(
-        &self,
-        prep: &RunPrep,
-        team: &mut [StudentProfile],
-        config: &ActivityConfig,
-        plan: &FaultPlan,
-    ) -> Result<RepSample, SimError> {
-        let team = &mut team[..self.assignments.len()];
-        run_prepared_stats(&self.name, &self.assignments, prep, team, config, plan)
+        }
     }
 
     /// Run the compiled partition under a forced (or otherwise custom)
     /// [`SchedulePolicy`], surfacing a stall as a structured
-    /// [`ActivityOutcome`] — the per-schedule unit of `flagsim verify`'s
-    /// exploration. See [`run_activity_scheduled`].
+    /// [`ActivityOutcome`] — a stall under some resolution of the ties is
+    /// a *result* (a reachable deadlock), not a failure. With `policy:
+    /// None` the run is exactly [`run_with_faults`](Self::run_with_faults)'s.
     pub fn run_scheduled(
         &self,
         team: &mut [StudentProfile],
@@ -274,24 +256,33 @@ impl CompiledScenario {
         plan: &FaultPlan,
         policy: Option<Box<dyn SchedulePolicy>>,
     ) -> Result<ActivityOutcome, String> {
-        let needed = self.assignments.len();
-        if team.len() < needed {
-            return Err(format!(
-                "{} needs {needed} coloring students, team has {}",
-                self.name,
-                team.len()
-            ));
+        let prep = self.prepare(team.len(), kit, plan)?;
+        let (run, team) = (
+            self.run(&prep, config, plan),
+            &mut team[..self.assignments.len()],
+        );
+        match policy {
+            Some(policy) => run.fresh(team, policy),
+            None => run.fresh(team, NoPolicy),
         }
-        run_activity_scheduled(
-            self.name.clone(),
-            &self.flag,
-            &self.assignments,
-            &mut team[..needed],
-            kit,
-            config,
-            plan,
-            policy,
-        )
+    }
+
+    /// The compiled partition prepared and sampled once with `team`, to
+    /// be run under `policy` as many times as the caller likes — the
+    /// per-verdict unit of `flagsim verify`'s exploration. Every
+    /// [`ScheduledRuns::run`] gives what [`run_scheduled`](Self::run_scheduled)
+    /// gives for a fresh copy of `team` under the policy as it stands.
+    pub fn scheduled_runs<'a, Pol: SchedulePolicy>(
+        &'a self,
+        mut team: Vec<StudentProfile>,
+        kit: &TeamKit,
+        config: &'a ActivityConfig,
+        plan: &'a FaultPlan,
+        policy: Pol,
+    ) -> Result<ScheduledRuns<'a, Pol>, String> {
+        let prep = self.prepare(team.len(), kit, plan)?;
+        team.truncate(self.assignments.len());
+        Ok(ScheduledRuns::new(self, prep, team, config, plan, policy))
     }
 }
 

@@ -26,14 +26,21 @@
 use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
 use crate::report::{RepSample, RunReport};
-use crate::run::RunPrep;
+use crate::run::{RunPrep, StatsScratch};
 use crate::scenario::{CompiledScenario, Scenario};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
 use flagsim_metrics::{RunStats, StreamingStats};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
+
+thread_local! {
+    /// This thread's stats-finish scratch — team, sampled world, engine —
+    /// reused by every [`SweepRunner::run_rep_stats`] call on the thread.
+    static STATS: RefCell<StatsScratch> = RefCell::new(StatsScratch::default());
+}
 
 /// One repetition of a sweep that failed to produce a report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -289,7 +296,9 @@ impl<'a> SweepRunner<'a> {
     /// sweeps bit-for-bit equal to serial ones.
     pub fn run_rep(&self, rep: u64) -> Result<RunReport, String> {
         let (compiled, prep) = self.prepared()?;
-        let mut team = self.fresh_team(compiled.parts(), |i| format!("P{i}"));
+        let mut team: Vec<_> = self
+            .fresh_team(compiled.parts(), |i| format!("P{i}"))
+            .collect();
         let mut cfg = self.rep_config(rep);
         if !self.retain_reports {
             // A report wanted from a streaming runner is one-off, so
@@ -297,7 +306,7 @@ impl<'a> SweepRunner<'a> {
             // bit-identical with the sink off.
             cfg.trace_events = false;
         }
-        compiled.run_prepared(prep, &mut team, &cfg, &self.plan)
+        compiled.run(prep, &cfg, &self.plan).report(&mut team)
     }
 
     /// Repetition `rep` reduced to its [`RepSample`], bit-equal to
@@ -306,13 +315,21 @@ impl<'a> SweepRunner<'a> {
     /// The same preparation and engine run as `run_rep`, but no
     /// [`RunReport`]: no grid paint-and-verify, no per-student or
     /// per-color tables, no names or labels, and without faults no live
-    /// fault state. What streaming sweeps and shard executors run.
+    /// fault state. Each thread keeps one team, engine and set of item
+    /// buffers for all its reps, so a steady-state rep allocates nothing.
+    /// What streaming sweeps and shard executors run.
     pub fn run_rep_stats(&self, rep: u64) -> Result<RepSample, String> {
         let (compiled, prep) = self.prepared()?;
-        let mut team = self.fresh_team(compiled.parts(), |_| String::new());
         let cfg = self.rep_config(rep);
-        compiled
-            .run_prepared_stats(prep, &mut team, &cfg, &self.plan)
+        STATS
+            .with(|scratch| {
+                let scratch = &mut *scratch.borrow_mut();
+                scratch.team.clear();
+                scratch
+                    .team
+                    .extend(self.fresh_team(compiled.parts(), |_| String::new()));
+                compiled.run(prep, &cfg, &self.plan).stats(scratch)
+            })
             // An engine error names students and markers, which the stats
             // finish leaves blank: replay the rep (a fresh team, the same
             // seed) through the report path for the identical message.
@@ -336,17 +353,19 @@ impl<'a> SweepRunner<'a> {
     }
 
     /// A fresh team of `n` students named by `name(i)` for `i` in `1..=n`.
-    fn fresh_team(&self, n: usize, name: impl Fn(usize) -> String) -> Vec<StudentProfile> {
-        (1..=n)
-            .map(|i| {
-                let s = StudentProfile::new(name(i));
-                if self.warmup {
-                    s
-                } else {
-                    s.without_warmup()
-                }
-            })
-            .collect()
+    fn fresh_team<'s>(
+        &'s self,
+        n: usize,
+        name: impl Fn(usize) -> String + 's,
+    ) -> impl Iterator<Item = StudentProfile> + 's {
+        (1..=n).map(move |i| {
+            let s = StudentProfile::new(name(i));
+            if self.warmup {
+                s
+            } else {
+                s.without_warmup()
+            }
+        })
     }
 
     /// The configuration of repetition `rep`: the base configuration with

@@ -1,0 +1,156 @@
+//! Allocation gates for the reused engine. A steady-state stats rep —
+//! `SweepRunner::run_rep_stats` on scenario 4 after one warm-up rep —
+//! allocates nothing, and neither does a policed engine run after
+//! `Engine::reset`. The test binary installs its own counting allocator,
+//! which counts only on the thread that asked, so tests running in
+//! parallel do not disturb each other's counts.
+
+use flagsim_agents::ImplementKind;
+use flagsim_core::sweep::SweepRunner;
+use flagsim_core::work::PreparedFlag;
+use flagsim_core::{ActivityConfig, Scenario, TeamKit};
+use flagsim_desim::{
+    Action, ChoicePoint, Engine, ProcId, Process, ResourceId, SchedulePolicy, SimDuration, SimTime,
+};
+use flagsim_flags::library;
+use flagsim_grid::Color;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+struct CountingAlloc;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+thread_local! {
+    /// `Some(n)` while this thread counts: `n` allocations so far.
+    static COUNT: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_alloc() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = COUNT.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
+
+// SAFETY: both methods forward to `System` unchanged; the bookkeeping
+// touches only a const-initialised thread-local, which never allocates.
+// The default `alloc_zeroed` and `realloc` go through `alloc`, so every
+// allocation and growth is counted.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc();
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+/// How many allocations `f` makes on this thread.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    COUNT.with(|c| c.set(Some(0)));
+    let out = f();
+    let n = COUNT.with(|c| c.replace(None)).unwrap_or(0);
+    (out, n)
+}
+
+#[test]
+fn steady_state_stats_rep_allocates_nothing() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let kit = TeamKit::uniform(ImplementKind::ThickMarker, &Color::MAURITIUS);
+    let config = ActivityConfig::default();
+    let scenario = Scenario::fig1(4);
+    let runner = SweepRunner::new(&scenario, &flag, &kit, &config)
+        .team_size(4)
+        .retain_reports(false);
+    let warm = runner.run_rep_stats(0).expect("warm-up rep runs");
+    assert!(warm.wait_secs > 0.0, "scenario 4 contends: {warm:?}");
+    for rep in 1..20 {
+        let (sample, allocs) = allocations(|| runner.run_rep_stats(rep));
+        let sample = sample.expect("rep runs");
+        assert_eq!(allocs, 0, "rep {rep} allocated");
+        // The reused engine gives what a report of the same rep gives.
+        let report = runner.run_rep(rep).expect("rep runs");
+        assert_eq!(sample, report.sample(), "rep {rep}");
+    }
+}
+
+/// A process walking a fixed script; allocation-free to build.
+struct Scripted {
+    script: &'static [Action],
+    cursor: usize,
+}
+
+impl Process for Scripted {
+    fn next(&mut self, _now: SimTime) -> Action {
+        let a = self.script.get(self.cursor).copied().unwrap_or(Action::Done);
+        self.cursor += 1;
+        a
+    }
+}
+
+/// A policy that always takes the first candidate and only counts.
+#[derive(Default)]
+struct Tally {
+    choices: u64,
+    cascades: u64,
+}
+
+impl SchedulePolicy for Tally {
+    fn choose(&mut self, _choice: &ChoicePoint<'_>) -> usize {
+        self.choices += 1;
+        0
+    }
+
+    fn observe_cascade(&mut self, _: ProcId, _: SimTime, _: &[ResourceId], _: bool) {
+        self.cascades += 1;
+    }
+}
+
+const MARKER: ResourceId = ResourceId::from_index(0);
+const USE_MARKER: &[Action] = &[
+    Action::Acquire(MARKER),
+    Action::Work(SimDuration::from_millis(10)),
+    Action::Release(MARKER),
+    Action::Done,
+];
+
+/// Reset `engine` and load two marker users, the second arriving at
+/// `second_at`, then run it; returns the policy's choice count.
+fn policed_run(engine: &mut Engine<Scripted, Tally>, second_at: u64) -> u64 {
+    engine.reset();
+    *engine.policy_mut() = Tally::default();
+    engine.add_resource("", SimDuration::ZERO);
+    for start in [0, second_at] {
+        let proc = Scripted {
+            script: USE_MARKER,
+            cursor: 0,
+        };
+        engine.add_process_at(proc, SimTime(start));
+    }
+    engine.run_in_place(SimTime(u64::MAX)).expect("runs");
+    assert!(engine.policy_mut().cascades > 0, "the policy observed the run");
+    engine.policy_mut().choices
+}
+
+#[test]
+fn policed_run_after_reset_allocates_nothing() {
+    let mut engine = Engine::with_policy(Tally::default(), 0, 0, 0);
+    // Staggered arrivals: no tie, so no choice point and no state hash.
+    assert_eq!(policed_run(&mut engine, 1), 0);
+    let (choices, allocs) = allocations(|| policed_run(&mut engine, 1));
+    assert_eq!((choices, allocs), (0, 0), "tie-free policed run");
+    // Simultaneous arrivals: ties whose candidate lists and state hash
+    // use the engine's scratch, warmed by the first run.
+    assert!(policed_run(&mut engine, 0) > 0);
+    let (choices, allocs) = allocations(|| policed_run(&mut engine, 0));
+    assert!(choices > 0);
+    assert_eq!(allocs, 0, "tied policed run");
+}

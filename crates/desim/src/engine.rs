@@ -2,10 +2,20 @@
 //!
 //! Hot-path layout (the trainspotting-style rewrite, DESIGN.md §12):
 //!
-//! - **Slab-stored process slots.** Every process lives in a flat
-//!   `Vec<ProcSlot>` addressed by its `usize` index; [`ProcId`] is a thin
-//!   wrapper over that index and the loop never chases pointers beyond
-//!   the one `Box<dyn Process>` per slot.
+//! - **Monomorphic slab.** [`Engine`] is generic over its process type
+//!   `P` and its [`SchedulePolicy`] `Pol`. Every process lives inline in
+//!   a flat `Vec<ProcSlot<P>>` addressed by its `usize` index; [`ProcId`]
+//!   is a thin wrapper over that index. A caller with one process type
+//!   (the activity's students) polls it with static dispatch; the default
+//!   `P = Box<dyn Process>` is the shim for callers that mix types.
+//! - **Policy as a type.** The default [`NoPolicy`] is zero-sized and
+//!   [`SchedulePolicy::policed`] is `false` for it, so the unpoliced loop
+//!   compiles without any tie-break or fingerprint bookkeeping.
+//! - **Reset in place.** [`Engine::reset`] empties the engine but keeps
+//!   every buffer's capacity, and [`Engine::run_in_place`] runs without
+//!   consuming it: a caller running many reps keeps one engine and pays
+//!   no per-rep allocation. The consuming [`Engine::try_run`] family
+//!   wraps the same loop.
 //! - **Index-keyed scheduler.** The ready queue is a
 //!   flat `Vec<QueueEntry>` keyed `(time, seq)` with a monotonic
 //!   tiebreak counter, scanned for its minimum each step — a process has
@@ -24,7 +34,7 @@
 
 use crate::error::{SimError, WaitEdge, WaitForGraph};
 use crate::resource::{ResourceId, ResourceState};
-use crate::schedule::{ChoiceKind, ChoicePoint, SchedulePolicy};
+use crate::schedule::{word_mix, ChoiceKind, ChoicePoint, NoPolicy, SchedulePolicy};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{EventKind, ProcReport, ResourceReport, Trace, TraceEvent};
 
@@ -78,6 +88,16 @@ pub trait Process {
     /// poll-adjacent paths and must not pay a `String` allocation for it.
     fn name(&self) -> &str {
         "process"
+    }
+}
+
+/// The `dyn` shim: the default engine's slots hold `Box<dyn Process>`.
+impl<T: Process + ?Sized> Process for Box<T> {
+    fn next(&mut self, now: SimTime) -> Action {
+        (**self).next(now)
+    }
+    fn name(&self) -> &str {
+        (**self).name()
     }
 }
 
@@ -155,8 +175,8 @@ enum ProcState {
 
 /// One slab entry. Everything the loop touches per event sits here,
 /// addressed by the process index.
-struct ProcSlot {
-    process: Box<dyn Process>,
+struct ProcSlot<P> {
+    process: P,
     state: ProcState,
     busy: SimDuration,
     waiting: SimDuration,
@@ -167,10 +187,10 @@ struct ProcSlot {
     /// `Work` chunks that ran to completion (the wake event fired).
     completed_work: u64,
     finished_at: Option<SimTime>,
-    /// FNV-1a fingerprint of the poll history `(time, action)*` — a
-    /// canonical proxy for the process's opaque internal state, since a
-    /// deterministic process is a function of what it was asked and
-    /// answered. Maintained only while a schedule policy is installed.
+    /// Fingerprint of the poll history `(time, action)*`, folded a word
+    /// at a time — a canonical proxy for the process's opaque internal
+    /// state, since a deterministic process is a function of what it was
+    /// asked and answered. Maintained only under a schedule policy.
     history: u64,
 }
 
@@ -180,31 +200,36 @@ struct ProcSlot {
 /// completion. Event ordering is `(time, insertion sequence)` so equal-time
 /// events fire in the order they were scheduled; resource queues are FIFO.
 /// The same inputs always produce the same [`Trace`].
-pub struct Engine {
+///
+/// `P` is the process type and `Pol` the [`SchedulePolicy`]; the defaults
+/// take any boxed process and no policy.
+pub struct Engine<P = Box<dyn Process>, Pol = NoPolicy> {
     now: SimTime,
     seq: u64,
     queue: Vec<QueueEntry>,
-    procs: Vec<ProcSlot>,
+    procs: Vec<ProcSlot<P>>,
     resources: Vec<ResourceState>,
     events: Vec<TraceEvent>,
     record_events: bool,
     max_events: u64,
     processed: u64,
-    /// Installed tie-breaker, if any. `None` (the default) leaves the
-    /// engine's behavior — and its hot path — exactly as before.
-    policy: Option<Box<dyn SchedulePolicy>>,
-    /// `policy.is_some()`, cached as a plain bool so the hot loop's
-    /// guard is one predictable branch.
-    policed: bool,
+    /// The tie-breaker; consulted only when `Pol::policed()`.
+    policy: Pol,
     /// Scratch: resources touched by the poll cascade in flight.
     cascade_buf: Vec<ResourceId>,
     /// Scratch: did the cascade in flight schedule an event at `now`?
     cascade_spawned: bool,
+    /// Scratch: the tie in hand, as `(pid, queue or waiter index)`.
+    ties: Vec<(ProcId, usize)>,
+    /// Scratch: the tie's candidates in canonical order.
+    candidates: Vec<ProcId>,
+    /// Scratch: the multiset `state_hash` is sorting.
+    keys: Vec<(u64, u32)>,
 }
 
-impl Default for Engine {
+impl<P: Process, Pol: SchedulePolicy + Default> Default for Engine<P, Pol> {
     fn default() -> Self {
-        Engine::new()
+        Engine::with_policy(Pol::default(), 0, 0, 0)
     }
 }
 
@@ -219,6 +244,18 @@ impl Engine {
     /// Callers that know their workload (one slot per student, ~4 events
     /// per cell) avoid every mid-run buffer growth.
     pub fn with_capacity(procs: usize, resources: usize, events: usize) -> Self {
+        Engine::with_policy(NoPolicy, procs, resources, events)
+    }
+}
+
+impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
+    /// A fresh engine of any process and policy type, sized like
+    /// [`Engine::with_capacity`]. Under a policy other than [`NoPolicy`]
+    /// the engine's two tie-break rules (equal-time wake-ups; grants among
+    /// waiters blocked since the same instant) become explicit choice
+    /// points the policy resolves, with candidates presented in canonical
+    /// (process-id) order. Without one those ties fall to insertion order.
+    pub fn with_policy(policy: Pol, procs: usize, resources: usize, events: usize) -> Self {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
@@ -230,22 +267,65 @@ impl Engine {
             // Generous live-lock guard; a classroom run is ~1e3 events.
             max_events: 50_000_000,
             processed: 0,
-            policy: None,
-            policed: false,
+            policy,
             cascade_buf: Vec::new(),
             cascade_spawned: false,
+            ties: Vec::new(),
+            candidates: Vec::new(),
+            keys: Vec::new(),
         }
     }
 
-    /// Install a [`SchedulePolicy`]: from here on the engine's two
-    /// tie-break rules (equal-time wake-ups; grants among waiters blocked
-    /// since the same instant) become explicit choice points the policy
-    /// resolves, with candidates presented in canonical (process-id)
-    /// order. Without a policy those ties fall to insertion order, and
-    /// the run is bit-for-bit what it always was.
-    pub fn set_schedule_policy(&mut self, policy: Box<dyn SchedulePolicy>) {
-        self.policy = Some(policy);
-        self.policed = true;
+    /// This engine, not yet run, under `policy` instead.
+    pub fn with_schedule_policy<Q: SchedulePolicy>(self, policy: Q) -> Engine<P, Q> {
+        Engine {
+            now: self.now,
+            seq: self.seq,
+            queue: self.queue,
+            procs: self.procs,
+            resources: self.resources,
+            events: self.events,
+            record_events: self.record_events,
+            max_events: self.max_events,
+            processed: self.processed,
+            policy,
+            cascade_buf: self.cascade_buf,
+            cascade_spawned: self.cascade_spawned,
+            ties: self.ties,
+            candidates: self.candidates,
+            keys: self.keys,
+        }
+    }
+
+    /// The installed policy, e.g. to restart a scripted one between runs.
+    pub fn policy_mut(&mut self) -> &mut Pol {
+        &mut self.policy
+    }
+
+    /// Back to a fresh engine at time zero: no processes, resources,
+    /// events or pending wake-ups, but every buffer keeps its capacity,
+    /// so the next run's setup allocates nothing. The configuration (trace
+    /// sink, event budget) and the policy stay as they are.
+    pub fn reset(&mut self) {
+        self.now = SimTime::ZERO;
+        self.seq = 0;
+        self.processed = 0;
+        self.queue.clear();
+        self.procs.clear();
+        self.resources.clear();
+        self.events.clear();
+    }
+
+    /// The processes, in id order — e.g. to reclaim buffers they own
+    /// before a [`Engine::reset`] drops them.
+    pub fn processes_mut(&mut self) -> impl Iterator<Item = &mut P> + '_ {
+        self.procs.iter_mut().map(|slot| &mut slot.process)
+    }
+
+    /// Each process's waiting time so far, in id order — what a finished
+    /// [`Engine::run_in_place`] reports as [`ProcReport::waiting`].
+    pub fn waiting(&self) -> impl Iterator<Item = SimDuration> + '_ {
+        self.procs.iter().map(|slot| slot.waiting)
     }
 
     /// Configure the event-budget watchdog: runs that process more than
@@ -292,12 +372,12 @@ impl Engine {
     }
 
     /// Register a process, waking it at time zero.
-    pub fn add_process(&mut self, process: Box<dyn Process>) -> ProcId {
+    pub fn add_process(&mut self, process: P) -> ProcId {
         self.add_process_at(process, SimTime::ZERO)
     }
 
     /// Register a process, waking it first at `start`.
-    pub fn add_process_at(&mut self, process: Box<dyn Process>, start: SimTime) -> ProcId {
+    pub fn add_process_at(&mut self, process: P, start: SimTime) -> ProcId {
         let id = ProcId(self.procs.len() as u32);
         self.procs.push(ProcSlot {
             process,
@@ -308,7 +388,7 @@ impl Engine {
             wake_at: SimTime::ZERO,
             completed_work: 0,
             finished_at: None,
-            history: crate::schedule::FNV_OFFSET,
+            history: 0,
         });
         self.schedule(start, id);
         id
@@ -317,7 +397,7 @@ impl Engine {
     #[inline]
     fn schedule(&mut self, at: SimTime, pid: ProcId) {
         self.seq += 1;
-        if self.policed && at == self.now {
+        if Pol::policed() && at == self.now {
             self.cascade_spawned = true;
         }
         self.queue.push(QueueEntry {
@@ -377,15 +457,6 @@ impl Engine {
         }
     }
 
-    /// Run until no events remain **or the bell rings**. Panicking
-    /// compatibility wrapper around [`Engine::try_run_until`].
-    pub fn run_until(self, deadline: SimTime) -> Trace {
-        match self.try_run_until(deadline) {
-            Ok(trace) => trace,
-            Err(e) => std::panic::panic_any(e.to_string()),
-        }
-    }
-
     /// Run until no events remain, consuming the engine. Returns a typed
     /// [`SimError`] instead of panicking: misuse by a process, a tripped
     /// event budget, or a stall (the queue drained while processes still
@@ -395,12 +466,22 @@ impl Engine {
         self.try_run_until(SimTime(u64::MAX))
     }
 
-    /// Run until no events remain **or the bell rings**: events scheduled
-    /// after `deadline` are not processed (work in flight past the
-    /// deadline does not complete). The classroom reality behind §V-C's
-    /// response-rate note — "the first of the three sections … had less
-    /// time". The trace's `end_time` is the deadline when work was cut
-    /// off, and unfinished processes report `finished_at: None`.
+    /// Run until no events remain **or the bell rings**, consuming the
+    /// engine: [`Engine::run_in_place`], then the trace.
+    pub fn try_run_until(mut self, deadline: SimTime) -> Result<Trace, SimError> {
+        self.run_in_place(deadline)?;
+        Ok(self.take_trace())
+    }
+
+    /// Run until no events remain **or the bell rings**, keeping the
+    /// engine, and return the end time: the deadline when work was cut
+    /// off, else the last event's time. Events scheduled after `deadline`
+    /// are not processed (work in flight past the deadline does not
+    /// complete) — the classroom reality behind §V-C's response-rate note,
+    /// "the first of the three sections … had less time". Unfinished
+    /// processes report `finished_at: None`. Read the results with
+    /// [`Engine::waiting`] or [`Engine::take_trace`]; after an error,
+    /// [`Engine::reset`] before the next run.
     ///
     /// A cut-off run settles its in-flight accounting to the wall clock:
     /// busy time for work still under way is clamped to the deadline, and
@@ -410,7 +491,7 @@ impl Engine {
     ///
     /// Stall detection only applies to runs that drain naturally: a run
     /// cut off by the bell legitimately leaves processes blocked.
-    pub fn try_run_until(mut self, deadline: SimTime) -> Result<Trace, SimError> {
+    pub fn run_in_place(&mut self, deadline: SimTime) -> Result<SimTime, SimError> {
         // One span per run, counters folded in at the end from stats the
         // engine already keeps — the event loop itself stays untouched,
         // so instrumentation cost is independent of event count.
@@ -419,7 +500,7 @@ impl Engine {
             .arg("resources", self.resources.len());
         let mut cut_off = false;
         while let Some(mut min) = Self::min_entry(&self.queue) {
-            if self.policed {
+            if Pol::policed() {
                 min = self.choose_tied_wakeup(min);
             }
             let t = self.queue[min].at;
@@ -460,7 +541,7 @@ impl Engine {
         }
         self.record_run_metrics();
         drop(run_span);
-        Ok(self.into_trace())
+        Ok(self.now)
     }
 
     /// The bell rang at `deadline` with events still queued: reconcile
@@ -524,106 +605,87 @@ impl Engine {
         flagsim_telemetry::count("desim.resource.handoffs", handoffs);
     }
 
-    /// With a policy installed: if several wake-ups are due at the
-    /// minimum time, let the policy pick which fires first. Candidates
-    /// are presented sorted by process id — a canonical order
-    /// independent of the insertion sequence that the default tie-break
-    /// uses — so equivalent states present identical choice points.
-    /// Returns the queue index to extract. Cold: only runs under a
-    /// policy, and only allocates when there is a real tie.
-    #[cold]
+    /// Under a policy: if several wake-ups are due at the minimum time,
+    /// let the policy pick which fires first. Returns the queue index to
+    /// extract. Runs on every policed event, so it counts the tie before
+    /// collecting it and collects into reused scratch.
     fn choose_tied_wakeup(&mut self, min: usize) -> usize {
         let t = self.queue[min].at;
-        let mut tied: Vec<(ProcId, usize)> = self
-            .queue
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.at == t)
-            .map(|(i, e)| (e.pid, i))
-            .collect();
-        if tied.len() < 2 {
+        if self.queue.iter().filter(|e| e.at == t).count() < 2 {
             return min;
         }
-        tied.sort_unstable_by_key(|&(pid, _)| pid);
-        let candidates: Vec<ProcId> = tied.iter().map(|&(pid, _)| pid).collect();
-        let state_hash = self.state_hash();
-        let Some(policy) = self.policy.as_mut() else {
-            return min;
-        };
-        let chosen = policy
-            .choose(&ChoicePoint {
-                kind: ChoiceKind::Wakeup,
-                at: t,
-                candidates: &candidates,
-                state_hash,
-            })
-            .min(candidates.len() - 1);
-        tied[chosen].1
+        self.ties.clear();
+        self.ties.extend(
+            self.queue
+                .iter()
+                .enumerate()
+                .filter(|(_, e)| e.at == t)
+                .map(|(i, e)| (e.pid, i)),
+        );
+        self.resolve_tie(ChoiceKind::Wakeup, t)
     }
 
-    /// With a policy installed: pick which waiter a freed unit of `rid`
-    /// goes to. FIFO order between *distinct* blocking instants is
-    /// semantic (first-come-first-served) and preserved; only waiters
-    /// blocked since the same instant as the queue head are candidates
-    /// (arrival order keeps equal wait-starts contiguous at the front).
-    /// Removal is order-preserving so the rest of the queue keeps its
-    /// FIFO discipline.
-    #[cold]
+    /// Under a policy: pick which waiter a freed unit of `rid` goes to.
+    /// FIFO order between *distinct* blocking instants is semantic
+    /// (first-come-first-served) and preserved; only waiters blocked since
+    /// the same instant as the queue head are candidates (arrival order
+    /// keeps equal wait-starts contiguous at the front). Removal is
+    /// order-preserving so the rest of the queue keeps its FIFO discipline.
     fn choose_tied_grant(&mut self, rid: ResourceId) -> Option<ProcId> {
         let res = &self.resources[rid.index()];
         let front = *res.waiters.first()?;
         let front_started = self.procs[front.index()].wait_started;
-        let mut tied: Vec<(ProcId, usize)> = Vec::new();
-        for (i, &w) in res.waiters.iter().enumerate() {
-            if self.procs[w.index()].wait_started == front_started {
-                tied.push((w, i));
-            } else {
-                break;
-            }
-        }
-        if tied.len() < 2 {
+        let tied = res
+            .waiters
+            .iter()
+            .take_while(|w| self.procs[w.index()].wait_started == front_started)
+            .count();
+        if tied < 2 {
             return self.resources[rid.index()].waiters.pop_front();
         }
-        tied.sort_unstable_by_key(|&(pid, _)| pid);
-        let candidates: Vec<ProcId> = tied.iter().map(|&(pid, _)| pid).collect();
-        let state_hash = self.state_hash();
-        let at = self.now;
-        let chosen = match self.policy.as_mut() {
-            Some(policy) => policy
-                .choose(&ChoicePoint {
-                    kind: ChoiceKind::Grant(rid),
-                    at,
-                    candidates: &candidates,
-                    state_hash,
-                })
-                .min(candidates.len() - 1),
-            None => 0,
-        };
-        self.resources[rid.index()].waiters.remove(tied[chosen].1)
+        self.ties.clear();
+        self.ties
+            .extend(res.waiters[..tied].iter().enumerate().map(|(i, &w)| (w, i)));
+        let chosen = self.resolve_tie(ChoiceKind::Grant(rid), self.now);
+        self.resources[rid.index()].waiters.remove(chosen)
     }
 
-    /// Canonical FNV-1a fingerprint of the semantic engine state —
-    /// everything that determines the rest of the run, nothing that is
-    /// an accident of how this state was reached. Insertion sequence
-    /// numbers, queue slot order, and event-log contents are excluded;
-    /// pending wake-ups are hashed as a sorted `(time, pid)` multiset,
-    /// holders sorted by pid, and waiters by `(wait-start, pid)` (FIFO
-    /// order within an equal-start run is the accident being abstracted
-    /// away — the grant choice point re-exposes it explicitly). Process
-    /// internals are represented by the slot's poll-history hash.
-    fn state_hash(&self) -> u64 {
-        use crate::schedule::{fnv_mix, FNV_OFFSET};
-        let mut h = fnv_mix(FNV_OFFSET, self.now.millis());
-        let mut pending: Vec<(u64, u32)> = self
-            .queue
-            .iter()
-            .map(|e| (e.at.millis(), e.pid.0))
-            .collect();
-        pending.sort_unstable();
-        h = fnv_mix(h, pending.len() as u64);
-        for (at, pid) in pending {
-            h = fnv_mix(fnv_mix(h, at), u64::from(pid));
-        }
+    /// Present the tie in `self.ties` to the policy as one choice point,
+    /// candidates sorted by process id — a canonical order independent of
+    /// the insertion sequence the default tie-break uses, so equivalent
+    /// states present identical choice points. Returns the chosen tie's
+    /// index payload.
+    fn resolve_tie(&mut self, kind: ChoiceKind, at: SimTime) -> usize {
+        self.ties.sort_unstable_by_key(|&(pid, _)| pid);
+        self.candidates.clear();
+        self.candidates
+            .extend(self.ties.iter().map(|&(pid, _)| pid));
+        let state_hash = self.state_hash();
+        let chosen = self.policy.choose(&ChoicePoint {
+            kind,
+            at,
+            candidates: &self.candidates,
+            state_hash,
+        });
+        self.ties[chosen.min(self.ties.len() - 1)].1
+    }
+
+    /// Canonical fingerprint of the semantic engine state, folded a word
+    /// at a time — everything that determines the rest of the run, nothing
+    /// that is an accident of how this state was reached. Insertion
+    /// sequence numbers, queue slot order, and event-log contents are
+    /// excluded; pending wake-ups are hashed as a sorted `(time, pid)`
+    /// multiset, holders sorted by pid, and waiters by `(wait-start, pid)`
+    /// (FIFO order within an equal-start run is the accident being
+    /// abstracted away — the grant choice point re-exposes it explicitly).
+    /// Process internals are represented by the slot's poll-history hash.
+    /// The multisets are sorted in reused scratch.
+    fn state_hash(&mut self) -> u64 {
+        let mut keys = std::mem::take(&mut self.keys);
+        let mut h = word_mix(0, self.now.millis());
+        keys.clear();
+        keys.extend(self.queue.iter().map(|e| (e.at.millis(), e.pid.0)));
+        h = mix_sorted(h, &mut keys);
         for slot in &self.procs {
             let (disc, rid) = match slot.state {
                 ProcState::Runnable => (0u64, 0u64),
@@ -633,63 +695,61 @@ impl Engine {
                 ProcState::Sleeping => (4, 0),
                 ProcState::Finished => (5, 0),
             };
-            h = fnv_mix(h, disc);
-            h = fnv_mix(h, rid);
-            h = fnv_mix(h, slot.busy.millis());
-            h = fnv_mix(h, slot.waiting.millis());
-            h = fnv_mix(h, slot.wait_started.map_or(0, |t| t.millis() + 1));
             // `wake_at` is stale outside Working/InTransit; canonicalize.
             let wake = match slot.state {
                 ProcState::Working | ProcState::InTransit(_) => slot.wake_at.millis() + 1,
                 _ => 0,
             };
-            h = fnv_mix(h, wake);
-            h = fnv_mix(h, slot.completed_work);
-            h = fnv_mix(h, slot.finished_at.map_or(0, |t| t.millis() + 1));
-            h = fnv_mix(h, slot.history);
+            for word in [
+                disc,
+                rid,
+                slot.busy.millis(),
+                slot.waiting.millis(),
+                slot.wait_started.map_or(0, |t| t.millis() + 1),
+                wake,
+                slot.completed_work,
+                slot.finished_at.map_or(0, |t| t.millis() + 1),
+                slot.history,
+            ] {
+                h = word_mix(h, word);
+            }
         }
         for res in &self.resources {
-            let mut holders: Vec<u32> = res.holders.iter().map(|p| p.0).collect();
-            holders.sort_unstable();
-            h = fnv_mix(h, holders.len() as u64);
-            for p in holders {
-                h = fnv_mix(h, u64::from(p));
-            }
-            let mut canon: Vec<(u64, u32)> = res
-                .waiters
-                .iter()
-                .map(|&w| {
-                    let start = self.procs[w.index()].wait_started;
-                    (start.map_or(0, |t| t.millis() + 1), w.0)
-                })
-                .collect();
-            canon.sort_unstable();
-            h = fnv_mix(h, canon.len() as u64);
-            for (start, pid) in canon {
-                h = fnv_mix(fnv_mix(h, start), u64::from(pid));
-            }
+            keys.clear();
+            keys.extend(res.holders.iter().map(|p| (0, p.0)));
+            h = mix_sorted(h, &mut keys);
+            keys.clear();
+            keys.extend(res.waiters.iter().map(|&w| {
+                let start = self.procs[w.index()].wait_started;
+                (start.map_or(0, |t| t.millis() + 1), w.0)
+            }));
+            h = mix_sorted(h, &mut keys);
             let s = &res.stats;
-            h = fnv_mix(h, s.acquisitions);
-            h = fnv_mix(h, s.contended_acquisitions);
-            h = fnv_mix(h, s.handoffs);
-            h = fnv_mix(h, s.total_wait.millis());
-            h = fnv_mix(h, s.handoff_time.millis());
-            h = fnv_mix(h, s.max_queue_len as u64);
+            for word in [
+                s.acquisitions,
+                s.contended_acquisitions,
+                s.handoffs,
+                s.total_wait.millis(),
+                s.handoff_time.millis(),
+                s.max_queue_len as u64,
+            ] {
+                h = word_mix(h, word);
+            }
         }
+        self.keys = keys;
         h
     }
 
     /// Fold one poll result into a slot's history fingerprint.
     fn mix_action(h: u64, now: SimTime, action: &Action) -> u64 {
-        use crate::schedule::fnv_mix;
-        let h = fnv_mix(h, now.millis());
-        match action {
-            Action::Work(d) => fnv_mix(fnv_mix(h, 1), d.millis()),
-            Action::Acquire(r) => fnv_mix(fnv_mix(h, 2), u64::from(r.0)),
-            Action::Release(r) => fnv_mix(fnv_mix(h, 3), u64::from(r.0)),
-            Action::WaitUntil(t) => fnv_mix(fnv_mix(h, 4), t.millis()),
-            Action::Done => fnv_mix(h, 5),
-        }
+        let (tag, value) = match *action {
+            Action::Work(d) => (1, d.millis()),
+            Action::Acquire(r) => (2, u64::from(r.0)),
+            Action::Release(r) => (3, u64::from(r.0)),
+            Action::WaitUntil(t) => (4, t.millis()),
+            Action::Done => (5, 0),
+        };
+        word_mix(word_mix(word_mix(h, now.millis()), tag), value)
     }
 
     /// Snapshot the wait-for graph: one edge per process blocked on a
@@ -725,18 +785,14 @@ impl Engine {
     /// collected and reported to the policy afterwards — the raw
     /// material for exploration's commutativity pruning.
     fn advance(&mut self, pid: ProcId) -> Result<(), Box<SimError>> {
-        if !self.policed {
+        if !Pol::policed() {
             return self.advance_inner(pid);
         }
         self.cascade_buf.clear();
         self.cascade_spawned = false;
         let result = self.advance_inner(pid);
-        let buf = std::mem::take(&mut self.cascade_buf);
-        let (now, spawned) = (self.now, self.cascade_spawned);
-        if let Some(policy) = self.policy.as_mut() {
-            policy.observe_cascade(pid, now, &buf, spawned);
-        }
-        self.cascade_buf = buf;
+        self.policy
+            .observe_cascade(pid, self.now, &self.cascade_buf, self.cascade_spawned);
         result
     }
 
@@ -771,7 +827,7 @@ impl Engine {
         let idx = pid.index();
         loop {
             let action = self.procs[idx].process.next(now);
-            if self.policed {
+            if Pol::policed() {
                 let slot = &mut self.procs[idx];
                 slot.history = Self::mix_action(slot.history, now, &action);
             }
@@ -787,7 +843,7 @@ impl Engine {
                     return Ok(());
                 }
                 Action::Acquire(rid) => {
-                    if self.policed {
+                    if Pol::policed() {
                         self.cascade_buf.push(rid);
                     }
                     let res = &mut self.resources[rid.index()];
@@ -816,7 +872,7 @@ impl Engine {
                     return Ok(());
                 }
                 Action::Release(rid) => {
-                    if self.policed {
+                    if Pol::policed() {
                         self.cascade_buf.push(rid);
                     }
                     let res = &mut self.resources[rid.index()];
@@ -831,7 +887,7 @@ impl Engine {
                     };
                     res.holders.swap_remove(pos);
                     self.record(pid, EventKind::Released(rid));
-                    let next_pid = if self.policed {
+                    let next_pid = if Pol::policed() {
                         self.choose_tied_grant(rid)
                     } else {
                         self.resources[rid.index()].waiters.pop_front()
@@ -898,7 +954,11 @@ impl Engine {
         Ok(())
     }
 
-    fn into_trace(self) -> Trace {
+    /// The run so far as a [`Trace`]: accounting and process names copied
+    /// out, resource labels and the event log moved. Take it once, after
+    /// the run; the engine keeps its buffers for the next
+    /// [`Engine::reset`].
+    pub fn take_trace(&mut self) -> Trace {
         let procs = self
             .procs
             .iter()
@@ -910,67 +970,71 @@ impl Engine {
                 finished_at: p.finished_at,
             })
             .collect();
-        // The engine is consumed: labels and stats move into the report
-        // rather than cloning per run.
         let resources = self
             .resources
-            .into_iter()
+            .iter_mut()
             .map(|r| ResourceReport {
-                label: r.label,
+                label: std::mem::take(&mut r.label),
                 capacity: r.capacity,
                 handoff: r.handoff,
-                stats: r.stats,
+                stats: r.stats.clone(),
             })
             .collect();
         Trace {
             end_time: self.now,
             procs,
             resources,
-            events: self.events,
+            events: std::mem::take(&mut self.events),
         }
     }
+}
+
+/// Fold a multiset of `(u64, u32)` into `h` in canonical (sorted) order,
+/// length first.
+fn mix_sorted(h: u64, keys: &mut [(u64, u32)]) -> u64 {
+    keys.sort_unstable();
+    keys.iter()
+        .fold(word_mix(h, keys.len() as u64), |h, &(a, b)| {
+            word_mix(word_mix(h, a), u64::from(b))
+        })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{ChoiceKind, ForcedSchedule};
 
-    /// A process that performs a fixed script of actions.
-    struct Scripted {
-        name: String,
-        script: Vec<Action>,
-        cursor: usize,
-    }
-
-    impl Scripted {
-        fn new(name: &str, script: Vec<Action>) -> Box<Self> {
-            Box::new(Scripted {
-                name: name.to_owned(),
-                script,
-                cursor: 0,
-            })
-        }
-    }
-
-    impl Process for Scripted {
-        fn next(&mut self, _now: SimTime) -> Action {
-            let a = self.script[self.cursor];
-            self.cursor += 1;
-            a
-        }
-        fn name(&self) -> &str {
-            &self.name
-        }
+    /// A process that performs a fixed script of actions, then finishes.
+    fn scripted(name: &str, script: Vec<Action>) -> Box<dyn Process> {
+        let mut script = script.into_iter();
+        Box::new(FnProcess::new(name, move |_| script.next().unwrap_or(Action::Done)))
     }
 
     fn ms(v: u64) -> SimDuration {
         SimDuration::from_millis(v)
     }
 
+    /// One use of `r`: acquire, work `work_ms`, release, finish.
+    fn uses(r: ResourceId, work_ms: u64) -> Vec<Action> {
+        vec![Action::Acquire(r), Action::Work(ms(work_ms)), Action::Release(r), Action::Done]
+    }
+
+    /// An engine with one pool "m" of `capacity` units and `handoff_ms`
+    /// hand-off, and one process per `(name, work_ms)` using it once, all
+    /// woken at zero in that order.
+    fn contenders(capacity: usize, handoff_ms: u64, workers: &[(&str, u64)]) -> Engine {
+        let mut eng = Engine::new();
+        let m = eng.add_resource_pool("m", capacity, ms(handoff_ms));
+        for &(name, work_ms) in workers {
+            eng.add_process(scripted(name, uses(m, work_ms)));
+        }
+        eng
+    }
+
     #[test]
     fn single_worker_timing() {
         let mut eng = Engine::new();
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "solo",
             vec![Action::Work(ms(100)), Action::Work(ms(50)), Action::Done],
         ));
@@ -988,29 +1052,11 @@ mod tests {
     /// FIFO preserved for everyone else.
     #[test]
     fn forced_schedule_steers_grant_order() {
-        use crate::schedule::{ChoiceKind, ForcedSchedule};
-        let build = || {
-            let mut eng = Engine::new();
-            let pool = eng.add_resource("marker", SimDuration::ZERO);
-            for (name, dur) in [("a", 10), ("b", 20), ("c", 30)] {
-                eng.add_process(Scripted::new(
-                    name,
-                    vec![
-                        Action::Acquire(pool),
-                        Action::Work(ms(dur)),
-                        Action::Release(pool),
-                        Action::Done,
-                    ],
-                ));
-            }
-            eng
-        };
+        let build = || contenders(1, 0, &[("a", 10), ("b", 20), ("c", 30)]);
         // Default script: wake order a,b,c (pid order) — a holds, b and c
         // queue; grants then go b, c.
         let (policy, log) = ForcedSchedule::new(vec![]);
-        let mut eng = build();
-        eng.set_schedule_policy(policy);
-        let base = eng.try_run().expect("runs");
+        let base = build().with_schedule_policy(policy).try_run().expect("runs");
         assert_eq!(base.procs[0].finished_at, Some(SimTime(10)));
         assert_eq!(base.procs[1].finished_at, Some(SimTime(30)));
         assert_eq!(base.procs[2].finished_at, Some(SimTime(60)));
@@ -1027,13 +1073,11 @@ mod tests {
             assert!(matches!(log.decisions[2].kind, ChoiceKind::Grant(_)));
             assert_eq!(log.decisions[2].candidates.len(), 2);
             // Cascades carry the pool in their footprints.
-            assert!(log.cascades.iter().any(|c| !c.resources.is_empty()));
+            assert!(log.cascades.iter().any(|c| !log.footprint(c).is_empty()));
         }
         // Alternative: same wake order, but grant c before b.
         let (policy, _log) = ForcedSchedule::new(vec![0, 0, 1]);
-        let mut eng = build();
-        eng.set_schedule_policy(policy);
-        let alt = eng.try_run().expect("runs");
+        let alt = build().with_schedule_policy(policy).try_run().expect("runs");
         assert_eq!(alt.procs[2].finished_at, Some(SimTime(40)), "c served second");
         assert_eq!(alt.procs[1].finished_at, Some(SimTime(60)), "b served last");
         assert_eq!(alt.end_time, base.end_time, "work conserved");
@@ -1043,26 +1087,10 @@ mod tests {
     /// canonical state hash at each choice point matches run for run.
     #[test]
     fn forced_schedule_replay_is_deterministic() {
-        use crate::schedule::ForcedSchedule;
         let run = || {
-            let mut eng = Engine::new();
-            let pool = eng.add_resource("marker", ms(5));
-            for name in ["a", "b"] {
-                eng.add_process(Scripted::new(
-                    name,
-                    vec![
-                        Action::Acquire(pool),
-                        Action::Work(ms(10)),
-                        Action::Release(pool),
-                        Action::Done,
-                    ],
-                ));
-            }
             let (policy, log) = ForcedSchedule::new(vec![1]);
-            eng.set_schedule_policy(policy);
-            let trace = eng.try_run().expect("runs");
-            let log = std::rc::Rc::try_unwrap(log).expect("engine dropped").into_inner();
-            (trace, log)
+            let eng = contenders(1, 5, &[("a", 10), ("b", 10)]).with_schedule_policy(policy);
+            (eng.try_run().expect("runs"), log.take())
         };
         let (t1, l1) = run();
         let (t2, l2) = run();
@@ -1075,10 +1103,7 @@ mod tests {
     fn two_independent_workers_overlap() {
         let mut eng = Engine::new();
         for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![Action::Work(ms(100)), Action::Done],
-            ));
+            eng.add_process(scripted(name, vec![Action::Work(ms(100)), Action::Done]));
         }
         let trace = eng.run();
         // Parallel: both finish at 100, not 200.
@@ -1088,20 +1113,7 @@ mod tests {
 
     #[test]
     fn contention_serializes_and_charges_waiting() {
-        let mut eng = Engine::new();
-        let marker = eng.add_resource("red marker", ms(0));
-        for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(marker),
-                    Action::Work(ms(100)),
-                    Action::Release(marker),
-                    Action::Done,
-                ],
-            ));
-        }
-        let trace = eng.run();
+        let trace = contenders(1, 0, &[("a", 100), ("b", 100)]).run();
         assert_eq!(trace.end_time, SimTime(200));
         // First-come-first-served: "a" was scheduled first.
         assert_eq!(trace.procs[0].waiting, ms(0));
@@ -1116,20 +1128,7 @@ mod tests {
 
     #[test]
     fn handoff_latency_delays_the_waiter() {
-        let mut eng = Engine::new();
-        let marker = eng.add_resource("marker", ms(30));
-        for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(marker),
-                    Action::Work(ms(100)),
-                    Action::Release(marker),
-                    Action::Done,
-                ],
-            ));
-        }
-        let trace = eng.run();
+        let trace = contenders(1, 30, &[("a", 100), ("b", 100)]).run();
         // b waits 100 (queue) + 30 (hand-off) then works 100.
         assert_eq!(trace.end_time, SimTime(230));
         assert_eq!(trace.procs[1].waiting, ms(130));
@@ -1143,20 +1142,8 @@ mod tests {
         // the documented `total_wait` semantics: queue + hand-off
         // combined, with `handoff_time` isolating the transit portion
         // and `queue_wait()` the pure queue component.
-        let mut eng = Engine::new();
-        let marker = eng.add_resource("marker", ms(30));
-        for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(marker),
-                    Action::Work(ms(100)),
-                    Action::Release(marker),
-                    Action::Done,
-                ],
-            ));
-        }
-        let stats = eng.run().resources[0].stats.clone();
+        let trace = contenders(1, 30, &[("a", 100), ("b", 100)]).run();
+        let stats = &trace.resources[0].stats;
         assert_eq!(stats.total_wait, ms(130));
         assert_eq!(stats.handoff_time, ms(30));
         assert_eq!(stats.queue_wait(), ms(100));
@@ -1164,20 +1151,7 @@ mod tests {
 
     #[test]
     fn fifo_order_among_waiters() {
-        let mut eng = Engine::new();
-        let marker = eng.add_resource("marker", ms(0));
-        for name in ["a", "b", "c"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(marker),
-                    Action::Work(ms(10)),
-                    Action::Release(marker),
-                    Action::Done,
-                ],
-            ));
-        }
-        let trace = eng.run();
+        let trace = contenders(1, 0, &[("a", 10), ("b", 10), ("c", 10)]).run();
         // Finish order must be a, b, c at 10, 20, 30.
         let finishes: Vec<_> = trace
             .procs
@@ -1191,7 +1165,7 @@ mod tests {
     #[test]
     fn wait_until_staggers_start() {
         let mut eng = Engine::new();
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "late",
             vec![
                 Action::WaitUntil(SimTime(500)),
@@ -1207,7 +1181,7 @@ mod tests {
     fn add_process_at_delays_first_poll() {
         let mut eng = Engine::new();
         eng.add_process_at(
-            Scripted::new("late", vec![Action::Work(ms(5)), Action::Done]),
+            scripted("late", vec![Action::Work(ms(5)), Action::Done]),
             SimTime(100),
         );
         let trace = eng.run();
@@ -1218,7 +1192,7 @@ mod tests {
     fn release_without_hold_is_typed_error() {
         let mut eng = Engine::new();
         let r = eng.add_resource("m", ms(0));
-        eng.add_process(Scripted::new("bad", vec![Action::Release(r), Action::Done]));
+        eng.add_process(scripted("bad", vec![Action::Release(r), Action::Done]));
         let err = eng.try_run().unwrap_err();
         match &err {
             SimError::ReleaseWithoutHold {
@@ -1243,7 +1217,7 @@ mod tests {
     fn reacquire_is_typed_error() {
         let mut eng = Engine::new();
         let r = eng.add_resource("m", ms(0));
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "bad",
             vec![Action::Acquire(r), Action::Acquire(r), Action::Done],
         ));
@@ -1289,7 +1263,7 @@ mod tests {
         // the old message substrings.
         let mut eng = Engine::new();
         let r = eng.add_resource("m", ms(0));
-        eng.add_process(Scripted::new("bad", vec![Action::Release(r), Action::Done]));
+        eng.add_process(scripted("bad", vec![Action::Release(r), Action::Done]));
         let _ = eng.run();
     }
 
@@ -1301,7 +1275,7 @@ mod tests {
         let mut eng = Engine::new();
         let a = eng.add_resource("marker A", ms(0));
         let b = eng.add_resource("marker B", ms(0));
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "p0",
             vec![
                 Action::Acquire(a),
@@ -1310,7 +1284,7 @@ mod tests {
                 Action::Done,
             ],
         ));
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "p1",
             vec![
                 Action::Acquire(b),
@@ -1342,11 +1316,11 @@ mod tests {
         // report names the culprit as the holder.
         let mut eng = Engine::new();
         let m = eng.add_resource("m", ms(0));
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "hog",
             vec![Action::Acquire(m), Action::Work(ms(5)), Action::Done],
         ));
-        eng.add_process(Scripted::new(
+        eng.add_process(scripted(
             "starved",
             vec![Action::Acquire(m), Action::Done],
         ));
@@ -1362,19 +1336,7 @@ mod tests {
     #[test]
     fn deadline_cutoff_is_not_a_stall() {
         // Blocked-at-the-bell is a legitimate outcome, not a deadlock.
-        let mut eng = Engine::new();
-        let m = eng.add_resource("m", ms(0));
-        for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(m),
-                    Action::Work(ms(100)),
-                    Action::Release(m),
-                    Action::Done,
-                ],
-            ));
-        }
+        let eng = contenders(1, 0, &[("a", 100), ("b", 100)]);
         let trace = eng.try_run_until(SimTime(50)).expect("cutoff is ok");
         assert_eq!(trace.end_time, SimTime(50));
         assert_eq!(trace.procs[1].finished_at, None);
@@ -1386,19 +1348,7 @@ mod tests {
         // engine must charge the in-progress wait `[0, 50]` to both the
         // process and the resource — and clamp a's in-flight work chunk,
         // so nobody's busy or waiting exceeds the elapsed wall clock.
-        let mut eng = Engine::new();
-        let m = eng.add_resource("m", ms(0));
-        for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(m),
-                    Action::Work(ms(100)),
-                    Action::Release(m),
-                    Action::Done,
-                ],
-            ));
-        }
+        let eng = contenders(1, 0, &[("a", 100), ("b", 100)]);
         let trace = eng.try_run_until(SimTime(50)).expect("cutoff is ok");
         assert_eq!(trace.procs[1].waiting, ms(50));
         assert_eq!(trace.resources[0].stats.total_wait, ms(50));
@@ -1417,19 +1367,7 @@ mod tests {
         // charged b the full 130ms of wait up front; the 20ms of transit
         // past the bell never elapsed and must be refunded everywhere:
         // process waiting, resource total_wait, and the hand-off split.
-        let mut eng = Engine::new();
-        let m = eng.add_resource("m", ms(30));
-        for name in ["a", "b"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(m),
-                    Action::Work(ms(100)),
-                    Action::Release(m),
-                    Action::Done,
-                ],
-            ));
-        }
+        let eng = contenders(1, 30, &[("a", 100), ("b", 100)]);
         let trace = eng.try_run_until(SimTime(110)).expect("cutoff is ok");
         assert_eq!(trace.end_time, SimTime(110));
         assert_eq!(trace.procs[1].waiting, ms(110));
@@ -1444,22 +1382,7 @@ mod tests {
 
     #[test]
     fn try_run_matches_run_on_clean_workloads() {
-        let build = || {
-            let mut eng = Engine::new();
-            let m = eng.add_resource("m", ms(3));
-            for name in ["a", "b"] {
-                eng.add_process(Scripted::new(
-                    name,
-                    vec![
-                        Action::Acquire(m),
-                        Action::Work(ms(20)),
-                        Action::Release(m),
-                        Action::Done,
-                    ],
-                ));
-            }
-            eng
-        };
+        let build = || contenders(1, 3, &[("a", 20), ("b", 20)]);
         let ok = build().try_run().expect("clean workload");
         let compat = build().run();
         assert_eq!(ok.end_time, compat.end_time);
@@ -1468,20 +1391,7 @@ mod tests {
 
     #[test]
     fn resource_pool_grants_up_to_capacity() {
-        let mut eng = Engine::new();
-        let pool = eng.add_resource_pool("two markers", 2, ms(0));
-        for name in ["a", "b", "c"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(pool),
-                    Action::Work(ms(100)),
-                    Action::Release(pool),
-                    Action::Done,
-                ],
-            ));
-        }
-        let trace = eng.run();
+        let trace = contenders(2, 0, &[("a", 100), ("b", 100), ("c", 100)]).run();
         // a and b run together; c waits for one release.
         assert_eq!(trace.end_time, SimTime(200));
         assert_eq!(trace.procs[0].waiting, ms(0));
@@ -1492,20 +1402,8 @@ mod tests {
 
     #[test]
     fn capacity_equal_to_demand_removes_contention() {
-        let mut eng = Engine::new();
-        let pool = eng.add_resource_pool("four markers", 4, ms(50));
-        for name in ["a", "b", "c", "d"] {
-            eng.add_process(Scripted::new(
-                name,
-                vec![
-                    Action::Acquire(pool),
-                    Action::Work(ms(100)),
-                    Action::Release(pool),
-                    Action::Done,
-                ],
-            ));
-        }
-        let trace = eng.run();
+        let four = [("a", 100), ("b", 100), ("c", 100), ("d", 100)];
+        let trace = contenders(4, 50, &four).run();
         assert_eq!(trace.end_time, SimTime(100));
         assert_eq!(trace.total_waiting(), ms(0));
         assert_eq!(trace.resources[0].stats.handoffs, 0);
@@ -1513,30 +1411,24 @@ mod tests {
 
     #[test]
     fn deadline_cuts_off_unfinished_work() {
-        let build = || {
+        let build = |deadline| {
             let mut eng = Engine::new();
-            eng.add_process(Scripted::new(
-                "slow",
-                vec![
-                    Action::Work(ms(100)),
-                    Action::Work(ms(100)),
-                    Action::Work(ms(100)),
-                    Action::Done,
-                ],
-            ));
-            eng
+            let mut script = vec![Action::Work(ms(100)); 3];
+            script.push(Action::Done);
+            eng.add_process(scripted("slow", script));
+            eng.try_run_until(SimTime(deadline)).expect("cutoff is ok")
         };
         // Bell at 150ms: the first chunk completed, the second is cut off
         // halfway. Busy is clamped to the wall clock — 100ms of finished
         // work plus 50ms of the chunk under way, never more than elapsed.
-        let cut = build().run_until(SimTime(150));
+        let cut = build(150);
         assert_eq!(cut.end_time, SimTime(150));
         assert_eq!(cut.procs[0].finished_at, None);
         assert_eq!(cut.procs[0].busy, ms(150));
         assert_eq!(cut.procs[0].completed_work, 1);
         assert!(cut.procs[0].busy <= cut.makespan());
         // Bell after the end: identical to run().
-        let full = build().run_until(SimTime(10_000));
+        let full = build(10_000);
         assert_eq!(full.end_time, SimTime(300));
         assert_eq!(full.procs[0].finished_at, Some(SimTime(300)));
         assert_eq!(full.procs[0].busy, ms(300));
@@ -1553,16 +1445,9 @@ mod tests {
             let m = eng.add_resource("m", ms(7));
             eng.set_trace_events(record);
             for name in ["a", "b", "c"] {
-                eng.add_process(Scripted::new(
-                    name,
-                    vec![
-                        Action::Acquire(m),
-                        Action::Work(ms(40)),
-                        Action::Release(m),
-                        Action::Work(ms(5)),
-                        Action::Done,
-                    ],
-                ));
+                let mut script = uses(m, 40);
+                script.insert(3, Action::Work(ms(5)));
+                eng.add_process(scripted(name, script));
             }
             eng.run()
         };
@@ -1581,17 +1466,10 @@ mod tests {
             let mut eng = Engine::new();
             let m = eng.add_resource("m", ms(7));
             for name in ["a", "b", "c", "d"] {
-                eng.add_process(Scripted::new(
-                    name,
-                    vec![
-                        Action::Work(ms(13)),
-                        Action::Acquire(m),
-                        Action::Work(ms(31)),
-                        Action::Release(m),
-                        Action::Work(ms(5)),
-                        Action::Done,
-                    ],
-                ));
+                let mut script = uses(m, 31);
+                script.insert(0, Action::Work(ms(13)));
+                script.insert(4, Action::Work(ms(5)));
+                eng.add_process(scripted(name, script));
             }
             eng.run()
         };

@@ -140,7 +140,7 @@ impl ResourceId {
     /// from an external source (e.g. re-parsing an exported Chrome
     /// trace). Ids built this way are only meaningful against a trace
     /// whose `resources` table uses the same indexing.
-    pub fn from_index(index: usize) -> ResourceId {
+    pub const fn from_index(index: usize) -> ResourceId {
         ResourceId(index as u32)
     }
 }

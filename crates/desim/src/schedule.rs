@@ -17,6 +17,10 @@
 //! sequence: two schedules that reach the same semantic state through
 //! different interleavings present identical choice points, which is what
 //! makes state hashing and partial-order reduction sound.
+//!
+//! The policy is the engine's second type parameter. The default,
+//! [`NoPolicy`], is zero-sized and answers [`SchedulePolicy::policed`]
+//! with `false`, so every policy branch in the event loop compiles away.
 
 use crate::engine::ProcId;
 use crate::resource::ResourceId;
@@ -37,6 +41,17 @@ pub fn fnv_mix(mut hash: u64, value: u64) -> u64 {
         hash = hash.wrapping_mul(FNV_PRIME);
     }
     hash
+}
+
+/// Fold one `u64` into a running hash a whole word at a time: one
+/// rotate, xor and multiply, where [`fnv_mix`] spends eight dependent
+/// multiplies. Each step is a bijection of `hash` for a fixed `value` (and
+/// of `value` for a fixed `hash`), so two word sequences of equal length
+/// that differ in one word never collide. The engine's state hash and
+/// poll-history fingerprints use it; persisted fingerprints stay FNV-1a.
+#[inline]
+pub(crate) fn word_mix(hash: u64, value: u64) -> u64 {
+    (hash.rotate_left(5) ^ value).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// Fold a string into an FNV-1a 64-bit hash.
@@ -71,18 +86,31 @@ pub struct ChoicePoint<'a> {
     /// independent of how the tie was reached). Always ≥ 2 entries —
     /// singletons are not choice points.
     pub candidates: &'a [ProcId],
-    /// Canonical FNV-1a hash of the engine state at this choice point
-    /// (see `Engine::state_hash`): equal hashes mean the remaining
-    /// schedule space is identical.
+    /// Canonical hash of the engine state at this choice point (see
+    /// `Engine::state_hash`): equal hashes mean the remaining schedule
+    /// space is identical.
     pub state_hash: u64,
 }
 
 /// A pluggable tie-breaker for the engine's two nondeterministic rules.
 ///
-/// Installed with `Engine::set_schedule_policy`. The engine only consults
-/// the policy when a tie has two or more candidates, so the sequence of
-/// [`ChoicePoint`]s a run presents is exactly its decision vector.
+/// The engine's policy type parameter (installed with
+/// `Engine::with_policy` or `Engine::with_schedule_policy`). The engine
+/// only consults the policy when a tie has two or more candidates, so the
+/// sequence of [`ChoicePoint`]s a run presents is exactly its decision
+/// vector.
 pub trait SchedulePolicy {
+    /// Whether the engine consults this policy at all. `false` only for
+    /// [`NoPolicy`]: the engine then keeps its insertion-order tie-breaks,
+    /// and, because the answer is known per type, the check and every
+    /// branch behind it compile away.
+    fn policed() -> bool
+    where
+        Self: Sized,
+    {
+        true
+    }
+
     /// Pick a candidate by index into `choice.candidates`. Out-of-range
     /// answers are clamped by the engine.
     fn choose(&mut self, choice: &ChoicePoint<'_>) -> usize;
@@ -102,6 +130,38 @@ pub trait SchedulePolicy {
         spawned_same_time: bool,
     ) {
         let _ = (pid, at, resources, spawned_same_time);
+    }
+}
+
+/// The default policy: no policy. Ties fall to insertion order, and the
+/// engine's hot loop carries no policy bookkeeping.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct NoPolicy;
+
+impl SchedulePolicy for NoPolicy {
+    fn policed() -> bool {
+        false
+    }
+
+    fn choose(&mut self, _choice: &ChoicePoint<'_>) -> usize {
+        0
+    }
+}
+
+/// The `dyn` shim, for callers that pick a policy at run time.
+impl<T: SchedulePolicy + ?Sized> SchedulePolicy for Box<T> {
+    fn choose(&mut self, choice: &ChoicePoint<'_>) -> usize {
+        (**self).choose(choice)
+    }
+
+    fn observe_cascade(
+        &mut self,
+        pid: ProcId,
+        at: SimTime,
+        resources: &[ResourceId],
+        spawned_same_time: bool,
+    ) {
+        (**self).observe_cascade(pid, at, resources, spawned_same_time);
     }
 }
 
@@ -128,8 +188,10 @@ pub struct CascadeRec {
     pub pid: ProcId,
     /// When the cascade ran.
     pub at: SimTime,
-    /// Resources the cascade touched, in order.
-    pub resources: Vec<ResourceId>,
+    /// Where the resources the cascade touched sit in
+    /// [`ScheduleLog::footprints`]; read them with
+    /// [`ScheduleLog::footprint`].
+    pub footprint: std::ops::Range<usize>,
     /// Whether the cascade scheduled an event at its own timestamp.
     pub spawned_same_time: bool,
 }
@@ -142,9 +204,18 @@ pub struct ScheduleLog {
     pub decisions: Vec<Decision>,
     /// Every poll cascade, with its resource footprint.
     pub cascades: Vec<CascadeRec>,
+    /// Every cascade's footprint, end to end in cascade order: one flat
+    /// buffer rather than one `Vec` per cascade.
+    pub footprints: Vec<ResourceId>,
 }
 
 impl ScheduleLog {
+    /// The resources cascade `c` touched (acquired, blocked on, or
+    /// released, in order, duplicates preserved).
+    pub fn footprint(&self, c: &CascadeRec) -> &[ResourceId] {
+        &self.footprints[c.footprint.clone()]
+    }
+
     /// The chosen indices of the first `n` decisions — the script that
     /// replays this run's prefix.
     pub fn script_prefix(&self, n: usize) -> Vec<usize> {
@@ -158,7 +229,9 @@ impl ScheduleLog {
 /// the log survives the engine consuming itself in `try_run`.
 ///
 /// Replaying the same script against the same engine build is
-/// byte-deterministic: same trace, same log.
+/// byte-deterministic: same trace, same log. One policy serves many
+/// schedules of a reused engine: [`ForcedSchedule::restart`] it under the
+/// next script and take the log between runs.
 #[derive(Debug)]
 pub struct ForcedSchedule {
     script: Vec<usize>,
@@ -179,6 +252,14 @@ impl ForcedSchedule {
             }),
             log,
         )
+    }
+
+    /// Start over under `script`: the next decision is decision 0 again.
+    /// The log is left as it is; the caller takes it between runs.
+    pub fn restart(&mut self, script: &[usize]) {
+        self.script.clear();
+        self.script.extend_from_slice(script);
+        self.cursor = 0;
     }
 }
 
@@ -207,10 +288,14 @@ impl SchedulePolicy for ForcedSchedule {
         resources: &[ResourceId],
         spawned_same_time: bool,
     ) {
-        self.log.borrow_mut().cascades.push(CascadeRec {
+        let mut log = self.log.borrow_mut();
+        let start = log.footprints.len();
+        log.footprints.extend_from_slice(resources);
+        let footprint = start..log.footprints.len();
+        log.cascades.push(CascadeRec {
             pid,
             at,
-            resources: resources.to_vec(),
+            footprint,
             spawned_same_time,
         });
     }

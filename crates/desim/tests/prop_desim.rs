@@ -1,7 +1,11 @@
 //! Property tests for the DES engine: time accounting conservation,
-//! chronological event logs, and determinism under random workloads.
+//! chronological event logs, determinism under random workloads, and
+//! reset in place — a reused engine gives what a fresh one gives.
 
-use flagsim_desim::{Action, Engine, Process, SimDuration, SimTime, Trace};
+use flagsim_desim::{
+    Action, Engine, ForcedSchedule, NoPolicy, Process, ScheduleLog, SchedulePolicy, SimDuration,
+    SimTime, Trace,
+};
 use proptest::prelude::*;
 
 /// A process following a pre-generated script of work/acquire/release
@@ -34,8 +38,17 @@ fn op_strategy(n_res: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
-fn build_trace(scripts: &[Vec<Op>], n_res: usize, handoff: u64) -> Trace {
-    let mut eng = Engine::new();
+/// Reset `eng` and load one process per script over `n_res` resources.
+/// With `hog`, one more process takes `r0` and finishes without giving it
+/// back, so anyone using `r0` after it stalls.
+fn load<Pol: SchedulePolicy>(
+    eng: &mut Engine<Scripted, Pol>,
+    scripts: &[Vec<Op>],
+    n_res: usize,
+    handoff: u64,
+    hog: bool,
+) {
+    eng.reset();
     let rids: Vec<_> = (0..n_res)
         .map(|i| eng.add_resource(format!("r{i}"), SimDuration::from_millis(handoff)))
         .collect();
@@ -52,11 +65,17 @@ fn build_trace(scripts: &[Vec<Op>], n_res: usize, handoff: u64) -> Trace {
             }
         }
         actions.push(Action::Done);
-        eng.add_process(Box::new(Scripted {
-            actions,
-            cursor: 0,
-        }));
+        eng.add_process(Scripted { actions, cursor: 0 });
     }
+    if hog {
+        let actions = vec![Action::Acquire(rids[0]), Action::Done];
+        eng.add_process(Scripted { actions, cursor: 0 });
+    }
+}
+
+fn build_trace(scripts: &[Vec<Op>], n_res: usize, handoff: u64) -> Trace {
+    let mut eng = Engine::with_policy(NoPolicy, 0, 0, 0);
+    load(&mut eng, scripts, n_res, handoff, false);
     eng.run()
 }
 
@@ -65,6 +84,74 @@ fn scripts_strategy() -> impl Strategy<Value = Vec<Vec<Op>>> {
         proptest::collection::vec(op_strategy(3), 0..12),
         1..6,
     )
+}
+
+/// How one workload of a reuse sequence runs.
+#[derive(Debug, Clone)]
+enum Finish {
+    /// Until the queue drains — or the run stalls, when a hog is loaded.
+    Drain,
+    /// Until the bell rings at this millisecond.
+    Bell(u64),
+    /// Under a forced schedule following this script.
+    Policed(Vec<usize>),
+}
+
+/// Scripts, hand-off latency, whether a hog is loaded, and the finish.
+type Workload = (Vec<Vec<Op>>, u64, bool, Finish);
+
+fn workload_strategy() -> impl Strategy<Value = Workload> {
+    (
+        scripts_strategy(),
+        0u64..50,
+        any::<bool>(),
+        prop_oneof![
+            Just(Finish::Drain),
+            (1u64..400).prop_map(Finish::Bell),
+            proptest::collection::vec(0usize..4, 0..6).prop_map(Finish::Policed),
+        ],
+    )
+}
+
+/// A run's result, errors rendered, plus the forced schedule's log.
+type Run = (Result<Trace, String>, Option<ScheduleLog>);
+
+/// `w` on a fresh engine, through the consuming API.
+fn run_fresh(w: &Workload) -> Run {
+    let (scripts, handoff, hog, finish) = w;
+    let mut eng = Engine::with_policy(NoPolicy, 0, 0, 0);
+    load(&mut eng, scripts, 3, *handoff, *hog);
+    let (result, log) = match finish {
+        Finish::Drain => (eng.try_run(), None),
+        Finish::Bell(at) => (eng.try_run_until(SimTime(*at)), None),
+        Finish::Policed(script) => {
+            let (policy, log) = ForcedSchedule::new(script.clone());
+            (eng.with_schedule_policy(policy).try_run(), Some(log.take()))
+        }
+    };
+    (result.map_err(|e| e.to_string()), log)
+}
+
+/// `w` on `eng`, reset and run in place; a policed run borrows the
+/// engine's buffers under a forced schedule and hands them back.
+fn run_reused(eng: &mut Engine<Scripted>, w: &Workload) -> Run {
+    let (scripts, handoff, hog, finish) = w;
+    let deadline = match finish {
+        Finish::Bell(at) => SimTime(*at),
+        Finish::Drain | Finish::Policed(_) => SimTime(u64::MAX),
+    };
+    if let Finish::Policed(script) = finish {
+        let (policy, log) = ForcedSchedule::new(script.clone());
+        let taken = std::mem::replace(eng, Engine::with_policy(NoPolicy, 0, 0, 0));
+        let mut policed = taken.with_schedule_policy(*policy);
+        load(&mut policed, scripts, 3, *handoff, *hog);
+        let result = policed.run_in_place(deadline).map(|_| policed.take_trace());
+        *eng = policed.with_schedule_policy(NoPolicy);
+        return (result.map_err(|e| e.to_string()), Some(log.take()));
+    }
+    load(eng, scripts, 3, *handoff, *hog);
+    let result = eng.run_in_place(deadline).map(|_| eng.take_trace());
+    (result.map_err(|e| e.to_string()), None)
 }
 
 proptest! {
@@ -127,5 +214,17 @@ proptest! {
         prop_assert!(trace.makespan().millis() >= max_proc_busy);
         let upper = trace.total_busy().millis() + trace.total_waiting().millis();
         prop_assert!(trace.makespan().millis() <= upper.max(max_proc_busy));
+    }
+
+    /// One engine reset and rerun through a sequence of workloads —
+    /// drained, stalled, cut off by the bell, policed — matches a fresh
+    /// engine on every one: no stale slot, holder, waiter or queue entry
+    /// survives a reset, whatever the previous run left behind.
+    #[test]
+    fn reset_engine_matches_fresh(workloads in proptest::collection::vec(workload_strategy(), 1..8)) {
+        let mut eng = Engine::with_policy(NoPolicy, 0, 0, 0);
+        for w in &workloads {
+            prop_assert_eq!(run_reused(&mut eng, w), run_fresh(w), "{:?}", w);
+        }
     }
 }

@@ -199,9 +199,10 @@ fn sleep_prunable(d: &flagsim_desim::Decision, alt: usize, log: &ScheduleLog) ->
     if target.spawned_same_time {
         return false;
     }
-    same_instant[..pos].iter().all(|c| {
-        !c.spawned_same_time && footprints_disjoint(&c.resources, &target.resources)
-    })
+    let target_footprint = log.footprint(target);
+    same_instant[..pos]
+        .iter()
+        .all(|c| !c.spawned_same_time && footprints_disjoint(log.footprint(c), target_footprint))
 }
 
 /// Depth-first exploration of the schedule space behind `run`.
@@ -368,13 +369,9 @@ pub fn report_fingerprint(report: &RunReport) -> u64 {
 }
 
 /// Run one engine build under `script` and reduce it to an [`Outcome`].
-fn run_engine_scripted(
-    mut engine: Engine,
-    script: &[usize],
-) -> Result<(Outcome, ScheduleLog), String> {
+fn run_engine_scripted(engine: Engine, script: &[usize]) -> Result<(Outcome, ScheduleLog), String> {
     let (policy, log) = ForcedSchedule::new(script.to_vec());
-    engine.set_schedule_policy(policy);
-    let result = engine.try_run();
+    let result = engine.with_schedule_policy(policy).try_run();
     let outcome = match result {
         Ok(trace) => Outcome::Completed {
             fingerprint: trace_fingerprint(&trace),
@@ -425,10 +422,12 @@ pub fn scenario_team(scenario: &CompiledScenario) -> Vec<StudentProfile> {
 
 /// Explore every schedule of a compiled scenario.
 ///
-/// Exploration runs disable trace-event recording (the fingerprint works
-/// from the report's accounting); one extra baseline run keeps the trace
-/// so the SC302 ties of the observed schedule can be annotated with the
-/// schedule-space verdict.
+/// The run is prepared and its durations sampled once per verdict; every
+/// schedule replays that world in one reused engine under one restarted
+/// [`ForcedSchedule`]. Exploration runs disable trace-event recording (the
+/// fingerprint works from the report's accounting); one extra baseline run
+/// keeps the trace so the SC302 ties of the observed schedule can be
+/// annotated with the schedule-space verdict.
 pub fn explore_activity(
     scenario: &CompiledScenario,
     kit: &TeamKit,
@@ -437,12 +436,12 @@ pub fn explore_activity(
 ) -> Result<ActivityExploration, String> {
     let plan = FaultPlan::default();
     let lean = config.clone().with_trace_events(false);
+    let (policy, log) = ForcedSchedule::new(Vec::new());
+    let mut runs = scenario.scheduled_runs(scenario_team(scenario), kit, &lean, &plan, *policy)?;
     let exploration = explore(
         |script| {
-            let mut team = scenario_team(scenario);
-            let (policy, log) = ForcedSchedule::new(script.to_vec());
-            let outcome = scenario.run_scheduled(&mut team, kit, &lean, &plan, Some(policy))?;
-            let outcome = match outcome {
+            runs.policy_mut().restart(script);
+            let outcome = match runs.run()? {
                 ActivityOutcome::Completed(report) => Outcome::Completed {
                     fingerprint: report_fingerprint(&report),
                     makespan_ms: report.completion.millis(),
@@ -452,10 +451,7 @@ pub fn explore_activity(
                     graph,
                 },
             };
-            let log = Rc::try_unwrap(log)
-                .map(std::cell::RefCell::into_inner)
-                .map_err(|_| "schedule log still shared after the run".to_owned())?;
-            Ok((outcome, log))
+            Ok((outcome, log.take()))
         },
         cfg,
     )?;
@@ -640,8 +636,8 @@ mod tests {
     use super::*;
     use crate::lockorder::{demo_deadlock_seqs, LockOrderGraph};
 
-    fn worker(eng: &mut Engine, name: &str, label: &str, work_ms: u64) {
-        let rid = eng.add_resource(label, SimDuration::ZERO);
+    /// A process that acquires `rid`, works `work_ms`, and releases it.
+    fn worker(eng: &mut Engine, name: &str, rid: flagsim_desim::ResourceId, work_ms: u64) {
         let mut queue: std::collections::VecDeque<Action> = vec![
             Action::Acquire(rid),
             Action::Work(SimDuration::from_millis(work_ms)),
@@ -653,6 +649,16 @@ mod tests {
         })));
     }
 
+    /// One worker per `(name, work_ms)`, all contending for one marker.
+    fn contending(workers: &[(&str, u64)]) -> Engine {
+        let mut eng = Engine::new();
+        let m = eng.add_resource("marker", SimDuration::ZERO);
+        for &(name, work_ms) in workers {
+            worker(&mut eng, name, m, work_ms);
+        }
+        eng
+    }
+
     /// Four workers on disjoint resources: the t=0 wake-up tie orderings
     /// all commute. DPOR collapses 4! orderings to one schedule; naive
     /// enumeration visits all 24 — and both see one outcome. That 24×
@@ -661,10 +667,10 @@ mod tests {
     fn independent_workers_collapse_under_dpor() {
         let build = || {
             let mut eng = Engine::new();
-            worker(&mut eng, "a", "ra", 10);
-            worker(&mut eng, "b", "rb", 20);
-            worker(&mut eng, "c", "rc", 30);
-            worker(&mut eng, "d", "rd", 40);
+            for (name, work_ms) in [("a", 10), ("b", 20), ("c", 30), ("d", 40)] {
+                let rid = eng.add_resource(format!("r{name}"), SimDuration::ZERO);
+                worker(&mut eng, name, rid, work_ms);
+            }
             eng
         };
         let dpor = explore_engine(build, &ExploreConfig::default()).expect("dpor");
@@ -695,22 +701,7 @@ mod tests {
     /// a minimal witness pair.
     #[test]
     fn contended_marker_diverges_with_witness() {
-        let build = || {
-            let mut eng = Engine::new();
-            let m = eng.add_resource("marker", SimDuration::ZERO);
-            for (name, ms) in [("a", 10u64), ("b", 20u64)] {
-                let mut queue: std::collections::VecDeque<Action> = vec![
-                    Action::Acquire(m),
-                    Action::Work(SimDuration::from_millis(ms)),
-                    Action::Release(m),
-                ]
-                .into();
-                eng.add_process(Box::new(FnProcess::new(name.to_owned(), move |_| {
-                    queue.pop_front().unwrap_or(Action::Done)
-                })));
-            }
-            eng
-        };
+        let build = || contending(&[("a", 10), ("b", 20)]);
         let ex = explore_engine(build, &ExploreConfig::default()).expect("explore");
         assert!(ex.outcomes.len() > 1, "{ex:?}");
         assert!(!ex.invariant());
@@ -742,30 +733,12 @@ mod tests {
     /// Bound exhaustion is reported, not silently absorbed.
     #[test]
     fn truncation_sets_flag_and_sc413() {
-        let build = || {
-            let mut eng = Engine::new();
-            let m = eng.add_resource("marker", SimDuration::ZERO);
-            for (name, ms) in [("a", 10u64), ("b", 20), ("c", 30)] {
-                let mut queue: std::collections::VecDeque<Action> = vec![
-                    Action::Acquire(m),
-                    Action::Work(SimDuration::from_millis(ms)),
-                    Action::Release(m),
-                ]
-                .into();
-                eng.add_process(Box::new(FnProcess::new(name.to_owned(), move |_| {
-                    queue.pop_front().unwrap_or(Action::Done)
-                })));
-            }
-            eng
+        let build = || contending(&[("a", 10), ("b", 20), ("c", 30)]);
+        let cfg = ExploreConfig {
+            max_schedules: 2,
+            naive: false,
         };
-        let ex = explore_engine(
-            build,
-            &ExploreConfig {
-                max_schedules: 2,
-                naive: false,
-            },
-        )
-        .expect("explore");
+        let ex = explore_engine(build, &cfg).expect("explore");
         assert!(ex.truncated);
         assert_eq!(ex.schedules_run, 2);
         assert!(verify_diags(&ex).iter().any(|d| d.id == "SC413"));

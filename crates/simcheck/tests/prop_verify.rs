@@ -64,6 +64,34 @@ fn pool_engine(seed: u64) -> Engine {
     eng
 }
 
+/// The exploration shape of every built-in scenario on Mauritius at the
+/// CLI's default seed (2025): schedules run, outcome classes, choice
+/// states, sleep-pruned and state-hash-pruned alternatives. A state-hash
+/// change that merges or splits states moves these numbers, so it fails
+/// here, not only in the benchmark digest.
+#[test]
+fn exploration_shape_is_pinned() {
+    let want = [
+        (1, 1, 0, 0, 0),
+        (1, 1, 1, 1, 0),
+        (1, 1, 3, 6, 0),
+        (44, 24, 33, 0, 60),
+        (1, 1, 3, 6, 0),
+        (44, 24, 33, 0, 60),
+    ];
+    for (idx, want) in want.into_iter().enumerate() {
+        let ex = explore_builtin(idx, 2025).exploration;
+        let got = (
+            ex.schedules_run,
+            ex.outcomes.len(),
+            ex.visited_states,
+            ex.pruned_sleep,
+            ex.pruned_visited,
+        );
+        assert_eq!(got, want, "built-in scenario #{idx}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
