@@ -6,7 +6,24 @@
 //! implements differ (§IV), students warm up (§III-C), fill styles differ
 //! (§IV), and intricate boundary cells — the Canadian maple leaf — "slowed
 //! progress" (§III-D). Noise is lognormal so times stay positive and
-//! multiplicative, sampled from a seeded ChaCha8 RNG for reproducibility.
+//! multiplicative, sampled for reproducibility from a seeded
+//! `ChaCha8Rng`: the vendored stand-in of that name, whose generator is
+//! xoshiro256++.
+//!
+//! The `sample_*` methods are the reference: scalar libm arithmetic, one
+//! cell at a time. The simulator's hot loop draws the same stream through
+//! [`CostModel::draw_uniforms`] and [`CostModel::sample_breakage`] in the
+//! same order, then computes each chunk of cells' noise with the
+//! vectorised [`noise`](crate::noise) kernel. That kernel is not
+//! bit-identical to libm, but only whole milliseconds leave the
+//! simulator, and it uses a kernel value only when that settles the
+//! millisecond: `x = secs × 1000` must sit more than `1e-9·x` from every
+//! rounding boundary `k + ½`, a band over 1000× wider than
+//! [`noise::REL_ERROR_BOUND`](crate::noise::REL_ERROR_BOUND). Any other
+//! cell (inside the band, out of the kernel's domain, or not finite) is
+//! recomputed from its stored uniforms with
+//! [`CostModel::lognormal_from_uniforms`], the expression these methods
+//! use. Every sampled duration therefore equals the reference's.
 
 use crate::implement::Implement;
 use crate::student::StudentProfile;
@@ -81,21 +98,31 @@ impl CostModel {
         }
     }
 
-    /// A standard normal sample via Box–Muller (keeps us off external
-    /// distribution crates).
-    fn standard_normal(&mut self) -> f64 {
+    /// The uniform pair the next normal draw consumes: pairs are drawn
+    /// until `u1 > ε`, so `u1 ∈ (2⁻⁵², 1)` and `ln u1` is finite. Feed it
+    /// to [`CostModel::lognormal_from_uniforms`] for the multiplier.
+    pub fn draw_uniforms(&mut self) -> (f64, f64) {
         loop {
             let u1: f64 = self.rng.gen::<f64>();
             let u2: f64 = self.rng.gen::<f64>();
             if u1 > f64::EPSILON {
-                return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                return (u1, u2);
             }
         }
     }
 
+    /// The lognormal multiplier with median 1 that the uniform pair
+    /// `(u1, u2)` gives at `sigma`: a Box–Muller standard normal (which
+    /// keeps us off external distribution crates) scaled by `sigma`,
+    /// exponentiated. Every sampler here computes its noise this way.
+    pub fn lognormal_from_uniforms(u1: f64, u2: f64, sigma: f64) -> f64 {
+        ((-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos() * sigma).exp()
+    }
+
     /// A lognormal multiplier with median 1.
     fn lognormal(&mut self, sigma: f64) -> f64 {
-        (self.standard_normal() * sigma).exp()
+        let (u1, u2) = self.draw_uniforms();
+        CostModel::lognormal_from_uniforms(u1, u2, sigma)
     }
 
     /// The per-cell lognormal sigma implied by a fill style. RNG-free,

@@ -14,7 +14,8 @@
 //!   the paper's system-warmup analogy (caching, power-saving exit, JIT).
 //! * [`CostModel`] — seeded, deterministic sampling of per-cell coloring
 //!   times and marker hand-off delays (lognormal noise via Box–Muller; no
-//!   external distribution crates).
+//!   external distribution crates), with a vectorised [`noise`] kernel
+//!   for whole batches of cells.
 //!
 //! All times are `f64` seconds here; the simulation layer converts to
 //! integer [`SimDuration`](https://docs.rs/flagsim-desim)s.
@@ -24,6 +25,7 @@
 
 pub mod cost;
 pub mod implement;
+pub mod noise;
 pub mod student;
 
 pub use cost::{CellKind, CostModel, CostParams};

@@ -33,7 +33,7 @@ use crate::faults::{FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceR
 use crate::report::{ColorContention, RepSample, RunReport, StudentStats};
 use crate::scenario::CompiledScenario;
 use crate::work::{PreparedFlag, WorkItem};
-use flagsim_agents::{CostModel, Implement, StudentProfile};
+use flagsim_agents::{noise, CostModel, Implement, StudentProfile};
 use flagsim_desim::{
     Action, Engine, NoPolicy, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
     Trace, WaitForGraph,
@@ -471,8 +471,141 @@ pub(crate) struct World {
     items: Vec<Vec<TimedItem>>,
     /// Implements that broke mid-cell while durations were sampled.
     breakages: u64,
-    /// Scratch: one student's `base × skill` cost prefix per needed color.
-    base_skill: Vec<f64>,
+    /// Cells whose noise the exact libm chain recomputed.
+    noise_fallbacks: u64,
+    /// Scratch: per needed color, one student's `base × skill` cost
+    /// prefix and the implement (whose breakage is drawn per cell).
+    per_color: Vec<(f64, Implement)>,
+}
+
+/// Cells per stack chunk of [`CellSampler`].
+const CHUNK: usize = 64;
+
+/// How far, relative to `x = secs × 1000`, `x` must sit from every
+/// rounding boundary `k + ½` for the noise kernel's value to settle the
+/// millisecond: 1e-9, 1000× the kernel's error bound.
+const SETTLE_MARGIN: f64 = 1000.0 * noise::REL_ERROR_BOUND;
+
+/// 2⁵²: below it, `x + ½` is exact wherever the margin admits `x`.
+const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+
+/// Times cells a chunk at a time with the vectorised noise kernel, giving
+/// every cell the millisecond duration the scalar reference gives
+/// (`sample_cell_secs_resolved`, then `sample_breakage`, then
+/// `SimDuration::from_secs_f64`) from the same RNG draws in the same
+/// order. Its chunk buffers live on the stack.
+struct CellSampler {
+    fill_factor: f64,
+    sigma: f64,
+    /// Implements that broke mid-cell.
+    breakages: u64,
+    /// Cells the kernel could not settle, recomputed with libm.
+    fallbacks: u64,
+    /// Per cell of the chunk: the cost prefix `base × skill × warm-up ×
+    /// fatigue × fill × kind`, the Box–Muller uniforms, whether the
+    /// implement broke, and the kernel's noise.
+    prefix: [f64; CHUNK],
+    u1: [f64; CHUNK],
+    u2: [f64; CHUNK],
+    broke: [bool; CHUNK],
+    noise: [f64; CHUNK],
+}
+
+impl CellSampler {
+    fn new(fill_factor: f64, sigma: f64) -> CellSampler {
+        CellSampler {
+            fill_factor,
+            sigma,
+            breakages: 0,
+            fallbacks: 0,
+            prefix: [0.0; CHUNK],
+            u1: [0.0; CHUNK],
+            u2: [0.0; CHUNK],
+            broke: [false; CHUNK],
+            noise: [0.0; CHUNK],
+        }
+    }
+
+    /// Time `student`'s `items` into `timed`, advancing their warm-up;
+    /// `colors[i]` indexes `per_color` for `items[i]`. Crayons
+    /// occasionally break mid-cell (§V: "to avoid breakage"); a break
+    /// costs the student a fetch-a-replacement delay on that cell.
+    fn time(
+        &mut self,
+        cost: &mut CostModel,
+        student: &mut StudentProfile,
+        per_color: &[(f64, Implement)],
+        items: &[WorkItem],
+        colors: &[usize],
+        timed: &mut Vec<TimedItem>,
+    ) {
+        for (items, colors) in items.chunks(CHUNK).zip(colors.chunks(CHUNK)) {
+            // Draw: the reference's draws, in its order.
+            for (i, (item, &ci)) in items.iter().zip(colors).enumerate() {
+                let (base_skill, implement) = per_color[ci];
+                self.prefix[i] = base_skill
+                    * student.warmup_multiplier()
+                    * student.fatigue_multiplier()
+                    * self.fill_factor
+                    * item.kind.multiplier();
+                student.record_cell();
+                (self.u1[i], self.u2[i]) = cost.draw_uniforms();
+                self.broke[i] = cost.sample_breakage(implement);
+            }
+            let n = items.len();
+            noise::lognormal_batch(
+                self.sigma,
+                &self.u1[..n],
+                &self.u2[..n],
+                &mut self.noise[..n],
+            );
+            // Finish: settle each cell's millisecond, or recompute it.
+            for (i, (item, &ci)) in items.iter().zip(colors).enumerate() {
+                let broke = self.broke[i];
+                self.breakages += u64::from(broke);
+                let dur = settle(self.prefix[i], self.noise[i], broke).unwrap_or_else(|| {
+                    // The reference's arithmetic and rounding.
+                    self.fallbacks += 1;
+                    let noise =
+                        CostModel::lognormal_from_uniforms(self.u1[i], self.u2[i], self.sigma);
+                    let mut secs = self.prefix[i] * noise;
+                    if broke {
+                        secs += REPLACEMENT_DELAY_SECS;
+                    }
+                    SimDuration::from_secs_f64(secs)
+                });
+                timed.push(TimedItem {
+                    resource: ResourceId::from_index(ci),
+                    dur,
+                    work: *item,
+                });
+            }
+        }
+    }
+}
+
+/// The millisecond the reference gives a cell with cost prefix `prefix`,
+/// when the kernel's `noise` settles it: `x = secs × 1000` is finite, in
+/// `[0, 2⁵²)`, and more than `SETTLE_MARGIN·x` from every `k + ½`. The
+/// libm chain's `x`, within the kernel's error bound of this one, then
+/// rounds to the same integer. `None` otherwise, including for NaN noise
+/// (a cell outside the kernel's domain).
+fn settle(prefix: f64, noise: f64, broke: bool) -> Option<SimDuration> {
+    let noisy = prefix * noise;
+    // A non-negative noisy term keeps the delay's addition free of
+    // cancellation, so `x` carries the kernel's relative error unchanged.
+    let secs = if broke {
+        noisy + REPLACEMENT_DELAY_SECS
+    } else {
+        noisy
+    };
+    let x = secs * 1000.0;
+    if !(noisy >= 0.0 && x < TWO_POW_52) {
+        return None;
+    }
+    let ms = (x + 0.5) as u64;
+    let from_half = 0.5 - (x - ms as f64).abs();
+    (from_half > SETTLE_MARGIN * x).then_some(SimDuration::from_millis(ms))
 }
 
 impl World {
@@ -511,51 +644,32 @@ impl World {
         }
 
         // Pre-sample durations student-major (deterministic,
-        // interleaving-free). Crayons occasionally break mid-cell (§V: "to
-        // avoid breakage"); a break costs the student a
-        // fetch-a-replacement delay on that cell. The fill-style factors
-        // are constant for the run and the `base × skill` cost prefix is
-        // constant per (student, color), so both are resolved outside the
-        // per-cell loop; the RNG draw order — and therefore every sampled
-        // duration — is unchanged.
-        let fill_factor = config.fill.work_factor();
-        let sigma = cost.cell_sigma(config.fill);
-        self.breakages = 0;
+        // interleaving-free). The fill-style factors are constant for the
+        // run and the `base × skill` cost prefix is constant per
+        // (student, color), so both are resolved outside the per-cell
+        // loop; the RNG draw order, and therefore every sampled duration,
+        // is unchanged.
+        let mut cells = CellSampler::new(config.fill.work_factor(), cost.cell_sigma(config.fill));
         self.items.resize_with(team.len(), Vec::new);
         for ((student, items), (colors, timed)) in team
             .iter_mut()
             .zip(run.assignments)
             .zip(prep.color_index.iter().zip(&mut self.items))
         {
-            self.base_skill.clear();
-            self.base_skill.extend(
+            self.per_color.clear();
+            self.per_color.extend(
                 prep.implements
                     .iter()
-                    .map(|imp| imp.effective_base_secs() * student.skill),
+                    .map(|&imp| (imp.effective_base_secs() * student.skill, imp)),
             );
             timed.clear();
             // One allocation at the final size for a fresh world, not a
             // doubling series whose freed steps fragment the heap.
             timed.reserve_exact(items.len());
-            for (item, &ci) in items.iter().zip(colors) {
-                let mut secs = cost.sample_cell_secs_resolved(
-                    student,
-                    self.base_skill[ci],
-                    fill_factor,
-                    sigma,
-                    item.kind,
-                );
-                if cost.sample_breakage(prep.implements[ci]) {
-                    self.breakages += 1;
-                    secs += REPLACEMENT_DELAY_SECS;
-                }
-                timed.push(TimedItem {
-                    resource: ResourceId::from_index(ci),
-                    dur: SimDuration::from_secs_f64(secs),
-                    work: *item,
-                });
-            }
+            cells.time(&mut cost, student, &self.per_color, items, colors, timed);
         }
+        self.breakages = cells.breakages;
+        self.noise_fallbacks = cells.fallbacks;
     }
 
     /// Reset `engine` and load this world into it: one resource per
@@ -658,6 +772,7 @@ struct Ran {
     state: LiveFaultState,
     deadline: Option<SimTime>,
     breakages: u64,
+    noise_fallbacks: u64,
 }
 
 impl Run<'_> {
@@ -710,6 +825,7 @@ impl Run<'_> {
         world.load(engine, self, team, live.as_ref(), false);
         let end = world.run(engine)?;
         flagsim_telemetry::count("run.breakages", world.breakages);
+        flagsim_telemetry::count("run.noise_exact_fallbacks", world.noise_fallbacks);
         Ok(RepSample {
             completion_secs: (end - SimTime::ZERO).as_secs_f64(),
             wait_secs: engine.waiting().map(SimDuration::as_secs_f64).sum(),
@@ -733,6 +849,7 @@ impl Run<'_> {
                 state: live.take(),
                 deadline: world.deadline,
                 breakages: world.breakages,
+                noise_fallbacks: world.noise_fallbacks,
             })),
             // A stall is a structured outcome for the verification layer.
             Err(SimError::Stalled { waiters }) => Ok(Err(waiters)),
@@ -834,6 +951,7 @@ fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
         mut state,
         deadline,
         breakages,
+        noise_fallbacks,
     } = ran;
 
     // Cells each student actually completed, straight from the engine's
@@ -963,6 +1081,7 @@ fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
     };
 
     flagsim_telemetry::count("run.breakages", breakages);
+    flagsim_telemetry::count("run.noise_exact_fallbacks", noise_fallbacks);
     RunReport {
         label: label.to_owned(),
         flag_name: flag.name.clone(),
@@ -983,8 +1102,9 @@ mod tests {
     use super::*;
     use crate::faults::RecoveryPolicy;
     use crate::partition::{CellOrder, PartitionStrategy};
-    use flagsim_agents::{Condition, Implement, ImplementKind};
+    use flagsim_agents::{CellKind, Condition, CostParams, Implement, ImplementKind};
     use flagsim_flags::library;
+    use flagsim_grid::FillStyle;
 
     fn team(n: usize) -> Vec<StudentProfile> {
         (1..=n)
@@ -1402,5 +1522,263 @@ mod tests {
         let plan = FaultPlan::new("bad").dropout(3, 10.0);
         let err = run_with(&pf, &assignments, &kit(), &ActivityConfig::default(), &plan).unwrap_err();
         assert!(err.contains("student #4"), "{err}");
+    }
+
+    /// One implement of every kind, indexed by color: crayons interleave
+    /// breakage draws with the noise draws, markers never break.
+    fn every_kind(skill: f64) -> Vec<(f64, Implement)> {
+        [
+            ImplementKind::BingoDauber,
+            ImplementKind::ThickMarker,
+            ImplementKind::ThinMarker,
+            ImplementKind::Crayon,
+        ]
+        .into_iter()
+        .map(|kind| {
+            let imp = Implement::good(kind);
+            (imp.effective_base_secs() * skill, imp)
+        })
+        .collect()
+    }
+
+    /// `n` cells cycling through the colors `per_color` indexes, boundary
+    /// where `boundary(i)`.
+    fn cells(
+        n: usize,
+        colors: usize,
+        boundary: impl Fn(usize) -> bool,
+    ) -> (Vec<WorkItem>, Vec<usize>) {
+        let items = (0..n)
+            .map(|i| WorkItem {
+                cell: flagsim_grid::CellId(i as u32),
+                color: Color::Red,
+                kind: if boundary(i) {
+                    CellKind::Boundary
+                } else {
+                    CellKind::Interior
+                },
+            })
+            .collect();
+        (items, (0..n).map(|i| (i * 7 + i / 3) % colors).collect())
+    }
+
+    /// Time `items` with [`CellSampler`] and with the scalar reference
+    /// loop it replaced, from clones of `cost` and `student`, and check
+    /// that every duration, the student's warm-up and the next RNG draw
+    /// agree. Returns the sampler's (breakages, fallbacks).
+    fn batched_matches_reference(
+        cost: &CostModel,
+        student: &StudentProfile,
+        fill: FillStyle,
+        per_color: &[(f64, Implement)],
+        items: &[WorkItem],
+        colors: &[usize],
+    ) -> (u64, u64) {
+        let sigma = cost.cell_sigma(fill);
+        let (mut cost_ref, mut student_ref) = (cost.clone(), student.clone());
+        let (mut reference, mut noisy) = (Vec::new(), Vec::new());
+        let mut breakages = 0;
+        for (item, &ci) in items.iter().zip(colors) {
+            let (base_skill, implement) = per_color[ci];
+            let mut secs = cost_ref.sample_cell_secs_resolved(
+                &mut student_ref,
+                base_skill,
+                fill.work_factor(),
+                sigma,
+                item.kind,
+            );
+            noisy.push(secs);
+            if cost_ref.sample_breakage(implement) {
+                breakages += 1;
+                secs += REPLACEMENT_DELAY_SECS;
+            }
+            reference.push(SimDuration::from_secs_f64(secs));
+        }
+        let (mut cost_new, mut student_new) = (cost.clone(), student.clone());
+        let mut sampler = CellSampler::new(fill.work_factor(), sigma);
+        let mut timed = Vec::new();
+        sampler.time(
+            &mut cost_new,
+            &mut student_new,
+            per_color,
+            items,
+            colors,
+            &mut timed,
+        );
+        for (i, (t, want)) in timed.iter().zip(&reference).enumerate() {
+            assert_eq!(t.dur, *want, "cell {i}");
+            assert_eq!(t.resource, ResourceId::from_index(colors[i]), "cell {i}");
+            assert_eq!(t.work, items[i], "cell {i}");
+        }
+        assert_eq!(timed.len(), reference.len());
+        // At σ = 0 the reference's noise is exactly 1, so its seconds are
+        // its cost prefix: the last chunk's prefixes must match bitwise.
+        if sigma == 0.0 {
+            let last = (items.len() - 1) / CHUNK * CHUNK;
+            for (i, want) in noisy[last..].iter().enumerate() {
+                assert_eq!(
+                    sampler.prefix[i].to_bits(),
+                    want.to_bits(),
+                    "cell {}",
+                    last + i
+                );
+            }
+        }
+        assert_eq!(student_new.cells_colored, student_ref.cells_colored);
+        assert_eq!(sampler.breakages, breakages);
+        assert_eq!(
+            cost_new.draw_uniforms(),
+            cost_ref.draw_uniforms(),
+            "next draw"
+        );
+        (sampler.breakages, sampler.fallbacks)
+    }
+
+    /// A one-color setup whose cost prefix is `base_skill` itself: no
+    /// warm-up or fatigue, the scribble's unit fill factor, interior cells.
+    fn bare(base_skill: f64) -> (StudentProfile, [(f64, Implement); 1]) {
+        (
+            StudentProfile::new("s").without_warmup(),
+            [(base_skill, Implement::good(ImplementKind::Crayon))],
+        )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// Random seeds over every implement kind, both fill sigmas (or
+        /// none, which exposes the cost prefixes), warm-up on and off,
+        /// fatigue past its onset, boundary and interior cells, and cell
+        /// counts across chunk boundaries.
+        #[test]
+        fn batched_cells_match_the_scalar_reference(
+            seed in proptest::prelude::any::<u64>(),
+            flat in proptest::prelude::any::<bool>(),
+            minimal in proptest::prelude::any::<bool>(),
+            warmup in proptest::prelude::any::<bool>(),
+            fatigue in proptest::prelude::any::<bool>(),
+            skill in 0.5f64..2.0,
+            n in 1usize..300,
+            boundary_every in 1usize..6,
+        ) {
+            let fill = if minimal { FillStyle::Minimal } else { FillStyle::Scribble };
+            let mut student = StudentProfile::new("s");
+            student.skill = skill;
+            if !warmup {
+                student = student.without_warmup();
+            }
+            if fatigue {
+                student = student.with_fatigue(0.004, 40);
+            }
+            let (items, colors) = cells(n, 4, |i| i % boundary_every == 0);
+            let per_color = every_kind(skill);
+            let cost = if flat {
+                CostModel::with_params(seed, CostParams {
+                    noise_sigma: 0.0,
+                    minimal_extra_sigma: 0.0,
+                    ..CostParams::default()
+                })
+            } else {
+                CostModel::new(seed)
+            };
+            batched_matches_reference(&cost, &student, fill, &per_color, &items, &colors);
+        }
+    }
+
+    #[test]
+    fn batched_cells_cover_breakage_and_fatigue() {
+        // A long crayon-heavy run: breakages happen, fatigue bites.
+        let (items, colors) = cells(2000, 4, |i| i % 3 == 0);
+        let student = StudentProfile::new("s").with_fatigue(0.004, 40);
+        let (breakages, _) = batched_matches_reference(
+            &CostModel::new(7),
+            &student,
+            FillStyle::Minimal,
+            &every_kind(1.0),
+            &items,
+            &colors,
+        );
+        assert!(breakages > 0);
+    }
+
+    #[test]
+    fn batched_cells_near_a_half_millisecond_fall_back() {
+        // Each cell's prefix puts its exact `x` within rounding of
+        // 2.5 ms, inside the margin: only the exact chain can round it.
+        let mut cost = CostModel::new(3);
+        let fill = FillStyle::Scribble;
+        let (items, colors) = cells(1, 1, |_| false);
+        let mut fallbacks = 0;
+        for _ in 0..50 {
+            let (u1, u2) = cost.clone().draw_uniforms();
+            let noise = CostModel::lognormal_from_uniforms(u1, u2, cost.cell_sigma(fill));
+            let (student, per_color) = bare(0.0025 / noise);
+            fallbacks +=
+                batched_matches_reference(&cost, &student, fill, &per_color, &items, &colors).1;
+            cost.draw_uniforms();
+            cost.sample_breakage(per_color[0].1);
+        }
+        assert_eq!(fallbacks, 50);
+    }
+
+    #[test]
+    fn batched_cells_at_zero_sigma_fall_back_only_on_ties() {
+        // σ = 0: the noise is exactly 1 on both paths. A 2.5 ms cell is
+        // an exact tie; a 2 s cell settles.
+        let zero = CostParams {
+            noise_sigma: 0.0,
+            minimal_extra_sigma: 0.0,
+            handoff_sigma: 0.0,
+        };
+        let cost = CostModel::with_params(11, zero);
+        for (base, want) in [(0.0025, 1), (2.0, 0)] {
+            let (student, per_color) = bare(base);
+            let (items, colors) = cells(100, 1, |_| false);
+            let (_, fallbacks) = batched_matches_reference(
+                &cost,
+                &student,
+                FillStyle::Scribble,
+                &per_color,
+                &items,
+                &colors,
+            );
+            assert_eq!(fallbacks, want * 100, "base {base}");
+        }
+    }
+
+    #[test]
+    fn batched_cells_outside_the_kernel_domain_fall_back() {
+        // At σ = 100 every cell with √(−2 ln u1) > 0.64 leaves the
+        // kernel's domain. Prefixes chosen from the exact noise keep each
+        // cell near 2 s, so only the domain can send it to the exact
+        // chain.
+        let sigma = 100.0;
+        let params = CostParams {
+            noise_sigma: sigma,
+            minimal_extra_sigma: 0.0,
+            handoff_sigma: 0.0,
+        };
+        let mut cost = CostModel::with_params(5, params);
+        let (items, colors) = cells(1, 1, |_| false);
+        let (mut outside, mut fallbacks) = (0, 0);
+        for _ in 0..200 {
+            let (u1, u2) = cost.clone().draw_uniforms();
+            let noise = CostModel::lognormal_from_uniforms(u1, u2, sigma);
+            outside += u64::from(sigma * (-2.0 * u1.ln()).sqrt() > noise::DOMAIN);
+            let (student, per_color) = bare(2.0 / noise);
+            fallbacks += batched_matches_reference(
+                &cost,
+                &student,
+                FillStyle::Scribble,
+                &per_color,
+                &items,
+                &colors,
+            )
+            .1;
+            cost.draw_uniforms();
+            cost.sample_breakage(per_color[0].1);
+        }
+        assert!(outside > 100, "{outside} of 200 outside the domain");
+        assert_eq!(fallbacks, outside);
     }
 }

@@ -1,7 +1,7 @@
 //! Allocation gates for the reused engine. A steady-state stats rep —
 //! `SweepRunner::run_rep_stats` on scenario 4 after one warm-up rep —
 //! allocates nothing, and neither does a policed engine run after
-//! `Engine::reset`. The test binary installs its own counting allocator,
+//! `Engine::reset`. A report rep's allocation count is pinned. The test binary installs its own counting allocator,
 //! which counts only on the thread that asked, so tests running in
 //! parallel do not disturb each other's counts.
 
@@ -79,6 +79,35 @@ fn steady_state_stats_rep_allocates_nothing() {
         // The reused engine gives what a report of the same rep gives.
         let report = runner.run_rep(rep).expect("rep runs");
         assert_eq!(sample, report.sample(), "rep {rep}");
+    }
+}
+
+/// Allocations of one steady-state report rep of scenario 1 on France
+/// (288 cells, one student, trace events on), as a retained sweep runs
+/// it: the trace, the report's tables and the kept cell log, with cost
+/// sampling adding none.
+const FRANCE_REPORT_REP_ALLOCS: u64 = 41;
+
+#[test]
+fn report_rep_allocations_are_pinned() {
+    let flag = PreparedFlag::new(&library::france());
+    let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]));
+    let config = ActivityConfig::default();
+    let scenario = Scenario::fig1(1);
+    let runner = SweepRunner::new(&scenario, &flag, &kit, &config)
+        .team_size(1)
+        .retain_reports(true);
+    runner.run_rep(0).expect("warm-up rep runs");
+    runner.run_rep_stats(0).expect("warm-up rep runs");
+    for rep in 1..10 {
+        let (report, allocs) = allocations(|| runner.run_rep(rep));
+        let report = report.expect("rep runs");
+        assert!(report.correct, "rep {rep}");
+        assert_eq!(allocs, FRANCE_REPORT_REP_ALLOCS, "rep {rep}");
+        // Stats reps stay allocation-free on the same runner.
+        let (sample, allocs) = allocations(|| runner.run_rep_stats(rep));
+        assert_eq!(sample.expect("rep runs"), report.sample(), "rep {rep}");
+        assert_eq!(allocs, 0, "stats rep {rep} allocated");
     }
 }
 

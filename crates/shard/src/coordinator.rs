@@ -37,7 +37,7 @@ use std::io::{BufReader, BufWriter};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -157,8 +157,19 @@ fn now_ms(start: Instant) -> u64 {
     start.elapsed().as_millis() as u64
 }
 
-fn lock(shared: &Mutex<Shared>) -> std::sync::MutexGuard<'_, Shared> {
-    shared.lock().expect("shard state lock poisoned")
+/// The campaign state behind its lock, and the supervisor's wake-up.
+/// Endpoint threads notify `wake` when a stop is requested and when the
+/// last of them exits, so the supervisor sees a terminal state without
+/// waiting out its tick. A completed merge wakes it through that last
+/// exit: each session ends on its own once no lease is left, and a
+/// worker still connecting gets to join the fleet view first.
+struct SharedState {
+    inner: Mutex<Shared>,
+    wake: Condvar,
+}
+
+fn lock(shared: &SharedState) -> std::sync::MutexGuard<'_, Shared> {
+    shared.inner.lock().expect("shard state lock poisoned")
 }
 
 /// Fold one outcome into the merge, honoring checkpoint cadence and the
@@ -213,14 +224,17 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
     }
     let start = Instant::now();
     let table = LeaseTable::with_missing(job.reps, &merge.missing_ranges(), cfg.lease.clone());
-    let shared = Mutex::new(Shared {
-        table,
-        merge,
-        last_ckpt: cfg.resume.as_ref().map(|c| c.watermark).unwrap_or(0),
-        halted: false,
-        deadline_hit: false,
-        fatal: None,
-    });
+    let shared = SharedState {
+        inner: Mutex::new(Shared {
+            table,
+            merge,
+            last_ckpt: cfg.resume.as_ref().map(|c| c.watermark).unwrap_or(0),
+            halted: false,
+            deadline_hit: false,
+            fatal: None,
+        }),
+        wake: Condvar::new(),
+    };
 
     if !lock(&shared).merge.is_complete() {
         if cfg.endpoints.is_empty() {
@@ -231,7 +245,10 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
     }
 
     // Everything has stopped; freeze the outcome.
-    let sh = shared.into_inner().expect("shard state lock poisoned");
+    let sh = shared
+        .inner
+        .into_inner()
+        .expect("shard state lock poisoned");
     if let Some(hub) = &cfg.obs {
         let merged = sh.merge.merged();
         hub.with(|fv| fv.merged = merged);
@@ -292,7 +309,7 @@ fn run_local(
     mat: &MaterializedJob,
     job: &JobSpec,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    shared: &SharedState,
     start: Instant,
 ) {
     let queue: Mutex<Vec<(u64, u64)>> = Mutex::new(lock(shared).merge.missing_ranges());
@@ -343,7 +360,7 @@ fn run_remote(
     mat: &MaterializedJob,
     job: &JobSpec,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    shared: &SharedState,
     start: Instant,
 ) {
     let done = AtomicBool::new(false);
@@ -354,14 +371,25 @@ fn run_remote(
             let threads_alive = &threads_alive;
             s.spawn(move || {
                 endpoint_sessions(endpoint, job, cfg, shared, done, start);
-                threads_alive.fetch_sub(1, Ordering::Relaxed);
+                // Under the lock, so the supervisor cannot miss the last
+                // exit between reading the count and waiting.
+                let _sh = lock(shared);
+                if threads_alive.fetch_sub(1, Ordering::Relaxed) == 1 {
+                    shared.wake.notify_one();
+                }
             });
         }
-        // Supervisor.
-        loop {
-            thread::sleep(Duration::from_millis(5));
+        // Supervisor: a 5 ms tick for lease deadlines, the wall budget
+        // and fleet sampling, cut short by a wake-up from an endpoint
+        // thread.
+        let mut sh = lock(shared);
+        let degrade = loop {
+            sh = shared
+                .wake
+                .wait_timeout(sh, Duration::from_millis(5))
+                .expect("shard state lock poisoned")
+                .0;
             let now = now_ms(start);
-            let mut sh = lock(shared);
             sh.table.check_deadlines(now);
             if let Some(budget) = cfg.max_wall {
                 if start.elapsed() >= budget && !sh.merge.is_complete() {
@@ -381,8 +409,7 @@ fn run_remote(
                 || stop_requested(&sh)
                 || sh.table.abort_reason().is_some();
             if terminal {
-                done.store(true, Ordering::Relaxed);
-                break;
+                break false;
             }
             let cluster_gone = threads_alive.load(Ordering::Relaxed) == 0;
             if cluster_gone {
@@ -396,12 +423,14 @@ fn run_remote(
                         ],
                     );
                 }
-                drop(sh);
-                run_local(mat, job, cfg, shared, start);
-                done.store(true, Ordering::Relaxed);
-                break;
+                break true;
             }
+        };
+        drop(sh);
+        if degrade {
+            run_local(mat, job, cfg, shared, start);
         }
+        done.store(true, Ordering::Relaxed);
         // Scope exit joins the endpoint threads (they observe `done`).
     });
 }
@@ -412,7 +441,7 @@ fn endpoint_sessions(
     endpoint: &str,
     job: &JobSpec,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    shared: &SharedState,
     done: &AtomicBool,
     start: Instant,
 ) {
@@ -441,7 +470,7 @@ fn connect_with_backoff(
     addr: SocketAddr,
     w: WorkerId,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    shared: &SharedState,
     done: &AtomicBool,
     start: Instant,
 ) -> Option<TcpStream> {
@@ -575,7 +604,7 @@ fn drive_session(
     w: WorkerId,
     job: &JobSpec,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    shared: &SharedState,
     done: &AtomicBool,
     start: Instant,
 ) -> Result<(), ()> {
@@ -669,7 +698,7 @@ fn drive_leases(
     remap: &mut BTreeMap<u64, u64>,
     job: &JobSpec,
     cfg: &CoordinatorConfig,
-    shared: &Mutex<Shared>,
+    shared: &SharedState,
     done: &AtomicBool,
     start: Instant,
 ) -> Result<(), ()> {
@@ -736,6 +765,7 @@ fn drive_leases(
                     record(&mut sh, job, cfg, rep, outcome);
                     if stop_requested(&sh) {
                         done.store(true, Ordering::Relaxed);
+                        shared.wake.notify_one();
                     }
                 }
                 if let Some(hub) = obs {
