@@ -45,6 +45,8 @@ pub use explain::{explain_report, explain_scenario, Explanation};
 pub use faults::{FaultEvent, FaultPlan, RecoveryPolicy, ResilienceReport};
 pub use partition::{CellOrder, PartitionStrategy};
 pub use report::{RepSample, RunReport};
-pub use run::{run_activity, run_activity_with_faults, ActivityOutcome, ScheduledRuns};
+pub use run::{
+    run_activity, run_activity_with_faults, ActivityOutcome, OutcomeFingerprint, ScheduledRuns,
+};
 pub use scenario::Scenario;
 pub use work::WorkItem;

@@ -2,7 +2,8 @@
 
 use crate::faults::ResilienceReport;
 use flagsim_desim::resource::ResourceStats;
-use flagsim_desim::{SimDuration, SimTime, Trace};
+use flagsim_desim::schedule::{fnv_mix, fnv_mix_str, FNV_OFFSET};
+use flagsim_desim::{ProcAccount, SimDuration, SimTime, Trace};
 use flagsim_grid::{Color, Grid};
 use std::fmt::Write as _;
 
@@ -24,6 +25,100 @@ pub struct StudentStats {
     pub idle: SimDuration,
     /// When they finished their part.
     pub finished_at: SimTime,
+}
+
+impl StudentStats {
+    /// The figures the outcome fingerprint reads.
+    fn figures(&self) -> StudentFigures<'_> {
+        StudentFigures {
+            name: &self.name,
+            completed: self.completed,
+            busy: self.busy,
+            waiting: self.waiting,
+            idle: self.idle,
+            finished_at: self.finished_at,
+        }
+    }
+}
+
+/// One student's figures as the outcome fingerprint reads them: a
+/// [`StudentStats`] without the cell count, the name borrowed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StudentFigures<'a> {
+    name: &'a str,
+    completed: usize,
+    busy: SimDuration,
+    waiting: SimDuration,
+    idle: SimDuration,
+    finished_at: SimTime,
+}
+
+impl<'a> StudentFigures<'a> {
+    /// Student `name`'s figures from the engine's account of their
+    /// process, in a run that ended at `end`.
+    pub(crate) fn new(name: &'a str, account: ProcAccount, end: SimTime) -> Self {
+        StudentFigures {
+            name,
+            completed: account.completed_work as usize,
+            busy: account.busy,
+            waiting: account.waiting,
+            idle: account.idle(end),
+            finished_at: account.finished_at.unwrap_or(end),
+        }
+    }
+
+    /// The report's row: these figures with the student's cell count.
+    pub(crate) fn stats(self, cells: usize) -> StudentStats {
+        StudentStats {
+            name: self.name.to_owned(),
+            cells,
+            completed: self.completed,
+            busy: self.busy,
+            waiting: self.waiting,
+            idle: self.idle,
+            finished_at: self.finished_at,
+        }
+    }
+}
+
+/// Canonical FNV-1a fingerprint of a finished run's outcome, folded from
+/// its parts: the completion time, correctness and breakages; each grid
+/// cell's color in cell order; each student's figures; and each color's
+/// contention. [`RunReport::fingerprint`] feeds it from a report, and
+/// [`ScheduledRuns::fingerprint`](crate::ScheduledRuns::fingerprint)
+/// straight from the engine, so the two agree by construction.
+pub(crate) fn outcome_fingerprint<'a>(
+    completion: SimDuration,
+    correct: bool,
+    breakages: u64,
+    cells: impl IntoIterator<Item = Color>,
+    students: impl IntoIterator<Item = StudentFigures<'a>>,
+    colors: impl IntoIterator<Item = (Color, &'a ResourceStats)>,
+) -> u64 {
+    let mut h = FNV_OFFSET;
+    h = fnv_mix(h, completion.millis());
+    h = fnv_mix(h, u64::from(correct));
+    h = fnv_mix(h, breakages);
+    for c in cells {
+        h = fnv_mix(h, c.code() as u64);
+    }
+    for s in students {
+        h = fnv_mix_str(h, s.name);
+        h = fnv_mix(h, s.completed as u64);
+        h = fnv_mix(h, s.busy.millis());
+        h = fnv_mix(h, s.waiting.millis());
+        h = fnv_mix(h, s.idle.millis());
+        h = fnv_mix(h, s.finished_at.millis());
+    }
+    for (color, stats) in colors {
+        h = fnv_mix(h, color.code() as u64);
+        h = fnv_mix(h, stats.acquisitions);
+        h = fnv_mix(h, stats.contended_acquisitions);
+        h = fnv_mix(h, stats.handoffs);
+        h = fnv_mix(h, stats.total_wait.millis());
+        h = fnv_mix(h, stats.max_queue_len as u64);
+    }
+    h
 }
 
 /// Contention on one color's implement.
@@ -82,6 +177,21 @@ pub struct RepSample {
 }
 
 impl RunReport {
+    /// Canonical fingerprint of the outcome: the number on the board, the
+    /// grid as colored, correctness, and every per-student and per-marker
+    /// figure the discussion digs into. Two runs with equal fingerprints
+    /// are the same outcome class to `flagsim verify`.
+    pub fn fingerprint(&self) -> u64 {
+        outcome_fingerprint(
+            self.completion,
+            self.correct,
+            self.breakages,
+            self.grid.iter().map(|(_, c)| c),
+            self.students.iter().map(StudentStats::figures),
+            self.contention.iter().map(|c| (c.color, &c.stats)),
+        )
+    }
+
     /// Completion time in seconds.
     pub fn completion_secs(&self) -> f64 {
         self.completion.as_secs_f64()

@@ -30,7 +30,7 @@
 
 use crate::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use crate::faults::{FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport};
-use crate::report::{ColorContention, RepSample, RunReport, StudentStats};
+use crate::report::{outcome_fingerprint, ColorContention, RepSample, RunReport, StudentFigures};
 use crate::scenario::CompiledScenario;
 use crate::work::{PreparedFlag, WorkItem};
 use flagsim_agents::{noise, CostModel, Implement, StudentProfile};
@@ -38,7 +38,7 @@ use flagsim_desim::{
     Action, Engine, NoPolicy, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
     Trace, WaitForGraph,
 };
-use flagsim_grid::{Color, Grid};
+use flagsim_grid::{CellId, Color, Grid};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
@@ -443,6 +443,17 @@ impl RunPrep {
             color_index,
         })
     }
+
+    /// Name the waiting students and their markers in `graph`, a stall of
+    /// a run loaded without names (`report == false`), as the report
+    /// finish's engine names them.
+    fn name_waiters(&self, graph: &mut WaitForGraph, team: &[StudentProfile]) {
+        for e in &mut graph.edges {
+            e.proc_name.clone_from(&team[e.proc.index()].name);
+            let r = e.resource.index();
+            e.resource_label = resource_label(self.needed[r], self.implements[r]);
+        }
+    }
 }
 
 /// One run's validated inputs. `team` arguments below hold one student
@@ -704,7 +715,7 @@ impl World {
             .zip(prep.counts.iter().zip(&self.handoffs))
         {
             let label = if report {
-                format!("{c} {}", implement.kind)
+                resource_label(c, implement)
             } else {
                 String::new()
             };
@@ -743,6 +754,18 @@ impl World {
         }
         end
     }
+}
+
+/// The label of the resource behind color `c`'s implement, as reports
+/// and engine errors name it.
+fn resource_label(c: Color, implement: Implement) -> String {
+    format!("{c} {}", implement.kind)
+}
+
+/// Whether a cell colored `got` is right where the flag wants `want`:
+/// a color the config skips may also stay blank.
+fn cell_correct(config: &ActivityConfig, want: Color, got: Color) -> bool {
+    got == want || (got == Color::Blank && config.skip_colors.contains(&want))
 }
 
 /// When student `idx` starts: the latest of their late arrivals, or zero.
@@ -828,7 +851,7 @@ impl Run<'_> {
         flagsim_telemetry::count("run.noise_exact_fallbacks", world.noise_fallbacks);
         Ok(RepSample {
             completion_secs: (end - SimTime::ZERO).as_secs_f64(),
-            wait_secs: engine.waiting().map(SimDuration::as_secs_f64).sum(),
+            wait_secs: engine.accounts().map(|a| a.waiting.as_secs_f64()).sum(),
         })
     }
 
@@ -875,9 +898,11 @@ impl Run<'_> {
 
 /// One sampled run replayed under many schedules — `flagsim verify`'s
 /// per-verdict unit. Building it validates the inputs and draws every
-/// duration once (advancing the team's warm-up once). Each
-/// [`ScheduledRuns::run`] reloads that same world into one reused engine,
-/// so a schedule costs the event loop and the report, not the setup.
+/// duration once (advancing the team's warm-up once). Each run reloads
+/// that same world into one reused engine, so a schedule costs the event
+/// loop and a finish, not the setup: [`ScheduledRuns::run`] finishes with
+/// the full report, [`ScheduledRuns::fingerprint`] with only the outcome
+/// fingerprint exploration compares.
 /// Built by
 /// [`CompiledScenario::scheduled_runs`](crate::scenario::CompiledScenario::scheduled_runs).
 pub struct ScheduledRuns<'a, Pol> {
@@ -890,6 +915,23 @@ pub struct ScheduledRuns<'a, Pol> {
     /// The sampled cell lists, which every run copies into `world`.
     items: Vec<Vec<TimedItem>>,
     engine: Engine<StudentProc, Pol>,
+    /// Scratch for the fingerprint finish: the grid as colored, by cell.
+    cells: Vec<Color>,
+}
+
+/// How one schedule of [`ScheduledRuns::fingerprint`] ended.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OutcomeFingerprint {
+    /// The run finished: [`RunReport::fingerprint`] of the report
+    /// [`ScheduledRuns::run`] would have given, and its completion time.
+    Completed {
+        /// The outcome fingerprint.
+        fingerprint: u64,
+        /// The completion time.
+        completion: SimDuration,
+    },
+    /// The run stalled, with the wait-for graph the report finish gives.
+    Stalled(WaitForGraph),
 }
 
 impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
@@ -915,6 +957,7 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
             items: world.items.clone(),
             world,
             engine,
+            cells: Vec::new(),
         }
     }
 
@@ -923,15 +966,109 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
         self.engine.policy_mut()
     }
 
-    /// Run the sampled world once more under the policy as it stands —
-    /// the outcome a fresh run of the same inputs and policy gives.
-    pub fn run(&mut self) -> Result<ActivityOutcome, String> {
+    /// Put every cell list of the world back as it was drawn.
+    fn reload(&mut self) {
         for (to, from) in self.world.items.iter_mut().zip(&self.items) {
             to.clone_from(from);
         }
+    }
+
+    /// Run the sampled world once more under the policy as it stands —
+    /// the outcome a fresh run of the same inputs and policy gives.
+    pub fn run(&mut self) -> Result<ActivityOutcome, String> {
+        self.reload();
         let run = self.scenario.run(&self.prep, self.config, self.plan);
         let (team, world, engine) = (&self.team, &mut self.world, &mut self.engine);
         run.finish(team.len(), || run.simulate(team, world, engine))
+    }
+
+    /// [`ScheduledRuns::run`] reduced to what exploration compares, with
+    /// no report built: the same engine run under the same policy calls,
+    /// then [`RunReport::fingerprint`] of the report `run` would give,
+    /// folded from the engine's slots, the cell lists and a reused grid
+    /// buffer. A steady-state run without faults allocates nothing.
+    ///
+    /// A stall comes back as the wait-for graph `run` gives, its process
+    /// names and resource labels filled in on that cold path. No activity
+    /// reaches it, though: a student holds at most one implement and hands
+    /// it back before asking for another, so nobody holds one while
+    /// waiting. Any other engine failure comes back as its rendering,
+    /// which leaves students and markers unnamed.
+    pub fn fingerprint(&mut self) -> Result<OutcomeFingerprint, String> {
+        self.reload();
+        let ScheduledRuns {
+            scenario,
+            config,
+            plan,
+            ref prep,
+            ref team,
+            ref mut world,
+            ref mut engine,
+            ref mut cells,
+            ..
+        } = *self;
+        let run = scenario.run(prep, config, plan);
+        let _activity_span = flagsim_telemetry::span("sim", "run.activity")
+            .arg("label", run.label)
+            .arg("students", team.len());
+        let live = (!run.plan.is_empty())
+            .then(|| LiveFaultState::shared(team.len(), run.plan, &prep.needed));
+        world.load(engine, &run, team, live.as_ref(), false);
+        let end = match world.run(engine) {
+            Ok(end) => end,
+            Err(SimError::Stalled { mut waiters }) => {
+                prep.name_waiters(&mut waiters, team);
+                return Ok(OutcomeFingerprint::Stalled(waiters));
+            }
+            Err(e) => return Err(format!("simulation failed: {e}")),
+        };
+        flagsim_telemetry::count("run.breakages", world.breakages);
+        flagsim_telemetry::count("run.noise_exact_fallbacks", world.noise_fallbacks);
+
+        // Paint as the report finish does: each student's started cells,
+        // as many as they completed. Without faults those are a prefix of
+        // the student's own cell list.
+        let flag = run.flag;
+        cells.clear();
+        cells.resize(flag.reference.len(), Color::Blank);
+        match &live {
+            None => {
+                for (items, account) in world.items.iter().zip(engine.accounts()) {
+                    let done = (account.completed_work as usize).min(items.len());
+                    for item in &items[..done] {
+                        cells[item.work.cell.index()] = item.work.color;
+                    }
+                }
+            }
+            Some(live) => {
+                for (started, account) in live.borrow().started.iter().zip(engine.accounts()) {
+                    let done = (account.completed_work as usize).min(started.len());
+                    for item in &started[..done] {
+                        cells[item.cell.index()] = item.color;
+                    }
+                }
+            }
+        }
+        let correct = cells
+            .iter()
+            .enumerate()
+            .all(|(i, &got)| cell_correct(run.config, flag.reference.get(CellId(i as u32)), got));
+
+        let completion = end - SimTime::ZERO;
+        let fingerprint = outcome_fingerprint(
+            completion,
+            correct,
+            world.breakages,
+            cells.iter().copied(),
+            team.iter()
+                .zip(engine.accounts())
+                .map(|(s, account)| StudentFigures::new(&s.name, account, end)),
+            prep.needed.iter().copied().zip(engine.resource_stats()),
+        );
+        Ok(OutcomeFingerprint::Completed {
+            fingerprint,
+            completion,
+        })
     }
 }
 
@@ -977,28 +1114,16 @@ fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
     // The painting loop above was `started`'s last reader; move, don't
     // clone, the per-student logs into the report.
     let cell_log = std::mem::take(&mut state.started);
-    let correct = grid.iter().all(|(id, got)| {
-        let want = flag.reference.get(id);
-        if config.skip_colors.contains(&want) {
-            got == Color::Blank || got == want
-        } else {
-            got == want
-        }
-    });
+    let correct = grid
+        .iter()
+        .all(|(id, got)| cell_correct(config, flag.reference.get(id), got));
 
-    let students: Vec<StudentStats> = trace
+    let students = trace
         .procs
         .iter()
         .zip(assignments)
-        .zip(&completed)
-        .map(|((p, items), &done)| StudentStats {
-            name: p.name.clone(),
-            cells: items.len(),
-            completed: done,
-            busy: p.busy,
-            waiting: p.waiting,
-            idle: p.idle(trace.end_time),
-            finished_at: p.finished_at.unwrap_or(trace.end_time),
+        .map(|(p, items)| {
+            StudentFigures::new(&p.name, p.account(), trace.end_time).stats(items.len())
         })
         .collect();
 
@@ -1133,6 +1258,58 @@ mod tests {
     ) -> Result<RunReport, String> {
         let mut t = team(assignments.len());
         run_activity_with_faults("test", pf, assignments, &mut t, kit, config, plan)
+    }
+
+    /// No activity stalls, so the fingerprint finish's stall naming is
+    /// checked on an engine-level deadlock over a real run's markers: a
+    /// graph whose names were left blank, named from the team and the
+    /// prep, equals the graph the engine gives with every name loaded (and
+    /// so has the same graph fingerprint).
+    #[test]
+    fn stall_naming_matches_the_named_engine() {
+        use flagsim_desim::FnProcess;
+        let (_, assignments) = mauritius(PartitionStrategy::VerticalSlices(4));
+        let prep = RunPrep::new(&assignments, &kit(), &FaultPlan::none()).unwrap();
+        let team = team(2);
+        let stall = |named: bool| {
+            let mut engine: Engine = Engine::new();
+            for (&c, &implement) in prep.needed.iter().zip(&prep.implements) {
+                let label = if named {
+                    resource_label(c, implement)
+                } else {
+                    String::new()
+                };
+                engine.add_resource(label, SimDuration::ZERO);
+            }
+            let second = SimDuration::from_millis(1_000);
+            for (student, first, then) in [(0, 0, 1), (1, 1, 0)] {
+                let (first, then) = (ResourceId::from_index(first), ResourceId::from_index(then));
+                let mut script = VecDeque::from([
+                    Action::Acquire(first),
+                    Action::Work(second),
+                    Action::Acquire(then),
+                ]);
+                let name = if named {
+                    team[student].name.clone()
+                } else {
+                    String::new()
+                };
+                engine.add_process(Box::new(FnProcess::new(name, move |_| {
+                    script.pop_front().unwrap_or(Action::Done)
+                })));
+            }
+            match engine.try_run() {
+                Err(SimError::Stalled { waiters }) => waiters,
+                other => panic!("expected a stall, got {other:?}"),
+            }
+        };
+        let named = stall(true);
+        assert_eq!(named.len(), 2);
+        assert!(named.edges.iter().all(|e| e.resource_label.contains("marker")));
+        let mut blank = stall(false);
+        assert_ne!(blank, named);
+        prep.name_waiters(&mut blank, &team);
+        assert_eq!(blank, named);
     }
 
     fn run_scenario(strategy: PartitionStrategy, n: usize, seed: u64) -> RunReport {

@@ -1,19 +1,24 @@
 //! Allocation gates for the reused engine. A steady-state stats rep —
 //! `SweepRunner::run_rep_stats` on scenario 4 after one warm-up rep —
 //! allocates nothing, and neither does a policed engine run after
-//! `Engine::reset`. A report rep's allocation count is pinned. The test binary installs its own counting allocator,
-//! which counts only on the thread that asked, so tests running in
-//! parallel do not disturb each other's counts.
+//! `Engine::reset` or a steady-state `ScheduledRuns::fingerprint`. A
+//! report rep's and a verify verdict's allocation counts are pinned. The
+//! test binary installs its own counting allocator, which counts only on
+//! the thread that asked, so tests running in parallel do not disturb
+//! each other's counts.
 
 use flagsim_agents::ImplementKind;
 use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
-use flagsim_core::{ActivityConfig, Scenario, TeamKit};
+use flagsim_core::{ActivityConfig, FaultPlan, OutcomeFingerprint, Scenario, TeamKit};
 use flagsim_desim::{
-    Action, ChoicePoint, Engine, ProcId, Process, ResourceId, SchedulePolicy, SimDuration, SimTime,
+    Action, ChoicePoint, Engine, ForcedSchedule, ProcId, Process, ResourceId, SchedulePolicy,
+    SimDuration, SimTime,
 };
 use flagsim_flags::library;
 use flagsim_grid::Color;
+use flagsim_simcheck::explore::scenario_team;
+use flagsim_simcheck::{explore_activity, ExploreConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -182,4 +187,54 @@ fn policed_run_after_reset_allocates_nothing() {
     let (choices, allocs) = allocations(|| policed_run(&mut engine, 0));
     assert!(choices > 0);
     assert_eq!(allocs, 0, "tied policed run");
+}
+
+#[test]
+fn steady_state_fingerprint_schedule_allocates_nothing() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let kit = TeamKit::uniform(ImplementKind::ThickMarker, &Color::MAURITIUS);
+    let config = ActivityConfig::default().with_seed(2025);
+    let plan = FaultPlan::none();
+    let compiled = Scenario::fig1(4).compile(&flag, &config).expect("compiles");
+    let (policy, log) = ForcedSchedule::new(Vec::new());
+    let mut runs = compiled
+        .scheduled_runs(scenario_team(&compiled), &kit, &config, &plan, *policy)
+        .expect("samples");
+    // A schedule that flips the last tie of the default one.
+    let script = [0, 0, 0, 0, 1];
+    let mut schedule = || {
+        log.borrow_mut().clear();
+        runs.policy_mut().restart(&script);
+        runs.fingerprint().expect("runs")
+    };
+    let warm = schedule();
+    assert!(
+        matches!(warm, OutcomeFingerprint::Completed { .. }),
+        "{warm:?}"
+    );
+    assert!(log.borrow().decisions.len() >= script.len(), "scenario 4 ties");
+    for _ in 0..3 {
+        let (outcome, allocs) = allocations(&mut schedule);
+        assert_eq!(outcome, warm, "replays are deterministic");
+        assert_eq!(allocs, 0, "steady-state schedule allocated");
+    }
+}
+
+/// Allocations of one `flagsim verify` verdict on scenario 4 at seed
+/// 2025 (44 schedules): sampling the world once, exploration's stack,
+/// state set, scripts and outcome classes, and the traced baseline run
+/// with its report and SC302 analysis.
+const SCENARIO_4_VERDICT_ALLOCS: u64 = 685;
+
+#[test]
+fn verify_verdict_allocations_are_pinned() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]));
+    let config = ActivityConfig::default().with_seed(2025);
+    let compiled = Scenario::fig1(4).compile(&flag, &config).expect("compiles");
+    let (verdict, allocs) =
+        allocations(|| explore_activity(&compiled, &kit, &config, &ExploreConfig::default()));
+    let verdict = verdict.expect("explores");
+    assert_eq!(verdict.exploration.schedules_run, 44);
+    assert_eq!(allocs, SCENARIO_4_VERDICT_ALLOCS);
 }

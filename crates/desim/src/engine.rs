@@ -33,10 +33,10 @@
 //!   bit-identical to a recording run.
 
 use crate::error::{SimError, WaitEdge, WaitForGraph};
-use crate::resource::{ResourceId, ResourceState};
+use crate::resource::{ResourceId, ResourceState, ResourceStats};
 use crate::schedule::{word_mix, ChoiceKind, ChoicePoint, NoPolicy, SchedulePolicy};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{EventKind, ProcReport, ResourceReport, Trace, TraceEvent};
+use crate::trace::{EventKind, ProcAccount, ProcReport, ResourceReport, Trace, TraceEvent};
 
 /// Identifies a process within an [`Engine`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -322,10 +322,22 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         self.procs.iter_mut().map(|slot| &mut slot.process)
     }
 
-    /// Each process's waiting time so far, in id order — what a finished
-    /// [`Engine::run_in_place`] reports as [`ProcReport::waiting`].
-    pub fn waiting(&self) -> impl Iterator<Item = SimDuration> + '_ {
-        self.procs.iter().map(|slot| slot.waiting)
+    /// Each process's accounting so far, in id order: exactly what
+    /// [`Engine::take_trace`] copies into each [`ProcReport`], read in
+    /// place — e.g. after [`Engine::run_in_place`].
+    pub fn accounts(&self) -> impl Iterator<Item = ProcAccount> + '_ {
+        self.procs.iter().map(|slot| ProcAccount {
+            busy: slot.busy,
+            waiting: slot.waiting,
+            completed_work: slot.completed_work,
+            finished_at: slot.finished_at,
+        })
+    }
+
+    /// Each resource's contention statistics so far, in id order: exactly
+    /// what [`Engine::take_trace`] copies into each resource's report.
+    pub fn resource_stats(&self) -> impl Iterator<Item = &ResourceStats> + '_ {
+        self.resources.iter().map(|r| &r.stats)
     }
 
     /// Configure the event-budget watchdog: runs that process more than
@@ -480,7 +492,7 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
     /// complete) — the classroom reality behind §V-C's response-rate note,
     /// "the first of the three sections … had less time". Unfinished
     /// processes report `finished_at: None`. Read the results with
-    /// [`Engine::waiting`] or [`Engine::take_trace`]; after an error,
+    /// [`Engine::accounts`] or [`Engine::take_trace`]; after an error,
     /// [`Engine::reset`] before the next run.
     ///
     /// A cut-off run settles its in-flight accounting to the wall clock:
@@ -962,12 +974,13 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         let procs = self
             .procs
             .iter()
-            .map(|p| ProcReport {
+            .zip(self.accounts())
+            .map(|(p, a)| ProcReport {
                 name: p.process.name().to_owned(),
-                busy: p.busy,
-                waiting: p.waiting,
-                completed_work: p.completed_work,
-                finished_at: p.finished_at,
+                busy: a.busy,
+                waiting: a.waiting,
+                completed_work: a.completed_work,
+                finished_at: a.finished_at,
             })
             .collect();
         let resources = self

@@ -55,4 +55,4 @@ pub use schedule::{
     SchedulePolicy,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{csv_field, xml_escape, EventKind, Trace, TraceEvent};
+pub use trace::{csv_field, xml_escape, EventKind, ProcAccount, Trace, TraceEvent};

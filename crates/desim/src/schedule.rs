@@ -173,9 +173,11 @@ pub struct Decision {
     pub kind: ChoiceKind,
     /// When the tie occurred.
     pub at: SimTime,
-    /// The tied processes in canonical (pid) order.
-    pub candidates: Vec<ProcId>,
-    /// Index into `candidates` that was chosen.
+    /// Where the tied processes, in canonical (pid) order, sit in
+    /// [`ScheduleLog::candidates`]; read them with
+    /// [`ScheduleLog::candidates_of`].
+    pub candidates: std::ops::Range<usize>,
+    /// Index into the tied processes that was chosen.
     pub chosen: usize,
     /// Canonical state hash at the choice point.
     pub state_hash: u64,
@@ -197,11 +199,15 @@ pub struct CascadeRec {
 }
 
 /// Everything a [`ForcedSchedule`] run observed: the decision vector and
-/// the cascade log, in execution order.
+/// the cascade log, in execution order. [`ScheduleLog::clear`] empties it
+/// for the next run and keeps its buffers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScheduleLog {
     /// Every choice point the run hit, with what was chosen.
     pub decisions: Vec<Decision>,
+    /// Every decision's tied processes, end to end in decision order: one
+    /// flat buffer rather than one `Vec` per decision.
+    pub candidates: Vec<ProcId>,
     /// Every poll cascade, with its resource footprint.
     pub cascades: Vec<CascadeRec>,
     /// Every cascade's footprint, end to end in cascade order: one flat
@@ -210,6 +216,11 @@ pub struct ScheduleLog {
 }
 
 impl ScheduleLog {
+    /// The processes tied at decision `d`, in canonical (pid) order.
+    pub fn candidates_of(&self, d: &Decision) -> &[ProcId] {
+        &self.candidates[d.candidates.clone()]
+    }
+
     /// The resources cascade `c` touched (acquired, blocked on, or
     /// released, in order, duplicates preserved).
     pub fn footprint(&self, c: &CascadeRec) -> &[ResourceId] {
@@ -221,6 +232,14 @@ impl ScheduleLog {
     pub fn script_prefix(&self, n: usize) -> Vec<usize> {
         self.decisions.iter().take(n).map(|d| d.chosen).collect()
     }
+
+    /// Empty the log for the next run, keeping every buffer's capacity.
+    pub fn clear(&mut self) {
+        self.decisions.clear();
+        self.candidates.clear();
+        self.cascades.clear();
+        self.footprints.clear();
+    }
 }
 
 /// A scripted tie-breaker: decision `i` picks `script[i]`, and every
@@ -231,7 +250,9 @@ impl ScheduleLog {
 /// Replaying the same script against the same engine build is
 /// byte-deterministic: same trace, same log. One policy serves many
 /// schedules of a reused engine: [`ForcedSchedule::restart`] it under the
-/// next script and take the log between runs.
+/// next script, and between runs read the log and
+/// [`ScheduleLog::clear`] it (or swap in an empty one), since a run
+/// appends to whatever the handle holds.
 #[derive(Debug)]
 pub struct ForcedSchedule {
     script: Vec<usize>,
@@ -271,10 +292,14 @@ impl SchedulePolicy for ForcedSchedule {
         // in range (the prefix replays deterministically), but a stale
         // hand-written script must not crash the run.
         let chosen = raw.min(choice.candidates.len().saturating_sub(1));
-        self.log.borrow_mut().decisions.push(Decision {
+        let mut log = self.log.borrow_mut();
+        let start = log.candidates.len();
+        log.candidates.extend_from_slice(choice.candidates);
+        let candidates = start..log.candidates.len();
+        log.decisions.push(Decision {
             kind: choice.kind,
             at: choice.at,
-            candidates: choice.candidates.to_vec(),
+            candidates,
             chosen,
             state_hash: choice.state_hash,
         });
@@ -332,9 +357,12 @@ mod tests {
         assert_eq!(policy.choose(&choice(7)), 1);
         assert_eq!(policy.choose(&choice(8)), 1, "99 clamps to last candidate");
         assert_eq!(policy.choose(&choice(9)), 0, "past the script: default 0");
-        let log = log.borrow();
+        let mut log = log.borrow_mut();
         assert_eq!(log.decisions.len(), 3);
         assert_eq!(log.script_prefix(2), vec![1, 1]);
         assert_eq!(log.decisions[0].state_hash, 7);
+        assert_eq!(log.candidates_of(&log.decisions[2]), &cands);
+        log.clear();
+        assert_eq!(*log, ScheduleLog::default());
     }
 }

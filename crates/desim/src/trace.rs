@@ -93,7 +93,21 @@ pub struct ProcReport {
     pub finished_at: Option<SimTime>,
 }
 
-impl ProcReport {
+/// One process's accounting as the engine keeps it: a [`ProcReport`]
+/// without the name, read in place with `Engine::accounts`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ProcAccount {
+    /// Total time spent working.
+    pub busy: SimDuration,
+    /// Total time spent blocked on resources (including hand-offs).
+    pub waiting: SimDuration,
+    /// `Work` chunks that ran to completion.
+    pub completed_work: u64,
+    /// When the process issued `Done` (None if it never finished).
+    pub finished_at: Option<SimTime>,
+}
+
+impl ProcAccount {
     /// The lifetime rates are computed against: from t=0 until the
     /// process finished, or until `trace_end` for a process that never
     /// finished — a downed worker is down for the whole run, not absent
@@ -109,6 +123,28 @@ impl ProcReport {
                 .millis()
                 .saturating_sub(self.busy.millis() + self.waiting.millis()),
         )
+    }
+}
+
+impl ProcReport {
+    /// The accounting without the name.
+    pub fn account(&self) -> ProcAccount {
+        ProcAccount {
+            busy: self.busy,
+            waiting: self.waiting,
+            completed_work: self.completed_work,
+            finished_at: self.finished_at,
+        }
+    }
+
+    /// See [`ProcAccount::lifetime`].
+    pub fn lifetime(&self, trace_end: SimTime) -> SimDuration {
+        self.account().lifetime(trace_end)
+    }
+
+    /// See [`ProcAccount::idle`].
+    pub fn idle(&self, trace_end: SimTime) -> SimDuration {
+        self.account().idle(trace_end)
     }
 
     /// Fraction of lifetime spent busy, in `[0, 1]` (0 for a zero-length

@@ -35,13 +35,14 @@ use crate::diag::{Diag, Severity};
 use crate::hb::AcquireTie;
 use flagsim_agents::StudentProfile;
 use flagsim_core::scenario::CompiledScenario;
-use flagsim_core::{ActivityConfig, ActivityOutcome, FaultPlan, RunReport, TeamKit};
+use flagsim_core::{
+    ActivityConfig, ActivityOutcome, FaultPlan, OutcomeFingerprint, RunReport, TeamKit,
+};
 use flagsim_desim::schedule::{fnv_mix, fnv_mix_str, FNV_OFFSET};
 use flagsim_desim::{
     Action, ChoiceKind, Engine, FnProcess, ForcedSchedule, ScheduleLog, SimDuration, SimError,
     Trace, WaitForGraph,
 };
-use flagsim_grid::CellId;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -181,21 +182,26 @@ fn footprints_disjoint(a: &[flagsim_desim::ResourceId], b: &[flagsim_desim::Reso
     !a.iter().any(|r| b.contains(r))
 }
 
-/// Would flipping decision `d` to `candidates[alt]` commute with the run
-/// as observed? See the module docs for the rule.
+/// Would flipping decision `d` to its candidate `alt` commute with the
+/// run as observed? See the module docs for the rule.
 fn sleep_prunable(d: &flagsim_desim::Decision, alt: usize, log: &ScheduleLog) -> bool {
     if d.kind != ChoiceKind::Wakeup {
         return false;
     }
-    let Some(&alt_pid) = d.candidates.get(alt) else {
+    let Some(&alt_pid) = log.candidates_of(d).get(alt) else {
         return false;
     };
-    let same_instant: Vec<&flagsim_desim::CascadeRec> =
-        log.cascades.iter().filter(|c| c.at == d.at).collect();
-    let Some(pos) = same_instant.iter().position(|c| c.pid == alt_pid) else {
+    // Cascades are logged in time order: the same-instant ones are the
+    // slice starting at the first cascade not before `d`.
+    let same_instant = &log.cascades[log.cascades.partition_point(|c| c.at < d.at)..];
+    let Some(pos) = same_instant
+        .iter()
+        .take_while(|c| c.at == d.at)
+        .position(|c| c.pid == alt_pid)
+    else {
         return false;
     };
-    let target = same_instant[pos];
+    let target = &same_instant[pos];
     if target.spawned_same_time {
         return false;
     }
@@ -210,11 +216,29 @@ fn sleep_prunable(d: &flagsim_desim::Decision, alt: usize, log: &ScheduleLog) ->
 /// `run` must execute one simulation under the given decision script
 /// (decisions past the script's end take the canonical default 0) and
 /// return the outcome together with the [`ScheduleLog`] the run recorded.
-/// It is called once per explored schedule with a fresh world each time;
-/// any genuine simulation error aborts the whole exploration.
+/// It is called once per explored schedule, and each call must run the
+/// same world from its start: a fresh build, or a reused one reset in
+/// between. Any genuine simulation error aborts the whole exploration.
 pub fn explore<F>(mut run: F, cfg: &ExploreConfig) -> Result<Exploration, String>
 where
     F: FnMut(&[usize]) -> Result<(Outcome, ScheduleLog), String>,
+{
+    explore_in_place(
+        |script, log| {
+            let (outcome, recorded) = run(script)?;
+            *log = recorded;
+            Ok(outcome)
+        },
+        cfg,
+    )
+}
+
+/// [`explore`] over one recycled [`ScheduleLog`]: `run` records each
+/// schedule into the log it is handed, which the loop clears before every
+/// schedule, so the log's buffers serve the whole exploration.
+fn explore_in_place<F>(mut run: F, cfg: &ExploreConfig) -> Result<Exploration, String>
+where
+    F: FnMut(&[usize], &mut ScheduleLog) -> Result<Outcome, String>,
 {
     // The script to run next, plus the outcome key of the run that
     // generated it (`None` only for the root).
@@ -224,6 +248,7 @@ where
     }
     let mut ex = Exploration::default();
     let mut visited: BTreeSet<u64> = BTreeSet::new();
+    let mut log = ScheduleLog::default();
     let mut stack = vec![Pending {
         script: Vec::new(),
         parent_key: None,
@@ -234,7 +259,8 @@ where
             ex.truncated = true;
             break;
         }
-        let (outcome, log) = run(&script)?;
+        log.clear();
+        let outcome = run(&script, &mut log)?;
         ex.schedules_run += 1;
         let key = outcome.key();
 
@@ -270,11 +296,12 @@ where
         // Branch on every decision this run took beyond its forced
         // prefix (those all chose the canonical default 0).
         for (i, d) in log.decisions.iter().enumerate().skip(script.len()) {
+            let tied = d.candidates.len();
             if !cfg.naive && !visited.insert(d.state_hash) {
-                ex.pruned_visited += d.candidates.len().saturating_sub(1);
+                ex.pruned_visited += tied.saturating_sub(1);
                 continue;
             }
-            for alt in 0..d.candidates.len() {
+            for alt in 0..tied {
                 if alt == d.chosen {
                     continue;
                 }
@@ -340,32 +367,9 @@ pub fn graph_fingerprint(graph: &WaitForGraph) -> u64 {
 
 /// Canonical fingerprint of a finished activity run: the number on the
 /// board, the grid as colored, correctness, and every per-student and
-/// per-marker figure the discussion digs into.
+/// per-marker figure the discussion digs into ([`RunReport::fingerprint`]).
 pub fn report_fingerprint(report: &RunReport) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv_mix(h, report.completion.millis());
-    h = fnv_mix(h, u64::from(report.correct));
-    h = fnv_mix(h, report.breakages);
-    for i in 0..report.grid.len() {
-        h = fnv_mix(h, report.grid.get(CellId(i as u32)).code() as u64);
-    }
-    for s in &report.students {
-        h = fnv_mix_str(h, &s.name);
-        h = fnv_mix(h, s.completed as u64);
-        h = fnv_mix(h, s.busy.millis());
-        h = fnv_mix(h, s.waiting.millis());
-        h = fnv_mix(h, s.idle.millis());
-        h = fnv_mix(h, s.finished_at.millis());
-    }
-    for c in &report.contention {
-        h = fnv_mix(h, c.color.code() as u64);
-        h = fnv_mix(h, c.stats.acquisitions);
-        h = fnv_mix(h, c.stats.contended_acquisitions);
-        h = fnv_mix(h, c.stats.handoffs);
-        h = fnv_mix(h, c.stats.total_wait.millis());
-        h = fnv_mix(h, c.stats.max_queue_len as u64);
-    }
-    h
+    report.fingerprint()
 }
 
 /// Run one engine build under `script` and reduce it to an [`Outcome`].
@@ -424,10 +428,14 @@ pub fn scenario_team(scenario: &CompiledScenario) -> Vec<StudentProfile> {
 ///
 /// The run is prepared and its durations sampled once per verdict; every
 /// schedule replays that world in one reused engine under one restarted
-/// [`ForcedSchedule`]. Exploration runs disable trace-event recording (the
-/// fingerprint works from the report's accounting); one extra baseline run
-/// keeps the trace so the SC302 ties of the observed schedule can be
-/// annotated with the schedule-space verdict.
+/// [`ForcedSchedule`], whose log handle holds exploration's recycled
+/// [`ScheduleLog`] for the length of each run. Exploration runs take the
+/// fingerprint finish ([`ScheduledRuns::fingerprint`]), which builds no
+/// report. One extra baseline run, always with trace events on, keeps the
+/// trace so the SC302 ties of the observed schedule can be annotated with
+/// the schedule-space verdict.
+///
+/// [`ScheduledRuns::fingerprint`]: flagsim_core::ScheduledRuns::fingerprint
 pub fn explore_activity(
     scenario: &CompiledScenario,
     kit: &TeamKit,
@@ -435,31 +443,37 @@ pub fn explore_activity(
     cfg: &ExploreConfig,
 ) -> Result<ActivityExploration, String> {
     let plan = FaultPlan::default();
-    let lean = config.clone().with_trace_events(false);
-    let (policy, log) = ForcedSchedule::new(Vec::new());
-    let mut runs = scenario.scheduled_runs(scenario_team(scenario), kit, &lean, &plan, *policy)?;
-    let exploration = explore(
-        |script| {
+    let (policy, handle) = ForcedSchedule::new(Vec::new());
+    let mut runs = scenario.scheduled_runs(scenario_team(scenario), kit, config, &plan, *policy)?;
+    let exploration = explore_in_place(
+        |script, log| {
             runs.policy_mut().restart(script);
-            let outcome = match runs.run()? {
-                ActivityOutcome::Completed(report) => Outcome::Completed {
-                    fingerprint: report_fingerprint(&report),
-                    makespan_ms: report.completion.millis(),
+            std::mem::swap(log, &mut handle.borrow_mut());
+            let finished = runs.fingerprint();
+            std::mem::swap(log, &mut handle.borrow_mut());
+            Ok(match finished? {
+                OutcomeFingerprint::Completed {
+                    fingerprint,
+                    completion,
+                } => Outcome::Completed {
+                    fingerprint,
+                    makespan_ms: completion.millis(),
                 },
-                ActivityOutcome::Stalled(graph) => Outcome::Stalled {
+                OutcomeFingerprint::Stalled(graph) => Outcome::Stalled {
                     fingerprint: graph_fingerprint(&graph),
                     graph,
                 },
-            };
-            Ok((outcome, log.take()))
+            })
         },
         cfg,
     )?;
 
-    // Baseline: the default schedule again, with the trace on.
+    // Baseline: the default schedule again, with the trace on whatever
+    // the caller's config says — the SC302 ties are read off its events.
+    let traced = config.clone().with_trace_events(true);
     let mut team = scenario_team(scenario);
     let (policy, _log) = ForcedSchedule::new(Vec::new());
-    let baseline = match scenario.run_scheduled(&mut team, kit, config, &plan, Some(policy))? {
+    let baseline = match scenario.run_scheduled(&mut team, kit, &traced, &plan, Some(policy))? {
         ActivityOutcome::Completed(report) => Some(report),
         ActivityOutcome::Stalled(_) => None,
     };

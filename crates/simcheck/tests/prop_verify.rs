@@ -5,12 +5,17 @@
 //! byte-for-byte.
 
 use flagsim_agents::ImplementKind;
+use flagsim_core::scenario::CompiledScenario;
 use flagsim_core::work::PreparedFlag;
-use flagsim_core::{ActivityConfig, ActivityOutcome, FaultPlan, Scenario, TeamKit};
+use flagsim_core::{
+    ActivityConfig, ActivityOutcome, FaultPlan, OutcomeFingerprint, Scenario, TeamKit,
+};
 use flagsim_desim::{Action, Engine, FnProcess, ForcedSchedule, SimDuration};
 use flagsim_flags::library;
+use flagsim_grid::Color;
+use flagsim_simcheck::explore::{graph_fingerprint, report_fingerprint, scenario_team};
 use flagsim_simcheck::{
-    explore_activity, explore_engine, verify_diags, ExploreConfig, Outcome,
+    explore, explore_activity, explore_engine, verify_diags, Exploration, ExploreConfig, Outcome,
 };
 use proptest::prelude::*;
 use std::collections::{BTreeSet, VecDeque};
@@ -34,6 +39,76 @@ fn explore_builtin(idx: usize, seed: u64) -> flagsim_simcheck::ActivityExplorati
     let cfg = ActivityConfig::default().with_seed(seed);
     let compiled = scenario.compile(&flag, &cfg).expect("compiles");
     explore_activity(&compiled, &kit(&flag), &cfg, &ExploreConfig::default()).expect("explores")
+}
+
+/// Explore `compiled` under `plan` with both finishes of
+/// `ScheduledRuns` side by side, each on its own sampled world and forced
+/// schedule: for every script the exploration visits, the fingerprint
+/// finish must give `report_fingerprint` of the report finish (or the
+/// same stall graph and graph fingerprint), and both must record the same
+/// schedule log. The first disagreement aborts the exploration.
+fn explore_both_finishes(
+    compiled: &CompiledScenario,
+    kit: &TeamKit,
+    cfg: &ActivityConfig,
+    plan: &FaultPlan,
+) -> Result<Exploration, String> {
+    let (policy, report_log) = ForcedSchedule::new(Vec::new());
+    let mut reports = compiled.scheduled_runs(scenario_team(compiled), kit, cfg, plan, *policy)?;
+    let (policy, print_log) = ForcedSchedule::new(Vec::new());
+    let mut prints = compiled.scheduled_runs(scenario_team(compiled), kit, cfg, plan, *policy)?;
+    explore(
+        |script| {
+            reports.policy_mut().restart(script);
+            prints.policy_mut().restart(script);
+            let by_report = reports.run()?;
+            let by_print = prints.fingerprint()?;
+            let (report_log, print_log) = (report_log.take(), print_log.take());
+            if report_log != print_log {
+                return Err(format!(
+                    "script {script:?}: the two finishes logged differently"
+                ));
+            }
+            let outcome = match (by_report, by_print) {
+                (
+                    ActivityOutcome::Completed(report),
+                    OutcomeFingerprint::Completed {
+                        fingerprint,
+                        completion,
+                    },
+                ) => {
+                    if (report_fingerprint(&report), report.completion) != (fingerprint, completion)
+                    {
+                        return Err(format!(
+                            "script {script:?}: report {:016x} at {}ms, fingerprint finish \
+                             {fingerprint:016x} at {}ms",
+                            report_fingerprint(&report),
+                            report.completion.millis(),
+                            completion.millis()
+                        ));
+                    }
+                    Outcome::Completed {
+                        fingerprint,
+                        makespan_ms: completion.millis(),
+                    }
+                }
+                (ActivityOutcome::Stalled(by_report), OutcomeFingerprint::Stalled(graph)) => {
+                    if by_report != graph
+                        || graph_fingerprint(&by_report) != graph_fingerprint(&graph)
+                    {
+                        return Err(format!("script {script:?}: the stall graphs differ"));
+                    }
+                    Outcome::Stalled {
+                        fingerprint: graph_fingerprint(&graph),
+                        graph,
+                    }
+                }
+                (a, b) => return Err(format!("script {script:?}: {a:?} vs {b:?}")),
+            };
+            Ok((outcome, print_log))
+        },
+        &ExploreConfig::default(),
+    )
 }
 
 /// A process that follows a fixed action script, then finishes.
@@ -92,8 +167,77 @@ fn exploration_shape_is_pinned() {
     }
 }
 
+/// The fingerprint finish paints a faulted run from the live state's
+/// started-cell logs: a dropout whose cells survivors adopt and a marker
+/// that breaks early, on scenario 4, agree with the report finish on
+/// every explored schedule.
+#[test]
+fn fingerprint_finish_matches_the_report_under_faults() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let compiled = builtin(3, &flag)
+        .compile(&flag, &ActivityConfig::default())
+        .expect("compiles");
+    let cfg = ActivityConfig::default().with_seed(2025);
+    let plan = FaultPlan::new("drill")
+        .dropout(1, 20.0)
+        .break_implement(Color::Red, 5.0);
+    let ex = explore_both_finishes(&compiled, &kit(&flag), &cfg, &plan)
+        .expect("both finishes agree");
+    assert!(ex.schedules_run > 1, "{ex:?}");
+}
+
+/// The verdict's baseline always records trace events: a caller's config
+/// with them off must not lose the SC302 ties the baseline reports.
+#[test]
+fn baseline_ties_do_not_depend_on_trace_events() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let compiled = builtin(3, &flag)
+        .compile(&flag, &ActivityConfig::default())
+        .expect("compiles");
+    let ties = |trace_events| {
+        let cfg = ActivityConfig::default()
+            .with_seed(2025)
+            .with_trace_events(trace_events);
+        explore_activity(&compiled, &kit(&flag), &cfg, &ExploreConfig::default())
+            .expect("explores")
+            .ties
+    };
+    let on = ties(true);
+    assert!(!on.is_empty(), "scenario 4 ties at the red marker");
+    assert_eq!(on, ties(false));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The fingerprint finish equals the report finish on every script
+    /// the exploration of a built-in scenario visits, and logs the same
+    /// schedule.
+    #[test]
+    fn fingerprint_finish_matches_the_report(idx in 0usize..6, seed in any::<u64>()) {
+        let flag = PreparedFlag::new(&library::mauritius());
+        let cfg = ActivityConfig::default().with_seed(seed);
+        let compiled = builtin(idx, &flag).compile(&flag, &cfg).expect("compiles");
+        let ex = explore_both_finishes(&compiled, &kit(&flag), &cfg, &FaultPlan::default());
+        prop_assert!(ex.is_ok(), "{:?}", ex.err());
+    }
+
+    /// The same under a seeded random fault plan — bells, late arrivals,
+    /// fumbles, breaks and dropouts, recovered from or aborted on.
+    #[test]
+    fn fingerprint_finish_matches_the_report_under_random_faults(
+        idx in 0usize..6,
+        seed in any::<u64>(),
+        plan_seed in any::<u64>(),
+    ) {
+        let flag = PreparedFlag::new(&library::mauritius());
+        let cfg = ActivityConfig::default().with_seed(seed);
+        let compiled = builtin(idx, &flag).compile(&flag, &cfg).expect("compiles");
+        let team = scenario_team(&compiled).len();
+        let plan = FaultPlan::random(plan_seed, team, &Color::MAURITIUS);
+        let ex = explore_both_finishes(&compiled, &kit(&flag), &cfg, &plan);
+        prop_assert!(ex.is_ok(), "{plan:?}: {:?}", ex.err());
+    }
 
     /// Scenarios 1–3 and the pipelined rotation give every student a
     /// disjoint slice of the work at the start: on any seed, full-depth
