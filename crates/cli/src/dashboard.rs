@@ -1,13 +1,12 @@
 //! Live sweep dashboard: an in-place ANSI status panel for
 //! `flagsim sweep --dashboard`.
 //!
-//! While the sweep runs, the panel shows per-worker activity (which
-//! repetition each worker last finished), overall progress, and the
-//! streaming completion-time mean ± 95% CI with a sparkline of the mean's
-//! recent history — read live from the telemetry
-//! [`MetricsRegistry`] gauges that
-//! [`flagsim_core::sweep`]'s collector publishes
-//! (`sweep.completion.mean_s` / `sweep.completion.ci95_s`).
+//! While the sweep runs, the panel shows per-worker activity (the last
+//! repetition of each worker's latest merged chunk), overall progress,
+//! and the streaming completion-time mean ± 95% CI with a sparkline of
+//! the mean's recent history — read live from the telemetry
+//! [`MetricsRegistry`] gauges that [`flagsim_core::sweep`]'s merge
+//! publishes (`sweep.completion.mean_s` / `sweep.completion.ci95_s`).
 //!
 //! For **sharded** sweeps the panel switches to a fleet view
 //! ([`Dashboard::update_fleet`]): one row per worker process with its
@@ -66,9 +65,11 @@ pub struct FleetRow {
 /// Mutable dashboard state behind the [`Dashboard`]'s mutex.
 #[derive(Debug)]
 struct State {
-    /// Last repetition each worker finished (`None` until its first).
+    /// Last repetition of each worker's latest merged chunk (`None`
+    /// until its first).
     last_rep: Vec<Option<u64>>,
-    /// Repetitions each worker has finished.
+    /// Chunks of repetitions each worker has merged (one rep per chunk on
+    /// the serial path).
     per_worker: Vec<u64>,
     /// Recent history of the streaming mean, for the sparkline.
     mean_history: Vec<f64>,
@@ -266,7 +267,7 @@ impl Dashboard {
         for (w, (last, n)) in st.last_rep.iter().zip(&st.per_worker).enumerate() {
             match last {
                 Some(rep) => out.push_str(&format!(
-                    "  worker {w}: rep {rep:>4} done  ({n} so far)\n"
+                    "  worker {w}: rep {rep:>4} done  ({n} chunk(s) so far)\n"
                 )),
                 None => out.push_str(&format!("  worker {w}: idle\n")),
             }

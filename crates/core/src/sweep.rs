@@ -10,11 +10,16 @@
 //! workspace is offline, no rayon) while keeping the results
 //! *bit-for-bit deterministic*: each repetition derives its seed from
 //! `config.seed` and its index exactly as the serial loop always has,
-//! workers pull indices from a shared counter, and a reorder buffer
-//! merges outcomes back in repetition order before any statistic is
-//! touched. `par_sweep` with any job count therefore produces a
-//! [`SweepResult`] identical to the serial [`try_sweep`] for the same
-//! configuration.
+//! threads claim chunks of consecutive repetitions ([`claim_reps`]), and
+//! one reorder merge ([`MergeState`]) folds outcomes back in repetition
+//! order before any statistic is touched. `par_sweep` with any job count
+//! therefore produces a [`SweepResult`] identical to the serial
+//! [`try_sweep`] for the same configuration.
+//!
+//! The sharded sweeps of `flagsim-shard` run the same two pieces: their
+//! coordinator folds every worker's outcomes through a [`MergeState`]
+//! (which its checkpoints freeze and restore), and runs the repetitions a
+//! campaign still owes in-process through [`claim_reps`].
 //!
 //! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` runs
 //! every repetition through the stats finish
@@ -33,7 +38,6 @@ use flagsim_agents::StudentProfile;
 use flagsim_metrics::{RunStats, StreamingStats};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
@@ -116,11 +120,11 @@ pub struct SweepProgress {
     pub failed: u64,
     /// Total repetitions requested.
     pub total: u64,
-    /// Index of the worker that finished the repetition triggering this
-    /// snapshot (0 on the serial path).
+    /// Index of the worker thread whose chunk of repetitions this
+    /// snapshot merged (0 on the serial path, where a chunk is one rep).
     pub worker: usize,
-    /// The repetition that worker just finished (not necessarily the
-    /// highest merged index — workers complete out of order).
+    /// The last repetition of that chunk (not necessarily the highest
+    /// merged index — chunks complete out of order).
     pub rep: u64,
 }
 
@@ -272,18 +276,15 @@ impl<'a> SweepRunner<'a> {
                 let outcome = self.run_one(rep);
                 drop(rep_span);
                 collector.accept(rep, outcome);
-                let mut p = collector.snapshot();
-                p.rep = rep;
-                self.emit(p);
+                self.emit(collector.progress(0, rep));
             }
         } else {
             self.run_parallel(jobs, sweep_id, &mut collector);
         }
-        let snap = collector.snapshot();
-        flagsim_telemetry::count("sweep.reps_completed", snap.completed);
-        flagsim_telemetry::count("sweep.failures", snap.failed);
+        flagsim_telemetry::count("sweep.reps_completed", collector.merge.merged());
+        flagsim_telemetry::count("sweep.failures", collector.merge.failures().len() as u64);
         drop(sweep_span);
-        collector.finish(self.reps)
+        collector.finish()
     }
 
     /// One repetition: fresh team, derived seed — the exact recipe the
@@ -379,81 +380,52 @@ impl<'a> SweepRunner<'a> {
 
     /// One repetition as the collector takes it: through the report path
     /// when reports are retained, through the stats finish otherwise.
-    fn run_one(&self, rep: u64) -> RepResult {
-        if self.retain_reports {
-            self.run_rep(rep)
-                .map(|report| (report.sample(), Some(report)))
-        } else {
-            self.run_rep_stats(rep).map(|sample| (sample, None))
+    fn run_one(&self, rep: u64) -> (RepOutcome, Option<RunReport>) {
+        if !self.retain_reports {
+            return (self.run_rep_stats(rep).into(), None);
+        }
+        match self.run_rep(rep) {
+            Ok(report) => (Ok(report.sample()).into(), Some(report)),
+            Err(error) => (RepOutcome::Failed { error }, None),
         }
     }
 
-    /// Fan repetitions across `jobs` scoped worker threads. Workers pull
-    /// the next repetition index from a shared atomic counter and push
-    /// outcomes into a reorder buffer; outcomes are drained into the
-    /// collector strictly in repetition order, so the merged result is
-    /// identical to the serial loop's no matter how threads interleave.
-    /// The buffer holds at most ~`jobs` outcomes at a time, keeping the
-    /// streaming path's memory bounded by the job count, not the
-    /// repetition count.
+    /// Fan repetitions across `jobs` scoped worker threads through
+    /// [`claim_reps`]; the collector's merge makes the result the serial
+    /// loop's no matter how the threads interleave.
     fn run_parallel(
         &self,
         jobs: usize,
         sweep_id: Option<flagsim_telemetry::SpanId>,
         collector: &mut Collector,
     ) {
-        struct Reorder<'c> {
-            pending: BTreeMap<u64, RepResult>,
-            next_emit: u64,
-            collector: &'c mut Collector,
-        }
-        let next_rep = AtomicU64::new(0);
-        let shared = Mutex::new(Reorder {
-            pending: BTreeMap::new(),
-            next_emit: 0,
-            collector,
-        });
-        std::thread::scope(|scope| {
-            let next_rep = &next_rep;
-            let shared = &shared;
-            for w in 0..jobs {
-                scope.spawn(move || {
-                    flagsim_telemetry::set_thread_track(&format!("worker-{w}"));
-                    let worker_span =
-                        flagsim_telemetry::span_linked("runtime", "sweep.worker", sweep_id)
-                            .arg("worker", w);
-                    loop {
-                        let rep = next_rep.fetch_add(1, Ordering::Relaxed);
-                        if rep >= self.reps {
-                            break;
-                        }
-                        let rep_span =
-                            flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id)
-                                .arg("rep", rep);
-                        let outcome = self.run_one(rep);
-                        drop(rep_span);
-                        let snapshot = {
-                            let mut guard = shared.lock().expect("no worker panicked mid-merge");
-                            let s = &mut *guard;
-                            s.pending.insert(rep, outcome);
-                            while let Some(ready) = s.pending.remove(&s.next_emit) {
-                                s.collector.accept(s.next_emit, ready);
-                                s.next_emit += 1;
-                            }
-                            let mut p = s.collector.snapshot();
-                            p.worker = w;
-                            p.rep = rep;
-                            p
-                        };
-                        // Callback outside the lock: a slow observer must
-                        // not serialize the workers.
-                        self.emit(snapshot);
-                    }
-                    drop(worker_span);
-                    flagsim_telemetry::flush_thread();
-                });
-            }
-        });
+        claim_reps(
+            &[(0, self.reps)],
+            jobs,
+            |w| {
+                flagsim_telemetry::set_thread_track(&format!("worker-{w}"));
+                let worker_span =
+                    flagsim_telemetry::span_linked("runtime", "sweep.worker", sweep_id)
+                        .arg("worker", w);
+                move |rep| {
+                    // Holds the worker span until the thread's claims run out.
+                    let _worker = &worker_span;
+                    let _rep = flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id)
+                        .arg("rep", rep);
+                    self.run_one(rep)
+                }
+            },
+            |w, outcomes| {
+                let last = outcomes.last().map_or(0, |&(rep, _)| rep);
+                for (rep, outcome) in outcomes.drain(..) {
+                    collector.accept(rep, outcome);
+                }
+                Some(collector.progress(w, last))
+            },
+            // Outside the lock: a slow observer must not serialize the
+            // workers.
+            |p| self.emit(p),
+        );
     }
 
     fn emit(&self, progress: SweepProgress) {
@@ -463,69 +435,204 @@ impl<'a> SweepRunner<'a> {
     }
 }
 
-/// One repetition's outcome as the collector folds it in: the sample,
-/// plus the report when reports are retained.
-type RepResult = Result<(RepSample, Option<RunReport>), String>;
-
-/// Order-respecting accumulator shared by the serial and parallel
-/// paths. In retained mode it rebuilds exactly what the historical
-/// serial sweep built; in streaming mode it keeps only the
-/// [`StreamingStats`] accumulators.
+/// The sweep's collector: the one reorder merge, plus every report when
+/// reports are retained.
 struct Collector {
-    retain: bool,
-    reports: Vec<RunReport>,
-    completions: Vec<f64>,
-    waits: Vec<f64>,
-    completion_stream: StreamingStats,
-    waiting_stream: StreamingStats,
-    failures: Vec<SweepFailure>,
-    completed: u64,
-    total: u64,
+    merge: MergeState,
+    /// In retained mode, slot `rep` holds rep `rep`'s report (`None` for a
+    /// failed rep). Grown on demand as reports arrive, in any order.
+    reports: Option<Vec<Option<RunReport>>>,
 }
 
 impl Collector {
     fn new(retain: bool, total: u64) -> Self {
         Collector {
-            retain,
-            reports: Vec::new(),
-            completions: Vec::new(),
-            waits: Vec::new(),
-            completion_stream: StreamingStats::new(),
-            waiting_stream: StreamingStats::new(),
-            failures: Vec::new(),
-            completed: 0,
-            total,
+            merge: MergeState::new(total),
+            reports: retain.then(Vec::new),
         }
     }
 
-    /// Fold in one repetition's outcome. Must be called in repetition
-    /// order — the reorder buffer guarantees it on the parallel path.
-    /// The streaming accumulators run even in retained mode: they are
-    /// O(1) per repetition and feed the live `sweep.completion.*`
-    /// gauges the dashboard reads mid-sweep.
-    fn accept(&mut self, rep: u64, outcome: RepResult) {
-        self.completed += 1;
-        match outcome {
-            Ok((sample, report)) => {
-                let completion = sample.completion_secs;
-                self.completion_stream.push(completion);
-                self.waiting_stream.push(sample.wait_secs);
-                if let Some(report) = report {
-                    self.completions.push(completion);
-                    self.waits.push(sample.wait_secs);
-                    self.reports.push(report);
-                }
-                if flagsim_telemetry::enabled() {
-                    let stats = self.completion_stream.to_stats();
-                    flagsim_telemetry::gauge_set("sweep.completion.mean_s", stats.mean);
-                    flagsim_telemetry::gauge_set(
-                        "sweep.completion.ci95_s",
-                        stats.ci95_half_width(),
-                    );
-                    flagsim_telemetry::observe("sweep.completion_secs", completion);
-                }
+    fn accept(&mut self, rep: u64, (outcome, report): (RepOutcome, Option<RunReport>)) {
+        if let (Some(kept), Some(report)) = (&mut self.reports, report) {
+            let slot = rep as usize;
+            if kept.len() <= slot {
+                kept.resize_with(slot + 1, || None);
             }
-            Err(error) => {
+            kept[slot] = Some(report);
+        }
+        self.merge.accept(rep, outcome);
+    }
+
+    fn progress(&self, worker: usize, rep: u64) -> SweepProgress {
+        SweepProgress {
+            completed: self.merge.merged(),
+            failed: self.merge.failures().len() as u64,
+            total: self.merge.total(),
+            worker,
+            rep,
+        }
+    }
+
+    /// The streaming statistics, or in retained mode the exact ones over
+    /// the kept reports' samples.
+    fn finish(self) -> Result<SweepResult, SweepError> {
+        let (mut completion, mut waiting) = self.merge.finish()?;
+        // `filter_map`, unlike `flatten`, collects in place, so the kept
+        // reports are not held twice at the peak.
+        #[allow(clippy::filter_map_identity)]
+        let reports: Vec<RunReport> = self.reports.map_or_else(Vec::new, |kept| {
+            kept.into_iter().filter_map(|r| r).collect()
+        });
+        if !reports.is_empty() {
+            let samples: Vec<RepSample> = reports.iter().map(RunReport::sample).collect();
+            let sample_stats = |f: fn(&RepSample) -> f64| {
+                RunStats::from_sample(&samples.iter().map(f).collect::<Vec<_>>())
+            };
+            completion = sample_stats(|s| s.completion_secs);
+            waiting = sample_stats(|s| s.wait_secs);
+        }
+        Ok(SweepResult {
+            completion,
+            waiting,
+            reports,
+            failures: self.merge.failures().to_vec(),
+        })
+    }
+}
+
+/// One repetition's outcome, reduced to what statistics need.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RepOutcome {
+    /// The run succeeded; the two swept metrics, bit-exact.
+    Ok {
+        /// Completion time in seconds.
+        completion: f64,
+        /// Total waiting time in seconds.
+        waiting: f64,
+    },
+    /// The run failed (recorded, like [`try_sweep`], not fatal).
+    Failed {
+        /// The error string the run reported.
+        error: String,
+    },
+}
+
+impl From<Result<RepSample, String>> for RepOutcome {
+    /// A repetition as [`SweepRunner::run_rep_stats`] returns it.
+    fn from(rep: Result<RepSample, String>) -> Self {
+        match rep {
+            Ok(sample) => RepOutcome::Ok {
+                completion: sample.completion_secs,
+                waiting: sample.wait_secs,
+            },
+            Err(error) => RepOutcome::Failed { error },
+        }
+    }
+}
+
+/// The one reorder merge of every sweep: threads, shard workers and
+/// resumed checkpoints. Outcomes arrive keyed by repetition index in any
+/// order, park in a buffer, and fold into the accumulators strictly in
+/// repetition order. [`StreamingStats`] is order-sensitive (its exact
+/// sum, Welford recurrence and P² markers all round differently under
+/// reordering), so that order keeps the statistics bit-for-bit the serial
+/// loop's under any thread count, worker failure or resume. An outcome
+/// for a rep already merged or buffered is dropped. Each merged rep feeds
+/// the `sweep.completion_secs` histogram and the `sweep.completion.*`
+/// gauges the dashboard reads, and each failure logs a warning.
+#[derive(Debug, Clone)]
+pub struct MergeState {
+    total: u64,
+    next_emit: u64,
+    pending: BTreeMap<u64, RepOutcome>,
+    completion: StreamingStats,
+    waiting: StreamingStats,
+    failures: Vec<SweepFailure>,
+}
+
+impl MergeState {
+    /// An empty merge over `total` repetitions.
+    pub fn new(total: u64) -> Self {
+        Self::restore(
+            total,
+            0,
+            StreamingStats::new(),
+            StreamingStats::new(),
+            Vec::new(),
+            Vec::new(),
+        )
+    }
+
+    /// Rebuild a merge mid-campaign: accumulators and failures restored
+    /// from a checkpoint, watermark at `next_emit`, plus any
+    /// completed-but-unmerged outcomes (they re-enter the reorder buffer
+    /// and merge as soon as the gap before them closes).
+    pub fn restore(
+        total: u64,
+        next_emit: u64,
+        completion: StreamingStats,
+        waiting: StreamingStats,
+        failures: Vec<SweepFailure>,
+        pending: Vec<(u64, RepOutcome)>,
+    ) -> Self {
+        let mut m = MergeState {
+            total,
+            next_emit,
+            pending: BTreeMap::new(),
+            completion,
+            waiting,
+            failures,
+        };
+        for (rep, outcome) in pending {
+            m.accept(rep, outcome);
+        }
+        m
+    }
+
+    /// Fold in one repetition's outcome. Outcomes for already-merged or
+    /// already-buffered reps are ignored (idempotent). Returns how many
+    /// repetitions were *merged* (drained in order) by this call. The rep
+    /// at the watermark folds straight in, without a trip through the
+    /// buffer.
+    pub fn accept(&mut self, rep: u64, outcome: RepOutcome) -> u64 {
+        if rep >= self.total || rep < self.next_emit {
+            return 0;
+        }
+        if rep > self.next_emit {
+            self.pending.entry(rep).or_insert(outcome);
+            return 0;
+        }
+        self.fold(outcome);
+        let mut merged = 1;
+        while let Some(ready) = self.pending.first_entry() {
+            if *ready.key() != self.next_emit {
+                break;
+            }
+            let outcome = ready.remove();
+            self.fold(outcome);
+            merged += 1;
+        }
+        if flagsim_telemetry::enabled() && self.completion.n() > 0 {
+            let stats = self.completion.to_stats();
+            flagsim_telemetry::gauge_set("sweep.completion.mean_s", stats.mean);
+            flagsim_telemetry::gauge_set("sweep.completion.ci95_s", stats.ci95_half_width());
+        }
+        merged
+    }
+
+    /// Fold the outcome of rep `next_emit` into the accumulators.
+    fn fold(&mut self, outcome: RepOutcome) {
+        let rep = self.next_emit;
+        match outcome {
+            RepOutcome::Ok {
+                completion,
+                waiting,
+            } => {
+                self.completion.push(completion);
+                self.waiting.push(waiting);
+                flagsim_telemetry::observe("sweep.completion_secs", completion);
+            }
+            RepOutcome::Failed { error } => {
                 flagsim_telemetry::log::warn(
                     "core.sweep",
                     "repetition failed",
@@ -534,46 +641,147 @@ impl Collector {
                 self.failures.push(SweepFailure { rep, error });
             }
         }
+        self.next_emit += 1;
     }
 
-    fn snapshot(&self) -> SweepProgress {
-        SweepProgress {
-            completed: self.completed,
-            failed: self.failures.len() as u64,
-            total: self.total,
-            worker: 0,
-            rep: self.completed.saturating_sub(1),
-        }
+    /// Repetitions merged so far — the checkpoint watermark: every rep
+    /// below it is folded into the accumulators, every rep at or above
+    /// it is either buffered in [`MergeState::pending_outcomes`] or
+    /// still owed.
+    pub fn merged(&self) -> u64 {
+        self.next_emit
     }
 
-    fn finish(self, reps: u64) -> Result<SweepResult, SweepError> {
-        let successes = if self.retain {
-            self.completions.len() as u64
-        } else {
-            self.completion_stream.n()
-        };
-        if successes == 0 {
-            let first = self.failures.into_iter().next().expect("reps > 0");
-            return Err(SweepError::AllFailed { reps, first });
-        }
-        let (completion, waiting) = if self.retain {
-            (
-                RunStats::from_sample(&self.completions),
-                RunStats::from_sample(&self.waits),
-            )
-        } else {
-            (
-                self.completion_stream.to_stats(),
-                self.waiting_stream.to_stats(),
-            )
-        };
-        Ok(SweepResult {
-            completion,
-            waiting,
-            reports: self.reports,
-            failures: self.failures,
-        })
+    /// Total repetitions in the campaign.
+    pub fn total(&self) -> u64 {
+        self.total
     }
+
+    /// Whether every repetition has merged.
+    pub fn is_complete(&self) -> bool {
+        self.next_emit == self.total
+    }
+
+    /// The completed-but-unmerged outcomes (reps above the watermark
+    /// with gaps before them), for checkpointing.
+    pub fn pending_outcomes(&self) -> Vec<(u64, RepOutcome)> {
+        self.pending.iter().map(|(r, o)| (*r, o.clone())).collect()
+    }
+
+    /// The repetition indices in `[merged(), total())` that are *not*
+    /// sitting in the reorder buffer — the work a resumed campaign still
+    /// owes. Returned as maximal contiguous ranges.
+    pub fn missing_ranges(&self) -> Vec<(u64, u64)> {
+        let mut out = Vec::new();
+        let mut cursor = self.next_emit;
+        for &rep in self.pending.keys() {
+            if rep > cursor {
+                out.push((cursor, rep));
+            }
+            cursor = rep + 1;
+        }
+        if cursor < self.total {
+            out.push((cursor, self.total));
+        }
+        out
+    }
+
+    /// Borrow the accumulators (for checkpointing).
+    pub fn accumulators(&self) -> (&StreamingStats, &StreamingStats) {
+        (&self.completion, &self.waiting)
+    }
+
+    /// Recorded per-rep failures, in repetition order.
+    pub fn failures(&self) -> &[SweepFailure] {
+        &self.failures
+    }
+
+    /// Freeze into completion and waiting statistics. Errors when no
+    /// merged repetition succeeded: [`SweepError::AllFailed`] naming the
+    /// first failure, or [`SweepError::NoRepetitions`] when none merged.
+    pub fn finish(&self) -> Result<(RunStats, RunStats), SweepError> {
+        if self.completion.n() == 0 {
+            return Err(match self.failures.first() {
+                Some(first) => SweepError::AllFailed {
+                    reps: self.total,
+                    first: first.clone(),
+                },
+                None => SweepError::NoRepetitions,
+            });
+        }
+        Ok((self.completion.to_stats(), self.waiting.to_stats()))
+    }
+}
+
+/// The largest chunk [`claim_reps`] hands a thread: a long sweep takes
+/// one lock per this many reps, and a stop is seen within one chunk.
+const MAX_CLAIM: u64 = 64;
+
+/// Reps per claim in [`claim_reps`]: about four claims per thread, so the
+/// threads finish close together, capped at [`MAX_CLAIM`].
+fn claim_chunk(reps: u64, jobs: usize) -> u64 {
+    (reps / (jobs as u64).saturating_mul(4)).clamp(1, MAX_CLAIM)
+}
+
+/// The one in-process claim loop: run every rep of `ranges` (ascending,
+/// half-open `(start, end)` pairs) on `jobs` scoped threads. Thread `w`
+/// runs reps with `worker(w)`, which holds its per-thread state and spans
+/// until its claims run out. Under one lock, a thread hands its last
+/// chunk's outcomes, in rep order, to `merge(w, outcomes)` (none before
+/// its first claim) and claims the next chunk of consecutive reps; outside
+/// it, the thread passes what `merge` returned to `progress` (when it
+/// merged any) and runs the chunk. `merge` returns `None` to stop every
+/// thread; no `merge` call follows. A merge by rep index (a
+/// [`MergeState`]) makes the result independent of the scheduling.
+pub fn claim_reps<T, F, P>(
+    ranges: &[(u64, u64)],
+    jobs: usize,
+    worker: impl Fn(usize) -> F + Sync,
+    merge: impl FnMut(usize, &mut Vec<(u64, T)>) -> Option<P> + Send,
+    progress: impl Fn(P) + Sync,
+) where
+    F: FnMut(u64) -> T,
+{
+    let total: u64 = ranges.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
+    let jobs = jobs.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
+    let chunk = claim_chunk(total, jobs);
+    let chunks = ranges.iter().flat_map(move |&(start, end)| {
+        (start..end)
+            .step_by(chunk as usize)
+            .map(move |from| from..end.min(from.saturating_add(chunk)))
+    });
+    // The unclaimed chunks, the caller's merge, and whether it stopped.
+    let shared = Mutex::new((chunks, merge, false));
+    std::thread::scope(|scope| {
+        for w in 0..jobs {
+            let (shared, worker, progress) = (&shared, &worker, &progress);
+            scope.spawn(move || {
+                let mut run = worker(w);
+                let mut outcomes = Vec::new();
+                loop {
+                    let (merged, claim) = {
+                        let mut guard = shared.lock().expect("no thread panicked mid-merge");
+                        let (chunks, merge, stopped) = &mut *guard;
+                        if *stopped {
+                            break;
+                        }
+                        let any = !outcomes.is_empty();
+                        let Some(note) = merge(w, &mut outcomes) else {
+                            *stopped = true;
+                            break;
+                        };
+                        outcomes.clear();
+                        (any.then_some(note), chunks.next())
+                    };
+                    if let Some(note) = merged {
+                        progress(note);
+                    }
+                    let Some(reps) = claim else { break };
+                    outcomes.extend(reps.map(|rep| (rep, run(rep))));
+                }
+            });
+        }
+    });
 }
 
 /// The one formatted panic every [`sweep`] failure routes through.
@@ -927,5 +1135,281 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("all 4 repetitions failed"), "{err}");
         assert!(err.contains("rep 0"), "{err}");
+    }
+    fn ok(x: f64) -> RepOutcome {
+        RepOutcome::Ok {
+            completion: x,
+            waiting: x / 2.0,
+        }
+    }
+
+    #[test]
+    fn out_of_order_delivery_matches_in_order() {
+        let xs: Vec<f64> = (0..40).map(|i| (i * 37 % 23) as f64 + 0.25).collect();
+        let mut serial = MergeState::new(40);
+        for (i, &x) in xs.iter().enumerate() {
+            serial.accept(i as u64, ok(x));
+        }
+        // A scrambled order (deterministic permutation).
+        let mut scrambled = MergeState::new(40);
+        let mut order: Vec<u64> = (0..40).collect();
+        order.reverse();
+        order.swap(3, 31);
+        order.swap(0, 17);
+        for &i in &order {
+            scrambled.accept(i, ok(xs[i as usize]));
+        }
+        assert!(serial.is_complete() && scrambled.is_complete());
+        let (a, _) = serial.finish().unwrap();
+        let (b, _) = scrambled.finish().unwrap();
+        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+        assert_eq!(a.stddev.to_bits(), b.stddev.to_bits());
+        assert_eq!(a.median.to_bits(), b.median.to_bits());
+    }
+
+    #[test]
+    fn duplicates_are_dropped() {
+        let mut m = MergeState::new(3);
+        m.accept(0, ok(1.0));
+        m.accept(0, ok(999.0)); // late duplicate of a merged rep
+        m.accept(2, ok(3.0));
+        m.accept(2, ok(888.0)); // duplicate of a buffered rep
+        m.accept(1, ok(2.0));
+        let (stats, _) = m.finish().unwrap();
+        assert_eq!(stats.n, 3);
+        assert_eq!(stats.max, 3.0, "duplicates must not leak into stats");
+    }
+
+    #[test]
+    fn missing_ranges_account_for_buffered_reps() {
+        let mut m = MergeState::new(10);
+        m.accept(0, ok(1.0));
+        m.accept(4, ok(1.0));
+        m.accept(5, ok(1.0));
+        m.accept(8, ok(1.0));
+        assert_eq!(m.merged(), 1);
+        assert_eq!(m.missing_ranges(), vec![(1, 4), (6, 8), (9, 10)]);
+        assert_eq!(m.pending_outcomes().len(), 3);
+    }
+
+    #[test]
+    fn failures_record_without_sinking_stats() {
+        let mut m = MergeState::new(3);
+        m.accept(0, ok(1.0));
+        m.accept(
+            1,
+            RepOutcome::Failed {
+                error: "rope snapped".into(),
+            },
+        );
+        m.accept(2, ok(2.0));
+        let (stats, _) = m.finish().unwrap();
+        assert_eq!(stats.n, 2);
+        assert_eq!(m.failures().len(), 1);
+        assert_eq!(m.failures()[0].rep, 1);
+    }
+
+    #[test]
+    fn all_failed_is_an_error() {
+        let mut m = MergeState::new(2);
+        m.accept(0, RepOutcome::Failed { error: "a".into() });
+        m.accept(1, RepOutcome::Failed { error: "b".into() });
+        let err = m.finish().unwrap_err();
+        let first = SweepFailure {
+            rep: 0,
+            error: "a".into(),
+        };
+        assert_eq!(err, SweepError::AllFailed { reps: 2, first });
+        // The same text the in-process sweep prints for the same condition.
+        assert!(
+            err.to_string().contains("all 2 repetitions failed"),
+            "{err}"
+        );
+        assert!(err.to_string().contains("rep 0"), "{err}");
+        assert_eq!(
+            MergeState::new(2).finish().unwrap_err(),
+            SweepError::NoRepetitions
+        );
+    }
+
+    #[test]
+    fn restore_replays_pending_into_the_buffer() {
+        let mut whole = MergeState::new(6);
+        for i in 0..6 {
+            whole.accept(i, ok(i as f64));
+        }
+        // Simulate a checkpoint at watermark 2 with reps 4,5 pending.
+        let mut head = MergeState::new(6);
+        head.accept(0, ok(0.0));
+        head.accept(1, ok(1.0));
+        head.accept(4, ok(4.0));
+        head.accept(5, ok(5.0));
+        let (c, w) = head.accumulators();
+        let restored = MergeState::restore(
+            6,
+            head.merged(),
+            c.clone(),
+            w.clone(),
+            head.failures().to_vec(),
+            head.pending_outcomes(),
+        );
+        let mut resumed = restored;
+        assert_eq!(resumed.missing_ranges(), vec![(2, 4)]);
+        resumed.accept(2, ok(2.0));
+        resumed.accept(3, ok(3.0));
+        assert!(resumed.is_complete());
+        let (a, aw) = resumed.finish().unwrap();
+        let (b, bw) = whole.finish().unwrap();
+        assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+        assert_eq!(a.stddev.to_bits(), b.stddev.to_bits());
+        assert_eq!(aw.mean.to_bits(), bw.mean.to_bits());
+    }
+
+    /// A synthetic repetition: every third rep fails, the others carry
+    /// values scrambled from the index, and odd reps yield first so
+    /// threads finish out of order.
+    fn synthetic(rep: u64) -> RepOutcome {
+        if rep % 3 == 2 {
+            return RepOutcome::Failed {
+                error: format!("rep {rep} failed"),
+            };
+        }
+        if rep % 2 == 1 {
+            std::thread::yield_now();
+        }
+        let x = (rep.wrapping_mul(2_654_435_761) % 1_000) as f64 / 7.0 + 0.1;
+        RepOutcome::Ok {
+            completion: x,
+            waiting: x / 3.0,
+        }
+    }
+
+    fn stats_bits(s: &RunStats) -> [u64; 6] {
+        [
+            s.n as u64,
+            s.mean.to_bits(),
+            s.stddev.to_bits(),
+            s.min.to_bits(),
+            s.median.to_bits(),
+            s.max.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn claim_loop_merges_in_rep_order_at_any_job_count() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        for jobs in [1usize, 2, 3, 4, 7] {
+            // Reps of a single chunk or less, partial last chunks around
+            // the largest chunk, and whole and partial capped chunks.
+            let capped = 4 * jobs as u64 * MAX_CLAIM;
+            let mut counts = vec![
+                1,
+                50,
+                MAX_CLAIM - 1,
+                MAX_CLAIM + 1,
+                capped - 1,
+                capped,
+                capped + 1,
+            ];
+            if jobs > 1 {
+                counts.push(jobs as u64 - 1);
+            }
+            for reps in counts {
+                let mut serial = MergeState::new(reps);
+                for rep in 0..reps {
+                    serial.accept(rep, synthetic(rep));
+                }
+                let mut merge = MergeState::new(reps);
+                // A success's "report" is its rep index, kept by rep as
+                // the sweep collector keeps reports.
+                let mut kept: Vec<Option<u64>> = Vec::new();
+                let runs: Vec<AtomicU64> = (0..reps).map(|_| AtomicU64::new(0)).collect();
+                let peak = AtomicU64::new(0);
+                claim_reps(
+                    &[(0, reps)],
+                    jobs,
+                    |_| {
+                        |rep| {
+                            runs[rep as usize].fetch_add(1, Ordering::Relaxed);
+                            let outcome = synthetic(rep);
+                            let report = matches!(outcome, RepOutcome::Ok { .. }).then_some(rep);
+                            (outcome, report)
+                        }
+                    },
+                    |_, outcomes| {
+                        let chunk = claim_chunk(reps, jobs.min(reps as usize));
+                        assert!(outcomes.len() as u64 <= chunk, "jobs {jobs} reps {reps}");
+                        assert!(outcomes.windows(2).all(|w| w[1].0 == w[0].0 + 1));
+                        for (rep, (outcome, report)) in outcomes.drain(..) {
+                            if let Some(report) = report {
+                                if kept.len() <= rep as usize {
+                                    kept.resize(rep as usize + 1, None);
+                                }
+                                kept[rep as usize] = Some(report);
+                            }
+                            merge.accept(rep, outcome);
+                        }
+                        Some(merge.merged())
+                    },
+                    |merged| {
+                        peak.fetch_max(merged, Ordering::Relaxed);
+                    },
+                );
+                let case = format!("jobs {jobs} reps {reps}");
+                assert!(
+                    runs.iter().all(|n| n.load(Ordering::Relaxed) == 1),
+                    "{case}: a rep ran twice or never"
+                );
+                assert_eq!(peak.load(Ordering::Relaxed), reps, "{case}: final progress");
+                assert!(merge.is_complete(), "{case}");
+                let (c, w) = merge.finish().unwrap();
+                let (sc, sw) = serial.finish().unwrap();
+                assert_eq!(stats_bits(&c), stats_bits(&sc), "{case}");
+                assert_eq!(stats_bits(&w), stats_bits(&sw), "{case}");
+                assert_eq!(
+                    merge.accumulators().0.to_json(),
+                    serial.accumulators().0.to_json(),
+                    "{case}"
+                );
+                assert_eq!(merge.failures(), serial.failures(), "{case}");
+                let reports: Vec<u64> = kept.into_iter().flatten().collect();
+                let successes: Vec<u64> = (0..reps).filter(|r| r % 3 != 2).collect();
+                assert_eq!(reports, successes, "{case}");
+            }
+        }
+    }
+
+    #[test]
+    fn claim_loop_stops_at_the_first_none() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let stopped = AtomicBool::new(false);
+        let mut merge = MergeState::new(5_000);
+        claim_reps(
+            &[(0, 100), (200, 5_000)],
+            3,
+            |_| synthetic,
+            |_, outcomes| {
+                assert!(
+                    !stopped.load(Ordering::Relaxed),
+                    "merge called after a stop"
+                );
+                for (rep, outcome) in outcomes.drain(..) {
+                    assert!(!(100..200).contains(&rep), "rep {rep} is outside the ranges");
+                    merge.accept(rep, outcome);
+                }
+                if merge.merged() >= 50 {
+                    stopped.store(true, Ordering::Relaxed);
+                    return None;
+                }
+                Some(())
+            },
+            |()| {},
+        );
+        assert!(stopped.load(Ordering::Relaxed));
+        assert!(
+            merge.merged() >= 50 && merge.merged() <= 100,
+            "{}",
+            merge.merged()
+        );
     }
 }

@@ -1,14 +1,16 @@
 //! Allocation gates for the reused engine. A steady-state stats rep —
 //! `SweepRunner::run_rep_stats` on scenario 4 after one warm-up rep —
 //! allocates nothing, and neither does a policed engine run after
-//! `Engine::reset` or a steady-state `ScheduledRuns::fingerprint`. A
+//! `Engine::reset`, a steady-state `ScheduledRuns::fingerprint` or an
+//! in-order `MergeState::accept`; a streaming sweep's allocations do not
+//! grow with its rep count. A
 //! report rep's and a verify verdict's allocation counts are pinned. The
 //! test binary installs its own counting allocator, which counts only on
 //! the thread that asked, so tests running in parallel do not disturb
 //! each other's counts.
 
 use flagsim_agents::ImplementKind;
-use flagsim_core::sweep::SweepRunner;
+use flagsim_core::sweep::{MergeState, RepOutcome, SweepRunner};
 use flagsim_core::work::PreparedFlag;
 use flagsim_core::{ActivityConfig, FaultPlan, OutcomeFingerprint, Scenario, TeamKit};
 use flagsim_desim::{
@@ -85,6 +87,50 @@ fn steady_state_stats_rep_allocates_nothing() {
         let report = runner.run_rep(rep).expect("rep runs");
         assert_eq!(sample, report.sample(), "rep {rep}");
     }
+}
+
+/// Allocations per rep of a streaming `jobs(1)` sweep beyond its fixed
+/// set-up. The same test measured 0 on the collector this one replaced.
+const STREAMING_SWEEP_ALLOCS_PER_REP: u64 = 0;
+
+#[test]
+fn streaming_sweep_allocations_do_not_grow_with_reps() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let kit = TeamKit::uniform(ImplementKind::ThickMarker, &Color::MAURITIUS);
+    let config = ActivityConfig::default();
+    let scenario = Scenario::fig1(4);
+    let sweep = |reps: u64| {
+        let runner = SweepRunner::new(&scenario, &flag, &kit, &config)
+            .team_size(4)
+            .reps(reps)
+            .jobs(1)
+            .retain_reports(false);
+        let (result, allocs) = allocations(|| runner.run());
+        assert_eq!(result.expect("sweep runs").completion.n, reps as usize);
+        allocs
+    };
+    sweep(4); // warms this thread's stats scratch
+    let n = 64;
+    let once = sweep(n);
+    let twice = sweep(2 * n);
+    assert!(
+        twice <= once + n * STREAMING_SWEEP_ALLOCS_PER_REP,
+        "{n} reps: {once} allocations, {} reps: {twice}",
+        2 * n
+    );
+}
+
+#[test]
+fn in_order_merge_allocates_nothing() {
+    let mut merge = MergeState::new(1_000);
+    let ((), allocs) = allocations(|| {
+        for rep in 0..1_000 {
+            let x = rep as f64 / 8.0 + 1.0;
+            merge.accept(rep, RepOutcome::Ok { completion: x, waiting: x / 2.0 });
+        }
+    });
+    assert_eq!(merge.merged(), 1_000);
+    assert_eq!(allocs, 0);
 }
 
 /// Allocations of one steady-state report rep of scenario 1 on France

@@ -16,13 +16,14 @@
 //! Files are written atomically (temp file + rename) so a kill *during*
 //! a checkpoint write leaves the previous checkpoint intact, and
 //! [`load`](Checkpoint::load) refuses files whose fingerprint does not
-//! match their own job spec (truncation, tampering, or a spec edit).
+//! match their own job spec (truncation, tampering, or a spec edit) or
+//! whose parts contradict each other ([`Inconsistency`]).
 
 use crate::job::JobSpec;
-use crate::merge::{MergeState, RepOutcome};
-use flagsim_core::sweep::SweepFailure;
+use crate::wire::{read_outcome, str_of, u64_of, write_outcome};
+use flagsim_core::sweep::{MergeState, RepOutcome, SweepFailure};
 use flagsim_metrics::StreamingStats;
-use flagsim_telemetry::json::{self, f64_bits_hex, f64_from_bits_hex, json_string, Value};
+use flagsim_telemetry::json::{self, json_string, Value};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
@@ -30,6 +31,45 @@ use std::path::Path;
 
 /// Checkpoint file format revision.
 pub const CHECKPOINT_VERSION: u64 = 1;
+
+/// How a checkpoint's parts can contradict each other. Each would resume
+/// into wrong statistics without an error, so
+/// [`from_json`](Checkpoint::from_json) refuses it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Inconsistency {
+    /// The watermark is past the job's reps, or is not the merged
+    /// successes plus the recorded failures.
+    Watermark,
+    /// The completion and waiting accumulators hold different counts.
+    AccumulatorCounts,
+    /// This failure rep is not above the one before it and below the
+    /// watermark.
+    FailureRep(u64),
+    /// This pending rep is not above the one before it and strictly
+    /// between the watermark and the job's rep count.
+    PendingRep(u64),
+}
+
+impl std::fmt::Display for Inconsistency {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Inconsistency::Watermark => {
+                f.write_str("watermark is past the job's reps or not successes + failures")
+            }
+            Inconsistency::AccumulatorCounts => {
+                f.write_str("completion and waiting hold different counts")
+            }
+            Inconsistency::FailureRep(rep) => {
+                write!(f, "failure rep {rep} is out of order or not below the watermark")
+            }
+            Inconsistency::PendingRep(rep) => {
+                write!(f, "pending rep {rep} is out of order or outside (watermark, reps)")
+            }
+        }
+    }
+}
+
+impl std::error::Error for Inconsistency {}
 
 /// A sweep campaign frozen mid-flight.
 #[derive(Debug, Clone)]
@@ -75,6 +115,26 @@ impl Checkpoint {
         )
     }
 
+    /// Check that the parts agree with each other and with the job:
+    /// every rep below the watermark merged exactly once, as a success in
+    /// both accumulators or as a failure below the watermark, and every
+    /// pending rep lies above it, inside the job, in ascending order.
+    pub fn check(&self) -> Result<(), Inconsistency> {
+        let successes = self.completion.n();
+        let merged = successes.checked_add(self.failures.len() as u64);
+        if self.watermark > self.job.reps || merged != Some(self.watermark) {
+            return Err(Inconsistency::Watermark);
+        }
+        if self.waiting.n() != successes {
+            return Err(Inconsistency::AccumulatorCounts);
+        }
+        let failures = self.failures.iter().map(|f| f.rep);
+        rising(failures, 0, self.watermark).map_err(Inconsistency::FailureRep)?;
+        let pending = self.pending.iter().map(|&(rep, _)| rep);
+        let above = self.watermark.saturating_add(1);
+        rising(pending, above, self.job.reps).map_err(Inconsistency::PendingRep)
+    }
+
     /// Serialize to the checkpoint JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
@@ -104,29 +164,16 @@ impl Checkpoint {
             if i > 0 {
                 out.push(',');
             }
-            match outcome {
-                RepOutcome::Ok { completion, waiting } => {
-                    let _ = write!(
-                        out,
-                        "{{\"rep\":\"{rep}\",\"ok\":true,\"completion\":\"{}\",\"waiting\":\"{}\"}}",
-                        f64_bits_hex(*completion),
-                        f64_bits_hex(*waiting)
-                    );
-                }
-                RepOutcome::Failed { error } => {
-                    let _ = write!(
-                        out,
-                        "{{\"rep\":\"{rep}\",\"ok\":false,\"error\":{}}}",
-                        json_string(error)
-                    );
-                }
-            }
+            out.push('{');
+            write_outcome(&mut out, *rep, outcome);
+            out.push('}');
         }
         out.push_str("]}");
         out
     }
 
-    /// Parse a checkpoint document, verifying version and fingerprint.
+    /// Parse a checkpoint document, verifying version, fingerprint and
+    /// [`check`](Checkpoint::check).
     pub fn from_json(text: &str) -> Result<Self, String> {
         let v = json::parse(text).map_err(|e| format!("checkpoint: {e}"))?;
         let version = v
@@ -152,18 +199,7 @@ impl Checkpoint {
                 job.fingerprint()
             ));
         }
-        let watermark = v
-            .get("watermark")
-            .and_then(Value::as_str)
-            .ok_or("checkpoint: missing watermark")?
-            .parse::<u64>()
-            .map_err(|_| "checkpoint: watermark is not a u64")?;
-        if watermark > job.reps {
-            return Err(format!(
-                "checkpoint: watermark {watermark} exceeds the job's {} reps",
-                job.reps
-            ));
-        }
+        let watermark = u64_of(&v, "watermark").ok_or("checkpoint: missing u64 watermark")?;
         let completion = StreamingStats::from_value(
             v.get("completion").ok_or("checkpoint: missing completion")?,
         )?;
@@ -175,65 +211,27 @@ impl Checkpoint {
             .and_then(Value::as_array)
             .ok_or("checkpoint: missing failures")?
         {
-            let rep = f
-                .get("rep")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint: failure missing rep")?
-                .parse::<u64>()
-                .map_err(|_| "checkpoint: failure rep is not a u64")?;
-            let error = f
-                .get("error")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint: failure missing error")?
-                .to_owned();
-            failures.push(SweepFailure { rep, error });
+            let rep = u64_of(f, "rep").ok_or("checkpoint: failure missing u64 rep")?;
+            let error = str_of(f, "error").ok_or("checkpoint: failure missing error")?;
+            failures.push(SweepFailure { rep, error: error.to_owned() });
         }
-        let mut pending = Vec::new();
-        for p in v
+        let pending = v
             .get("pending")
             .and_then(Value::as_array)
             .ok_or("checkpoint: missing pending")?
-        {
-            let rep = p
-                .get("rep")
-                .and_then(Value::as_str)
-                .ok_or("checkpoint: pending entry missing rep")?
-                .parse::<u64>()
-                .map_err(|_| "checkpoint: pending rep is not a u64")?;
-            let ok = match p.get("ok") {
-                Some(Value::Bool(b)) => *b,
-                _ => return Err("checkpoint: pending entry missing bool \"ok\"".into()),
-            };
-            let outcome = if ok {
-                let bits = |key: &str| -> Result<f64, String> {
-                    p.get(key)
-                        .and_then(Value::as_str)
-                        .ok_or_else(|| format!("checkpoint: pending entry missing {key:?}"))
-                        .and_then(f64_from_bits_hex)
-                };
-                RepOutcome::Ok {
-                    completion: bits("completion")?,
-                    waiting: bits("waiting")?,
-                }
-            } else {
-                RepOutcome::Failed {
-                    error: p
-                        .get("error")
-                        .and_then(Value::as_str)
-                        .ok_or("checkpoint: pending entry missing error")?
-                        .to_owned(),
-                }
-            };
-            pending.push((rep, outcome));
-        }
-        Ok(Checkpoint {
+            .iter()
+            .map(|p| read_outcome(p, "checkpoint: pending entry"))
+            .collect::<Result<_, _>>()?;
+        let checkpoint = Checkpoint {
             job,
             watermark,
             completion,
             waiting,
             failures,
             pending,
-        })
+        };
+        checkpoint.check().map_err(|e| format!("checkpoint: {e}"))?;
+        Ok(checkpoint)
     }
 
     /// Write atomically: serialize to `<path>.tmp`, fsync, rename over
@@ -254,6 +252,18 @@ impl Checkpoint {
             .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
         Self::from_json(&text).map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
+}
+
+/// Ok when `reps` rise strictly from `floor` and stay below `end`;
+/// otherwise the first rep that does not.
+fn rising(reps: impl Iterator<Item = u64>, mut floor: u64, end: u64) -> Result<(), u64> {
+    for rep in reps {
+        if rep < floor || rep >= end {
+            return Err(rep);
+        }
+        floor = rep + 1;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -355,6 +365,65 @@ mod tests {
         let text = ck.to_json().replace("\"watermark\":\"6\"", "\"watermark\":\"99\"");
         let err = Checkpoint::from_json(&text).unwrap_err();
         assert!(err.contains("watermark"), "{err}");
+    }
+
+    /// `ck`, which breaks one consistency rule, is refused both by
+    /// [`Checkpoint::check`] with `want` and when loaded from its JSON.
+    fn assert_inconsistent(ck: Checkpoint, want: Inconsistency) {
+        assert_eq!(ck.check(), Err(want));
+        let err = Checkpoint::from_json(&ck.to_json()).unwrap_err();
+        assert!(err.contains(&want.to_string()), "{err}");
+    }
+
+    #[test]
+    fn watermark_must_count_successes_and_failures() {
+        // Watermark 6 over 5 successes and 1 failure; claim 8 instead.
+        let mut ck = Checkpoint::from_merge(&job(), &merge_with_gap());
+        ck.watermark = 8;
+        ck.pending.clear();
+        assert_inconsistent(ck, Inconsistency::Watermark);
+        // Counts that add up, past the job's 12 reps.
+        let mut m = MergeState::new(20);
+        for i in 0..13 {
+            m.accept(i, RepOutcome::Ok { completion: 1.0, waiting: 0.5 });
+        }
+        assert_inconsistent(Checkpoint::from_merge(&job(), &m), Inconsistency::Watermark);
+    }
+
+    #[test]
+    fn accumulators_must_agree_on_their_count() {
+        let mut ck = Checkpoint::from_merge(&job(), &merge_with_gap());
+        ck.waiting.push(0.5);
+        assert_inconsistent(ck, Inconsistency::AccumulatorCounts);
+    }
+
+    #[test]
+    fn failure_reps_must_rise_below_the_watermark() {
+        let base = Checkpoint::from_merge(&job(), &merge_with_gap());
+        // At the watermark: that rep has not merged yet.
+        let mut at_watermark = base.clone();
+        at_watermark.failures[0].rep = 6;
+        assert_inconsistent(at_watermark, Inconsistency::FailureRep(6));
+        // Two failures out of order (one success traded for a failure,
+        // so the counts still add up to the watermark).
+        let mut m = MergeState::new(12);
+        m.accept(0, RepOutcome::Failed { error: "a".into() });
+        m.accept(1, RepOutcome::Ok { completion: 1.0, waiting: 0.5 });
+        m.accept(2, RepOutcome::Failed { error: "b".into() });
+        let mut swapped = Checkpoint::from_merge(&job(), &m);
+        swapped.failures.swap(0, 1);
+        assert_inconsistent(swapped, Inconsistency::FailureRep(0));
+    }
+
+    #[test]
+    fn pending_reps_must_rise_between_watermark_and_rep_count() {
+        let base = Checkpoint::from_merge(&job(), &merge_with_gap());
+        let outcome = RepOutcome::Ok { completion: 0.5, waiting: 0.5 };
+        for (rep, pending) in [(6, vec![6]), (12, vec![12]), (7, vec![8, 7]), (8, vec![8, 8])] {
+            let mut ck = base.clone();
+            ck.pending = pending.into_iter().map(|r| (r, outcome.clone())).collect();
+            assert_inconsistent(ck, Inconsistency::PendingRep(rep));
+        }
     }
 
     #[test]

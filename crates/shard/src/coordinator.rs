@@ -2,9 +2,10 @@
 //! their deaths, and land the exact serial answer.
 //!
 //! One OS thread per endpoint runs the connect → hello → lease loop,
-//! feeding every reported repetition through the shared [`MergeState`];
-//! the main thread supervises heartbeat deadlines, the wall-clock
-//! budget, and the checkpoint cadence. Failure handling is layered:
+//! feeding every reported repetition through the shared [`MergeState`]
+//! (`core::sweep`'s one reorder merge); the main thread supervises
+//! heartbeat deadlines, the wall-clock budget, and the checkpoint
+//! cadence. Failure handling is layered:
 //!
 //! 1. connect failures back off exponentially with an attempt budget;
 //! 2. a session that errors, goes silent past the heartbeat timeout, or
@@ -21,15 +22,15 @@
 //!
 //! The same code path runs pure in-process sweeps (no endpoints), which
 //! is how `--checkpoint`/`--resume`/`--max-wall-secs` work without any
-//! workers at all.
+//! workers at all. In-process repetitions run on `core::sweep`'s one
+//! claim loop, [`claim_reps`], over the merge's missing ranges.
 
 use crate::checkpoint::Checkpoint;
 use crate::fleet::ObsHub;
 use crate::job::{JobSpec, MaterializedJob};
 use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
-use crate::merge::{MergeState, RepOutcome};
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
-use flagsim_core::sweep::SweepFailure;
+use flagsim_core::sweep::{claim_reps, MergeState, RepOutcome, SweepFailure};
 use flagsim_metrics::RunStats;
 use flagsim_telemetry::log;
 use std::collections::BTreeMap;
@@ -291,10 +292,8 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
             .save(path)
             .map_err(|e| format!("final checkpoint save: {e}"))?;
     }
-    let (completion, waiting) = sh
-        .merge
-        .finish()
-        .map_err(|e| format!("sweep failed: {e}"))?;
+    // A `SweepError`: worded as the in-process sweep words it.
+    let (completion, waiting) = sh.merge.finish().map_err(|e| format!("sweep failed: {e}"))?;
     Ok(ShardOutcome::Completed(ShardResult {
         completion,
         waiting,
@@ -303,8 +302,11 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
     }))
 }
 
-/// In-process execution of whatever the merge still owes. Also the
-/// degradation path when the cluster is gone.
+/// In-process execution of whatever the merge still owes, on the one
+/// claim loop; also the degradation path when the cluster is gone. Each
+/// outcome is [`record`]ed alone, so checkpoint cadence and
+/// `halt_after_reps` stay exact to the rep; the wall budget is checked at
+/// each claim.
 fn run_local(
     mat: &MaterializedJob,
     job: &JobSpec,
@@ -312,46 +314,30 @@ fn run_local(
     shared: &SharedState,
     start: Instant,
 ) {
-    let queue: Mutex<Vec<(u64, u64)>> = Mutex::new(lock(shared).merge.missing_ranges());
-    let pop = || -> Option<u64> {
-        let mut q = queue.lock().expect("rep queue lock poisoned");
-        let first = q.first_mut()?;
-        let rep = first.0;
-        first.0 += 1;
-        if first.0 >= first.1 {
-            q.remove(0);
-        }
-        Some(rep)
-    };
-    let stop = AtomicBool::new(false);
-    let jobs = cfg.local_jobs.max(1);
-    thread::scope(|s| {
-        for _ in 0..jobs {
-            s.spawn(|| {
-                let runner = mat.runner();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        return;
-                    }
-                    if let Some(budget) = cfg.max_wall {
-                        if start.elapsed() >= budget {
-                            lock(shared).deadline_hit = true;
-                            stop.store(true, Ordering::Relaxed);
-                            return;
-                        }
-                    }
-                    let Some(rep) = pop() else { return };
-                    let outcome = RepOutcome::from(runner.run_rep_stats(rep));
-                    let mut sh = lock(shared);
-                    record(&mut sh, job, cfg, rep, outcome);
-                    if stop_requested(&sh) {
-                        stop.store(true, Ordering::Relaxed);
-                        return;
-                    }
+    let missing = lock(shared).merge.missing_ranges();
+    // One runner for every thread: the scenario compiles once.
+    let runner = mat.runner();
+    claim_reps(
+        &missing,
+        cfg.local_jobs,
+        |_| |rep| RepOutcome::from(runner.run_rep_stats(rep)),
+        |_, outcomes| {
+            let mut sh = lock(shared);
+            for (rep, outcome) in outcomes.drain(..) {
+                record(&mut sh, job, cfg, rep, outcome);
+                if stop_requested(&sh) {
+                    return None;
                 }
-            });
-        }
-    });
+            }
+            let expired = cfg.max_wall.is_some_and(|budget| start.elapsed() >= budget);
+            if expired && !sh.merge.is_complete() {
+                sh.deadline_hit = true;
+                return None;
+            }
+            Some(())
+        },
+        |()| {},
+    );
 }
 
 /// Drive the endpoint sessions plus the supervisor loop; returns once
@@ -1243,6 +1229,71 @@ mod tests {
             }
             other => panic!("expected completion, got {other:?}"),
         }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn multi_job_halt_then_resume_is_bit_identical_to_uninterrupted() {
+        // Three local jobs merge chunks out of order, so a halted run's
+        // checkpoint can hold pending reps above its watermark. Resumed on
+        // three jobs, it must land the uninterrupted run's statistics and
+        // final checkpoint, byte for byte.
+        let j = job(200);
+        let dir = std::env::temp_dir().join(format!("flagsim-shard-jobs-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("tmp dir");
+        let three = |ckpt: &std::path::Path| CoordinatorConfig {
+            local_jobs: 3,
+            checkpoint_path: Some(ckpt.to_path_buf()),
+            ..CoordinatorConfig::default()
+        };
+        let fresh_ckpt = dir.join("fresh.ckpt");
+        let ShardOutcome::Completed(fresh) = run_sweep(&j, &three(&fresh_ckpt)).expect("sweep")
+        else {
+            panic!("the uninterrupted sweep did not complete");
+        };
+        let (serial_c, serial_w) = serial_stats(&j);
+        assert_stats_bits_equal(&fresh.completion, &serial_c);
+        assert_stats_bits_equal(&fresh.waiting, &serial_w);
+        let fresh_bytes = std::fs::read(&fresh_ckpt).expect("fresh final checkpoint");
+        let mut resumed_any = false;
+        for halt in [1, 7, 30, 120] {
+            let ckpt = dir.join(format!("halt-{halt}.ckpt"));
+            let halted = run_sweep(
+                &j,
+                &CoordinatorConfig {
+                    checkpoint_every: 1,
+                    halt_after_reps: Some(halt),
+                    ..three(&ckpt)
+                },
+            )
+            .expect("halted sweep");
+            let merged = match halted {
+                ShardOutcome::Halted { merged } => merged,
+                // A merge that closes the last gap can jump the watermark
+                // from below the halt point to the end: nothing to resume.
+                ShardOutcome::Completed(r) => {
+                    assert_stats_bits_equal(&r.completion, &serial_c);
+                    continue;
+                }
+                other => panic!("halt at {halt}: expected a halt, got {other:?}"),
+            };
+            assert!(merged >= halt, "halt at {halt}: merged {merged}");
+            let resume = Checkpoint::load(&ckpt).expect("load checkpoint");
+            assert_eq!(resume.watermark, merged, "halt at {halt}: the halt's rep was saved");
+            let resumed = run_sweep(&j, &CoordinatorConfig { resume: Some(resume), ..three(&ckpt) })
+                .expect("resumed sweep");
+            let ShardOutcome::Completed(r) = resumed else {
+                panic!("halt at {halt}: expected completion, got {resumed:?}");
+            };
+            assert_stats_bits_equal(&r.completion, &serial_c);
+            assert_stats_bits_equal(&r.waiting, &serial_w);
+            assert!(
+                std::fs::read(&ckpt).expect("resumed final checkpoint") == fresh_bytes,
+                "halt at {halt}: final checkpoint differs from the uninterrupted run's"
+            );
+            resumed_any = true;
+        }
+        assert!(resumed_any, "no halt point stopped the campaign before its end");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -5,10 +5,12 @@
 //! leases, farms them out to `flagsim worker` processes over a
 //! hand-rolled length-prefixed JSON-over-TCP protocol (the workspace is
 //! offline — no serde, no tonic), and merges the per-repetition metrics
-//! back through a rep-indexed reorder buffer, so the final statistics
-//! are **bit-for-bit identical to the serial sweep** at any worker
-//! count — the same determinism contract `core::sweep` already makes
-//! for threads, extended to processes.
+//! back through `core::sweep`'s one reorder merge ([`MergeState`],
+//! re-exported here with [`RepOutcome`]), so the final statistics are
+//! **bit-for-bit identical to the serial sweep** at any worker count —
+//! the same determinism contract `core::sweep` makes for threads,
+//! extended to processes. This crate keeps only the transport around
+//! that merge: the wire, sessions, the lease table and checkpoints.
 //!
 //! The paper's scenario 4 teaches that real parallel systems lose
 //! workers; this crate survives failure at every layer:
@@ -27,8 +29,9 @@
 //! * **Degradation**: when no worker is reachable at all, the
 //!   coordinator runs the repetitions in-process (the same
 //!   [`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats)
-//!   the workers call), so a dead cluster costs wall-clock time, never a
-//!   campaign.
+//!   the workers call, on `core::sweep`'s one claim loop,
+//!   [`claim_reps`](flagsim_core::sweep::claim_reps)), so a dead cluster
+//!   costs wall-clock time, never a campaign.
 //! * **Checkpoint/resume** ([`checkpoint`]): the coordinator
 //!   periodically serializes its [`StreamingStats`] accumulators (exact
 //!   bit-level snapshots), the merged-rep watermark, recorded failures,
@@ -59,17 +62,16 @@ pub mod coordinator;
 pub mod fleet;
 pub mod job;
 pub mod lease;
-pub mod merge;
 pub mod obs_serve;
 pub mod wire;
 pub mod worker;
 
-pub use checkpoint::Checkpoint;
+pub use checkpoint::{Checkpoint, Inconsistency};
 pub use coordinator::{campaign_id, run_sweep, CoordinatorConfig, ShardOutcome, ShardResult};
+pub use flagsim_core::sweep::{MergeState, RepOutcome};
 pub use fleet::{FleetView, ObsHub, WorkerObs};
 pub use job::{JobSpec, MaterializedJob};
 pub use lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
-pub use merge::{MergeState, RepOutcome};
 pub use obs_serve::ObsServer;
 pub use wire::{read_frame, write_frame, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 pub use worker::{serve, WorkerOptions};

@@ -37,7 +37,7 @@
 //! ignored by older decoders, so [`PROTOCOL_VERSION`] stays at 1.
 
 use crate::job::JobSpec;
-use crate::merge::RepOutcome;
+use flagsim_core::sweep::RepOutcome;
 use flagsim_telemetry::json::{self, f64_bits_hex, f64_from_bits_hex, json_string, Value};
 use flagsim_telemetry::{intern, FlowRecord, Level, LogRecord, SpanRecord};
 use std::fmt::Write as _;
@@ -221,23 +221,11 @@ impl Message {
                 );
             }
             Message::Telemetry(batch) => encode_telemetry(&mut out, batch),
-            Message::Rep { rep, outcome } => match outcome {
-                RepOutcome::Ok { completion, waiting } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"rep\",\"rep\":\"{rep}\",\"ok\":true,\"completion\":\"{}\",\"waiting\":\"{}\"}}",
-                        f64_bits_hex(*completion),
-                        f64_bits_hex(*waiting)
-                    );
-                }
-                RepOutcome::Failed { error } => {
-                    let _ = write!(
-                        out,
-                        "{{\"type\":\"rep\",\"rep\":\"{rep}\",\"ok\":false,\"error\":{}}}",
-                        json_string(error)
-                    );
-                }
-            },
+            Message::Rep { rep, outcome } => {
+                out.push_str("{\"type\":\"rep\",");
+                write_outcome(&mut out, *rep, outcome);
+                out.push('}');
+            }
             Message::LeaseDone { start, end } => {
                 let _ = write!(
                     out,
@@ -300,35 +288,8 @@ impl Message {
                 grant: u64_field("grant").unwrap_or(0),
             }),
             "telemetry" => decode_telemetry(&v).map(Message::Telemetry),
-            "rep" => {
-                let rep = u64_field("rep")?;
-                let ok = match v.get("ok") {
-                    Some(Value::Bool(b)) => *b,
-                    _ => return Err("bad rep frame: missing bool \"ok\"".into()),
-                };
-                let outcome = if ok {
-                    let bits = |key: &str| -> Result<f64, String> {
-                        let s = v
-                            .get(key)
-                            .and_then(Value::as_str)
-                            .ok_or_else(|| format!("bad rep frame: missing {key:?}"))?;
-                        f64_from_bits_hex(s)
-                    };
-                    RepOutcome::Ok {
-                        completion: bits("completion")?,
-                        waiting: bits("waiting")?,
-                    }
-                } else {
-                    RepOutcome::Failed {
-                        error: v
-                            .get("error")
-                            .and_then(Value::as_str)
-                            .unwrap_or("unknown worker error")
-                            .to_owned(),
-                    }
-                };
-                Ok(Message::Rep { rep, outcome })
-            }
+            "rep" => read_outcome(&v, "bad \"rep\" frame")
+                .map(|(rep, outcome)| Message::Rep { rep, outcome }),
             "lease_done" => Ok(Message::LeaseDone {
                 start: u64_field("start")?,
                 end: u64_field("end")?,
@@ -429,13 +390,46 @@ fn encode_telemetry(out: &mut String, batch: &TelemetryBatch) {
     out.push_str("]}");
 }
 
+/// Write one repetition's outcome as the `"rep"`, `"ok"` and result
+/// fields that a `rep` frame and a checkpoint's pending entry share.
+pub(crate) fn write_outcome(out: &mut String, rep: u64, outcome: &RepOutcome) {
+    let _ = match outcome {
+        RepOutcome::Ok { completion, waiting } => write!(
+            out,
+            "\"rep\":\"{rep}\",\"ok\":true,\"completion\":\"{}\",\"waiting\":\"{}\"",
+            f64_bits_hex(*completion),
+            f64_bits_hex(*waiting)
+        ),
+        RepOutcome::Failed { error } => {
+            write!(out, "\"rep\":\"{rep}\",\"ok\":false,\"error\":{}", json_string(error))
+        }
+    };
+}
+
+/// Read the fields [`write_outcome`] writes; errors start with `what`.
+pub(crate) fn read_outcome(v: &Value, what: &str) -> Result<(u64, RepOutcome), String> {
+    let rep = u64_of(v, "rep").ok_or_else(|| format!("{what}: missing u64 \"rep\""))?;
+    let field = |key: &str| str_of(v, key).ok_or_else(|| format!("{what}: missing {key:?}"));
+    let outcome = match v.get("ok") {
+        Some(Value::Bool(true)) => RepOutcome::Ok {
+            completion: f64_from_bits_hex(field("completion")?)?,
+            waiting: f64_from_bits_hex(field("waiting")?)?,
+        },
+        Some(Value::Bool(false)) => RepOutcome::Failed {
+            error: field("error")?.to_owned(),
+        },
+        _ => return Err(format!("{what}: missing bool \"ok\"")),
+    };
+    Ok((rep, outcome))
+}
+
 /// A u64 shipped as a decimal string (the JSON parser is f64-based, so
 /// bare numbers would lose precision past 2^53).
-fn u64_of(v: &Value, key: &str) -> Option<u64> {
+pub(crate) fn u64_of(v: &Value, key: &str) -> Option<u64> {
     v.get(key).and_then(Value::as_str).and_then(|s| s.parse().ok())
 }
 
-fn str_of<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
+pub(crate) fn str_of<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
     v.get(key).and_then(Value::as_str)
 }
 
@@ -721,6 +715,9 @@ mod tests {
         // Garbage bodies fail to decode.
         assert!(Message::decode("{\"type\":\"warp\"}").is_err());
         assert!(Message::decode("not json").is_err());
+        // A failed rep must say why, as a checkpoint's pending entry must.
+        let err = Message::decode("{\"type\":\"rep\",\"rep\":\"3\",\"ok\":false}").unwrap_err();
+        assert!(err.contains("missing \"error\""), "{err}");
     }
 
     #[test]

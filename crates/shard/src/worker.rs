@@ -31,8 +31,8 @@
 //! repetitions themselves.
 
 use crate::job::JobSpec;
-use crate::merge::RepOutcome;
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
+use flagsim_core::sweep::RepOutcome;
 use flagsim_telemetry::{log, Collector, FlowRecord, LogRecord, SpanRecord};
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
