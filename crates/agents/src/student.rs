@@ -57,14 +57,6 @@ impl StudentProfile {
         self
     }
 
-    /// Set the warm-up curve. Amplitude is clamped to `[0, 3]`, tau floored
-    /// at a tenth of a cell.
-    pub fn with_warmup(mut self, amplitude: f64, tau: f64) -> Self {
-        self.warmup_amplitude = amplitude.clamp(0.0, 3.0);
-        self.warmup_tau = tau.max(0.1);
-        self
-    }
-
     /// A student with no warm-up effect (for ablations).
     pub fn without_warmup(mut self) -> Self {
         self.warmup_amplitude = 0.0;

@@ -14,19 +14,20 @@
 //! durations — the adopting survivor colors at the dropout's pace — a
 //! deliberate simplification that keeps the DES exact.
 //!
-//! A run has two finishes after one shared preparation: the report
-//! finish assembles a [`RunReport`] (grid, per-student and per-color
-//! breakdowns, resilience log); the stats finish reads a [`RepSample`]
-//! straight off the engine's slots and skips everything only a report
-//! needs — resource labels, student names, and, without faults, the
-//! live fault state and its started-cell logs.
+//! Every run goes through one loop, `Run::drive`: sample every duration
+//! into a [`World`] (or reload one), load it into a reset
+//! `Engine<StudentProc, _>`, run, count, and hand the stopped engine to a
+//! finish. The report finish assembles a [`RunReport`] (grid, per-student
+//! and per-color breakdowns, resilience log); the stats finish reads a
+//! [`RepSample`] straight off the engine's slots, and the fingerprint
+//! finish the report's outcome fingerprint. Only a report names students
+//! and markers. The live fault state and its started-cell logs exist only
+//! when a fault or, for a report, a deadline can cut the run short.
 //!
-//! Preparation itself has two halves. Sampling draws every duration into
-//! a [`World`]; loading resets an `Engine<StudentProc, _>` and fills it
-//! from the world. Both reuse their buffers, so the stats finish keeps one
-//! world and one engine per thread and allocates nothing per rep, and
-//! [`ScheduledRuns`] samples once and reloads the same world under every
-//! schedule `flagsim verify` explores.
+//! World and engine keep their buffers: the report and stats finishes
+//! share one pair per thread, [`ScheduledRuns`] keeps its own for every
+//! schedule `flagsim verify` explores, and only a boxed schedule policy
+//! builds a fresh pair. A steady-state stats rep allocates nothing.
 
 use crate::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use crate::faults::{FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport};
@@ -35,8 +36,8 @@ use crate::scenario::CompiledScenario;
 use crate::work::{PreparedFlag, WorkItem};
 use flagsim_agents::{noise, CostModel, Implement, StudentProfile};
 use flagsim_desim::{
-    Action, Engine, NoPolicy, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
-    Trace, WaitForGraph,
+    Action, Engine, Process, ResourceId, SchedulePolicy, SimDuration, SimError, SimTime,
+    WaitForGraph,
 };
 use flagsim_grid::{CellId, Color, Grid};
 use std::cell::RefCell;
@@ -685,10 +686,10 @@ impl World {
 
     /// Reset `engine` and load this world into it: one resource per
     /// needed color (resource `i` is `prep.needed[i]`'s implement) and one
-    /// [`StudentProc`] per student, woken at their arrival. The stats
-    /// finish (`report == false`) leaves resource labels and process names
-    /// blank — they appear only in reports and engine errors — and never
-    /// records trace events.
+    /// [`StudentProc`] per student, woken at their arrival. Any load but a
+    /// report's (`report == false`) leaves resource labels and process
+    /// names blank — they appear only in reports and engine errors — and
+    /// never records trace events.
     fn load<Pol: SchedulePolicy>(
         &mut self,
         engine: &mut Engine<StudentProc, Pol>,
@@ -701,13 +702,7 @@ impl World {
             prep, config, plan, ..
         } = *run;
         engine.reset();
-        // ~4 events per cell: the hot loop never grows the event buffer.
-        let record = report && config.trace_events;
-        engine.set_trace_events(record);
-        if record {
-            let cells: usize = self.items.iter().map(Vec::len).sum();
-            engine.reserve_events(cells * 4 + team.len() * 2);
-        }
+        engine.set_trace_events(report && config.trace_events);
         for ((&c, &implement), (&count, &handoff)) in prep
             .needed
             .iter()
@@ -778,121 +773,159 @@ fn arrival(plan: &FaultPlan, idx: usize) -> SimTime {
     })
 }
 
-/// One thread's stats-finish state, reused rep after rep: the team, the
-/// sampled world and the engine. Steady-state reps allocate nothing.
-#[derive(Default)]
-pub(crate) struct StatsScratch {
-    /// The rep's team, one student per part; refilled by the caller.
-    pub(crate) team: Vec<StudentProfile>,
-    world: World,
-    engine: Engine<StudentProc>,
+thread_local! {
+    /// This thread's world and engine, reused by every report and stats
+    /// finish the thread runs.
+    static RIG: RefCell<(World, Engine<StudentProc>)> = RefCell::default();
 }
 
-/// A finished engine run, as the report assembly reads it.
-struct Ran {
-    trace: Trace,
-    /// The live fault state, taken from the processes' shared handle.
-    state: LiveFaultState,
-    deadline: Option<SimTime>,
-    breakages: u64,
-    noise_fallbacks: u64,
+/// `f` on this thread's world and engine.
+fn on_rig<T>(f: impl FnOnce(&mut World, &mut Engine<StudentProc>) -> T) -> T {
+    RIG.with(|rig| {
+        let (world, engine) = &mut *rig.borrow_mut();
+        f(world, engine)
+    })
+}
+
+/// A stopped engine run, as a finish reads it.
+struct Ran<'r, Pol> {
+    team: &'r [StudentProfile],
+    world: &'r World,
+    engine: &'r mut Engine<StudentProc, Pol>,
+    /// The live fault state, when the run kept one.
+    live: Option<SharedFaults>,
+    end: SimTime,
+}
+
+impl<Pol: SchedulePolicy> Ran<'_, Pol> {
+    /// Hand `paint` each cell every student completed, student by
+    /// student: the first `completed_work` cells they started (with a
+    /// deadline, the cell in flight at the bell is lost) — from the live
+    /// started-cell log, or without one from their own cell list, which
+    /// they worked through in order.
+    fn completed_cells(&self, mut paint: impl FnMut(WorkItem)) {
+        let done = self.engine.accounts().map(|a| a.completed_work as usize);
+        match &self.live {
+            None => {
+                for (items, done) in self.world.items.iter().zip(done) {
+                    items.iter().take(done).for_each(|item| paint(item.work));
+                }
+            }
+            Some(live) => {
+                for (started, done) in live.borrow().started.iter().zip(done) {
+                    started.iter().take(done).copied().for_each(&mut paint);
+                }
+            }
+        }
+    }
 }
 
 impl Run<'_> {
-    /// The report finish, with a stall flattened into an error string.
-    pub(crate) fn report(&self, team: &mut [StudentProfile]) -> Result<RunReport, String> {
-        match self.fresh(team, NoPolicy)? {
-            ActivityOutcome::Completed(report) => Ok(*report),
-            ActivityOutcome::Stalled(waiters) => Err(format!(
-                "simulation failed: {}",
-                SimError::Stalled { waiters }
-            )),
-        }
-    }
-
-    /// The report finish under `policy`: sample a fresh world and run it
-    /// on a fresh engine. World and engine are dropped before the report
-    /// is assembled, so their buffers do not fragment the kept ones.
-    pub(crate) fn fresh<Pol: SchedulePolicy>(
+    /// The one loop every finish runs: draw the world — or, given the
+    /// cell lists of one drawn before, reload them — arm the live fault
+    /// state when something can cut the run short, load, run, count, then
+    /// hand the stopped engine to `finish`. A report load names students
+    /// and markers, records trace events when the config asks, and needs
+    /// the live state's started-cell log under a deadline too.
+    fn drive<Pol: SchedulePolicy, T>(
         &self,
         team: &mut [StudentProfile],
-        policy: Pol,
-    ) -> Result<ActivityOutcome, String> {
-        self.finish(team.len(), || {
-            let mut world = World::default();
-            world.sample(self, team);
-            let mut engine = Engine::with_policy(policy, team.len(), self.prep.needed.len(), 0);
-            self.simulate(team, &mut world, &mut engine)
-        })
-    }
-
-    /// The stats finish: the same preparation and engine run as the
-    /// report finish, then only the [`RepSample`], read straight from the
-    /// engine's slots. An engine failure comes back as the raw
-    /// [`SimError`]; its rendering names students and markers, which this
-    /// finish leaves blank, so a caller wanting the report path's error
-    /// text replays the run there.
-    pub(crate) fn stats(&self, scratch: &mut StatsScratch) -> Result<RepSample, SimError> {
-        let StatsScratch {
-            team,
-            world,
-            engine,
-        } = scratch;
-        let team = &mut team[..self.assignments.len()];
+        world: &mut World,
+        engine: &mut Engine<StudentProc, Pol>,
+        replay: Option<&[Vec<TimedItem>]>,
+        report: bool,
+        finish: impl FnOnce(Ran<'_, Pol>) -> T,
+    ) -> Result<T, SimError> {
         let _activity_span = flagsim_telemetry::span("sim", "run.activity")
             .arg("label", self.label)
             .arg("students", team.len());
-        let live = (!self.plan.is_empty())
+        match replay {
+            None => world.sample(self, team),
+            Some(items) => {
+                for (to, from) in world.items.iter_mut().zip(items) {
+                    to.clone_from(from);
+                }
+            }
+        }
+        // Without faults or a deadline every started cell completes, so
+        // the world's cell lists are the started-cell log; a finish that
+        // reads only completed cells needs no log under a deadline either.
+        let live = (!self.plan.is_empty() || (report && world.deadline.is_some()))
             .then(|| LiveFaultState::shared(team.len(), self.plan, &self.prep.needed));
-        world.sample(self, team);
-        world.load(engine, self, team, live.as_ref(), false);
+        world.load(engine, self, team, live.as_ref(), report);
         let end = world.run(engine)?;
         flagsim_telemetry::count("run.breakages", world.breakages);
         flagsim_telemetry::count("run.noise_exact_fallbacks", world.noise_fallbacks);
-        Ok(RepSample {
-            completion_secs: (end - SimTime::ZERO).as_secs_f64(),
-            wait_secs: engine.accounts().map(|a| a.waiting.as_secs_f64()).sum(),
-        })
+        Ok(finish(Ran {
+            team,
+            world,
+            engine,
+            live,
+            end,
+        }))
     }
 
-    /// The report finish's engine half: load `world` into `engine`, run
-    /// it, and take the trace and the fault log — or, when the run stalls,
-    /// the wait-for graph.
-    fn simulate<Pol: SchedulePolicy>(
+    /// The report finish: draw the world, run it on `engine`, and
+    /// assemble the full [`RunReport`].
+    fn report_on<Pol: SchedulePolicy>(
         &self,
-        team: &[StudentProfile],
+        team: &mut [StudentProfile],
         world: &mut World,
         engine: &mut Engine<StudentProc, Pol>,
-    ) -> Result<Result<Ran, WaitForGraph>, String> {
-        let live = LiveFaultState::shared(team.len(), self.plan, &self.prep.needed);
-        world.load(engine, self, team, Some(&live), true);
-        match world.run(engine) {
-            Ok(_) => Ok(Ok(Ran {
-                trace: engine.take_trace(),
-                state: live.take(),
-                deadline: world.deadline,
-                breakages: world.breakages,
-                noise_fallbacks: world.noise_fallbacks,
-            })),
-            // A stall is a structured outcome for the verification layer.
-            Err(SimError::Stalled { waiters }) => Ok(Err(waiters)),
-            Err(e) => Err(format!("simulation failed: {e}")),
-        }
+    ) -> Result<RunReport, SimError> {
+        self.drive(team, world, engine, None, true, |ran| assemble(self, ran))
     }
 
-    /// The report finish around `simulate`: run it, then assemble.
-    fn finish(
+    /// The report finish on this thread's world and engine, with an
+    /// engine failure flattened into an error string.
+    pub(crate) fn report(&self, team: &mut [StudentProfile]) -> Result<RunReport, String> {
+        on_rig(|world, engine| self.report_on(team, world, engine)).map_err(failed)
+    }
+
+    /// The report finish with a stall kept as a structured outcome: under
+    /// `policy` on a fresh world and engine, or without one on this
+    /// thread's.
+    pub(crate) fn scheduled(
         &self,
-        students: usize,
-        simulate: impl FnOnce() -> Result<Result<Ran, WaitForGraph>, String>,
+        team: &mut [StudentProfile],
+        policy: Option<Box<dyn SchedulePolicy>>,
     ) -> Result<ActivityOutcome, String> {
-        let _activity_span = flagsim_telemetry::span("sim", "run.activity")
-            .arg("label", self.label)
-            .arg("students", students);
-        Ok(match simulate()? {
-            Ok(ran) => ActivityOutcome::Completed(Box::new(assemble(self, ran))),
-            Err(waiters) => ActivityOutcome::Stalled(waiters),
+        outcome(match policy {
+            Some(policy) => {
+                let mut engine = Engine::with_policy(policy, team.len(), self.prep.needed.len(), 0);
+                self.report_on(team, &mut World::default(), &mut engine)
+            }
+            None => on_rig(|world, engine| self.report_on(team, world, engine)),
         })
+    }
+
+    /// The stats finish on this thread's world and engine: the same run
+    /// as the report finish, then only the [`RepSample`], read straight
+    /// from the engine's slots. An engine failure comes back as the raw
+    /// [`SimError`]; its rendering names students and markers, which this
+    /// finish leaves blank, so a caller wanting the report path's error
+    /// text replays the run there.
+    pub(crate) fn stats(&self, team: &mut [StudentProfile]) -> Result<RepSample, SimError> {
+        on_rig(|world, engine| {
+            self.drive(team, world, engine, None, false, |ran| RepSample {
+                completion_secs: (ran.end - SimTime::ZERO).as_secs_f64(),
+                wait_secs: ran.engine.accounts().map(|a| a.waiting.as_secs_f64()).sum(),
+            })
+        })
+    }
+}
+
+/// An engine failure as the report finish words it.
+fn failed(e: SimError) -> String {
+    format!("simulation failed: {e}")
+}
+
+/// A report finish's result with a stall kept as a structured outcome.
+fn outcome(report: Result<RunReport, SimError>) -> Result<ActivityOutcome, String> {
+    match report {
+        Ok(report) => Ok(ActivityOutcome::Completed(Box::new(report))),
+        Err(SimError::Stalled { waiters }) => Ok(ActivityOutcome::Stalled(waiters)),
+        Err(e) => Err(failed(e)),
     }
 }
 
@@ -966,20 +999,18 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
         self.engine.policy_mut()
     }
 
-    /// Put every cell list of the world back as it was drawn.
-    fn reload(&mut self) {
-        for (to, from) in self.world.items.iter_mut().zip(&self.items) {
-            to.clone_from(from);
-        }
-    }
-
     /// Run the sampled world once more under the policy as it stands —
     /// the outcome a fresh run of the same inputs and policy gives.
     pub fn run(&mut self) -> Result<ActivityOutcome, String> {
-        self.reload();
         let run = self.scenario.run(&self.prep, self.config, self.plan);
-        let (team, world, engine) = (&self.team, &mut self.world, &mut self.engine);
-        run.finish(team.len(), || run.simulate(team, world, engine))
+        outcome(run.drive(
+            &mut self.team,
+            &mut self.world,
+            &mut self.engine,
+            Some(&self.items),
+            true,
+            |ran| assemble(&run, ran),
+        ))
     }
 
     /// [`ScheduledRuns::run`] reduced to what exploration compares, with
@@ -995,86 +1026,59 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
     /// waiting. Any other engine failure comes back as its rendering,
     /// which leaves students and markers unnamed.
     pub fn fingerprint(&mut self) -> Result<OutcomeFingerprint, String> {
-        self.reload();
         let ScheduledRuns {
             scenario,
             config,
             plan,
             ref prep,
-            ref team,
+            ref mut team,
             ref mut world,
+            ref items,
             ref mut engine,
             ref mut cells,
-            ..
         } = *self;
         let run = scenario.run(prep, config, plan);
-        let _activity_span = flagsim_telemetry::span("sim", "run.activity")
-            .arg("label", run.label)
-            .arg("students", team.len());
-        let live = (!run.plan.is_empty())
-            .then(|| LiveFaultState::shared(team.len(), run.plan, &prep.needed));
-        world.load(engine, &run, team, live.as_ref(), false);
-        let end = match world.run(engine) {
-            Ok(end) => end,
+        let flag = run.flag;
+        let fingerprinted = run.drive(team, world, engine, Some(items), false, |ran| {
+            // Paint as the report finish does.
+            cells.clear();
+            cells.resize(flag.reference.len(), Color::Blank);
+            ran.completed_cells(|item| cells[item.cell.index()] = item.color);
+            let correct = cells.iter().enumerate().all(|(i, &got)| {
+                cell_correct(run.config, flag.reference.get(CellId(i as u32)), got)
+            });
+            let completion = ran.end - SimTime::ZERO;
+            let fingerprint = outcome_fingerprint(
+                completion,
+                correct,
+                ran.world.breakages,
+                cells.iter().copied(),
+                ran.team
+                    .iter()
+                    .zip(ran.engine.accounts())
+                    .map(|(s, account)| StudentFigures::new(&s.name, account, ran.end)),
+                prep.needed.iter().copied().zip(ran.engine.resource_stats()),
+            );
+            OutcomeFingerprint::Completed {
+                fingerprint,
+                completion,
+            }
+        });
+        match fingerprinted {
+            Ok(fingerprint) => Ok(fingerprint),
             Err(SimError::Stalled { mut waiters }) => {
                 prep.name_waiters(&mut waiters, team);
-                return Ok(OutcomeFingerprint::Stalled(waiters));
+                Ok(OutcomeFingerprint::Stalled(waiters))
             }
-            Err(e) => return Err(format!("simulation failed: {e}")),
-        };
-        flagsim_telemetry::count("run.breakages", world.breakages);
-        flagsim_telemetry::count("run.noise_exact_fallbacks", world.noise_fallbacks);
-
-        // Paint as the report finish does: each student's started cells,
-        // as many as they completed. Without faults those are a prefix of
-        // the student's own cell list.
-        let flag = run.flag;
-        cells.clear();
-        cells.resize(flag.reference.len(), Color::Blank);
-        match &live {
-            None => {
-                for (items, account) in world.items.iter().zip(engine.accounts()) {
-                    let done = (account.completed_work as usize).min(items.len());
-                    for item in &items[..done] {
-                        cells[item.work.cell.index()] = item.work.color;
-                    }
-                }
-            }
-            Some(live) => {
-                for (started, account) in live.borrow().started.iter().zip(engine.accounts()) {
-                    let done = (account.completed_work as usize).min(started.len());
-                    for item in &started[..done] {
-                        cells[item.cell.index()] = item.color;
-                    }
-                }
-            }
+            Err(e) => Err(failed(e)),
         }
-        let correct = cells
-            .iter()
-            .enumerate()
-            .all(|(i, &got)| cell_correct(run.config, flag.reference.get(CellId(i as u32)), got));
-
-        let completion = end - SimTime::ZERO;
-        let fingerprint = outcome_fingerprint(
-            completion,
-            correct,
-            world.breakages,
-            cells.iter().copied(),
-            team.iter()
-                .zip(engine.accounts())
-                .map(|(s, account)| StudentFigures::new(&s.name, account, end)),
-            prep.needed.iter().copied().zip(engine.resource_stats()),
-        );
-        Ok(OutcomeFingerprint::Completed {
-            fingerprint,
-            completion,
-        })
     }
 }
 
-/// The report finish's assembly half: paint and verify the grid and
-/// assemble the full [`RunReport`].
-fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
+/// The report finish's sink: paint and verify the grid and assemble the
+/// full [`RunReport`]. Everything the report keeps is allocated at its
+/// final size.
+fn assemble<Pol: SchedulePolicy>(run: &Run<'_>, ran: Ran<'_, Pol>) -> RunReport {
     let Run {
         label,
         flag,
@@ -1083,40 +1087,33 @@ fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
         config,
         plan,
     } = *run;
-    let Ran {
-        trace,
-        mut state,
-        deadline,
-        breakages,
-        noise_fallbacks,
-    } = ran;
 
-    // Cells each student actually completed, straight from the engine's
-    // per-process counter (with a deadline, in-flight work at the bell is
-    // lost). Every `Work` a student issues is one cell, so the counter
-    // replaces the old O(procs × events) trace scan and — unlike that
-    // scan — also works with the event sink off.
-    let completed: Vec<usize> = trace
-        .procs
-        .iter()
-        .map(|p| p.completed_work as usize)
-        .collect();
-
-    // Reconstruct the colored grid from the per-student started-cell logs
+    // Reconstruct the colored grid from the cells each student completed
     // (which, unlike the static assignments, account for adopted orphan
     // work) and verify it.
     let mut grid = Grid::new(flag.width, flag.height);
-    for (log, &done) in state.started.iter().zip(&completed) {
-        for item in &log[..done.min(log.len())] {
-            grid.paint(item.cell, item.color);
-        }
-    }
-    // The painting loop above was `started`'s last reader; move, don't
-    // clone, the per-student logs into the report.
-    let cell_log = std::mem::take(&mut state.started);
+    ran.completed_cells(|item| {
+        grid.paint(item.cell, item.color);
+    });
     let correct = grid
         .iter()
         .all(|(id, got)| cell_correct(config, flag.reference.get(id), got));
+
+    let trace = ran.engine.take_trace();
+    let mut state = ran.live.map(|live| live.take());
+    let cell_log = match &mut state {
+        Some(state) => state
+            .started
+            .drain(..)
+            .map(|log| log.into_boxed_slice().into_vec())
+            .collect(),
+        None => ran
+            .world
+            .items
+            .iter()
+            .map(|items| items.iter().map(|item| item.work).collect())
+            .collect(),
+    };
 
     let students = trace
         .procs
@@ -1139,74 +1136,75 @@ fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
 
     // Post-run fault accounting: fumbles bite once per observed hand-off,
     // the bell bites only if it actually cut the run short, and adopted
-    // orphans become recovery actions.
-    let resilience = if plan.is_empty() {
-        None
-    } else {
-        for e in &plan.events {
-            if let FaultEvent::HandoffFumble { color, extra_secs } = e {
-                let handoffs = contention
-                    .iter()
-                    .find(|c| c.color == *color)
-                    .map_or(0, |c| c.stats.handoffs);
-                if handoffs > 0 {
-                    state.incidents.push(Incident {
-                        at_secs: 0.0,
-                        what: format!(
-                            "every {color} hand-off fumbled (+{extra_secs:.1}s x {handoffs})"
-                        ),
-                    });
-                    state.time_lost_secs += extra_secs * handoffs as f64;
+    // orphans become recovery actions. A faulted run always keeps the
+    // live state.
+    let resilience = match state {
+        Some(mut state) if !plan.is_empty() => {
+            for e in &plan.events {
+                if let FaultEvent::HandoffFumble { color, extra_secs } = e {
+                    let handoffs = contention
+                        .iter()
+                        .find(|c| c.color == *color)
+                        .map_or(0, |c| c.stats.handoffs);
+                    if handoffs > 0 {
+                        state.incidents.push(Incident {
+                            at_secs: 0.0,
+                            what: format!(
+                                "every {color} hand-off fumbled (+{extra_secs:.1}s x {handoffs})"
+                            ),
+                        });
+                        state.time_lost_secs += extra_secs * handoffs as f64;
+                    }
                 }
             }
-        }
-        // The bell bit if it set the deadline the engine ran to and the
-        // run ended there. Compared as `SimTime`s: the engine runs to
-        // whole milliseconds, so a bell at 60.0004 s stops it at 60.000 s.
-        let bell = plan.events.iter().any(|e| {
-            matches!(e, FaultEvent::DeadlineBell { at_secs }
-            if deadline.is_some_and(|d| {
-                d == SimTime::ZERO + SimDuration::from_secs_f64(*at_secs)
-                    && d == trace.end_time
-            }))
-        });
-        if bell {
-            state.incidents.push(Incident {
-                at_secs: trace.end_time.as_secs_f64(),
-                what: "the bell rang with work unfinished".to_owned(),
+            // The bell bit if it set the deadline the engine ran to and the
+            // run ended there. Compared as `SimTime`s: the engine runs to
+            // whole milliseconds, so a bell at 60.0004 s stops it at 60.000 s.
+            let bell = plan.events.iter().any(|e| {
+                matches!(e, FaultEvent::DeadlineBell { at_secs }
+                if ran.world.deadline.is_some_and(|d| {
+                    d == SimTime::ZERO + SimDuration::from_secs_f64(*at_secs)
+                        && d == trace.end_time
+                }))
             });
-        }
-        for (i, &n) in state.adopted.iter().enumerate() {
-            if n > 0 {
-                state
-                    .actions
-                    .push(RecoveryAction::CellsAdopted { student: i, cells: n });
+            if bell {
+                state.incidents.push(Incident {
+                    at_secs: trace.end_time.as_secs_f64(),
+                    what: "the bell rang with work unfinished".to_owned(),
+                });
             }
-        }
-        state
-            .incidents
-            .sort_by(|a, b| a.at_secs.total_cmp(&b.at_secs));
-        if flagsim_telemetry::enabled() {
-            flagsim_telemetry::count("faults.incidents", state.incidents.len() as u64);
-            flagsim_telemetry::count("faults.recovery_actions", state.actions.len() as u64);
-            flagsim_telemetry::observe("faults.time_lost_secs", state.time_lost_secs);
-            if state.aborted.is_some() {
-                flagsim_telemetry::count("faults.aborted_runs", 1);
+            for (i, &n) in state.adopted.iter().enumerate() {
+                if n > 0 {
+                    state.actions.push(RecoveryAction::CellsAdopted {
+                        student: i,
+                        cells: n,
+                    });
+                }
             }
+            state
+                .incidents
+                .sort_by(|a, b| a.at_secs.total_cmp(&b.at_secs));
+            if flagsim_telemetry::enabled() {
+                flagsim_telemetry::count("faults.incidents", state.incidents.len() as u64);
+                flagsim_telemetry::count("faults.recovery_actions", state.actions.len() as u64);
+                flagsim_telemetry::observe("faults.time_lost_secs", state.time_lost_secs);
+                if state.aborted.is_some() {
+                    flagsim_telemetry::count("faults.aborted_runs", 1);
+                }
+            }
+            Some(ResilienceReport {
+                plan_label: plan.label.clone(),
+                policy: plan.policy,
+                faults_planned: plan.events.len(),
+                incidents: state.incidents,
+                actions: state.actions,
+                time_lost_secs: state.time_lost_secs,
+                aborted: state.aborted.is_some(),
+            })
         }
-        Some(ResilienceReport {
-            plan_label: plan.label.clone(),
-            policy: plan.policy,
-            faults_planned: plan.events.len(),
-            incidents: state.incidents,
-            actions: state.actions,
-            time_lost_secs: state.time_lost_secs,
-            aborted: state.aborted.is_some(),
-        })
+        _ => None,
     };
 
-    flagsim_telemetry::count("run.breakages", breakages);
-    flagsim_telemetry::count("run.noise_exact_fallbacks", noise_fallbacks);
     RunReport {
         label: label.to_owned(),
         flag_name: flag.name.clone(),
@@ -1215,7 +1213,7 @@ fn assemble(run: &Run<'_>, ran: Ran) -> RunReport {
         contention,
         grid,
         correct,
-        breakages,
+        breakages: ran.world.breakages,
         resilience,
         trace,
         cell_log,

@@ -7,7 +7,7 @@ use crate::report::RunReport;
 use crate::run::{ActivityOutcome, Run, RunPrep, ScheduledRuns};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
-use flagsim_desim::{NoPolicy, SchedulePolicy};
+use flagsim_desim::SchedulePolicy;
 
 /// A named task decomposition: what the instructor projects on the slide.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,14 +257,8 @@ impl CompiledScenario {
         policy: Option<Box<dyn SchedulePolicy>>,
     ) -> Result<ActivityOutcome, String> {
         let prep = self.prepare(team.len(), kit, plan)?;
-        let (run, team) = (
-            self.run(&prep, config, plan),
-            &mut team[..self.assignments.len()],
-        );
-        match policy {
-            Some(policy) => run.fresh(team, policy),
-            None => run.fresh(team, NoPolicy),
-        }
+        self.run(&prep, config, plan)
+            .scheduled(&mut team[..self.assignments.len()], policy)
     }
 
     /// The compiled partition prepared and sampled once with `team`, to

@@ -21,17 +21,21 @@
 //! (which its checkpoints freeze and restore), and runs the repetitions a
 //! campaign still owes in-process through [`claim_reps`].
 //!
-//! For huge campaigns, [`SweepRunner::retain_reports`]`(false)` runs
-//! every repetition through the stats finish
-//! ([`SweepRunner::run_rep_stats`]), which never assembles a
-//! [`RunReport`], and accumulates the two metrics in O(1) memory with
-//! [`StreamingStats`]; a progress callback ([`SweepRunner::on_progress`])
-//! gives observability either way.
+//! A retained sweep runs every repetition through the report finish
+//! ([`SweepRunner::run_rep`]) and keeps each [`RunReport`]. For huge
+//! campaigns, [`SweepRunner::retain_reports`]`(false)` runs every
+//! repetition through the stats finish ([`SweepRunner::run_rep_stats`]),
+//! which never assembles a report, and accumulates the two metrics in
+//! O(1) memory with [`StreamingStats`]. Both finishes run on one team,
+//! world and engine per thread, reused rep after rep, so a stats rep
+//! allocates nothing and a report rep allocates only what its report
+//! keeps. A progress callback ([`SweepRunner::on_progress`]) gives
+//! observability either way.
 
 use crate::config::{ActivityConfig, TeamKit};
 use crate::faults::FaultPlan;
 use crate::report::{RepSample, RunReport};
-use crate::run::{RunPrep, StatsScratch};
+use crate::run::RunPrep;
 use crate::scenario::{CompiledScenario, Scenario};
 use crate::work::PreparedFlag;
 use flagsim_agents::StudentProfile;
@@ -41,9 +45,8 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 thread_local! {
-    /// This thread's stats-finish scratch — team, sampled world, engine —
-    /// reused by every [`SweepRunner::run_rep_stats`] call on the thread.
-    static STATS: RefCell<StatsScratch> = RefCell::new(StatsScratch::default());
+    /// This thread's rep team, refilled for every rep the thread runs.
+    static TEAM: RefCell<Vec<StudentProfile>> = const { RefCell::new(Vec::new()) };
 }
 
 /// One repetition of a sweep that failed to produce a report.
@@ -297,9 +300,6 @@ impl<'a> SweepRunner<'a> {
     /// sweeps bit-for-bit equal to serial ones.
     pub fn run_rep(&self, rep: u64) -> Result<RunReport, String> {
         let (compiled, prep) = self.prepared()?;
-        let mut team: Vec<_> = self
-            .fresh_team(compiled.parts(), |i| format!("P{i}"))
-            .collect();
         let mut cfg = self.rep_config(rep);
         if !self.retain_reports {
             // A report wanted from a streaming runner is one-off, so
@@ -307,7 +307,11 @@ impl<'a> SweepRunner<'a> {
             // bit-identical with the sink off.
             cfg.trace_events = false;
         }
-        compiled.run(prep, &cfg, &self.plan).report(&mut team)
+        self.with_team(
+            compiled.parts(),
+            |i| format!("P{i}"),
+            |team| compiled.run(prep, &cfg, &self.plan).report(team),
+        )
     }
 
     /// Repetition `rep` reduced to its [`RepSample`], bit-equal to
@@ -316,25 +320,21 @@ impl<'a> SweepRunner<'a> {
     /// The same preparation and engine run as `run_rep`, but no
     /// [`RunReport`]: no grid paint-and-verify, no per-student or
     /// per-color tables, no names or labels, and without faults no live
-    /// fault state. Each thread keeps one team, engine and set of item
-    /// buffers for all its reps, so a steady-state rep allocates nothing.
-    /// What streaming sweeps and shard executors run.
+    /// fault state. Each thread keeps one team, world and engine for all
+    /// its reps, so a steady-state rep allocates nothing. What streaming
+    /// sweeps and shard executors run.
     pub fn run_rep_stats(&self, rep: u64) -> Result<RepSample, String> {
         let (compiled, prep) = self.prepared()?;
         let cfg = self.rep_config(rep);
-        STATS
-            .with(|scratch| {
-                let scratch = &mut *scratch.borrow_mut();
-                scratch.team.clear();
-                scratch
-                    .team
-                    .extend(self.fresh_team(compiled.parts(), |_| String::new()));
-                compiled.run(prep, &cfg, &self.plan).stats(scratch)
-            })
-            // An engine error names students and markers, which the stats
-            // finish leaves blank: replay the rep (a fresh team, the same
-            // seed) through the report path for the identical message.
-            .or_else(|_| self.run_rep(rep).map(|report| report.sample()))
+        self.with_team(
+            compiled.parts(),
+            |_| String::new(),
+            |team| compiled.run(prep, &cfg, &self.plan).stats(team),
+        )
+        // An engine error names students and markers, which the stats
+        // finish leaves blank: replay the rep (a fresh team, the same
+        // seed) through the report path for the identical message.
+        .or_else(|_| self.run_rep(rep).map(|report| report.sample()))
     }
 
     /// The compiled scenario and the run preparation, each built on first
@@ -353,19 +353,26 @@ impl<'a> SweepRunner<'a> {
         Ok((compiled, prep))
     }
 
-    /// A fresh team of `n` students named by `name(i)` for `i` in `1..=n`.
-    fn fresh_team<'s>(
-        &'s self,
+    /// `f` on a fresh team of `n` students named by `name(i)` for `i` in
+    /// `1..=n`, held in this thread's team buffer.
+    fn with_team<T>(
+        &self,
         n: usize,
-        name: impl Fn(usize) -> String + 's,
-    ) -> impl Iterator<Item = StudentProfile> + 's {
-        (1..=n).map(move |i| {
-            let s = StudentProfile::new(name(i));
-            if self.warmup {
-                s
-            } else {
-                s.without_warmup()
-            }
+        name: impl Fn(usize) -> String,
+        f: impl FnOnce(&mut [StudentProfile]) -> T,
+    ) -> T {
+        TEAM.with(|team| {
+            let team = &mut *team.borrow_mut();
+            team.clear();
+            team.extend((1..=n).map(|i| {
+                let s = StudentProfile::new(name(i));
+                if self.warmup {
+                    s
+                } else {
+                    s.without_warmup()
+                }
+            }));
+            f(team)
         })
     }
 

@@ -135,9 +135,10 @@ fn in_order_merge_allocates_nothing() {
 
 /// Allocations of one steady-state report rep of scenario 1 on France
 /// (288 cells, one student, trace events on), as a retained sweep runs
-/// it: the trace, the report's tables and the kept cell log, with cost
-/// sampling adding none.
-const FRANCE_REPORT_REP_ALLOCS: u64 = 41;
+/// it on the thread's reused world and engine: the student's name, the
+/// resource labels, and the trace, tables, grid and cell log the report
+/// keeps, with cost sampling adding none.
+const FRANCE_REPORT_REP_ALLOCS: u64 = 21;
 
 #[test]
 fn report_rep_allocations_are_pinned() {
@@ -155,6 +156,14 @@ fn report_rep_allocations_are_pinned() {
         let report = report.expect("rep runs");
         assert!(report.correct, "rep {rep}");
         assert_eq!(allocs, FRANCE_REPORT_REP_ALLOCS, "rep {rep}");
+        // What the report keeps is allocated at its final size.
+        let events = &report.trace.events;
+        assert_eq!(events.capacity(), events.len(), "rep {rep} events");
+        let cell_log = &report.cell_log;
+        assert_eq!(cell_log.capacity(), cell_log.len(), "rep {rep} cell log");
+        for log in cell_log {
+            assert_eq!(log.capacity(), log.len(), "rep {rep} cell log");
+        }
         // Stats reps stay allocation-free on the same runner.
         let (sample, allocs) = allocations(|| runner.run_rep_stats(rep));
         assert_eq!(sample.expect("rep runs"), report.sample(), "rep {rep}");
@@ -270,7 +279,7 @@ fn steady_state_fingerprint_schedule_allocates_nothing() {
 /// 2025 (44 schedules): sampling the world once, exploration's stack,
 /// state set, scripts and outcome classes, and the traced baseline run
 /// with its report and SC302 analysis.
-const SCENARIO_4_VERDICT_ALLOCS: u64 = 685;
+const SCENARIO_4_VERDICT_ALLOCS: u64 = 676;
 
 #[test]
 fn verify_verdict_allocations_are_pinned() {

@@ -4,10 +4,14 @@
 //! every kind of repetition a sweep can run. Streaming sweeps, shard
 //! workers and the coordinator's local fallback all rely on it.
 
-use flagsim_agents::{Condition, Implement, ImplementKind};
+use flagsim_agents::{Condition, Implement, ImplementKind, StudentProfile};
 use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
-use flagsim_core::{ActivityConfig, FaultPlan, RecoveryPolicy, ReleasePolicy, Scenario, TeamKit};
+use flagsim_core::{
+    ActivityConfig, ActivityOutcome, FaultPlan, OutcomeFingerprint, RecoveryPolicy, ReleasePolicy,
+    Scenario, TeamKit,
+};
+use flagsim_desim::{EventKind, NoPolicy, ProcId};
 use flagsim_flags::library;
 use flagsim_grid::Color;
 use flagsim_metrics::RunStats;
@@ -172,5 +176,95 @@ fn streaming_sweep_equals_retained_under_faults() {
         assert_eq!(retained.reports.len(), 40);
         assert_eq!(key(&streamed.completion), key(&retained.completion), "jobs {jobs}");
         assert_eq!(key(&streamed.waiting), key(&retained.waiting), "jobs {jobs}");
+    }
+}
+
+/// The three finishes of `flagsim_core::run` on one run: a sweep rep's
+/// sample, its stats finish and its report agree, and the report's
+/// outcome fingerprint is the fingerprint finish's. Without faults or a
+/// deadline every finish runs without the live fault state; with a
+/// deadline only the report finish keeps it; with faults all three do.
+#[test]
+fn samples_equal_stats_finish_equal_report_finish() {
+    let france = PreparedFlag::new(&library::france());
+    let mauritius = PreparedFlag::new(&library::mauritius());
+    let scenarios = [
+        (Scenario::fig1(1), &france),
+        (Scenario::fig1(4), &mauritius),
+        (Scenario::alternating_slices(), &mauritius),
+    ];
+    for (scenario, flag) in &scenarios {
+        let colors = flag.colors_needed(&[]);
+        let markers = TeamKit::uniform(ImplementKind::ThickMarker, &colors);
+        let crayons = TeamKit::uniform(ImplementKind::Crayon, &colors);
+        let team = scenario.team_size(flag, &ActivityConfig::default());
+        let cases = [
+            ("no faults", &markers, None, FaultPlan::none()),
+            ("deadline", &markers, Some(60.0), FaultPlan::none()),
+            ("bell", &markers, None, FaultPlan::new("bell").bell(60.0)),
+            (
+                "dropout",
+                &markers,
+                None,
+                FaultPlan::new("dropout")
+                    .dropout(team - 1, 20.0)
+                    .with_policy(RecoveryPolicy::Rebalance),
+            ),
+            ("crayons", &crayons, None, FaultPlan::none()),
+        ];
+        for (name, kit, deadline, plan) in &cases {
+            let mut breakages = 0;
+            for seed in [3, 7, 11] {
+                let what = format!("{} / {name} / seed {seed}", scenario.name);
+                let mut config = ActivityConfig::default().with_seed(seed);
+                config.deadline_secs = *deadline;
+                let runner = SweepRunner::new(scenario, flag, kit, &config)
+                    .team_size(team)
+                    .plan(plan);
+                for rep in 0..REPS {
+                    let report = runner.run_rep(rep).expect("rep runs");
+                    let stats = runner.run_rep_stats(rep).expect("rep runs");
+                    assert_eq!(report.sample(), stats, "{what} rep {rep}");
+                }
+                // Rep 0 runs at the base seed, with the runner's team.
+                let report = runner.run_rep(0).expect("rep runs");
+                breakages += report.breakages;
+                if deadline.is_some() {
+                    assert!(!report.correct, "{what}: the deadline cut the run short");
+                }
+                // A student's k-th logged cell is the one behind their k-th
+                // `WorkStart`, whether or not the run kept the live state.
+                for (i, log) in report.cell_log.iter().enumerate() {
+                    let starts = report
+                        .trace
+                        .events_for(ProcId::from_index(i))
+                        .filter(|e| matches!(e.kind, EventKind::WorkStart { .. }))
+                        .count();
+                    assert_eq!(log.len(), starts, "{what}: student {i}'s cell log");
+                }
+                let compiled = scenario.compile(flag, &config).expect("compiles");
+                let fresh_team = (1..=team)
+                    .map(|i| StudentProfile::new(format!("P{i}")).without_warmup())
+                    .collect();
+                let mut runs = compiled
+                    .scheduled_runs(fresh_team, kit, &config, plan, NoPolicy)
+                    .expect("samples");
+                let expected = OutcomeFingerprint::Completed {
+                    fingerprint: report.fingerprint(),
+                    completion: report.completion,
+                };
+                assert_eq!(runs.fingerprint(), Ok(expected), "{what}");
+                match runs.run().expect("runs") {
+                    ActivityOutcome::Completed(replayed) => {
+                        assert_eq!(replayed.fingerprint(), report.fingerprint(), "{what}");
+                        assert_eq!(replayed.cell_log, report.cell_log, "{what}");
+                    }
+                    ActivityOutcome::Stalled(graph) => panic!("{what} stalled: {graph:?}"),
+                }
+            }
+            if *name == "crayons" {
+                assert!(breakages > 0, "{} / crayons: nothing broke", scenario.name);
+            }
+        }
     }
 }

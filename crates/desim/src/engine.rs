@@ -355,13 +355,6 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         self.record_events = record;
     }
 
-    /// Pre-reserve room for `additional` trace events.
-    pub fn reserve_events(&mut self, additional: usize) {
-        if self.record_events {
-            self.events.reserve(additional);
-        }
-    }
-
     /// Register an exclusive resource with a hand-off latency applied when
     /// it passes from one process to a waiting one.
     pub fn add_resource(&mut self, label: impl Into<String>, handoff: SimDuration) -> ResourceId {
@@ -479,10 +472,15 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
     }
 
     /// Run until no events remain **or the bell rings**, consuming the
-    /// engine: [`Engine::run_in_place`], then the trace.
+    /// engine: [`Engine::run_in_place`], then the trace, whose event log
+    /// the engine hands over rather than copies.
     pub fn try_run_until(mut self, deadline: SimTime) -> Result<Trace, SimError> {
         self.run_in_place(deadline)?;
-        Ok(self.take_trace())
+        let events = std::mem::take(&mut self.events);
+        Ok(Trace {
+            events,
+            ..self.take_trace()
+        })
     }
 
     /// Run until no events remain **or the bell rings**, keeping the
@@ -966,10 +964,10 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         Ok(())
     }
 
-    /// The run so far as a [`Trace`]: accounting and process names copied
-    /// out, resource labels and the event log moved. Take it once, after
-    /// the run; the engine keeps its buffers for the next
-    /// [`Engine::reset`].
+    /// The run so far as a [`Trace`]: accounting, process names and the
+    /// events the run recorded copied out, each at its exact size;
+    /// resource labels moved. Take it once, after the run; the engine
+    /// keeps its buffers for the next [`Engine::reset`].
     pub fn take_trace(&mut self) -> Trace {
         let procs = self
             .procs
@@ -997,7 +995,7 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
             end_time: self.now,
             procs,
             resources,
-            events: std::mem::take(&mut self.events),
+            events: self.events.to_vec(),
         }
     }
 }

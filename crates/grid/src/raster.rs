@@ -165,11 +165,6 @@ impl Grid {
             .map(|(i, &c)| (CellId(i as u32), c))
     }
 
-    /// A region containing every cell, in row-major order.
-    pub fn full_region(&self) -> Region {
-        Region::from_ids(self.ids())
-    }
-
     /// The region of cells currently holding `color`.
     pub fn cells_of_color(&self, color: Color) -> Region {
         Region::from_ids(

@@ -130,11 +130,6 @@ impl Outcome {
             .all(|(id, c)| !c.is_painted() || c == flag.reference.get(id))
     }
 
-    /// Wall seconds.
-    pub fn wall_secs(&self) -> f64 {
-        self.wall.as_secs_f64()
-    }
-
     /// True when every worker survived.
     pub fn all_workers_survived(&self) -> bool {
         self.worker_faults.is_empty()
