@@ -377,7 +377,8 @@ pub(super) fn cmd_verify(a: VerifyArgs) -> Result<String, CliError> {
 
 /// Replay both sides of a witness pair with trace events on and write
 /// each as a Chrome trace (`PREFIX-a.json`, `PREFIX-b.json`) that
-/// `flagsim watch --trace` can scrub through.
+/// `flagsim watch --trace` can scrub through. Both replay one sampled
+/// world under one forced schedule, restarted between them.
 fn write_witness_traces(
     compiled: &flagsim_core::scenario::CompiledScenario,
     kit: &TeamKit,
@@ -386,11 +387,13 @@ fn write_witness_traces(
     prefix: &str,
 ) -> Result<(), CliError> {
     use flagsim_core::ActivityOutcome;
+    let plan = FaultPlan::none();
+    let (policy, _log) = flagsim_desim::ForcedSchedule::new(Vec::new());
+    let team = simcheck::explore::scenario_team(compiled);
+    let mut runs = compiled.scheduled_runs(team, kit, cfg, &plan, *policy)?;
     for (suffix, script) in [("a", &w.baseline), ("b", &w.divergent)] {
-        let mut team = simcheck::explore::scenario_team(compiled);
-        let (policy, _log) = flagsim_desim::ForcedSchedule::new(script.clone());
-        let outcome =
-            compiled.run_scheduled(&mut team, kit, cfg, &FaultPlan::none(), Some(policy))?;
+        runs.policy_mut().restart(script);
+        let outcome = runs.run()?;
         let path = format!("{prefix}-{suffix}.json");
         match outcome {
             ActivityOutcome::Completed(report) => {

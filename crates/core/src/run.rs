@@ -25,9 +25,10 @@
 //! when a fault or, for a report, a deadline can cut the run short.
 //!
 //! World and engine keep their buffers: the report and stats finishes
-//! share one pair per thread, [`ScheduledRuns`] keeps its own for every
-//! schedule `flagsim verify` explores, and only a boxed schedule policy
-//! builds a fresh pair. A steady-state stats rep allocates nothing.
+//! share one pair per thread, and [`ScheduledRuns`] keeps its own for
+//! every schedule run under a policy — each schedule `flagsim verify`
+//! explores, its witness replays, and a one-off policed run. A
+//! steady-state stats rep allocates nothing.
 
 use crate::config::{ActivityConfig, ReleasePolicy, TeamKit};
 use crate::faults::{FaultEvent, FaultPlan, Incident, RecoveryAction, ResilienceReport};
@@ -882,21 +883,10 @@ impl Run<'_> {
         on_rig(|world, engine| self.report_on(team, world, engine)).map_err(failed)
     }
 
-    /// The report finish with a stall kept as a structured outcome: under
-    /// `policy` on a fresh world and engine, or without one on this
-    /// thread's.
-    pub(crate) fn scheduled(
-        &self,
-        team: &mut [StudentProfile],
-        policy: Option<Box<dyn SchedulePolicy>>,
-    ) -> Result<ActivityOutcome, String> {
-        outcome(match policy {
-            Some(policy) => {
-                let mut engine = Engine::with_policy(policy, team.len(), self.prep.needed.len(), 0);
-                self.report_on(team, &mut World::default(), &mut engine)
-            }
-            None => on_rig(|world, engine| self.report_on(team, world, engine)),
-        })
+    /// The report finish on this thread's world and engine, with a stall
+    /// kept as a structured outcome.
+    pub(crate) fn scheduled(&self, team: &mut [StudentProfile]) -> Result<ActivityOutcome, String> {
+        outcome(on_rig(|world, engine| self.report_on(team, world, engine)))
     }
 
     /// The stats finish on this thread's world and engine: the same run
@@ -997,6 +987,11 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
     /// The policy, e.g. to restart a scripted one before the next run.
     pub fn policy_mut(&mut self) -> &mut Pol {
         self.engine.policy_mut()
+    }
+
+    /// The team, its warm-up advanced by the one sampling.
+    pub(crate) fn team(&self) -> &[StudentProfile] {
+        &self.team
     }
 
     /// Run the sampled world once more under the policy as it stands —

@@ -247,7 +247,10 @@ impl CompiledScenario {
     /// [`SchedulePolicy`], surfacing a stall as a structured
     /// [`ActivityOutcome`] — a stall under some resolution of the ties is
     /// a *result* (a reachable deadlock), not a failure. With `policy:
-    /// None` the run is exactly [`run_with_faults`](Self::run_with_faults)'s.
+    /// None` the run is exactly [`run_with_faults`](Self::run_with_faults)'s;
+    /// with one it is the one run of a
+    /// [`scheduled_runs`](Self::scheduled_runs). Either way the coloring
+    /// students' warm-up advances as one run advances it.
     pub fn run_scheduled(
         &self,
         team: &mut [StudentProfile],
@@ -256,9 +259,15 @@ impl CompiledScenario {
         plan: &FaultPlan,
         policy: Option<Box<dyn SchedulePolicy>>,
     ) -> Result<ActivityOutcome, String> {
-        let prep = self.prepare(team.len(), kit, plan)?;
-        self.run(&prep, config, plan)
-            .scheduled(&mut team[..self.assignments.len()], policy)
+        let Some(policy) = policy else {
+            let prep = self.prepare(team.len(), kit, plan)?;
+            return self
+                .run(&prep, config, plan)
+                .scheduled(&mut team[..self.assignments.len()]);
+        };
+        let mut runs = self.scheduled_runs(team.to_vec(), kit, config, plan, policy)?;
+        team[..self.assignments.len()].clone_from_slice(runs.team());
+        runs.run()
     }
 
     /// The compiled partition prepared and sampled once with `team`, to
@@ -329,6 +338,41 @@ mod tests {
             .collect();
         let r = Scenario::fig1(2).run(&pf, &mut big_team, &kit, &cfg).unwrap();
         assert_eq!(r.students.len(), 2);
+    }
+
+    /// A policed `run_scheduled` advances the caller's coloring students
+    /// exactly as the unpoliced run does, leaves extras alone, and reports
+    /// what a fresh `scheduled_runs` under the same policy reports.
+    #[test]
+    fn run_scheduled_under_a_policy_advances_the_callers_team() {
+        let (pf, _, kit, cfg) = setup();
+        let plan = FaultPlan::none();
+        let compiled = Scenario::fig1(4).compile(&pf, &cfg).unwrap();
+        let fresh = || -> Vec<StudentProfile> {
+            (1..=6)
+                .map(|i| StudentProfile::new(format!("P{i}")))
+                .collect()
+        };
+        let (mut unpoliced, mut policed) = (fresh(), fresh());
+        compiled
+            .run_scheduled(&mut unpoliced, &kit, &cfg, &plan, None)
+            .unwrap();
+        let policy = Box::new(flagsim_desim::NoPolicy);
+        let outcome = compiled
+            .run_scheduled(&mut policed, &kit, &cfg, &plan, Some(policy))
+            .unwrap();
+        assert_eq!(policed, unpoliced);
+        assert_ne!(policed[..4], fresh()[..4], "coloring students warm up");
+        assert_eq!(policed[4..], fresh()[4..], "extras sit out");
+
+        let policy: Box<dyn SchedulePolicy> = Box::new(flagsim_desim::NoPolicy);
+        let mut runs = compiled
+            .scheduled_runs(fresh(), &kit, &cfg, &plan, policy)
+            .unwrap();
+        match (outcome, runs.run().unwrap()) {
+            (ActivityOutcome::Completed(a), ActivityOutcome::Completed(b)) => assert_eq!(a, b),
+            other => panic!("{other:?}"),
+        }
     }
 
     #[test]

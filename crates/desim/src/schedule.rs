@@ -33,14 +33,31 @@ pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold one `u64` into an FNV-1a 64-bit hash, byte by byte.
-#[inline]
-pub fn fnv_mix(mut hash: u64, value: u64) -> u64 {
-    for byte in value.to_le_bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME_POW[k]` is `FNV_PRIME` to the `k`-th power, wrapping.
+const FNV_PRIME_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    hash
+    pow
+};
+
+/// Fold one `u64` into an FNV-1a 64-bit hash: its eight little-endian
+/// bytes, low byte first, bit for bit. XOR with a zero byte changes
+/// nothing, so the value's zero high bytes fold into one multiply by a
+/// power of the prime together with its top significant byte: a value
+/// below 256 costs one multiply, not eight.
+#[inline]
+pub fn fnv_mix(mut hash: u64, mut value: u64) -> u64 {
+    // Significant bytes, at least one (zero's lone byte joins the tail).
+    let bytes = (u64::BITS - value.leading_zeros()).div_ceil(8).max(1) as usize;
+    for _ in 1..bytes {
+        hash = (hash ^ (value & 0xff)).wrapping_mul(FNV_PRIME);
+        value >>= 8;
+    }
+    (hash ^ value).wrapping_mul(FNV_PRIME_POW[9 - bytes])
 }
 
 /// Fold one `u64` into a running hash a whole word at a time: one
@@ -335,6 +352,43 @@ mod tests {
         let a = fnv_mix(fnv_mix(FNV_OFFSET, 1), 2);
         let b = fnv_mix(fnv_mix(FNV_OFFSET, 2), 1);
         assert_ne!(a, b);
+    }
+
+    /// FNV-1a over `value`'s eight little-endian bytes, one at a time.
+    fn fnv_mix_bytewise(mut hash: u64, value: u64) -> u64 {
+        for byte in value.to_le_bytes() {
+            hash ^= u64::from(byte);
+            hash = hash.wrapping_mul(FNV_PRIME);
+        }
+        hash
+    }
+
+    #[test]
+    fn fnv_mix_equals_the_bytewise_fold() {
+        let mut values = vec![0, 1, 255, 256, u64::MAX, u64::MAX - 1];
+        for k in 1..64 {
+            let p = 1u64 << k;
+            values.extend([p - 1, p, p + 1]);
+        }
+        let seeds = [FNV_OFFSET, 0, 1, u64::MAX, 0x0123_4567_89ab_cdef];
+        for &seed in &seeds {
+            for &v in &values {
+                let want = fnv_mix_bytewise(seed, v);
+                assert_eq!(fnv_mix(seed, v), want, "{seed:#x} <- {v:#x}");
+            }
+        }
+        // A seeded sweep over every byte length: xorshift values, each
+        // shifted right by 0..64 bits, folded as a running hash.
+        let (mut x, mut fast, mut slow) = (0x9e37_79b9_7f4a_7c15u64, FNV_OFFSET, FNV_OFFSET);
+        for i in 0..20_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let v = x >> (i % 64);
+            fast = fnv_mix(fast, v);
+            slow = fnv_mix_bytewise(slow, v);
+            assert_eq!(fast, slow, "step {i}, value {v:#x}");
+        }
     }
 
     #[test]

@@ -409,8 +409,8 @@ where
 pub struct ActivityExploration {
     /// The schedule-space exploration result.
     pub exploration: Exploration,
-    /// The default-schedule run with full tracing — `None` when even the
-    /// default schedule stalls.
+    /// The root schedule's run (every tie at its default) with full
+    /// tracing — `None` when it stalls.
     pub baseline: Option<Box<RunReport>>,
     /// The acquire-order ties the baseline run's trace exhibits (what
     /// SC302 reports), for cross-linking against the verdict.
@@ -429,12 +429,17 @@ pub fn scenario_team(scenario: &CompiledScenario) -> Vec<StudentProfile> {
 /// The run is prepared and its durations sampled once per verdict; every
 /// schedule replays that world in one reused engine under one restarted
 /// [`ForcedSchedule`], whose log handle holds exploration's recycled
-/// [`ScheduleLog`] for the length of each run. Exploration runs take the
-/// fingerprint finish ([`ScheduledRuns::fingerprint`]), which builds no
-/// report. One extra baseline run, always with trace events on, keeps the
-/// trace so the SC302 ties of the observed schedule can be annotated with
-/// the schedule-space verdict.
+/// [`ScheduleLog`] for the length of each run. The root schedule (the
+/// empty script, every tie at its default) is the baseline: it takes the
+/// report finish ([`ScheduledRuns::run`]) with trace events on, whatever
+/// the caller's config says, and its report's fingerprint is its outcome.
+/// The SC302 ties of that observed schedule are read off its events
+/// ([`crate::hb::acquire_ties`]) to be annotated with the verdict. Every
+/// other schedule takes the fingerprint finish
+/// ([`ScheduledRuns::fingerprint`]), which builds no report and records
+/// no events, and gives the same fingerprint.
 ///
+/// [`ScheduledRuns::run`]: flagsim_core::ScheduledRuns::run
 /// [`ScheduledRuns::fingerprint`]: flagsim_core::ScheduledRuns::fingerprint
 pub fn explore_activity(
     scenario: &CompiledScenario,
@@ -443,49 +448,74 @@ pub fn explore_activity(
     cfg: &ExploreConfig,
 ) -> Result<ActivityExploration, String> {
     let plan = FaultPlan::default();
+    let traced = config.clone().with_trace_events(true);
     let (policy, handle) = ForcedSchedule::new(Vec::new());
-    let mut runs = scenario.scheduled_runs(scenario_team(scenario), kit, config, &plan, *policy)?;
+    let team = scenario_team(scenario);
+    let mut runs = scenario.scheduled_runs(team, kit, &traced, &plan, *policy)?;
+    let mut baseline = None;
     let exploration = explore_in_place(
         |script, log| {
             runs.policy_mut().restart(script);
             std::mem::swap(log, &mut handle.borrow_mut());
-            let finished = runs.fingerprint();
+            let finished = if script.is_empty() {
+                runs.run().map(|root| root_outcome(root, &mut baseline))
+            } else {
+                runs.fingerprint().map(fingerprint_outcome)
+            };
             std::mem::swap(log, &mut handle.borrow_mut());
-            Ok(match finished? {
-                OutcomeFingerprint::Completed {
-                    fingerprint,
-                    completion,
-                } => Outcome::Completed {
-                    fingerprint,
-                    makespan_ms: completion.millis(),
-                },
-                OutcomeFingerprint::Stalled(graph) => Outcome::Stalled {
-                    fingerprint: graph_fingerprint(&graph),
-                    graph,
-                },
-            })
+            finished
         },
         cfg,
     )?;
-
-    // Baseline: the default schedule again, with the trace on whatever
-    // the caller's config says — the SC302 ties are read off its events.
-    let traced = config.clone().with_trace_events(true);
-    let mut team = scenario_team(scenario);
-    let (policy, _log) = ForcedSchedule::new(Vec::new());
-    let baseline = match scenario.run_scheduled(&mut team, kit, &traced, &plan, Some(policy))? {
-        ActivityOutcome::Completed(report) => Some(report),
-        ActivityOutcome::Stalled(_) => None,
-    };
+    if exploration.schedules_run == 0 {
+        // A zero bound explores nothing; the baseline still runs.
+        runs.policy_mut().restart(&[]);
+        root_outcome(runs.run()?, &mut baseline);
+    }
     let ties = baseline
         .as_ref()
-        .map(|r| crate::hb::check_run(r).ties)
+        .map(|r| crate::hb::acquire_ties(&r.trace))
         .unwrap_or_default();
     Ok(ActivityExploration {
         exploration,
         baseline,
         ties,
     })
+}
+
+/// The root schedule's outcome, keeping its report as the baseline.
+fn root_outcome(root: ActivityOutcome, baseline: &mut Option<Box<RunReport>>) -> Outcome {
+    match root {
+        ActivityOutcome::Completed(report) => {
+            let outcome = Outcome::Completed {
+                fingerprint: report.fingerprint(),
+                makespan_ms: report.completion.millis(),
+            };
+            *baseline = Some(report);
+            outcome
+        }
+        ActivityOutcome::Stalled(graph) => Outcome::Stalled {
+            fingerprint: graph_fingerprint(&graph),
+            graph,
+        },
+    }
+}
+
+/// The outcome of a schedule run through the fingerprint finish.
+fn fingerprint_outcome(finished: OutcomeFingerprint) -> Outcome {
+    match finished {
+        OutcomeFingerprint::Completed {
+            fingerprint,
+            completion,
+        } => Outcome::Completed {
+            fingerprint,
+            makespan_ms: completion.millis(),
+        },
+        OutcomeFingerprint::Stalled(graph) => Outcome::Stalled {
+            fingerprint: graph_fingerprint(&graph),
+            graph,
+        },
+    }
 }
 
 /// The verify verdict as SC4xx diagnostics (deterministic, sorted by the

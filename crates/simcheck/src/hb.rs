@@ -18,12 +18,21 @@
 //! resolved only by insertion order are surfaced as **SC302** notes —
 //! the nondeterminism the paper's scenario 4 is designed to make
 //! students feel.
+//!
+//! The clock pass is one walk over the events on flat arrays: the live
+//! clocks in one `n × n` array, and every clock kept for later (request
+//! times, releases and, for races, work starts) as an `n`-word row of
+//! one buffer. Request groups are one buffer stable-sorted by
+//! `(resource, time)`. An acquire joins the newest release named by the
+//! *last* sync edge into its `(process, time, resource)`; only a process
+//! taking one resource twice in one instant (zero-length work) has two.
+//! [`acquire_ties`] is the pass without the race check, for callers that
+//! want only the SC302 ties.
 
 use crate::diag::{Diag, Severity};
 use flagsim_core::RunReport;
-use flagsim_desim::{sync_edges, EventKind, SimTime, Trace};
+use flagsim_desim::{sync_edges, EventKind, SimTime, SyncEdge, Trace};
 use flagsim_grid::{CellId, Color};
-use std::collections::BTreeMap;
 
 /// One write to a grid cell, recovered from a run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,116 +141,210 @@ fn ordered(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y) || b.iter().zip(a).all(|(x, y)| x <= y)
 }
 
+/// One acquire request: a `Blocked` event, or an uncontended grant,
+/// which doubles as its own request.
+#[derive(Debug, Clone, Copy)]
+struct Request {
+    resource: usize,
+    at: SimTime,
+    proc: usize,
+    /// Where the requester's clock at request time sits in
+    /// [`ClockPass::rows`].
+    row: usize,
+}
+
+/// One pass of per-process vector clocks over a trace: program order
+/// plus the release-to-acquire edges of [`sync_edges`]. Every clock is
+/// one `n`-word row of a flat buffer, where `n` is the trace's process
+/// count: the live clocks in an `n × n` array, every clock the analysis
+/// reads later in [`ClockPass::rows`].
+struct ClockPass {
+    n: usize,
+    /// Snapshot clocks, `n` words each: requests, releases and, when
+    /// asked for, work starts.
+    rows: Vec<u64>,
+    /// Acquire requests in event order.
+    requests: Vec<Request>,
+    /// `(process, time, row)` of every `WorkStart`, in event order; empty
+    /// unless the pass was asked to keep them (races need them, ties do
+    /// not).
+    work_starts: Vec<(usize, SimTime, usize)>,
+}
+
+impl ClockPass {
+    fn run(trace: &Trace, keep_work_starts: bool) -> ClockPass {
+        let n = trace.procs.len();
+        let mut pass = ClockPass {
+            n,
+            rows: Vec::new(),
+            requests: Vec::new(),
+            work_starts: Vec::new(),
+        };
+        let edges = sync_edges(trace);
+        let mut vc = vec![0u64; n * n];
+        // `(resource, process, time, row)` of every release, in event order.
+        let mut releases: Vec<(usize, usize, SimTime, usize)> = Vec::new();
+        // Pending `Blocked` per process (waits on one resource at a time).
+        let mut pending: Vec<Option<usize>> = vec![None; n];
+        // The first edge not acquired before the current event: events
+        // are chronological, so edges are too.
+        let mut edges_from = 0;
+
+        for e in &trace.events {
+            let p = e.proc.index();
+            if p >= n {
+                continue;
+            }
+            let clock = p * n..(p + 1) * n;
+            vc[p * n + p] += 1;
+            match e.kind {
+                EventKind::WorkStart { .. } => {
+                    if keep_work_starts {
+                        let row = pass.snapshot(&vc[clock]);
+                        pass.work_starts.push((p, e.time, row));
+                    }
+                }
+                EventKind::Blocked(r) => {
+                    pending[p] = Some(r.index());
+                    pass.request(r.index(), e.time, p, &vc[clock]);
+                }
+                EventKind::Acquired(r) => {
+                    let r = r.index();
+                    let was_blocked = pending[p].take().is_some_and(|b| b == r);
+                    if !was_blocked {
+                        // An uncontended grant doubles as the request itself.
+                        pass.request(r, e.time, p, &vc[clock.clone()]);
+                    }
+                    let due = |x: &SyncEdge| x.acquired_at < e.time;
+                    while edges.get(edges_from).is_some_and(due) {
+                        edges_from += 1;
+                    }
+                    // The *last* edge into this `(process, time, resource)`:
+                    // a process that takes the same resource twice in one
+                    // instant (zero-length work) joins the later grant's
+                    // release, as a map keyed that way keeps it.
+                    let edge = edges[edges_from..]
+                        .iter()
+                        .take_while(|x| x.acquired_at == e.time)
+                        .filter(|x| x.to.index() == p && x.resource.index() == r)
+                        .last();
+                    if let Some(edge) = edge {
+                        // The newest release the edge names, if it has
+                        // happened yet: nearly always `r`'s last release.
+                        let named = (r, edge.from.index(), edge.released_at);
+                        let release = releases.iter().rev().find(|x| (x.0, x.1, x.2) == named);
+                        if let Some(&(.., row)) = release {
+                            join(&mut vc[clock], pass.row(row));
+                        }
+                    }
+                }
+                EventKind::Released(r) => {
+                    let row = pass.snapshot(&vc[clock]);
+                    releases.push((r.index(), p, e.time, row));
+                }
+                EventKind::Finished => {}
+            }
+        }
+        pass
+    }
+
+    /// Keep a copy of `clock`; returns its row.
+    fn snapshot(&mut self, clock: &[u64]) -> usize {
+        let row = self.rows.len();
+        self.rows.extend_from_slice(clock);
+        row
+    }
+
+    fn request(&mut self, resource: usize, at: SimTime, proc: usize, clock: &[u64]) {
+        let row = self.snapshot(clock);
+        self.requests.push(Request {
+            resource,
+            at,
+            proc,
+            row,
+        });
+    }
+
+    fn row(&self, row: usize) -> &[u64] {
+        &self.rows[row..row + self.n]
+    }
+
+    /// The acquire-order ties, by resource, then time: groups of >= 2
+    /// distinct requesters whose request-time clocks are not all mutually
+    /// ordered (a tie between causally ordered requests is no tie at all
+    /// — the queue order was forced).
+    fn ties(&mut self, trace: &Trace) -> Vec<AcquireTie> {
+        // Stable: each group keeps its requests in event order.
+        self.requests.sort_by_key(|q| (q.resource, q.at));
+        let mut ties = Vec::new();
+        for group in self
+            .requests
+            .chunk_by(|a, b| (a.resource, a.at) == (b.resource, b.at))
+        {
+            // Requesters, with runs of one process collapsed.
+            let runs = 1 + group.windows(2).filter(|w| w[0].proc != w[1].proc).count();
+            if runs < 2 {
+                continue;
+            }
+            let unordered_pair = group.iter().enumerate().any(|(i, a)| {
+                group[i + 1..]
+                    .iter()
+                    .any(|b| a.proc != b.proc && !ordered(self.row(a.row), self.row(b.row)))
+            });
+            if unordered_pair {
+                let mut procs: Vec<usize> = group.iter().map(|q| q.proc).collect();
+                procs.dedup();
+                let (ri, at) = (group[0].resource, group[0].at);
+                ties.push(AcquireTie {
+                    resource: trace
+                        .resources
+                        .get(ri)
+                        .map_or_else(|| format!("resource {ri}"), |r| r.label.clone()),
+                    at,
+                    procs,
+                });
+            }
+        }
+        ties
+    }
+
+    /// The clock of `student`'s last work start at `start`, if the pass
+    /// kept one; `work_starts` must be sorted by process, then time.
+    fn work_start(&self, student: usize, start: SimTime) -> Option<&[u64]> {
+        let i = self
+            .work_starts
+            .partition_point(|&(p, at, _)| (p, at) <= (student, start));
+        let &(p, at, row) = self.work_starts.get(i.checked_sub(1)?)?;
+        ((p, at) == (student, start)).then(|| self.row(row))
+    }
+}
+
+/// The acquire-order ties of a trace (what SC302 reports) without the
+/// race check: the clock pass of [`analyze_hb`], minus its work-start
+/// clocks.
+pub fn acquire_ties(trace: &Trace) -> Vec<AcquireTie> {
+    ClockPass::run(trace, false).ties(trace)
+}
+
 /// Run the happens-before analysis: vector clocks over the trace's
 /// program order plus its synchronization edges, then a pairwise check
 /// of `accesses` for unordered same-cell writes.
 pub fn analyze_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
-    let n = trace.procs.len();
-    if n == 0 {
+    if trace.procs.is_empty() {
         return HbAnalysis::default();
     }
-
-    // Synchronization edges, keyed by the acquiring side.
-    let edges: BTreeMap<(usize, SimTime, usize), (usize, SimTime)> = sync_edges(trace)
-        .into_iter()
-        .map(|e| {
-            (
-                (e.to.index(), e.acquired_at, e.resource.index()),
-                (e.from.index(), e.released_at),
-            )
-        })
-        .collect();
-
-    let mut vc: Vec<Vec<u64>> = vec![vec![0; n]; n];
-    // Clock snapshot at each release, keyed by (proc, time, resource).
-    let mut rel_snap: BTreeMap<(usize, SimTime, usize), Vec<u64>> = BTreeMap::new();
-    // Pending `Blocked` per process (waits on one resource at a time).
-    let mut pending: Vec<Option<usize>> = vec![None; n];
-    // Clock snapshot of each WorkStart, in per-process order.
-    let mut ws_clocks: Vec<BTreeMap<SimTime, Vec<u64>>> = vec![BTreeMap::new(); n];
-    // Simultaneous-request groups: (resource, time) -> requesters with
-    // their clocks at request time.
-    type RequestGroups = BTreeMap<(usize, SimTime), Vec<(usize, Vec<u64>)>>;
-    let mut requests: RequestGroups = BTreeMap::new();
-
-    for e in &trace.events {
-        let p = e.proc.index();
-        if p >= n {
-            continue;
-        }
-        vc[p][p] += 1;
-        match e.kind {
-            EventKind::WorkStart { .. } => {
-                ws_clocks[p].insert(e.time, vc[p].clone());
-            }
-            EventKind::Blocked(r) => {
-                pending[p] = Some(r.index());
-                requests
-                    .entry((r.index(), e.time))
-                    .or_default()
-                    .push((p, vc[p].clone()));
-            }
-            EventKind::Acquired(r) => {
-                let was_blocked = pending[p].take().is_some_and(|b| b == r.index());
-                if !was_blocked {
-                    // An uncontended grant doubles as the request itself.
-                    requests
-                        .entry((r.index(), e.time))
-                        .or_default()
-                        .push((p, vc[p].clone()));
-                }
-                if let Some(&(from, rel_at)) = edges.get(&(p, e.time, r.index())) {
-                    if let Some(snap) = rel_snap.get(&(from, rel_at, r.index())) {
-                        let snap = snap.clone();
-                        join(&mut vc[p], &snap);
-                    }
-                }
-            }
-            EventKind::Released(r) => {
-                rel_snap.insert((p, e.time, r.index()), vc[p].clone());
-            }
-            EventKind::Finished => {}
-        }
-    }
-
-    // Ties: >= 2 distinct requesters whose request-time clocks are not
-    // all mutually ordered (a tie between causally ordered requests is
-    // no tie at all — the queue order was forced).
-    let mut ties = Vec::new();
-    for (&(ri, at), group) in &requests {
-        let distinct: Vec<usize> = {
-            let mut d: Vec<usize> = group.iter().map(|(p, _)| *p).collect();
-            d.dedup();
-            d
-        };
-        if distinct.len() < 2 {
-            continue;
-        }
-        let unordered_pair = group.iter().enumerate().any(|(i, (pa, ca))| {
-            group[i + 1..]
-                .iter()
-                .any(|(pb, cb)| pa != pb && !ordered(ca, cb))
-        });
-        if unordered_pair {
-            ties.push(AcquireTie {
-                resource: trace
-                    .resources
-                    .get(ri)
-                    .map_or_else(|| format!("resource {ri}"), |r| r.label.clone()),
-                at,
-                procs: distinct,
-            });
-        }
-    }
+    let mut pass = ClockPass::run(trace, true);
+    let ties = pass.ties(trace);
+    // Stable: a student's work starts stay in event order.
+    pass.work_starts.sort_by_key(|&(p, at, _)| (p, at));
 
     // Races: unordered same-cell writes from different students.
-    let mut by_cell: BTreeMap<CellId, Vec<&CellAccess>> = BTreeMap::new();
-    for a in accesses {
-        by_cell.entry(a.cell).or_default().push(a);
-    }
+    let mut by_cell: Vec<&CellAccess> = accesses.iter().collect();
+    by_cell.sort_by_key(|a| a.cell);
     let mut races = Vec::new();
     let mut race_spans = Vec::new();
-    for (cell, list) in &by_cell {
+    for list in by_cell.chunk_by(|a, b| a.cell == b.cell) {
+        let cell = list[0].cell;
         let mut reported: Vec<(usize, usize)> = Vec::new();
         for (i, a) in list.iter().enumerate() {
             for b in &list[i + 1..] {
@@ -253,8 +356,8 @@ pub fn analyze_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
                     continue;
                 }
                 let (Some(ca), Some(cb)) = (
-                    ws_clocks[a.student].get(&a.start),
-                    ws_clocks[b.student].get(&b.start),
+                    pass.work_start(a.student, a.start),
+                    pass.work_start(b.student, b.start),
                 ) else {
                     continue;
                 };

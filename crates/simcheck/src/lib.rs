@@ -49,7 +49,7 @@ pub use explore::{
     explore_engine, format_script, verify_diags, ActivityExploration, Exploration, ExploreConfig,
     Outcome, OutcomeClass, WitnessPair,
 };
-pub use hb::{analyze_hb, cell_accesses, check_run, CellAccess, HbAnalysis};
+pub use hb::{acquire_ties, analyze_hb, cell_accesses, check_run, CellAccess, HbAnalysis};
 pub use lockorder::{
     demo_deadlock_seqs, scenario_lock_seqs, LockOp, LockOrderGraph, LockSeq,
 };

@@ -207,6 +207,60 @@ fn baseline_ties_do_not_depend_on_trace_events() {
     assert_eq!(on, ties(false));
 }
 
+/// The verdict's baseline is the root schedule's run on exploration's
+/// reused engine, traced whatever the caller's config says: the whole
+/// report equals a one-off traced run under the empty forced script, and
+/// its SC302 ties are that report's `check_run` ties. A zero bound, which
+/// explores nothing, still runs it.
+#[test]
+fn baseline_is_the_root_schedule() {
+    let flag = PreparedFlag::new(&library::mauritius());
+    let kit = kit(&flag);
+    let plan = FaultPlan::default();
+    for idx in 0..6 {
+        for seed in [7, 2025] {
+            for trace_events in [true, false] {
+                let cfg = ActivityConfig::default()
+                    .with_seed(seed)
+                    .with_trace_events(trace_events);
+                let compiled = builtin(idx, &flag).compile(&flag, &cfg).expect("compiles");
+                let traced = cfg.clone().with_trace_events(true);
+                let mut team = scenario_team(&compiled);
+                let (policy, _log) = ForcedSchedule::new(Vec::new());
+                let want = match compiled
+                    .run_scheduled(&mut team, &kit, &traced, &plan, Some(policy))
+                    .expect("runs")
+                {
+                    ActivityOutcome::Completed(report) => report,
+                    ActivityOutcome::Stalled(g) => panic!("stalled: {g:?}"),
+                };
+                let want_ties = flagsim_simcheck::check_run(&want).ties;
+                for max_schedules in [4096, 0] {
+                    let bound = ExploreConfig {
+                        max_schedules,
+                        ..ExploreConfig::default()
+                    };
+                    let ax = explore_activity(&compiled, &kit, &cfg, &bound).expect("explores");
+                    let what = format!("#{idx} seed {seed} trace {trace_events} {bound:?}");
+                    assert_eq!(ax.baseline.as_ref(), Some(&want), "{what}");
+                    assert_eq!(ax.ties, want_ties, "{what}");
+                    if max_schedules > 0 {
+                        let root = &ax.exploration.outcomes[0];
+                        assert!(root.schedule.is_empty(), "{what}");
+                        let fingerprint = report_fingerprint(&want);
+                        let makespan_ms = want.completion.millis();
+                        let outcome = Outcome::Completed {
+                            fingerprint,
+                            makespan_ms,
+                        };
+                        assert_eq!(root.outcome, outcome, "{what}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
