@@ -2,8 +2,7 @@
 //!
 //! The experiment harness: one function per table/figure of the paper,
 //! each returning both structured results and a printable report. The
-//! `experiments` binary prints them all; the Criterion benches in
-//! `benches/` time the underlying workloads; the assertions live in the
+//! `experiments` binary prints them all; the assertions live in the
 //! workspace integration tests.
 //!
 //! Throughput is measured by the one benchmark in `crates/bench/perf`

@@ -1,5 +1,5 @@
-//! The analysis commands: `explain`, `profile`, `check`, `lint`,
-//! `verify`, and `graph`.
+//! The analysis commands: `explain`, `profile`, `check`, `verify`, and
+//! `graph`.
 
 use super::args::{positive, text, uint};
 use super::{err, find_flag, parse_size, plan, policy, CliError, Selection};
@@ -14,7 +14,7 @@ use flagsim_taskgraph::{analysis, list_schedule, Priority};
 use std::fmt::Write as _;
 
 options! {
-    /// The diagnostics-output group of `check`, `verify` and `lint`.
+    /// The diagnostics-output group of `check` and `verify`.
     struct Diagnostics |a| {
         format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
         deny: simcheck::Severity =
@@ -41,20 +41,15 @@ options! {
     }
 
     pub(super) struct CheckArgs("check") |a| {
-        target: String = a.operand("<SCENARIO|FLAG|PLAN|demo-deadlock>"),
+        target: String = a.operand("<SCENARIO|FLAG|FILE|PLAN|demo-deadlock>"),
         diag: Diagnostics = Diagnostics::declare(a)?,
+        size: Option<(u32, u32)> = a.opt("size", "WxH", parse_size)?,
         static_only: bool = a.switch("static-only"),
         sel: Selection = Selection::declare(a)?,
         team: Option<usize> = a.opt("team", "N", uint)?,
         jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
         plan: Option<FaultPlan> = plan(a)?,
         policy: Option<RecoveryPolicy> = policy(a)?,
-    }
-
-    pub(super) struct LintArgs("lint") |a| {
-        target: String = a.operand("<flag|file>"),
-        size: Option<(u32, u32)> = a.opt("size", "WxH", parse_size)?,
-        diag: Diagnostics = Diagnostics::declare(a)?,
     }
 
     pub(super) struct VerifyArgs("verify") |a| {
@@ -182,9 +177,9 @@ pub(super) fn cmd_profile(a: ProfileArgs) -> Result<String, CliError> {
 /// `flagsim check` — the static analyzer front door. The positional
 /// argument picks the target: a scenario (full static checks, the §IV
 /// advice, and — unless `--static-only` — one deterministic run for the
-/// happens-before race analysis), a library flag (spec lints), a fault
-/// plan string (plan validation), or `demo-deadlock` (the lock-order
-/// cycle the drill is built to have).
+/// happens-before race analysis), a library flag or a flag file (spec
+/// lints, also at `--size WxH`), a fault plan string (plan validation),
+/// or `demo-deadlock` (the lock-order cycle the drill is built to have).
 pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
@@ -201,13 +196,7 @@ pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
     // Target: a library flag — spec lints only. (No flag is named like a
     // scenario token, so this cannot shadow the scenario branch.)
     if let Some(spec) = library::by_name(what) {
-        let mut report = simcheck::Report::new(format!("flag {}", spec.name));
-        report.extend(simcheck::check_flag_spec(
-            &spec,
-            spec.default_width,
-            spec.default_height,
-        ));
-        return a.diag.finish(report);
+        return flag_lints(&a, &spec);
     }
 
     // Target: a bare fault-plan string — validate it against the team
@@ -230,12 +219,21 @@ pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
         return a.diag.finish(report);
     }
 
-    // Target: a scenario — the full battery.
+    // Target: a scenario — the full battery — unless `what` names no
+    // scenario but a readable flag file, which gets the spec lints.
+    let s = match a.sel.setup(what) {
+        Ok(s) => s,
+        Err(e) => {
+            let Ok(text) = std::fs::read_to_string(what) else {
+                return Err(e);
+            };
+            return flag_lints(&a, &flagsim_flags::parse(&text).map_err(|e| e.to_string())?);
+        }
+    };
     let mut plan = a.plan.unwrap_or_else(FaultPlan::none);
     if let Some(p) = a.policy {
         plan = plan.with_policy(p);
     }
-    let s = a.sel.setup(what)?;
     let (flag, scenario, cfg) = (&s.flag, &s.scenario, &s.cfg);
     let team = a
         .team
@@ -273,21 +271,16 @@ pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
     a.diag.finish(report)
 }
 
-/// `flagsim lint` — flag-spec lints for a library flag or a custom flag
-/// file, through the same diagnostics framework as `check`.
-pub(super) fn cmd_lint(a: LintArgs) -> Result<String, CliError> {
-    let name = &a.target;
-    let spec = match library::by_name(name) {
-        Some(spec) => spec,
-        None => {
-            let text = std::fs::read_to_string(name)
-                .map_err(|e| format!("{name:?} is not a library flag and cannot be read: {e}"))?;
-            flagsim_flags::parse(&text).map_err(|e| e.to_string())?
-        }
-    };
+/// `check`'s flag target: the spec lints at the recommended raster and,
+/// with `--size WxH`, at that raster too.
+fn flag_lints(a: &CheckArgs, spec: &flagsim_flags::FlagSpec) -> Result<String, CliError> {
     let (w, h) = a.size.unwrap_or((spec.default_width, spec.default_height));
-    let mut report = simcheck::Report::new(format!("flag {} at {w}x{h}", spec.name));
-    report.extend(simcheck::from_flag_lints(&flagsim_flags::lint_at(&spec, w, h)));
+    let mut title = format!("flag {}", spec.name);
+    if a.size.is_some() {
+        let _ = write!(title, " at {w}x{h}");
+    }
+    let mut report = simcheck::Report::new(title);
+    report.extend(simcheck::check_flag_spec(spec, w, h));
     a.diag.finish(report)
 }
 

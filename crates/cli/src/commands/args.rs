@@ -378,7 +378,7 @@ mod tests {
                 assert!(e.message.starts_with(&named), "{args:?}: {e}");
             }
         }
-        assert!(with_value_options >= 15, "only {with_value_options} commands checked");
+        assert!(with_value_options >= 13, "only {with_value_options} commands checked");
     }
 
     /// Shell words of one command line, up to a redirect, operator, or

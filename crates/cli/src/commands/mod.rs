@@ -107,14 +107,12 @@ const COMMANDS: &[&dyn Command] = &[
     &Entry(teaching::cmd_session),
     &Entry(analysis::cmd_check),
     &Entry(analysis::cmd_verify),
-    &Entry(analysis::cmd_lint),
     &Entry(analysis::cmd_graph),
     &Entry(teaching::cmd_grade),
     &Entry(teaching::cmd_parse),
     &Entry(teaching::cmd_pack),
     &Entry(teaching::cmd_vocab),
     &Entry(teaching::cmd_report),
-    &Entry(watch::cmd_replay),
     &Entry(watch::cmd_watch),
 ];
 
@@ -732,29 +730,36 @@ mod tests {
     }
 
     #[test]
-    fn lint_reports_flag_spec_diagnostics() {
+    fn check_flag_targets_lint_at_a_raster() {
         // Library flags are clean at their recommended raster.
-        let out = runv(&["lint", "mauritius"]).unwrap();
+        let out = runv(&["check", "mauritius"]).unwrap();
         assert!(out.contains("no findings"), "{out}");
         // The same flag at a coarse raster loses stripes: SC102 warnings
         // that trip --deny warning…
-        let out = runv(&["lint", "mauritius", "--size", "2x2"]).unwrap();
+        let out = runv(&["check", "mauritius", "--size", "2x2"]).unwrap();
         assert!(out.contains("warning[SC102]"), "{out}");
-        let e = runv(&["lint", "mauritius", "--size", "2x2", "--deny", "warning"])
+        let e = runv(&["check", "mauritius", "--size", "2x2", "--deny", "warning"])
             .unwrap_err();
         assert!(e.message.contains("check failed"), "{e}");
         // …unless the allow-list waves them through.
         let out = runv(&[
-            "lint", "mauritius", "--size", "2x2", "--deny", "warning", "--allow", "SC102",
+            "check", "mauritius", "--size", "2x2", "--deny", "warning", "--allow", "SC102",
         ])
         .unwrap();
         assert!(out.contains("flag Mauritius at 2x2"), "{out}");
         // JSON mode parses.
-        let out = runv(&["lint", "poland", "--format", "json"]).unwrap();
+        let out = runv(&["check", "poland", "--format", "json"]).unwrap();
         assert!(flagsim_telemetry::json::parse(&out).is_ok(), "{out}");
-        // Unknown flags that are also unreadable files error out.
-        assert!(runv(&["lint", "narnia"]).is_err());
-        assert!(runv(&["lint"]).is_err());
+        // A readable file that names no scenario is a flag file.
+        let path = std::env::temp_dir().join(format!("flagsim-check-{}.txt", std::process::id()));
+        std::fs::write(&path, "flag \"Half\" 8x8\nlayer \"left\" red rect 0 0 0.5 1\n").unwrap();
+        let out = runv(&["check", path.to_str().unwrap(), "--size", "4x4"]);
+        std::fs::remove_file(&path).ok();
+        let out = out.unwrap();
+        assert!(out.contains("flag Half at 4x4"), "{out}");
+        assert_eq!(out.matches("note[SC105]").count(), 2, "blanks at both rasters: {out}");
+        // Unknown targets that are also unreadable files error out.
+        assert!(runv(&["check", "narnia", "--size", "2x2"]).is_err());
     }
 
     #[test]
@@ -862,12 +867,15 @@ mod tests {
     }
 
     #[test]
-    fn replay_shows_the_flag_filling_in() {
-        let out = runv(&["replay", "4", "--frames", "3"]).unwrap();
-        assert_eq!(out.matches("t =").count(), 3);
-        assert!(out.contains("(96/96 cells)"));
-        assert!(runv(&["replay", "4", "--frames", "0"]).is_err());
-        assert!(runv(&["replay"]).is_err());
+    fn watch_script_shows_the_flag_filling_in() {
+        let out = runv(&["watch", "4", "--script", "LLG", "--width", "100"]).unwrap();
+        let progress: Vec<&str> = out.lines().filter(|l| l.ends_with(" cells")).collect();
+        assert_eq!(progress.len(), 4, "the opening frame, then one per key: {out}");
+        assert!(progress[0].ends_with(" 0/96 cells"), "{out}");
+        assert!(!progress[1].ends_with(" 0/96 cells"), "{out}");
+        assert!(progress[3].ends_with(" 96/96 cells"), "{out}");
+        assert!(runv(&["watch", "--script", "G"]).is_err());
+        assert!(runv(&["replay", "4"]).is_err(), "folded into watch --script");
     }
 
     #[test]

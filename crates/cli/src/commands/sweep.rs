@@ -4,14 +4,17 @@ use super::args::{positive, text, uint, usage_error};
 use super::{
     err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection, Setup,
 };
-use crate::dashboard::Dashboard;
 use flagsim_core::faults::{FaultPlan, RecoveryPolicy};
 use flagsim_core::sweep::SweepFailure;
 use flagsim_metrics::RunStats;
-use flagsim_telemetry::Level;
+use flagsim_shard::ObsHub;
+use flagsim_telemetry::{Level, MetricsRegistry};
+use flagsim_watch::live::{self, SnapshotSource};
+use flagsim_watch::term::{detect_width, Panel};
 use std::fmt::Write as _;
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::IsTerminal;
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 options! {
     pub(super) struct SweepArgs("sweep") |a| {
@@ -97,21 +100,144 @@ fn checked_setup(a: &SweepArgs) -> Result<(&str, Setup, usize), CliError> {
     Ok((which, s, team))
 }
 
+/// The sweep as a shard job: the campaign both sweep paths name their
+/// fleet view after (the in-process sweep runs the same reps a sharded
+/// one would).
+fn job_spec(a: &SweepArgs, which: &str, team: usize) -> flagsim_shard::JobSpec {
+    flagsim_shard::JobSpec {
+        scenario: which.to_owned(),
+        flag: a.sel.spec.name.clone(),
+        kind: kind_token(a.sel.kind).to_owned(),
+        seed: a.sel.seed,
+        reps: a.reps,
+        team,
+        warmup: a.warmup,
+    }
+}
+
 /// The telemetry collector `--trace-out` and `--dashboard` share (the
 /// global slot is generation-guarded, so install exactly one), and the
-/// dashboard over its metrics with one row per lane.
+/// dashboard over `hub` when asked for.
 fn telemetry(
     a: &SweepArgs,
-    lanes: usize,
+    hub: &ObsHub,
     reps: u64,
-) -> (Option<flagsim_telemetry::Collector>, Option<Arc<Dashboard>>) {
+    started: Instant,
+) -> (Option<flagsim_telemetry::Collector>, Option<Dashboard>) {
     let collector =
         (a.dashboard || a.trace_out.is_some()).then(flagsim_telemetry::Collector::install);
     let dash = collector
         .as_ref()
         .filter(|_| a.dashboard)
-        .map(|c| Arc::new(Dashboard::new(lanes, reps, c.metrics())));
+        .map(|c| Dashboard::start(hub.clone(), reps, started, c.metrics()));
     (collector, dash)
+}
+
+/// Plain-mode pacing, the one stepper `--progress` and a piped
+/// `--dashboard` share: a line each time the merged count passes a
+/// further tenth of the reps, and one when the last rep merges.
+struct Stepper {
+    total: u64,
+    step: u64,
+    last: u64,
+}
+
+impl Stepper {
+    fn new(total: u64) -> Stepper {
+        Stepper { total, step: (total / 10).max(1), last: 0 }
+    }
+
+    /// Whether `completed` merged reps deserve a line. A count at or
+    /// below the last line's never does: progress notes can arrive out
+    /// of order, and a chunk can merge nothing.
+    fn due(&mut self, completed: u64) -> bool {
+        let due = completed > self.last
+            && (completed == self.total || completed >= self.last + self.step);
+        if due {
+            self.last = completed;
+        }
+        due
+    }
+}
+
+/// ` | mean 12.34s ± 0.56s` once the merge's completion gauges are live.
+fn mean_ci(metrics: &MetricsRegistry) -> String {
+    let mean = metrics.gauge("sweep.completion.mean_s").get();
+    if mean <= 0.0 {
+        return String::new();
+    }
+    let ci = metrics.gauge("sweep.completion.ci95_s").get();
+    format!(" | mean {mean:.2}s \u{b1} {ci:.2}s")
+}
+
+/// `--dashboard`: `flagsim watch`'s fleet panel over the sweep's hub,
+/// drawn on stderr by one poller thread through the same repaint loop,
+/// with the completion mean ± 95% CI as its footer. Piped, it prints a
+/// `sweep:` line per [`Stepper`] step and a closing `sweep: done` line,
+/// so stdout stays the statistics table. Structured logs print above
+/// the panel, so they never shear it.
+struct Dashboard {
+    stop: mpsc::Sender<()>,
+    poller: std::thread::JoinHandle<()>,
+    metrics: Arc<MetricsRegistry>,
+    interactive: bool,
+}
+
+impl Dashboard {
+    fn start(
+        hub: ObsHub,
+        total: u64,
+        started: Instant,
+        metrics: Arc<MetricsRegistry>,
+    ) -> Dashboard {
+        let interactive = std::io::stderr().is_terminal();
+        let panel = Arc::new(Mutex::new(Panel::new(interactive, detect_width())));
+        let above = Arc::clone(&panel);
+        flagsim_telemetry::log::set_sink(Some(Box::new(move |rec| {
+            let mut panel = above.lock().unwrap_or_else(PoisonError::into_inner);
+            panel.println_above(&rec.render(), &mut std::io::stderr().lock());
+        })));
+        let (stop, rx) = mpsc::channel();
+        let gauges = Arc::clone(&metrics);
+        let poller = std::thread::spawn(move || {
+            let mut stepper = Stepper::new(total);
+            live::repaint_loop(
+                &mut SnapshotSource::hub(hub, started, rx),
+                &panel,
+                &mut std::io::stderr(),
+                || format!("completion{}\n", mean_ci(&gauges)),
+                |snap, _| {
+                    if stepper.due(snap.merged) {
+                        eprintln!(
+                            "sweep: {}/{} rep(s) done, {} failed{}",
+                            snap.merged,
+                            snap.total_reps,
+                            snap.failed,
+                            mean_ci(&gauges)
+                        );
+                    }
+                    true
+                },
+            );
+        });
+        Dashboard { stop, poller, metrics, interactive }
+    }
+
+    /// Draw the final snapshot, close the panel, and, when piped, print
+    /// the closing line if the sweep `completed` (a failed or expired
+    /// sweep closes with its error instead). Stderr lines after this are
+    /// plain.
+    fn finish(self, completed: bool) {
+        // A send error means the poller already ended; joining reports it.
+        self.stop.send(()).ok();
+        if self.poller.join().is_err() {
+            eprintln!("sweep: the dashboard stopped early");
+        }
+        flagsim_telemetry::log::set_sink(None);
+        if completed && !self.interactive {
+            eprintln!("sweep: done{}", mean_ci(&self.metrics));
+        }
+    }
 }
 
 /// The statistics table both sweep paths print below their header. CI's
@@ -161,7 +287,7 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
     if a.shard.1 {
         return cmd_sweep_shard(a);
     }
-    let (_, s, team) = checked_setup(&a)?;
+    let (which, s, team) = checked_setup(&a)?;
     let (reps, jobs) = (a.reps, a.jobs);
     let mut runner = SweepRunner::new(&s.scenario, &s.flag, &s.kit, &s.cfg)
         .team_size(team)
@@ -169,21 +295,27 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
         .reps(reps)
         .jobs(jobs)
         .retain_reports(!a.stream);
-    let (collector, dash) = telemetry(&a, jobs, reps);
-    if let Some(d) = &dash {
-        let d = Arc::clone(d);
-        runner = runner.on_progress(move |p| d.update(p));
-    } else if a.progress {
-        let step = (reps / 10).max(1);
+    let started = Instant::now();
+    let hub = ObsHub::new();
+    hub.with(|fv| fv.reset(flagsim_shard::campaign_id(&job_spec(&a, which, team)), reps));
+    let (collector, dash) = telemetry(&a, &hub, reps, started);
+    if dash.is_some() {
+        // One fleet row per lane.
         runner = runner.on_progress(move |p| {
-            if p.completed % step == 0 || p.completed == p.total {
+            let now = started.elapsed().as_millis() as u64;
+            hub.with(|fv| fv.on_lane(p.worker, p.completed, p.failed, now));
+        });
+    } else if a.progress {
+        let stepper = Mutex::new(Stepper::new(reps));
+        runner = runner.on_progress(move |p| {
+            if stepper.lock().unwrap_or_else(PoisonError::into_inner).due(p.completed) {
                 eprintln!("sweep: {}/{} rep(s) done, {} failed", p.completed, p.total, p.failed);
             }
         });
     }
     let result = runner.run().map_err(|e| e.to_string());
-    if let Some(d) = &dash {
-        d.finish();
+    if let Some(d) = dash {
+        d.finish(result.is_ok());
     }
     finish_trace(collector, result.is_ok(), a.trace_out.as_deref(), |line| eprintln!("{line}"))?;
     let result = result?;
@@ -215,9 +347,7 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
 /// Statistics are bit-for-bit identical to the in-process streaming
 /// sweep at any worker count.
 fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
-    use flagsim_shard::{
-        run_sweep, Checkpoint, CoordinatorConfig, JobSpec, LeaseConfig, ShardOutcome,
-    };
+    use flagsim_shard::{run_sweep, Checkpoint, CoordinatorConfig, LeaseConfig, ShardOutcome};
 
     if a.progress {
         return err("--progress does not apply to a sharded sweep; use --dashboard to watch it");
@@ -236,15 +366,7 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         // A resumed campaign was checked when it started.
         None => {
             let (which, _, team) = checked_setup(&a)?;
-            JobSpec {
-                scenario: which.to_owned(),
-                flag: a.sel.spec.name.clone(),
-                kind: kind_token(a.sel.kind).to_owned(),
-                seed: a.sel.seed,
-                reps: a.reps,
-                team,
-                warmup: a.warmup,
-            }
+            job_spec(&a, which, team)
         }
     };
     // One validation point for both paths; also names the scenario for
@@ -269,11 +391,12 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
     }
     let worker_count = endpoints.len();
 
-    // The fleet hub is independent of the collector (it only powers the
-    // dashboard rows and the --obs-out dump) and is cheap, so it is
-    // always on for sharded runs.
-    let (collector, dash) = telemetry(&a, worker_count.max(1), job.reps);
-    let hub = flagsim_shard::ObsHub::new();
+    // The fleet hub is independent of the collector (it powers the
+    // dashboard and the --obs-out/--obs-serve snapshots) and is cheap,
+    // so it is always on for sharded runs.
+    let hub = ObsHub::new();
+    let started = Instant::now();
+    let (collector, dash) = telemetry(&a, &hub, job.reps, started);
 
     let cfg = CoordinatorConfig {
         endpoints,
@@ -289,15 +412,13 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         trace_sample: a.trace_sample,
     };
 
-    let started = std::time::Instant::now();
     // `--obs-serve ADDR`: push fleet snapshots to attached watchers
     // (`flagsim watch --connect`). Strictly one-way — the server never
     // parses client bytes, so a watcher cannot touch the merge path.
     let obs_server = match &shard.obs_serve {
         Some(addr) => {
-            let t0 = started;
             let server = flagsim_shard::ObsServer::start(hub.clone(), addr, 250, move || {
-                t0.elapsed().as_millis() as u64
+                started.elapsed().as_millis() as u64
             })
             .map_err(|e| format!("cannot serve observability on {addr}: {e}"))?;
             eprintln!("obs: serving fleet snapshots on {}", server.local_addr());
@@ -305,58 +426,21 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         }
         None => None,
     };
-    // Structured logs print *above* the live panel so interleaved
-    // output never shears the frame.
-    if let Some(d) = &dash {
-        let d = Arc::clone(d);
-        flagsim_telemetry::log::set_sink(Some(Box::new(move |rec| {
-            d.println_above(&rec.render());
-        })));
-    }
-    let poller = dash.as_ref().map(|d| {
-        let d = Arc::clone(d);
-        let hub = hub.clone();
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(std::sync::atomic::Ordering::Relaxed) {
-                let now = started.elapsed().as_millis() as u64;
-                let (merged, rows) = hub.with(|fv| (fv.merged, fleet_rows(fv, now)));
-                d.update_fleet(merged, 0, &rows);
-                std::thread::sleep(std::time::Duration::from_millis(150));
-            }
-        });
-        (stop, handle)
-    });
-
     let outcome = run_sweep(&job, &cfg).map_err(|message| CliError { message });
 
     if let Some(mut server) = obs_server {
         server.stop(); // closes watcher connections: their cue to exit
     }
-    if let Some((stop, handle)) = poller {
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        handle.join().ok();
+    if let Some(d) = dash {
+        d.finish(matches!(outcome, Ok(ShardOutcome::Completed(_))));
     }
-    if dash.is_some() {
-        flagsim_telemetry::log::set_sink(None);
-    }
-    if let Some(d) = &dash {
-        d.finish();
-    }
-    // A dashboard-aware stderr writer: while the panel is live, lines
-    // scroll out above it instead of shearing the frame.
-    let emit = |line: &str| match &dash {
-        Some(d) => d.println_above(line),
-        None => eprintln!("{line}"),
-    };
-    finish_trace(collector, outcome.is_ok(), a.trace_out.as_deref(), emit)?;
+    finish_trace(collector, outcome.is_ok(), a.trace_out.as_deref(), |line| eprintln!("{line}"))?;
     if outcome.is_ok() {
         if let Some(path) = &shard.obs_out {
             let now = started.elapsed().as_millis() as u64;
             std::fs::write(path, hub.snapshot_json(now))
                 .map_err(|e| format!("cannot write {path}: {e}"))?;
-            emit(&format!("fleet: observability snapshot written to {path}"));
+            eprintln!("fleet: observability snapshot written to {path}");
         }
     }
     // Spawned workers are `--once`: a clean shutdown already ended them,
@@ -368,7 +452,7 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
     match outcome? {
         ShardOutcome::Completed(r) => {
             if let Some(note) = failure_note(&r.failures) {
-                emit(&note);
+                eprintln!("{note}");
             }
             let mut out = format!(
                 "{} — {}, {} rep(s), {} worker(s), {} job(s), seed {}, sharded\n\n",
@@ -394,24 +478,6 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
             err(format!("sweep halted unexpectedly at {merged} rep(s)"))
         }
     }
-}
-
-/// Render a [`FleetView`](flagsim_shard::FleetView) snapshot down to
-/// the dashboard's per-worker rows.
-fn fleet_rows(fv: &flagsim_shard::FleetView, now_ms: u64) -> Vec<crate::dashboard::FleetRow> {
-    fv.workers()
-        .map(|w| crate::dashboard::FleetRow {
-            name: w.name.clone(),
-            connected: w.connected,
-            reps_done: w.reps_done,
-            reps_per_sec: w.reps_per_sec(),
-            heartbeat_age_ms: w.silence_ms(now_ms),
-            reconnects: w.reconnects,
-            shipped: w.shipped_frames,
-            dropped: w.dropped_records,
-            spark: w.series.points().map(|(_, v)| v).collect(),
-        })
-        .collect()
 }
 
 /// Spawn `n` `flagsim worker --once` child processes on ephemeral

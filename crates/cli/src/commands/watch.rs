@@ -1,17 +1,11 @@
-//! `flagsim watch` and `flagsim replay`: recorded and live runs.
+//! `flagsim watch`: recorded and live runs.
 
-use super::args::{positive, text, usage_error};
+use super::args::{text, usage_error};
 use super::{err, CliError, Selection};
 use flagsim_core::faults::FaultPlan;
 use flagsim_watch::input::{script_keys, Key};
 
 options! {
-    pub(super) struct ReplayArgs("replay") |a| {
-        scenario: String = a.operand("<SCENARIO>"),
-        sel: Selection = Selection::declare(a)?,
-        frames: usize = a.opt("frames", "N", positive)?.unwrap_or(6),
-    }
-
     pub(super) struct WatchArgs("watch") |a| {
         scenario: Option<String> = a.optional_operand("<SCENARIO>"),
         sel: Selection = Selection::declare(a)?,
@@ -29,8 +23,7 @@ options! {
 
 /// Re-run a recorded scenario (the scenario, flag, kind, and seed fully
 /// determine the run) and return its display title, report, and
-/// assignments — the shared recorded-run source behind `replay` and
-/// `watch`.
+/// assignments.
 fn recorded_run(
     which: &str,
     sel: &Selection,
@@ -44,18 +37,6 @@ fn recorded_run(
         .assignments(&s.flag, s.scenario.order, &s.cfg.skip_colors);
     let title = format!("{} — {} (seed {})", report.label, s.spec.name, sel.seed);
     Ok((title, report, assignments))
-}
-
-pub(super) fn cmd_replay(a: ReplayArgs) -> Result<String, CliError> {
-    use flagsim_core::replay::Replay;
-    let (_, report, assignments) = recorded_run(&a.scenario, &a.sel, false)?;
-    let replay = Replay::new(&report, &assignments);
-    let mut out = format!("{} — the flag filling in:\n\n", report.label);
-    for frame in replay.ascii_frames(a.frames) {
-        out.push_str(&frame);
-        out.push('\n');
-    }
-    Ok(out)
 }
 
 /// `--width N`: terminal columns, 20 to 1000.
@@ -127,47 +108,38 @@ fn watch_live(
     once: bool,
     width: usize,
 ) -> Result<String, CliError> {
-    use flagsim_watch::live::render_fleet;
     use std::io::{IsTerminal, Write as _};
-    let mut out = std::io::stdout();
-    let mut panel =
-        flagsim_watch::term::Panel::new(std::io::stdout().is_terminal() && !once, width);
+    let interactive = std::io::stdout().is_terminal() && !once;
+    let panel = std::sync::Mutex::new(flagsim_watch::term::Panel::new(interactive, width));
     let mut last_line = String::new();
-    let mut last_frame = String::new();
-    loop {
-        match src.next_snapshot() {
-            Ok(Some(snap)) => {
-                let frame = render_fleet(&snap, width).render();
-                if panel.is_interactive() {
-                    panel.draw(&frame, &mut out);
-                } else if once {
-                    return Ok(frame);
-                } else {
-                    // Plain fallback: one log-friendly line per change.
-                    let line = frame.lines().nth(1).unwrap_or("").to_owned();
-                    if line != last_line {
-                        let _ = writeln!(out, "{line}");
-                        let _ = out.flush();
-                        last_line = line;
-                    }
-                }
-                last_frame = frame;
+    let (frame, ended) = flagsim_watch::live::repaint_loop(
+        &mut src,
+        &panel,
+        &mut std::io::stdout(),
+        String::new,
+        |_, frame| {
+            if once {
+                return false;
             }
-            Ok(None) => continue,
-            Err(e) => {
-                // The source ending (sweep finished, file removed) is
-                // the normal way out; leave the last state on screen.
-                panel.finish(&mut out);
-                if last_frame.is_empty() {
-                    return err(e);
-                }
-                eprintln!("watch: {e}");
-                return Ok(if panel.is_interactive() {
-                    String::new()
-                } else {
-                    last_frame
-                });
+            // Plain fallback: one log-friendly line per change.
+            let line = frame.lines().nth(1).unwrap_or("");
+            if line != last_line {
+                let mut out = std::io::stdout().lock();
+                let _ = writeln!(out, "{line}");
+                let _ = out.flush();
+                last_line = line.to_owned();
             }
+            true
+        },
+    );
+    match ended {
+        // The source ending (sweep finished, file removed) is the normal
+        // way out; the last state stays on screen.
+        Some(e) if frame.is_empty() => err(e),
+        Some(e) => {
+            eprintln!("watch: {e}");
+            Ok(if interactive { String::new() } else { frame })
         }
+        None => Ok(frame),
     }
 }

@@ -14,8 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod commands;
-pub mod dashboard;
 pub mod submission;
 
 pub use commands::{run, CliError};
-pub use dashboard::Dashboard;

@@ -65,19 +65,43 @@ fn explain_json_round_trips_and_is_seed_stable() {
 #[test]
 fn sweep_dashboard_degrades_to_plain_lines_when_piped() {
     // The test harness captures stderr through a pipe, so the binary
-    // must take the non-TTY path: plain `sweep: ...` lines, no ANSI
-    // cursor movement, and stdout identical to a dashboard-less sweep.
-    let (stdout, stderr, ok) = flagsim(&[
-        "sweep", "onestripe", "--reps", "4", "--jobs", "2", "--seed", "3", "--dashboard",
+    // must take the non-TTY path: plain `sweep: ...` step lines closed by
+    // `sweep: done`, no ANSI cursor movement, and stdout identical to a
+    // dashboard-less sweep. The coordinator path (`--checkpoint` without
+    // workers) publishes its merged reps to the same panel.
+    let ckpt = std::env::temp_dir().join(format!("flagsim-dash-{}.ckpt", std::process::id()));
+    let sweep = ["sweep", "onestripe", "--reps", "40", "--jobs", "2", "--seed", "3"];
+    let coordinator = [&sweep[..], &["--checkpoint", ckpt.to_str().unwrap()]].concat();
+    for args in [&sweep[..], &coordinator[..]] {
+        let (stdout, stderr, ok) = flagsim(&[args, &["--dashboard"]].concat());
+        assert!(ok, "{stderr}");
+        assert!(stdout.contains("completion"), "{stdout}");
+        assert!(!stderr.contains("\x1b["), "no ANSI when piped: {stderr:?}");
+        let lines: Vec<&str> = stderr.lines().collect();
+        let last_step = "sweep: 40/40 rep(s) done, 0 failed | mean ";
+        assert!(lines.iter().any(|l| l.starts_with(last_step)), "{args:?}: {stderr}");
+        assert!(lines.last().is_some_and(|l| l.starts_with("sweep: done |")), "{stderr}");
+        let (plain, _, _) = flagsim(args);
+        assert_eq!(stdout, plain, "dashboard must not change the numbers");
+    }
+    std::fs::remove_file(&ckpt).ok();
+}
+
+#[test]
+fn sweep_progress_steps_forward_at_any_job_count() {
+    // Progress arrives once per merged chunk, out of order across
+    // threads: every line must still move forward, and none reads 0.
+    let (_, stderr, ok) = flagsim(&[
+        "sweep", "4", "--reps", "4000", "--seed", "3", "--stream", "--progress", "--jobs", "3",
     ]);
     assert!(ok, "{stderr}");
-    assert!(stdout.contains("completion"), "{stdout}");
-    assert!(stderr.contains("sweep:"), "fallback lines expected: {stderr}");
-    assert!(!stderr.contains("\x1b["), "no ANSI when piped: {stderr:?}");
-    let (plain, _, _) = flagsim(&[
-        "sweep", "onestripe", "--reps", "4", "--jobs", "2", "--seed", "3",
-    ]);
-    assert_eq!(stdout, plain, "dashboard must not change the numbers");
+    let done: Vec<u64> = stderr
+        .lines()
+        .filter_map(|l| l.strip_prefix("sweep: ")?.split_once('/')?.0.parse().ok())
+        .collect();
+    assert!(done.len() >= 3, "a line per tenth, give or take a chunk: {stderr}");
+    assert!(done.windows(2).all(|w| w[0] < w[1]) && done[0] > 0, "{stderr}");
+    assert_eq!(done.last(), Some(&4000), "{stderr}");
 }
 
 #[test]

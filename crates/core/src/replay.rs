@@ -3,8 +3,8 @@
 //! The Webster instructor used animations to show schedules; the
 //! activity-level counterpart is watching the *grid* fill cell by cell.
 //! A [`Replay`] reconstructs, from a run's trace, when every cell was
-//! finished, and renders the grid at any instant — ASCII frames for the
-//! terminal, or a full frame sequence for a flip-book handout.
+//! finished, and renders the grid at any instant as an ASCII frame
+//! (`flagsim watch` scrubs through them).
 
 use crate::report::RunReport;
 use crate::work::WorkItem;
@@ -192,26 +192,6 @@ impl Replay {
         }
         out
     }
-
-    /// Render `frames` evenly spaced ASCII frames (including the final
-    /// state), each with a progress caption. In-flight strokes render
-    /// lowercased; a cut-off run's final frame keeps them that way.
-    pub fn ascii_frames(&self, frames: usize) -> Vec<String> {
-        assert!(frames > 0, "need at least one frame");
-        let total = self.completions.len() + self.in_flight.len();
-        let total = total.max(1);
-        (1..=frames)
-            .map(|i| {
-                let t = SimTime(self.end_ms * i as u64 / frames as u64);
-                let done = self.progress_at(t);
-                format!(
-                    "t = {:>7.1}s  ({done}/{total} cells)\n{}",
-                    t.as_secs_f64(),
-                    self.ascii_at(t)
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -261,27 +241,16 @@ mod tests {
     fn progress_is_monotone() {
         let (report, assignments, _) = run();
         let replay = Replay::new(&report, &assignments);
-        let mut last = 0;
+        let blanks = |t: SimTime| replay.ascii_at(t).matches('.').count();
+        let (mut last, mut last_blanks) = (0, blanks(SimTime::ZERO));
         for i in 0..=20 {
             let t = SimTime(replay.end_ms() * i / 20);
             let p = replay.progress_at(t);
             assert!(p >= last, "progress went backwards at {t}");
-            last = p;
+            assert!(blanks(t) <= last_blanks, "a frame lost paint at {t}");
+            (last, last_blanks) = (p, blanks(t));
         }
-        assert_eq!(last, 96);
-    }
-
-    #[test]
-    fn frames_render_with_captions() {
-        let (report, assignments, _) = run();
-        let replay = Replay::new(&report, &assignments);
-        let frames = replay.ascii_frames(4);
-        assert_eq!(frames.len(), 4);
-        assert!(frames[0].contains("t ="));
-        assert!(frames[3].contains("(96/96 cells)"));
-        // Earlier frames have more blanks than later ones.
-        let blanks = |f: &str| f.matches('.').count();
-        assert!(blanks(&frames[0]) >= blanks(&frames[3]));
+        assert_eq!((last, last_blanks), (96, 0));
     }
 
     #[test]
@@ -354,9 +323,5 @@ mod tests {
             replay.grid_at(SimTime(end)).get(caught.cell),
             flagsim_grid::Color::Blank
         );
-        // The final ascii_frames frame still shows it lowercased.
-        let frames = replay.ascii_frames(4);
-        let last = frames.last().unwrap();
-        assert!(last.contains(lower), "final frame lost the in-flight cell: {last}");
     }
 }

@@ -221,7 +221,11 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
         flagsim_telemetry::gauge_set("shard.endpoints", cfg.endpoints.len() as f64);
     }
     if let Some(hub) = &cfg.obs {
-        hub.with(|fv| fv.reset(campaign_id(job), job.reps));
+        let (merged, failed) = (merge.merged(), merge.failures().len() as u64);
+        hub.with(|fv| {
+            fv.reset(campaign_id(job), job.reps);
+            (fv.merged, fv.failed) = (merged, failed);
+        });
     }
     let start = Instant::now();
     let table = LeaseTable::with_missing(job.reps, &merge.missing_ranges(), cfg.lease.clone());
@@ -251,8 +255,8 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
         .into_inner()
         .expect("shard state lock poisoned");
     if let Some(hub) = &cfg.obs {
-        let merged = sh.merge.merged();
-        hub.with(|fv| fv.merged = merged);
+        let (merged, failed) = (sh.merge.merged(), sh.merge.failures().len() as u64);
+        hub.with(|fv| (fv.merged, fv.failed) = (merged, failed));
     }
     if let Some(fatal) = sh.fatal {
         return Err(fatal);
@@ -306,7 +310,7 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
 /// claim loop; also the degradation path when the cluster is gone. Each
 /// outcome is [`record`]ed alone, so checkpoint cadence and
 /// `halt_after_reps` stay exact to the rep; the wall budget is checked at
-/// each claim.
+/// each claim. With a hub, each hand-in also updates its lane's row.
 fn run_local(
     mat: &MaterializedJob,
     job: &JobSpec,
@@ -321,20 +325,26 @@ fn run_local(
         &missing,
         cfg.local_jobs,
         |_| |rep| RepOutcome::from(runner.run_rep_stats(rep)),
-        |_, outcomes| {
+        |lane, outcomes| {
             let mut sh = lock(shared);
+            let mut stop = false;
             for (rep, outcome) in outcomes.drain(..) {
                 record(&mut sh, job, cfg, rep, outcome);
                 if stop_requested(&sh) {
-                    return None;
+                    stop = true;
+                    break;
                 }
             }
-            let expired = cfg.max_wall.is_some_and(|budget| start.elapsed() >= budget);
-            if expired && !sh.merge.is_complete() {
-                sh.deadline_hit = true;
-                return None;
+            if let Some(hub) = &cfg.obs {
+                let (merged, failed) = (sh.merge.merged(), sh.merge.failures().len() as u64);
+                hub.with(|fv| fv.on_lane(lane, merged, failed, now_ms(start)));
             }
-            Some(())
+            let expired = cfg.max_wall.is_some_and(|budget| start.elapsed() >= budget);
+            if expired && !stop && !sh.merge.is_complete() {
+                sh.deadline_hit = true;
+                stop = true;
+            }
+            (!stop).then_some(())
         },
         |()| {},
     );
@@ -383,9 +393,9 @@ fn run_remote(
                 }
             }
             if let Some(hub) = &cfg.obs {
-                let merged = sh.merge.merged();
+                let (merged, failed) = (sh.merge.merged(), sh.merge.failures().len() as u64);
                 hub.with(|fv| {
-                    fv.merged = merged;
+                    (fv.merged, fv.failed) = (merged, failed);
                     if fv.sample(now) {
                         fv.publish_gauges(now);
                     }
@@ -1230,6 +1240,31 @@ mod tests {
             other => panic!("expected completion, got {other:?}"),
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_local_campaign_publishes_lane_rows_that_sum_to_the_merged_count() {
+        let hub = ObsHub::new();
+        let halted = run_sweep(
+            &job(200),
+            &CoordinatorConfig {
+                local_jobs: 3,
+                halt_after_reps: Some(50),
+                obs: Some(hub.clone()),
+                ..CoordinatorConfig::default()
+            },
+        )
+        .expect("halted sweep");
+        let ShardOutcome::Halted { merged } = halted else {
+            panic!("expected a halt, got {halted:?}");
+        };
+        let (hub_merged, lanes, rows_sum) = hub.with(|fv| {
+            let lanes: Vec<String> = fv.workers().map(|w| w.name.clone()).collect();
+            (fv.merged, lanes, fv.workers().map(|w| w.reps_done).sum::<u64>())
+        });
+        assert_eq!(hub_merged, merged);
+        assert_eq!(rows_sum, merged, "lane rows {lanes:?}");
+        assert!(!lanes.is_empty() && lanes.iter().all(|n| n.starts_with("lane-")), "{lanes:?}");
     }
 
     #[test]

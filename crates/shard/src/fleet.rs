@@ -1,7 +1,8 @@
 //! Fleet observability: live per-worker state for a sharded campaign.
 //!
 //! The coordinator publishes session events (connects, leases, reps,
-//! heartbeats, telemetry frames) into an [`ObsHub`]; the CLI polls the
+//! heartbeats, telemetry frames) into an [`ObsHub`]; in-process runs
+//! publish one row per lane ([`FleetView::on_lane`]). The CLI polls the
 //! hub to draw the `--dashboard` fleet panel and dumps a snapshot for
 //! `--obs-out`. All timestamps are caller-supplied integer milliseconds
 //! relative to the campaign start — the same fake-clock discipline as
@@ -96,6 +97,8 @@ pub struct FleetView {
     pub total_reps: u64,
     /// Repetitions merged so far.
     pub merged: u64,
+    /// How many of the merged repetitions failed.
+    pub failed: u64,
     workers: BTreeMap<String, WorkerObs>,
     last_sample_ms: Option<u64>,
 }
@@ -154,6 +157,22 @@ impl FleetView {
     pub fn on_rep(&mut self, name: &str, t_ms: u64) {
         let w = self.worker_mut(name);
         w.reps_done += 1;
+        w.last_heard_ms = t_ms;
+    }
+
+    /// Lane `lane` of an in-process run handed in a chunk, after which
+    /// `merged` repetitions (`failed` of them failed) had merged in all.
+    /// The lane's row (`lane-NN`) is credited with the repetitions this
+    /// hand-in merged. A note that arrives after a later one (sweeps
+    /// report outside their merge lock) credits nothing, so the lane rows
+    /// always sum to what merged since [`FleetView::merged`] was set.
+    pub fn on_lane(&mut self, lane: usize, merged: u64, failed: u64, t_ms: u64) {
+        let credit = merged.saturating_sub(self.merged);
+        self.merged += credit;
+        self.failed = self.failed.max(failed);
+        let w = self.worker_mut(&format!("lane-{lane:02}"));
+        w.connected = true;
+        w.reps_done += credit;
         w.last_heard_ms = t_ms;
     }
 
@@ -243,6 +262,7 @@ impl FleetView {
         let _ = writeln!(out, "  \"campaign\": {},", json_string(&self.campaign));
         let _ = writeln!(out, "  \"total_reps\": {},", self.total_reps);
         let _ = writeln!(out, "  \"merged\": {},", self.merged);
+        let _ = writeln!(out, "  \"failed\": {},", self.failed);
         let _ = writeln!(out, "  \"now_ms\": {now_ms},");
         let _ = writeln!(out, "  \"live_workers\": {},", self.live_workers());
         let _ = writeln!(out, "  \"leases_in_flight\": {},", self.leases_in_flight());
@@ -383,6 +403,23 @@ mod tests {
         fv.on_lease_done("w", 5);
         assert_eq!(fv.leases_in_flight(), 0);
         assert!(fv.to_json(6).contains("\"lease_in_flight\": false"));
+    }
+
+    #[test]
+    fn lane_rows_sum_to_the_merged_count_whatever_order_notes_arrive_in() {
+        let mut fv = FleetView::default();
+        fv.reset("c".into(), 256);
+        fv.on_lane(1, 64, 0, 10);
+        fv.on_lane(0, 192, 2, 20);
+        fv.on_lane(2, 128, 1, 30); // reported after the 192 note: no credit
+        let rows: Vec<(String, u64)> =
+            fv.workers().map(|w| (w.name.clone(), w.reps_done)).collect();
+        assert_eq!(
+            rows,
+            [("lane-00".into(), 128), ("lane-01".into(), 64), ("lane-02".into(), 0)]
+        );
+        assert_eq!((fv.merged, fv.failed, fv.live_workers()), (192, 2, 3));
+        assert!(fv.to_json(40).contains("\"failed\": 2,"));
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //!   via `core::replay`, or a Chrome-trace file via [`chrome`]) and
 //!   scrub through it — grid filling in, gantt with the executed
 //!   critical path, blame/races anchored to the current instant.
-//! - **Live** ([`live`]): attach read-only to a running sharded sweep
-//!   and render the `shard::fleet` observability stream as a fleet
-//!   panel with per-worker sparklines.
+//! - **Live** ([`live`]): attach read-only to a running sweep and
+//!   render the `shard::fleet` observability stream as a fleet panel
+//!   with per-worker sparklines — the same panel `flagsim sweep
+//!   --dashboard` draws over its own hub.
 //!
 //! Everything renders into a plain-text [`frame::Frame`]; escape codes
 //! exist only in [`term`], wrapped around frames at the last moment.
 //! Under `--script` the app consumes a fixed key sequence and no wall
 //! clock, which makes the whole UI byte-deterministic and testable
-//! headless. The terminal plumbing in [`term`] is shared with the
-//! `flagsim sweep` dashboard so the two never diverge.
+//! headless.
 
 pub mod app;
 pub mod chrome;

@@ -1,9 +1,12 @@
-//! Live mode: render a running sharded sweep's fleet state.
+//! Live mode: render a running sweep's fleet state.
 //!
 //! The data is `shard::fleet::FleetView::to_json` snapshots, obtained
-//! either by tailing a file the supervisor writes (`--follow`) or by
-//! connecting to the supervisor's observability port (`--connect`),
-//! which pushes snapshots as length-prefixed wire frames.
+//! by tailing a file the supervisor writes (`--follow`), by connecting
+//! to the supervisor's observability port (`--connect`), which pushes
+//! snapshots as length-prefixed wire frames, or by polling the running
+//! sweep's own hub (`flagsim sweep --dashboard`). All three go through
+//! one parse and one [`repaint_loop`], so the sweep's panel is exactly
+//! what a watcher sees for the same snapshot.
 //!
 //! Live mode is **strictly read-only**: [`SnapshotSource::Connect`]
 //! never writes a byte to the socket — it holds the stream solely to
@@ -13,8 +16,13 @@
 //! count stays zero with a watcher attached.
 
 use crate::frame::Frame;
-use crate::term::sparkline;
+use crate::term::{sparkline, Panel};
+use flagsim_shard::ObsHub;
 use flagsim_telemetry::json::{self, Value};
+use std::io::Write;
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 fn num(v: &Value, key: &str) -> f64 {
     v.get(key).and_then(Value::as_f64).unwrap_or(0.0)
@@ -60,6 +68,8 @@ pub struct FleetSnapshot {
     pub total_reps: u64,
     /// Repetitions merged so far.
     pub merged: u64,
+    /// How many merged repetitions failed (0 when the field is absent).
+    pub failed: u64,
     /// Snapshot timestamp (supervisor clock, ms).
     pub now_ms: u64,
     /// Workers with an established session.
@@ -114,6 +124,7 @@ pub fn parse_snapshot(text: &str) -> Result<FleetSnapshot, String> {
         campaign,
         total_reps: num(&doc, "total_reps") as u64,
         merged: num(&doc, "merged") as u64,
+        failed: num(&doc, "failed") as u64,
         now_ms: num(&doc, "now_ms") as u64,
         live_workers: num(&doc, "live_workers") as u64,
         leases_in_flight: num(&doc, "leases_in_flight") as u64,
@@ -130,8 +141,12 @@ pub fn render_fleet(snap: &FleetSnapshot, width: usize) -> Frame {
     let mut f = Frame::new(width);
     f.line(&format!("fleet: campaign {}", snap.campaign));
     let pct = (snap.merged * 100).checked_div(snap.total_reps).unwrap_or(0);
+    let failed = match snap.failed {
+        0 => String::new(),
+        n => format!(", {n} failed"),
+    };
     f.line(&format!(
-        "merged {}/{} reps ({pct}%)  workers {} live  leases {} in flight  t={:.1}s",
+        "merged {}/{} reps ({pct}%){failed}  workers {} live  leases {} in flight  t={:.1}s",
         snap.merged,
         snap.total_reps,
         snap.live_workers,
@@ -177,6 +192,46 @@ pub fn render_fleet(snap: &FleetSnapshot, width: usize) -> Frame {
     f
 }
 
+/// The one live repaint loop, behind both `flagsim watch --connect` /
+/// `--follow` and `flagsim sweep --dashboard`: pull snapshots from `src`,
+/// render each as [`render_fleet`] followed by the `footer` lines, and
+/// repaint it in place on `out` while `panel` is interactive. Otherwise
+/// each snapshot and its frame go to `plain`, which prints its own
+/// log-friendly line and returns `false` to stop the loop. Returns the
+/// last frame and, when the source ended, why. The panel is locked for
+/// each draw, so a line printed above it from another thread never
+/// shears a frame.
+pub fn repaint_loop(
+    src: &mut SnapshotSource,
+    panel: &Mutex<Panel>,
+    out: &mut dyn Write,
+    mut footer: impl FnMut() -> String,
+    mut plain: impl FnMut(&FleetSnapshot, &str) -> bool,
+) -> (String, Option<String>) {
+    let lock = || panel.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let mut last = String::new();
+    loop {
+        let snap = match src.next_snapshot() {
+            Ok(Some(snap)) => snap,
+            Ok(None) => continue,
+            Err(e) => {
+                lock().finish(out);
+                return (last, Some(e));
+            }
+        };
+        let mut panel = lock();
+        last = render_fleet(&snap, panel.width()).render() + &footer();
+        if panel.is_interactive() {
+            panel.draw(&last, out);
+        } else if !plain(&snap, &last) {
+            return (last, None);
+        }
+    }
+}
+
+/// How often an in-process hub is sampled and redrawn.
+const HUB_POLL: Duration = Duration::from_millis(150);
+
 /// Where live snapshots come from.
 pub enum SnapshotSource {
     /// A connected obs socket: snapshots arrive as pushed wire frames.
@@ -189,6 +244,19 @@ pub enum SnapshotSource {
         path: std::path::PathBuf,
         /// Last content seen, to suppress unchanged repaints.
         last: String,
+    },
+    /// The running sweep's own hub (`sweep --dashboard`): sampled every
+    /// 150 ms, and once more when `stop` fires or its sender drops;
+    /// after that final snapshot the source ends.
+    Hub {
+        /// The hub the sweep publishes into.
+        hub: ObsHub,
+        /// The campaign clock's zero.
+        started: Instant,
+        /// Raised (or dropped) when the sweep returns.
+        stop: Receiver<()>,
+        /// The final snapshot has been taken.
+        stopped: bool,
     },
 }
 
@@ -208,6 +276,16 @@ impl SnapshotSource {
         SnapshotSource::Follow {
             path: path.into(),
             last: String::new(),
+        }
+    }
+
+    /// Poll an in-process hub until `stop` fires.
+    pub fn hub(hub: ObsHub, started: Instant, stop: Receiver<()>) -> SnapshotSource {
+        SnapshotSource::Hub {
+            hub,
+            started,
+            stop,
+            stopped: false,
         }
     }
 
@@ -239,6 +317,15 @@ impl SnapshotSource {
                 *last = text.clone();
                 parse_snapshot(&text).map(Some)
             }
+            SnapshotSource::Hub { hub, started, stop, stopped } => {
+                if *stopped {
+                    return Err("sweep finished".to_owned());
+                }
+                *stopped = !matches!(stop.recv_timeout(HUB_POLL), Err(RecvTimeoutError::Timeout));
+                let now = started.elapsed().as_millis() as u64;
+                hub.with(|fv| fv.sample(now));
+                parse_snapshot(&hub.snapshot_json(now)).map(Some)
+            }
         }
     }
 }
@@ -252,6 +339,7 @@ mod tests {
         fv.reset("00c0ffee".into(), 64);
         fv.on_connected("w-0", 10);
         fv.on_connected("w-1", 12);
+        fv.on_connected("w-0", 15);
         fv.on_lease("w-0", 20);
         for t in 0..10u64 {
             fv.on_rep("w-0", 30 + t * 90);
@@ -294,8 +382,54 @@ mod tests {
         assert!(text.contains("* w-0"), "connected marker: {text}");
         assert!(text.contains("- w-1"), "disconnected marker: {text}");
         assert!(text.contains("dropped 3"), "{text}");
+        assert!(text.contains("reconnects 1"), "{text}");
         let has_spark = text.chars().any(|c| crate::term::SPARKS.contains(&c));
         assert!(has_spark, "w-0's rate sparkline rendered: {text}");
+    }
+
+    #[test]
+    fn failures_render_only_when_some_merged() {
+        let clean = render_fleet(&parse_snapshot(&sample_json()).expect("parses"), 120).render();
+        assert!(!clean.contains("failed"), "{clean}");
+        let with_failures = sample_json().replace("\"failed\": 0", "\"failed\": 2");
+        let snap = parse_snapshot(&with_failures).expect("parses");
+        let text = render_fleet(&snap, 120).render();
+        assert!(text.contains("merged 10/64 reps (15%), 2 failed  workers 1 live"), "{text}");
+        // Snapshots written before the field existed read as failure-free.
+        let old = sample_json().replace("  \"failed\": 0,\n", "");
+        assert_eq!(render_fleet(&parse_snapshot(&old).expect("parses"), 120).render(), clean);
+    }
+
+    #[test]
+    fn the_hub_source_ends_after_one_final_snapshot() {
+        let hub = ObsHub::new();
+        hub.with(|fv| {
+            fv.reset("c".into(), 8);
+            fv.on_lane(0, 8, 1, 5);
+        });
+        for interactive in [false, true] {
+            let (stop, rx) = std::sync::mpsc::channel();
+            stop.send(()).expect("receiver alive");
+            let mut src = SnapshotSource::hub(hub.clone(), Instant::now(), rx);
+            let panel = Mutex::new(Panel::new(interactive, 100));
+            let (mut out, mut plain) = (Vec::new(), Vec::new());
+            let (frame, ended) = repaint_loop(
+                &mut src,
+                &panel,
+                &mut out,
+                || "footer\n".to_owned(),
+                |snap, _| {
+                    plain.push(snap.merged);
+                    true
+                },
+            );
+            assert!(frame.contains("merged 8/8 reps (100%), 1 failed"), "{frame}");
+            assert!(frame.contains("* lane-00"), "{frame}");
+            assert!(frame.ends_with("footer\n"), "{frame}");
+            assert_eq!(ended.as_deref(), Some("sweep finished"));
+            assert_eq!(plain, if interactive { vec![] } else { vec![8] });
+            assert_eq!(String::from_utf8_lossy(&out).contains("\x1b[K"), interactive);
+        }
     }
 
     #[test]

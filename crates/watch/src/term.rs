@@ -2,7 +2,7 @@
 //! clamping, sparklines, raw-mode key input, and the alternate screen.
 //!
 //! This is the single implementation behind both the `flagsim sweep
-//! --dashboard` stderr panel (see `flagsim-cli`'s `dashboard` module)
+//! --dashboard` stderr panel (the live fleet panel of [`crate::live`])
 //! and the `flagsim watch` TUI — extracted so the two cannot diverge.
 //! Everything here is side-effect-free except the functions that take
 //! an explicit writer, so headless tests drive the exact bytes a
