@@ -33,7 +33,9 @@ options! {
         // through the shard coordinator.
         shard: (ShardArgs, bool) = a.group(ShardArgs::declare)?,
         policy: RecoveryPolicy = policy(a)?.unwrap_or(RecoveryPolicy::Rebalance),
-        chunk: u64 = a.opt("chunk", "K", positive)?.unwrap_or(8),
+        // Reps per lease; the default is the shard crate's own.
+        chunk: u64 = a.opt("chunk", "K", positive)?
+            .unwrap_or_else(|| flagsim_shard::LeaseConfig::default().chunk),
         // 0 = auto: the coordinator aims for ~256 instrumented reps
         // per campaign so shipping cost stays bounded on huge sweeps.
         trace_sample: u64 = a.opt("trace-sample", "N", uint)?.unwrap_or(0),

@@ -659,6 +659,13 @@ impl MergeState {
         self.next_emit
     }
 
+    /// Repetitions in hand: merged, plus parked in the reorder buffer.
+    /// Unlike [`merged`](MergeState::merged), this grows by exactly one
+    /// with each newly accepted rep, whatever order reps arrive in.
+    pub fn in_hand(&self) -> u64 {
+        self.next_emit + self.pending.len() as u64
+    }
+
     /// Total repetitions in the campaign.
     pub fn total(&self) -> u64 {
         self.total

@@ -20,7 +20,7 @@
 //! whose parts contradict each other ([`Inconsistency`]).
 
 use crate::job::JobSpec;
-use crate::wire::{read_outcome, str_of, u64_of, write_outcome};
+use crate::wire::{read_outcome, str_of, write_outcome, Fields as _};
 use flagsim_core::sweep::{MergeState, RepOutcome, SweepFailure};
 use flagsim_metrics::StreamingStats;
 use flagsim_telemetry::json::{self, json_string, Value};
@@ -60,10 +60,16 @@ impl std::fmt::Display for Inconsistency {
                 f.write_str("completion and waiting hold different counts")
             }
             Inconsistency::FailureRep(rep) => {
-                write!(f, "failure rep {rep} is out of order or not below the watermark")
+                write!(
+                    f,
+                    "failure rep {rep} is out of order or not below the watermark"
+                )
             }
             Inconsistency::PendingRep(rep) => {
-                write!(f, "pending rep {rep} is out of order or outside (watermark, reps)")
+                write!(
+                    f,
+                    "pending rep {rep} is out of order or outside (watermark, reps)"
+                )
             }
         }
     }
@@ -165,7 +171,7 @@ impl Checkpoint {
                 out.push(',');
             }
             out.push('{');
-            write_outcome(&mut out, *rep, outcome);
+            let _ = write_outcome(&mut out, *rep, outcome);
             out.push('}');
         }
         out.push_str("]}");
@@ -199,9 +205,12 @@ impl Checkpoint {
                 job.fingerprint()
             ));
         }
-        let watermark = u64_of(&v, "watermark").ok_or("checkpoint: missing u64 watermark")?;
+        let watermark = v
+            .u64("watermark")
+            .ok_or("checkpoint: missing u64 watermark")?;
         let completion = StreamingStats::from_value(
-            v.get("completion").ok_or("checkpoint: missing completion")?,
+            v.get("completion")
+                .ok_or("checkpoint: missing completion")?,
         )?;
         let waiting =
             StreamingStats::from_value(v.get("waiting").ok_or("checkpoint: missing waiting")?)?;
@@ -211,9 +220,12 @@ impl Checkpoint {
             .and_then(Value::as_array)
             .ok_or("checkpoint: missing failures")?
         {
-            let rep = u64_of(f, "rep").ok_or("checkpoint: failure missing u64 rep")?;
+            let rep = f.u64("rep").ok_or("checkpoint: failure missing u64 rep")?;
             let error = str_of(f, "error").ok_or("checkpoint: failure missing error")?;
-            failures.push(SweepFailure { rep, error: error.to_owned() });
+            failures.push(SweepFailure {
+                rep,
+                error: error.to_owned(),
+            });
         }
         let pending = v
             .get("pending")
@@ -248,8 +260,8 @@ impl Checkpoint {
 
     /// Read and validate a checkpoint file.
     pub fn load(path: &Path) -> Result<Self, String> {
-        let text = fs::read_to_string(path)
-            .map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
+        let text =
+            fs::read_to_string(path).map_err(|e| format!("checkpoint {}: {e}", path.display()))?;
         Self::from_json(&text).map_err(|e| format!("checkpoint {}: {e}", path.display()))
     }
 }
@@ -285,10 +297,27 @@ mod tests {
     fn merge_with_gap() -> MergeState {
         let mut m = MergeState::new(12);
         for i in 0..5u64 {
-            m.accept(i, RepOutcome::Ok { completion: 1.0 / (i + 1) as f64, waiting: 0.5 });
+            m.accept(
+                i,
+                RepOutcome::Ok {
+                    completion: 1.0 / (i + 1) as f64,
+                    waiting: 0.5,
+                },
+            );
         }
-        m.accept(5, RepOutcome::Failed { error: "marker ran dry".into() });
-        m.accept(8, RepOutcome::Ok { completion: 0.125, waiting: 0.25 }); // buffered
+        m.accept(
+            5,
+            RepOutcome::Failed {
+                error: "marker ran dry".into(),
+            },
+        );
+        m.accept(
+            8,
+            RepOutcome::Ok {
+                completion: 0.125,
+                waiting: 0.25,
+            },
+        ); // buffered
         m
     }
 
@@ -299,7 +328,16 @@ mod tests {
         let back = Checkpoint::from_json(&ck.to_json()).unwrap();
         assert_eq!(back.watermark, 6);
         assert_eq!(back.failures.len(), 1);
-        assert_eq!(back.pending, vec![(8, RepOutcome::Ok { completion: 0.125, waiting: 0.25 })]);
+        assert_eq!(
+            back.pending,
+            vec![(
+                8,
+                RepOutcome::Ok {
+                    completion: 0.125,
+                    waiting: 0.25
+                }
+            )]
+        );
         assert_eq!(back.completion.to_json(), ck.completion.to_json());
         assert_eq!(back.waiting.to_json(), ck.waiting.to_json());
         // Thawed merge owes exactly the missing reps.
@@ -362,7 +400,9 @@ mod tests {
         assert!(Checkpoint::from_json("not json").is_err());
         assert!(Checkpoint::from_json("{\"version\":9}").is_err());
         let ck = Checkpoint::from_merge(&job(), &merge_with_gap());
-        let text = ck.to_json().replace("\"watermark\":\"6\"", "\"watermark\":\"99\"");
+        let text = ck
+            .to_json()
+            .replace("\"watermark\":\"6\"", "\"watermark\":\"99\"");
         let err = Checkpoint::from_json(&text).unwrap_err();
         assert!(err.contains("watermark"), "{err}");
     }
@@ -385,7 +425,13 @@ mod tests {
         // Counts that add up, past the job's 12 reps.
         let mut m = MergeState::new(20);
         for i in 0..13 {
-            m.accept(i, RepOutcome::Ok { completion: 1.0, waiting: 0.5 });
+            m.accept(
+                i,
+                RepOutcome::Ok {
+                    completion: 1.0,
+                    waiting: 0.5,
+                },
+            );
         }
         assert_inconsistent(Checkpoint::from_merge(&job(), &m), Inconsistency::Watermark);
     }
@@ -408,7 +454,13 @@ mod tests {
         // so the counts still add up to the watermark).
         let mut m = MergeState::new(12);
         m.accept(0, RepOutcome::Failed { error: "a".into() });
-        m.accept(1, RepOutcome::Ok { completion: 1.0, waiting: 0.5 });
+        m.accept(
+            1,
+            RepOutcome::Ok {
+                completion: 1.0,
+                waiting: 0.5,
+            },
+        );
         m.accept(2, RepOutcome::Failed { error: "b".into() });
         let mut swapped = Checkpoint::from_merge(&job(), &m);
         swapped.failures.swap(0, 1);
@@ -418,8 +470,16 @@ mod tests {
     #[test]
     fn pending_reps_must_rise_between_watermark_and_rep_count() {
         let base = Checkpoint::from_merge(&job(), &merge_with_gap());
-        let outcome = RepOutcome::Ok { completion: 0.5, waiting: 0.5 };
-        for (rep, pending) in [(6, vec![6]), (12, vec![12]), (7, vec![8, 7]), (8, vec![8, 8])] {
+        let outcome = RepOutcome::Ok {
+            completion: 0.5,
+            waiting: 0.5,
+        };
+        for (rep, pending) in [
+            (6, vec![6]),
+            (12, vec![12]),
+            (7, vec![8, 7]),
+            (8, vec![8, 8]),
+        ] {
             let mut ck = base.clone();
             ck.pending = pending.into_iter().map(|r| (r, outcome.clone())).collect();
             assert_inconsistent(ck, Inconsistency::PendingRep(rep));

@@ -197,7 +197,10 @@ impl FleetView {
 
     /// Leases granted but not yet reported done.
     pub fn leases_in_flight(&self) -> usize {
-        self.workers.values().map(|w| w.leases_in_flight as usize).sum()
+        self.workers
+            .values()
+            .map(|w| w.leases_in_flight as usize)
+            .sum()
     }
 
     /// Iterate workers in name order.
@@ -412,11 +415,17 @@ mod tests {
         fv.on_lane(1, 64, 0, 10);
         fv.on_lane(0, 192, 2, 20);
         fv.on_lane(2, 128, 1, 30); // reported after the 192 note: no credit
-        let rows: Vec<(String, u64)> =
-            fv.workers().map(|w| (w.name.clone(), w.reps_done)).collect();
+        let rows: Vec<(String, u64)> = fv
+            .workers()
+            .map(|w| (w.name.clone(), w.reps_done))
+            .collect();
         assert_eq!(
             rows,
-            [("lane-00".into(), 128), ("lane-01".into(), 64), ("lane-02".into(), 0)]
+            [
+                ("lane-00".into(), 128),
+                ("lane-01".into(), 64),
+                ("lane-02".into(), 0)
+            ]
         );
         assert_eq!((fv.merged, fv.failed, fv.live_workers()), (192, 2, 3));
         assert!(fv.to_json(40).contains("\"failed\": 2,"));

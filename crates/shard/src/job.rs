@@ -217,8 +217,14 @@ mod tests {
         for tweak in [
             JobSpec { seed: 1, ..spec() },
             JobSpec { reps: 2, ..spec() },
-            JobSpec { scenario: "1".into(), ..spec() },
-            JobSpec { warmup: true, ..spec() },
+            JobSpec {
+                scenario: "1".into(),
+                ..spec()
+            },
+            JobSpec {
+                warmup: true,
+                ..spec()
+            },
         ] {
             assert_ne!(tweak.fingerprint(), base);
         }
@@ -228,9 +234,24 @@ mod tests {
     #[test]
     fn materialize_validates_tokens() {
         assert!(spec().materialize().is_ok());
-        assert!(JobSpec { flag: "Atlantis".into(), ..spec() }.materialize().is_err());
-        assert!(JobSpec { kind: "chisel".into(), ..spec() }.materialize().is_err());
-        assert!(JobSpec { scenario: "9".into(), ..spec() }.materialize().is_err());
+        assert!(JobSpec {
+            flag: "Atlantis".into(),
+            ..spec()
+        }
+        .materialize()
+        .is_err());
+        assert!(JobSpec {
+            kind: "chisel".into(),
+            ..spec()
+        }
+        .materialize()
+        .is_err());
+        assert!(JobSpec {
+            scenario: "9".into(),
+            ..spec()
+        }
+        .materialize()
+        .is_err());
         assert!(JobSpec { reps: 0, ..spec() }.materialize().is_err());
         assert!(JobSpec { team: 0, ..spec() }.materialize().is_err());
     }
@@ -246,8 +267,14 @@ mod tests {
         for rep in [0u64, 1, 17] {
             let ra = ja.runner().run_rep(rep).unwrap();
             let rb = jb.runner().run_rep(rep).unwrap();
-            assert_eq!(ra.completion_secs().to_bits(), rb.completion_secs().to_bits());
-            assert_eq!(ra.total_wait_secs().to_bits(), rb.total_wait_secs().to_bits());
+            assert_eq!(
+                ra.completion_secs().to_bits(),
+                rb.completion_secs().to_bits()
+            );
+            assert_eq!(
+                ra.total_wait_secs().to_bits(),
+                rb.total_wait_secs().to_bits()
+            );
         }
     }
 }

@@ -42,7 +42,11 @@ pub struct WorkerId(pub usize);
 /// Tuning for lease granting and failure detection.
 #[derive(Debug, Clone)]
 pub struct LeaseConfig {
-    /// Reps per lease grant.
+    /// Reps per lease grant. The default, 64, is the cap `core::sweep`'s
+    /// claim loop puts on a thread's claim, for the same reason: one
+    /// round trip (there, one lock) per 64 reps keeps the coordinator off
+    /// the per-rep path, and a lease's 64 `rep` frames still fit the
+    /// worker's 8 KiB write buffer.
     pub chunk: u64,
     /// Silence longer than this (ms) declares a worker dead.
     pub heartbeat_timeout_ms: u64,
@@ -59,7 +63,7 @@ pub struct LeaseConfig {
 impl Default for LeaseConfig {
     fn default() -> Self {
         LeaseConfig {
-            chunk: 8,
+            chunk: 64,
             heartbeat_timeout_ms: 2_000,
             backoff_base_ms: 50,
             backoff_cap_ms: 2_000,
@@ -105,13 +109,21 @@ impl Lease {
 
 #[derive(Debug, Clone)]
 enum WorkerState {
-    Connecting { attempt: u32, next_try_at: u64 },
+    Connecting {
+        attempt: u32,
+        next_try_at: u64,
+    },
     /// `leases` holds every granted lease in grant order until its
     /// `lease_done`. Reporting a lease's last rep retires it (it no
     /// longer counts as held for granting or deadlines); the entry
     /// stays so that the `lease_done` can be checked against it.
-    Active { leases: Vec<Lease>, last_seen: u64 },
-    Dead { reason: String },
+    Active {
+        leases: Vec<Lease>,
+        last_seen: u64,
+    },
+    Dead {
+        reason: String,
+    },
 }
 
 /// Check rep `rep` against `leases`: only the next unreported rep of the
@@ -122,7 +134,10 @@ fn accept_rep(leases: &mut [Lease], rep: u64) -> Result<(), String> {
             l.next += 1;
             Ok(())
         }
-        Some(l) => Err(format!("rep {rep} while lease {}..{} owes rep {}", l.start, l.end, l.next)),
+        Some(l) => Err(format!(
+            "rep {rep} while lease {}..{} owes rep {}",
+            l.start, l.end, l.next
+        )),
         None => Err(format!("rep {rep} while it owes none")),
     }
 }
@@ -139,7 +154,10 @@ fn accept_lease_done(leases: &mut Vec<Lease>, range: Option<(u64, u64)>) -> Resu
     let (start, end) = range.unwrap_or((oldest.start, oldest.end));
     if (oldest.start, oldest.end) == (start, end) {
         if oldest.owes() {
-            return Err(format!("lease_done for {start}..{end} before rep {}", oldest.next));
+            return Err(format!(
+                "lease_done for {start}..{end} before rep {}",
+                oldest.next
+            ));
         }
         leases.remove(0);
         Ok(())
@@ -149,7 +167,9 @@ fn accept_lease_done(leases: &mut Vec<Lease>, range: Option<(u64, u64)>) -> Resu
             oldest.start, oldest.end
         ))
     } else {
-        Err(format!("lease_done for a lease it never held ({start}..{end})"))
+        Err(format!(
+            "lease_done for a lease it never held ({start}..{end})"
+        ))
     }
 }
 
@@ -210,7 +230,10 @@ impl LeaseTable {
     pub fn add_worker(&mut self, name: &str) -> WorkerId {
         self.workers.push(WorkerSlot {
             name: name.to_owned(),
-            state: WorkerState::Connecting { attempt: 0, next_try_at: 0 },
+            state: WorkerState::Connecting {
+                attempt: 0,
+                next_try_at: 0,
+            },
         });
         WorkerId(self.workers.len() - 1)
     }
@@ -224,9 +247,10 @@ impl LeaseTable {
     /// attempts not exhausted, still `Connecting`).
     pub fn may_connect(&self, w: WorkerId, now: u64) -> bool {
         match &self.workers[w.0].state {
-            WorkerState::Connecting { attempt, next_try_at } => {
-                *attempt < self.cfg.max_connect_attempts && now >= *next_try_at
-            }
+            WorkerState::Connecting {
+                attempt,
+                next_try_at,
+            } => *attempt < self.cfg.max_connect_attempts && now >= *next_try_at,
             _ => false,
         }
     }
@@ -237,7 +261,11 @@ impl LeaseTable {
     /// policy: a worker that never connected never held work.
     pub fn on_connect_failed(&mut self, w: WorkerId, now: u64) {
         let slot = &mut self.workers[w.0];
-        if let WorkerState::Connecting { attempt, next_try_at } = &mut slot.state {
+        if let WorkerState::Connecting {
+            attempt,
+            next_try_at,
+        } = &mut slot.state
+        {
             *attempt += 1;
             if *attempt >= self.cfg.max_connect_attempts {
                 slot.state = WorkerState::Dead {
@@ -259,18 +287,20 @@ impl LeaseTable {
     /// reconnect.
     pub fn next_attempt_at(&self, w: WorkerId) -> Option<u64> {
         match &self.workers[w.0].state {
-            WorkerState::Connecting { attempt, next_try_at }
-                if *attempt < self.cfg.max_connect_attempts =>
-            {
-                Some(*next_try_at)
-            }
+            WorkerState::Connecting {
+                attempt,
+                next_try_at,
+            } if *attempt < self.cfg.max_connect_attempts => Some(*next_try_at),
             _ => None,
         }
     }
 
     /// The worker connected and completed its hello handshake.
     pub fn on_connected(&mut self, w: WorkerId, now: u64) {
-        self.workers[w.0].state = WorkerState::Active { leases: Vec::new(), last_seen: now };
+        self.workers[w.0].state = WorkerState::Active {
+            leases: Vec::new(),
+            last_seen: now,
+        };
     }
 
     /// Any frame from the worker counts as a heartbeat.
@@ -288,7 +318,8 @@ impl LeaseTable {
             return LeaseGrant::Finished;
         }
         match &self.workers[w.0].state {
-            WorkerState::Active { leases, .. } if unfinished(leases).count() < LEASES_IN_FLIGHT => {}
+            WorkerState::Active { leases, .. } if unfinished(leases).count() < LEASES_IN_FLIGHT => {
+            }
             _ => return LeaseGrant::Wait,
         }
         let grant = if !self.returned.is_empty() && now >= self.embargo_until {
@@ -310,7 +341,11 @@ impl LeaseTable {
         match grant {
             Some((start, end)) => {
                 if let WorkerState::Active { leases, last_seen } = &mut self.workers[w.0].state {
-                    leases.push(Lease { start, next: start, end });
+                    leases.push(Lease {
+                        start,
+                        next: start,
+                        end,
+                    });
                     *last_seen = now;
                 }
                 LeaseGrant::Range { start, end }
@@ -377,7 +412,9 @@ impl LeaseTable {
             WorkerState::Dead { .. } => return,
             WorkerState::Connecting { .. } => Vec::new(),
         };
-        slot.state = WorkerState::Dead { reason: reason.to_owned() };
+        slot.state = WorkerState::Dead {
+            reason: reason.to_owned(),
+        };
         if flagsim_telemetry::enabled() {
             flagsim_telemetry::count("shard.worker_deaths", 1);
         }
@@ -387,7 +424,9 @@ impl LeaseTable {
         owed.sort_unstable();
         match self.cfg.policy {
             RecoveryPolicy::Rebalance => {}
-            RecoveryPolicy::SpareSwap { replacement_delay_secs } => {
+            RecoveryPolicy::SpareSwap {
+                replacement_delay_secs,
+            } => {
                 let delay_ms = (replacement_delay_secs.max(0.0) * 1000.0) as u64;
                 self.embargo_until = self.embargo_until.max(now + delay_ms);
             }
@@ -569,7 +608,10 @@ mod tests {
         assert!(t.all_dead() && t.is_dead(w));
         let reason = t.dead_reason(w).expect("dead slots have a reason");
         assert!(reason.contains("connection attempts"), "{reason}");
-        assert!(t.abort_reason().is_none(), "connect exhaustion is not an abort");
+        assert!(
+            t.abort_reason().is_none(),
+            "connect exhaustion is not an abort"
+        );
     }
 
     #[test]
@@ -588,36 +630,53 @@ mod tests {
         let dead = t.check_deadlines(150);
         assert_eq!(dead, vec![a]);
         // b inherits the unfinished tail 1..4 before fresh work.
-        assert_eq!(t.request_lease(b, 151), LeaseGrant::Range { start: 1, end: 4 });
+        assert_eq!(
+            t.request_lease(b, 151),
+            LeaseGrant::Range { start: 1, end: 4 }
+        );
     }
 
     #[test]
     fn spare_policy_embargoes_recovered_work() {
-        let mut t = LeaseTable::new(8, LeaseConfig {
-            policy: RecoveryPolicy::SpareSwap { replacement_delay_secs: 1.0 },
-            ..cfg()
-        });
+        let mut t = LeaseTable::new(
+            8,
+            LeaseConfig {
+                policy: RecoveryPolicy::SpareSwap {
+                    replacement_delay_secs: 1.0,
+                },
+                ..cfg()
+            },
+        );
         let a = t.add_worker("a");
         let b = t.add_worker("b");
         t.on_connected(a, 0);
         t.on_connected(b, 0);
         assert!(matches!(t.request_lease(a, 0), LeaseGrant::Range { .. }));
         let _ = t.check_deadlines(200); // a dies; 0..4 embargoed until 1200
-        // b gets fresh work while the recovered range is embargoed...
-        assert_eq!(t.request_lease(b, 300), LeaseGrant::Range { start: 4, end: 8 });
+                                        // b gets fresh work while the recovered range is embargoed...
+        assert_eq!(
+            t.request_lease(b, 300),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
         complete(&mut t, b, (4, 8), 400);
         // ...must Wait during the embargo even though work exists...
         assert_eq!(t.request_lease(b, 500), LeaseGrant::Wait);
         // ...and claims it once the replacement delay lapses.
-        assert_eq!(t.request_lease(b, 1200), LeaseGrant::Range { start: 0, end: 4 });
+        assert_eq!(
+            t.request_lease(b, 1200),
+            LeaseGrant::Range { start: 0, end: 4 }
+        );
     }
 
     #[test]
     fn abort_policy_stops_granting() {
-        let mut t = LeaseTable::new(8, LeaseConfig {
-            policy: RecoveryPolicy::AbortAndReport,
-            ..cfg()
-        });
+        let mut t = LeaseTable::new(
+            8,
+            LeaseConfig {
+                policy: RecoveryPolicy::AbortAndReport,
+                ..cfg()
+            },
+        );
         let a = t.add_worker("a");
         let b = t.add_worker("b");
         t.on_connected(a, 0);
@@ -634,14 +693,20 @@ mod tests {
         let mut t = LeaseTable::new(4, cfg());
         let a = t.add_worker("a");
         t.on_connected(a, 0);
-        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 4 });
+        assert_eq!(
+            t.request_lease(a, 0),
+            LeaseGrant::Range { start: 0, end: 4 }
+        );
         t.on_rep_done(a, 0, 1);
         t.on_rep_done(a, 1, 2);
         t.mark_dead(a, "killed", 3);
         let b = t.add_worker("b");
         t.on_connected(b, 3);
         // Only 2..4 comes back — reps 0 and 1 were acknowledged.
-        assert_eq!(t.request_lease(b, 4), LeaseGrant::Range { start: 2, end: 4 });
+        assert_eq!(
+            t.request_lease(b, 4),
+            LeaseGrant::Range { start: 2, end: 4 }
+        );
     }
 
     #[test]
@@ -664,21 +729,28 @@ mod tests {
     fn with_missing_serves_only_the_gaps() {
         let mut t = LeaseTable::new(10, LeaseConfig { chunk: 16, ..cfg() });
         // Resume: reps 3..5 and 8..10 still owed.
-        let mut t2 = LeaseTable::with_missing(10, &[(3, 5), (8, 10)], LeaseConfig {
-            chunk: 16,
-            ..cfg()
-        });
+        let mut t2 =
+            LeaseTable::with_missing(10, &[(3, 5), (8, 10)], LeaseConfig { chunk: 16, ..cfg() });
         let a = t2.add_worker("a");
         t2.on_connected(a, 0);
-        assert_eq!(t2.request_lease(a, 0), LeaseGrant::Range { start: 3, end: 5 });
+        assert_eq!(
+            t2.request_lease(a, 0),
+            LeaseGrant::Range { start: 3, end: 5 }
+        );
         complete(&mut t2, a, (3, 5), 1);
-        assert_eq!(t2.request_lease(a, 1), LeaseGrant::Range { start: 8, end: 10 });
+        assert_eq!(
+            t2.request_lease(a, 1),
+            LeaseGrant::Range { start: 8, end: 10 }
+        );
         complete(&mut t2, a, (8, 10), 2);
         assert_eq!(t2.request_lease(a, 2), LeaseGrant::Finished);
         // An un-resumed table over the same total serves everything.
         let b = t.add_worker("b");
         t.on_connected(b, 0);
-        assert_eq!(t.request_lease(b, 0), LeaseGrant::Range { start: 0, end: 10 });
+        assert_eq!(
+            t.request_lease(b, 0),
+            LeaseGrant::Range { start: 0, end: 10 }
+        );
     }
 
     /// A connected worker holding `0..4` and `4..8`.
@@ -686,20 +758,33 @@ mod tests {
         let mut t = LeaseTable::new(12, LeaseConfig { policy, ..cfg() });
         let a = t.add_worker("a");
         t.on_connected(a, 0);
-        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 4 });
-        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(
+            t.request_lease(a, 0),
+            LeaseGrant::Range { start: 0, end: 4 }
+        );
+        assert_eq!(
+            t.request_lease(a, 0),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
         (t, a)
     }
 
     #[test]
     fn a_worker_holds_at_most_two_leases() {
         let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
-        assert_eq!(t.request_lease(a, 1), LeaseGrant::Wait, "third lease while two are open");
+        assert_eq!(
+            t.request_lease(a, 1),
+            LeaseGrant::Wait,
+            "third lease while two are open"
+        );
         for r in 0..4 {
             t.on_rep_done(a, r, 2);
         }
         // The first lease's last rep retired it, so a third one is grantable.
-        assert_eq!(t.request_lease(a, 3), LeaseGrant::Range { start: 8, end: 12 });
+        assert_eq!(
+            t.request_lease(a, 3),
+            LeaseGrant::Range { start: 8, end: 12 }
+        );
     }
 
     #[test]
@@ -712,8 +797,14 @@ mod tests {
         let b = t.add_worker("b");
         t.on_connected(b, 2);
         // Lease 0..4 is fully reported; only the second lease's tail returns.
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 6, end: 8 });
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 8, end: 12 });
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 6, end: 8 }
+        );
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 8, end: 12 }
+        );
     }
 
     #[test]
@@ -726,7 +817,10 @@ mod tests {
         t.mark_dead(a, "killed", 3);
         let b = t.add_worker("b");
         t.on_connected(b, 3);
-        assert_eq!(t.request_lease(b, 4), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(
+            t.request_lease(b, 4),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
     }
 
     #[test]
@@ -737,21 +831,38 @@ mod tests {
         t.mark_dead(a, "killed", 2);
         let b = t.add_worker("b");
         t.on_connected(b, 2);
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 1, end: 4 });
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 1, end: 4 }
+        );
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
         assert_eq!(t.request_lease(b, 3), LeaseGrant::Wait, "b holds two");
 
         // Spare: both are embargoed for the replacement delay.
-        let (mut t, a) = holding_two(RecoveryPolicy::SpareSwap { replacement_delay_secs: 1.0 });
+        let (mut t, a) = holding_two(RecoveryPolicy::SpareSwap {
+            replacement_delay_secs: 1.0,
+        });
         t.on_rep_done(a, 0, 1);
         t.mark_dead(a, "killed", 100);
         let b = t.add_worker("b");
         t.on_connected(b, 100);
-        assert_eq!(t.request_lease(b, 200), LeaseGrant::Range { start: 8, end: 12 });
+        assert_eq!(
+            t.request_lease(b, 200),
+            LeaseGrant::Range { start: 8, end: 12 }
+        );
         complete(&mut t, b, (8, 12), 300);
         assert_eq!(t.request_lease(b, 1099), LeaseGrant::Wait, "embargo holds");
-        assert_eq!(t.request_lease(b, 1100), LeaseGrant::Range { start: 1, end: 4 });
-        assert_eq!(t.request_lease(b, 1100), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(
+            t.request_lease(b, 1100),
+            LeaseGrant::Range { start: 1, end: 4 }
+        );
+        assert_eq!(
+            t.request_lease(b, 1100),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
 
         // Abort: the reason names every unfinished range.
         let (mut t, a) = holding_two(RecoveryPolicy::AbortAndReport);
@@ -793,7 +904,9 @@ mod tests {
         let (mut t, a) = holding_two(RecoveryPolicy::AbortAndReport);
         t.on_rep_done(a, 0, 1);
         lie(&mut t, a);
-        let abort = t.abort_reason().expect("a protocol violation kills the worker");
+        let abort = t
+            .abort_reason()
+            .expect("a protocol violation kills the worker");
         assert!(abort.contains("holding reps 1..4, 4..8"), "{abort}");
         t.dead_reason(a).expect("dead").to_owned()
     }
@@ -814,8 +927,14 @@ mod tests {
         assert!(t.is_dead(a));
         let b = t.add_worker("b");
         t.on_connected(b, 3);
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 1, end: 4 });
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 1, end: 4 }
+        );
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
 
         // A worker that owes nothing may report nothing.
         let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
@@ -835,17 +954,26 @@ mod tests {
         let early = lie_under_abort(|t, a| t.on_lease_done(a, 2));
         assert_eq!(early, "lease_done for 0..4 before rep 1");
         let skipped = lie_under_abort(|t, a| t.on_lease_done_for(a, 4, 8, 2));
-        assert_eq!(skipped, "lease_done for 4..8 while lease 0..4 is still open");
+        assert_eq!(
+            skipped,
+            "lease_done for 4..8 while lease 0..4 is still open"
+        );
 
         // One lease_done per lease: a second one for the same range is
         // a lease the worker no longer holds.
         let (mut t, a) = holding_two(RecoveryPolicy::Rebalance);
         complete(&mut t, a, (0, 4), 1);
         t.on_lease_done_for(a, 0, 4, 2);
-        assert_eq!(t.dead_reason(a), Some("lease_done for a lease it never held (0..4)"));
+        assert_eq!(
+            t.dead_reason(a),
+            Some("lease_done for a lease it never held (0..4)")
+        );
         let b = t.add_worker("b");
         t.on_connected(b, 3);
-        assert_eq!(t.request_lease(b, 3), LeaseGrant::Range { start: 4, end: 8 });
+        assert_eq!(
+            t.request_lease(b, 3),
+            LeaseGrant::Range { start: 4, end: 8 }
+        );
     }
 
     #[test]
@@ -854,7 +982,10 @@ mod tests {
         let a = t.add_worker("a");
         t.on_connected(a, 0);
         assert!(!t.holds_lease(a));
-        assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 4 });
+        assert_eq!(
+            t.request_lease(a, 0),
+            LeaseGrant::Range { start: 0, end: 4 }
+        );
         for r in 0..4 {
             t.on_rep_done(a, r, 1);
         }

@@ -201,8 +201,7 @@ mod tests {
     fn pushes_snapshots_to_a_read_only_client_and_counts_zero_bytes() {
         let hub = scripted_hub();
         let before = hub.snapshot_json(500);
-        let mut server =
-            ObsServer::start(hub.clone(), "127.0.0.1:0", 50, || 500).expect("bind");
+        let mut server = ObsServer::start(hub.clone(), "127.0.0.1:0", 50, || 500).expect("bind");
         let addr = server.local_addr();
 
         let mut client = TcpStream::connect(addr).expect("connect");

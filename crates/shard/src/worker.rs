@@ -130,8 +130,16 @@ impl Shipper {
             Vec::new()
         };
         take_bounded(&mut self.pending_spans, spans, &mut self.dropped);
-        take_bounded(&mut self.pending_logs, self.collector.drain_logs(), &mut self.dropped);
-        take_bounded(&mut self.pending_flows, self.collector.drain_flows(), &mut self.dropped);
+        take_bounded(
+            &mut self.pending_logs,
+            self.collector.drain_logs(),
+            &mut self.dropped,
+        );
+        take_bounded(
+            &mut self.pending_flows,
+            self.collector.drain_flows(),
+            &mut self.dropped,
+        );
     }
 
     /// Drain, batch, and ship one `telemetry` frame (or drop it whole
@@ -213,22 +221,34 @@ fn flush_if_due(writer: &mut impl Write, flushed_at: &mut Instant, now: Instant)
 pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()> {
     let _span = flagsim_telemetry::span("shard", "worker_session");
     stream.set_nodelay(true).ok();
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = wire::Receiver::new(BufReader::new(stream.try_clone()?));
     let mut writer = BufWriter::new(stream.try_clone()?);
 
     // Handshake: hello carries the whole job (and the trace context).
-    let (job, trace): (JobSpec, Option<TraceConfig>) = match wire::recv(&mut reader)? {
-        Some(Message::Hello { protocol, job, trace }) if protocol == PROTOCOL_VERSION => {
-            (job, trace)
-        }
+    let (job, trace): (JobSpec, Option<TraceConfig>) = match reader.recv()? {
+        Some(Message::Hello {
+            protocol,
+            job,
+            trace,
+        }) if protocol == PROTOCOL_VERSION => (job, trace),
         Some(Message::Hello { protocol, .. }) => {
             let msg = format!("protocol {protocol} != {PROTOCOL_VERSION}");
-            wire::send(&mut writer, &Message::Error { message: msg.clone() })?;
+            wire::send(
+                &mut writer,
+                &Message::Error {
+                    message: msg.clone(),
+                },
+            )?;
             return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
         Some(other) => {
             let msg = format!("expected hello, got {other:?}");
-            wire::send(&mut writer, &Message::Error { message: msg.clone() })?;
+            wire::send(
+                &mut writer,
+                &Message::Error {
+                    message: msg.clone(),
+                },
+            )?;
             return Err(io::Error::new(io::ErrorKind::InvalidData, msg));
         }
         None => return Ok(()), // peer connected and left; nothing owed
@@ -240,7 +260,12 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
             return Err(io::Error::new(io::ErrorKind::InvalidData, e));
         }
     };
-    wire::send(&mut writer, &Message::HelloOk { worker: opts.name.clone() })?;
+    wire::send(
+        &mut writer,
+        &Message::HelloOk {
+            worker: opts.name.clone(),
+        },
+    )?;
 
     // With a trace context, everything recorded from here on is shipped
     // back; without one, instrumentation stays in its disabled
@@ -254,17 +279,25 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
         log::info(
             "shard.worker",
             "session start",
-            &[("worker", opts.name.clone()), ("campaign", s.config.campaign.clone())],
+            &[
+                ("worker", opts.name.clone()),
+                ("campaign", s.config.campaign.clone()),
+            ],
         );
     }
 
     let runner = mat.runner();
     let result = loop {
-        match wire::recv(&mut reader)? {
+        match reader.recv()? {
             Some(Message::Lease { start, end, grant }) => {
                 if start >= end || end > mat.reps {
                     let msg = format!("bad lease {start}..{end} for {} reps", mat.reps);
-                    wire::send(&mut writer, &Message::Error { message: msg.clone() })?;
+                    wire::send(
+                        &mut writer,
+                        &Message::Error {
+                            message: msg.clone(),
+                        },
+                    )?;
                     break Err(io::Error::new(io::ErrorKind::InvalidData, msg));
                 }
                 let lease_span = shipper.as_ref().map(|s| {
@@ -287,8 +320,8 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
                     let sampled = shipper
                         .as_ref()
                         .is_some_and(|s| s.config.sample <= 1 || rep % s.config.sample == 0);
-                    let _pause = (shipper.is_some() && !sampled)
-                        .then(flagsim_telemetry::pause_recording);
+                    let _pause =
+                        (shipper.is_some() && !sampled).then(flagsim_telemetry::pause_recording);
                     let outcome = {
                         let _rep_span = sampled
                             .then(|| flagsim_telemetry::span("sim", "sweep.rep").arg("rep", rep));
@@ -325,7 +358,12 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
             }
             Some(other) => {
                 let msg = format!("unexpected frame {other:?}");
-                wire::send(&mut writer, &Message::Error { message: msg.clone() })?;
+                wire::send(
+                    &mut writer,
+                    &Message::Error {
+                        message: msg.clone(),
+                    },
+                )?;
                 break Err(io::Error::new(io::ErrorKind::InvalidData, msg));
             }
             None => break Ok(()), // coordinator hung up (or died); leases lapse
@@ -380,14 +418,40 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
-        wire::send(&mut w, &Message::Hello { protocol: PROTOCOL_VERSION, job: job(), trace: None }).unwrap();
-        assert!(matches!(wire::recv(&mut r).unwrap(), Some(Message::HelloOk { .. })));
-        wire::send(&mut w, &Message::Lease { start: 1, end: 4, grant: 0 }).unwrap();
+        wire::send(
+            &mut w,
+            &Message::Hello {
+                protocol: PROTOCOL_VERSION,
+                job: job(),
+                trace: None,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            wire::recv(&mut r).unwrap(),
+            Some(Message::HelloOk { .. })
+        ));
+        wire::send(
+            &mut w,
+            &Message::Lease {
+                start: 1,
+                end: 4,
+                grant: 0,
+            },
+        )
+        .unwrap();
         let local = job().materialize().unwrap();
         let runner = local.runner();
         for expect_rep in 1u64..4 {
             match wire::recv(&mut r).unwrap() {
-                Some(Message::Rep { rep, outcome: RepOutcome::Ok { completion, waiting } }) => {
+                Some(Message::Rep {
+                    rep,
+                    outcome:
+                        RepOutcome::Ok {
+                            completion,
+                            waiting,
+                        },
+                }) => {
                     assert_eq!(rep, expect_rep);
                     let mine = runner.run_rep(rep).unwrap();
                     assert_eq!(completion.to_bits(), mine.completion_secs().to_bits());
@@ -426,7 +490,10 @@ mod tests {
         for ms in (10..=200).step_by(10) {
             let now = t0 + Duration::from_millis(ms);
             flush_if_due(&mut writer, &mut flushed_at, now).unwrap();
-            assert!(now - flushed_at < FLUSH_EVERY, "no flush since {flushed_at:?} at {ms} ms");
+            assert!(
+                now - flushed_at < FLUSH_EVERY,
+                "no flush since {flushed_at:?} at {ms} ms"
+            );
         }
         assert_eq!(writer.0, 6, "flushes at 30, 60, …, 180 ms");
     }
@@ -437,7 +504,15 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
-        wire::send(&mut w, &Message::Hello { protocol: 999, job: job(), trace: None }).unwrap();
+        wire::send(
+            &mut w,
+            &Message::Hello {
+                protocol: 999,
+                job: job(),
+                trace: None,
+            },
+        )
+        .unwrap();
         match wire::recv(&mut r).unwrap() {
             Some(Message::Error { message }) => assert!(message.contains("999"), "{message}"),
             other => panic!("expected error, got {other:?}"),
@@ -452,9 +527,23 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
-        let bad = JobSpec { flag: "Atlantis".into(), ..job() };
-        wire::send(&mut w, &Message::Hello { protocol: PROTOCOL_VERSION, job: bad, trace: None }).unwrap();
-        assert!(matches!(wire::recv(&mut r).unwrap(), Some(Message::Error { .. })));
+        let bad = JobSpec {
+            flag: "Atlantis".into(),
+            ..job()
+        };
+        wire::send(
+            &mut w,
+            &Message::Hello {
+                protocol: PROTOCOL_VERSION,
+                job: bad,
+                trace: None,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            wire::recv(&mut r).unwrap(),
+            Some(Message::Error { .. })
+        ));
         handle.join().unwrap().unwrap();
 
         // Lease beyond the job's rep range.
@@ -462,10 +551,32 @@ mod tests {
         let stream = TcpStream::connect(addr).unwrap();
         let mut r = BufReader::new(stream.try_clone().unwrap());
         let mut w = BufWriter::new(stream);
-        wire::send(&mut w, &Message::Hello { protocol: PROTOCOL_VERSION, job: job(), trace: None }).unwrap();
-        assert!(matches!(wire::recv(&mut r).unwrap(), Some(Message::HelloOk { .. })));
-        wire::send(&mut w, &Message::Lease { start: 0, end: 99, grant: 0 }).unwrap();
-        assert!(matches!(wire::recv(&mut r).unwrap(), Some(Message::Error { .. })));
+        wire::send(
+            &mut w,
+            &Message::Hello {
+                protocol: PROTOCOL_VERSION,
+                job: job(),
+                trace: None,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            wire::recv(&mut r).unwrap(),
+            Some(Message::HelloOk { .. })
+        ));
+        wire::send(
+            &mut w,
+            &Message::Lease {
+                start: 0,
+                end: 99,
+                grant: 0,
+            },
+        )
+        .unwrap();
+        assert!(matches!(
+            wire::recv(&mut r).unwrap(),
+            Some(Message::Error { .. })
+        ));
         handle.join().unwrap().unwrap();
     }
 }

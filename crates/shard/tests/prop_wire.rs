@@ -90,16 +90,21 @@ fn log_record() -> impl Strategy<Value = LogRecord> {
 }
 
 fn flow() -> impl Strategy<Value = FlowRecord> {
-    (any::<u64>(), static_name(), any::<u64>(), small_string(), any::<bool>()).prop_map(
-        |(id, name, ts_ns, track, start)| FlowRecord {
+    (
+        any::<u64>(),
+        static_name(),
+        any::<u64>(),
+        small_string(),
+        any::<bool>(),
+    )
+        .prop_map(|(id, name, ts_ns, track, start)| FlowRecord {
             id,
             name,
             ts_ns,
             track,
             process: String::new(),
             start,
-        },
-    )
+        })
 }
 
 fn batch() -> impl Strategy<Value = TelemetryBatch> {
@@ -111,29 +116,44 @@ fn batch() -> impl Strategy<Value = TelemetryBatch> {
         proptest::collection::vec(flow(), 0..4),
         proptest::collection::vec((small_string(), any::<u64>()), 0..3),
     )
-        .prop_map(|(seq, dropped, spans, logs, flows, counters)| TelemetryBatch {
-            seq,
-            dropped,
-            spans,
-            logs,
-            flows,
-            counters,
-        })
+        .prop_map(
+            |(seq, dropped, spans, logs, flows, counters)| TelemetryBatch {
+                seq,
+                dropped,
+                spans,
+                logs,
+                flows,
+                counters,
+            },
+        )
 }
 
 fn trace_config() -> impl Strategy<Value = Option<TraceConfig>> {
-    (any::<bool>(), small_string(), level(), any::<bool>(), any::<u64>()).prop_map(
-        |(some, campaign, level, spans, sample)| {
-            some.then_some(TraceConfig { campaign, level, spans, sample })
-        },
+    (
+        any::<bool>(),
+        small_string(),
+        level(),
+        any::<bool>(),
+        any::<u64>(),
     )
+        .prop_map(|(some, campaign, level, spans, sample)| {
+            some.then_some(TraceConfig {
+                campaign,
+                level,
+                spans,
+                sample,
+            })
+        })
 }
 
 fn round_trips(msg: &Message) {
     let encoded = msg.encode();
-    let decoded = Message::decode(&encoded)
-        .unwrap_or_else(|e| panic!("decode failed: {e} for {encoded}"));
-    assert_eq!(&decoded, msg, "wire round-trip changed the frame: {encoded}");
+    let decoded =
+        Message::decode(&encoded).unwrap_or_else(|e| panic!("decode failed: {e} for {encoded}"));
+    assert_eq!(
+        &decoded, msg,
+        "wire round-trip changed the frame: {encoded}"
+    );
 }
 
 proptest! {

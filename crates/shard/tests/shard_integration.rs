@@ -65,14 +65,24 @@ fn lease_failure_arc_under_each_policy() {
     let b = t.add_worker("b");
     t.on_connected(a, 0);
     t.on_connected(b, 0);
-    assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 5 });
-    assert_eq!(t.request_lease(b, 0), LeaseGrant::Range { start: 5, end: 10 });
+    assert_eq!(
+        t.request_lease(a, 0),
+        LeaseGrant::Range { start: 0, end: 5 }
+    );
+    assert_eq!(
+        t.request_lease(b, 0),
+        LeaseGrant::Range { start: 5, end: 10 }
+    );
     t.on_rep_done(a, 0, 40);
     t.on_rep_done(a, 1, 80); // a's last sign of life: t=80
     for (rep, now) in [(5, 50), (6, 100), (7, 150), (8, 181)] {
         t.on_rep_done(b, rep, now);
     }
-    assert_eq!(t.check_deadlines(180), vec![], "a is 100ms quiet at 180 — alive");
+    assert_eq!(
+        t.check_deadlines(180),
+        vec![],
+        "a is 100ms quiet at 180 — alive"
+    );
     assert_eq!(t.check_deadlines(181), vec![a], "101ms of silence kills a");
     t.on_rep_done(b, 9, 185); // b finishes its own lease...
     assert_eq!(
@@ -83,18 +93,30 @@ fn lease_failure_arc_under_each_policy() {
 
     // SpareSwap: the orphaned range is embargoed for the replacement
     // delay, then grantable.
-    let mut t = LeaseTable::new(5, LeaseConfig {
-        policy: RecoveryPolicy::SpareSwap { replacement_delay_secs: 2.0 },
-        ..base.clone()
-    });
+    let mut t = LeaseTable::new(
+        5,
+        LeaseConfig {
+            policy: RecoveryPolicy::SpareSwap {
+                replacement_delay_secs: 2.0,
+            },
+            ..base.clone()
+        },
+    );
     let a = t.add_worker("a");
     let b = t.add_worker("b");
     t.on_connected(a, 0);
     t.on_connected(b, 0);
-    assert_eq!(t.request_lease(a, 0), LeaseGrant::Range { start: 0, end: 5 });
+    assert_eq!(
+        t.request_lease(a, 0),
+        LeaseGrant::Range { start: 0, end: 5 }
+    );
     assert_eq!(t.check_deadlines(101), vec![a]);
     assert_eq!(t.request_lease(b, 102), LeaseGrant::Wait, "embargo holds");
-    assert_eq!(t.request_lease(b, 2100), LeaseGrant::Wait, "still holds at 2.0s-ε");
+    assert_eq!(
+        t.request_lease(b, 2100),
+        LeaseGrant::Wait,
+        "still holds at 2.0s-ε"
+    );
     assert_eq!(
         t.request_lease(b, 2101),
         LeaseGrant::Range { start: 0, end: 5 },
@@ -102,10 +124,13 @@ fn lease_failure_arc_under_each_policy() {
     );
 
     // AbortAndReport: the campaign stops granting and carries a reason.
-    let mut t = LeaseTable::new(5, LeaseConfig {
-        policy: RecoveryPolicy::AbortAndReport,
-        ..base
-    });
+    let mut t = LeaseTable::new(
+        5,
+        LeaseConfig {
+            policy: RecoveryPolicy::AbortAndReport,
+            ..base
+        },
+    );
     let a = t.add_worker("a");
     let b = t.add_worker("b");
     t.on_connected(a, 0);
@@ -121,14 +146,17 @@ fn lease_failure_arc_under_each_policy() {
 /// budget-limited — on the same fake clock.
 #[test]
 fn reconnect_backoff_schedule_is_deterministic() {
-    let mut t = LeaseTable::new(1, LeaseConfig {
-        chunk: 1,
-        heartbeat_timeout_ms: 100,
-        backoff_base_ms: 7,
-        backoff_cap_ms: 20,
-        max_connect_attempts: 5,
-        policy: RecoveryPolicy::Rebalance,
-    });
+    let mut t = LeaseTable::new(
+        1,
+        LeaseConfig {
+            chunk: 1,
+            heartbeat_timeout_ms: 100,
+            backoff_base_ms: 7,
+            backoff_cap_ms: 20,
+            max_connect_attempts: 5,
+            policy: RecoveryPolicy::Rebalance,
+        },
+    );
     let w = t.add_worker("w");
     let mut now = 0;
     let mut delays = Vec::new();
@@ -140,7 +168,11 @@ fn reconnect_backoff_schedule_is_deterministic() {
             now = at;
         }
     }
-    assert_eq!(delays, vec![7, 14, 20, 20], "base, doubled, then capped twice");
+    assert_eq!(
+        delays,
+        vec![7, 14, 20, 20],
+        "base, doubled, then capped twice"
+    );
     assert!(t.is_dead(w), "fifth failure exhausts the budget");
     assert!(!t.may_connect(w, now + 1000));
 }
@@ -203,7 +235,11 @@ fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
             )
             .unwrap_or_else(|e| panic!("resume from kill point {kill_after}: {e}")),
         );
-        assert_bits_equal(&c, &fresh_c, &format!("completion after kill at {kill_after}"));
+        assert_bits_equal(
+            &c,
+            &fresh_c,
+            &format!("completion after kill at {kill_after}"),
+        );
         assert_bits_equal(&w, &fresh_w, &format!("waiting after kill at {kill_after}"));
         assert!(
             std::fs::read(&ckpt).expect("resumed final checkpoint") == fresh_bytes,
@@ -217,9 +253,8 @@ fn crash_at_every_checkpoint_boundary_resumes_bit_identically() {
 #[test]
 fn double_kill_double_resume_still_bit_identical() {
     let j = job(9);
-    let (fresh_c, _) = completed(
-        run_sweep(&j, &CoordinatorConfig::default()).expect("uninterrupted sweep"),
-    );
+    let (fresh_c, _) =
+        completed(run_sweep(&j, &CoordinatorConfig::default()).expect("uninterrupted sweep"));
     let dir = std::env::temp_dir().join(format!("flagsim-doublekill-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("tmp dir");
     let ckpt = dir.join("sweep.ckpt");
@@ -230,7 +265,10 @@ fn double_kill_double_resume_still_bit_identical() {
     };
     let first = run_sweep(
         &j,
-        &CoordinatorConfig { halt_after_reps: Some(3), ..base.clone() },
+        &CoordinatorConfig {
+            halt_after_reps: Some(3),
+            ..base.clone()
+        },
     )
     .expect("first kill");
     assert!(matches!(first, ShardOutcome::Halted { .. }));

@@ -7,27 +7,41 @@
 //! to reject anything `chrome://tracing` would reject), and
 //! [`validate_chrome_trace`] layers the trace-event rules on top:
 //! a `traceEvents` array whose `"B"`/`"E"` events form balanced,
-//! name-matched stacks per thread track.
+//! name-matched stacks per thread track. [`scan_object`] runs the same
+//! parser over a flat object without building its tree, for readers
+//! (the shard wire's per-rep frames) that must not allocate.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::Write;
 
 /// Escape `s` into `out` as JSON string *content* (no surrounding
-/// quotes).
-pub fn json_escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// quotes). Runs that need no escape are written whole, so a writer that
+/// never allocates (a byte counter, a buffered socket) escapes without
+/// allocating. A write error from `out` stops nothing here: a writer that
+/// can fail records its own error.
+pub fn json_escape_into<W: Write + ?Sized>(s: &str, out: &mut W) {
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` and `i + 1` are char boundaries.
+        let _ = out.write_str(&s[run..i]);
+        let _ = if escape.is_empty() {
+            write!(out, "\\u{b:04x}")
+        } else {
+            out.write_str(escape)
+        };
+        run = i + 1;
     }
+    let _ = out.write_str(&s[run..]);
 }
 
 /// Escape `s` as a complete JSON string, quotes included.
@@ -115,41 +129,135 @@ impl Value {
 /// shard frame, a checkpoint file) from overflowing the parser's stack.
 const MAX_DEPTH: usize = 128;
 
+/// A JSON string as it stands in a document: the text between its
+/// quotes, escapes and all.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawStr<'a> {
+    text: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The string's value, borrowed from the document unless it holds
+    /// an escape. A `\u` escape of a lone surrogate becomes U+FFFD.
+    pub fn value(self) -> Cow<'a, str> {
+        if self.escaped {
+            Cow::Owned(unescape(self.text))
+        } else {
+            Cow::Borrowed(self.text)
+        }
+    }
+}
+
+/// Decode string content that [`Parser::raw_string`] accepted.
+fn unescape(raw: &str) -> String {
+    let mut out = String::with_capacity(raw.len());
+    let mut rest = raw;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        let escape = &rest[at + 1..];
+        let Some(&kind) = escape.as_bytes().first() else {
+            rest = escape;
+            break;
+        };
+        let (c, len) = match kind {
+            b'b' => ('\u{8}', 1),
+            b'f' => ('\u{c}', 1),
+            b'n' => ('\n', 1),
+            b'r' => ('\r', 1),
+            b't' => ('\t', 1),
+            b'u' => {
+                let code = escape
+                    .get(1..5)
+                    .and_then(|h| u32::from_str_radix(h, 16).ok());
+                // Surrogates are accepted as replacement chars; the
+                // exporters never emit them.
+                (code.and_then(char::from_u32).unwrap_or('\u{fffd}'), 5)
+            }
+            // `"`, `\` and `/` stand for themselves.
+            other => (char::from(other), 1),
+        };
+        out.push(c);
+        rest = escape.get(len..).unwrap_or_default();
+    }
+    out.push_str(rest);
+    out
+}
+
+/// One member value as [`scan_object`] hands it over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar<'a> {
+    /// A string, still escaped.
+    Str(RawStr<'a>),
+    /// `true` or `false`.
+    Bool(bool),
+    /// A number, `null`, array or object: checked, then dropped.
+    Other,
+}
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
 /// Parse a complete JSON document. Errors carry the byte offset.
 pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-        depth: 0,
-    };
+    let mut p = Parser::new(text);
     p.skip_ws();
     let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
+    p.end()?;
     Ok(v)
 }
 
+/// Check one JSON document exactly as [`parse`] does, but build no tree
+/// for its top level: when it is an object, hand each member to `member`
+/// in document order, strings and booleans borrowed as they stand (a
+/// later duplicate key comes later, so a caller that keeps the last one
+/// sees what `parse` keeps). A document that is not an object has no
+/// members. Nothing is allocated unless a string holds an escape: other
+/// values, nested arrays and objects included, are checked and skipped.
+pub fn scan_object<'a>(
+    text: &'a str,
+    mut member: impl FnMut(RawStr<'a>, Scalar<'a>),
+) -> Result<(), String> {
+    let mut p = Parser::new(text);
+    p.skip_ws();
+    if p.peek() == Some(b'{') {
+        p.nested(|p| p.members(Parser::scalar, &mut member))?;
+    } else {
+        p.value()?;
+    }
+    p.end()
+}
+
 impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// Only whitespace may follow the document.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
+        }
+    }
+
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -166,8 +274,8 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn literal<T>(&mut self, word: &str, v: T) -> Result<T, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -179,7 +287,7 @@ impl<'a> Parser<'a> {
         match self.peek() {
             Some(b'{') => self.nested(Self::object),
             Some(b'[') => self.nested(Self::array),
-            Some(b'"') => Ok(Value::String(self.string()?)),
+            Some(b'"') => Ok(Value::String(self.raw_string()?.value().into_owned())),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -192,8 +300,33 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// One value as a [`Scalar`]: strings and booleans as they stand,
+    /// anything else checked and skipped.
+    fn scalar(&mut self) -> Result<Scalar<'a>, String> {
+        match self.peek() {
+            Some(b'"') => self.raw_string().map(Scalar::Str),
+            Some(b't') => self.literal("true", Scalar::Bool(true)),
+            Some(b'f') => self.literal("false", Scalar::Bool(false)),
+            _ => self.skip().map(|()| Scalar::Other),
+        }
+    }
+
+    /// Check one value as [`Parser::value`] would, nesting cap included,
+    /// without building it.
+    fn skip(&mut self) -> Result<(), String> {
+        match self.peek() {
+            Some(b'{') => self.nested(|p| p.members(Self::skip, |_, ()| {})),
+            Some(b'[') => self.nested(|p| p.elements(Self::skip, |()| {})),
+            Some(b'"') => self.raw_string().map(drop),
+            _ => self.value().map(drop),
+        }
+    }
+
     /// Parse one array or object, one level deeper than the caller.
-    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, String>) -> Result<Value, String> {
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
         if self.depth == MAX_DEPTH {
             return Err(format!(
                 "nesting deeper than {MAX_DEPTH} levels at byte {}",
@@ -207,27 +340,39 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Value, String> {
-        self.expect(b'{')?;
         let mut map = BTreeMap::new();
+        self.members(Self::value, |key, val| {
+            map.insert(key.value().into_owned(), val);
+        })?;
+        Ok(Value::Object(map))
+    }
+
+    /// The object whose `{` is next: each member's value read by `value`
+    /// and handed to `each` with its key, in document order.
+    fn members<V>(
+        &mut self,
+        value: fn(&mut Self) -> Result<V, String>,
+        mut each: impl FnMut(RawStr<'a>, V),
+    ) -> Result<(), String> {
+        self.expect(b'{')?;
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = self.raw_string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let val = self.value()?;
-            map.insert(key, val);
+            each(key, value(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(Value::Object(map));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -241,22 +386,33 @@ impl<'a> Parser<'a> {
     }
 
     fn array(&mut self) -> Result<Value, String> {
-        self.expect(b'[')?;
         let mut items = Vec::new();
+        self.elements(Self::value, |v| items.push(v))?;
+        Ok(Value::Array(items))
+    }
+
+    /// The array whose `[` is next: each element read by `value` and
+    /// handed to `each`, in order.
+    fn elements<V>(
+        &mut self,
+        value: fn(&mut Self) -> Result<V, String>,
+        mut each: impl FnMut(V),
+    ) -> Result<(), String> {
+        self.expect(b'[')?;
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(());
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            each(value(self)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
-                    return Ok(Value::Array(items));
+                    return Ok(());
                 }
                 other => {
                     return Err(format!(
@@ -269,62 +425,50 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Check one string and return it undecoded; [`RawStr::value`]
+    /// decodes it.
+    fn raw_string(&mut self) -> Result<RawStr<'a>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
             let Some(b) = self.peek() else {
                 return Err("unterminated string".to_owned());
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
+                // Both quotes are ASCII, so the slice is on char boundaries.
+                b'"' => {
+                    return Ok(RawStr {
+                        text: &self.text[start..self.pos - 1],
+                        escaped,
+                    })
+                }
                 b'\\' => {
+                    escaped = true;
                     let Some(esc) = self.peek() else {
                         return Err("unterminated escape".to_owned());
                     };
                     self.pos += 1;
                     match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
+                        b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't' => {}
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos..self.pos + 4)
                                 .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or("truncated \\u escape")?;
-                            // `from_str_radix` alone would accept a sign.
-                            let code = u32::from_str_radix(hex, 16)
-                                .ok()
-                                .filter(|_| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .ok_or_else(|| format!("bad \\u escape {hex:?}"))?;
+                            if !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                                return Err(format!("bad \\u escape {hex:?}"));
+                            }
                             self.pos += 4;
-                            // Surrogates are accepted as replacement chars;
-                            // the exporters never emit them.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         }
                         other => return Err(format!("bad escape \\{}", other as char)),
                     }
                 }
                 b if b < 0x20 => return Err(format!("raw control byte {b:#x} in string")),
-                _ => {
-                    // Re-sync to char boundaries for multi-byte UTF-8.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && (self.bytes[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                _ => {}
             }
         }
     }
@@ -337,8 +481,8 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_owned())?;
+        // Every byte of the number is ASCII, so the slice is too.
+        let text = &self.text[start..self.pos];
         text.parse::<f64>()
             .map(Value::Number)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -402,6 +546,38 @@ pub fn validate_chrome_trace(text: &str) -> Result<usize, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn scan_object_sees_what_parse_sees() {
+        let doc = r#" {"a":"x\u0041\ud800","b":true,"a":"plain","n":[1,{"k":null}],"c":-2e3} "#;
+        let mut members = Vec::new();
+        scan_object(doc, |k, v| members.push((k.value().into_owned(), v))).unwrap();
+        let keys: Vec<&str> = members.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["a", "b", "a", "n", "c"], "every member, in order");
+        let Scalar::Str(first) = members[0].1 else {
+            panic!("{:?}", members[0]);
+        };
+        assert_eq!(first.value(), "xA\u{fffd}");
+        assert!(matches!(first.value(), Cow::Owned(_)), "escapes decode");
+        assert!(matches!(members[2].1, Scalar::Str(s) if matches!(s.value(), Cow::Borrowed("plain"))));
+        assert_eq!(members[1].1, Scalar::Bool(true));
+        assert_eq!((members[3].1, members[4].1), (Scalar::Other, Scalar::Other));
+        // The tree keeps the later duplicate, as a caller keeping the
+        // last member does.
+        assert_eq!(parse(doc).unwrap().get("a").and_then(Value::as_str), Some("plain"));
+        // Not an object: checked, no members. Broken: refused as parse
+        // refuses it, nesting cap included.
+        let deep = format!("{{\"a\":{}{}}}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        for doc in ["[1, 2]", "\"s\"", "{\"a\":1,}", "{\"a\" 1}", "{\"a\":\"\\x\"}", &deep] {
+            let mut seen = 0;
+            let scanned = scan_object(doc, |_, _| seen += 1);
+            assert_eq!(scanned.is_ok(), parse(doc).is_ok(), "{doc}");
+            if doc.starts_with('[') || doc.starts_with('"') {
+                assert_eq!((scanned, seen), (Ok(()), 0), "{doc}");
+            }
+        }
+        assert!(scan_object(&deep, |_, _| {}).unwrap_err().contains("nesting"));
+    }
 
     #[test]
     fn f64_bits_round_trip_exactly() {
