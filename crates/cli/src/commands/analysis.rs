@@ -27,7 +27,8 @@ options! {
         format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
         sel: Selection = Selection::declare(a)?,
         team: Option<usize> = a.opt("team", "N", positive)?,
-        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+        // Accepted for symmetry with `sweep`: one run has one lane.
+        _jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
     }
 
     pub(super) struct ProfileArgs("profile") |a| {
@@ -47,7 +48,8 @@ options! {
         static_only: bool = a.switch("static-only"),
         sel: Selection = Selection::declare(a)?,
         team: Option<usize> = a.opt("team", "N", uint)?,
-        jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
+        // Accepted for symmetry with `sweep`: one run has one lane.
+        _jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
         plan: Option<FaultPlan> = plan(a)?,
         policy: Option<RecoveryPolicy> = policy(a)?,
     }
@@ -113,9 +115,8 @@ fn id_list(s: &str) -> Result<Vec<String>, String> {
 pub(super) fn cmd_explain(a: ExplainArgs) -> Result<String, CliError> {
     let s = a.sel.setup(&a.scenario)?;
     let team = a.team.unwrap_or_else(|| s.scenario.team_size(&s.flag, &s.cfg));
-    let explanation = flagsim_core::explain::explain_scenario(
-        &s.scenario, &s.flag, &s.kit, &s.cfg, team, a.jobs,
-    )?;
+    let explanation =
+        flagsim_core::explain::explain_scenario(&s.scenario, &s.flag, &s.kit, &s.cfg, team)?;
     Ok(match a.format {
         "json" => explanation.to_json(),
         _ => explanation.render_text(72),
@@ -245,22 +246,18 @@ pub(super) fn cmd_check(a: CheckArgs) -> Result<String, CliError> {
             "check: running {} once (seed {}) for happens-before analysis",
             scenario.name, a.sel.seed
         );
-        // One deterministic repetition through the sweep runner: rep 0
-        // derives the same seed on any job count, so `--jobs` can never
-        // change the findings (asserted byte-for-byte in the tests).
+        // Rep 0, exactly as a sweep runs it, so `--jobs` cannot change
+        // the findings (asserted byte-for-byte in the tests).
         let run = SweepRunner::new(scenario, flag, &s.kit, cfg)
             .team_size(scenario.team_size(flag, cfg).min(team))
-            .reps(1)
-            .jobs(a.jobs)
             .plan(&plan)
-            .retain_reports(true)
-            .run();
+            .run_rep(0);
         match run {
-            Ok(result) if !result.reports.is_empty() => {
-                report.extend(simcheck::check_run(&result.reports[0]).diags());
+            Ok(observed) => {
+                report.extend(simcheck::check_run(&observed).diags());
                 report.sort();
             }
-            Ok(_) | Err(_) => {
+            Err(_) => {
                 eprintln!(
                     "check: the observation run failed — static findings only \
                      (they usually explain why)"

@@ -1,5 +1,5 @@
 //! Command dispatch. Each subcommand declares its options once, as a typed
-//! argument struct (see [`args`]); the dispatch table below pairs that
+//! argument struct (see `args`); the dispatch table below pairs that
 //! struct with the command body, and the usage text is rendered from the
 //! same declarations.
 

@@ -276,10 +276,21 @@ fn failure_note(failures: &[SweepFailure]) -> Option<String> {
     ))
 }
 
+/// What the rep-running half of a sweep hands the shared body: the
+/// header line and the merged statistics.
+struct Swept {
+    header: String,
+    completion: RunStats,
+    waiting: RunStats,
+    failures: Vec<SweepFailure>,
+}
+
 /// `flagsim sweep` — the measurement campaign front door: run a scenario
-/// across many seeds on `--jobs` worker threads and print the summary
-/// statistics. The job count never changes the numbers, only the
-/// wall-clock time.
+/// across many seeds on `--jobs` lanes and print the summary statistics.
+/// The job count never changes the numbers, only the wall-clock time.
+/// Any option of the sharded-sweep group routes the reps through the
+/// shard coordinator ([`sharded`]); everything around the reps is
+/// [`run_campaign`], whichever path runs them.
 pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
     use flagsim_core::sweep::SweepRunner;
 
@@ -287,68 +298,83 @@ pub(super) fn cmd_sweep(a: SweepArgs) -> Result<String, CliError> {
         flagsim_telemetry::log::set_level(level);
     }
     if a.shard.1 {
-        return cmd_sweep_shard(a);
+        return sharded(&a);
     }
     let (which, s, team) = checked_setup(&a)?;
-    let (reps, jobs) = (a.reps, a.jobs);
-    let mut runner = SweepRunner::new(&s.scenario, &s.flag, &s.kit, &s.cfg)
-        .team_size(team)
-        .warmup(a.warmup)
-        .reps(reps)
-        .jobs(jobs)
-        .retain_reports(!a.stream);
-    let started = Instant::now();
+    run_campaign(&a, &job_spec(&a, which, team), |hub, started| {
+        let (reps, jobs) = (a.reps, a.jobs);
+        let mut runner = SweepRunner::new(&s.scenario, &s.flag, &s.kit, &s.cfg)
+            .team_size(team)
+            .warmup(a.warmup)
+            .reps(reps)
+            .jobs(jobs)
+            .retain_reports(!a.stream);
+        if a.dashboard {
+            // One fleet row per lane.
+            let hub = hub.clone();
+            runner = runner.on_progress(move |p| {
+                let now = started.elapsed().as_millis() as u64;
+                hub.with(|fv| fv.on_lane(p.worker, p.completed, p.failed, now));
+            });
+        } else if a.progress {
+            let stepper = Mutex::new(Stepper::new(reps));
+            runner = runner.on_progress(move |p| {
+                if stepper.lock().unwrap_or_else(PoisonError::into_inner).due(p.completed) {
+                    eprintln!("sweep: {}/{} rep(s) done, {} failed", p.completed, p.total, p.failed);
+                }
+            });
+        }
+        let r = runner.run().map_err(|e| e.to_string())?;
+        let stream = if a.stream { ", streaming statistics (reports dropped)" } else { "" };
+        let header = format!(
+            "{} — {}, {reps} rep(s), {jobs} job(s), seed {}{stream}\n\n",
+            s.scenario.name, a.sel.spec.name, a.sel.seed,
+        );
+        Ok(Ok(Swept { header, completion: r.completion, waiting: r.waiting, failures: r.failures }))
+    })
+}
+
+/// The body every sweep shares: the fleet hub, the telemetry collector
+/// and dashboard, the trace, the fleet snapshot, the failure note and
+/// the statistics table. `drive` runs the reps: `Err` is a sweep that
+/// failed (no trace or snapshot), `Ok(Err)` one that stopped early (both
+/// still written).
+fn run_campaign(
+    a: &SweepArgs,
+    job: &flagsim_shard::JobSpec,
+    drive: impl FnOnce(&ObsHub, Instant) -> Result<Result<Swept, CliError>, CliError>,
+) -> Result<String, CliError> {
     let hub = ObsHub::new();
-    hub.with(|fv| fv.reset(flagsim_shard::campaign_id(&job_spec(&a, which, team)), reps));
-    let (collector, dash) = telemetry(&a, &hub, reps, started);
-    if dash.is_some() {
-        // One fleet row per lane.
-        runner = runner.on_progress(move |p| {
-            let now = started.elapsed().as_millis() as u64;
-            hub.with(|fv| fv.on_lane(p.worker, p.completed, p.failed, now));
-        });
-    } else if a.progress {
-        let stepper = Mutex::new(Stepper::new(reps));
-        runner = runner.on_progress(move |p| {
-            if stepper.lock().unwrap_or_else(PoisonError::into_inner).due(p.completed) {
-                eprintln!("sweep: {}/{} rep(s) done, {} failed", p.completed, p.total, p.failed);
-            }
-        });
-    }
-    let result = runner.run().map_err(|e| e.to_string());
+    hub.with(|fv| fv.reset(flagsim_shard::campaign_id(job), job.reps));
+    let started = Instant::now();
+    let (collector, dash) = telemetry(a, &hub, job.reps, started);
+    let outcome = drive(&hub, started);
     if let Some(d) = dash {
-        d.finish(result.is_ok());
+        d.finish(matches!(outcome, Ok(Ok(_))));
     }
-    finish_trace(collector, result.is_ok(), a.trace_out.as_deref(), |line| eprintln!("{line}"))?;
-    let result = result?;
-    let mut out = format!(
-        "{} — {}, {} rep(s), {} job(s), seed {}{}\n\n",
-        s.scenario.name,
-        a.sel.spec.name,
-        reps,
-        jobs,
-        a.sel.seed,
-        if a.stream {
-            ", streaming statistics (reports dropped)"
-        } else {
-            ""
-        },
-    );
-    stats_table(&mut out, &result.completion, &result.waiting);
-    if let Some(note) = failure_note(&result.failures) {
+    finish_trace(collector, outcome.is_ok(), a.trace_out.as_deref(), |line| eprintln!("{line}"))?;
+    if let (Ok(_), Some(path)) = (&outcome, &a.shard.0.obs_out) {
+        let now = started.elapsed().as_millis() as u64;
+        std::fs::write(path, hub.snapshot_json(now))
+            .map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("fleet: observability snapshot written to {path}");
+    }
+    let swept = outcome??;
+    if let Some(note) = failure_note(&swept.failures) {
         eprintln!("{note}");
     }
+    let mut out = swept.header;
+    stats_table(&mut out, &swept.completion, &swept.waiting);
     Ok(out)
 }
 
-/// `flagsim sweep` with distribution/durability flags: run the campaign
-/// through the shard coordinator. Handles `--workers N` (spawn local
-/// worker processes), `--connect ADDR` (use an existing cluster),
-/// `--checkpoint`/`--checkpoint-every`/`--resume` (durable progress),
-/// and `--max-wall-secs` (soft deadline → checkpoint + exit code 3).
-/// Statistics are bit-for-bit identical to the in-process streaming
-/// sweep at any worker count.
-fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
+/// The sharded path: run the campaign through the shard coordinator.
+/// Handles `--workers N` (spawn local worker processes), `--connect ADDR`
+/// (use an existing cluster), `--checkpoint`/`--checkpoint-every`/
+/// `--resume` (durable progress), and `--max-wall-secs` (soft deadline →
+/// checkpoint + exit code 3). Statistics are bit-for-bit identical to the
+/// in-process streaming sweep at any worker count.
+fn sharded(a: &SweepArgs) -> Result<String, CliError> {
     use flagsim_shard::{run_sweep, Checkpoint, CoordinatorConfig, LeaseConfig, ShardOutcome};
 
     if a.progress {
@@ -367,16 +393,13 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         Some(ck) => ck.job.clone(),
         // A resumed campaign was checked when it started.
         None => {
-            let (which, _, team) = checked_setup(&a)?;
-            job_spec(&a, which, team)
+            let (which, _, team) = checked_setup(a)?;
+            job_spec(a, which, team)
         }
     };
     // One validation point for both paths; also names the scenario for
     // the summary header.
     let mat = job.materialize()?;
-
-    let mut endpoints = shard.connect.clone();
-    let jobs = a.jobs;
     // Resuming keeps checkpointing to the resume file unless overridden,
     // so a twice-killed sweep stays resumable.
     let checkpoint_path = shard
@@ -384,115 +407,105 @@ fn cmd_sweep_shard(a: SweepArgs) -> Result<String, CliError> {
         .clone()
         .or_else(|| shard.resume.clone())
         .map(std::path::PathBuf::from);
-
-    let mut children = Vec::new();
-    if let Some(n) = shard.workers {
-        let (spawned, procs) = spawn_local_workers(n)?;
-        endpoints.extend(spawned);
-        children = procs;
-    }
-    let worker_count = endpoints.len();
-
-    // The fleet hub is independent of the collector (it powers the
-    // dashboard and the --obs-out/--obs-serve snapshots) and is cheap,
-    // so it is always on for sharded runs.
-    let hub = ObsHub::new();
-    let started = Instant::now();
-    let (collector, dash) = telemetry(&a, &hub, job.reps, started);
-
-    let cfg = CoordinatorConfig {
-        endpoints,
-        local_jobs: jobs,
-        checkpoint_path,
-        checkpoint_every: shard.checkpoint_every,
-        resume,
-        max_wall: shard.max_wall,
-        lease: LeaseConfig { chunk: a.chunk, policy: a.policy, ..LeaseConfig::default() },
-        halt_after_reps: None,
-        quiet: false,
-        obs: Some(hub.clone()),
-        trace_sample: a.trace_sample,
+    let mut endpoints = shard.connect.clone();
+    let workers = match shard.workers {
+        Some(n) => spawn_local_workers(n, &mut endpoints)?,
+        None => LocalWorkers(Vec::new()),
     };
-
-    // `--obs-serve ADDR`: push fleet snapshots to attached watchers
-    // (`flagsim watch --connect`). Strictly one-way — the server never
-    // parses client bytes, so a watcher cannot touch the merge path.
-    let obs_server = match &shard.obs_serve {
-        Some(addr) => {
-            let server = flagsim_shard::ObsServer::start(hub.clone(), addr, 250, move || {
-                started.elapsed().as_millis() as u64
-            })
-            .map_err(|e| format!("cannot serve observability on {addr}: {e}"))?;
-            eprintln!("obs: serving fleet snapshots on {}", server.local_addr());
-            Some(server)
-        }
-        None => None,
-    };
-    let outcome = run_sweep(&job, &cfg).map_err(|message| CliError { message });
-
-    if let Some(mut server) = obs_server {
-        server.stop(); // closes watcher connections: their cue to exit
-    }
-    if let Some(d) = dash {
-        d.finish(matches!(outcome, Ok(ShardOutcome::Completed(_))));
-    }
-    finish_trace(collector, outcome.is_ok(), a.trace_out.as_deref(), |line| eprintln!("{line}"))?;
-    if outcome.is_ok() {
-        if let Some(path) = &shard.obs_out {
-            let now = started.elapsed().as_millis() as u64;
-            std::fs::write(path, hub.snapshot_json(now))
-                .map_err(|e| format!("cannot write {path}: {e}"))?;
-            eprintln!("fleet: observability snapshot written to {path}");
-        }
-    }
-    // Spawned workers are `--once`: a clean shutdown already ended them,
-    // and kill() on an exited child is a harmless no-op. Always reap.
-    for child in &mut children {
-        child.kill().ok();
-        child.wait().ok();
-    }
-    match outcome? {
-        ShardOutcome::Completed(r) => {
-            if let Some(note) = failure_note(&r.failures) {
-                eprintln!("{note}");
+    let header = format!(
+        "{} — {}, {} rep(s), {} worker(s), {} job(s), seed {}, sharded\n\n",
+        mat.scenario.name,
+        mat.spec.name,
+        job.reps,
+        endpoints.len(),
+        a.jobs,
+        job.seed,
+    );
+    run_campaign(a, &job, |hub, started| {
+        // The fleet hub powers the dashboard and the --obs-out/--obs-serve
+        // snapshots, and is cheap, so it is always on for sharded runs.
+        let cfg = CoordinatorConfig {
+            endpoints,
+            local_jobs: a.jobs,
+            checkpoint_path,
+            checkpoint_every: shard.checkpoint_every,
+            resume,
+            max_wall: shard.max_wall,
+            lease: LeaseConfig { chunk: a.chunk, policy: a.policy, ..LeaseConfig::default() },
+            halt_after_reps: None,
+            quiet: false,
+            obs: Some(hub.clone()),
+            trace_sample: a.trace_sample,
+        };
+        // `--obs-serve ADDR`: push fleet snapshots to attached watchers
+        // (`flagsim watch --connect`). Strictly one-way — the server never
+        // parses client bytes, so a watcher cannot touch the merge path.
+        let obs_server = match &shard.obs_serve {
+            Some(addr) => {
+                let server = flagsim_shard::ObsServer::start(hub.clone(), addr, 250, move || {
+                    started.elapsed().as_millis() as u64
+                })
+                .map_err(|e| format!("cannot serve observability on {addr}: {e}"))?;
+                eprintln!("obs: serving fleet snapshots on {}", server.local_addr());
+                Some(server)
             }
-            let mut out = format!(
-                "{} — {}, {} rep(s), {} worker(s), {} job(s), seed {}, sharded\n\n",
-                mat.scenario.name, mat.spec.name, job.reps, worker_count, jobs, job.seed,
-            );
-            stats_table(&mut out, &r.completion, &r.waiting);
-            Ok(out)
+            None => None,
+        };
+        let outcome = run_sweep(&job, &cfg).map_err(|message| CliError { message });
+        if let Some(mut server) = obs_server {
+            server.stop(); // closes watcher connections: their cue to exit
         }
-        ShardOutcome::DeadlineExpired { merged, total, checkpoint } => {
-            let hint = match checkpoint {
-                Some(path) => format!(
-                    "; resume with: flagsim sweep --resume {}",
-                    path.display()
-                ),
-                None => "; add --checkpoint FILE to make expiry resumable".to_owned(),
-            };
-            // The "soft deadline" prefix selects exit code 3.
-            err(format!(
-                "soft deadline expired with {merged}/{total} rep(s) merged{hint}"
-            ))
-        }
-        ShardOutcome::Halted { merged } => {
-            err(format!("sweep halted unexpectedly at {merged} rep(s)"))
+        drop(workers);
+        Ok(match outcome? {
+            ShardOutcome::Completed(r) => Ok(Swept {
+                header,
+                completion: r.completion,
+                waiting: r.waiting,
+                failures: r.failures,
+            }),
+            ShardOutcome::DeadlineExpired { merged, total, checkpoint } => {
+                let hint = match checkpoint {
+                    Some(path) => format!(
+                        "; resume with: flagsim sweep --resume {}",
+                        path.display()
+                    ),
+                    None => "; add --checkpoint FILE to make expiry resumable".to_owned(),
+                };
+                // The "soft deadline" prefix selects exit code 3.
+                err(format!(
+                    "soft deadline expired with {merged}/{total} rep(s) merged{hint}"
+                ))
+            }
+            ShardOutcome::Halted { merged } => {
+                err(format!("sweep halted unexpectedly at {merged} rep(s)"))
+            }
+        })
+    })
+}
+
+/// Spawned `flagsim worker --once` children, killed and reaped when
+/// dropped, on every path out of the sweep. A clean shutdown already
+/// ended them, and kill() on an exited child is a harmless no-op.
+struct LocalWorkers(Vec<std::process::Child>);
+
+impl Drop for LocalWorkers {
+    fn drop(&mut self) {
+        for child in &mut self.0 {
+            child.kill().ok();
+            child.wait().ok();
         }
     }
 }
 
 /// Spawn `n` `flagsim worker --once` child processes on ephemeral
-/// loopback ports; each prints its bound address on stdout, which is
-/// how the coordinator learns where to connect.
-fn spawn_local_workers(
-    n: usize,
-) -> Result<(Vec<String>, Vec<std::process::Child>), CliError> {
+/// loopback ports and add their addresses to `endpoints`; each prints its
+/// bound address on stdout, which is how the coordinator learns where to
+/// connect.
+fn spawn_local_workers(n: usize, endpoints: &mut Vec<String>) -> Result<LocalWorkers, CliError> {
     use std::io::BufRead as _;
     let exe = std::env::current_exe()
         .map_err(|e| format!("cannot locate own executable to spawn workers: {e}"))?;
-    let mut endpoints = Vec::new();
-    let mut children = Vec::new();
+    let mut workers = LocalWorkers(Vec::new());
     for i in 0..n {
         let mut child = std::process::Command::new(&exe)
             .args([
@@ -508,7 +521,9 @@ fn spawn_local_workers(
             .stderr(std::process::Stdio::null())
             .spawn()
             .map_err(|e| format!("cannot spawn worker {i}: {e}"))?;
-        let stdout = child.stdout.take().ok_or_else(|| format!("worker {i} has no stdout"))?;
+        let stdout = child.stdout.take();
+        workers.0.push(child);
+        let stdout = stdout.ok_or_else(|| format!("worker {i} has no stdout"))?;
         let mut line = String::new();
         std::io::BufReader::new(stdout)
             .read_line(&mut line)
@@ -520,9 +535,8 @@ fn spawn_local_workers(
             .filter(|a| a.parse::<std::net::SocketAddr>().is_ok())
             .ok_or_else(|| format!("worker {i} printed no listen address (got {line:?})"))?;
         endpoints.push(addr.to_owned());
-        children.push(child);
     }
-    Ok((endpoints, children))
+    Ok(workers)
 }
 
 /// `flagsim worker` — serve sweep repetitions to a coordinator. Binds

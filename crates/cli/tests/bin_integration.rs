@@ -63,6 +63,20 @@ fn explain_json_round_trips_and_is_seed_stable() {
 }
 
 #[test]
+fn explain_of_a_failing_run_prints_the_run_error() {
+    // A team of 1 cannot staff scenario 3's four stripes. `explain` runs
+    // one repetition, so it reports that run's error as is, with no
+    // sweep summary around it and exit code 2.
+    let (stdout, stderr, code) = flagsim_code(&["explain", "3", "--team", "1", "--jobs", "2"]);
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert_eq!(
+        stderr,
+        "error: scenario 3: one stripe each needs 4 coloring students, team has 1\n"
+    );
+}
+
+#[test]
 fn sweep_dashboard_degrades_to_plain_lines_when_piped() {
     // The test harness captures stderr through a pipe, so the binary
     // must take the non-TTY path: plain `sweep: ...` step lines closed by

@@ -3,11 +3,9 @@
 //! zero-warmup counterfactual, then renders the result as text (ANSI
 //! gantt + blame table + what-if lines) or machine-readable JSON.
 //!
-//! The observed run goes through [`crate::sweep::SweepRunner`] with one
-//! repetition, so `--jobs` is accepted for symmetry with `sweep` but can
-//! never change the numbers: repetition 0 derives the same seed on any
-//! job count, which is exactly what makes `flagsim explain --format
-//! json` byte-identical across `--jobs` (a property test pins this).
+//! The observed run is repetition 0 of a [`SweepRunner`], the one
+//! repetition function every sweep runs, so `flagsim explain` explains
+//! exactly the run a sweep's first repetition is.
 
 use crate::config::{ActivityConfig, TeamKit};
 use crate::report::RunReport;
@@ -305,32 +303,22 @@ pub fn trace_taskgraph(analysis: &CausalAnalysis, report: &RunReport) -> TaskGra
     g
 }
 
-/// Run `scenario` once, deterministically, and explain it. `jobs` is
-/// plumbed into the sweep runner for interface symmetry; with a single
-/// repetition it cannot change the outcome. The observed run keeps the
-/// warm-up effect (matching `flagsim run`); the zero-warmup
-/// counterfactual re-runs the identical configuration with warmed-up
-/// students.
+/// Run `scenario` once, deterministically, and explain it. The observed
+/// run keeps the warm-up effect (matching `flagsim run`); the
+/// zero-warmup counterfactual re-runs the identical configuration with
+/// warmed-up students.
 pub fn explain_scenario(
     scenario: &Scenario,
     flag: &PreparedFlag,
     kit: &TeamKit,
     config: &ActivityConfig,
     team_size: usize,
-    jobs: usize,
 ) -> Result<Explanation, String> {
-    let run_once = |warmup: bool| -> Result<RunReport, String> {
-        let mut result = SweepRunner::new(scenario, flag, kit, config)
+    let run_once = |warmup: bool| {
+        SweepRunner::new(scenario, flag, kit, config)
             .team_size(team_size)
             .warmup(warmup)
-            .reps(1)
-            .jobs(jobs)
-            .run()
-            .map_err(|e| e.to_string())?;
-        result
-            .reports
-            .pop()
-            .ok_or_else(|| "run produced no report".to_owned())
+            .run_rep(0)
     };
     let report = run_once(true)?;
     let zero_warmup = run_once(false)?.completion;
@@ -369,7 +357,7 @@ mod tests {
         let cfg = ActivityConfig::default().with_seed(seed);
         let scenario = Scenario::fig1(n);
         let team = scenario.team_size(&flag, &cfg);
-        explain_scenario(&scenario, &flag, &kit, &cfg, team, 1).expect("scenario runs")
+        explain_scenario(&scenario, &flag, &kit, &cfg, team).expect("scenario runs")
     }
 
     #[test]
@@ -405,12 +393,19 @@ mod tests {
         let cfg = ActivityConfig::default().with_seed(11);
         let scenario = Scenario::fig1(4);
         let team = scenario.team_size(&flag, &cfg);
-        let a = explain_scenario(&scenario, &flag, &kit, &cfg, team, 1)
+        let a = explain_scenario(&scenario, &flag, &kit, &cfg, team)
             .unwrap()
             .to_json();
-        let b = explain_scenario(&scenario, &flag, &kit, &cfg, team, 4)
-            .unwrap()
-            .to_json();
+        // The explained run is rep 0 of a sweep at any job count.
+        let rep0 = |warmup| {
+            let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+                .team_size(team)
+                .warmup(warmup)
+                .reps(3)
+                .jobs(4);
+            runner.run().unwrap().reports.swap_remove(0)
+        };
+        let b = explain_report(rep0(true), rep0(false).completion, cfg.seed).to_json();
         assert_eq!(a, b, "jobs must not change the explanation");
         let v = flagsim_telemetry::json::parse(&a).expect("valid json");
         assert!(v.get("makespan_ms").and_then(|m| m.as_f64()).unwrap() > 0.0);

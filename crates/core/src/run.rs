@@ -6,7 +6,7 @@
 //! history, not on interleaving), so the DES run itself is exact.
 //!
 //! Fault injection ([`run_activity_with_faults`]) threads a shared
-//! [`faults::FaultPlan`] through the same state machine: students consult
+//! [`crate::faults::FaultPlan`] through the same state machine: students consult
 //! the live fault state at every poll, so dropouts leave at their next
 //! natural pause, broken implements are discovered by the next student to
 //! use them, and orphaned cells sit in a shared pool that survivors adopt
@@ -15,7 +15,7 @@
 //! deliberate simplification that keeps the DES exact.
 //!
 //! Every run goes through one loop, `Run::drive`: sample every duration
-//! into a [`World`] (or reload one), load it into a reset
+//! into a `World` (or reload one), load it into a reset
 //! `Engine<StudentProc, _>`, run, count, and hand the stopped engine to a
 //! finish. The report finish assembles a [`RunReport`] (grid, per-student
 //! and per-color breakdowns, resilience log); the stats finish reads a

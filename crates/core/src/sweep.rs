@@ -1,25 +1,27 @@
-//! Repeated-run sweeps, serial and parallel.
+//! Repeated-run sweeps.
 //!
 //! One classroom run is a single noisy sample; every quantitative claim
 //! in EXPERIMENTS.md comes from running a scenario across many seeds with
 //! fresh teams. This module is that harness, public: give it a scenario
 //! and a configuration, get summary statistics and the raw reports.
 //!
-//! The engine behind every entry point is [`SweepRunner`], which fans
-//! repetitions across worker threads (`std::thread::scope` — the
-//! workspace is offline, no rayon) while keeping the results
-//! *bit-for-bit deterministic*: each repetition derives its seed from
-//! `config.seed` and its index exactly as the serial loop always has,
-//! threads claim chunks of consecutive repetitions ([`claim_reps`]), and
-//! one reorder merge ([`MergeState`]) folds outcomes back in repetition
-//! order before any statistic is touched. `par_sweep` with any job count
-//! therefore produces a [`SweepResult`] identical to the serial
-//! [`try_sweep`] for the same configuration.
+//! [`SweepRunner`] runs every in-process repetition. [`SweepRunner::drive`]
+//! runs a set of repetition ranges and hands each lane's outcomes to the
+//! caller: at one job inline on the calling thread, one repetition per
+//! hand-in; above that on scoped worker threads (`std::thread::scope` —
+//! the workspace is offline, no rayon) that claim chunks of consecutive
+//! repetitions. Each repetition derives its seed from `config.seed` and
+//! its index alone, and the caller folds outcomes through one reorder
+//! merge ([`MergeState`]) in repetition order before any statistic is
+//! touched, so the job count buys wall-clock time, never different
+//! numbers. [`SweepRunner::run`] is `drive` over every repetition into
+//! the sweep's own collector.
 //!
 //! The sharded sweeps of `flagsim-shard` run the same two pieces: their
 //! coordinator folds every worker's outcomes through a [`MergeState`]
 //! (which its checkpoints freeze and restore), and runs the repetitions a
-//! campaign still owes in-process through [`claim_reps`].
+//! campaign still owes in-process through [`SweepRunner::drive`] over the
+//! merge's missing ranges.
 //!
 //! A retained sweep runs every repetition through the report finish
 //! ([`SweepRunner::run_rep`]) and keeps each [`RunReport`]. For huge
@@ -64,7 +66,7 @@ pub enum SweepError {
     /// Zero repetitions were requested.
     NoRepetitions,
     /// Every repetition failed; the first failure is carried for the
-    /// error message and the panicking [`sweep`] wrapper.
+    /// error message.
     AllFailed {
         /// How many repetitions were attempted.
         reps: u64,
@@ -99,9 +101,8 @@ pub struct SweepResult {
     /// ran with [`SweepRunner::retain_reports`]`(false)` — the
     /// statistics above still cover every successful repetition.
     pub reports: Vec<RunReport>,
-    /// Repetitions that failed (always empty from the panicking
-    /// [`sweep`]; [`try_sweep`] records them and keeps going), in
-    /// repetition order.
+    /// Repetitions that failed, in repetition order: the sweep records
+    /// them and keeps going.
     pub failures: Vec<SweepFailure>,
 }
 
@@ -123,18 +124,23 @@ pub struct SweepProgress {
     pub failed: u64,
     /// Total repetitions requested.
     pub total: u64,
-    /// Index of the worker thread whose chunk of repetitions this
-    /// snapshot merged (0 on the serial path, where a chunk is one rep).
+    /// The lane whose hand-in this snapshot merged (0 on the serial
+    /// path, where a hand-in is one rep).
     pub worker: usize,
-    /// The last repetition of that chunk (not necessarily the highest
-    /// merged index — chunks complete out of order).
+    /// The last repetition of that hand-in (not necessarily the highest
+    /// merged index — lanes hand in out of order).
     pub rep: u64,
 }
 
 type ProgressFn<'a> = dyn Fn(SweepProgress) + Send + Sync + 'a;
 
-/// The sweep engine: a builder over everything [`try_sweep`] takes,
-/// plus the parallel/streaming/observability knobs.
+/// One repetition as [`SweepRunner::drive`] hands it in: its index, its
+/// outcome, and its report when the runner retains reports.
+pub type RepRun = (u64, RepOutcome, Option<RunReport>);
+
+/// The sweep engine, which runs every in-process repetition: made from
+/// the scenario, flag, kit and configuration, with chained setters for
+/// the parallel/streaming/observability knobs.
 ///
 /// ```no_run
 /// # use flagsim_core::sweep::SweepRunner;
@@ -228,9 +234,9 @@ impl<'a> SweepRunner<'a> {
         self
     }
 
-    /// Worker threads to fan repetitions across (values ≤ 1 run the
-    /// serial loop; the job count never changes the result, only the
-    /// wall-clock time).
+    /// Lanes to fan repetitions across (values ≤ 1 run them inline on
+    /// the calling thread; the job count never changes the result, only
+    /// the wall-clock time).
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs;
         self
@@ -262,32 +268,86 @@ impl<'a> SweepRunner<'a> {
         // The sweep span's args hold only values independent of the job
         // count (reps, scenario), and every rep span links to it as its
         // *logical* parent — so the canonical span tree is identical at
-        // any `--jobs`, which prop_telemetry asserts. Job count and
-        // thread placement are runtime detail: a gauge and the worker
-        // spans' `"runtime"` category.
+        // any `--jobs`, which prop_telemetry asserts.
         let sweep_span = flagsim_telemetry::span("sim", "sweep")
             .arg("scenario", &self.scenario.name)
             .arg("reps", self.reps);
-        let sweep_id = sweep_span.id();
         let mut collector = Collector::new(self.retain_reports, self.reps);
-        let jobs = self.jobs.clamp(1, self.reps as usize);
-        flagsim_telemetry::gauge_set("sweep.jobs", jobs as f64);
-        if jobs == 1 {
-            for rep in 0..self.reps {
-                let rep_span =
-                    flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id).arg("rep", rep);
-                let outcome = self.run_one(rep);
-                drop(rep_span);
-                collector.accept(rep, outcome);
-                self.emit(collector.progress(0, rep));
+        self.drive(&[(0, self.reps)], |lane, batch| {
+            let mut last = 0;
+            for (rep, outcome, report) in batch {
+                collector.accept(rep, outcome, report);
+                last = rep;
             }
-        } else {
-            self.run_parallel(jobs, sweep_id, &mut collector);
-        }
+            Some(collector.progress(lane, last))
+        });
         flagsim_telemetry::count("sweep.reps_completed", collector.merge.merged());
         flagsim_telemetry::count("sweep.failures", collector.merge.failures().len() as u64);
         drop(sweep_span);
         collector.finish()
+    }
+
+    /// Run every rep of `ranges` (ascending, half-open `(start, end)`
+    /// pairs) on up to [`jobs`](SweepRunner::jobs) lanes, and hand each
+    /// lane's outcomes, in rep order, to `hand_in(lane, batch)`, one call
+    /// at a time. `Some(progress)` goes on to the
+    /// [`on_progress`](SweepRunner::on_progress) observer, outside any
+    /// lock; `None` stops every lane, and no hand-in follows it.
+    ///
+    /// At one job the reps run inline on the calling thread, each handed
+    /// in alone, without allocating. Above that, scoped threads claim
+    /// chunks of consecutive reps; each lane hands in once before its
+    /// first claim (an empty batch) and then once per chunk, and lanes
+    /// hand in out of order, so merging by rep index (a [`MergeState`])
+    /// is what makes the result independent of the job count. Every rep
+    /// runs under a `sweep.rep` span linked to the caller's current span,
+    /// and each thread lane under a `sweep.worker` span on its own
+    /// `worker-N` track.
+    pub fn drive<H>(&self, ranges: &[(u64, u64)], mut hand_in: H)
+    where
+        H: FnMut(usize, &mut dyn Iterator<Item = RepRun>) -> Option<SweepProgress> + Send,
+    {
+        let total: u64 = ranges.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
+        let jobs = self
+            .jobs
+            .clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
+        // Job count and thread placement are runtime detail: a gauge and
+        // the worker spans' `"runtime"` category.
+        flagsim_telemetry::gauge_set("sweep.jobs", jobs as f64);
+        let parent = flagsim_telemetry::current_span();
+        let run = |rep: u64| -> RepRun {
+            let _span = flagsim_telemetry::span_linked("sim", "sweep.rep", parent).arg("rep", rep);
+            let (outcome, report) = self.run_one(rep);
+            (rep, outcome, report)
+        };
+        if jobs == 1 {
+            for rep in ranges.iter().flat_map(|&(start, end)| start..end) {
+                let Some(progress) = hand_in(0, &mut std::iter::once(run(rep))) else {
+                    return;
+                };
+                self.emit(progress);
+            }
+            return;
+        }
+        let run = &run;
+        claim_reps(
+            ranges,
+            jobs,
+            |w| {
+                flagsim_telemetry::set_thread_track(&format!("worker-{w}"));
+                let worker_span = flagsim_telemetry::span_linked("runtime", "sweep.worker", parent)
+                    .arg("worker", w);
+                move |rep| {
+                    // Holds the worker span until the thread's claims run out.
+                    let _worker = &worker_span;
+                    run(rep)
+                }
+            },
+            |w, batch| hand_in(w, &mut batch.drain(..)),
+            // Outside the lock: a slow observer must not serialize the
+            // workers.
+            |p| self.emit(p),
+        );
     }
 
     /// One repetition: fresh team, derived seed — the exact recipe the
@@ -397,44 +457,6 @@ impl<'a> SweepRunner<'a> {
         }
     }
 
-    /// Fan repetitions across `jobs` scoped worker threads through
-    /// [`claim_reps`]; the collector's merge makes the result the serial
-    /// loop's no matter how the threads interleave.
-    fn run_parallel(
-        &self,
-        jobs: usize,
-        sweep_id: Option<flagsim_telemetry::SpanId>,
-        collector: &mut Collector,
-    ) {
-        claim_reps(
-            &[(0, self.reps)],
-            jobs,
-            |w| {
-                flagsim_telemetry::set_thread_track(&format!("worker-{w}"));
-                let worker_span =
-                    flagsim_telemetry::span_linked("runtime", "sweep.worker", sweep_id)
-                        .arg("worker", w);
-                move |rep| {
-                    // Holds the worker span until the thread's claims run out.
-                    let _worker = &worker_span;
-                    let _rep = flagsim_telemetry::span_linked("sim", "sweep.rep", sweep_id)
-                        .arg("rep", rep);
-                    self.run_one(rep)
-                }
-            },
-            |w, outcomes| {
-                let last = outcomes.last().map_or(0, |&(rep, _)| rep);
-                for (rep, outcome) in outcomes.drain(..) {
-                    collector.accept(rep, outcome);
-                }
-                Some(collector.progress(w, last))
-            },
-            // Outside the lock: a slow observer must not serialize the
-            // workers.
-            |p| self.emit(p),
-        );
-    }
-
     fn emit(&self, progress: SweepProgress) {
         if let Some(cb) = &self.progress {
             cb(progress);
@@ -459,7 +481,7 @@ impl Collector {
         }
     }
 
-    fn accept(&mut self, rep: u64, (outcome, report): (RepOutcome, Option<RunReport>)) {
+    fn accept(&mut self, rep: u64, outcome: RepOutcome, report: Option<RunReport>) {
         if let (Some(kept), Some(report)) = (&mut self.reports, report) {
             let slot = rep as usize;
             if kept.len() <= slot {
@@ -517,7 +539,7 @@ pub enum RepOutcome {
         /// Total waiting time in seconds.
         waiting: f64,
     },
-    /// The run failed (recorded, like [`try_sweep`], not fatal).
+    /// The run failed (recorded in [`SweepResult::failures`], not fatal).
     Failed {
         /// The error string the run reported.
         error: String,
@@ -737,27 +759,25 @@ fn claim_chunk(reps: u64, jobs: usize) -> u64 {
     (reps / (jobs as u64).saturating_mul(4)).clamp(1, MAX_CLAIM)
 }
 
-/// The one in-process claim loop: run every rep of `ranges` (ascending,
-/// half-open `(start, end)` pairs) on `jobs` scoped threads. Thread `w`
-/// runs reps with `worker(w)`, which holds its per-thread state and spans
-/// until its claims run out. Under one lock, a thread hands its last
-/// chunk's outcomes, in rep order, to `merge(w, outcomes)` (none before
-/// its first claim) and claims the next chunk of consecutive reps; outside
-/// it, the thread passes what `merge` returned to `progress` (when it
-/// merged any) and runs the chunk. `merge` returns `None` to stop every
-/// thread; no `merge` call follows. A merge by rep index (a
-/// [`MergeState`]) makes the result independent of the scheduling.
-pub fn claim_reps<T, F, P>(
+/// The claim loop behind [`SweepRunner::drive`]'s thread lanes: run every
+/// rep of `ranges` on `jobs` scoped threads. Thread `w` runs reps with
+/// `worker(w)`, which holds its per-thread state and spans until its
+/// claims run out. Under one lock, a thread hands its last chunk's
+/// outcomes, in rep order, to `merge(w, outcomes)` (none before its first
+/// claim) and claims the next chunk of consecutive reps; outside it, the
+/// thread passes what `merge` returned to `progress` (when it merged any)
+/// and runs the chunk. `merge` returns `None` to stop every thread; no
+/// `merge` call follows.
+fn claim_reps<T, F, P>(
     ranges: &[(u64, u64)],
     jobs: usize,
     worker: impl Fn(usize) -> F + Sync,
-    merge: impl FnMut(usize, &mut Vec<(u64, T)>) -> Option<P> + Send,
+    merge: impl FnMut(usize, &mut Vec<T>) -> Option<P> + Send,
     progress: impl Fn(P) + Sync,
 ) where
     F: FnMut(u64) -> T,
 {
     let total: u64 = ranges.iter().map(|&(s, e)| e.saturating_sub(s)).sum();
-    let jobs = jobs.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
     let chunk = claim_chunk(total, jobs);
     let chunks = ranges.iter().flat_map(move |&(start, end)| {
         (start..end)
@@ -791,111 +811,11 @@ pub fn claim_reps<T, F, P>(
                         progress(note);
                     }
                     let Some(reps) = claim else { break };
-                    outcomes.extend(reps.map(|rep| (rep, run(rep))));
+                    outcomes.extend(reps.map(&mut run));
                 }
             });
         }
     });
-}
-
-/// The one formatted panic every [`sweep`] failure routes through.
-fn fail_sweep(f: &SweepFailure) -> ! {
-    std::panic::panic_any(format!("sweep run failed: rep {}: {}", f.rep, f.error))
-}
-
-/// Run `scenario` `reps` times, each with a fresh team of `team_size`
-/// students (warm-up enabled or not) and a seed derived from
-/// `config.seed` and the repetition index. Panics if any run fails or
-/// produces a wrong flag — a sweep is a measurement, not a fault drill.
-/// Every failed-run panic carries the documented
-/// `"sweep run failed: rep N: ..."` message, whether one repetition
-/// failed or all of them did.
-pub fn sweep(
-    scenario: &Scenario,
-    flag: &PreparedFlag,
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    team_size: usize,
-    warmup: bool,
-    reps: u64,
-) -> SweepResult {
-    let result = SweepRunner::new(scenario, flag, kit, config)
-        .team_size(team_size)
-        .warmup(warmup)
-        .reps(reps)
-        .run();
-    match result {
-        Ok(result) => {
-            if let Some(f) = result.failures.first() {
-                // Preserve the historical contract: a measurement sweep
-                // panics on the first failed repetition instead of
-                // soldiering on.
-                fail_sweep(f);
-            }
-            assert!(
-                result
-                    .reports
-                    .iter()
-                    .all(|r| r.correct || config.deadline_secs.is_some()),
-                "sweep produced a wrong flag"
-            );
-            result
-        }
-        Err(SweepError::AllFailed { first, .. }) => fail_sweep(&first),
-        Err(e @ SweepError::NoRepetitions) => std::panic::panic_any(e.to_string()),
-    }
-}
-
-/// Fault-tolerant sweep: run `scenario` `reps` times under `plan`,
-/// recording failed repetitions in [`SweepResult::failures`] instead of
-/// panicking, so one bad seed cannot sink a whole measurement campaign.
-///
-/// Errors only when no statistics can be produced at all: zero
-/// repetitions requested, or every repetition failed.
-#[allow(clippy::too_many_arguments)]
-pub fn try_sweep(
-    scenario: &Scenario,
-    flag: &PreparedFlag,
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    team_size: usize,
-    warmup: bool,
-    reps: u64,
-    plan: &FaultPlan,
-) -> Result<SweepResult, String> {
-    SweepRunner::new(scenario, flag, kit, config)
-        .team_size(team_size)
-        .warmup(warmup)
-        .reps(reps)
-        .plan(plan)
-        .run()
-        .map_err(|e| e.to_string())
-}
-
-/// [`try_sweep`] fanned across `jobs` worker threads. Seeds, merge
-/// order, and therefore the returned [`SweepResult`] are identical to
-/// the serial sweep for the same configuration — the job count buys
-/// wall-clock time, never different numbers.
-#[allow(clippy::too_many_arguments)]
-pub fn par_sweep(
-    scenario: &Scenario,
-    flag: &PreparedFlag,
-    kit: &TeamKit,
-    config: &ActivityConfig,
-    team_size: usize,
-    warmup: bool,
-    reps: u64,
-    plan: &FaultPlan,
-    jobs: usize,
-) -> Result<SweepResult, String> {
-    SweepRunner::new(scenario, flag, kit, config)
-        .team_size(team_size)
-        .warmup(warmup)
-        .reps(reps)
-        .plan(plan)
-        .jobs(jobs)
-        .run()
-        .map_err(|e| e.to_string())
 }
 
 #[cfg(test)]
@@ -911,12 +831,32 @@ mod tests {
         (flag, kit)
     }
 
+    /// A retained sweep of scenario `n` on Mauritius: `team` students,
+    /// `reps` repetitions on `jobs` lanes under `plan`.
+    fn fig1_sweep(
+        n: u8,
+        cfg: &ActivityConfig,
+        team: usize,
+        reps: u64,
+        jobs: usize,
+        plan: &FaultPlan,
+    ) -> Result<SweepResult, SweepError> {
+        let (flag, kit) = mauritius_setup();
+        let scenario = Scenario::fig1(n);
+        let runner = SweepRunner::new(&scenario, &flag, &kit, cfg)
+            .team_size(team)
+            .reps(reps)
+            .jobs(jobs)
+            .plan(plan);
+        runner.run()
+    }
+
     #[test]
     fn sweep_statistics_separate_scenarios() {
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default();
-        let s1 = sweep(&Scenario::fig1(1), &flag, &kit, &cfg, 1, false, 16);
-        let s3 = sweep(&Scenario::fig1(3), &flag, &kit, &cfg, 4, false, 16);
+        let none = FaultPlan::none();
+        let s1 = fig1_sweep(1, &cfg, 1, 16, 1, &none).unwrap();
+        let s3 = fig1_sweep(3, &cfg, 4, 16, 1, &none).unwrap();
         assert_eq!(s1.reports.len(), 16);
         assert!(s1.mean_secs() > s3.mean_secs());
         assert!(clearly_different(&s1.completion, &s3.completion));
@@ -925,36 +865,23 @@ mod tests {
 
     #[test]
     fn sweep_is_deterministic() {
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default().with_seed(9);
-        let a = sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 8);
-        let b = sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 8);
+        let none = FaultPlan::none();
+        let a = fig1_sweep(4, &cfg, 4, 8, 1, &none).unwrap();
+        let b = fig1_sweep(4, &cfg, 4, 8, 1, &none).unwrap();
         assert_eq!(a.completion, b.completion);
         assert_eq!(a.waiting, b.waiting);
     }
 
     #[test]
     fn par_sweep_matches_serial_bit_for_bit() {
-        // Acceptance: par_sweep with 4 jobs produces RunStats equal to
-        // the serial sweep for the same seed.
-        let (flag, kit) = mauritius_setup();
+        // Acceptance: a sweep on 2, 4 or 7 lanes produces RunStats equal
+        // to the inline serial lane's for the same seed.
         let cfg = ActivityConfig::default().with_seed(41);
-        let plan = FaultPlan::none();
-        let serial =
-            try_sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 24, &plan).unwrap();
+        let none = FaultPlan::none();
+        let serial = fig1_sweep(4, &cfg, 4, 24, 1, &none).unwrap();
         for jobs in [2, 4, 7] {
-            let par = par_sweep(
-                &Scenario::fig1(4),
-                &flag,
-                &kit,
-                &cfg,
-                4,
-                false,
-                24,
-                &plan,
-                jobs,
-            )
-            .unwrap();
+            let par = fig1_sweep(4, &cfg, 4, 24, jobs, &none).unwrap();
             assert_eq!(par.completion, serial.completion, "jobs={jobs}");
             assert_eq!(par.waiting, serial.waiting, "jobs={jobs}");
             assert_eq!(par.reports.len(), serial.reports.len());
@@ -1022,17 +949,64 @@ mod tests {
     }
 
     #[test]
+    fn drive_hands_in_every_rep_of_the_ranges_and_stops_on_none() {
+        let (flag, kit) = mauritius_setup();
+        let cfg = ActivityConfig::default().with_seed(13);
+        let scenario = Scenario::fig1(4);
+        let ranges = [(2, 9), (20, 31)];
+        let wanted: Vec<u64> = (2..9).chain(20..31).collect();
+        let note = |lane, rep| SweepProgress {
+            completed: 0,
+            failed: 0,
+            total: 40,
+            worker: lane,
+            rep,
+        };
+        for jobs in [1, 3] {
+            let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+                .team_size(4)
+                .reps(40)
+                .jobs(jobs)
+                .retain_reports(false);
+            let mut seen = Vec::new();
+            runner.drive(&ranges, |lane, batch| {
+                let before = seen.len();
+                for (rep, outcome, report) in batch {
+                    assert!(report.is_none(), "a streaming runner builds no report");
+                    assert_eq!(outcome, RepOutcome::from(runner.run_rep_stats(rep)));
+                    seen.push(rep);
+                }
+                if jobs == 1 {
+                    assert_eq!((lane, seen.len() - before), (0, 1), "one rep per hand-in");
+                }
+                Some(note(lane, 0))
+            });
+            if jobs == 1 {
+                assert_eq!(seen, wanted, "the serial lane runs reps in order");
+            }
+            seen.sort_unstable();
+            assert_eq!(seen, wanted, "jobs {jobs}");
+            // Eighteen reps on three lanes claim one rep at a time, so a
+            // stop after the fifth rep sees exactly five.
+            let mut handed = 0;
+            runner.drive(&ranges, |lane, batch| {
+                handed += batch.count();
+                (handed < 5).then(|| note(lane, 0))
+            });
+            assert_eq!(handed, 5, "jobs {jobs}");
+        }
+    }
+
+    #[test]
     fn faulted_sweep_completes_all_32_seeds() {
         // Acceptance: a 32-seed sweep with a break-one-implement fault
         // plan completes every run with a ResilienceReport and zero
         // panics or lost repetitions.
         use flagsim_grid::Color;
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default().with_seed(7);
-        let plan = crate::faults::FaultPlan::new("break one implement")
-            .break_implement(Color::Blue, 15.0);
-        let result = try_sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 32, &plan)
-            .expect("faulted sweep must produce statistics");
+        let plan = FaultPlan::new("break one implement").break_implement(Color::Blue, 15.0);
+        let result =
+            fig1_sweep(4, &cfg, 4, 32, 1, &plan).expect("faulted sweep must produce statistics");
         assert_eq!(result.reports.len(), 32);
         assert!(result.failures.is_empty(), "{:?}", result.failures);
         for r in &result.reports {
@@ -1053,24 +1027,10 @@ mod tests {
         // Acceptance: the fault drill through the parallel path keeps
         // every repetition and matches the serial fault drill exactly.
         use flagsim_grid::Color;
-        let (flag, kit) = mauritius_setup();
         let cfg = ActivityConfig::default().with_seed(7);
-        let plan = crate::faults::FaultPlan::new("break one implement")
-            .break_implement(Color::Blue, 15.0);
-        let serial =
-            try_sweep(&Scenario::fig1(4), &flag, &kit, &cfg, 4, false, 32, &plan).unwrap();
-        let par = par_sweep(
-            &Scenario::fig1(4),
-            &flag,
-            &kit,
-            &cfg,
-            4,
-            false,
-            32,
-            &plan,
-            4,
-        )
-        .unwrap();
+        let plan = FaultPlan::new("break one implement").break_implement(Color::Blue, 15.0);
+        let serial = fig1_sweep(4, &cfg, 4, 32, 1, &plan).unwrap();
+        let par = fig1_sweep(4, &cfg, 4, 32, 4, &plan).unwrap();
         assert_eq!(par.reports.len(), 32, "no repetition lost");
         assert!(par.failures.is_empty(), "{:?}", par.failures);
         assert_eq!(par.completion, serial.completion);
@@ -1082,74 +1042,35 @@ mod tests {
     }
 
     #[test]
-    fn try_sweep_zero_reps_is_an_error() {
-        let (flag, kit) = mauritius_setup();
-        let err = try_sweep(
-            &Scenario::fig1(1),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            0,
-            &crate::faults::FaultPlan::none(),
-        )
-        .unwrap_err();
-        assert!(err.contains("at least one repetition"));
+    fn zero_reps_is_no_repetitions() {
+        let cfg = ActivityConfig::default();
+        for jobs in [1, 3] {
+            let err = fig1_sweep(1, &cfg, 1, 0, jobs, &FaultPlan::none()).unwrap_err();
+            assert_eq!(err, SweepError::NoRepetitions, "jobs {jobs}");
+            assert!(err.to_string().contains("at least one repetition"));
+        }
     }
 
     #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_reps_panics() {
-        let (flag, kit) = mauritius_setup();
-        let _ = sweep(
-            &Scenario::fig1(1),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            0,
-        );
+    fn all_failed_sweep_reports_the_first_failure() {
+        // A team of 1 can never staff scenario 3's four stripes, so every
+        // repetition fails.
+        let cfg = ActivityConfig::default();
+        for jobs in [1, 3] {
+            let err = fig1_sweep(3, &cfg, 1, 4, jobs, &FaultPlan::none()).unwrap_err();
+            let SweepError::AllFailed { reps, first } = &err else {
+                panic!("jobs {jobs}: expected AllFailed, got {err:?}");
+            };
+            assert_eq!((*reps, first.rep), (4, 0), "jobs {jobs}");
+            assert!(first.error.starts_with("scenario 3"), "{err}");
+            let text = err.to_string();
+            assert!(
+                text.starts_with("all 4 repetitions failed; first: rep 0: "),
+                "{text}"
+            );
+        }
     }
 
-    #[test]
-    #[should_panic(expected = "sweep run failed: rep 0: scenario 3")]
-    fn all_failed_sweep_panics_with_the_documented_message() {
-        // Regression: sweep() used to hit `.expect("sweep run failed")`
-        // on the all-failed path, panicking with a Debug-formatted
-        // message instead of the documented "sweep run failed: rep N:"
-        // format. A team of 1 can never staff scenario 3's four stripes,
-        // so every repetition fails.
-        let (flag, kit) = mauritius_setup();
-        let _ = sweep(
-            &Scenario::fig1(3),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            4,
-        );
-    }
-
-    #[test]
-    fn all_failed_try_sweep_reports_the_first_failure() {
-        let (flag, kit) = mauritius_setup();
-        let err = try_sweep(
-            &Scenario::fig1(3),
-            &flag,
-            &kit,
-            &ActivityConfig::default(),
-            1,
-            false,
-            4,
-            &crate::faults::FaultPlan::none(),
-        )
-        .unwrap_err();
-        assert!(err.contains("all 4 repetitions failed"), "{err}");
-        assert!(err.contains("rep 0"), "{err}");
-    }
     fn ok(x: f64) -> RepOutcome {
         RepOutcome::Ok {
             completion: x,
@@ -1347,14 +1268,14 @@ mod tests {
                             runs[rep as usize].fetch_add(1, Ordering::Relaxed);
                             let outcome = synthetic(rep);
                             let report = matches!(outcome, RepOutcome::Ok { .. }).then_some(rep);
-                            (outcome, report)
+                            (rep, outcome, report)
                         }
                     },
                     |_, outcomes| {
                         let chunk = claim_chunk(reps, jobs.min(reps as usize));
                         assert!(outcomes.len() as u64 <= chunk, "jobs {jobs} reps {reps}");
                         assert!(outcomes.windows(2).all(|w| w[1].0 == w[0].0 + 1));
-                        for (rep, (outcome, report)) in outcomes.drain(..) {
+                        for (rep, outcome, report) in outcomes.drain(..) {
                             if let Some(report) = report {
                                 if kept.len() <= rep as usize {
                                     kept.resize(rep as usize + 1, None);
@@ -1401,7 +1322,7 @@ mod tests {
         claim_reps(
             &[(0, 100), (200, 5_000)],
             3,
-            |_| synthetic,
+            |_| |rep| (rep, synthetic(rep)),
             |_, outcomes| {
                 assert!(
                     !stopped.load(Ordering::Relaxed),

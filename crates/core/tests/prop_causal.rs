@@ -7,8 +7,9 @@
 
 use flagsim_agents::ImplementKind;
 use flagsim_core::config::{ActivityConfig, TeamKit};
-use flagsim_core::explain::explain_scenario;
+use flagsim_core::explain::{explain_report, explain_scenario};
 use flagsim_core::scenario::Scenario;
+use flagsim_core::sweep::SweepRunner;
 use flagsim_core::work::PreparedFlag;
 use flagsim_desim::{analyze, CriticalKind, SimDuration, SimTime};
 use flagsim_flags::library;
@@ -53,7 +54,7 @@ proptest! {
         let cfg = ActivityConfig::default().with_seed(seed);
         let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
         let team = scenario.team_size(&flag, &cfg);
-        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team, 1).expect("scenario runs");
+        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team).expect("scenario runs");
         let trace = &e.report.trace;
         let path = &e.analysis.critical_path;
         prop_assert!(!path.is_empty());
@@ -90,7 +91,7 @@ proptest! {
         let cfg = ActivityConfig::default().with_seed(seed);
         let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
         let team = scenario.team_size(&flag, &cfg);
-        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team, 1).expect("scenario runs");
+        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team).expect("scenario runs");
         let analysis = &e.analysis;
         prop_assert_eq!(
             analysis.blame_total(),
@@ -130,7 +131,7 @@ proptest! {
         let cfg = ActivityConfig::default().with_seed(seed);
         let kit = TeamKit::uniform(kind, &flag.colors_needed(&[]));
         let team = scenario.team_size(&flag, &cfg);
-        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team, 1).expect("scenario runs");
+        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team).expect("scenario runs");
         let again = analyze(&e.report.trace);
         prop_assert_eq!(&again.critical_path, &e.analysis.critical_path);
         prop_assert_eq!(&again.blame, &e.analysis.blame);
@@ -149,8 +150,8 @@ proptest! {
         );
     }
 
-    /// `explain` JSON is byte-identical however many sweep jobs produced
-    /// the underlying run.
+    /// `explain` JSON is byte-identical to the explanation of rep 0 of a
+    /// sweep on any number of jobs.
     #[test]
     fn explain_json_is_job_count_invariant(
         scenario_idx in 0usize..6,
@@ -162,8 +163,16 @@ proptest! {
         let cfg = ActivityConfig::default().with_seed(seed);
         let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]));
         let team = scenario.team_size(&flag, &cfg);
-        let serial = explain_scenario(&scenario, &flag, &kit, &cfg, team, 1).expect("scenario runs");
-        let parallel = explain_scenario(&scenario, &flag, &kit, &cfg, team, jobs).expect("scenario runs");
+        let serial = explain_scenario(&scenario, &flag, &kit, &cfg, team).expect("scenario runs");
+        let rep0 = |warmup| {
+            let runner = SweepRunner::new(&scenario, &flag, &kit, &cfg)
+                .team_size(team)
+                .warmup(warmup)
+                .reps(jobs as u64)
+                .jobs(jobs);
+            runner.run().expect("scenario runs").reports.swap_remove(0)
+        };
+        let parallel = explain_report(rep0(true), rep0(false).completion, cfg.seed);
         prop_assert_eq!(serial.to_json(), parallel.to_json());
     }
 }
@@ -179,7 +188,7 @@ fn whatif_bounds_hold_on_every_builtin_scenario() {
     for idx in 0..6 {
         let scenario = scenario_for(idx, &flag);
         let team = scenario.team_size(&flag, &cfg);
-        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team, 1).expect("scenario runs");
+        let e = explain_scenario(&scenario, &flag, &kit, &cfg, team).expect("scenario runs");
         let w = &e.analysis.whatif;
         assert!(
             e.graph_span <= w.no_contention && w.no_contention <= w.observed,

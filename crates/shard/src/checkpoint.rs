@@ -3,7 +3,7 @@
 //!
 //! A checkpoint is the coordinator's merge state frozen to JSON: the
 //! job's canonical spec and fingerprint, the merged-rep *watermark*,
-//! exact bit-level [`StreamingStats`](flagsim_metrics::StreamingStats)
+//! exact bit-level [`StreamingStats`]
 //! snapshots of both accumulators (every float as IEEE-754 hex bits —
 //! see `metrics::streaming`), the recorded per-rep failures, and any
 //! completed-but-unmerged repetitions still parked in the reorder

@@ -23,14 +23,18 @@
 //! The same code path runs pure in-process sweeps (no endpoints), which
 //! is how `--checkpoint`/`--resume`/`--max-wall-secs` work without any
 //! workers at all. In-process repetitions run on `core::sweep`'s one
-//! claim loop, [`claim_reps`], over the merge's missing ranges.
+//! in-process rep loop, [`SweepRunner::drive`], over the merge's missing
+//! ranges, so they record the same `sweep.rep` spans an in-process sweep
+//! does.
+//!
+//! [`SweepRunner::drive`]: flagsim_core::sweep::SweepRunner::drive
 
 use crate::checkpoint::Checkpoint;
 use crate::fleet::ObsHub;
 use crate::job::{JobSpec, MaterializedJob};
 use crate::lease::{LeaseConfig, LeaseGrant, LeaseTable, WorkerId};
 use crate::wire::{self, Message, Receiver, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
-use flagsim_core::sweep::{claim_reps, MergeState, RepOutcome, SweepFailure};
+use flagsim_core::sweep::{MergeState, RepOutcome, SweepFailure, SweepProgress};
 use flagsim_metrics::RunStats;
 use flagsim_telemetry::log;
 use std::collections::BTreeMap;
@@ -321,10 +325,10 @@ pub fn run_sweep(job: &JobSpec, cfg: &CoordinatorConfig) -> Result<ShardOutcome,
 }
 
 /// In-process execution of whatever the merge still owes, on the one
-/// claim loop; also the degradation path when the cluster is gone. Each
-/// outcome is [`record`]ed alone, so checkpoint cadence and
+/// in-process rep loop; also the degradation path when the cluster is gone.
+/// Each outcome is [`record`]ed alone, so checkpoint cadence and
 /// `halt_after_reps` stay exact to the rep; the wall budget is checked at
-/// each claim. With a hub, each hand-in also updates its lane's row.
+/// each hand-in, and with a hub each hand-in updates its lane's row.
 fn run_local(
     mat: &MaterializedJob,
     job: &JobSpec,
@@ -333,24 +337,22 @@ fn run_local(
     start: Instant,
 ) {
     let missing = lock(shared).merge.missing_ranges();
-    // One runner for every thread: the scenario compiles once.
-    let runner = mat.runner();
-    claim_reps(
-        &missing,
-        cfg.local_jobs,
-        |_| |rep| RepOutcome::from(runner.run_rep_stats(rep)),
-        |lane, outcomes| {
+    mat.runner()
+        .jobs(cfg.local_jobs)
+        .drive(&missing, |lane, batch| {
             let mut sh = lock(shared);
             let mut stop = false;
-            for (rep, outcome) in outcomes.drain(..) {
+            let mut last = 0;
+            for (rep, outcome, _) in batch {
                 record(&mut sh, job, cfg, rep, outcome);
+                last = rep;
                 if stop_requested(&sh) {
                     stop = true;
                     break;
                 }
             }
+            let (merged, failed) = (sh.merge.merged(), sh.merge.failures().len() as u64);
             if let Some(hub) = &cfg.obs {
-                let (merged, failed) = (sh.merge.merged(), sh.merge.failures().len() as u64);
                 hub.with(|fv| fv.on_lane(lane, merged, failed, now_ms(start)));
             }
             let expired = cfg.max_wall.is_some_and(|budget| start.elapsed() >= budget);
@@ -358,10 +360,14 @@ fn run_local(
                 sh.deadline_hit = true;
                 stop = true;
             }
-            (!stop).then_some(())
-        },
-        |()| {},
-    );
+            (!stop).then_some(SweepProgress {
+                completed: merged,
+                failed,
+                total: sh.merge.total(),
+                worker: lane,
+                rep: last,
+            })
+        });
 }
 
 /// Drive the endpoint sessions plus the supervisor loop; returns once
@@ -1127,6 +1133,63 @@ mod tests {
             true
         });
         (addr, handle)
+    }
+
+    #[test]
+    fn a_silent_peer_does_not_keep_a_worker_from_its_coordinator() {
+        // A peer connects to a serving worker and never says hello. The
+        // worker drops it at its handshake deadline (the default
+        // heartbeat timeout, 2 s) and then serves a real coordinator,
+        // whose first session waits out the same deadline at most once.
+        // A worker the silent peer held would fail all five sessions
+        // (about 10 s) and leave the campaign to degrade in-process.
+        const BOUND: Duration = Duration::from_secs(6);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        thread::spawn(move || {
+            let opts = WorkerOptions {
+                once: false,
+                name: "patient".into(),
+                quiet: true,
+                drop_telemetry_every: 0,
+            };
+            serve(&listener, &opts).ok();
+        });
+        // Connected first, so the worker accepts it first.
+        let silent = TcpStream::connect(addr).expect("silent peer connects");
+        let hub = ObsHub::new();
+        let j = job(64);
+        let started = Instant::now();
+        let outcome = run_sweep(
+            &j,
+            &CoordinatorConfig {
+                endpoints: vec![addr.to_string()],
+                obs: Some(hub.clone()),
+                ..CoordinatorConfig::default()
+            },
+        )
+        .expect("sweep runs");
+        let took = started.elapsed();
+        drop(silent);
+        let ShardOutcome::Completed(r) = outcome else {
+            panic!("expected completion, got {outcome:?}");
+        };
+        let (serial_c, _) = serial_stats(&j);
+        assert_stats_bits_equal(&r.completion, &serial_c);
+        let rows: Vec<(String, u64)> = hub.with(|fv| {
+            fv.workers()
+                .map(|w| (w.name.clone(), w.reps_done))
+                .collect()
+        });
+        assert_eq!(
+            rows,
+            vec![("patient".to_owned(), 64)],
+            "served, not degraded"
+        );
+        assert!(
+            took < BOUND,
+            "served after {took:?}; the bound is {BOUND:?}"
+        );
     }
 
     /// Run `j` over a scripted liar plus one honest worker and demand the

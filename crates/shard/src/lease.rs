@@ -20,7 +20,7 @@
 //! anything else declares the worker dead. When a worker dies the
 //! *unfinished* part of every lease it holds goes back to the pool, in
 //! ascending order, under the campaign's
-//! [`RecoveryPolicy`](flagsim_core::faults::RecoveryPolicy):
+//! [`RecoveryPolicy`]:
 //!
 //! * `Rebalance` — returned ranges are immediately grantable to
 //!   survivors.
@@ -217,7 +217,7 @@ impl LeaseTable {
     /// ranges (from [`MergeState::missing_ranges`]); everything else is
     /// treated as done.
     ///
-    /// [`MergeState::missing_ranges`]: crate::merge::MergeState::missing_ranges
+    /// [`MergeState::missing_ranges`]: flagsim_core::sweep::MergeState::missing_ranges
     pub fn with_missing(total: u64, ranges: &[(u64, u64)], cfg: LeaseConfig) -> Self {
         let mut t = LeaseTable::new(total, cfg);
         t.next_fresh = total; // nothing is "fresh"; all work flows from `returned`

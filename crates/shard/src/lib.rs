@@ -29,8 +29,8 @@
 //! * **Degradation**: when no worker is reachable at all, the
 //!   coordinator runs the repetitions in-process (the same
 //!   [`SweepRunner::run_rep_stats`](flagsim_core::sweep::SweepRunner::run_rep_stats)
-//!   the workers call, on `core::sweep`'s one claim loop,
-//!   [`claim_reps`](flagsim_core::sweep::claim_reps)), so a dead cluster
+//!   the workers call, on `core::sweep`'s one in-process rep loop,
+//!   [`SweepRunner::drive`](flagsim_core::sweep::SweepRunner::drive)), so a dead cluster
 //!   costs wall-clock time, never a campaign.
 //! * **Checkpoint/resume** ([`checkpoint`]): the coordinator
 //!   periodically serializes its [`StreamingStats`] accumulators (exact

@@ -1,8 +1,8 @@
 //! Push fleet snapshots to observers over TCP (`sweep --obs-serve`).
 //!
 //! A tiny single-threaded server: accept watchers, and every interval
-//! push the current [`ObsHub`](crate::ObsHub) snapshot to each as one
-//! length-prefixed [`wire`](crate::wire) frame. The channel is strictly
+//! push the current [`ObsHub`] snapshot to each as one
+//! length-prefixed [`wire`] frame. The channel is strictly
 //! one-way — observers are *watchers, not participants*:
 //!
 //! - The server only ever **reads** from a client socket to detect

@@ -11,7 +11,7 @@
 //! reported one frame each; that ordering is what lets the coordinator
 //! shrink a dead worker's lease to only the genuinely unfinished reps.
 //! `rep` frames are buffered, not flushed one by one: the `lease_done`
-//! send flushes them, and so does any rep that finds [`FLUSH_EVERY`]
+//! send flushes them, and so does any rep that finds `FLUSH_EVERY`
 //! passed since the last flush, which keeps a long lease heartbeating
 //! however slow its reps (a full write buffer also writes itself out).
 //! Every other frame is flushed as it is sent. The coordinator queues
@@ -21,16 +21,21 @@
 //! A failed repetition is reported (`ok:false`) and the lease continues:
 //! per-rep failures are campaign data, not worker faults.
 //!
+//! A worker serves one session at a time, so a peer owes `hello` within
+//! [`LeaseConfig`]'s default heartbeat timeout (2 s) of being accepted;
+//! one that stays silent is dropped, and the next connection is served.
+//!
 //! When the coordinator's `hello` carries a [`TraceConfig`], the worker
 //! installs its own telemetry collector for the session and ships what
 //! it records — spans, logs, flows, counter deltas — back as `telemetry`
-//! frames, drained every [`SHIP_EVERY_REPS`] reps and at each lease
-//! boundary. Pending records are capped ([`MAX_PENDING`]); overflow is
+//! frames, drained every `SHIP_EVERY_REPS` reps and at each lease
+//! boundary. Pending records are capped (`MAX_PENDING`); overflow is
 //! *dropped and counted*, never buffered without bound, so a slow or
 //! inattentive coordinator can cost trace fidelity but never stall the
 //! repetitions themselves.
 
 use crate::job::JobSpec;
+use crate::lease::LeaseConfig;
 use crate::wire::{self, Message, TelemetryBatch, TraceConfig, PROTOCOL_VERSION};
 use flagsim_core::sweep::RepOutcome;
 use flagsim_telemetry::{log, Collector, FlowRecord, LogRecord, SpanRecord};
@@ -224,8 +229,21 @@ pub fn serve_session(stream: &TcpStream, opts: &WorkerOptions) -> io::Result<()>
     let mut reader = wire::Receiver::new(BufReader::new(stream.try_clone()?));
     let mut writer = BufWriter::new(stream.try_clone()?);
 
-    // Handshake: hello carries the whole job (and the trace context).
-    let (job, trace): (JobSpec, Option<TraceConfig>) = match reader.recv()? {
+    // Handshake: hello carries the whole job (and the trace context). A
+    // worker serves one session at a time, so a peer that connects and
+    // says nothing must not hold it: hello is owed within the silence a
+    // coordinator tolerates from a worker.
+    let deadline = Duration::from_millis(LeaseConfig::default().heartbeat_timeout_ms);
+    stream.set_read_timeout(Some(deadline))?;
+    let hello = reader.recv().map_err(|e| match e.kind() {
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => io::Error::new(
+            io::ErrorKind::TimedOut,
+            format!("no hello within {} ms", deadline.as_millis()),
+        ),
+        _ => e,
+    })?;
+    stream.set_read_timeout(None)?;
+    let (job, trace): (JobSpec, Option<TraceConfig>) = match hello {
         Some(Message::Hello {
             protocol,
             job,

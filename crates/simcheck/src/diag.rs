@@ -230,7 +230,7 @@ impl Report {
     }
 }
 
-/// Convert the flag-spec lints of [`flagsim_flags::lint`] into framework
+/// Convert the flag-spec lints of [`flagsim_flags::lint`](fn@flagsim_flags::lint) into framework
 /// diagnostics (they already carry `SC1xx` IDs).
 pub fn from_flag_lints(lints: &[flagsim_flags::Lint]) -> Vec<Diag> {
     lints

@@ -17,7 +17,7 @@
 //!   `Released`/`Acquired` hand-off pairing, and same-cell writes that
 //!   are not HB-ordered are reported as races together with the
 //!   acquire-order tie that hid them.
-//! * [`explore`] — the bounded model checker behind `flagsim verify`:
+//! * [`explore`](mod@explore) — the bounded model checker behind `flagsim verify`:
 //!   enumerate every resolution of the engine's scheduler ties (with
 //!   sleep-set partial-order reduction and state-hash cutting) and prove
 //!   outcome invariance or produce a minimal divergent witness pair /

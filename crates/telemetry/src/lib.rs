@@ -7,7 +7,7 @@
 //!
 //! A profiling session is a [`Collector`]: install one, run instrumented
 //! code, then [`Collector::finish`] to get the recorded [`SpanSet`] and
-//! render its [`MetricsRegistry`]. Instrumented code calls [`span`] /
+//! render its [`MetricsRegistry`]. Instrumented code calls [`span`](fn@span) /
 //! [`span_linked`] for timing scopes and [`count`] / [`gauge_set`] /
 //! [`observe`] for metrics; with no collector installed every call is a
 //! no-op gated on a single relaxed atomic load, so permanently

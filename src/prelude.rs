@@ -18,7 +18,6 @@ pub use flagsim_core::classroom::ClassroomSession;
 pub use flagsim_core::config::{ActivityConfig, ReleasePolicy, TeamKit};
 pub use flagsim_core::partition::{CellOrder, PartitionStrategy};
 pub use flagsim_core::scenario::Scenario;
-pub use flagsim_core::sweep::sweep;
 pub use flagsim_core::work::{PreparedFlag, WorkItem};
 pub use flagsim_core::RunReport;
 pub use flagsim_flags::{library, FlagSpec};
