@@ -52,7 +52,7 @@ options! {
         resume: Option<String> = a.opt("resume", "FILE", text)?,
         max_wall: Option<Duration> = a.opt("max-wall-secs", "S", wall_budget)?,
         obs_out: Option<String> = a.opt("obs-out", "FILE", text)?,
-        obs_serve: Option<String> = a.opt("obs-serve", "ADDR", text)?,
+        obs_serve: Option<String> = a.opt("obs-serve", "ADDR", endpoint)?,
     }
 
     pub(super) struct WorkerArgs("worker") |a| {
@@ -68,12 +68,21 @@ fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
+/// One `host:port` address (`--obs-serve`, and each `--connect` part).
+fn endpoint(s: &str) -> Result<String, String> {
+    match s.parse::<std::net::SocketAddr>() {
+        Ok(_) => Ok(s.to_owned()),
+        Err(_) => Err(format!("bad address {s:?} (want host:port)")),
+    }
+}
+
 /// One `--connect` value: comma-separated `host:port` addresses.
 fn endpoints(s: &str) -> Result<Vec<String>, String> {
-    let parts: Vec<String> = s.split(',').filter(|p| !p.is_empty()).map(str::to_owned).collect();
-    if let Some(part) = parts.iter().find(|p| p.parse::<std::net::SocketAddr>().is_err()) {
-        return Err(format!("bad address {part:?} (want host:port)"));
-    }
+    let parts = s
+        .split(',')
+        .filter(|p| !p.is_empty())
+        .map(endpoint)
+        .collect::<Result<Vec<_>, _>>()?;
     if parts.is_empty() {
         return Err("no usable address".into());
     }

@@ -222,6 +222,25 @@ fn sweep_argument_errors_exit_2_with_one_line_stderr() {
     }
 }
 
+/// A malformed `--obs-serve` address is a usage error at parse time,
+/// before any `--workers` child spawns or any name lookup runs.
+#[test]
+fn sweep_obs_serve_address_is_checked_at_parse_time() {
+    for addr in ["999.0.0.1:1", "127.0.0.1", "not-an-address"] {
+        let (stdout, stderr, code) =
+            flagsim_code(&["sweep", "4", "--reps", "8", "--workers", "2", "--obs-serve", addr]);
+        assert_eq!(code, 2, "--obs-serve {addr} must exit 2, stderr: {stderr}");
+        assert_eq!(
+            stderr.trim_end(),
+            format!(
+                "error: flagsim sweep: --obs-serve \"{addr}\": bad address \"{addr}\" \
+                 (want host:port)"
+            ),
+        );
+        assert!(stdout.is_empty(), "{stdout}");
+    }
+}
+
 #[test]
 fn sweep_soft_deadline_exits_3_checkpoints_and_resumes_bit_identically() {
     let dir = std::env::temp_dir();

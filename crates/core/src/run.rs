@@ -955,6 +955,9 @@ pub enum OutcomeFingerprint {
     },
     /// The run stalled, with the wait-for graph the report finish gives.
     Stalled(WaitForGraph),
+    /// The policy ended the run early ([`SchedulePolicy::ends_run`]): it
+    /// reached a state whose outcome the policy's caller already holds.
+    Known,
 }
 
 impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
@@ -995,7 +998,9 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
     }
 
     /// Run the sampled world once more under the policy as it stands —
-    /// the outcome a fresh run of the same inputs and policy gives.
+    /// the outcome a fresh run of the same inputs and policy gives. A
+    /// policy that ends the run early ([`SchedulePolicy::ends_run`])
+    /// leaves the report of the run so far.
     pub fn run(&mut self) -> Result<ActivityOutcome, String> {
         let run = self.scenario.run(&self.prep, self.config, self.plan);
         outcome(run.drive(
@@ -1013,6 +1018,9 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
     /// then [`RunReport::fingerprint`] of the report `run` would give,
     /// folded from the engine's slots, the cell lists and a reused grid
     /// buffer. A steady-state run without faults allocates nothing.
+    ///
+    /// A run the policy ends early ([`SchedulePolicy::ends_run`]) comes
+    /// back as [`OutcomeFingerprint::Known`], with nothing folded.
     ///
     /// A stall comes back as the wait-for graph `run` gives, its process
     /// names and resource labels filled in on that cold path. No activity
@@ -1035,6 +1043,9 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
         let run = scenario.run(prep, config, plan);
         let flag = run.flag;
         let fingerprinted = run.drive(team, world, engine, Some(items), false, |ran| {
+            if ran.engine.policy_mut().ends_run() {
+                return OutcomeFingerprint::Known;
+            }
             // Paint as the report finish does.
             cells.clear();
             cells.resize(flag.reference.len(), Color::Blank);

@@ -277,7 +277,7 @@ fn steady_state_fingerprint_schedule_allocates_nothing() {
 
 /// Allocations of one `flagsim verify` verdict on scenario 4 at seed
 /// 2025 (44 schedules): sampling the world once, exploration's stack,
-/// state set, scripts and outcome classes, the root schedule's report
+/// state map, scripts and outcome classes, the root schedule's report
 /// (the baseline, traced on the reused engine, not a separate run), and
 /// the SC302 tie pass over its trace in flat clock rows.
 const SCENARIO_4_VERDICT_ALLOCS: u64 = 236;

@@ -297,7 +297,8 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         }
     }
 
-    /// The installed policy, e.g. to restart a scripted one between runs.
+    /// The installed policy, e.g. to restart a scripted one between runs
+    /// or to ask whether it ended the last one early.
     pub fn policy_mut(&mut self) -> &mut Pol {
         &mut self.policy
     }
@@ -501,6 +502,12 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
     ///
     /// Stall detection only applies to runs that drain naturally: a run
     /// cut off by the bell legitimately leaves processes blocked.
+    ///
+    /// A schedule policy can end the run early
+    /// ([`SchedulePolicy::ends_run`]): the loop stops before moving time
+    /// past the current instant and returns that instant, leaving pending
+    /// events unprocessed and in-flight accounting unsettled. Ask the
+    /// policy, not the result, whether that happened.
     pub fn run_in_place(&mut self, deadline: SimTime) -> Result<SimTime, SimError> {
         // One span per run, counters folded in at the end from stats the
         // engine already keeps — the event loop itself stays untouched,
@@ -511,6 +518,9 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         let mut cut_off = false;
         while let Some(mut min) = Self::min_entry(&self.queue) {
             if Pol::policed() {
+                if self.queue[min].at > self.now && self.policy.ends_run() {
+                    break;
+                }
                 min = self.choose_tied_wakeup(min);
             }
             let t = self.queue[min].at;
@@ -540,7 +550,11 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
             }
             self.advance(pid).map_err(|e| *e)?;
         }
-        if cut_off {
+        if Pol::policed() && self.policy.ends_run() {
+            // The policy ended the run, or asked to and the queue drained
+            // first: the caller takes the outcome from the policy, so
+            // nothing is settled or checked.
+        } else if cut_off {
             self.now = deadline;
             self.settle_cutoff(deadline);
         } else {
@@ -670,7 +684,11 @@ impl<P: Process, Pol: SchedulePolicy> Engine<P, Pol> {
         self.candidates.clear();
         self.candidates
             .extend(self.ties.iter().map(|&(pid, _)| pid));
-        let state_hash = self.state_hash();
+        let state_hash = if self.policy.reads_state_hash() {
+            self.state_hash()
+        } else {
+            0
+        };
         let chosen = self.policy.choose(&ChoicePoint {
             kind,
             at,
@@ -1092,6 +1110,45 @@ mod tests {
         assert_eq!(alt.procs[2].finished_at, Some(SimTime(40)), "c served second");
         assert_eq!(alt.procs[1].finished_at, Some(SimTime(60)), "b served last");
         assert_eq!(alt.end_time, base.end_time, "work conserved");
+    }
+
+    /// A forced schedule that reaches a known state past its script ends
+    /// the run once that instant is over: the rest of the instant's
+    /// cascades still run and are logged, nothing later does, and no
+    /// decision after the known one (nor any replayed one) reads a hash.
+    #[test]
+    fn forced_schedule_ends_the_run_when_a_known_state_s_instant_closes() {
+        use crate::schedule::KnownState;
+        let build = || contenders(1, 0, &[("a", 10), ("b", 20), ("c", 30)]);
+        let (policy, log) = ForcedSchedule::new(vec![]);
+        build().with_schedule_policy(policy).try_run().expect("runs");
+        let full = log.take();
+        let hashes: Vec<u64> = full.decisions.iter().map(|d| d.state_hash).collect();
+        assert!(hashes.iter().all(|&h| h != 0), "{hashes:?}");
+
+        // Decision 1 (the t=0 tie between b and c) is known.
+        let (mut policy, log) = ForcedSchedule::new(vec![]);
+        let known = KnownState {
+            class: 0,
+            pruned_after: 1,
+        };
+        policy.known_mut().insert(hashes[1], known);
+        let eng = build().with_schedule_policy(policy);
+        let cut = eng.try_run().expect("ends cleanly");
+        let cut_log = log.take();
+        assert_eq!(cut.end_time, SimTime::ZERO);
+        assert!(cut.procs.iter().all(|p| p.finished_at.is_none()));
+        assert_eq!(cut_log.decisions, full.decisions[..2]);
+        assert_eq!(cut_log.cascades.len(), 3, "a, b and c all ran at t=0");
+        assert_eq!(cut_log.cascades, full.cascades[..3]);
+
+        // Replayed decisions read no hash; the first one past the script
+        // does, and nothing after a cut does.
+        let (mut policy, log) = ForcedSchedule::new(vec![0]);
+        policy.known_mut().insert(hashes[1], known);
+        build().with_schedule_policy(policy).try_run().expect("ends cleanly");
+        let read: Vec<u64> = log.take().decisions.iter().map(|d| d.state_hash).collect();
+        assert_eq!(read, [0, hashes[1]]);
     }
 
     /// Replaying the same forced schedule is byte-deterministic, and the

@@ -51,8 +51,8 @@ pub use engine::{Action, Engine, FnProcess, ProcId, Process};
 pub use error::{SimError, WaitEdge, WaitForGraph};
 pub use resource::ResourceId;
 pub use schedule::{
-    CascadeRec, ChoiceKind, ChoicePoint, Decision, ForcedSchedule, NoPolicy, ScheduleLog,
-    SchedulePolicy,
+    CascadeRec, ChoiceKind, ChoicePoint, Decision, ForcedSchedule, KnownState, KnownStates,
+    NoPolicy, ScheduleLog, SchedulePolicy,
 };
 pub use time::{SimDuration, SimTime};
 pub use trace::{csv_field, xml_escape, EventKind, ProcAccount, Trace, TraceEvent};

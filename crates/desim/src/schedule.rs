@@ -21,11 +21,21 @@
 //! The policy is the engine's second type parameter. The default,
 //! [`NoPolicy`], is zero-sized and answers [`SchedulePolicy::policed`]
 //! with `false`, so every policy branch in the event loop compiles away.
+//!
+//! The state hash costs a pass over every slot and resource, so the
+//! engine computes it only for a choice point whose policy reads it
+//! ([`SchedulePolicy::reads_state_hash`]). A [`ForcedSchedule`] reads the
+//! hash of each decision past its script, up to the first that reaches a
+//! state in its [`KnownStates`]; a decision it replays from the script
+//! carries 0. Reaching a known state also ends the run
+//! ([`SchedulePolicy::ends_run`]) once the engine has finished that
+//! simulated instant: the rest of the run is already explored.
 
 use crate::engine::ProcId;
 use crate::resource::ResourceId;
 use crate::time::SimTime;
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// FNV-1a 64-bit offset basis.
@@ -105,7 +115,9 @@ pub struct ChoicePoint<'a> {
     pub candidates: &'a [ProcId],
     /// Canonical hash of the engine state at this choice point (see
     /// `Engine::state_hash`): equal hashes mean the remaining schedule
-    /// space is identical.
+    /// space is identical. Computed only when the policy's
+    /// [`SchedulePolicy::reads_state_hash`] says so beforehand; 0
+    /// otherwise.
     pub state_hash: u64,
 }
 
@@ -148,6 +160,23 @@ pub trait SchedulePolicy {
     ) {
         let _ = (pid, at, resources, spawned_same_time);
     }
+
+    /// Whether the next choice point's [`ChoicePoint::state_hash`] is read.
+    /// The engine asks before each choice point and computes the hash only
+    /// on `true`, passing 0 otherwise. The default reads every hash.
+    fn reads_state_hash(&self) -> bool {
+        true
+    }
+
+    /// Whether the run should end once the current simulated instant is
+    /// over. The engine asks before it moves time forward: on `true` it
+    /// stops there, with events still pending, and returns the time
+    /// reached without settling accounts or checking for a stall. Every
+    /// event of the instant in which the policy decided still runs, so
+    /// its cascades are all observed. The default never ends a run.
+    fn ends_run(&self) -> bool {
+        false
+    }
 }
 
 /// The default policy: no policy. Ties fall to insertion order, and the
@@ -180,6 +209,14 @@ impl<T: SchedulePolicy + ?Sized> SchedulePolicy for Box<T> {
     ) {
         (**self).observe_cascade(pid, at, resources, spawned_same_time);
     }
+
+    fn reads_state_hash(&self) -> bool {
+        (**self).reads_state_hash()
+    }
+
+    fn ends_run(&self) -> bool {
+        (**self).ends_run()
+    }
 }
 
 /// One recorded decision: where the tie was, who was tied, and which
@@ -196,7 +233,9 @@ pub struct Decision {
     pub candidates: std::ops::Range<usize>,
     /// Index into the tied processes that was chosen.
     pub chosen: usize,
-    /// Canonical state hash at the choice point.
+    /// Canonical state hash at the choice point, or 0 where the policy
+    /// did not read it: a [`ForcedSchedule`] reads it for decisions past
+    /// its script, up to and including the first one at a known state.
     pub state_hash: u64,
 }
 
@@ -259,10 +298,34 @@ impl ScheduleLog {
     }
 }
 
+/// What an exploration learned about one choice state it branched from.
+/// Every schedule that reaches the state and takes the default (0) at it
+/// and at each later decision runs as the first one did, so it lands in
+/// the same outcome class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct KnownState {
+    /// The outcome class of the schedules through this state, numbered by
+    /// the explorer.
+    pub class: usize,
+    /// The alternatives that state-hash pruning skips at the decisions
+    /// after this one: one less than the candidate count, summed over
+    /// every later decision.
+    pub pruned_after: usize,
+}
+
+/// Explored choice states, keyed by state hash.
+pub type KnownStates = BTreeMap<u64, KnownState>;
+
 /// A scripted tie-breaker: decision `i` picks `script[i]`, and every
 /// decision past the end of the script picks candidate 0 (the canonical
 /// default). Records the full [`ScheduleLog`] through a shared handle so
 /// the log survives the engine consuming itself in `try_run`.
+///
+/// A decision past the script whose state is in the schedule's
+/// [`KnownStates`] ends the run when its instant closes
+/// ([`SchedulePolicy::ends_run`]); with no known states, the default, the
+/// run goes to the end. Only decisions past the script, up to that one,
+/// read the state hash.
 ///
 /// Replaying the same script against the same engine build is
 /// byte-deterministic: same trace, same log. One policy serves many
@@ -275,6 +338,9 @@ pub struct ForcedSchedule {
     script: Vec<usize>,
     cursor: usize,
     log: Rc<RefCell<ScheduleLog>>,
+    known: KnownStates,
+    /// Whether this run reached a known state.
+    ended: bool,
 }
 
 impl ForcedSchedule {
@@ -287,6 +353,8 @@ impl ForcedSchedule {
                 script,
                 cursor: 0,
                 log: Rc::clone(&log),
+                known: KnownStates::new(),
+                ended: false,
             }),
             log,
         )
@@ -298,13 +366,24 @@ impl ForcedSchedule {
         self.script.clear();
         self.script.extend_from_slice(script);
         self.cursor = 0;
+        self.ended = false;
+    }
+
+    /// The explored states a run past its script stops at, e.g. to swap
+    /// an explorer's map in before a run and out after it.
+    pub fn known_mut(&mut self) -> &mut KnownStates {
+        &mut self.known
     }
 }
 
 impl SchedulePolicy for ForcedSchedule {
     fn choose(&mut self, choice: &ChoicePoint<'_>) -> usize {
+        let replayed = self.cursor < self.script.len();
         let raw = self.script.get(self.cursor).copied().unwrap_or(0);
         self.cursor += 1;
+        if !replayed && !self.ended {
+            self.ended = self.known.contains_key(&choice.state_hash);
+        }
         // Clamp defensively: within an exploration the script is always
         // in range (the prefix replays deterministically), but a stale
         // hand-written script must not crash the run.
@@ -340,6 +419,14 @@ impl SchedulePolicy for ForcedSchedule {
             footprint,
             spawned_same_time,
         });
+    }
+
+    fn reads_state_hash(&self) -> bool {
+        self.cursor >= self.script.len() && !self.ended
+    }
+
+    fn ends_run(&self) -> bool {
+        self.ended
     }
 }
 

@@ -100,6 +100,8 @@ pub struct FleetView {
     /// How many of the merged repetitions failed.
     pub failed: u64,
     workers: BTreeMap<String, WorkerObs>,
+    /// `lane-NN` for each lane seen, formatted once.
+    lane_names: Vec<String>,
     last_sample_ms: Option<u64>,
 }
 
@@ -114,9 +116,7 @@ impl FleetView {
     }
 
     fn worker_mut(&mut self, name: &str) -> &mut WorkerObs {
-        self.workers
-            .entry(name.to_owned())
-            .or_insert_with(|| WorkerObs::new(name))
+        row(&mut self.workers, name)
     }
 
     /// A session with `name` was established.
@@ -170,7 +170,11 @@ impl FleetView {
         let credit = merged.saturating_sub(self.merged);
         self.merged += credit;
         self.failed = self.failed.max(failed);
-        let w = self.worker_mut(&format!("lane-{lane:02}"));
+        while self.lane_names.len() <= lane {
+            let next = format!("lane-{:02}", self.lane_names.len());
+            self.lane_names.push(next);
+        }
+        let w = row(&mut self.workers, &self.lane_names[lane]);
         w.connected = true;
         w.reps_done += credit;
         w.last_heard_ms = t_ms;
@@ -293,6 +297,17 @@ impl FleetView {
         out.push_str("]\n}\n");
         out
     }
+}
+
+/// The row of worker `name`, added on first sight. A known name is
+/// looked up, not copied, so a steady-state update allocates nothing.
+fn row<'a>(workers: &'a mut BTreeMap<String, WorkerObs>, name: &str) -> &'a mut WorkerObs {
+    if !workers.contains_key(name) {
+        workers.insert(name.to_owned(), WorkerObs::new(name));
+    }
+    workers
+        .get_mut(name)
+        .expect("the row exists: it was just added")
 }
 
 /// Shared handle to a [`FleetView`]: cloned into the coordinator's

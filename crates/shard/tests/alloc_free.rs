@@ -1,12 +1,13 @@
 //! Allocation gates for the shard hot path. In steady state a `rep`
 //! frame encoded and queued on the worker allocates nothing, and neither
 //! does one read and decoded on the coordinator, nor the lease frames
-//! around them. The test binary installs its own counting allocator,
+//! around them, nor the fleet hub's row update for a rep or a lane's
+//! hand-in. The test binary installs its own counting allocator,
 //! which counts only on the thread that asked, so tests running in
 //! parallel do not disturb each other's counts.
 
 use flagsim_shard::wire::{self, Receiver};
-use flagsim_shard::{Message, RepOutcome};
+use flagsim_shard::{Message, ObsHub, RepOutcome};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io::{self, BufReader, BufWriter, Cursor};
@@ -111,4 +112,32 @@ fn a_rep_frame_reads_and_decodes_on_the_coordinator_without_allocating() {
         assert_eq!(n, 0, "receiving {want:?} allocated {n} time(s)");
     }
     assert_eq!(rx.recv().expect("clean end"), None);
+}
+
+#[test]
+fn fleet_row_updates_do_not_allocate_once_the_row_exists() {
+    let hub = ObsHub::new();
+    hub.with(|fv| fv.reset("c0ffee".to_owned(), 1_000));
+    // First sight of a worker and of two lanes adds their rows.
+    hub.with(|fv| {
+        fv.on_connected("w1", 0);
+        fv.on_rep("w1", 1);
+        fv.on_lane(0, 1, 0, 1);
+        fv.on_lane(1, 2, 0, 1);
+    });
+    for t in 2..66u64 {
+        let (_, n) = allocations(|| hub.with(|fv| fv.on_rep("w1", t)));
+        assert_eq!(n, 0, "on_rep at {t} allocated {n} time(s)");
+        let lane = (t % 2) as usize;
+        let (_, n) = allocations(|| hub.with(|fv| fv.on_lane(lane, t + 1, 0, t)));
+        assert_eq!(n, 0, "on_lane({lane}) at {t} allocated {n} time(s)");
+    }
+    let rows: Vec<(String, u64)> = hub.with(|fv| {
+        fv.workers()
+            .map(|w| (w.name.clone(), w.reps_done))
+            .collect()
+    });
+    let lanes: u64 = rows[..2].iter().map(|(_, reps)| reps).sum();
+    assert_eq!(rows[2], ("w1".to_owned(), 65));
+    assert_eq!(lanes, 66, "{rows:?}");
 }

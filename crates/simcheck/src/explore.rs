@@ -15,10 +15,15 @@
 //!
 //! Two prunings keep enumeration tractable without losing outcomes:
 //!
-//! * **State-hash cutting.** Every choice point carries the engine's
-//!   canonical state hash; once one run has branched from a state, later
-//!   runs reaching the same hash skip alternative generation — the
-//!   subtree is already covered.
+//! * **State-hash cutting.** Every choice point past a run's forced
+//!   prefix carries the engine's canonical state hash; once one run has
+//!   branched from a state, later runs reaching the same hash skip
+//!   alternative generation — the subtree is already covered. In
+//!   [`explore_activity`] such a run also stops there (a *known-state
+//!   cut*): it ends when that simulated instant closes and takes the
+//!   state's outcome class and its count of state-hash-pruned ties after
+//!   it from the visited map ([`KnownStates`]), so the [`Exploration`] is
+//!   the one full runs give. [`explore`] runs every schedule in full.
 //! * **Sleep-set (commutativity) pruning.** For a wake-up tie, running
 //!   candidate `c` *later* instead of first is observationally identical
 //!   when `c`'s poll cascade touches no resource that any earlier
@@ -40,9 +45,10 @@ use flagsim_core::{
 };
 use flagsim_desim::schedule::{fnv_mix, fnv_mix_str, FNV_OFFSET};
 use flagsim_desim::{
-    Action, ChoiceKind, Engine, FnProcess, ForcedSchedule, ScheduleLog, SimDuration, SimError,
-    Trace, WaitForGraph,
+    Action, ChoiceKind, Decision, Engine, FnProcess, ForcedSchedule, KnownState, KnownStates,
+    ScheduleLog, SimDuration, SimError, Trace, WaitForGraph,
 };
+use std::collections::btree_map::Entry;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -112,7 +118,7 @@ impl Outcome {
 }
 
 /// One distinct outcome, with the first schedule that produced it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OutcomeClass {
     /// The outcome.
     pub outcome: Outcome,
@@ -124,7 +130,7 @@ pub struct OutcomeClass {
 
 /// Two schedules differing in exactly one decision, with different
 /// outcomes — the minimal certificate that a tie resolution matters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WitnessPair {
     /// The converging side: the divergent script minus its last decision
     /// (everything past the script's end takes the canonical default).
@@ -138,7 +144,7 @@ pub struct WitnessPair {
 }
 
 /// Everything a bounded exploration learned.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Exploration {
     /// Schedules actually simulated.
     pub schedules_run: usize,
@@ -184,7 +190,7 @@ fn footprints_disjoint(a: &[flagsim_desim::ResourceId], b: &[flagsim_desim::Reso
 
 /// Would flipping decision `d` to its candidate `alt` commute with the
 /// run as observed? See the module docs for the rule.
-fn sleep_prunable(d: &flagsim_desim::Decision, alt: usize, log: &ScheduleLog) -> bool {
+fn sleep_prunable(d: &Decision, alt: usize, log: &ScheduleLog) -> bool {
     if d.kind != ChoiceKind::Wakeup {
         return false;
     }
@@ -219,15 +225,16 @@ fn sleep_prunable(d: &flagsim_desim::Decision, alt: usize, log: &ScheduleLog) ->
 /// It is called once per explored schedule, and each call must run the
 /// same world from its start: a fresh build, or a reused one reset in
 /// between. Any genuine simulation error aborts the whole exploration.
+/// Every schedule runs in full.
 pub fn explore<F>(mut run: F, cfg: &ExploreConfig) -> Result<Exploration, String>
 where
     F: FnMut(&[usize]) -> Result<(Outcome, ScheduleLog), String>,
 {
     explore_in_place(
-        |script, log| {
+        |script, log, _known| {
             let (outcome, recorded) = run(script)?;
             *log = recorded;
-            Ok(outcome)
+            Ok(Some(outcome))
         },
         cfg,
     )
@@ -236,72 +243,83 @@ where
 /// [`explore`] over one recycled [`ScheduleLog`]: `run` records each
 /// schedule into the log it is handed, which the loop clears before every
 /// schedule, so the log's buffers serve the whole exploration.
+///
+/// `run` is also handed the explored states, and may end a schedule early
+/// at the first decision past its script whose state is among them,
+/// returning `None` (a known-state cut). It must then still have run and
+/// logged the rest of that decision's instant, whose cascades the
+/// sleep-set check of an earlier decision at the same instant reads. The
+/// cut schedule lands in the known state's outcome class, and every
+/// decision from the known one on counts as state-hash-pruned, as it
+/// would in the full run: the state hash covers everything the rest of
+/// the run reads, and past the script every decision takes the default,
+/// so the full run would replay the known state's first run from there.
 fn explore_in_place<F>(mut run: F, cfg: &ExploreConfig) -> Result<Exploration, String>
 where
-    F: FnMut(&[usize], &mut ScheduleLog) -> Result<Outcome, String>,
+    F: FnMut(&[usize], &mut ScheduleLog, &mut KnownStates) -> Result<Option<Outcome>, String>,
 {
-    // The script to run next, plus the outcome key of the run that
+    // The script to run next, plus the outcome class of the run that
     // generated it (`None` only for the root).
     struct Pending {
         script: Vec<usize>,
-        parent_key: Option<(u8, u64)>,
+        parent: Option<usize>,
     }
+    let skipped = |d: &Decision| d.candidates.len().saturating_sub(1);
     let mut ex = Exploration::default();
-    let mut visited: BTreeSet<u64> = BTreeSet::new();
+    let mut visited = KnownStates::new();
     let mut log = ScheduleLog::default();
     let mut stack = vec![Pending {
         script: Vec::new(),
-        parent_key: None,
+        parent: None,
     }];
 
-    while let Some(Pending { script, parent_key }) = stack.pop() {
+    while let Some(Pending { script, parent }) = stack.pop() {
         if ex.schedules_run >= cfg.max_schedules {
             ex.truncated = true;
             break;
         }
         log.clear();
-        let outcome = run(&script, &mut log)?;
+        let outcome = run(&script, &mut log, &mut visited)?;
         ex.schedules_run += 1;
-        let key = outcome.key();
 
-        match ex.outcomes.iter_mut().find(|c| c.outcome.key() == key) {
-            Some(class) => class.runs += 1,
+        // The decisions this run took beyond its forced prefix (those all
+        // chose the canonical default 0), up to a known state if it was
+        // cut there, and the pruned alternatives from that state on.
+        let past_prefix = log.decisions.get(script.len()..).unwrap_or_default();
+        let (class, fresh, pruned_tail) = match outcome {
+            Some(outcome) => (classify(&mut ex, outcome, &script, parent), past_prefix, 0),
             None => {
-                // A non-root script that discovers a new class is a
-                // minimal witness: its parent ran the same prefix with
-                // only the last decision at the default, and landed in an
-                // older class.
-                if ex.witness.is_none() {
-                    if let Some(pk) = parent_key {
-                        if let Some(parent_class) =
-                            ex.outcomes.iter().find(|c| c.outcome.key() == pk)
-                        {
-                            ex.witness = Some(WitnessPair {
-                                baseline: script[..script.len() - 1].to_vec(),
-                                divergent: script.clone(),
-                                baseline_outcome: parent_class.outcome.clone(),
-                                divergent_outcome: outcome.clone(),
-                            });
-                        }
+                let (at, known) = past_prefix
+                    .iter()
+                    .enumerate()
+                    .find_map(|(i, d)| visited.get(&d.state_hash).map(|k| (i, *k)))
+                    .ok_or("a schedule ended early without reaching an explored state")?;
+                ex.outcomes[known.class].runs += 1;
+                let tail = skipped(&past_prefix[at]) + known.pruned_after;
+                (known.class, &past_prefix[..at], tail)
+            }
+        };
+        ex.pruned_visited += pruned_tail;
+
+        // Branch on every fresh decision at an unexplored state.
+        let mut pruned_after = pruned_tail + fresh.iter().map(skipped).sum::<usize>();
+        for (i, d) in fresh.iter().enumerate() {
+            pruned_after -= skipped(d);
+            if !cfg.naive {
+                match visited.entry(d.state_hash) {
+                    Entry::Occupied(_) => {
+                        ex.pruned_visited += skipped(d);
+                        continue;
+                    }
+                    Entry::Vacant(entry) => {
+                        entry.insert(KnownState {
+                            class,
+                            pruned_after,
+                        });
                     }
                 }
-                ex.outcomes.push(OutcomeClass {
-                    outcome,
-                    schedule: script.clone(),
-                    runs: 1,
-                });
             }
-        }
-
-        // Branch on every decision this run took beyond its forced
-        // prefix (those all chose the canonical default 0).
-        for (i, d) in log.decisions.iter().enumerate().skip(script.len()) {
-            let tied = d.candidates.len();
-            if !cfg.naive && !visited.insert(d.state_hash) {
-                ex.pruned_visited += tied.saturating_sub(1);
-                continue;
-            }
-            for alt in 0..tied {
+            for alt in 0..d.candidates.len() {
                 if alt == d.chosen {
                     continue;
                 }
@@ -309,11 +327,11 @@ where
                     ex.pruned_sleep += 1;
                     continue;
                 }
-                let mut next = log.script_prefix(i);
+                let mut next = log.script_prefix(script.len() + i);
                 next.push(alt);
                 stack.push(Pending {
                     script: next,
-                    parent_key: Some(key),
+                    parent: Some(class),
                 });
             }
         }
@@ -323,6 +341,37 @@ where
     }
     ex.visited_states = visited.len();
     Ok(ex)
+}
+
+/// The index of `outcome`'s class, counting one more run in it, or of a
+/// new class that `script` discovered. A non-root script that discovers a
+/// new class is a minimal witness: its parent ran the same prefix with
+/// only the last decision at the default, and landed in an older class.
+fn classify(
+    ex: &mut Exploration,
+    outcome: Outcome,
+    script: &[usize],
+    parent: Option<usize>,
+) -> usize {
+    let key = outcome.key();
+    if let Some(at) = ex.outcomes.iter().position(|c| c.outcome.key() == key) {
+        ex.outcomes[at].runs += 1;
+        return at;
+    }
+    if let (None, Some(parent)) = (&ex.witness, parent) {
+        ex.witness = Some(WitnessPair {
+            baseline: script[..script.len() - 1].to_vec(),
+            divergent: script.to_vec(),
+            baseline_outcome: ex.outcomes[parent].outcome.clone(),
+            divergent_outcome: outcome.clone(),
+        });
+    }
+    ex.outcomes.push(OutcomeClass {
+        outcome,
+        schedule: script.to_vec(),
+        runs: 1,
+    });
+    ex.outcomes.len() - 1
 }
 
 /// Canonical fingerprint of a completed engine run: end time plus every
@@ -429,15 +478,22 @@ pub fn scenario_team(scenario: &CompiledScenario) -> Vec<StudentProfile> {
 /// The run is prepared and its durations sampled once per verdict; every
 /// schedule replays that world in one reused engine under one restarted
 /// [`ForcedSchedule`], whose log handle holds exploration's recycled
-/// [`ScheduleLog`] for the length of each run. The root schedule (the
-/// empty script, every tie at its default) is the baseline: it takes the
-/// report finish ([`ScheduledRuns::run`]) with trace events on, whatever
-/// the caller's config says, and its report's fingerprint is its outcome.
+/// [`ScheduleLog`] for the length of each run, and which holds the
+/// explored states for the same span. The root schedule (the empty
+/// script, every tie at its default) is the baseline: it takes the report
+/// finish ([`ScheduledRuns::run`]) with trace events on, whatever the
+/// caller's config says, and its report's fingerprint is its outcome.
 /// The SC302 ties of that observed schedule are read off its events
 /// ([`crate::hb::acquire_ties`]) to be annotated with the verdict. Every
 /// other schedule takes the fingerprint finish
 /// ([`ScheduledRuns::fingerprint`]), which builds no report and records
 /// no events, and gives the same fingerprint.
+///
+/// Past its script, a schedule that reaches an explored choice state
+/// stops when that instant closes and takes the state's known outcome (a
+/// known-state cut; the `simcheck.explore.cuts` counter counts them). The
+/// [`Exploration`] is the one full runs give, field for field; naive mode
+/// explores no states, so it runs every schedule in full.
 ///
 /// [`ScheduledRuns::run`]: flagsim_core::ScheduledRuns::run
 /// [`ScheduledRuns::fingerprint`]: flagsim_core::ScheduledRuns::fingerprint
@@ -453,20 +509,26 @@ pub fn explore_activity(
     let team = scenario_team(scenario);
     let mut runs = scenario.scheduled_runs(team, kit, &traced, &plan, *policy)?;
     let mut baseline = None;
+    let mut cuts = 0;
     let exploration = explore_in_place(
-        |script, log| {
-            runs.policy_mut().restart(script);
+        |script, log, known| {
+            let policy = runs.policy_mut();
+            policy.restart(script);
+            std::mem::swap(known, policy.known_mut());
             std::mem::swap(log, &mut handle.borrow_mut());
             let finished = if script.is_empty() {
-                runs.run().map(|root| root_outcome(root, &mut baseline))
+                runs.run().map(|root| Some(root_outcome(root, &mut baseline)))
             } else {
                 runs.fingerprint().map(fingerprint_outcome)
             };
             std::mem::swap(log, &mut handle.borrow_mut());
+            std::mem::swap(known, runs.policy_mut().known_mut());
+            cuts += u64::from(matches!(finished, Ok(None)));
             finished
         },
         cfg,
     )?;
+    flagsim_telemetry::count("simcheck.explore.cuts", cuts);
     if exploration.schedules_run == 0 {
         // A zero bound explores nothing; the baseline still runs.
         runs.policy_mut().restart(&[]);
@@ -501,20 +563,22 @@ fn root_outcome(root: ActivityOutcome, baseline: &mut Option<Box<RunReport>>) ->
     }
 }
 
-/// The outcome of a schedule run through the fingerprint finish.
-fn fingerprint_outcome(finished: OutcomeFingerprint) -> Outcome {
+/// The outcome of a schedule run through the fingerprint finish, or
+/// `None` for a known-state cut.
+fn fingerprint_outcome(finished: OutcomeFingerprint) -> Option<Outcome> {
     match finished {
         OutcomeFingerprint::Completed {
             fingerprint,
             completion,
-        } => Outcome::Completed {
+        } => Some(Outcome::Completed {
             fingerprint,
             makespan_ms: completion.millis(),
-        },
-        OutcomeFingerprint::Stalled(graph) => Outcome::Stalled {
+        }),
+        OutcomeFingerprint::Stalled(graph) => Some(Outcome::Stalled {
             fingerprint: graph_fingerprint(&graph),
             graph,
-        },
+        }),
+        OutcomeFingerprint::Known => None,
     }
 }
 
