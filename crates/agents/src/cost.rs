@@ -135,6 +135,12 @@ impl CostModel {
         }
     }
 
+    /// The lognormal sigma of hand-off delays. RNG-free, like
+    /// [`CostModel::cell_sigma`].
+    pub fn handoff_sigma(&self) -> f64 {
+        self.params.handoff_sigma
+    }
+
     /// Seconds for `student` to color one cell with `implement`, advancing
     /// the student's warm-up curve. Panics if the implement is dead —
     /// detecting dead markers is the caller's failure-injection hook, not
@@ -187,7 +193,7 @@ impl CostModel {
 
     /// Seconds to hand `implement` from one student to another.
     pub fn sample_handoff_secs(&mut self, implement: Implement) -> f64 {
-        implement.kind.handoff_secs() * self.lognormal(self.params.handoff_sigma)
+        implement.kind.handoff_secs() * self.lognormal(self.handoff_sigma())
     }
 
     /// Whether the implement breaks on this use (crayons only, see

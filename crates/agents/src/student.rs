@@ -88,6 +88,15 @@ impl StudentProfile {
         (1.0 + self.fatigue_rate * over).min(1.5)
     }
 
+    /// Whether [`StudentProfile::warmup_multiplier`] and
+    /// [`StudentProfile::fatigue_multiplier`] are exactly 1 at every cell:
+    /// no warm-up amplitude and no fatigue rate, as a fresh sweep team
+    /// without warm-up has. A cost chain may then skip both factors, since
+    /// multiplying by 1 is exact.
+    pub fn pace_is_flat(&self) -> bool {
+        self.warmup_amplitude == 0.0 && self.fatigue_rate == 0.0
+    }
+
     /// Record that a cell was colored (advances the warm-up curve).
     pub fn record_cell(&mut self) {
         self.cells_colored += 1;
@@ -124,6 +133,22 @@ mod tests {
     fn without_warmup_is_flat() {
         let s = StudentProfile::new("P1").without_warmup();
         assert_eq!(s.warmup_multiplier(), 1.0);
+    }
+
+    #[test]
+    fn a_flat_pace_keeps_both_multipliers_at_one() {
+        let mut flat = StudentProfile::new("P1").without_warmup();
+        assert!(flat.pace_is_flat());
+        for _ in 0..1_000 {
+            assert_eq!(flat.warmup_multiplier().to_bits(), 1f64.to_bits());
+            assert_eq!(flat.fatigue_multiplier().to_bits(), 1f64.to_bits());
+            flat.record_cell();
+        }
+        assert!(!StudentProfile::new("P2").pace_is_flat());
+        let tired = StudentProfile::new("P3")
+            .without_warmup()
+            .with_fatigue(0.002, 100);
+        assert!(!tired.pace_is_flat());
     }
 
     #[test]

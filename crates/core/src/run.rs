@@ -482,46 +482,66 @@ pub(crate) struct World {
     /// Per student, the pre-timed cell list. [`World::load`] moves each
     /// list into its process; [`World::run`] takes the buffer back.
     items: Vec<Vec<TimedItem>>,
-    /// Implements that broke mid-cell while durations were sampled.
-    breakages: u64,
-    /// Cells whose noise the exact libm chain recomputed.
-    noise_fallbacks: u64,
     /// Scratch: per needed color, one student's `base × skill` cost
     /// prefix and the implement (whose breakage is drawn per cell).
     per_color: Vec<(f64, Implement)>,
+    /// Times every hand-off and cell of a sample, and counts the last
+    /// sample's breakages and exact fallbacks. It lives here so that a
+    /// rep does not build and zero its chunk buffers.
+    sampler: CellSampler,
 }
 
-/// Cells per stack chunk of [`CellSampler`].
+/// Slots per chunk of [`CellSampler`].
 const CHUNK: usize = 64;
 
 /// How far, relative to `x = secs × 1000`, `x` must sit from every
 /// rounding boundary `k + ½` for the noise kernel's value to settle the
-/// millisecond: 1e-9, 1000× the kernel's error bound.
-const SETTLE_MARGIN: f64 = 1000.0 * noise::REL_ERROR_BOUND;
+/// millisecond: 5e-7, 10× the kernel's error bound. The roundings of the
+/// chain after the noise (a product, a sum, the `× 1000`) move `x` by
+/// under 4e-16 of itself on both paths, far inside the rest.
+const SETTLE_MARGIN: f64 = 10.0 * noise::REL_ERROR_BOUND;
 
-/// 2⁵²: below it, `x + ½` is exact wherever the margin admits `x`.
-const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+/// `1.5·2⁵²`: adding it to `x ∈ [0, 2⁵¹)` rounds `x` to the nearest
+/// integer, which then sits in the sum's low 51 mantissa bits.
+const ROUND: f64 = 6_755_399_441_055_744.0;
 
-/// Times cells a chunk at a time with the vectorised noise kernel, giving
-/// every cell the millisecond duration the scalar reference gives
-/// (`sample_cell_secs_resolved`, then `sample_breakage`, then
-/// `SimDuration::from_secs_f64`) from the same RNG draws in the same
-/// order. Its chunk buffers live on the stack.
+/// 2⁵¹: the settle pass takes only `x` below it, where [`ROUND`] works.
+const TWO_POW_51: f64 = 2_251_799_813_685_248.0;
+
+/// A slot's millisecond when the kernel could not settle it.
+const UNSETTLED: u64 = u64::MAX;
+
+/// Times hand-offs and cells a chunk at a time with the vectorised noise
+/// kernel, giving every one the millisecond duration the scalar reference
+/// gives from the same RNG draws in the same order: for a cell
+/// `sample_cell_secs_resolved`, then `sample_breakage`, then
+/// `SimDuration::from_secs_f64`; for a hand-off `sample_handoff_secs`
+/// plus its fumbles.
 struct CellSampler {
     fill_factor: f64,
     sigma: f64,
     /// Implements that broke mid-cell.
     breakages: u64,
-    /// Cells the kernel could not settle, recomputed with libm.
+    /// Slots the kernel could not settle, recomputed with libm.
     fallbacks: u64,
-    /// Per cell of the chunk: the cost prefix `base × skill × warm-up ×
-    /// fatigue × fill × kind`, the Box–Muller uniforms, whether the
-    /// implement broke, and the kernel's noise.
+    /// Per slot of the chunk: the cost prefix (for a cell `base × skill ×
+    /// warm-up × fatigue × fill × kind`, for a hand-off its base
+    /// latency), the Box–Muller uniforms, the seconds added after the
+    /// noisy term (a broken crayon's replacement delay, a color's fumbles,
+    /// else 0), the kernel's noise, and the settled millisecond or
+    /// [`UNSETTLED`].
     prefix: [f64; CHUNK],
     u1: [f64; CHUNK],
     u2: [f64; CHUNK],
-    broke: [bool; CHUNK],
+    addend: [f64; CHUNK],
     noise: [f64; CHUNK],
+    ms: [u64; CHUNK],
+}
+
+impl Default for CellSampler {
+    fn default() -> Self {
+        CellSampler::new(1.0, 0.0)
+    }
 }
 
 impl CellSampler {
@@ -534,8 +554,40 @@ impl CellSampler {
             prefix: [0.0; CHUNK],
             u1: [0.0; CHUNK],
             u2: [0.0; CHUNK],
-            broke: [false; CHUNK],
+            addend: [0.0; CHUNK],
             noise: [0.0; CHUNK],
+            ms: [0; CHUNK],
+        }
+    }
+
+    /// Start a sample: cells at `fill_factor` and `sigma`, both counts
+    /// at zero. The chunk buffers keep whatever the last sample left.
+    fn restart(&mut self, fill_factor: f64, sigma: f64) {
+        self.fill_factor = fill_factor;
+        self.sigma = sigma;
+        self.breakages = 0;
+        self.fallbacks = 0;
+    }
+
+    /// Push each needed color's hand-off latency onto `out`: the
+    /// implement's base latency times its noise, plus `extra(color)`.
+    fn handoffs(
+        &mut self,
+        cost: &mut CostModel,
+        needed: &[Color],
+        implements: &[Implement],
+        extra: impl Fn(Color) -> f64,
+        out: &mut Vec<SimDuration>,
+    ) {
+        let sigma = cost.handoff_sigma();
+        for (needed, implements) in needed.chunks(CHUNK).zip(implements.chunks(CHUNK)) {
+            for (i, (&c, implement)) in needed.iter().zip(implements).enumerate() {
+                self.prefix[i] = implement.kind.handoff_secs();
+                (self.u1[i], self.u2[i]) = cost.draw_uniforms();
+                self.addend[i] = extra(c);
+            }
+            self.settle(needed.len(), sigma);
+            out.extend((0..needed.len()).map(|i| self.duration(i, sigma)));
         }
     }
 
@@ -552,73 +604,80 @@ impl CellSampler {
         colors: &[usize],
         timed: &mut Vec<TimedItem>,
     ) {
+        // On a flat pace both multipliers are exactly 1, and multiplying
+        // by 1 is exact: skipping them keeps the reference's bits.
+        let flat = student.pace_is_flat();
         for (items, colors) in items.chunks(CHUNK).zip(colors.chunks(CHUNK)) {
             // Draw: the reference's draws, in its order.
             for (i, (item, &ci)) in items.iter().zip(colors).enumerate() {
                 let (base_skill, implement) = per_color[ci];
-                self.prefix[i] = base_skill
-                    * student.warmup_multiplier()
-                    * student.fatigue_multiplier()
-                    * self.fill_factor
-                    * item.kind.multiplier();
+                let paced = if flat {
+                    base_skill
+                } else {
+                    base_skill * student.warmup_multiplier() * student.fatigue_multiplier()
+                };
+                self.prefix[i] = paced * self.fill_factor * item.kind.multiplier();
                 student.record_cell();
                 (self.u1[i], self.u2[i]) = cost.draw_uniforms();
-                self.broke[i] = cost.sample_breakage(implement);
-            }
-            let n = items.len();
-            noise::lognormal_batch(
-                self.sigma,
-                &self.u1[..n],
-                &self.u2[..n],
-                &mut self.noise[..n],
-            );
-            // Finish: settle each cell's millisecond, or recompute it.
-            for (i, (item, &ci)) in items.iter().zip(colors).enumerate() {
-                let broke = self.broke[i];
+                let broke = cost.sample_breakage(implement);
                 self.breakages += u64::from(broke);
-                let dur = settle(self.prefix[i], self.noise[i], broke).unwrap_or_else(|| {
-                    // The reference's arithmetic and rounding.
-                    self.fallbacks += 1;
-                    let noise =
-                        CostModel::lognormal_from_uniforms(self.u1[i], self.u2[i], self.sigma);
-                    let mut secs = self.prefix[i] * noise;
-                    if broke {
-                        secs += REPLACEMENT_DELAY_SECS;
-                    }
-                    SimDuration::from_secs_f64(secs)
-                });
-                timed.push(TimedItem {
-                    resource: ResourceId::from_index(ci),
-                    dur,
-                    work: *item,
-                });
+                self.addend[i] = if broke { REPLACEMENT_DELAY_SECS } else { 0.0 };
             }
+            self.settle(items.len(), self.sigma);
+            let slots = items.iter().zip(colors).enumerate();
+            timed.extend(slots.map(|(i, (item, &ci))| TimedItem {
+                resource: ResourceId::from_index(ci),
+                dur: self.duration(i, self.sigma),
+                work: *item,
+            }));
         }
     }
-}
 
-/// The millisecond the reference gives a cell with cost prefix `prefix`,
-/// when the kernel's `noise` settles it: `x = secs × 1000` is finite, in
-/// `[0, 2⁵²)`, and more than `SETTLE_MARGIN·x` from every `k + ½`. The
-/// libm chain's `x`, within the kernel's error bound of this one, then
-/// rounds to the same integer. `None` otherwise, including for NaN noise
-/// (a cell outside the kernel's domain).
-fn settle(prefix: f64, noise: f64, broke: bool) -> Option<SimDuration> {
-    let noisy = prefix * noise;
-    // A non-negative noisy term keeps the delay's addition free of
-    // cancellation, so `x` carries the kernel's relative error unchanged.
-    let secs = if broke {
-        noisy + REPLACEMENT_DELAY_SECS
-    } else {
-        noisy
-    };
-    let x = secs * 1000.0;
-    if !(noisy >= 0.0 && x < TWO_POW_52) {
-        return None;
+    /// Compute the noise of slots `..n` at `sigma` with the kernel, then
+    /// settle each slot's millisecond in one branch-free pass. A slot keeps
+    /// the kernel's millisecond when its noisy term and addend are both
+    /// `≥ 0` (so their sum carries the kernel's relative error unchanged),
+    /// `x = secs × 1000` is below 2⁵¹, and `x` is more than
+    /// `SETTLE_MARGIN·x` from every `k + ½`: the libm chain's `x`, within
+    /// the kernel's error bound of this one, then rounds to the same
+    /// integer. Every other slot, including a NaN from outside the
+    /// kernel's domain, is marked [`UNSETTLED`] and counted as a fallback.
+    fn settle(&mut self, n: usize, sigma: f64) {
+        noise::lognormal_batch(sigma, &self.u1[..n], &self.u2[..n], &mut self.noise[..n]);
+        let mut unsettled = 0;
+        for (((ms, &prefix), &noise), &addend) in self.ms[..n]
+            .iter_mut()
+            .zip(&self.prefix)
+            .zip(&self.noise)
+            .zip(&self.addend)
+        {
+            let noisy = prefix * noise;
+            let x = (noisy + addend) * 1000.0;
+            let rounded = x + ROUND;
+            let from_half = 0.5 - (x - (rounded - ROUND)).abs();
+            let settled = (noisy >= 0.0)
+                & (addend >= 0.0)
+                & (x < TWO_POW_51)
+                & (from_half > SETTLE_MARGIN * x);
+            // All ones when unsettled; else the integer's low bits.
+            let low = rounded.to_bits() & ((1 << 51) - 1);
+            *ms = low | u64::from(!settled).wrapping_neg();
+            unsettled += u64::from(!settled);
+        }
+        self.fallbacks += unsettled;
     }
-    let ms = (x + 0.5) as u64;
-    let from_half = 0.5 - (x - ms as f64).abs();
-    (from_half > SETTLE_MARGIN * x).then_some(SimDuration::from_millis(ms))
+
+    /// Slot `i`'s duration: its settled millisecond, or the reference's
+    /// arithmetic and rounding from its stored uniforms. Adding a zero
+    /// addend is exact, so a cell that did not break gets the reference's
+    /// bits.
+    fn duration(&self, i: usize, sigma: f64) -> SimDuration {
+        if self.ms[i] != UNSETTLED {
+            return SimDuration::from_millis(self.ms[i]);
+        }
+        let noise = CostModel::lognormal_from_uniforms(self.u1[i], self.u2[i], sigma);
+        SimDuration::from_secs_f64(self.prefix[i] * noise + self.addend[i])
+    }
 }
 
 impl World {
@@ -648,13 +707,17 @@ impl World {
         self.deadline = deadline_secs.map(|secs| SimTime::ZERO + SimDuration::from_secs_f64(secs));
 
         let mut cost = CostModel::with_params(config.seed, config.cost_params.clone());
+        let sampler = &mut self.sampler;
+        sampler.restart(config.fill.work_factor(), cost.cell_sigma(config.fill));
         // Hand-off latency sampled per marker, before any cell.
         self.handoffs.clear();
-        for (&c, &implement) in prep.needed.iter().zip(&prep.implements) {
-            let mut handoff_secs = cost.sample_handoff_secs(implement);
-            handoff_secs += fumble_extra.get(&c).copied().unwrap_or(0.0);
-            self.handoffs.push(SimDuration::from_secs_f64(handoff_secs));
-        }
+        sampler.handoffs(
+            &mut cost,
+            &prep.needed,
+            &prep.implements,
+            |c| fumble_extra.get(&c).copied().unwrap_or(0.0),
+            &mut self.handoffs,
+        );
 
         // Pre-sample durations student-major (deterministic,
         // interleaving-free). The fill-style factors are constant for the
@@ -662,7 +725,6 @@ impl World {
         // (student, color), so both are resolved outside the per-cell
         // loop; the RNG draw order, and therefore every sampled duration,
         // is unchanged.
-        let mut cells = CellSampler::new(config.fill.work_factor(), cost.cell_sigma(config.fill));
         self.items.resize_with(team.len(), Vec::new);
         for ((student, items), (colors, timed)) in team
             .iter_mut()
@@ -679,10 +741,8 @@ impl World {
             // One allocation at the final size for a fresh world, not a
             // doubling series whose freed steps fragment the heap.
             timed.reserve_exact(items.len());
-            cells.time(&mut cost, student, &self.per_color, items, colors, timed);
+            sampler.time(&mut cost, student, &self.per_color, items, colors, timed);
         }
-        self.breakages = cells.breakages;
-        self.noise_fallbacks = cells.fallbacks;
     }
 
     /// Reset `engine` and load this world into it: one resource per
@@ -855,8 +915,8 @@ impl Run<'_> {
             .then(|| LiveFaultState::shared(team.len(), self.plan, &self.prep.needed));
         world.load(engine, self, team, live.as_ref(), report);
         let end = world.run(engine)?;
-        flagsim_telemetry::count("run.breakages", world.breakages);
-        flagsim_telemetry::count("run.noise_exact_fallbacks", world.noise_fallbacks);
+        flagsim_telemetry::count("run.breakages", world.sampler.breakages);
+        flagsim_telemetry::count("run.noise_exact_fallbacks", world.sampler.fallbacks);
         Ok(finish(Ran {
             team,
             world,
@@ -1057,7 +1117,7 @@ impl<'a, Pol: SchedulePolicy> ScheduledRuns<'a, Pol> {
             let fingerprint = outcome_fingerprint(
                 completion,
                 correct,
-                ran.world.breakages,
+                ran.world.sampler.breakages,
                 cells.iter().copied(),
                 ran.team
                     .iter()
@@ -1219,7 +1279,7 @@ fn assemble<Pol: SchedulePolicy>(run: &Run<'_>, ran: Ran<'_, Pol>) -> RunReport 
         contention,
         grid,
         correct,
-        breakages: ran.world.breakages,
+        breakages: ran.world.sampler.breakages,
         resilience,
         trace,
         cell_log,
@@ -1961,5 +2021,79 @@ mod tests {
         }
         assert!(outside > 100, "{outside} of 200 outside the domain");
         assert_eq!(fallbacks, outside);
+    }
+
+    /// Time one hand-off per implement with [`CellSampler::handoffs`] and
+    /// with the scalar reference (`sample_handoff_secs`, plus the color's
+    /// fumbles), from clones of `cost`, and check that every latency and
+    /// the next RNG draw agree. Slot `i` is color `Rgb(i, 0, 0)` with
+    /// fumbles `extras[i]`. Returns the sampler's fallbacks.
+    fn handoffs_match_reference(cost: &CostModel, implements: &[Implement], extras: &[f64]) -> u64 {
+        let needed: Vec<Color> = (0..implements.len())
+            .map(|i| Color::Rgb(i as u8, 0, 0))
+            .collect();
+        let extra = |c: Color| match c {
+            Color::Rgb(i, _, _) => extras[usize::from(i)],
+            _ => unreachable!(),
+        };
+        let mut cost_ref = cost.clone();
+        let reference: Vec<SimDuration> = implements
+            .iter()
+            .zip(extras)
+            .map(|(&implement, &x)| {
+                let mut secs = cost_ref.sample_handoff_secs(implement);
+                secs += x;
+                SimDuration::from_secs_f64(secs)
+            })
+            .collect();
+        let mut cost_new = cost.clone();
+        let mut sampler = CellSampler::default();
+        let mut got = Vec::new();
+        sampler.handoffs(&mut cost_new, &needed, implements, extra, &mut got);
+        assert_eq!(got, reference);
+        assert_eq!(
+            cost_new.draw_uniforms(),
+            cost_ref.draw_uniforms(),
+            "next draw"
+        );
+        sampler.fallbacks
+    }
+
+    #[test]
+    fn batched_handoffs_match_the_scalar_reference_with_fumbles() {
+        let kinds = [
+            ImplementKind::BingoDauber,
+            ImplementKind::ThickMarker,
+            ImplementKind::ThinMarker,
+            ImplementKind::Crayon,
+        ];
+        // Random seeds; colors without fumbles, with fumbles, and one
+        // more than a chunk of them.
+        for seed in 0..200 {
+            let n = [1, 4, 7, CHUNK + 3][seed as usize % 4];
+            let implements: Vec<Implement> = (0..n)
+                .map(|i| Implement::good(kinds[(i + seed as usize) % 4]))
+                .collect();
+            let extras: Vec<f64> = (0..n)
+                .map(|i| [0.0, 2.0, 0.35, 0.0][(i * 3 + seed as usize) % 4])
+                .collect();
+            handoffs_match_reference(&CostModel::new(seed), &implements, &extras);
+        }
+        // Fumbles chosen from the exact latency that put each sum within
+        // rounding of `k + ½` ms, and a negative fumble: only the exact
+        // chain may time them.
+        let implements = [Implement::good(ImplementKind::ThickMarker); 3];
+        let mut cost = CostModel::new(9);
+        for _ in 0..50 {
+            let mut probe = cost.clone();
+            let exact = probe.sample_handoff_secs(implements[0]);
+            let near_half = ((exact * 1000.0).round() + 20.5) / 1000.0 - exact;
+            let extras = [near_half, -0.1, 1.5];
+            let fallbacks = handoffs_match_reference(&cost, &implements, &extras);
+            assert!(fallbacks >= 2, "{fallbacks} fallbacks");
+            cost = probe;
+            cost.draw_uniforms();
+            cost.draw_uniforms();
+        }
     }
 }

@@ -863,7 +863,21 @@ mod tests {
     use flagsim_core::faults::RecoveryPolicy;
     use flagsim_core::sweep::SweepRunner;
     use std::net::TcpListener;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, PoisonError, RwLock, RwLockReadGuard};
+
+    /// Worker sessions served in this test process share its one global
+    /// telemetry collector. While the telemetry test's collector is
+    /// installed, every coordinator here propagates trace context, and a
+    /// traced worker session finishes its own collector when it ends,
+    /// which switches the process's telemetry off. Tests that serve
+    /// worker sessions hold this for reading and the telemetry test holds
+    /// it for writing, so no other test's session ends its collection
+    /// before its own workers open theirs.
+    static SESSIONS: RwLock<()> = RwLock::new(());
+
+    fn worker_sessions() -> RwLockReadGuard<'static, ()> {
+        SESSIONS.read().unwrap_or_else(PoisonError::into_inner)
+    }
 
     fn job(reps: u64) -> JobSpec {
         JobSpec {
@@ -955,6 +969,7 @@ mod tests {
 
     #[test]
     fn multi_worker_sweep_is_bit_identical_to_serial() {
+        let _sessions = worker_sessions();
         let j = job(20);
         let (serial_c, serial_w) = serial_stats(&j);
         let (endpoints, handles) = spawn_workers(3);
@@ -978,6 +993,7 @@ mod tests {
 
     #[test]
     fn telemetry_shipping_on_off_or_lossy_never_moves_stats() {
+        let _sessions = SESSIONS.write().unwrap_or_else(PoisonError::into_inner);
         let j = job(24);
         let (serial_c, serial_w) = serial_stats(&j);
         // Shipping off, shipping on, and shipping with forced
@@ -1049,6 +1065,7 @@ mod tests {
 
     #[test]
     fn worker_death_mid_sweep_reassigns_and_stays_bit_identical() {
+        let _sessions = worker_sessions();
         let j = job(18);
         let (serial_c, _) = serial_stats(&j);
         // One real worker, one endpoint that accepts the connection and
@@ -1137,6 +1154,7 @@ mod tests {
 
     #[test]
     fn a_silent_peer_does_not_keep_a_worker_from_its_coordinator() {
+        let _sessions = worker_sessions();
         // A peer connects to a serving worker and never says hello. The
         // worker drops it at its handshake deadline (the default
         // heartbeat timeout, 2 s) and then serves a real coordinator,
@@ -1262,6 +1280,7 @@ mod tests {
 
     #[test]
     fn a_rep_the_worker_does_not_owe_is_refused() {
+        let _sessions = worker_sessions();
         // Jump to the second lease with a poisoned outcome: merged, it
         // would win over the honest rerun and move the statistics.
         let reason = liar_is_cut_off(&job(40), |w, [_, (second, _)]| {
@@ -1286,6 +1305,7 @@ mod tests {
 
     #[test]
     fn a_lease_done_for_a_lease_never_held_is_refused() {
+        let _sessions = worker_sessions();
         // Trusted, it would retire the first lease and strand its reps.
         let reason = liar_is_cut_off(&job(40), |w, [_, (_, end)]| {
             wire::send(
@@ -1305,6 +1325,7 @@ mod tests {
 
     #[test]
     fn a_long_lease_heartbeats_through_buffered_rep_frames() {
+        let _sessions = worker_sessions();
         // One lease of every rep under a short heartbeat timeout: the
         // worker buffers its rep frames, and the session must still hear
         // from it often enough to stay alive. Reps are doubled until the
