@@ -14,6 +14,7 @@ use flagsim_core::{RunReport, TeamKit};
 use flagsim_flags::library;
 use flagsim_grid::Color;
 use flagsim_metrics::{load_imbalance, speedup};
+use flagsim_telemetry::json::json_escape_into;
 use flagsim_threads::{CellWorkload, ExecMode, ParallelColorer};
 use std::fmt::Write as _;
 
@@ -691,22 +692,6 @@ pub fn e19_statistics() -> Experiment {
     }
 }
 
-fn json_escape(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Serialize experiments as pretty-printed JSON (hand-rolled — the build
 /// environment has no serde).
 pub fn experiments_to_json(experiments: &[Experiment]) -> String {
@@ -720,7 +705,7 @@ pub fn experiments_to_json(experiments: &[Experiment]) -> String {
             ("report", e.report.as_str()),
         ] {
             let _ = write!(out, "    \"{key}\": \"");
-            json_escape(val, &mut out);
+            json_escape_into(val, &mut out);
             out.push_str("\",\n");
         }
         let _ = write!(out, "    \"holds\": {}\n  }}", e.holds);

@@ -658,100 +658,154 @@ const ANSI_CRIT: &str = "\x1b[1;31m";
 /// ANSI reset.
 const ANSI_RESET: &str = "\x1b[0m";
 
-/// Render the per-process Gantt chart with the executed critical path
-/// highlighted inline. Like [`Trace::gantt`], each cell shows the
-/// dominant state in its bucket (`#` busy, `~` waiting, `.` idle); cells
-/// whose bucket lies mostly on the critical path are drawn in bold red
-/// and upper-cased (`#`→`X`, `~`→`W`, `.`→`o`), so the path survives
-/// `strip-ansi` round trips and the string stays deterministic.
+/// The critical-path chart's interval model: per-process busy, waiting
+/// and critical-path intervals from a [`CausalAnalysis`], ready to render
+/// at any instant. Like [`Trace::gantt`], each cell shows the dominant
+/// state in its bucket (`#` busy, `~` waiting, `.` idle); cells whose
+/// bucket lies mostly on the critical path are upper-cased (`#`→`X`,
+/// `~`→`W`, `.`→`o`). [`critical_gantt`] draws it whole with ANSI color;
+/// `flagsim watch` draws it as plain text scrubbed to an instant.
+#[derive(Debug, Clone)]
+pub struct GanttModel {
+    names: Vec<String>,
+    busy: Vec<Vec<(u64, u64)>>,
+    wait: Vec<Vec<(u64, u64)>>,
+    crit: Vec<Vec<(u64, u64)>>,
+    end_ms: u64,
+    name_w: usize,
+}
+
+fn overlap(ivs: &[(u64, u64)], t0: u64, t1: u64) -> u64 {
+    ivs.iter()
+        .map(|&(a, b)| b.min(t1).saturating_sub(a.max(t0)))
+        .sum()
+}
+
+impl GanttModel {
+    /// Build the interval model from a trace and its causal analysis.
+    pub fn new(trace: &Trace, analysis: &CausalAnalysis) -> GanttModel {
+        let nprocs = trace.procs.len();
+        let mut busy = vec![Vec::new(); nprocs];
+        let mut wait = vec![Vec::new(); nprocs];
+        for (pi, segs) in analysis.timelines.iter().enumerate().take(nprocs) {
+            for s in segs {
+                let iv = (s.start.millis(), s.end.millis());
+                match s.kind {
+                    SegmentKind::Compute => busy[pi].push(iv),
+                    SegmentKind::Wait { .. } => wait[pi].push(iv),
+                    SegmentKind::Idle => {}
+                }
+            }
+        }
+        let mut crit = vec![Vec::new(); nprocs];
+        for seg in &analysis.critical_path {
+            if let Some(ivs) = crit.get_mut(seg.proc.index()) {
+                ivs.push((seg.start.millis(), seg.end.millis()));
+            }
+        }
+        let names: Vec<String> = trace.procs.iter().map(|p| p.name.clone()).collect();
+        let name_w = names.iter().map(|n| n.len()).max().unwrap_or(4).max(4);
+        GanttModel {
+            names,
+            busy,
+            wait,
+            crit,
+            end_ms: trace.end_time.millis(),
+            name_w,
+        }
+    }
+
+    /// Number of process rows.
+    pub fn rows(&self) -> usize {
+        self.names.len()
+    }
+
+    /// Width of the right-aligned row labels (at least 4).
+    pub fn label_width(&self) -> usize {
+        self.name_w
+    }
+
+    /// One line per process, `width` buckets wide, showing only what has
+    /// happened by `t_ms`: buckets past it stay blank, and a bucket it
+    /// bisects is rendered from its elapsed part only, so play-forward
+    /// never shows the future. Each run of critical-path cells is wrapped
+    /// in `open`/`close`.
+    fn rows_at(&self, width: usize, t_ms: u64, open: &str, close: &str) -> String {
+        let total = self.end_ms.max(1);
+        let name_w = self.name_w;
+        let mut out = String::new();
+        for (pi, name) in self.names.iter().enumerate() {
+            let _ = write!(out, "{name:>name_w$} |");
+            let mut in_crit = false;
+            for i in 0..width {
+                let t0 = total * i as u64 / width as u64;
+                let t1 = (total * (i + 1) as u64 / width as u64).max(t0 + 1);
+                if t0 >= t_ms {
+                    out.push(' ');
+                    continue;
+                }
+                let t1 = t1.min(t_ms);
+                let b = overlap(&self.busy[pi], t0, t1);
+                let w = overlap(&self.wait[pi], t0, t1);
+                let on_path = overlap(&self.crit[pi], t0, t1) * 2 >= t1 - t0;
+                if on_path != in_crit {
+                    out.push_str(if on_path { open } else { close });
+                    in_crit = on_path;
+                }
+                let base = if b == 0 && w == 0 {
+                    '.'
+                } else if b >= w {
+                    '#'
+                } else {
+                    '~'
+                };
+                out.push(if on_path {
+                    match base {
+                        '#' => 'X',
+                        '~' => 'W',
+                        _ => 'o',
+                    }
+                } else {
+                    base
+                });
+            }
+            if in_crit {
+                out.push_str(close);
+            }
+            out.push_str("|\n");
+        }
+        out
+    }
+
+    /// Render the chart `width` buckets wide as plain text, showing only
+    /// what has happened by `t_ms`; the axis row marks the bucket
+    /// containing `t_ms` with `^`.
+    pub fn render_at(&self, width: usize, t_ms: u64) -> String {
+        let width = width.max(1);
+        let total = self.end_ms.max(1);
+        let mut out = self.rows_at(width, t_ms, "", "");
+        let cursor = ((t_ms.min(total)) * width as u64 / total).min(width as u64 - 1) as usize;
+        let axis: String = (0..width).map(|i| if i == cursor { '^' } else { '-' }).collect();
+        let _ = writeln!(out, "{:>w$} |{axis}|", "", w = self.name_w);
+        out
+    }
+}
+
+/// Render the per-process Gantt chart of [`GanttModel`] for the whole
+/// run, with the executed critical path in bold red as well as
+/// upper-cased, so the path survives `strip-ansi` round trips and the
+/// string stays deterministic.
 pub fn critical_gantt(trace: &Trace, analysis: &CausalAnalysis, width: usize) -> String {
     let width = width.max(1);
-    let total = trace.end_time.millis().max(1);
-    let name_w = trace
-        .procs
-        .iter()
-        .map(|p| p.name.len())
-        .max()
-        .unwrap_or(4)
-        .max(4);
-    // Per-proc critical intervals.
-    let mut crit: Vec<Vec<(u64, u64)>> = vec![Vec::new(); trace.procs.len()];
-    for seg in &analysis.critical_path {
-        if let Some(ivs) = crit.get_mut(seg.proc.index()) {
-            ivs.push((seg.start.millis(), seg.end.millis()));
-        }
-    }
-    let overlap = |ivs: &[(u64, u64)], t0: u64, t1: u64| {
-        ivs.iter()
-            .map(|&(a, b)| b.min(t1).saturating_sub(a.max(t0)))
-            .sum::<u64>()
-    };
-    let mut out = String::new();
-    for (pi, segs) in analysis.timelines.iter().enumerate() {
-        let name = trace
-            .procs
-            .get(pi)
-            .map(|p| p.name.as_str())
-            .unwrap_or("?");
-        let _ = write!(out, "{name:>name_w$} |");
-        let busy_iv: Vec<(u64, u64)> = segs
-            .iter()
-            .filter(|s| s.kind == SegmentKind::Compute)
-            .map(|s| (s.start.millis(), s.end.millis()))
-            .collect();
-        let wait_iv: Vec<(u64, u64)> = segs
-            .iter()
-            .filter(|s| matches!(s.kind, SegmentKind::Wait { .. }))
-            .map(|s| (s.start.millis(), s.end.millis()))
-            .collect();
-        let mut in_crit = false;
-        for i in 0..width {
-            let t0 = total * i as u64 / width as u64;
-            let t1 = (total * (i + 1) as u64 / width as u64).max(t0 + 1);
-            let b = overlap(&busy_iv, t0, t1);
-            let w = overlap(&wait_iv, t0, t1);
-            let c = crit
-                .get(pi)
-                .map(|ivs| overlap(ivs, t0, t1))
-                .unwrap_or(0);
-            let on_path = c * 2 >= t1 - t0;
-            let base = if b == 0 && w == 0 {
-                '.'
-            } else if b >= w {
-                '#'
-            } else {
-                '~'
-            };
-            if on_path && !in_crit {
-                out.push_str(ANSI_CRIT);
-                in_crit = true;
-            } else if !on_path && in_crit {
-                out.push_str(ANSI_RESET);
-                in_crit = false;
-            }
-            out.push(if on_path {
-                match base {
-                    '#' => 'X',
-                    '~' => 'W',
-                    _ => 'o',
-                }
-            } else {
-                base
-            });
-        }
-        if in_crit {
-            out.push_str(ANSI_RESET);
-        }
-        out.push_str("|\n");
-    }
+    let model = GanttModel::new(trace, analysis);
+    let mut out = model.rows_at(width, u64::MAX, ANSI_CRIT, ANSI_RESET);
     let _ = writeln!(
         out,
-        "{:>name_w$} |{}| {}  ({}critical path{} in X/W/o)",
+        "{:>w$} |{}| {}  ({ANSI_CRIT}critical path{ANSI_RESET} in X/W/o)",
         "",
         "-".repeat(width),
         trace.end_time,
-        ANSI_CRIT,
-        ANSI_RESET
+        w = model.name_w,
     );
     out
 }
@@ -1015,6 +1069,51 @@ mod tests {
         assert!(stripped.contains('X'));
     }
 
+    #[test]
+    fn gantt_model_full_scrub_matches_trace_states_and_has_no_ansi() {
+        let trace = contended_trace();
+        let model = GanttModel::new(&trace, &analyze(&trace));
+        let g = model.render_at(40, trace.end_time.millis());
+        assert!(!g.contains('\x1b'), "frames must be escape-free: {g:?}");
+        assert!(g.contains('X'), "critical compute visible: {g}");
+        assert!(g.contains('~') || g.contains('W'), "waiting visible: {g}");
+        assert_eq!(g.lines().count(), 3, "{g}");
+        assert!(g.lines().last().unwrap().contains('^'));
+    }
+
+    #[test]
+    fn gantt_model_scrubbed_to_zero_is_blank() {
+        let trace = contended_trace();
+        let model = GanttModel::new(&trace, &analyze(&trace));
+        let g = model.render_at(40, 0);
+        for line in g.lines().take(model.rows()) {
+            let body: String = line.chars().skip_while(|&c| c != '|').collect();
+            assert!(
+                body.chars().all(|c| c == '|' || c == ' '),
+                "nothing drawn at t=0: {line:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn gantt_model_play_forward_reveals_monotonically() {
+        let trace = contended_trace();
+        let model = GanttModel::new(&trace, &analyze(&trace));
+        let end = trace.end_time.millis();
+        let drawn = |g: &str| {
+            g.lines()
+                .take(model.rows())
+                .map(|l| l.chars().filter(|c| "#~.XWo".contains(*c)).count())
+                .sum::<usize>()
+        };
+        let mut last = 0;
+        for i in 0..=8 {
+            let n = drawn(&model.render_at(40, end * i / 8));
+            assert!(n >= last, "chart un-drew between steps");
+            last = n;
+        }
+        assert!(last > 0);
+    }
     #[test]
     fn blame_table_text_names_holder_and_victim() {
         let trace = contended_trace();

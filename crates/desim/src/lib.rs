@@ -45,7 +45,8 @@ pub mod trace;
 
 pub use causal::{
     analyze, blame_table_text, critical_gantt, sync_edges, CausalAnalysis, CriticalKind,
-    CriticalSegment, HolderBlame, ResourceBlame, Segment, SegmentKind, SyncEdge, WhatIf,
+    CriticalSegment, GanttModel, HolderBlame, ResourceBlame, Segment, SegmentKind, SyncEdge,
+    WhatIf,
 };
 pub use engine::{Action, Engine, FnProcess, ProcId, Process};
 pub use error::{SimError, WaitEdge, WaitForGraph};

@@ -3,6 +3,7 @@
 use crate::engine::ProcId;
 use crate::resource::{ResourceId, ResourceStats};
 use crate::time::{SimDuration, SimTime};
+use flagsim_telemetry::{intern, SpanRecord, SpanSet};
 use std::fmt::Write as _;
 
 /// Quote a CSV field RFC-4180-style when it contains a comma, quote, or
@@ -469,101 +470,59 @@ impl Trace {
         )
     }
 
-    /// Export the simulated timeline as Chrome `trace_event` JSON: one
-    /// track per process (`tid` = process index) under a single
-    /// `"flagsim"` pid, with balanced `B`/`E` pairs for work and wait
-    /// phases and `"M"`-phase `process_name`/`thread_name` metadata so
-    /// Perfetto / `chrome://tracing` show student names instead of bare
-    /// thread ids. Times are in microseconds as the format requires.
+    /// Export the simulated timeline as Chrome `trace_event` JSON through
+    /// the one Chrome-trace writer, [`SpanSet::chrome_trace`]: the
+    /// `"flagsim"` process with one track per process, named after it, so
+    /// Perfetto / `chrome://tracing` show student names. Each work chunk
+    /// is a `"work"` span (category `"sim"`) and each wait a
+    /// `"wait: LABEL"` span (category `"wait"`). Simulated milliseconds
+    /// become the writer's nanoseconds (`ms × 10⁶`, saturating), so the
+    /// file's microsecond timestamps read `ms × 1000`. The writer orders
+    /// tracks by name (`P2` before `P10`); processes that share a name
+    /// share a track.
     pub fn chrome_trace(&self) -> String {
-        let mut out = String::from("[\n");
-        let us = |ms: u64| ms * 1000;
-        // Metadata first: process + one thread_name per process.
-        out.push_str(
-            "  {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\
-             \"args\":{\"name\":\"flagsim\"}}",
-        );
-        for (idx, p) in self.procs.iter().enumerate() {
-            let _ = write!(
-                out,
-                ",\n  {{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{idx},\
-                 \"args\":{{\"name\":{}}}}}",
-                json_string_basic(&p.name)
-            );
-        }
-        for (idx, _) in self.procs.iter().enumerate() {
-            let pid = ProcId(idx as u32);
-            let mut blocked_since: Option<(u64, usize)> = None;
-            for e in self.events_for(pid) {
-                match e.kind {
+        let ns = |ms: u64| ms.saturating_mul(1_000_000);
+        let mut spans: Vec<SpanRecord> = Vec::new();
+        for (idx, proc) in self.procs.iter().enumerate() {
+            let mut blocked_since: Option<(u64, ResourceId)> = None;
+            for e in self.events_for(ProcId(idx as u32)) {
+                let at = e.time.millis();
+                let (category, name, start, end) = match e.kind {
                     EventKind::WorkStart { dur } => {
-                        let _ = write!(
-                            out,
-                            ",\n  {{\"name\":\"work\",\"cat\":\"sim\",\"ph\":\"B\",\
-                             \"pid\":1,\"tid\":{idx},\"ts\":{}}}",
-                            us(e.time.millis())
-                        );
-                        let _ = write!(
-                            out,
-                            ",\n  {{\"name\":\"work\",\"cat\":\"sim\",\"ph\":\"E\",\
-                             \"pid\":1,\"tid\":{idx},\"ts\":{}}}",
-                            us(e.time.millis() + dur.millis())
-                        );
+                        ("sim", "work", at, at.saturating_add(dur.millis()))
                     }
-                    EventKind::Blocked(r) => blocked_since = Some((e.time.millis(), r.index())),
+                    EventKind::Blocked(r) => {
+                        blocked_since = Some((at, r));
+                        continue;
+                    }
                     EventKind::Acquired(_) => {
-                        if let Some((since, ri)) = blocked_since.take() {
-                            let label = self
-                                .resources
-                                .get(ri)
-                                .map(|r| r.label.as_str())
-                                .unwrap_or("resource");
-                            let _ = write!(
-                                out,
-                                ",\n  {{\"name\":{},\"cat\":\"wait\",\"ph\":\"B\",\
-                                 \"pid\":1,\"tid\":{idx},\"ts\":{}}}",
-                                json_string_basic(&format!("wait: {label}")),
-                                us(since)
-                            );
-                            let _ = write!(
-                                out,
-                                ",\n  {{\"name\":{},\"cat\":\"wait\",\"ph\":\"E\",\
-                                 \"pid\":1,\"tid\":{idx},\"ts\":{}}}",
-                                json_string_basic(&format!("wait: {label}")),
-                                us(e.time.millis())
-                            );
-                        }
+                        let Some((since, r)) = blocked_since.take() else {
+                            continue;
+                        };
+                        let label = self
+                            .resources
+                            .get(r.index())
+                            .map_or("resource", |r| r.label.as_str());
+                        ("wait", intern(&format!("wait: {label}")), since, at)
                     }
-                    _ => {}
-                }
+                    _ => continue,
+                };
+                spans.push(SpanRecord {
+                    id: spans.len() as u64 + 1,
+                    parent: None,
+                    link: None,
+                    category,
+                    name,
+                    track: proc.name.clone(),
+                    process: String::new(),
+                    start_ns: ns(start),
+                    end_ns: ns(end),
+                    args: Vec::new(),
+                });
             }
         }
-        out.push_str("\n]\n");
-        out
+        SpanSet::from_records(spans).chrome_trace()
     }
-}
-
-/// Minimal JSON string quoting for trace export (escapes quotes,
-/// backslashes, and control characters). Kept local so desim stays
-/// dependency-free; `telemetry::json` validates the result in tests.
-fn json_string_basic(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -711,13 +670,13 @@ mod tests {
     fn chrome_trace_has_metadata_and_balanced_phases() {
         let t = trace_with_resource();
         let json = t.chrome_trace();
-        assert!(json.contains("\"process_name\""), "{json}");
-        assert!(json.contains("\"thread_name\""), "{json}");
-        assert!(json.contains("\"name\":\"P1\""), "{json}");
-        assert!(json.contains("wait: red marker"), "{json}");
-        let b = json.matches("\"ph\":\"B\"").count();
-        let e = json.matches("\"ph\":\"E\"").count();
-        assert_eq!(b, e, "balanced begin/end: {json}");
+        // The writer's own validator checks B/E balance per track: three
+        // spans, one process_name and two thread_name records.
+        let n = flagsim_telemetry::json::validate_chrome_trace(&json).expect("valid chrome trace");
+        assert_eq!(n, 3 * 2 + 1 + 2, "{json}");
+        assert!(json.contains("\"args\": {\"name\": \"P1\"}"), "{json}");
+        assert!(json.contains("\"name\": \"wait: red marker\", \"cat\": \"wait\""), "{json}");
+        assert!(json.contains("\"name\": \"work\", \"cat\": \"sim\""), "{json}");
     }
 
     fn trace_with_resource() -> Trace {

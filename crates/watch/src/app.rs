@@ -10,13 +10,12 @@
 //! scripted test exercises exactly the logic the user drives.
 
 use crate::frame::Frame;
-use crate::gantt::GanttModel;
 use crate::input::{Key, KeyDecoder};
 use crate::term;
 use flagsim_core::replay::Replay;
 use flagsim_core::RunReport;
 use flagsim_core::WorkItem;
-use flagsim_desim::causal::{self, CausalAnalysis, SegmentKind};
+use flagsim_desim::causal::{self, CausalAnalysis, GanttModel, SegmentKind};
 use flagsim_desim::{SimTime, Trace};
 use std::io::Write as _;
 
@@ -266,7 +265,10 @@ pub fn render(data: &ReplayData, app: &App, width: usize) -> Frame {
 
     // Gantt pane, scrubbed.
     f.line("gantt  # busy  ~ wait  . idle  (critical path: X/W/o)");
-    let gantt_width = width.saturating_sub(12).clamp(20, 64);
+    // Rows are `LABEL |chart|`; labels of up to 9 characters share the
+    // fixed allowance, longer ones (`PROCESS/TRACK`) narrow the chart.
+    let label_w = data.gantt.label_width().max(9);
+    let gantt_width = width.saturating_sub(label_w + 3).clamp(20, 64);
     f.extend_text(&data.gantt.render_at(gantt_width, app.t_ms));
     f.blank();
     f.line("keys: q quit  p play/pause  h/l step  H/L jump  g/G start/end  +/-/= speed");

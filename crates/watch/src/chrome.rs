@@ -1,31 +1,42 @@
-//! Re-parse a `--trace-out` Chrome `trace_event` file into a
-//! [`Trace`], so `flagsim watch --trace FILE` can replay a run that was
-//! only kept as its exported trace.
+//! Re-parse a Chrome `trace_event` file into a [`Trace`], so
+//! `flagsim watch --trace FILE` can replay a run that was only kept as
+//! its exported trace.
 //!
-//! Two trace dialects are accepted, matched per event:
+//! One schema is read: the one `telemetry::export` writes, both for sim
+//! traces (`desim::Trace::chrome_trace`, `verify --witness-out`) and for
+//! runtime traces (`flagsim run/sweep --trace-out`).
 //!
-//! - **Sim-time** (`desim::Trace::chrome_trace`): balanced `B`/`E`
-//!   pairs — `"work"` events and `"wait: LABEL"` events — plus
-//!   `thread_name` metadata, one pid, `tid` = process index,
-//!   timestamps in microseconds. Work pairs become `WorkStart { dur }`,
-//!   wait pairs become `Blocked`/`Acquired`, and the wait labels
-//!   rebuild the resource table.
-//! - **Telemetry spans** (what `flagsim run/sweep --trace-out` writes):
-//!   arbitrary named `B`/`E` spans per thread, nested. Only the
-//!   *outermost* span of each nest becomes a `WorkStart` — inner spans
-//!   subdivide their parent's time and would otherwise double-count it
-//!   — so each thread's timeline is its sequential top-level activity.
+//! - **Tracks.** A track is a `(pid, tid)` pair. Every track that
+//!   carries a `thread_name` record or a `B`/`E` event is one process of
+//!   the replay, numbered in `(pid, tid)` order and named by its
+//!   `thread_name`. The writer keeps tid 0 for `process_name` metadata,
+//!   which makes no row. When the file holds more than one pid, each row
+//!   is labelled `PROCESS/TRACK` from the `process_name` records. A row
+//!   with no spans finishes at 0, so the critical path starts on a row
+//!   that did something.
+//! - **Spans.** `B`/`E` pairs match by name on one stack per track, and
+//!   only the *outermost* span of each nest becomes an event (inner spans
+//!   subdivide their parent's time and would otherwise double-count it).
+//!   A `"wait: LABEL"` span becomes `Blocked`/`Acquired` on resource
+//!   LABEL, and the labels rebuild the resource table; any other span
+//!   becomes `WorkStart`.
+//! - **Time base.** Timestamps are microseconds. A file whose spans are
+//!   all `"work"` or `"wait: …"` is a sim trace: exact milliseconds
+//!   encoded as µs, always divided by 1000. Any other file is wall
+//!   clock, divided by 1000 too unless the whole trace is under 100ms; a
+//!   fast wall-clock profile of an in-memory run keeps **microsecond**
+//!   resolution, otherwise every span would round to zero and there
+//!   would be nothing to scrub. The viewer's time labels then read 1000×
+//!   (a displayed "1.5s" is 1.5ms of wall clock).
+//!
+//! Both container shapes are read: `{"traceEvents": [...]}` and a bare
+//! event array (witness files written before sim traces went through
+//! `telemetry::export`, which also numbered tids from 0).
 //!
 //! What an exported trace does *not* carry: `Released` events, grid
 //! cell identities, and resource capacities. A trace-file replay
 //! therefore shows timelines, the critical path, and contention — but
 //! no grid pane, no hand-off blame attribution, and no race findings.
-//!
-//! Traces shorter than 100ms (a fast wall-clock profile of an in-memory
-//! run) are kept at **microsecond** resolution instead of millisecond —
-//! otherwise every span would round to zero and there would be nothing
-//! to scrub. In that case the viewer's time labels read 1000× (a
-//! displayed "1.5s" is 1.5ms of wall clock).
 
 use flagsim_desim::trace::{ProcReport, ResourceReport};
 use flagsim_desim::{EventKind, ProcId, ResourceId, SimDuration, SimTime, Trace, TraceEvent};
@@ -40,28 +51,39 @@ fn field_str<'v>(v: &'v Value, key: &str) -> Option<&'v str> {
     v.get(key).and_then(Value::as_str)
 }
 
-/// Most thread tracks a trace may use. Each `tid` indexes the per-process
-/// table, so an unchecked id would size an unbounded allocation.
+/// Most tracks a trace may use, and the bound on every `pid` and `tid`:
+/// an unchecked id or track count would size an unbounded table.
 const MAX_TRACKS: usize = 1 << 16;
 
-/// Event `index`'s thread track: its `tid`, or 0 when it has none.
-fn track(e: &Value, index: usize) -> Result<usize, String> {
-    let Some(tid) = e.get("tid") else {
+/// Event `index`'s `key` (`"pid"` or `"tid"`): a whole number in
+/// `0..MAX_TRACKS`, or 0 when the event has none.
+fn id_field(e: &Value, key: &str, index: usize) -> Result<usize, String> {
+    let Some(id) = e.get(key) else {
         return Ok(0);
     };
-    match tid.as_f64() {
+    match id.as_f64() {
         Some(t) if t >= 0.0 && t.fract() == 0.0 && t < MAX_TRACKS as f64 => Ok(t as usize),
         _ => Err(format!(
-            "event {index}: tid is not a track index in 0..{MAX_TRACKS}"
+            "event {index}: {key} is not a track index in 0..{MAX_TRACKS}"
         )),
     }
+}
+
+/// One `(pid, tid)` track: a process of the replay.
+#[derive(Default)]
+struct Track {
+    name: Option<String>,
+    /// Open spans, innermost last: `(name, start ms)`.
+    open: Vec<(String, u64)>,
+    busy: u64,
+    waiting: u64,
+    work_count: u64,
+    last_ms: Option<u64>,
 }
 
 /// Parse a Chrome trace JSON document into a [`Trace`].
 pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
     let doc = json::parse(text).map_err(|e| format!("trace file is not valid JSON: {e}"))?;
-    // Both accepted container shapes: a bare array (our exporter) or the
-    // `{"traceEvents": [...]}` object some tools write.
     let events = match doc.as_array() {
         Some(a) => a,
         None => doc
@@ -70,158 +92,131 @@ pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
             .ok_or("trace file is not a Chrome trace (expected an event array)")?,
     };
 
-    // Prepass: pick the time base. Sim-time exports (all span names are
-    // "work"/"wait: …") are exact milliseconds encoded as µs — always
-    // divide. Generic telemetry traces are wall clock: if the whole
-    // trace is under 100ms, keep microsecond resolution, otherwise
-    // every span of a fast in-memory run would round to zero.
-    let max_ts_us = events
-        .iter()
-        .filter_map(|e| field_f64(e, "ts"))
-        .fold(0.0f64, f64::max);
-    let all_sim_names = events
-        .iter()
-        .filter(|e| matches!(field_str(e, "ph"), Some("B") | Some("E")))
-        .all(|e| {
-            let n = field_str(e, "name").unwrap_or("");
-            n == "work" || n.starts_with("wait: ")
-        });
+    // Prepass: the track table, the process names and the time base
+    // (see the module doc).
+    let mut tracks: BTreeMap<(usize, usize), Track> = BTreeMap::new();
+    let mut process_names: BTreeMap<usize, &str> = BTreeMap::new();
+    let mut max_ts_us = 0.0f64;
+    let mut all_sim_names = true;
+    for (i, e) in events.iter().enumerate() {
+        let key = (id_field(e, "pid", i)?, id_field(e, "tid", i)?);
+        max_ts_us = max_ts_us.max(field_f64(e, "ts").unwrap_or(0.0));
+        let name = field_str(e, "name").unwrap_or("");
+        let arg_name = e.get("args").and_then(|a| field_str(a, "name"));
+        let track = match (field_str(e, "ph"), name) {
+            (Some("M"), "process_name") => {
+                if let Some(n) = arg_name {
+                    process_names.insert(key.0, n);
+                }
+                continue;
+            }
+            (Some("M"), "thread_name") if arg_name.is_some() => arg_name,
+            (Some("B" | "E"), _) => {
+                all_sim_names &= name == "work" || name.starts_with("wait: ");
+                None
+            }
+            _ => continue,
+        };
+        if !tracks.contains_key(&key) && tracks.len() == MAX_TRACKS {
+            return Err(format!("event {i}: more than {MAX_TRACKS} tracks"));
+        }
+        let t = tracks.entry(key).or_default();
+        if let Some(n) = track {
+            t.name = Some(n.to_owned());
+        }
+    }
     let time_div = if all_sim_names || max_ts_us >= 100_000.0 {
         1000.0
     } else {
         1.0
     };
+    let keys: Vec<(usize, usize)> = tracks.keys().copied().collect();
+    let index: BTreeMap<(usize, usize), usize> =
+        keys.iter().enumerate().map(|(i, &k)| (k, i)).collect();
+    let mut rows: Vec<Track> = tracks.into_values().collect();
 
-    let mut names: BTreeMap<usize, String> = BTreeMap::new();
-    // Open B events per (tid, name), FIFO — the sim exporter nests
-    // nothing.
-    let mut open: BTreeMap<(usize, String), Vec<u64>> = BTreeMap::new();
-    // Per-tid stack of open *generic* spans (telemetry dialect); only
-    // the outermost becomes work.
-    let mut generic_open: BTreeMap<usize, Vec<(String, u64)>> = BTreeMap::new();
     let mut resources: Vec<String> = Vec::new();
     let mut out_events: Vec<TraceEvent> = Vec::new();
-    // Per-proc accounting accumulated while pairing.
-    let mut busy: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut waiting: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut work_count: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut last_ms: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut max_tid = 0usize;
-
     for (i, e) in events.iter().enumerate() {
         let ph = field_str(e, "ph").unwrap_or("");
-        let tid = track(e, i)?;
-        match ph {
-            "M" if field_str(e, "name") == Some("thread_name") => {
-                if let Some(n) = e.get("args").and_then(|a| field_str(a, "name")) {
-                    names.insert(tid, n.to_owned());
-                    max_tid = max_tid.max(tid);
-                }
-            }
-            "B" | "E" => {
-                let name = field_str(e, "name").unwrap_or("").to_owned();
-                let ts_us = field_f64(e, "ts").unwrap_or(0.0).max(0.0);
-                let ms = (ts_us / time_div).round() as u64;
-                max_tid = max_tid.max(tid);
-                let sim_dialect = name == "work" || name.starts_with("wait: ");
-                if ph == "B" {
-                    if sim_dialect {
-                        open.entry((tid, name)).or_default().push(ms);
-                    } else {
-                        generic_open.entry(tid).or_default().push((name, ms));
-                    }
-                    continue;
-                }
-                let proc = ProcId::from_index(tid);
-                if !sim_dialect {
-                    // Telemetry-span dialect: an E closes the matching
-                    // open span; only the outermost of a nest becomes
-                    // work (inner spans subdivide the same time).
-                    let stack = generic_open.entry(tid).or_default();
-                    let Some(pos) = stack.iter().rposition(|(n, _)| *n == name) else {
-                        continue; // unbalanced E: skip rather than fail
-                    };
-                    let (_, begin) = stack.remove(pos);
-                    if !stack.is_empty() {
-                        continue; // inner span: parent still open
-                    }
-                    let (start, end) = (begin.min(ms), begin.max(ms));
-                    out_events.push(TraceEvent {
-                        time: SimTime(start),
-                        proc,
-                        kind: EventKind::WorkStart {
-                            dur: SimDuration(end - start),
-                        },
-                    });
-                    let b = busy.entry(tid).or_default();
-                    *b = b.saturating_add(end - start);
-                    *work_count.entry(tid).or_default() += 1;
-                    let t = last_ms.entry(tid).or_default();
-                    *t = (*t).max(end);
-                    continue;
-                }
-                let Some(begin) = open.get_mut(&(tid, name.clone())).and_then(Vec::pop) else {
-                    continue; // unbalanced E: skip rather than fail
-                };
-                let (start, end) = (begin.min(ms), begin.max(ms));
-                if name == "work" {
-                    out_events.push(TraceEvent {
-                        time: SimTime(start),
-                        proc,
-                        kind: EventKind::WorkStart {
-                            dur: SimDuration(end - start),
-                        },
-                    });
-                    let b = busy.entry(tid).or_default();
-                    *b = b.saturating_add(end - start);
-                    *work_count.entry(tid).or_default() += 1;
-                } else if let Some(label) = name.strip_prefix("wait: ") {
-                    let ri = match resources.iter().position(|r| r == label) {
-                        Some(i) => i,
-                        None => {
-                            resources.push(label.to_owned());
-                            resources.len() - 1
-                        }
-                    };
-                    out_events.push(TraceEvent {
-                        time: SimTime(start),
-                        proc,
-                        kind: EventKind::Blocked(ResourceId::from_index(ri)),
-                    });
-                    out_events.push(TraceEvent {
-                        time: SimTime(end),
-                        proc,
-                        kind: EventKind::Acquired(ResourceId::from_index(ri)),
-                    });
-                    let w = waiting.entry(tid).or_default();
-                    *w = w.saturating_add(end - start);
-                }
-                let t = last_ms.entry(tid).or_default();
-                *t = (*t).max(end);
-            }
-            _ => {}
+        if ph != "B" && ph != "E" {
+            continue;
         }
+        let pi = index[&(id_field(e, "pid", i)?, id_field(e, "tid", i)?)];
+        let track = &mut rows[pi];
+        let name = field_str(e, "name").unwrap_or("");
+        let ts_us = field_f64(e, "ts").unwrap_or(0.0).max(0.0);
+        let ms = (ts_us / time_div).round() as u64;
+        if ph == "B" {
+            track.open.push((name.to_owned(), ms));
+            continue;
+        }
+        let Some(pos) = track.open.iter().rposition(|(n, _)| n == name) else {
+            continue; // unbalanced E: skip rather than fail
+        };
+        let (_, begin) = track.open.remove(pos);
+        if !track.open.is_empty() {
+            continue; // inner span: its parent is still open
+        }
+        let (start, end) = (begin.min(ms), begin.max(ms));
+        let proc = ProcId::from_index(pi);
+        if let Some(label) = name.strip_prefix("wait: ") {
+            let ri = resources.iter().position(|r| r == label).unwrap_or_else(|| {
+                resources.push(label.to_owned());
+                resources.len() - 1
+            });
+            let ri = ResourceId::from_index(ri);
+            out_events.push(TraceEvent {
+                time: SimTime(start),
+                proc,
+                kind: EventKind::Blocked(ri),
+            });
+            out_events.push(TraceEvent {
+                time: SimTime(end),
+                proc,
+                kind: EventKind::Acquired(ri),
+            });
+            track.waiting = track.waiting.saturating_add(end - start);
+        } else {
+            out_events.push(TraceEvent {
+                time: SimTime(start),
+                proc,
+                kind: EventKind::WorkStart {
+                    dur: SimDuration(end - start),
+                },
+            });
+            track.busy = track.busy.saturating_add(end - start);
+            track.work_count += 1;
+        }
+        track.last_ms = Some(track.last_ms.unwrap_or(0).max(end));
     }
 
     if out_events.is_empty() {
         return Err("trace file contains no work or wait events".to_owned());
     }
-    // Chronological order for the causal analyzer; the stable sort keeps
-    // each process's B-before-E order intact at equal timestamps.
-    out_events.sort_by_key(|e| e.time);
-    let end_time = SimTime(last_ms.values().copied().max().unwrap_or(0));
+    // Chronological order for the causal analyzer, processes in row
+    // order within an instant; the stable sort keeps each process's
+    // B-before-E order intact at equal timestamps.
+    out_events.sort_by_key(|e| (e.time, e.proc));
+    let end_time = SimTime(rows.iter().filter_map(|t| t.last_ms).max().unwrap_or(0));
 
-    let nprocs = max_tid + 1;
-    let procs: Vec<ProcReport> = (0..nprocs)
-        .map(|tid| ProcReport {
-            name: names
-                .get(&tid)
-                .cloned()
-                .unwrap_or_else(|| format!("P{tid}")),
-            busy: SimDuration(busy.get(&tid).copied().unwrap_or(0)),
-            waiting: SimDuration(waiting.get(&tid).copied().unwrap_or(0)),
-            completed_work: work_count.get(&tid).copied().unwrap_or(0),
-            finished_at: last_ms.get(&tid).copied().map(SimTime),
+    let many_processes = keys.iter().any(|k| k.0 != keys[0].0);
+    let procs: Vec<ProcReport> = keys
+        .into_iter()
+        .zip(rows)
+        .map(|((pid, tid), t)| {
+            let mut name = t.name.unwrap_or_else(|| format!("P{tid}"));
+            if many_processes {
+                let process = process_names.get(&pid).copied().unwrap_or("?");
+                name = format!("{process}/{name}");
+            }
+            ProcReport {
+                name,
+                busy: SimDuration(t.busy),
+                waiting: SimDuration(t.waiting),
+                completed_work: t.work_count,
+                finished_at: Some(SimTime(t.last_ms.unwrap_or(0))),
+            }
         })
         .collect();
     let resources: Vec<ResourceReport> = resources
@@ -314,21 +309,74 @@ mod tests {
           {"name":"run.activity","cat":"sim","ph":"E","ts":100000.0,"pid":1,"tid":1}
         ]"#;
         let t = parse_chrome_trace(json).expect("parses");
-        assert_eq!(t.procs[1].name, "main");
-        assert_eq!(t.procs[1].completed_work, 1, "inner span folded into outer");
-        assert_eq!(t.procs[1].busy, SimDuration(100), "outermost span: 0..100ms");
+        assert_eq!(t.procs.len(), 1, "no row for the unused tid 0");
+        assert_eq!(t.procs[0].name, "main");
+        assert_eq!(t.procs[0].completed_work, 1, "inner span folded into outer");
+        assert_eq!(t.procs[0].busy, SimDuration(100), "outermost span: 0..100ms");
         assert_eq!(t.end_time, SimTime(100));
         assert!(!flagsim_desim::causal::analyze(&t).critical_path.is_empty());
     }
 
+    /// `contended_trace().chrome_trace()` as the hand-written sim writer
+    /// emitted it before sim traces went through `telemetry::export`: a
+    /// bare array, tids from 0, integer microseconds.
+    const LEGACY_CONTENDED: &str = r#"[
+  {"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"flagsim"}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"A"}},
+  {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"B"}},
+  {"name":"work","cat":"sim","ph":"B","pid":1,"tid":0,"ts":0},
+  {"name":"work","cat":"sim","ph":"E","pid":1,"tid":0,"ts":40000},
+  {"name":"wait: red marker","cat":"wait","ph":"B","pid":1,"tid":1,"ts":0},
+  {"name":"wait: red marker","cat":"wait","ph":"E","pid":1,"tid":1,"ts":40000},
+  {"name":"work","cat":"sim","ph":"B","pid":1,"tid":1,"ts":45000},
+  {"name":"work","cat":"sim","ph":"E","pid":1,"tid":1,"ts":85000}
+]
+"#;
+
+    #[test]
+    fn legacy_witness_files_replay_like_new_ones() {
+        let new = parse_chrome_trace(&contended_trace().chrome_trace()).expect("new parses");
+        let old = parse_chrome_trace(LEGACY_CONTENDED).expect("legacy parses");
+        assert_eq!(old, new);
+    }
+
     #[test]
     fn object_wrapper_and_garbage_inputs() {
-        let original = contended_trace().chrome_trace();
-        let wrapped = format!("{{\"traceEvents\": {original}}}");
-        assert!(parse_chrome_trace(&wrapped).is_ok());
+        let wrapped = format!("{{\"traceEvents\": {LEGACY_CONTENDED}}}");
+        assert_eq!(
+            parse_chrome_trace(&wrapped).expect("wrapped parses"),
+            parse_chrome_trace(LEGACY_CONTENDED).expect("bare parses")
+        );
         assert!(parse_chrome_trace("not json").is_err());
         assert!(parse_chrome_trace("{\"foo\": 1}").is_err());
         assert!(parse_chrome_trace("[]").is_err(), "no events");
+    }
+
+    #[test]
+    fn tracks_in_different_processes_stay_apart() {
+        // Two worker processes whose only thread has the same name and
+        // tid: two rows, labelled by process, and no row for tid 0. The
+        // coordinator's thread recorded no spans: its row is empty, and
+        // the critical path does not start on it.
+        let json = r#"{"traceEvents": [
+          {"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"flagsim"}},
+          {"name":"thread_name","ph":"M","pid":1,"tid":1,"args":{"name":"ThreadId(2)"}},
+          {"name":"process_name","ph":"M","pid":2,"tid":0,"args":{"name":"local-0"}},
+          {"name":"thread_name","ph":"M","pid":2,"tid":1,"args":{"name":"main"}},
+          {"name":"process_name","ph":"M","pid":3,"tid":0,"args":{"name":"local-1"}},
+          {"name":"thread_name","ph":"M","pid":3,"tid":1,"args":{"name":"main"}},
+          {"name":"rep","ph":"B","ts":0,"pid":2,"tid":1},
+          {"name":"rep","ph":"B","ts":0,"pid":3,"tid":1},
+          {"name":"rep","ph":"E","ts":200000,"pid":3,"tid":1},
+          {"name":"rep","ph":"E","ts":300000,"pid":2,"tid":1}
+        ]}"#;
+        let t = parse_chrome_trace(json).expect("parses");
+        let names: Vec<&str> = t.procs.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["flagsim/ThreadId(2)", "local-0/main", "local-1/main"]);
+        assert_eq!(t.procs[1].busy, SimDuration(300));
+        assert_eq!(t.procs[2].busy, SimDuration(200));
+        let path = flagsim_desim::causal::analyze(&t).critical_path;
+        assert!(path.iter().all(|s| s.proc.index() == 1), "{path:?}");
     }
 
     #[test]
@@ -348,5 +396,27 @@ mod tests {
                        {"name":"work","ph":"E","ts":1e300,"pid":1,"tid":0}]"#;
         let t = parse_chrome_trace(json).expect("parses");
         assert_eq!(t.procs[0].busy, SimDuration(u64::MAX));
+    }
+
+    #[test]
+    fn out_of_range_pids_are_errors_like_tids() {
+        for pid in ["1e12", "4294967296", "-1", "1.5", "\"7\""] {
+            let json = format!(
+                r#"[{{"name":"work","ph":"B","ts":0,"pid":1,"tid":0}},
+                    {{"name":"work","ph":"E","ts":1000,"pid":{pid},"tid":0}}]"#
+            );
+            let err = parse_chrome_trace(&json).unwrap_err();
+            assert!(err.starts_with("event 1: pid"), "pid {pid}: {err}");
+        }
+    }
+
+    #[test]
+    fn track_count_is_capped() {
+        // One B event on each of MAX_TRACKS + 1 distinct (pid, tid) tracks.
+        let events: Vec<String> = (0..=MAX_TRACKS)
+            .map(|i| format!(r#"{{"ph":"B","pid":{},"tid":{}}}"#, i / 256, i % 256))
+            .collect();
+        let err = parse_chrome_trace(&format!("[{}]", events.join(","))).unwrap_err();
+        assert_eq!(err, format!("event {MAX_TRACKS}: more than {MAX_TRACKS} tracks"));
     }
 }

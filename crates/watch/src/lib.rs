@@ -5,7 +5,11 @@
 //! - **Replay** ([`app`]): reconstruct a recorded run (scenario+seed
 //!   via `core::replay`, or a Chrome-trace file via [`chrome`]) and
 //!   scrub through it — grid filling in, gantt with the executed
-//!   critical path, blame/races anchored to the current instant.
+//!   critical path (`desim::causal::GanttModel`), blame/races anchored
+//!   to the current instant. Trace files are read in one schema, the one
+//!   `telemetry::export` writes for sim and runtime traces alike: one row
+//!   per `(pid, tid)` track, spans paired per track, and one time-base
+//!   rule (see [`chrome`]).
 //! - **Live** ([`live`]): attach read-only to a running sweep and
 //!   render the `shard::fleet` observability stream as a fleet panel
 //!   with per-worker sparklines — the same panel `flagsim sweep
@@ -20,7 +24,6 @@
 pub mod app;
 pub mod chrome;
 pub mod frame;
-pub mod gantt;
 pub mod input;
 pub mod live;
 pub mod term;
