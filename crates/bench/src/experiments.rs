@@ -346,7 +346,6 @@ pub fn e12_threads() -> Experiment {
     let colorer = ParallelColorer::new(&flag, CellWorkload::default());
     let mut report = String::new();
     let mut all_verified = true;
-    let mut outcomes = Vec::new();
     for mode in [
         ExecMode::Sequential,
         ExecMode::Static,
@@ -354,16 +353,17 @@ pub fn e12_threads() -> Experiment {
         ExecMode::DynamicChunks { chunk: 64 },
     ] {
         let out = colorer.run(&assignments, mode);
-        all_verified &= out.verify(&flag);
+        let verified = out.verify(&flag);
+        all_verified &= verified;
+        // Wall-clock time stays out of the report, which must not differ
+        // between two runs of one build.
         let _ = writeln!(
             report,
-            "{:<32} {} threads  wall {:>9.3?}  (verified: {})",
+            "{:<32} {} threads  (verified: {})",
             format!("{mode:?}"),
             out.threads,
-            out.wall,
-            out.verify(&flag)
+            verified
         );
-        outcomes.push(out);
     }
     let cores = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -741,5 +741,10 @@ mod tests {
         for e in all_experiments() {
             assert!(e.holds, "{} ({}) failed:\n{}", e.id, e.artifact, e.report);
         }
+    }
+
+    #[test]
+    fn e12_report_is_reproducible() {
+        assert_eq!(e12_threads().report, e12_threads().report);
     }
 }

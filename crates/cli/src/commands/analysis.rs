@@ -27,8 +27,6 @@ options! {
         format: &'static str = a.choice("format", "text|json")?.unwrap_or("text"),
         sel: Selection = Selection::declare(a)?,
         team: Option<usize> = a.opt("team", "N", positive)?,
-        // Accepted for symmetry with `sweep`: one run has one lane.
-        _jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
     }
 
     pub(super) struct ProfileArgs("profile") |a| {
@@ -48,8 +46,6 @@ options! {
         static_only: bool = a.switch("static-only"),
         sel: Selection = Selection::declare(a)?,
         team: Option<usize> = a.opt("team", "N", uint)?,
-        // Accepted for symmetry with `sweep`: one run has one lane.
-        _jobs: usize = a.opt("jobs", "N", positive)?.unwrap_or(1),
         plan: Option<FaultPlan> = plan(a)?,
         policy: Option<RecoveryPolicy> = policy(a)?,
     }

@@ -22,21 +22,16 @@ options! {
 }
 
 /// Re-run a recorded scenario (the scenario, flag, kind, and seed fully
-/// determine the run) and return its display title, report, and
-/// assignments.
+/// determine the run) and return its display title and report.
 fn recorded_run(
     which: &str,
     sel: &Selection,
     check: bool,
-) -> Result<(String, flagsim_core::RunReport, Vec<Vec<flagsim_core::WorkItem>>), CliError> {
+) -> Result<(String, flagsim_core::RunReport), CliError> {
     let s = sel.setup(which)?;
     let report = s.run_once(&FaultPlan::none(), !check, None)?;
-    let assignments = s
-        .scenario
-        .strategy
-        .assignments(&s.flag, s.scenario.order, &s.cfg.skip_colors);
     let title = format!("{} — {} (seed {})", report.label, s.spec.name, sel.seed);
-    Ok((title, report, assignments))
+    Ok((title, report))
 }
 
 /// `--width N`: terminal columns, 20 to 1000.
@@ -68,8 +63,8 @@ pub(super) fn cmd_watch(a: WatchArgs) -> Result<String, CliError> {
         let Some(which) = &a.scenario else {
             return Err(usage_error::<WatchArgs>());
         };
-        let (title, report, assignments) = recorded_run(which, &a.sel, !a.no_check)?;
-        app::ReplayData::from_report(title, &report, &assignments)
+        let (title, report) = recorded_run(which, &a.sel, !a.no_check)?;
+        app::ReplayData::from_report(title, &report)
     };
     // Scripted mode: a fixed key sequence, one frame per key, no clock —
     // byte-deterministic, for tests and CI.

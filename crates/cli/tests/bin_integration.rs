@@ -67,7 +67,7 @@ fn explain_of_a_failing_run_prints_the_run_error() {
     // A team of 1 cannot staff scenario 3's four stripes. `explain` runs
     // one repetition, so it reports that run's error as is, with no
     // sweep summary around it and exit code 2.
-    let (stdout, stderr, code) = flagsim_code(&["explain", "3", "--team", "1", "--jobs", "2"]);
+    let (stdout, stderr, code) = flagsim_code(&["explain", "3", "--team", "1"]);
     assert_eq!(code, 2, "{stderr}");
     assert!(stdout.is_empty(), "{stdout}");
     assert_eq!(
@@ -586,7 +586,7 @@ fn undeclared_options_and_stray_arguments_exit_2_naming_the_command() {
         (&["sweep", "4", "--markers", "3"], "--markers"),
         (&["run", "4", "--gantt", "5"], "\"5\""),
         (&["graph", "jordan", "--procs", "2", "--procs", "x"], "--procs"),
-        (&["check", "4", "--static-only", "--jobs", "0"], "--jobs"),
+        (&["check", "4", "--static-only", "--jobs", "2"], "--jobs"),
     ] {
         let (stdout, stderr, code) = flagsim_code(args);
         assert_eq!(code, 2, "args {args:?} must exit 2, stderr: {stderr}");

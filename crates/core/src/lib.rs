@@ -44,7 +44,7 @@ pub use config::{ActivityConfig, ReleasePolicy, TeamKit};
 pub use explain::{explain_report, explain_scenario, Explanation};
 pub use faults::{FaultEvent, FaultPlan, RecoveryPolicy, ResilienceReport};
 pub use partition::{CellOrder, PartitionStrategy};
-pub use report::{RepSample, RunReport};
+pub use report::{RepSample, RunReport, Stroke};
 pub use run::{
     run_activity, run_activity_with_faults, ActivityOutcome, OutcomeFingerprint, ScheduledRuns,
 };

@@ -2,13 +2,14 @@
 //!
 //! The Webster instructor used animations to show schedules; the
 //! activity-level counterpart is watching the *grid* fill cell by cell.
-//! A [`Replay`] reconstructs, from a run's trace, when every cell was
-//! finished, and renders the grid at any instant as an ASCII frame
-//! (`flagsim watch` scrubs through them).
+//! A [`Replay`] reconstructs when every cell was finished from a run's
+//! [strokes](RunReport::strokes), which pair each `WorkStart` trace event
+//! with the cell the run logged for it (`RunReport::cell_log`, which
+//! holds adopted orphan work too), and renders the grid at any instant
+//! as an ASCII frame (`flagsim watch` scrubs through them).
 
 use crate::report::RunReport;
-use crate::work::WorkItem;
-use flagsim_desim::{EventKind, SimTime};
+use flagsim_desim::SimTime;
 use flagsim_grid::{render, CellId, Color, Grid};
 
 /// One cell's completion record.
@@ -53,43 +54,34 @@ pub struct Replay {
 }
 
 impl Replay {
-    /// Build from a run report and the assignments it executed. The k-th
-    /// work event of student i corresponds to `assignments[i][k]` — the
-    /// engine polls work strictly in assignment order.
-    pub fn new(report: &RunReport, assignments: &[Vec<WorkItem>]) -> Self {
+    /// Build from a run report: each of its [strokes](RunReport::strokes)
+    /// either finished by the end of the run or was cut off by the bell.
+    pub fn new(report: &RunReport) -> Self {
         let mut completions = Vec::new();
         let mut in_flight = Vec::new();
-        for (i, items) in assignments.iter().enumerate() {
-            let mut k = 0usize;
-            for e in report.trace.events.iter().filter(|e| e.proc.index() == i) {
-                if let EventKind::WorkStart { dur } = e.kind {
-                    let finished = e.time + dur;
-                    if let Some(item) = items.get(k) {
-                        if finished <= report.trace.end_time {
-                            completions.push(CellCompletion {
-                                cell: item.cell,
-                                color: item.color,
-                                student: i,
-                                started_ms: e.time.millis(),
-                                finished_ms: finished.millis(),
-                            });
-                        } else {
-                            // The bell rang mid-stroke: the cell stays
-                            // unfinished forever, not silently absent.
-                            in_flight.push(CellInFlight {
-                                cell: item.cell,
-                                color: item.color,
-                                student: i,
-                                started_ms: e.time.millis(),
-                            });
-                        }
-                    }
-                    k += 1;
-                }
+        for s in report.strokes() {
+            if s.end <= report.trace.end_time {
+                completions.push(CellCompletion {
+                    cell: s.item.cell,
+                    color: s.item.color,
+                    student: s.student,
+                    started_ms: s.start.millis(),
+                    finished_ms: s.end.millis(),
+                });
+            } else {
+                // The bell rang mid-stroke: the cell stays unfinished
+                // forever, not silently absent.
+                in_flight.push(CellInFlight {
+                    cell: s.item.cell,
+                    color: s.item.color,
+                    student: s.student,
+                    started_ms: s.start.millis(),
+                });
             }
         }
-        completions.sort_by_key(|c| c.finished_ms);
-        in_flight.sort_by_key(|c| c.started_ms);
+        // Stable, from event order: ties stay by student, then stroke.
+        completions.sort_by_key(|c| (c.finished_ms, c.student));
+        in_flight.sort_by_key(|c| (c.started_ms, c.student));
         Replay {
             width: report.grid.width(),
             height: report.grid.height(),
@@ -201,11 +193,12 @@ mod tests {
     use crate::partition::{CellOrder, PartitionStrategy};
     use crate::run_activity;
     use crate::work::PreparedFlag;
+    use crate::{FaultPlan, Scenario};
     use crate::TeamKit;
     use flagsim_agents::{ImplementKind, StudentProfile};
     use flagsim_flags::library;
 
-    fn run() -> (RunReport, Vec<Vec<WorkItem>>, PreparedFlag) {
+    fn run() -> (RunReport, PreparedFlag) {
         let pf = PreparedFlag::new(&library::mauritius());
         let assignments =
             PartitionStrategy::VerticalSlices(4).assignments(&pf, CellOrder::RowMajor, &[]);
@@ -222,13 +215,13 @@ mod tests {
             &ActivityConfig::default().with_seed(3),
         )
         .unwrap();
-        (report, assignments, pf)
+        (report, pf)
     }
 
     #[test]
     fn replay_reconstructs_every_cell() {
-        let (report, assignments, pf) = run();
-        let replay = Replay::new(&report, &assignments);
+        let (report, pf) = run();
+        let replay = Replay::new(&report);
         assert_eq!(replay.completions().len(), 96);
         // Final frame equals the reference flag.
         let final_grid = replay.grid_at(SimTime(replay.end_ms()));
@@ -239,8 +232,8 @@ mod tests {
 
     #[test]
     fn progress_is_monotone() {
-        let (report, assignments, _) = run();
-        let replay = Replay::new(&report, &assignments);
+        let (report, _) = run();
+        let replay = Replay::new(&report);
         let blanks = |t: SimTime| replay.ascii_at(t).matches('.').count();
         let (mut last, mut last_blanks) = (0, blanks(SimTime::ZERO));
         for i in 0..=20 {
@@ -269,7 +262,7 @@ mod tests {
             &ActivityConfig::default().with_deadline_secs(60.0),
         )
         .unwrap();
-        let replay = Replay::new(&report, &assignments);
+        let replay = Replay::new(&report);
         assert!(replay.completions().len() < 96);
         let final_grid = replay.grid_at(SimTime(replay.end_ms()));
         assert!(final_grid.blank_cells() > 0);
@@ -296,7 +289,7 @@ mod tests {
             &ActivityConfig::default().with_seed(3).with_deadline_secs(60.0),
         )
         .unwrap();
-        let replay = Replay::new(&report, &assignments);
+        let replay = Replay::new(&report);
         assert!(replay.cut_off(), "the bell should interrupt a stroke mid-flight");
         let caught = replay.in_flight()[0];
         let lower = caught.color.code().to_ascii_lowercase();
@@ -323,5 +316,25 @@ mod tests {
             replay.grid_at(SimTime(end)).get(caught.cell),
             flagsim_grid::Color::Blank
         );
+    }
+
+    /// Regression: a survivor's adopted orphan cells are strokes too.
+    /// Replaying from the static assignments lost them (72 completions
+    /// and 24 blank cells at the end of this run).
+    #[test]
+    fn dropout_replay_ends_on_the_reports_grid() {
+        let pf = PreparedFlag::new(&library::mauritius());
+        let mut team: Vec<StudentProfile> =
+            (1..=4).map(|i| StudentProfile::new(format!("P{i}"))).collect();
+        let kit = TeamKit::uniform(ImplementKind::ThickMarker, &pf.colors_needed(&[]));
+        let plan = FaultPlan::parse("dropout:2@12", "dropout").unwrap();
+        let report = Scenario::fig1(4)
+            .run_with_faults(&pf, &mut team, &kit, &ActivityConfig::default().with_seed(3), &plan)
+            .unwrap();
+        assert!(report.correct, "rebalancing finishes the flag");
+        let replay = Replay::new(&report);
+        assert_eq!(replay.completions().len(), 96);
+        let final_grid = replay.grid_at(SimTime(replay.end_ms()));
+        assert!(flagsim_grid::diff(&final_grid, &report.grid).is_identical());
     }
 }

@@ -1,9 +1,10 @@
 //! Run reports — what the activity measures.
 
 use crate::faults::ResilienceReport;
+use crate::work::WorkItem;
 use flagsim_desim::resource::ResourceStats;
 use flagsim_desim::schedule::{fnv_mix, fnv_mix_str, FNV_OFFSET};
-use flagsim_desim::{ProcAccount, SimDuration, SimTime, Trace};
+use flagsim_desim::{EventKind, ProcAccount, SimDuration, SimTime, Trace};
 use flagsim_grid::{Color, Grid};
 use std::fmt::Write as _;
 
@@ -159,9 +160,25 @@ pub struct RunReport {
     /// Per-student cells in the order their coloring *started* — the
     /// `k`-th entry of `cell_log[i]` is the cell behind student `i`'s
     /// `k`-th `WorkStart` trace event. Unlike the static assignments this
-    /// includes adopted orphan work and the cell cut off by a bell, so a
-    /// race detector can map trace events back to grid cells.
-    pub cell_log: Vec<Vec<crate::work::WorkItem>>,
+    /// includes adopted orphan work and the cell cut off by a bell, so the
+    /// race check and the grid replay can map trace events back to grid
+    /// cells ([`RunReport::strokes`]).
+    pub cell_log: Vec<Vec<WorkItem>>,
+}
+
+/// One coloring stroke of a run: a student's `WorkStart` trace event
+/// and the cell it painted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stroke {
+    /// The painting student (trace process index).
+    pub student: usize,
+    /// The cell and color painted.
+    pub item: WorkItem,
+    /// When the stroke started.
+    pub start: SimTime,
+    /// When it ends; past the trace's end time for a stroke the bell
+    /// cut off.
+    pub end: SimTime,
 }
 
 /// The two numbers a sweep keeps of each repetition. A stats-only run
@@ -190,6 +207,28 @@ impl RunReport {
             self.students.iter().map(StudentStats::figures),
             self.contention.iter().map(|c| (c.color, &c.stats)),
         )
+    }
+
+    /// Every coloring stroke, in event order: student `i`'s `k`-th
+    /// `WorkStart` paired with `cell_log[i][k]`. A work start with no
+    /// logged cell yields no stroke.
+    pub fn strokes(&self) -> impl Iterator<Item = Stroke> + '_ {
+        let mut started = vec![0usize; self.trace.procs.len()];
+        self.trace.events.iter().filter_map(move |e| {
+            let EventKind::WorkStart { dur } = e.kind else {
+                return None;
+            };
+            let student = e.proc.index();
+            let k = started.get_mut(student)?;
+            *k += 1;
+            let item = *self.cell_log.get(student)?.get(*k - 1)?;
+            Some(Stroke {
+                student,
+                item,
+                start: e.time,
+                end: e.time + dur,
+            })
+        })
     }
 
     /// Completion time in seconds.
@@ -242,7 +281,7 @@ impl RunReport {
                 .iter()
                 .find(|e| {
                     e.proc.index() == idx
-                        && matches!(e.kind, flagsim_desim::EventKind::WorkStart { .. })
+                        && matches!(e.kind, EventKind::WorkStart { .. })
                 })
                 .map(|e| e.time)
                 .unwrap_or(self.trace.end_time);

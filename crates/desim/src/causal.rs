@@ -2,19 +2,28 @@
 //! critical path, and contention blame.
 //!
 //! A [`Trace`] says *what* happened; this module reconstructs *why* the
-//! run took as long as it did. Three artifacts are derived from the event
-//! log alone (no engine state required):
+//! run took as long as it did. Every reading of the event log goes
+//! through one **grant walk**, which pairs a process's `Blocked` with its
+//! next `Acquired` of that resource and names each grant's releaser: the
+//! resource's last `Released`. The engine logs a waiter's `Acquired` at
+//! the moment the previous holder's `Released` is processed, so a grant
+//! that ends a wait at the instant of the last release is a **hand-off
+//! edge** from that holder. This is what turns "Student 3 waited 40
+//! ticks for the scissors" into "…behind Student 2". [`sync_edges`]
+//! reads the walk directly; everything else reads the **raw segments**
+//! built from it: per process, in event order, a
+//! [`SegmentKind::Compute`] segment per `WorkStart` and a
+//! [`SegmentKind::Wait`] segment from each block to its grant. The
+//! trace's own charts ([`Trace::gantt`], `svg_gantt`, `chrome_trace`)
+//! draw the raw segments as they are. Three artifacts are derived from
+//! them (no engine state required):
 //!
 //! 1. **Segment timelines** — for every process, a gap-free tiling of
-//!    `[0, lifetime]` into [`SegmentKind::Compute`] (a `WorkStart` chunk),
-//!    [`SegmentKind::Wait`] (from `Blocked` through the grant plus the
-//!    resource's hand-off transit), and [`SegmentKind::Idle`] (everything
-//!    else: late arrival, `WaitUntil` pauses, post-finish slack).
-//! 2. **Hand-off edges** — the engine logs a waiter's `Acquired` at the
-//!    moment the previous holder's `Released` is processed, so the nearest
-//!    preceding `Released` on the same resource identifies the specific
-//!    process the waiter was blocked behind. This is what turns "Student 3
-//!    waited 40 ticks for the scissors" into "…behind Student 2".
+//!    `[0, lifetime]`: the raw segments with each wait extended by the
+//!    resource's hand-off transit, waits unresolved at the end of the
+//!    trace running to it, and [`SegmentKind::Idle`] filling the rest
+//!    (late arrival, `WaitUntil` pauses, post-finish slack).
+//! 2. **Hand-off edges** — carried by each resolved wait segment.
 //! 3. **Executed critical path** — walking backward from the
 //!    makespan-defining finish: through compute and idle segments on the
 //!    same process, and across hand-off edges to the releasing holder when
@@ -22,7 +31,7 @@
 //!    each step classified as compute, contention on a specific resource,
 //!    or dependency/idle wait.
 //!
-//! On top of the walk sit the per-resource blame table (blocked time
+//! Beside the path sit the per-resource blame table (blocked time
 //! attributed to the holder that caused it) and the infinite-capacity
 //! what-if bound (predicted makespan if every resource had unlimited
 //! copies).
@@ -210,7 +219,127 @@ pub fn analyze(trace: &Trace) -> CausalAnalysis {
     }
 }
 
-/// Reconstruct per-process segment timelines from the event log.
+/// One grant of a resource, as the grant walk pairs it.
+#[derive(Debug, Clone, Copy)]
+struct Grant {
+    /// The process granted the resource.
+    proc: ProcId,
+    /// The resource granted.
+    resource: ResourceId,
+    /// When the grant was logged.
+    at: SimTime,
+    /// When `proc` blocked for it; `None` for an instant grant.
+    blocked_at: Option<SimTime>,
+    /// The resource's last `Released` before the grant, and who released.
+    last_release: Option<(ProcId, SimTime)>,
+}
+
+impl Grant {
+    /// The releaser of a contended hand-off: the engine logs a waiter's
+    /// `Acquired` while it processes the holder's `Released`, so a grant
+    /// that ends a wait at the instant of the last release was handed
+    /// over by that releaser.
+    fn handoff_from(&self) -> Option<(ProcId, SimTime)> {
+        self.blocked_at?;
+        self.last_release.filter(|&(_, released)| released == self.at)
+    }
+}
+
+/// One step of the grant walk, in event order.
+enum Step {
+    /// A `WorkStart`, as its `Compute` segment.
+    Work(Segment),
+    /// An `Acquired`, paired with its block and the last release.
+    Grant(Grant),
+}
+
+/// A process's wait still unresolved where the trace ends: the resource
+/// and when it blocked.
+type Pending = Option<(ResourceId, SimTime)>;
+
+/// The grant walk: the one reading of a trace that pairs its events.
+/// A process's pending `Blocked` pairs with its next `Acquired` of that
+/// resource (a process waits on one resource at a time), and a grant's
+/// releaser is that resource's last `Released` ([`Grant::handoff_from`]).
+/// Events of unknown processes are skipped. Returns each process's wait
+/// still unresolved at the end of the trace (deadline cutoff or stall).
+fn walk_grants(trace: &Trace, mut visit: impl FnMut(Step)) -> Vec<Pending> {
+    let mut last_release: Vec<Option<(ProcId, SimTime)>> = vec![None; trace.resources.len()];
+    let mut pending: Vec<Pending> = vec![None; trace.procs.len()];
+    for e in &trace.events {
+        let Some(waiting) = pending.get_mut(e.proc.index()) else {
+            continue;
+        };
+        match e.kind {
+            EventKind::WorkStart { dur } => visit(Step::Work(Segment {
+                proc: e.proc,
+                start: e.time,
+                end: e.time + dur,
+                kind: SegmentKind::Compute,
+            })),
+            EventKind::Blocked(r) => *waiting = Some((r, e.time)),
+            EventKind::Acquired(r) => {
+                let blocked_at = match *waiting {
+                    Some((blocked_on, at)) if blocked_on == r => {
+                        *waiting = None;
+                        Some(at)
+                    }
+                    _ => None,
+                };
+                visit(Step::Grant(Grant {
+                    proc: e.proc,
+                    resource: r,
+                    at: e.time,
+                    blocked_at,
+                    last_release: last_release.get(r.index()).copied().flatten(),
+                }));
+            }
+            EventKind::Released(r) => {
+                if let Some(slot) = last_release.get_mut(r.index()) {
+                    *slot = Some((e.proc, e.time));
+                }
+            }
+            EventKind::Finished => {}
+        }
+    }
+    pending
+}
+
+/// Each process's raw segments from the grant walk, in event order: a
+/// [`SegmentKind::Compute`] segment per `WorkStart`, and a
+/// [`SegmentKind::Wait`] segment from each block to its grant, carrying
+/// the hand-off edge. A raw wait ends at the grant, without the hand-off
+/// transit [`build_timelines`] adds. Also returns the waits still
+/// unresolved at the end of the trace, which have no raw segment.
+pub(crate) fn raw_segments(trace: &Trace) -> (Vec<Vec<Segment>>, Vec<Pending>) {
+    let mut raw: Vec<Vec<Segment>> = vec![Vec::new(); trace.procs.len()];
+    let pending = walk_grants(trace, |step| {
+        let seg = match step {
+            Step::Work(seg) => seg,
+            Step::Grant(g) => {
+                let Some(blocked_at) = g.blocked_at else {
+                    return;
+                };
+                Segment {
+                    proc: g.proc,
+                    start: blocked_at,
+                    end: g.at,
+                    kind: SegmentKind::Wait {
+                        resource: g.resource,
+                        handoff_from: g.handoff_from(),
+                    },
+                }
+            }
+        };
+        raw[seg.proc.index()].push(seg);
+    });
+    (raw, pending)
+}
+
+/// Reconstruct per-process segment timelines from the event log: the
+/// raw segments of the grant walk (see the module docs), with each wait
+/// extended by its hand-off transit, unresolved waits run to the trace
+/// end, and the gaps filled with idle.
 ///
 /// The engine's event semantics make this exact: `WorkStart { dur }` is
 /// logged when the chunk begins (compute occupies `[t, t + dur)`); a
@@ -221,70 +350,17 @@ pub fn analyze(trace: &Trace) -> CausalAnalysis {
 /// accounting to the millisecond. An instant (uncontended) grant logs
 /// `Acquired` with no preceding `Blocked` and contributes no segment.
 pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
-    let nprocs = trace.procs.len();
-    let mut raw: Vec<Vec<Segment>> = vec![Vec::new(); nprocs];
-    // Nearest preceding release per resource: the hand-off edge source.
-    let mut last_released_by: Vec<Option<(ProcId, SimTime)>> =
-        vec![None; trace.resources.len()];
-    // Pending `Blocked` per process (a process waits on one resource at
-    // a time).
-    let mut pending_block: Vec<Option<(ResourceId, SimTime)>> = vec![None; nprocs];
-
-    for e in &trace.events {
-        let pi = e.proc.index();
-        if pi >= nprocs {
-            continue;
-        }
-        match e.kind {
-            EventKind::WorkStart { dur } => {
-                raw[pi].push(Segment {
-                    proc: e.proc,
-                    start: e.time,
-                    end: e.time + dur,
-                    kind: SegmentKind::Compute,
-                });
-            }
-            EventKind::Blocked(r) => {
-                pending_block[pi] = Some((r, e.time));
-            }
-            EventKind::Acquired(r) => {
-                if let Some((br, blocked_at)) = pending_block[pi].take() {
-                    if br == r {
-                        let handoff = trace
-                            .resources
-                            .get(r.index())
-                            .map(|res| res.handoff)
-                            .unwrap_or(SimDuration::ZERO);
-                        let from = last_released_by
-                            .get(r.index())
-                            .copied()
-                            .flatten()
-                            .filter(|&(_, rel)| rel == e.time);
-                        // A grant whose hand-off was still in transit at
-                        // the bell is clamped to the trace end, matching
-                        // the engine's cutoff settlement of `waiting`.
-                        raw[pi].push(Segment {
-                            proc: e.proc,
-                            start: blocked_at,
-                            end: (e.time + handoff).min(trace.end_time),
-                            kind: SegmentKind::Wait {
-                                resource: r,
-                                handoff_from: from,
-                            },
-                        });
-                    } else {
-                        // A block on a different resource than the grant
-                        // should not happen; restore it defensively.
-                        pending_block[pi] = Some((br, blocked_at));
-                    }
-                }
-            }
-            EventKind::Released(r) => {
-                if let Some(slot) = last_released_by.get_mut(r.index()) {
-                    *slot = Some((e.proc, e.time));
-                }
-            }
-            EventKind::Finished => {}
+    let (mut raw, pending) = raw_segments(trace);
+    for seg in raw.iter_mut().flatten() {
+        if let SegmentKind::Wait { resource, .. } = seg.kind {
+            let handoff = trace
+                .resources
+                .get(resource.index())
+                .map_or(SimDuration::ZERO, |res| res.handoff);
+            // A grant whose hand-off was still in transit at the bell is
+            // clamped to the trace end, matching the engine's cutoff
+            // settlement of `waiting`.
+            seg.end = (seg.end + handoff).min(trace.end_time);
         }
     }
 
@@ -293,7 +369,7 @@ pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
     // so these segments mirror its accounting — but there is no hand-off
     // edge to pin the time on, so blame excludes them
     // (`handoff_from: None`).
-    for (pi, pending) in pending_block.iter().enumerate() {
+    for (pi, pending) in pending.iter().enumerate() {
         if let Some((r, blocked_at)) = *pending {
             if blocked_at < trace.end_time {
                 raw[pi].push(Segment {
@@ -391,57 +467,28 @@ pub struct SyncEdge {
 /// clocks on: program order within each process plus these cross-process
 /// edges is the full ordering the simulation guarantees.
 pub fn sync_edges(trace: &Trace) -> Vec<SyncEdge> {
-    let nprocs = trace.procs.len();
-    let mut last_released_by: Vec<Option<(ProcId, SimTime)>> =
-        vec![None; trace.resources.len()];
-    let mut pending_block: Vec<Option<ResourceId>> = vec![None; nprocs];
     let mut out = Vec::new();
-
-    for e in &trace.events {
-        let pi = e.proc.index();
-        if pi >= nprocs {
-            continue;
-        }
-        match e.kind {
-            EventKind::Blocked(r) => pending_block[pi] = Some(r),
-            EventKind::Acquired(r) => {
-                let was_blocked = pending_block[pi].take().is_some_and(|br| br == r);
-                let last = last_released_by.get(r.index()).copied().flatten();
-                let capacity = trace.resources.get(r.index()).map_or(1, |res| res.capacity);
-                let edge = if was_blocked {
-                    // Contended grant: the engine logged this `Acquired`
-                    // while processing the releaser's `Released`, so the
-                    // timestamps match exactly.
-                    last.filter(|&(_, rel)| rel == e.time).map(|(from, rel)| SyncEdge {
-                        resource: r,
-                        from,
-                        released_at: rel,
-                        to: e.proc,
-                        acquired_at: e.time,
-                        contended: true,
-                    })
-                } else if capacity == 1 {
-                    last.map(|(from, rel)| SyncEdge {
-                        resource: r,
-                        from,
-                        released_at: rel,
-                        to: e.proc,
-                        acquired_at: e.time,
-                        contended: false,
-                    })
-                } else {
-                    None
-                };
-                out.extend(edge);
-            }
-            EventKind::Released(r) => {
-                if let Some(slot) = last_released_by.get_mut(r.index()) {
-                    *slot = Some((e.proc, e.time));
-                }
-            }
-            EventKind::WorkStart { .. } | EventKind::Finished => {}
-        }
-    }
+    walk_grants(trace, |step| {
+        let Step::Grant(g) = step else {
+            return;
+        };
+        let contended = g.blocked_at.is_some();
+        let from = if contended {
+            g.handoff_from()
+        } else if trace.resources.get(g.resource.index()).map_or(1, |res| res.capacity) == 1 {
+            g.last_release
+        } else {
+            None
+        };
+        out.extend(from.map(|(from, released_at)| SyncEdge {
+            resource: g.resource,
+            from,
+            released_at,
+            to: g.proc,
+            acquired_at: g.at,
+            contended,
+        }));
+    });
     out
 }
 
@@ -658,13 +705,14 @@ const ANSI_CRIT: &str = "\x1b[1;31m";
 /// ANSI reset.
 const ANSI_RESET: &str = "\x1b[0m";
 
-/// The critical-path chart's interval model: per-process busy, waiting
-/// and critical-path intervals from a [`CausalAnalysis`], ready to render
-/// at any instant. Like [`Trace::gantt`], each cell shows the dominant
-/// state in its bucket (`#` busy, `~` waiting, `.` idle); cells whose
-/// bucket lies mostly on the critical path are upper-cased (`#`→`X`,
-/// `~`→`W`, `.`→`o`). [`critical_gantt`] draws it whole with ANSI color;
-/// `flagsim watch` draws it as plain text scrubbed to an instant.
+/// The Gantt charts' interval model: per-process busy, waiting and
+/// critical-path intervals, ready to render at any instant. Each cell
+/// shows the dominant state in its bucket (`#` busy, `~` waiting, `.`
+/// idle); cells whose bucket lies mostly on the critical path are
+/// upper-cased (`#`→`X`, `~`→`W`, `.`→`o`). [`critical_gantt`] draws a
+/// [`CausalAnalysis`] whole with ANSI color; `flagsim watch` draws it as
+/// plain text scrubbed to an instant; [`Trace::gantt`] draws the raw
+/// segments with no critical path.
 #[derive(Debug, Clone)]
 pub struct GanttModel {
     names: Vec<String>,
@@ -684,10 +732,20 @@ fn overlap(ivs: &[(u64, u64)], t0: u64, t1: u64) -> u64 {
 impl GanttModel {
     /// Build the interval model from a trace and its causal analysis.
     pub fn new(trace: &Trace, analysis: &CausalAnalysis) -> GanttModel {
+        GanttModel::from_segments(trace, &analysis.timelines, &analysis.critical_path)
+    }
+
+    /// Build the interval model from per-process segments and a critical
+    /// path (empty for a chart without one).
+    pub(crate) fn from_segments(
+        trace: &Trace,
+        timelines: &[Vec<Segment>],
+        critical_path: &[CriticalSegment],
+    ) -> GanttModel {
         let nprocs = trace.procs.len();
         let mut busy = vec![Vec::new(); nprocs];
         let mut wait = vec![Vec::new(); nprocs];
-        for (pi, segs) in analysis.timelines.iter().enumerate().take(nprocs) {
+        for (pi, segs) in timelines.iter().enumerate().take(nprocs) {
             for s in segs {
                 let iv = (s.start.millis(), s.end.millis());
                 match s.kind {
@@ -698,7 +756,7 @@ impl GanttModel {
             }
         }
         let mut crit = vec![Vec::new(); nprocs];
-        for seg in &analysis.critical_path {
+        for seg in critical_path {
             if let Some(ivs) = crit.get_mut(seg.proc.index()) {
                 ivs.push((seg.start.millis(), seg.end.millis()));
             }
@@ -789,6 +847,25 @@ impl GanttModel {
         let _ = writeln!(out, "{:>w$} |{axis}|", "", w = self.name_w);
         out
     }
+
+    /// Render the whole run `width` buckets wide, each run of
+    /// critical-path cells wrapped in `open`/`close`, above an axis row
+    /// that ends with the run's end time and `legend`.
+    pub(crate) fn render_whole(&self, width: usize, open: &str, close: &str, legend: &str) -> String {
+        // A degenerate width clamps to a one-column chart rather than
+        // dividing by zero.
+        let width = width.max(1);
+        let mut out = self.rows_at(width, u64::MAX, open, close);
+        let _ = writeln!(
+            out,
+            "{:>w$} |{}| {}{legend}",
+            "",
+            "-".repeat(width),
+            SimTime(self.end_ms),
+            w = self.name_w,
+        );
+        out
+    }
 }
 
 /// Render the per-process Gantt chart of [`GanttModel`] for the whole
@@ -796,18 +873,12 @@ impl GanttModel {
 /// upper-cased, so the path survives `strip-ansi` round trips and the
 /// string stays deterministic.
 pub fn critical_gantt(trace: &Trace, analysis: &CausalAnalysis, width: usize) -> String {
-    let width = width.max(1);
-    let model = GanttModel::new(trace, analysis);
-    let mut out = model.rows_at(width, u64::MAX, ANSI_CRIT, ANSI_RESET);
-    let _ = writeln!(
-        out,
-        "{:>w$} |{}| {}  ({ANSI_CRIT}critical path{ANSI_RESET} in X/W/o)",
-        "",
-        "-".repeat(width),
-        trace.end_time,
-        w = model.name_w,
-    );
-    out
+    GanttModel::new(trace, analysis).render_whole(
+        width,
+        ANSI_CRIT,
+        ANSI_RESET,
+        &format!("  ({ANSI_CRIT}critical path{ANSI_RESET} in X/W/o)"),
+    )
 }
 
 /// Render the blame table as aligned text: one block per contended

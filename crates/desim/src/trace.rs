@@ -1,5 +1,11 @@
-//! Simulation traces: accounting, event logs, and ASCII Gantt charts.
+//! Simulation traces: accounting, event logs, and their charts.
+//!
+//! The ASCII and SVG Gantt charts and the Chrome trace all draw the
+//! trace's raw segments, which the grant walk in [`crate::causal`] pairs
+//! from the event log: a work chunk per `WorkStart`, and a wait from each
+//! `Blocked` to its grant.
 
+use crate::causal::{raw_segments, GanttModel, SegmentKind};
 use crate::engine::ProcId;
 use crate::resource::{ResourceId, ResourceStats};
 use crate::time::{SimDuration, SimTime};
@@ -227,69 +233,12 @@ impl Trace {
     ///
     /// The chart is a visual aid (the paper projects scenario slides; our
     /// equivalent is a terminal), not a precise plot: each character cell
-    /// shows the dominant state in its time bucket.
+    /// shows the dominant state in its time bucket. It is
+    /// [`GanttModel`]'s chart of the raw segments, without a critical
+    /// path: a wait ends at its grant.
     pub fn gantt(&self, width: usize) -> String {
-        // Degenerate widths clamp to a one-column chart rather than
-        // panicking or dividing by zero.
-        let width = width.max(1);
-        let total = self.end_time.millis().max(1);
-        let name_w = self
-            .procs
-            .iter()
-            .map(|p| p.name.len())
-            .max()
-            .unwrap_or(4)
-            .max(4);
-        let mut out = String::new();
-        for (idx, proc) in self.procs.iter().enumerate() {
-            let pid = ProcId(idx as u32);
-            // Build busy/wait intervals from the event log.
-            let mut busy_iv: Vec<(u64, u64)> = Vec::new();
-            let mut wait_iv: Vec<(u64, u64)> = Vec::new();
-            let mut blocked_since: Option<u64> = None;
-            for e in self.events_for(pid) {
-                match e.kind {
-                    EventKind::WorkStart { dur } => {
-                        busy_iv.push((e.time.millis(), e.time.millis() + dur.millis()));
-                    }
-                    EventKind::Blocked(_) => blocked_since = Some(e.time.millis()),
-                    EventKind::Acquired(_) => {
-                        if let Some(s) = blocked_since.take() {
-                            wait_iv.push((s, e.time.millis()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            let _ = write!(out, "{:>name_w$} |", proc.name);
-            for i in 0..width {
-                let t0 = total * i as u64 / width as u64;
-                let t1 = (total * (i + 1) as u64 / width as u64).max(t0 + 1);
-                let overlap = |ivs: &[(u64, u64)]| {
-                    ivs.iter()
-                        .map(|&(a, b)| b.min(t1).saturating_sub(a.max(t0)))
-                        .sum::<u64>()
-                };
-                let b = overlap(&busy_iv);
-                let w = overlap(&wait_iv);
-                out.push(if b == 0 && w == 0 {
-                    '.'
-                } else if b >= w {
-                    '#'
-                } else {
-                    '~'
-                });
-            }
-            out.push_str("|\n");
-        }
-        let _ = writeln!(
-            out,
-            "{:>name_w$} |{}| {}",
-            "",
-            "-".repeat(width),
-            self.end_time
-        );
-        out
+        let (raw, _) = raw_segments(self);
+        GanttModel::from_segments(self, &raw, &[]).render_whole(width, "", "", "")
     }
 
     /// Export the event log as CSV (`time_ms,proc,proc_name,kind,resource`)
@@ -317,82 +266,6 @@ impl Trace {
         out
     }
 
-    /// Render per-resource holding timelines: one row per resource, `#`
-    /// where some process holds it (including hand-off transit), `.` where
-    /// it sits free. Shows at a glance which marker is the bottleneck.
-    pub fn resource_gantt(&self, width: usize) -> String {
-        // Same degenerate-width clamp as `gantt`.
-        let width = width.max(1);
-        let total = self.end_time.millis().max(1);
-        let name_w = self
-            .resources
-            .iter()
-            .map(|r| r.label.len())
-            .max()
-            .unwrap_or(4)
-            .max(4);
-        let mut out = String::new();
-        for (ri, res) in self.resources.iter().enumerate() {
-            // Build held intervals: matched Acquired/Released per process.
-            let mut held: Vec<(u64, u64)> = Vec::new();
-            let mut open: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-            for e in &self.events {
-                match e.kind {
-                    EventKind::Acquired(r) if r.index() == ri => {
-                        open.insert(e.proc.0, e.time.millis());
-                    }
-                    EventKind::Released(r) if r.index() == ri => {
-                        if let Some(start) = open.remove(&e.proc.0) {
-                            held.push((start, e.time.millis()));
-                        }
-                    }
-                    _ => {}
-                }
-            }
-            // Unreleased holds extend to the end.
-            for (_, start) in open {
-                held.push((start, total));
-            }
-            let _ = write!(out, "{:>name_w$} |", res.label);
-            for i in 0..width {
-                let t0 = total * i as u64 / width as u64;
-                let t1 = (total * (i + 1) as u64 / width as u64).max(t0 + 1);
-                let overlap: u64 = held
-                    .iter()
-                    .map(|&(a, b)| b.min(t1).saturating_sub(a.max(t0)))
-                    .sum();
-                out.push(if overlap * 2 >= (t1 - t0) { '#' } else { '.' });
-            }
-            out.push_str("|\n");
-        }
-        out
-    }
-
-    /// A per-process utilization table (busy/wait/idle percent of each
-    /// process's lifetime).
-    pub fn utilization_table(&self) -> String {
-        let mut out = format!(
-            "{:<16}{:>8}{:>8}{:>8}\n",
-            "process", "busy%", "wait%", "idle%"
-        );
-        if self.procs.is_empty() {
-            out.push_str("(no processes)\n");
-            return out;
-        }
-        for p in &self.procs {
-            let lifetime = p.lifetime(self.end_time).millis().max(1) as f64;
-            let _ = writeln!(
-                out,
-                "{:<16}{:>7.1}%{:>7.1}%{:>7.1}%",
-                p.name,
-                100.0 * p.busy.millis() as f64 / lifetime,
-                100.0 * p.waiting.millis() as f64 / lifetime,
-                100.0 * p.idle(self.end_time).millis() as f64 / lifetime,
-            );
-        }
-        out
-    }
-
     /// Render the per-process timeline as an SVG Gantt chart (busy bars in
     /// color, waiting bars hatched gray) — a projectable version of
     /// [`Trace::gantt`]. Pure text output.
@@ -409,8 +282,8 @@ impl Trace {
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width_px}\" height=\"{height}\" \
              viewBox=\"0 0 {width_px} {height}\" font-family=\"monospace\" font-size=\"12\">\n"
         );
-        for (idx, proc) in self.procs.iter().enumerate() {
-            let pid = ProcId(idx as u32);
+        let (raw, _) = raw_segments(self);
+        for (idx, (proc, segs)) in self.procs.iter().zip(&raw).enumerate() {
             let y = row_h * idx as u32 + 4;
             let _ = writeln!(
                 out,
@@ -418,34 +291,19 @@ impl Trace {
                 y + 12,
                 xml_escape(&proc.name)
             );
-            let mut blocked_since: Option<u64> = None;
-            for e in self.events_for(pid) {
-                match e.kind {
-                    EventKind::WorkStart { dur } => {
-                        let x0 = scale(e.time.millis());
-                        let x1 = scale(e.time.millis() + dur.millis());
-                        let _ = writeln!(
-                            out,
-                            "  <rect x=\"{x0:.1}\" y=\"{y}\" width=\"{:.1}\" height=\"16\" \
-                             fill=\"#4a90d9\"/>",
-                            (x1 - x0).max(0.5)
-                        );
-                    }
-                    EventKind::Blocked(_) => blocked_since = Some(e.time.millis()),
-                    EventKind::Acquired(_) => {
-                        if let Some(s) = blocked_since.take() {
-                            let x0 = scale(s);
-                            let x1 = scale(e.time.millis());
-                            let _ = writeln!(
-                                out,
-                                "  <rect x=\"{x0:.1}\" y=\"{y}\" width=\"{:.1}\" height=\"16\" \
-                                 fill=\"#c0c0c0\"/>",
-                                (x1 - x0).max(0.5)
-                            );
-                        }
-                    }
-                    _ => {}
-                }
+            for seg in segs {
+                let fill = match seg.kind {
+                    SegmentKind::Compute => "#4a90d9",
+                    _ => "#c0c0c0",
+                };
+                let x0 = scale(seg.start.millis());
+                let x1 = scale(seg.end.millis());
+                let _ = writeln!(
+                    out,
+                    "  <rect x=\"{x0:.1}\" y=\"{y}\" width=\"{:.1}\" height=\"16\" \
+                     fill=\"{fill}\"/>",
+                    (x1 - x0).max(0.5)
+                );
             }
         }
         let _ = writeln!(
@@ -483,29 +341,18 @@ impl Trace {
     pub fn chrome_trace(&self) -> String {
         let ns = |ms: u64| ms.saturating_mul(1_000_000);
         let mut spans: Vec<SpanRecord> = Vec::new();
-        for (idx, proc) in self.procs.iter().enumerate() {
-            let mut blocked_since: Option<(u64, ResourceId)> = None;
-            for e in self.events_for(ProcId(idx as u32)) {
-                let at = e.time.millis();
-                let (category, name, start, end) = match e.kind {
-                    EventKind::WorkStart { dur } => {
-                        ("sim", "work", at, at.saturating_add(dur.millis()))
-                    }
-                    EventKind::Blocked(r) => {
-                        blocked_since = Some((at, r));
-                        continue;
-                    }
-                    EventKind::Acquired(_) => {
-                        let Some((since, r)) = blocked_since.take() else {
-                            continue;
-                        };
+        let (raw, _) = raw_segments(self);
+        for (proc, segs) in self.procs.iter().zip(&raw) {
+            for seg in segs {
+                let (category, name) = match seg.kind {
+                    SegmentKind::Wait { resource, .. } => {
                         let label = self
                             .resources
-                            .get(r.index())
+                            .get(resource.index())
                             .map_or("resource", |r| r.label.as_str());
-                        ("wait", intern(&format!("wait: {label}")), since, at)
+                        ("wait", intern(&format!("wait: {label}")))
                     }
-                    _ => continue,
+                    _ => ("sim", "work"),
                 };
                 spans.push(SpanRecord {
                     id: spans.len() as u64 + 1,
@@ -515,8 +362,8 @@ impl Trace {
                     name,
                     track: proc.name.clone(),
                     process: String::new(),
-                    start_ns: ns(start),
-                    end_ns: ns(end),
+                    start_ns: ns(seg.start.millis()),
+                    end_ns: ns(seg.end.millis()),
                     args: Vec::new(),
                 });
             }
@@ -613,22 +460,6 @@ mod tests {
         assert_eq!(p.lifetime(end), SimDuration(100));
         // Degenerate zero-length trace: no division by zero, 0 not 100%.
         assert_eq!(p.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
-    fn utilization_table_shows_downed_worker_as_idle_not_busy() {
-        let mut t = sample_trace();
-        t.procs.push(ProcReport {
-            name: "P3".into(),
-            busy: SimDuration(0),
-            waiting: SimDuration(0),
-            completed_work: 0,
-            finished_at: None,
-        });
-        let table = t.utilization_table();
-        let p3 = table.lines().find(|l| l.starts_with("P3")).unwrap();
-        assert!(p3.contains("  0.0%"), "no spurious busy time: {p3}");
-        assert!(p3.contains("100.0%"), "fully idle against trace end: {p3}");
     }
 
     #[test]
@@ -737,15 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn resource_gantt_marks_held_tail() {
-        let t = trace_with_resource();
-        let g = t.resource_gantt(10);
-        // Acquired at 80ms of 100 → last two buckets held.
-        assert!(g.contains("........##"), "{g}");
-        assert!(g.starts_with("red marker |"));
-    }
-
-    #[test]
     fn svg_gantt_draws_busy_and_wait_bars() {
         let t = sample_trace();
         let svg = t.svg_gantt(600);
@@ -782,8 +604,6 @@ mod tests {
         // the plot area (u32 subtraction) and panicked.
         let g = t.gantt(0);
         assert_eq!(g.lines().count(), 3, "{g}");
-        let rg = t.resource_gantt(0);
-        assert!(rg.is_empty() || rg.lines().all(|l| l.ends_with('|')), "{rg}");
         let svg = t.svg_gantt(0);
         assert!(svg.starts_with("<svg"), "{svg}");
         assert!(svg.trim_end().ends_with("</svg>"), "{svg}");
@@ -792,28 +612,13 @@ mod tests {
     }
 
     #[test]
-    fn utilization_table_handles_empty_trace() {
+    fn empty_trace_chart_is_degenerate_but_valid() {
         let t = Trace {
             end_time: SimTime::ZERO,
             procs: vec![],
             resources: vec![],
             events: vec![],
         };
-        let table = t.utilization_table();
-        assert!(table.starts_with("process"), "{table}");
-        assert!(table.contains("(no processes)"), "{table}");
-        // The charts are degenerate but valid too.
         assert!(t.gantt(10).contains('|'));
-        assert_eq!(t.resource_gantt(10), "");
-    }
-
-    #[test]
-    fn utilization_table_sums_to_100() {
-        let t = sample_trace();
-        let table = t.utilization_table();
-        assert!(table.contains("P1"));
-        // P1: 60 busy + 20 wait + 20 idle of 100.
-        assert!(table.contains("60.0%"));
-        assert!(table.contains("20.0%"));
     }
 }

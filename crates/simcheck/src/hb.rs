@@ -51,35 +51,20 @@ pub struct CellAccess {
     pub end: SimTime,
 }
 
-/// Recover every cell write from a finished run by pairing each
-/// student's `WorkStart` trace events (in order) with the run's
-/// [`RunReport::cell_log`] (the cells in start order).
+/// Recover every cell write from a finished run: one per
+/// [stroke](RunReport::strokes).
 pub fn cell_accesses(report: &RunReport) -> Vec<CellAccess> {
-    let trace = &report.trace;
-    let n = trace.procs.len();
-    let mut out = Vec::new();
-    let mut seen = vec![0usize; n];
-    for e in &trace.events {
-        let p = e.proc.index();
-        if p >= n {
-            continue;
-        }
-        if let EventKind::WorkStart { dur } = e.kind {
-            let k = seen[p];
-            seen[p] += 1;
-            if let Some(item) = report.cell_log.get(p).and_then(|log| log.get(k)) {
-                out.push(CellAccess {
-                    student: p,
-                    name: trace.procs[p].name.clone(),
-                    cell: item.cell,
-                    color: item.color,
-                    start: e.time,
-                    end: e.time + dur,
-                });
-            }
-        }
-    }
-    out
+    report
+        .strokes()
+        .map(|s| CellAccess {
+            student: s.student,
+            name: report.trace.procs[s.student].name.clone(),
+            cell: s.item.cell,
+            color: s.item.color,
+            start: s.start,
+            end: s.end,
+        })
+        .collect()
 }
 
 /// A group of simultaneous requests for the same resource whose FIFO

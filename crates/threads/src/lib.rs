@@ -29,10 +29,8 @@
 pub mod executor;
 pub mod gpu;
 pub mod pipeline;
-pub mod scaling;
 pub mod workload;
 
 pub use executor::{ExecMode, Outcome, ParallelColorer, WorkerFault};
 pub use pipeline::{run_pipeline, PipelineOutcome};
-pub use scaling::{implied_serial_fraction, speedup_curve, ScalePoint};
 pub use workload::CellWorkload;

@@ -14,7 +14,6 @@ use crate::input::{Key, KeyDecoder};
 use crate::term;
 use flagsim_core::replay::Replay;
 use flagsim_core::RunReport;
-use flagsim_core::WorkItem;
 use flagsim_desim::causal::{self, CausalAnalysis, GanttModel, SegmentKind};
 use flagsim_desim::{SimTime, Trace};
 use std::io::Write as _;
@@ -67,11 +66,7 @@ pub struct ReplayData {
 impl ReplayData {
     /// Build from a finished run: grid replay, causal analysis, and
     /// happens-before findings, all from the one report.
-    pub fn from_report(
-        title: impl Into<String>,
-        report: &RunReport,
-        assignments: &[Vec<WorkItem>],
-    ) -> ReplayData {
+    pub fn from_report(title: impl Into<String>, report: &RunReport) -> ReplayData {
         let analysis = causal::analyze(&report.trace);
         let hb = flagsim_simcheck::hb::check_run(report);
         let mut findings = Vec::new();
@@ -97,7 +92,7 @@ impl ReplayData {
         findings.sort_by(|a, b| (a.start_ms, &a.label).cmp(&(b.start_ms, &b.label)));
         ReplayData {
             title: title.into(),
-            replay: Some(Replay::new(report, assignments)),
+            replay: Some(Replay::new(report)),
             gantt: GanttModel::new(&report.trace, &analysis),
             trace: report.trace.clone(),
             analysis,
@@ -405,7 +400,7 @@ mod tests {
             &ActivityConfig::default().with_seed(7),
         )
         .unwrap();
-        ReplayData::from_report("scenario 4 on Mauritius", &report, &assignments)
+        ReplayData::from_report("scenario 4 on Mauritius", &report)
     }
 
     #[test]

@@ -44,7 +44,7 @@ fn recorded(parts: u32, kind: ImplementKind, seed: u64) -> (RunReport, ReplayDat
         &ActivityConfig::default().with_seed(seed),
     )
     .expect("mauritius scenario runs");
-    let data = ReplayData::from_report("prop", &report, &assignments);
+    let data = ReplayData::from_report("prop", &report);
     (report, data)
 }
 

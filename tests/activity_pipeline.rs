@@ -45,9 +45,7 @@ fn sweep_replay_discussion_round_trip() {
     assert!(means[0] > means[1] && means[1] > means[2] && means[3] > means[2]);
 
     // Replay scenario 4 and check the halfway frame is genuinely partial.
-    let sc4 = Scenario::fig1(4);
-    let assignments = sc4.strategy.assignments(&flag, sc4.order, &[]);
-    let replay = Replay::new(&last_runs[3], &assignments);
+    let replay = Replay::new(&last_runs[3]);
     let halfway = replay.grid_at(SimTime(replay.end_ms() / 2));
     assert!(halfway.blank_cells() > 0);
     assert!(halfway.blank_cells() < 96);

@@ -27,7 +27,7 @@ fn digest(text: &str) -> u64 {
 
 /// Run scenario `which` the way `flagsim run`/`faults` do: a fresh team
 /// of `P1..Pn` on Mauritius with thick markers.
-fn run(which: &str, cfg: ActivityConfig, plan: &FaultPlan) -> (RunReport, Vec<Vec<WorkItem>>) {
+fn run(which: &str, cfg: ActivityConfig, plan: &FaultPlan) -> RunReport {
     let flag = PreparedFlag::new(&library::mauritius());
     let scenario = match which {
         "pipelined" => Scenario::pipelined_slices(&flag, 4, 4),
@@ -39,20 +39,16 @@ fn run(which: &str, cfg: ActivityConfig, plan: &FaultPlan) -> (RunReport, Vec<Ve
     let mut team: Vec<StudentProfile> = (1..=size)
         .map(|i| StudentProfile::new(format!("P{i}")))
         .collect();
-    let report = scenario
+    scenario
         .run_with_faults(&flag, &mut team, &kit, &cfg, plan)
-        .expect("scenario runs");
-    let assignments = scenario
-        .strategy
-        .assignments(&flag, scenario.order, &cfg.skip_colors);
-    (report, assignments)
+        .expect("scenario runs")
 }
 
 /// `(view, digest)` for every view of `report`.
-fn views(report: &RunReport, assignments: &[Vec<WorkItem>]) -> Vec<(&'static str, u64)> {
+fn views(report: &RunReport) -> Vec<(&'static str, u64)> {
     let trace = &report.trace;
     let analysis = causal::analyze(trace);
-    let replay = Replay::new(report, assignments);
+    let replay = Replay::new(report);
     let end = replay.end_ms();
     vec![
         ("gantt", digest(&trace.gantt(72))),
@@ -83,10 +79,10 @@ fn views(report: &RunReport, assignments: &[Vec<WorkItem>]) -> Vec<(&'static str
 
 fn assert_views(
     run_name: &str,
-    (report, assignments): &(RunReport, Vec<Vec<WorkItem>>),
+    report: &RunReport,
     want: &[u64; 11],
 ) {
-    let got = views(report, assignments);
+    let got = views(report);
     let digests: Vec<u64> = got.iter().map(|&(_, d)| d).collect();
     let mismatched: Vec<&str> = got
         .iter()
@@ -105,12 +101,12 @@ fn assert_views(
 }
 
 fn builtin(which: &str, want: &[u64; 11]) {
-    let run = run(
+    let report = run(
         which,
         ActivityConfig::default().with_seed(7),
         &FaultPlan::none(),
     );
-    assert_views(&format!("scenario {which}"), &run, want);
+    assert_views(&format!("scenario {which}"), &report, want);
 }
 
 #[test]
@@ -238,27 +234,25 @@ fn bell_cut_views() {
     let cfg = ActivityConfig::default()
         .with_seed(7)
         .with_deadline_secs(60.0);
-    let run = run("4", cfg, &FaultPlan::none());
-    let report = &run.0;
+    let report = run("4", cfg, &FaultPlan::none());
     // The cut leaves what these views must draw: a wait never granted
     // and a stroke never finished.
     let events = &report.trace.events;
     let unresolved = (0..report.trace.procs.len()).any(|p| {
-        let last = events
-            .iter()
-            .filter(|e| e.proc.index() == p)
-            .filter(|e| matches!(e.kind, EventKind::Blocked(_) | EventKind::Acquired(_)))
-            .last();
+        let last = events.iter().rev().find(|e| {
+            e.proc.index() == p
+                && matches!(e.kind, EventKind::Blocked(_) | EventKind::Acquired(_))
+        });
         matches!(last.map(|e| e.kind), Some(EventKind::Blocked(_)))
     });
     assert!(unresolved, "the bell should cut a wait short");
     assert!(
-        Replay::new(report, &run.1).cut_off(),
+        Replay::new(&report).cut_off(),
         "the bell should cut a stroke short"
     );
     assert_views(
         "scenario 4 at the 60 s bell",
-        &run,
+        &report,
         &[
             0x2fe0676a1ddef9c3,
             0x0a14a772fcbcfd12,
@@ -278,10 +272,10 @@ fn bell_cut_views() {
 #[test]
 fn dropout_views() {
     let plan = FaultPlan::parse("dropout:2@12", "dropout").expect("plan parses");
-    let run = run("4", ActivityConfig::default().with_seed(3), &plan);
+    let report = run("4", ActivityConfig::default().with_seed(3), &plan);
     assert_views(
         "scenario 4 with dropout:2@12",
-        &run,
+        &report,
         &[
             0x84fd07a441982d1c,
             0xc4e824eb04c00bbb,
@@ -293,7 +287,7 @@ fn dropout_views() {
             0xfbfc5f690b69d938,
             0xf8766ad062c99531,
             0xfffe32ea56fdce7f,
-            0xee00cea01345e2ed,
+            0xcf6ead52a6e857ed,
         ],
     );
 }
