@@ -10,19 +10,19 @@
 //! that ends a wait at the instant of the last release is a **hand-off
 //! edge** from that holder. This is what turns "Student 3 waited 40
 //! ticks for the scissors" into "…behind Student 2". [`sync_edges`]
-//! reads the walk directly; everything else reads the **raw segments**
-//! built from it: per process, in event order, a
-//! [`SegmentKind::Compute`] segment per `WorkStart` and a
-//! [`SegmentKind::Wait`] segment from each block to its grant. The
-//! trace's own charts ([`Trace::gantt`], `svg_gantt`, `chrome_trace`)
-//! draw the raw segments as they are. Three artifacts are derived from
-//! them (no engine state required):
+//! reads the walk directly; everything else reads the one segment model
+//! built from it (no engine state required):
 //!
-//! 1. **Segment timelines** — for every process, a gap-free tiling of
-//!    `[0, lifetime]`: the raw segments with each wait extended by the
-//!    resource's hand-off transit, waits unresolved at the end of the
-//!    trace running to it, and [`SegmentKind::Idle`] filling the rest
-//!    (late arrival, `WaitUntil` pauses, post-finish slack).
+//! 1. **Segment timelines** ([`build_timelines`]) — for every process, a
+//!    gap-free tiling of `[0, lifetime]`: a [`SegmentKind::Compute`]
+//!    segment per `WorkStart`, a [`SegmentKind::Wait`] segment from each
+//!    block through the hand-off transit after its grant (waits
+//!    unresolved at the end of the trace run to it), and
+//!    [`SegmentKind::Idle`] filling the rest (late arrival, `WaitUntil`
+//!    pauses, post-finish slack). Each process's compute and wait
+//!    segments sum to the engine's `busy` and `waiting`. The trace's own
+//!    charts ([`Trace::gantt`], `svg_gantt`, `chrome_trace`) draw these
+//!    timelines without their idle segments.
 //! 2. **Hand-off edges** — carried by each resolved wait segment.
 //! 3. **Executed critical path** — walking backward from the
 //!    makespan-defining finish: through compute and idle segments on the
@@ -209,7 +209,7 @@ impl CausalAnalysis {
 pub fn analyze(trace: &Trace) -> CausalAnalysis {
     let timelines = build_timelines(trace);
     let critical_path = walk_critical_path(trace, &timelines);
-    let blame = build_blame(trace, &timelines);
+    let blame = build_blame(&timelines);
     let whatif = whatif_bounds(trace);
     CausalAnalysis {
         timelines,
@@ -305,25 +305,38 @@ fn walk_grants(trace: &Trace, mut visit: impl FnMut(Step)) -> Vec<Pending> {
     pending
 }
 
-/// Each process's raw segments from the grant walk, in event order: a
-/// [`SegmentKind::Compute`] segment per `WorkStart`, and a
-/// [`SegmentKind::Wait`] segment from each block to its grant, carrying
-/// the hand-off edge. A raw wait ends at the grant, without the hand-off
-/// transit [`build_timelines`] adds. Also returns the waits still
-/// unresolved at the end of the trace, which have no raw segment.
-pub(crate) fn raw_segments(trace: &Trace) -> (Vec<Vec<Segment>>, Vec<Pending>) {
-    let mut raw: Vec<Vec<Segment>> = vec![Vec::new(); trace.procs.len()];
+/// Reconstruct per-process segment timelines from the grant walk: a
+/// [`SegmentKind::Compute`] segment per `WorkStart`, a
+/// [`SegmentKind::Wait`] segment from each block through the hand-off
+/// transit that follows its grant, unresolved waits run to the trace
+/// end, anything still running at a deadline cut there, and the gaps
+/// filled with idle.
+///
+/// The engine's event semantics make this exact: `WorkStart { dur }` is
+/// logged when the chunk begins (compute occupies `[t, t + dur)`); a
+/// contended grant logs the waiter's `Acquired` at the *release* time and
+/// schedules the waiter `handoff` later, charging
+/// `acquired + handoff - blocked` as waiting — so a wait segment spans
+/// `[blocked, acquired + handoff)` and its length equals the engine's
+/// accounting to the millisecond. An instant (uncontended) grant logs
+/// `Acquired` with no preceding `Blocked` and contributes no segment.
+pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
+    let mut rows: Vec<Vec<Segment>> = vec![Vec::new(); trace.procs.len()];
     let pending = walk_grants(trace, |step| {
-        let seg = match step {
+        let mut seg = match step {
             Step::Work(seg) => seg,
             Step::Grant(g) => {
                 let Some(blocked_at) = g.blocked_at else {
                     return;
                 };
+                let handoff = trace
+                    .resources
+                    .get(g.resource.index())
+                    .map_or(SimDuration::ZERO, |res| res.handoff);
                 Segment {
                     proc: g.proc,
                     start: blocked_at,
-                    end: g.at,
+                    end: g.at + handoff,
                     kind: SegmentKind::Wait {
                         resource: g.resource,
                         handoff_from: g.handoff_from(),
@@ -331,38 +344,12 @@ pub(crate) fn raw_segments(trace: &Trace) -> (Vec<Vec<Segment>>, Vec<Pending>) {
                 }
             }
         };
-        raw[seg.proc.index()].push(seg);
+        // A chunk still running or a hand-off still in transit at the
+        // bell is cut at the trace end, matching the engine's cutoff
+        // settlement of `busy` and `waiting`.
+        seg.end = seg.end.min(trace.end_time);
+        rows[seg.proc.index()].push(seg);
     });
-    (raw, pending)
-}
-
-/// Reconstruct per-process segment timelines from the event log: the
-/// raw segments of the grant walk (see the module docs), with each wait
-/// extended by its hand-off transit, unresolved waits run to the trace
-/// end, and the gaps filled with idle.
-///
-/// The engine's event semantics make this exact: `WorkStart { dur }` is
-/// logged when the chunk begins (compute occupies `[t, t + dur)`); a
-/// contended grant logs the waiter's `Acquired` at the *release* time and
-/// schedules the waiter `handoff` later, charging
-/// `grant_time - blocked_time` as waiting — so a wait segment spans
-/// `[blocked, acquired + handoff)` and its length equals the engine's
-/// accounting to the millisecond. An instant (uncontended) grant logs
-/// `Acquired` with no preceding `Blocked` and contributes no segment.
-pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
-    let (mut raw, pending) = raw_segments(trace);
-    for seg in raw.iter_mut().flatten() {
-        if let SegmentKind::Wait { resource, .. } = seg.kind {
-            let handoff = trace
-                .resources
-                .get(resource.index())
-                .map_or(SimDuration::ZERO, |res| res.handoff);
-            // A grant whose hand-off was still in transit at the bell is
-            // clamped to the trace end, matching the engine's cutoff
-            // settlement of `waiting`.
-            seg.end = (seg.end + handoff).min(trace.end_time);
-        }
-    }
 
     // Waits never resolved (deadline cutoff / stall) run to the trace
     // end. The engine charges that blocked tail to `waiting` on cutoff,
@@ -372,7 +359,7 @@ pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
     for (pi, pending) in pending.iter().enumerate() {
         if let Some((r, blocked_at)) = *pending {
             if blocked_at < trace.end_time {
-                raw[pi].push(Segment {
+                rows[pi].push(Segment {
                     proc: ProcId(pi as u32),
                     start: blocked_at,
                     end: trace.end_time,
@@ -386,7 +373,7 @@ pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
     }
 
     // Fill gaps with idle so every timeline tiles [0, lifetime].
-    raw.iter_mut()
+    rows.iter_mut()
         .enumerate()
         .map(|(pi, segs)| {
             segs.sort_by_key(|s| (s.start, s.end));
@@ -617,7 +604,7 @@ fn merge_adjacent(path: Vec<CriticalSegment>) -> Vec<CriticalSegment> {
 }
 
 /// Build per-resource blame tables from resolved wait segments.
-fn build_blame(_trace: &Trace, timelines: &[Vec<Segment>]) -> Vec<ResourceBlame> {
+fn build_blame(timelines: &[Vec<Segment>]) -> Vec<ResourceBlame> {
     // resource -> holder -> (wait, victims)
     let mut acc: BTreeMap<usize, BTreeMap<u32, (SimDuration, Vec<ProcId>)>> = BTreeMap::new();
     for segs in timelines {
@@ -711,8 +698,8 @@ const ANSI_RESET: &str = "\x1b[0m";
 /// idle); cells whose bucket lies mostly on the critical path are
 /// upper-cased (`#`→`X`, `~`→`W`, `.`→`o`). [`critical_gantt`] draws a
 /// [`CausalAnalysis`] whole with ANSI color; `flagsim watch` draws it as
-/// plain text scrubbed to an instant; [`Trace::gantt`] draws the raw
-/// segments with no critical path.
+/// plain text scrubbed to an instant; [`Trace::gantt`] draws it with no
+/// critical path.
 #[derive(Debug, Clone)]
 pub struct GanttModel {
     names: Vec<String>,

@@ -1,11 +1,12 @@
 //! Simulation traces: accounting, event logs, and their charts.
 //!
 //! The ASCII and SVG Gantt charts and the Chrome trace all draw the
-//! trace's raw segments, which the grant walk in [`crate::causal`] pairs
-//! from the event log: a work chunk per `WorkStart`, and a wait from each
-//! `Blocked` to its grant.
+//! trace's segment timelines ([`crate::causal::build_timelines`]) without
+//! their idle segments: a work chunk per `WorkStart`, and a wait from each
+//! `Blocked` through the hand-off transit after its grant, so each row's
+//! drawn work and wait equal the process's `busy` and `waiting`.
 
-use crate::causal::{raw_segments, GanttModel, SegmentKind};
+use crate::causal::{build_timelines, GanttModel, SegmentKind};
 use crate::engine::ProcId;
 use crate::resource::{ResourceId, ResourceStats};
 use crate::time::{SimDuration, SimTime};
@@ -234,11 +235,10 @@ impl Trace {
     /// The chart is a visual aid (the paper projects scenario slides; our
     /// equivalent is a terminal), not a precise plot: each character cell
     /// shows the dominant state in its time bucket. It is
-    /// [`GanttModel`]'s chart of the raw segments, without a critical
-    /// path: a wait ends at its grant.
+    /// [`GanttModel`]'s chart of the segment timelines, without a
+    /// critical path.
     pub fn gantt(&self, width: usize) -> String {
-        let (raw, _) = raw_segments(self);
-        GanttModel::from_segments(self, &raw, &[]).render_whole(width, "", "", "")
+        GanttModel::from_segments(self, &build_timelines(self), &[]).render_whole(width, "", "", "")
     }
 
     /// Export the event log as CSV (`time_ms,proc,proc_name,kind,resource`)
@@ -282,8 +282,7 @@ impl Trace {
             "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"{width_px}\" height=\"{height}\" \
              viewBox=\"0 0 {width_px} {height}\" font-family=\"monospace\" font-size=\"12\">\n"
         );
-        let (raw, _) = raw_segments(self);
-        for (idx, (proc, segs)) in self.procs.iter().zip(&raw).enumerate() {
+        for (idx, (proc, segs)) in self.procs.iter().zip(build_timelines(self)).enumerate() {
             let y = row_h * idx as u32 + 4;
             let _ = writeln!(
                 out,
@@ -294,7 +293,8 @@ impl Trace {
             for seg in segs {
                 let fill = match seg.kind {
                     SegmentKind::Compute => "#4a90d9",
-                    _ => "#c0c0c0",
+                    SegmentKind::Wait { .. } => "#c0c0c0",
+                    SegmentKind::Idle => continue,
                 };
                 let x0 = scale(seg.start.millis());
                 let x1 = scale(seg.end.millis());
@@ -332,19 +332,19 @@ impl Trace {
     /// the one Chrome-trace writer, [`SpanSet::chrome_trace`]: the
     /// `"flagsim"` process with one track per process, named after it, so
     /// Perfetto / `chrome://tracing` show student names. Each work chunk
-    /// is a `"work"` span (category `"sim"`) and each wait a
-    /// `"wait: LABEL"` span (category `"wait"`). Simulated milliseconds
-    /// become the writer's nanoseconds (`ms × 10⁶`, saturating), so the
-    /// file's microsecond timestamps read `ms × 1000`. The writer orders
+    /// is a `"work"` span (category `"sim"`) and each wait, hand-off
+    /// transit included, a `"wait: LABEL"` span (category `"wait"`).
+    /// Simulated milliseconds become the writer's nanoseconds (`ms × 10⁶`,
+    /// saturating), so the file's microsecond timestamps read `ms × 1000`. The writer orders
     /// tracks by name (`P2` before `P10`); processes that share a name
     /// share a track.
     pub fn chrome_trace(&self) -> String {
         let ns = |ms: u64| ms.saturating_mul(1_000_000);
         let mut spans: Vec<SpanRecord> = Vec::new();
-        let (raw, _) = raw_segments(self);
-        for (proc, segs) in self.procs.iter().zip(&raw) {
+        for (proc, segs) in self.procs.iter().zip(build_timelines(self)) {
             for seg in segs {
                 let (category, name) = match seg.kind {
+                    SegmentKind::Compute => ("sim", "work"),
                     SegmentKind::Wait { resource, .. } => {
                         let label = self
                             .resources
@@ -352,7 +352,7 @@ impl Trace {
                             .map_or("resource", |r| r.label.as_str());
                         ("wait", intern(&format!("wait: {label}")))
                     }
-                    _ => ("sim", "work"),
+                    SegmentKind::Idle => continue,
                 };
                 spans.push(SpanRecord {
                     id: spans.len() as u64 + 1,

@@ -491,15 +491,6 @@ impl LeaseTable {
         }
     }
 
-    /// Whether every registered worker slot is dead.
-    pub fn all_dead(&self) -> bool {
-        !self.workers.is_empty()
-            && self
-                .workers
-                .iter()
-                .all(|s| matches!(s.state, WorkerState::Dead { .. }))
-    }
-
     /// The abort reason, if the recovery policy stopped the campaign.
     pub fn abort_reason(&self) -> Option<&str> {
         self.aborted.as_deref()
@@ -511,26 +502,6 @@ impl LeaseTable {
             WorkerState::Active { leases, .. } => unfinished(leases).next().is_some(),
             _ => false,
         })
-    }
-
-    /// Un-granted work remaining (fresh frontier plus returned ranges),
-    /// in reps.
-    pub fn ungranted_reps(&self) -> u64 {
-        let fresh = self.total - self.next_fresh;
-        let returned: u64 = self.returned.iter().map(|(s, e)| e - s).sum();
-        fresh + returned
-    }
-
-    /// Drain every un-granted range (fresh and returned, embargo
-    /// ignored) — the in-process degradation path claims all remaining
-    /// work at once when the cluster is gone.
-    pub fn drain_for_local(&mut self) -> Vec<(u64, u64)> {
-        let mut out = std::mem::take(&mut self.returned);
-        if self.next_fresh < self.total {
-            out.push((self.next_fresh, self.total));
-            self.next_fresh = self.total;
-        }
-        out
     }
 }
 
@@ -605,7 +576,7 @@ mod tests {
         assert_eq!(t.next_attempt_at(w), Some(70));
         t.on_connect_failed(w, 70); // attempt 4 = budget → dead
         assert_eq!(t.next_attempt_at(w), None);
-        assert!(t.all_dead() && t.is_dead(w));
+        assert!(t.is_dead(w));
         let reason = t.dead_reason(w).expect("dead slots have a reason");
         assert!(reason.contains("connection attempts"), "{reason}");
         assert!(
@@ -993,19 +964,5 @@ mod tests {
         assert_eq!(t.request_lease(a, 1), LeaseGrant::Finished);
         t.on_lease_done_for(a, 0, 4, 2);
         assert!(!t.holds_lease(a) && !t.is_dead(a));
-    }
-
-    #[test]
-    fn drain_for_local_claims_everything() {
-        let mut t = LeaseTable::new(12, cfg());
-        let a = t.add_worker("a");
-        t.on_connected(a, 0);
-        assert!(matches!(t.request_lease(a, 0), LeaseGrant::Range { .. }));
-        t.on_rep_done(a, 0, 1);
-        t.mark_dead(a, "gone", 2);
-        let ranges = t.drain_for_local();
-        let total: u64 = ranges.iter().map(|(s, e)| e - s).sum();
-        assert_eq!(total, 11, "all reps except the acknowledged one");
-        assert_eq!(t.ungranted_reps(), 0);
     }
 }

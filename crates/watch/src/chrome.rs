@@ -240,6 +240,7 @@ pub fn parse_chrome_trace(text: &str) -> Result<Trace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flagsim_desim::causal::{Segment, SegmentKind};
     use flagsim_desim::{Action, Engine, FnProcess};
 
     fn contended_trace() -> Trace {
@@ -319,7 +320,9 @@ mod tests {
 
     /// `contended_trace().chrome_trace()` as the hand-written sim writer
     /// emitted it before sim traces went through `telemetry::export`: a
-    /// bare array, tids from 0, integer microseconds.
+    /// bare array, tids from 0, integer microseconds. B's wait ends at the
+    /// grant (40 ms), as charts drew waits before they took in the
+    /// hand-off transit that follows it.
     const LEGACY_CONTENDED: &str = r#"[
   {"name":"process_name","ph":"M","pid":1,"tid":0,"args":{"name":"flagsim"}},
   {"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"A"}},
@@ -337,7 +340,36 @@ mod tests {
     fn legacy_witness_files_replay_like_new_ones() {
         let new = parse_chrome_trace(&contended_trace().chrome_trace()).expect("new parses");
         let old = parse_chrome_trace(LEGACY_CONTENDED).expect("legacy parses");
-        assert_eq!(old, new);
+        let work = |t: &Trace| -> Vec<TraceEvent> {
+            t.events
+                .iter()
+                .filter(|e| matches!(e.kind, EventKind::WorkStart { .. }))
+                .copied()
+                .collect()
+        };
+        assert_eq!(old.end_time, new.end_time);
+        assert_eq!(work(&old), work(&new));
+        for (o, n) in old.procs.iter().zip(&new.procs) {
+            assert_eq!(
+                (&o.name, o.busy, o.completed_work),
+                (&n.name, n.busy, n.completed_work)
+            );
+        }
+        assert_eq!(old.procs.len(), new.procs.len());
+        // The new file's wait runs through the 5 ms hand-off; the legacy
+        // one stops at the grant, and its replay draws the transit idle.
+        assert_eq!(old.procs[1].waiting, SimDuration(40));
+        assert_eq!(new.procs[1].waiting, SimDuration(45));
+        let b_row = |t: &Trace| -> Vec<(u64, u64, bool)> {
+            let row = &flagsim_desim::causal::build_timelines(t)[1];
+            let idle = |s: &Segment| s.kind == SegmentKind::Idle;
+            row.iter()
+                .map(|s| (s.start.millis(), s.end.millis(), idle(s)))
+                .collect()
+        };
+        let legacy_row = [(0, 40, false), (40, 45, true), (45, 85, false)];
+        assert_eq!(b_row(&old), legacy_row);
+        assert_eq!(b_row(&new), [(0, 45, false), (45, 85, false)]);
     }
 
     #[test]

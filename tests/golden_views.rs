@@ -9,6 +9,11 @@
 //! 60 s bell (waits still unresolved and a stroke still in flight when it
 //! rings), and scenario 4 at seed 3 with student 2 dropping out at 12 s
 //! (survivors adopt the orphaned cells).
+//!
+//! Beside the digests, `every_chart_draws_what_the_engine_charges` checks
+//! that the charts tell one story: each row's drawn work and wait are the
+//! engine's `busy` and `waiting`, and the plain chart is the critical-path
+//! chart without its highlighting.
 
 use flagsim::core::faults::FaultPlan;
 use flagsim::core::replay::Replay;
@@ -17,6 +22,8 @@ use flagsim::desim::schedule::{fnv_mix, FNV_OFFSET};
 use flagsim::desim::{EventKind, SimTime};
 use flagsim::prelude::*;
 use flagsim::simcheck::hb;
+use flagsim_telemetry::json::{self, Value};
+use std::collections::BTreeMap;
 
 fn digest(text: &str) -> u64 {
     let h = text
@@ -100,13 +107,124 @@ fn assert_views(
     );
 }
 
-fn builtin(which: &str, want: &[u64; 11]) {
-    let report = run(
+const BUILTINS: [&str; 6] = ["1", "2", "3", "4", "pipelined", "alternating"];
+
+fn builtin_run(which: &str) -> RunReport {
+    run(
         which,
         ActivityConfig::default().with_seed(7),
         &FaultPlan::none(),
-    );
-    assert_views(&format!("scenario {which}"), &report, want);
+    )
+}
+
+fn bell_cut_run() -> RunReport {
+    let cfg = ActivityConfig::default()
+        .with_seed(7)
+        .with_deadline_secs(60.0);
+    run("4", cfg, &FaultPlan::none())
+}
+
+fn dropout_run() -> RunReport {
+    let plan = FaultPlan::parse("dropout:2@12", "dropout").expect("plan parses");
+    run("4", ActivityConfig::default().with_seed(3), &plan)
+}
+
+fn builtin(which: &str, want: &[u64; 11]) {
+    assert_views(&format!("scenario {which}"), &builtin_run(which), want);
+}
+
+/// Per track name, the summed `(work, wait)` span lengths of a Chrome
+/// trace, in the file's microseconds.
+fn chrome_span_sums(text: &str) -> BTreeMap<String, (u64, u64)> {
+    let parsed = json::parse(text).expect("chrome trace parses");
+    let events = parsed
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .expect("traceEvents array");
+    let mut names: BTreeMap<u64, String> = BTreeMap::new();
+    let mut open: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut sums: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for e in events {
+        let field = |key| e.get(key).and_then(Value::as_str).unwrap_or("");
+        let num = |key| e.get(key).and_then(Value::as_f64).unwrap_or(0.0) as u64;
+        let tid = num("tid");
+        match field("ph") {
+            "M" if field("name") == "thread_name" => {
+                let name = e.get("args").and_then(|a| a.get("name"));
+                names.insert(tid, name.and_then(Value::as_str).unwrap().to_owned());
+            }
+            "B" => {
+                open.insert(tid, num("ts"));
+            }
+            "E" => {
+                let len = num("ts") - open.remove(&tid).expect("E after B");
+                let sum = sums.entry(names[&tid].clone()).or_default();
+                match field("cat") {
+                    "sim" => sum.0 += len,
+                    "wait" => sum.1 += len,
+                    other => panic!("unexpected span category {other:?}"),
+                }
+            }
+            _ => {}
+        }
+    }
+    sums
+}
+
+/// The process rows of a chart: every line above its axis row.
+fn chart_rows(chart: &str, nprocs: usize) -> Vec<String> {
+    chart.lines().take(nprocs).map(str::to_owned).collect()
+}
+
+/// A critical-path chart with its ANSI colour stripped and its
+/// upper-cased path glyphs lowered to the plain chart's.
+fn unhighlighted(chart: &str) -> String {
+    let mut out = String::with_capacity(chart.len());
+    let mut chars = chart.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\x1b' => {
+                chars.by_ref().find(|&c| c == 'm');
+            }
+            'X' => out.push('#'),
+            'W' => out.push('~'),
+            'o' => out.push('.'),
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+#[test]
+fn every_chart_draws_what_the_engine_charges() {
+    let runs = BUILTINS
+        .iter()
+        .map(|which| (format!("scenario {which}"), builtin_run(which)))
+        .chain([
+            ("the 60 s bell".to_owned(), bell_cut_run()),
+            ("dropout:2@12".to_owned(), dropout_run()),
+        ]);
+    for (name, report) in runs {
+        let trace = &report.trace;
+        let sums = chrome_span_sums(&trace.chrome_trace());
+        for p in &trace.procs {
+            let (work, wait) = sums.get(&p.name).copied().unwrap_or_default();
+            assert_eq!(
+                (work, wait),
+                (p.busy.millis() * 1000, p.waiting.millis() * 1000),
+                "{name}: {}'s Chrome work/wait spans (us) against its busy/waiting",
+                p.name
+            );
+        }
+        let nprocs = trace.procs.len();
+        let analysis = causal::analyze(trace);
+        let critical = unhighlighted(&critical_gantt(trace, &analysis, 72));
+        assert_eq!(
+            chart_rows(&trace.gantt(72), nprocs),
+            chart_rows(&critical, nprocs),
+            "{name}: the plain chart against the critical-path chart"
+        );
+    }
 }
 
 #[test]
@@ -174,9 +292,9 @@ fn scenario_4_views() {
     builtin(
         "4",
         &[
-            0xfce1fb90f6b7f919,
-            0x440032d37834c471,
-            0xc232b20abaa94a6f,
+            0x471351c517dc0e08,
+            0x3c6e6cdadf418975,
+            0x660c93318c8b0bae,
             0x229706d9d6bfe1e3,
             0x0362866629b9c4f1,
             0xaf3951ff886d0a0c,
@@ -194,9 +312,9 @@ fn pipelined_views() {
     builtin(
         "pipelined",
         &[
-            0x22e718d117633867,
-            0x120199539156e832,
-            0xeb95f0cf1a437027,
+            0x48aacf811ef07eb6,
+            0x4959b4c272b4bcf7,
+            0x43ae6e0692a979f0,
             0x9c13bc3c8bcc9ed5,
             0x3a82e084537769d6,
             0x82c4fdc5c9e5814e,
@@ -214,9 +332,9 @@ fn alternating_views() {
     builtin(
         "alternating",
         &[
-            0x262ccb0b6fcda8c9,
-            0x3d702d8c8d2454c8,
-            0x61022c54920be980,
+            0x14ea8c30dfec07b8,
+            0x9676fa87d1eb20b6,
+            0x8a81f76814c4ceec,
             0x3d650b9ebb18a706,
             0x0813e9713b525ecb,
             0x9bf3b5bd20b622c4,
@@ -231,10 +349,7 @@ fn alternating_views() {
 
 #[test]
 fn bell_cut_views() {
-    let cfg = ActivityConfig::default()
-        .with_seed(7)
-        .with_deadline_secs(60.0);
-    let report = run("4", cfg, &FaultPlan::none());
+    let report = bell_cut_run();
     // The cut leaves what these views must draw: a wait never granted
     // and a stroke never finished.
     let events = &report.trace.events;
@@ -254,12 +369,12 @@ fn bell_cut_views() {
         "scenario 4 at the 60 s bell",
         &report,
         &[
-            0x2fe0676a1ddef9c3,
-            0x0a14a772fcbcfd12,
-            0xececddc4ba7009c1,
+            0x3f183c8863175a93,
+            0xf942d1f64630d414,
+            0x12303e2909829c6c,
             0xccad92a0f0843183,
             0xc40c23b979b99fa6,
-            0x61be81e9efe172a2,
+            0x635c57c20b217229,
             0x32415e34dc3e9d14,
             0xfbfc5f690b69d938,
             0xf8766ad062c99531,
@@ -271,15 +386,14 @@ fn bell_cut_views() {
 
 #[test]
 fn dropout_views() {
-    let plan = FaultPlan::parse("dropout:2@12", "dropout").expect("plan parses");
-    let report = run("4", ActivityConfig::default().with_seed(3), &plan);
+    let report = dropout_run();
     assert_views(
         "scenario 4 with dropout:2@12",
         &report,
         &[
-            0x84fd07a441982d1c,
-            0xc4e824eb04c00bbb,
-            0x6d2d9260a9b08c0f,
+            0x67f973bede630e25,
+            0x977cbc48171ee820,
+            0xff6c8df293261747,
             0xb56a2ad7b3071ee7,
             0x80349c18e4c2ddfd,
             0x63932312981f9589,
