@@ -6,12 +6,14 @@ in .github/workflows/ci.yml (shell loops over `$s` are expanded, and `/tmp/`
 paths become relative). Each build runs the whole corpus in order in its own
 empty working directory (under $TMPDIR), so later invocations see the files
 earlier ones wrote, and the two builds must agree byte for byte on stdout
-and on the exit status of every invocation. The old build runs the corpus
-twice. An invocation whose output differs between those two runs (wall-clock
-timings in profiles and traces) is compared with every run of digits masked
-and reported as VARY when it matches that way; one that differs from itself
-even then (a trace recorded by a racing multi-worker sweep) is reported as
-UNSTABLE and not compared. Invocations that serve or dial
+and on the exit status of every invocation, and on every file it writes
+(creates or changes) in the working directory: each such file gets a
+`file` line of its own under the invocation's line. The old build runs the
+corpus twice. An output (stdout or file) that differs between those two runs
+(wall-clock timings in profiles and traces) is compared with every run of
+digits masked and reported as VARY when it matches that way; one that differs
+from itself even then (a trace recorded by a racing multi-worker sweep) is
+reported as UNSTABLE and not compared. Invocations that serve or dial
 the network (`worker`, `--connect`, `--obs-serve`) or tail a file forever
 (`--follow`) are listed as skipped.
 
@@ -96,6 +98,33 @@ def mask(out):
     return re.sub(rb"[0-9]+", b"#", out)
 
 
+def classify(a, again, b):
+    """SAME, VARY, UNSTABLE or DIFF for one output, given as a tuple of
+    exit status and bytes (stdout) or of bytes or None (a file not written):
+    `a` and `again` from the old build's two runs, `b` from the new one."""
+    def masked(v):
+        return tuple(mask(x) if isinstance(x, bytes) else x for x in v)
+    if masked(a) != masked(again):
+        return "UNSTABLE"
+    if a != again and masked(a) == masked(b):
+        return "VARY"
+    return "SAME" if a == b else "DIFF"
+
+
+def read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def snapshot(cwd):
+    """Every file under `cwd`, relative path -> digest of its contents."""
+    return {
+        os.path.relpath(os.path.join(root, name), cwd):
+            hashlib.sha256(read(os.path.join(root, name))).digest()
+        for root, _, names in os.walk(cwd) for name in names
+    }
+
+
 def run(binary, args, cwd):
     try:
         p = subprocess.run(
@@ -116,24 +145,36 @@ def main():
     cwds = [os.path.join(work.name, side) for side in ("old", "old-again", "new")]
     for cwd in cwds:
         os.mkdir(cwd)
+    files = [{} for _ in cwds]
     for args in corpus():
         line = shlex.join(["flagsim"] + args)
         if any(a in SKIP for a in args):
             print(f"SKIP          {line}")
             continue
-        (rc_a, out_a), again, (rc_b, out_b) = (
-            run(binary, args, cwd) for binary, cwd in zip((old, old, new), cwds)
-        )
-        if (rc_a, mask(out_a)) != (again[0], mask(again[1])):
+        a, again, b = (run(binary, args, cwd) for binary, cwd in zip((old, old, new), cwds))
+        status = classify(a, again, b)
+        if status == "UNSTABLE":
             print(f"UNSTABLE      {line}")
-        elif (rc_a, out_a) != again and (rc_a, mask(out_a)) == (rc_b, mask(out_b)):
-            print(f"VARY rc={rc_a} {line}")
-        elif (rc_a, out_a) == (rc_b, out_b):
-            digest = hashlib.sha256(out_a).hexdigest()[:12]
-            print(f"SAME rc={rc_a} {digest} {line}")
+        elif status == "VARY":
+            print(f"VARY rc={a[0]} {line}")
+        elif status == "SAME":
+            print(f"SAME rc={a[0]} {hashlib.sha256(a[1]).hexdigest()[:12]} {line}")
         else:
-            differ += 1
-            print(f"DIFF rc={rc_a}/{rc_b} {line}")
+            print(f"DIFF rc={a[0]}/{b[0]} {line}")
+        differ += status == "DIFF"
+        before, files = files, [snapshot(cwd) for cwd in cwds]
+        written = [
+            {p: read(os.path.join(cwd, p)) for p, d in now.items() if was.get(p) != d}
+            for cwd, was, now in zip(cwds, before, files)
+        ]
+        for path in sorted(set().union(*written)):
+            a, again, b = ((w.get(path),) for w in written)
+            status = classify(a, again, b)
+            if status == "SAME":
+                print(f"SAME file {hashlib.sha256(a[0]).hexdigest()[:12]} {path}")
+            else:
+                print(f"{status} file {path}")
+            differ += status == "DIFF"
         sys.stdout.flush()
     work.cleanup()
     sys.exit(1 if differ else 0)

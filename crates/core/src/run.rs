@@ -144,39 +144,37 @@ impl LiveFaultState {
         Rc::new(RefCell::new(st))
     }
 
-    /// A student is about to color with resource `r` at `now`: discover
-    /// any break scheduled before `now` and either pay the spare swap or
-    /// abort the run, per policy.
-    fn use_implement(&mut self, r: ResourceId, now: SimTime) -> UseOutcome {
-        let Some(&(broke_at, color, verb)) = self.broken.get(&r.index()) else {
-            return UseOutcome::Ok(SimDuration::ZERO);
-        };
-        if broke_at > now {
-            return UseOutcome::Ok(SimDuration::ZERO);
-        }
-        self.broken.remove(&r.index());
-        self.incidents.push(Incident {
-            at_secs: broke_at.as_secs_f64(),
-            what: format!("the {color} implement {verb}"),
-        });
-        match self.spare_delay_secs {
-            None => {
+    /// Student `idx` is about to color `item` at `now`: discover any
+    /// break of its implement scheduled before `now` and either pay the
+    /// spare swap or abort the run, per policy; unless aborting, log the
+    /// cell as started. Out of line, like [`StudentProc::notice_faults`].
+    #[inline(never)]
+    fn use_implement(&mut self, idx: usize, item: &TimedItem, now: SimTime) -> UseOutcome {
+        let r = item.resource;
+        let mut swap_delay = SimDuration::ZERO;
+        if let Some(&(broke_at, color, verb)) = self.broken.get(&r.index()).filter(|b| b.0 <= now) {
+            self.broken.remove(&r.index());
+            self.incidents.push(Incident {
+                at_secs: broke_at.as_secs_f64(),
+                what: format!("the {color} implement {verb}"),
+            });
+            let Some(delay) = self.spare_delay_secs else {
                 self.aborted = Some(now);
                 self.actions.push(RecoveryAction::Aborted {
                     at_secs: now.as_secs_f64(),
                 });
-                UseOutcome::Abort
-            }
-            Some(delay) => {
-                self.actions.push(RecoveryAction::SpareSwapped {
-                    color,
-                    at_secs: now.as_secs_f64(),
-                    delay_secs: delay,
-                });
-                self.time_lost_secs += delay;
-                UseOutcome::Ok(SimDuration::from_secs_f64(delay))
-            }
+                return UseOutcome::Abort;
+            };
+            self.actions.push(RecoveryAction::SpareSwapped {
+                color,
+                at_secs: now.as_secs_f64(),
+                delay_secs: delay,
+            });
+            self.time_lost_secs += delay;
+            swap_delay = SimDuration::from_secs_f64(delay);
         }
+        self.started[idx].push(item.work);
+        UseOutcome::Ok(swap_delay)
     }
 }
 
@@ -196,45 +194,58 @@ pub(crate) struct StudentProc {
     live: Option<SharedFaults>,
 }
 
+impl StudentProc {
+    /// Faults first: a global abort, or this student's dropout falling
+    /// due. Both are noticed at the student's next natural pause, exactly
+    /// when a real student would look up; either sets `dropped`. Out of
+    /// line, so the fault-free poll stays small enough to inline into the
+    /// engine's event loop.
+    #[inline(never)]
+    fn notice_faults(&mut self, now: SimTime) {
+        let Some(live) = &self.live else {
+            return;
+        };
+        let mut live = live.borrow_mut();
+        let dropout_due = live.dropout_at[self.idx].is_some_and(|t| t <= now);
+        if dropout_due {
+            live.dropout_at[self.idx] = None;
+            live.incidents.push(Incident {
+                at_secs: now.as_secs_f64(),
+                what: format!("{} dropped out", self.name),
+            });
+            // Cells not yet started (the one under the hand, when
+            // `DidWork`, is finished) go back on the table.
+            let cut = match self.step {
+                Step::DidWork => self.pos + 1,
+                Step::NeedItem => self.pos,
+            };
+            let leftover = self.items.split_off(cut.min(self.items.len()));
+            if live.abort_on_fault {
+                live.aborted = Some(now);
+                live.actions.push(RecoveryAction::Aborted {
+                    at_secs: now.as_secs_f64(),
+                });
+            } else if !leftover.is_empty() {
+                live.actions.push(RecoveryAction::WorkRebalanced {
+                    student: self.idx,
+                    cells: leftover.len(),
+                    at_secs: now.as_secs_f64(),
+                });
+                live.orphans.extend(leftover);
+            }
+            self.dropped = true;
+        } else if live.aborted.is_some() {
+            self.dropped = true;
+        }
+    }
+}
+
 impl Process for StudentProc {
+    #[inline(always)]
     fn next(&mut self, now: SimTime) -> Action {
         loop {
-            // Faults first: a global abort, or this student's dropout
-            // falling due. Both are noticed at the student's next natural
-            // pause — exactly when a real student would look up.
-            if let (false, Some(live)) = (self.dropped, &self.live) {
-                let mut live = live.borrow_mut();
-                let dropout_due = live.dropout_at[self.idx].is_some_and(|t| t <= now);
-                if dropout_due {
-                    live.dropout_at[self.idx] = None;
-                    live.incidents.push(Incident {
-                        at_secs: now.as_secs_f64(),
-                        what: format!("{} dropped out", self.name),
-                    });
-                    // Cells not yet started (the one under the hand, when
-                    // `DidWork`, is finished) go back on the table.
-                    let cut = match self.step {
-                        Step::DidWork => self.pos + 1,
-                        Step::NeedItem => self.pos,
-                    };
-                    let leftover = self.items.split_off(cut.min(self.items.len()));
-                    if live.abort_on_fault {
-                        live.aborted = Some(now);
-                        live.actions.push(RecoveryAction::Aborted {
-                            at_secs: now.as_secs_f64(),
-                        });
-                    } else if !leftover.is_empty() {
-                        live.actions.push(RecoveryAction::WorkRebalanced {
-                            student: self.idx,
-                            cells: leftover.len(),
-                            at_secs: now.as_secs_f64(),
-                        });
-                        live.orphans.extend(leftover);
-                    }
-                    self.dropped = true;
-                } else if live.aborted.is_some() {
-                    self.dropped = true;
-                }
+            if !self.dropped && self.live.is_some() {
+                self.notice_faults(now);
             }
             if self.dropped {
                 // Wind down: hand back whatever we hold (including a
@@ -291,12 +302,10 @@ impl Process for StudentProc {
                             // About to color: does the implement still work?
                             let mut swap_delay = SimDuration::ZERO;
                             if let Some(live) = &self.live {
-                                let mut live = live.borrow_mut();
-                                match live.use_implement(item.resource, now) {
+                                match live.borrow_mut().use_implement(self.idx, &item, now) {
                                     UseOutcome::Abort => continue,
                                     UseOutcome::Ok(delay) => swap_delay = delay,
                                 }
-                                live.started[self.idx].push(item.work);
                             }
                             self.step = Step::DidWork;
                             return Action::Work(item.dur + swap_delay);

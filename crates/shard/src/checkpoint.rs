@@ -27,7 +27,7 @@ use flagsim_telemetry::json::{self, json_string, Value};
 use std::fmt::Write as _;
 use std::fs;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 /// Checkpoint file format revision.
 pub const CHECKPOINT_VERSION: u64 = 1;
@@ -249,7 +249,7 @@ impl Checkpoint {
     /// Write atomically: serialize to `<path>.tmp`, fsync, rename over
     /// `path`. A kill mid-write leaves the previous checkpoint intact.
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tmp");
+        let tmp = temp_path(path);
         {
             let mut f = fs::File::create(&tmp)?;
             io::Write::write_all(&mut f, self.to_json().as_bytes())?;
@@ -276,6 +276,16 @@ fn rising(reps: impl Iterator<Item = u64>, mut floor: u64, end: u64) -> Result<(
         floor = rep + 1;
     }
     Ok(())
+}
+
+/// Where [`Checkpoint::save`] writes before renaming: `.tmp` appended to
+/// the whole file name, so it never is `path` itself (`run.tmp`) and two
+/// checkpoints differing only in extension (`run.1`, `run.2`) never share
+/// it.
+fn temp_path(path: &Path) -> PathBuf {
+    let mut name = path.as_os_str().to_owned();
+    name.push(".tmp");
+    PathBuf::from(name)
 }
 
 #[cfg(test)]
@@ -509,10 +519,55 @@ mod tests {
         let path = dir.join("sweep.ckpt");
         let ck = Checkpoint::from_merge(&job(), &merge_with_gap());
         ck.save(&path).unwrap();
-        assert!(!path.with_extension("tmp").exists(), "tmp renamed away");
+        assert!(!dir.join("sweep.ckpt.tmp").exists(), "tmp renamed away");
         let back = Checkpoint::load(&path).unwrap();
         assert_eq!(back.watermark, ck.watermark);
         ck.save(&path).unwrap(); // overwrite in place works too
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A checkpoint named `*.tmp` is still replaced by a rename, not
+    /// rewritten in place: a second link to the old file keeps the old
+    /// contents.
+    #[test]
+    fn a_tmp_named_checkpoint_is_saved_atomically() {
+        let dir = std::env::temp_dir().join(format!("flagsim-ckpt-tmp-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.tmp");
+        let old = Checkpoint::from_merge(&job(), &MergeState::new(12));
+        old.save(&path).unwrap();
+        let kept = dir.join("kept");
+        fs::hard_link(&path, &kept).unwrap();
+        let new = Checkpoint::from_merge(&job(), &merge_with_gap());
+        new.save(&path).unwrap();
+        assert_eq!(Checkpoint::load(&kept).unwrap().watermark, old.watermark);
+        assert_eq!(Checkpoint::load(&path).unwrap().watermark, new.watermark);
+        assert_ne!(old.watermark, new.watermark);
+        assert!(!dir.join("run.tmp.tmp").exists(), "tmp renamed away");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Checkpoints that differ only in extension write distinct temp
+    /// files.
+    #[test]
+    fn checkpoints_differing_in_extension_use_distinct_temp_files() {
+        let dir = std::env::temp_dir().join(format!("flagsim-ckpt-ext-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let (one, two) = (dir.join("run.1"), dir.join("run.2"));
+        assert_eq!(temp_path(&one), dir.join("run.1.tmp"));
+        assert_eq!(temp_path(&two), dir.join("run.2.tmp"));
+        let ck = Checkpoint::from_merge(&job(), &merge_with_gap());
+        ck.save(&one).unwrap();
+        ck.save(&two).unwrap();
+        for path in [&one, &two] {
+            assert_eq!(Checkpoint::load(path).unwrap().watermark, ck.watermark);
+        }
+        let mut names: Vec<_> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        names.sort();
+        assert_eq!(names, ["run.1", "run.2"]);
         fs::remove_dir_all(&dir).ok();
     }
 }
