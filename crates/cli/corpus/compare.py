@@ -8,12 +8,12 @@ empty working directory (under $TMPDIR), so later invocations see the files
 earlier ones wrote, and the two builds must agree byte for byte on stdout
 and on the exit status of every invocation, and on every file it writes
 (creates or changes) in the working directory: each such file gets a
-`file` line of its own under the invocation's line. The old build runs the
-corpus twice. An output (stdout or file) that differs between those two runs
-(wall-clock timings in profiles and traces) is compared with every run of
-digits masked and reported as VARY when it matches that way; one that differs
-from itself even then (a trace recorded by a racing multi-worker sweep) is
-reported as UNSTABLE and not compared. Invocations that serve or dial
+`file` line of its own under the invocation's line. Each build runs the
+corpus twice. An output (stdout or file) that differs between one build's two
+runs (wall-clock timings in profiles and traces) is compared with every run
+of digits masked and reported as VARY when it matches that way; one whose
+two runs of either build differ even then (a table or trace from a racing
+multi-worker run) is reported as UNSTABLE and not compared. Invocations that serve or dial
 the network (`worker`, `--connect`, `--obs-serve`) or tail a file forever
 (`--follow`) are listed as skipped.
 
@@ -98,15 +98,16 @@ def mask(out):
     return re.sub(rb"[0-9]+", b"#", out)
 
 
-def classify(a, again, b):
+def classify(a, a_again, b, b_again):
     """SAME, VARY, UNSTABLE or DIFF for one output, given as a tuple of
     exit status and bytes (stdout) or of bytes or None (a file not written):
-    `a` and `again` from the old build's two runs, `b` from the new one."""
+    `a` and `a_again` from the old build's two runs, `b` and `b_again` from
+    the new build's."""
     def masked(v):
         return tuple(mask(x) if isinstance(x, bytes) else x for x in v)
-    if masked(a) != masked(again):
+    if masked(a) != masked(a_again) or masked(b) != masked(b_again):
         return "UNSTABLE"
-    if a != again and masked(a) == masked(b):
+    if (a != a_again or b != b_again) and masked(a) == masked(b):
         return "VARY"
     return "SAME" if a == b else "DIFF"
 
@@ -142,7 +143,9 @@ def main():
     old, new = (os.path.abspath(b) for b in sys.argv[1:])
     differ = 0
     work = tempfile.TemporaryDirectory()
-    cwds = [os.path.join(work.name, side) for side in ("old", "old-again", "new")]
+    sides = ("old", "old-again", "new", "new-again")
+    binaries = (old, old, new, new)
+    cwds = [os.path.join(work.name, side) for side in sides]
     for cwd in cwds:
         os.mkdir(cwd)
     files = [{} for _ in cwds]
@@ -151,8 +154,9 @@ def main():
         if any(a in SKIP for a in args):
             print(f"SKIP          {line}")
             continue
-        a, again, b = (run(binary, args, cwd) for binary, cwd in zip((old, old, new), cwds))
-        status = classify(a, again, b)
+        runs = [run(binary, args, cwd) for binary, cwd in zip(binaries, cwds)]
+        a, b = runs[0], runs[2]
+        status = classify(*runs)
         if status == "UNSTABLE":
             print(f"UNSTABLE      {line}")
         elif status == "VARY":
@@ -168,10 +172,10 @@ def main():
             for cwd, was, now in zip(cwds, before, files)
         ]
         for path in sorted(set().union(*written)):
-            a, again, b = ((w.get(path),) for w in written)
-            status = classify(a, again, b)
+            outputs = [(w.get(path),) for w in written]
+            status = classify(*outputs)
             if status == "SAME":
-                print(f"SAME file {hashlib.sha256(a[0]).hexdigest()[:12]} {path}")
+                print(f"SAME file {hashlib.sha256(outputs[0][0]).hexdigest()[:12]} {path}")
             else:
                 print(f"{status} file {path}")
             differ += status == "DIFF"

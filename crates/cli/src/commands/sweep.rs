@@ -1,6 +1,6 @@
 //! `flagsim sweep` (in-process and sharded) and `flagsim worker`.
 
-use super::args::{positive, text, uint, usage_error};
+use super::args::{positive, text, usage_error};
 use super::{
     err, finish_trace, kind_token, log_level, policy, trace_out, CliError, Selection, Setup,
 };
@@ -36,9 +36,6 @@ options! {
         // Reps per lease; the default is the shard crate's own.
         chunk: u64 = a.opt("chunk", "K", positive)?
             .unwrap_or_else(|| flagsim_shard::LeaseConfig::default().chunk),
-        // 0 = auto: the coordinator aims for ~256 instrumented reps
-        // per campaign so shipping cost stays bounded on huge sweeps.
-        trace_sample: u64 = a.opt("trace-sample", "N", uint)?.unwrap_or(0),
         log_level: Option<Level> = log_level(a)?,
     }
 
@@ -444,7 +441,6 @@ fn sharded(a: &SweepArgs) -> Result<String, CliError> {
             halt_after_reps: None,
             quiet: false,
             obs: Some(hub.clone()),
-            trace_sample: a.trace_sample,
         };
         // `--obs-serve ADDR`: push fleet snapshots to attached watchers
         // (`flagsim watch --connect`). Strictly one-way — the server never

@@ -179,6 +179,8 @@ pub struct Stroke {
     /// When it ends; past the trace's end time for a stroke the bell
     /// cut off.
     pub end: SimTime,
+    /// The index of its `WorkStart` in `trace.events`.
+    pub event: usize,
 }
 
 /// The two numbers a sweep keeps of each repetition. A stats-only run
@@ -214,7 +216,8 @@ impl RunReport {
     /// logged cell yields no stroke.
     pub fn strokes(&self) -> impl Iterator<Item = Stroke> + '_ {
         let mut started = vec![0usize; self.trace.procs.len()];
-        self.trace.events.iter().filter_map(move |e| {
+        let events = self.trace.events.iter().enumerate();
+        events.filter_map(move |(event, e)| {
             let EventKind::WorkStart { dur } = e.kind else {
                 return None;
             };
@@ -227,6 +230,7 @@ impl RunReport {
                 item,
                 start: e.time,
                 end: e.time + dur,
+                event,
             })
         })
     }

@@ -279,8 +279,9 @@ fn steady_state_fingerprint_schedule_allocates_nothing() {
 /// 2025 (44 schedules): sampling the world once, exploration's stack,
 /// state map, scripts and outcome classes, the root schedule's report
 /// (the baseline, traced on the reused engine, not a separate run), and
-/// the SC302 tie pass over its trace in flat clock rows.
-const SCENARIO_4_VERDICT_ALLOCS: u64 = 236;
+/// the SC302 tie pass over its trace in flat clock rows, with one table
+/// of kept rows by event index.
+const SCENARIO_4_VERDICT_ALLOCS: u64 = 234;
 
 #[test]
 fn verify_verdict_allocations_are_pinned() {

@@ -228,10 +228,13 @@ struct Grant {
     resource: ResourceId,
     /// When the grant was logged.
     at: SimTime,
+    /// The index of its `Acquired` in `trace.events`.
+    event: usize,
     /// When `proc` blocked for it; `None` for an instant grant.
     blocked_at: Option<SimTime>,
-    /// The resource's last `Released` before the grant, and who released.
-    last_release: Option<(ProcId, SimTime)>,
+    /// The resource's last `Released` before the grant: who released,
+    /// when, and the event's index.
+    last_release: Option<(ProcId, SimTime, usize)>,
 }
 
 impl Grant {
@@ -239,9 +242,10 @@ impl Grant {
     /// `Acquired` while it processes the holder's `Released`, so a grant
     /// that ends a wait at the instant of the last release was handed
     /// over by that releaser.
-    fn handoff_from(&self) -> Option<(ProcId, SimTime)> {
+    fn handoff_from(&self) -> Option<(ProcId, SimTime, usize)> {
         self.blocked_at?;
-        self.last_release.filter(|&(_, released)| released == self.at)
+        self.last_release
+            .filter(|&(_, released, _)| released == self.at)
     }
 }
 
@@ -264,9 +268,9 @@ type Pending = Option<(ResourceId, SimTime)>;
 /// Events of unknown processes are skipped. Returns each process's wait
 /// still unresolved at the end of the trace (deadline cutoff or stall).
 fn walk_grants(trace: &Trace, mut visit: impl FnMut(Step)) -> Vec<Pending> {
-    let mut last_release: Vec<Option<(ProcId, SimTime)>> = vec![None; trace.resources.len()];
+    let mut last_release = vec![None; trace.resources.len()];
     let mut pending: Vec<Pending> = vec![None; trace.procs.len()];
-    for e in &trace.events {
+    for (event, e) in trace.events.iter().enumerate() {
         let Some(waiting) = pending.get_mut(e.proc.index()) else {
             continue;
         };
@@ -290,13 +294,14 @@ fn walk_grants(trace: &Trace, mut visit: impl FnMut(Step)) -> Vec<Pending> {
                     proc: e.proc,
                     resource: r,
                     at: e.time,
+                    event,
                     blocked_at,
                     last_release: last_release.get(r.index()).copied().flatten(),
                 }));
             }
             EventKind::Released(r) => {
                 if let Some(slot) = last_release.get_mut(r.index()) {
-                    *slot = Some((e.proc, e.time));
+                    *slot = Some((e.proc, e.time, event));
                 }
             }
             EventKind::Finished => {}
@@ -339,7 +344,7 @@ pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
                     end: g.at + handoff,
                     kind: SegmentKind::Wait {
                         resource: g.resource,
-                        handoff_from: g.handoff_from(),
+                        handoff_from: g.handoff_from().map(|(from, at, _)| (from, at)),
                     },
                 }
             }
@@ -416,7 +421,8 @@ pub fn build_timelines(trace: &Trace) -> Vec<Vec<Segment>> {
 
 /// One synchronization edge recovered from the event log: the `to`
 /// process's `Acquired` happens-after the `from` process's `Released` on
-/// the same resource.
+/// the same resource. Each edge names both events by their index in
+/// `trace.events`, so a reader joins them without matching on times.
 ///
 /// Two flavours:
 ///
@@ -446,6 +452,11 @@ pub struct SyncEdge {
     pub acquired_at: SimTime,
     /// True for a same-timestamp hand-off to a blocked waiter.
     pub contended: bool,
+    /// The index of `from`'s `Released` in `trace.events`.
+    pub release_event: usize,
+    /// The index of `to`'s `Acquired` in `trace.events`; edges come in
+    /// this order, one per grant at most.
+    pub acquire_event: usize,
 }
 
 /// Extract every synchronization edge from a trace, in event-log order.
@@ -467,13 +478,15 @@ pub fn sync_edges(trace: &Trace) -> Vec<SyncEdge> {
         } else {
             None
         };
-        out.extend(from.map(|(from, released_at)| SyncEdge {
+        out.extend(from.map(|(from, released_at, release_event)| SyncEdge {
             resource: g.resource,
             from,
             released_at,
             to: g.proc,
             acquired_at: g.at,
             contended,
+            release_event,
+            acquire_event: g.event,
         }));
     });
     out

@@ -75,12 +75,6 @@ pub struct CoordinatorConfig {
     /// Fleet-observability hub the coordinator publishes worker state
     /// into (dashboard / `--obs-out`); `None` disables fleet tracking.
     pub obs: Option<ObsHub>,
-    /// Rep-sampling stride propagated in the hello trace context:
-    /// workers instrument every `trace_sample`-th repetition. 0 picks
-    /// automatically (about 256 sampled reps per campaign) so shipping
-    /// cost stays bounded no matter how large the sweep; 1 means full
-    /// fidelity.
-    pub trace_sample: u64,
 }
 
 impl Default for CoordinatorConfig {
@@ -96,19 +90,7 @@ impl Default for CoordinatorConfig {
             halt_after_reps: None,
             quiet: true,
             obs: None,
-            trace_sample: 0,
         }
-    }
-}
-
-/// Resolve the rep-sampling stride for a campaign: an explicit setting
-/// wins; auto (0) aims for about 256 instrumented reps per campaign so
-/// per-rep spans never dominate a large sweep's wall clock.
-fn resolve_sample(cfg: &CoordinatorConfig, reps: u64) -> u64 {
-    if cfg.trace_sample > 0 {
-        cfg.trace_sample
-    } else {
-        (reps / 256).max(1)
     }
 }
 
@@ -652,7 +634,9 @@ fn drive_session(
             campaign: campaign_id(job),
             level: log::max_level(),
             spans: true,
-            sample: resolve_sample(cfg, job.reps),
+            // About 256 instrumented reps per campaign, so per-rep
+            // spans never dominate a large sweep's wall clock.
+            sample: (job.reps / 256).max(1),
         })
     } else {
         None

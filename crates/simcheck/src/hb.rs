@@ -23,15 +23,16 @@
 //! clocks in one `n × n` array, and every clock kept for later (request
 //! times, releases and, for races, work starts) as an `n`-word row of
 //! one buffer. Request groups are one buffer stable-sorted by
-//! `(resource, time)`. An acquire joins the newest release named by the
-//! *last* sync edge into its `(process, time, resource)`; only a process
-//! taking one resource twice in one instant (zero-length work) has two.
-//! [`acquire_ties`] is the pass without the race check, for callers that
-//! want only the SC302 ties.
+//! `(resource, time)`. Every other read is by event index: a grant
+//! joins the clock kept at the `Released` its sync edge names, and a
+//! write is judged by the clock kept at its own `WorkStart`, so grants
+//! and strokes that share an instant (zero-length work) each keep their
+//! own order. [`acquire_ties`] is the pass without the race check, for
+//! callers that want only the SC302 ties.
 
 use crate::diag::{Diag, Severity};
 use flagsim_core::RunReport;
-use flagsim_desim::{sync_edges, EventKind, SimTime, SyncEdge, Trace};
+use flagsim_desim::{sync_edges, EventKind, SimTime, Trace};
 use flagsim_grid::{CellId, Color};
 
 /// One write to a grid cell, recovered from a run.
@@ -49,6 +50,9 @@ pub struct CellAccess {
     pub start: SimTime,
     /// When it ended.
     pub end: SimTime,
+    /// The index of the stroke's `WorkStart` in `trace.events`; an access
+    /// whose index names no work start of `student` is not checked.
+    pub event: usize,
 }
 
 /// Recover every cell write from a finished run: one per
@@ -63,6 +67,7 @@ pub fn cell_accesses(report: &RunReport) -> Vec<CellAccess> {
             color: s.item.color,
             start: s.start,
             end: s.end,
+            event: s.event,
         })
         .collect()
 }
@@ -150,10 +155,10 @@ struct ClockPass {
     rows: Vec<u64>,
     /// Acquire requests in event order.
     requests: Vec<Request>,
-    /// `(process, time, row)` of every `WorkStart`, in event order; empty
-    /// unless the pass was asked to keep them (races need them, ties do
-    /// not).
-    work_starts: Vec<(usize, SimTime, usize)>,
+    /// The row kept at each event, by index into `trace.events`: every
+    /// release's and, when the pass was asked to keep them (races need
+    /// them, ties do not), every work start's.
+    kept: Vec<Option<usize>>,
 }
 
 impl ClockPass {
@@ -163,19 +168,15 @@ impl ClockPass {
             n,
             rows: Vec::new(),
             requests: Vec::new(),
-            work_starts: Vec::new(),
+            kept: vec![None; trace.events.len()],
         };
-        let edges = sync_edges(trace);
+        // Edges come in the order of their grants, one per grant at most.
+        let mut edges = sync_edges(trace).into_iter().peekable();
         let mut vc = vec![0u64; n * n];
-        // `(resource, process, time, row)` of every release, in event order.
-        let mut releases: Vec<(usize, usize, SimTime, usize)> = Vec::new();
         // Pending `Blocked` per process (waits on one resource at a time).
         let mut pending: Vec<Option<usize>> = vec![None; n];
-        // The first edge not acquired before the current event: events
-        // are chronological, so edges are too.
-        let mut edges_from = 0;
 
-        for e in &trace.events {
+        for (i, e) in trace.events.iter().enumerate() {
             let p = e.proc.index();
             if p >= n {
                 continue;
@@ -183,11 +184,8 @@ impl ClockPass {
             let clock = p * n..(p + 1) * n;
             vc[p * n + p] += 1;
             match e.kind {
-                EventKind::WorkStart { .. } => {
-                    if keep_work_starts {
-                        let row = pass.snapshot(&vc[clock]);
-                        pass.work_starts.push((p, e.time, row));
-                    }
+                EventKind::WorkStart { .. } if keep_work_starts => {
+                    pass.kept[i] = Some(pass.snapshot(&vc[clock]));
                 }
                 EventKind::Blocked(r) => {
                     pending[p] = Some(r.index());
@@ -200,34 +198,15 @@ impl ClockPass {
                         // An uncontended grant doubles as the request itself.
                         pass.request(r, e.time, p, &vc[clock.clone()]);
                     }
-                    let due = |x: &SyncEdge| x.acquired_at < e.time;
-                    while edges.get(edges_from).is_some_and(due) {
-                        edges_from += 1;
-                    }
-                    // The *last* edge into this `(process, time, resource)`:
-                    // a process that takes the same resource twice in one
-                    // instant (zero-length work) joins the later grant's
-                    // release, as a map keyed that way keeps it.
-                    let edge = edges[edges_from..]
-                        .iter()
-                        .take_while(|x| x.acquired_at == e.time)
-                        .filter(|x| x.to.index() == p && x.resource.index() == r)
-                        .last();
-                    if let Some(edge) = edge {
-                        // The newest release the edge names, if it has
-                        // happened yet: nearly always `r`'s last release.
-                        let named = (r, edge.from.index(), edge.released_at);
-                        let release = releases.iter().rev().find(|x| (x.0, x.1, x.2) == named);
-                        if let Some(&(.., row)) = release {
-                            join(&mut vc[clock], pass.row(row));
-                        }
+                    // The edge into this grant joins the clock its
+                    // release kept.
+                    let edge = edges.next_if(|x| x.acquire_event == i);
+                    if let Some(row) = edge.and_then(|x| pass.kept[x.release_event]) {
+                        join(&mut vc[clock], pass.row(row));
                     }
                 }
-                EventKind::Released(r) => {
-                    let row = pass.snapshot(&vc[clock]);
-                    releases.push((r.index(), p, e.time, row));
-                }
-                EventKind::Finished => {}
+                EventKind::Released(_) => pass.kept[i] = Some(pass.snapshot(&vc[clock])),
+                EventKind::WorkStart { .. } | EventKind::Finished => {}
             }
         }
         pass
@@ -292,16 +271,6 @@ impl ClockPass {
         }
         ties
     }
-
-    /// The clock of `student`'s last work start at `start`, if the pass
-    /// kept one; `work_starts` must be sorted by process, then time.
-    fn work_start(&self, student: usize, start: SimTime) -> Option<&[u64]> {
-        let i = self
-            .work_starts
-            .partition_point(|&(p, at, _)| (p, at) <= (student, start));
-        let &(p, at, row) = self.work_starts.get(i.checked_sub(1)?)?;
-        ((p, at) == (student, start)).then(|| self.row(row))
-    }
 }
 
 /// The acquire-order ties of a trace (what SC302 reports) without the
@@ -320,8 +289,13 @@ pub fn analyze_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
     }
     let mut pass = ClockPass::run(trace, true);
     let ties = pass.ties(trace);
-    // Stable: a student's work starts stay in event order.
-    pass.work_starts.sort_by_key(|&(p, at, _)| (p, at));
+    // A write's clock is the one kept at its own `WorkStart`.
+    let clock = |a: &CellAccess| match trace.events.get(a.event) {
+        Some(e) if e.proc.index() == a.student && matches!(e.kind, EventKind::WorkStart { .. }) => {
+            pass.kept[a.event].map(|row| pass.row(row))
+        }
+        _ => None,
+    };
 
     // Races: unordered same-cell writes from different students.
     let mut by_cell: Vec<&CellAccess> = accesses.iter().collect();
@@ -340,10 +314,7 @@ pub fn analyze_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
                 if reported.contains(&pair) {
                     continue;
                 }
-                let (Some(ca), Some(cb)) = (
-                    pass.work_start(a.student, a.start),
-                    pass.work_start(b.student, b.start),
-                ) else {
+                let (Some(ca), Some(cb)) = (clock(a), clock(b)) else {
                     continue;
                 };
                 if ordered(ca, cb) {
@@ -423,22 +394,34 @@ mod tests {
         move |_| queue.pop_front().unwrap_or(Action::Done)
     }
 
-    fn access(student: usize, name: &str, cell: u32, start: u64, end: u64) -> CellAccess {
-        CellAccess {
-            student,
-            name: name.to_owned(),
-            cell: CellId(cell),
-            color: Color::Red,
-            start: SimTime(start),
-            end: SimTime(end),
-        }
+    /// One access per `WorkStart` of `trace`, in event order: the `k`-th
+    /// writes `cells[k]`.
+    fn accesses(trace: &Trace, cells: &[u32]) -> Vec<CellAccess> {
+        let starts = trace
+            .events
+            .iter()
+            .enumerate()
+            .filter_map(|(event, e)| match e.kind {
+                EventKind::WorkStart { dur } => Some((event, e, dur)),
+                _ => None,
+            });
+        starts
+            .zip(cells)
+            .map(|((event, e, dur), &cell)| CellAccess {
+                student: e.proc.index(),
+                name: trace.procs[e.proc.index()].name.clone(),
+                cell: CellId(cell),
+                color: Color::Red,
+                start: e.time,
+                end: e.time + dur,
+                event,
+            })
+            .collect()
     }
 
-    /// Two painters share a capacity-2 pool (two red markers): their
-    /// writes to the same cell are unordered — a race, hidden by the
-    /// t=0 acquire tie.
-    #[test]
-    fn pool_writes_to_same_cell_race() {
+    /// Two painters who each take one of a capacity-2 pool and paint one
+    /// stroke.
+    fn pool_trace() -> Trace {
         let mut eng = Engine::new();
         let pool = eng.add_resource_pool("red marker", 2, SimDuration::ZERO);
         for name in ["P1", "P2"] {
@@ -451,9 +434,16 @@ mod tests {
                 ]),
             )));
         }
-        let trace = eng.run();
-        let accesses = vec![access(0, "P1", 0, 0, 10), access(1, "P2", 0, 0, 10)];
-        let hb = analyze_hb(&trace, &accesses);
+        eng.run()
+    }
+
+    /// Two painters share a capacity-2 pool (two red markers): their
+    /// writes to the same cell are unordered — a race, hidden by the
+    /// t=0 acquire tie.
+    #[test]
+    fn pool_writes_to_same_cell_race() {
+        let trace = pool_trace();
+        let hb = analyze_hb(&trace, &accesses(&trace, &[0, 0]));
         assert_eq!(hb.races.len(), 1, "{:?}", hb.races);
         assert_eq!(hb.races[0].id, "SC301");
         assert_eq!(hb.race_spans.len(), hb.races.len());
@@ -482,8 +472,7 @@ mod tests {
         }
         let trace = eng.run();
         // P2's work starts after the hand-off at t=10.
-        let accesses = vec![access(0, "P1", 0, 0, 10), access(1, "P2", 0, 10, 20)];
-        let hb = analyze_hb(&trace, &accesses);
+        let hb = analyze_hb(&trace, &accesses(&trace, &[0, 0]));
         assert!(hb.races.is_empty(), "{:?}", hb.races);
         // The t=0 tie on the marker is still visible as a note.
         assert_eq!(hb.ties.len(), 1);
@@ -494,21 +483,29 @@ mod tests {
     /// Writes to different cells never race.
     #[test]
     fn disjoint_cells_do_not_race() {
-        let mut eng = Engine::new();
-        let pool = eng.add_resource_pool("red marker", 2, SimDuration::ZERO);
-        for name in ["P1", "P2"] {
-            eng.add_process(Box::new(FnProcess::new(
-                name,
-                script(vec![
-                    Action::Acquire(pool),
-                    Action::Work(SimDuration::from_millis(10)),
-                    Action::Release(pool),
-                ]),
-            )));
+        let trace = pool_trace();
+        let hb = analyze_hb(&trace, &accesses(&trace, &[0, 1]));
+        assert!(hb.races.is_empty());
+    }
+
+    /// An access whose event is not a work start of its student has no
+    /// clock: it is skipped, whatever its index names.
+    #[test]
+    fn an_access_naming_no_work_start_of_its_student_is_skipped() {
+        let trace = pool_trace();
+        let racing = accesses(&trace, &[0, 0]);
+        let other_start = racing[0].event;
+        let release = trace
+            .events
+            .iter()
+            .position(|e| matches!(e.kind, EventKind::Released(_)))
+            .expect("a release");
+        for event in [other_start, release, trace.events.len(), usize::MAX] {
+            let mut accesses = racing.clone();
+            accesses[1].event = event;
+            let hb = analyze_hb(&trace, &accesses);
+            assert!(hb.races.is_empty(), "event {event}: {:?}", hb.races);
         }
-        let trace = eng.run();
-        let accesses = vec![access(0, "P1", 0, 0, 10), access(1, "P2", 1, 0, 10)];
-        assert!(analyze_hb(&trace, &accesses).races.is_empty());
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! The flat happens-before clock pass against the map-based pass it
-//! replaced, kept here as a reference: the same SC302 ties from
-//! `acquire_ties`, and the same races, race spans and ties from
-//! `check_run` / `analyze_hb`, on activity runs (the six built-ins,
-//! pooled markers, release-each-cell, a dropout rebalance, a shared cell)
-//! and on seeded raw-engine workloads with zero-length work. One test
-//! pins the corner where a process takes the same resource twice in one
-//! instant.
+//! The flat happens-before clock pass against a map-based reference
+//! pass: the same SC302 ties from `acquire_ties`, and the same races,
+//! race spans and ties from `check_run` / `analyze_hb`, on activity runs
+//! (the six built-ins, pooled markers, release-each-cell, a dropout
+//! rebalance, a shared cell) and on seeded raw-engine workloads with
+//! zero-length work. Three tests pin the corners where one process has
+//! several grants or strokes in one instant, and one checks that every
+//! sync edge's event indices name the events its fields describe.
 
 use flagsim_agents::{ImplementKind, StudentProfile};
 use flagsim_core::work::PreparedFlag;
@@ -33,31 +33,25 @@ fn ordered(a: &[u64], b: &[u64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y) || b.iter().zip(a).all(|(x, y)| x <= y)
 }
 
-/// The replaced pass, verbatim in its logic: one clock `Vec` per process,
-/// a clone of it per event into `BTreeMap`s, and the sync edges collected
-/// into a map keyed by the acquiring side (a repeated key keeps the last
-/// edge).
+/// The reference pass: one clock `Vec` per process, a clone of it per
+/// event into `BTreeMap`s keyed by event index, and the sync edges
+/// collected into a map from each acquire's index to its release's.
 fn reference_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
     let n = trace.procs.len();
     if n == 0 {
         return HbAnalysis::default();
     }
-    let edges: BTreeMap<(usize, SimTime, usize), (usize, SimTime)> = sync_edges(trace)
+    let edges: BTreeMap<usize, usize> = sync_edges(trace)
         .into_iter()
-        .map(|e| {
-            (
-                (e.to.index(), e.acquired_at, e.resource.index()),
-                (e.from.index(), e.released_at),
-            )
-        })
+        .map(|e| (e.acquire_event, e.release_event))
         .collect();
     let mut vc: Vec<Vec<u64>> = vec![vec![0; n]; n];
-    let mut rel_snap: BTreeMap<(usize, SimTime, usize), Vec<u64>> = BTreeMap::new();
+    let mut rel_snap: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
     let mut pending: Vec<Option<usize>> = vec![None; n];
-    let mut ws_clocks: Vec<BTreeMap<SimTime, Vec<u64>>> = vec![BTreeMap::new(); n];
+    let mut ws_clocks: Vec<BTreeMap<usize, Vec<u64>>> = vec![BTreeMap::new(); n];
     type RequestGroups = BTreeMap<(usize, SimTime), Vec<(usize, Vec<u64>)>>;
     let mut requests: RequestGroups = BTreeMap::new();
-    for e in &trace.events {
+    for (i, e) in trace.events.iter().enumerate() {
         let p = e.proc.index();
         if p >= n {
             continue;
@@ -65,7 +59,7 @@ fn reference_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
         vc[p][p] += 1;
         match e.kind {
             EventKind::WorkStart { .. } => {
-                ws_clocks[p].insert(e.time, vc[p].clone());
+                ws_clocks[p].insert(i, vc[p].clone());
             }
             EventKind::Blocked(r) => {
                 pending[p] = Some(r.index());
@@ -82,15 +76,13 @@ fn reference_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
                         .or_default()
                         .push((p, vc[p].clone()));
                 }
-                if let Some(&(from, rel_at)) = edges.get(&(p, e.time, r.index())) {
-                    if let Some(snap) = rel_snap.get(&(from, rel_at, r.index())) {
-                        let snap = snap.clone();
-                        join(&mut vc[p], &snap);
-                    }
+                if let Some(snap) = edges.get(&i).and_then(|rel| rel_snap.get(rel)) {
+                    let snap = snap.clone();
+                    join(&mut vc[p], &snap);
                 }
             }
-            EventKind::Released(r) => {
-                rel_snap.insert((p, e.time, r.index()), vc[p].clone());
+            EventKind::Released(_) => {
+                rel_snap.insert(i, vc[p].clone());
             }
             EventKind::Finished => {}
         }
@@ -136,8 +128,8 @@ fn reference_hb(trace: &Trace, accesses: &[CellAccess]) -> HbAnalysis {
                     continue;
                 }
                 let (Some(ca), Some(cb)) = (
-                    ws_clocks[a.student].get(&a.start),
-                    ws_clocks[b.student].get(&b.start),
+                    ws_clocks[a.student].get(&a.event),
+                    ws_clocks[b.student].get(&b.event),
                 ) else {
                     continue;
                 };
@@ -309,7 +301,7 @@ fn scripted(name: String, actions: Vec<Action>) -> Box<dyn flagsim_desim::Proces
 fn accesses_of(trace: &Trace, cell: impl Fn(usize, usize) -> u32) -> Vec<CellAccess> {
     let mut seen = vec![0; trace.procs.len()];
     let mut out = Vec::new();
-    for e in &trace.events {
+    for (event, e) in trace.events.iter().enumerate() {
         if let EventKind::WorkStart { dur } = e.kind {
             let p = e.proc.index();
             out.push(CellAccess {
@@ -319,6 +311,7 @@ fn accesses_of(trace: &Trace, cell: impl Fn(usize, usize) -> u32) -> Vec<CellAcc
                 color: Color::Red,
                 start: e.time,
                 end: e.time + dur,
+                event,
             });
             seen[p] += 1;
         }
@@ -334,45 +327,107 @@ fn next(x: &mut u64) -> u64 {
     *x
 }
 
-/// Seeded raw-engine workloads: two to four processes taking a mutex, a
-/// two-unit pool or both (nested), with zero-length work and hand-offs
-/// mixed in, writing a handful of shared cells.
+/// Every sync edge of `trace` names, by index, a `Released` of its
+/// resource by `from` at `released_at` and a later `Acquired` of it by
+/// `to` at `acquired_at`.
+/// Returns how many edges it checked.
+fn assert_edges_name_their_events(what: &str, trace: &Trace) -> usize {
+    let edges = sync_edges(trace);
+    for e in &edges {
+        let rel = &trace.events[e.release_event];
+        let acq = &trace.events[e.acquire_event];
+        assert_eq!(
+            (rel.kind, rel.proc, rel.time),
+            (EventKind::Released(e.resource), e.from, e.released_at),
+            "{what}: release of {e:?}"
+        );
+        assert_eq!(
+            (acq.kind, acq.proc, acq.time),
+            (EventKind::Acquired(e.resource), e.to, e.acquired_at),
+            "{what}: acquire of {e:?}"
+        );
+        assert!(e.release_event < e.acquire_event, "{what}: {e:?}");
+    }
+    assert!(
+        edges
+            .windows(2)
+            .all(|w| w[0].acquire_event < w[1].acquire_event),
+        "{what}: edges in grant order"
+    );
+    edges.len()
+}
+
+#[test]
+fn sync_edge_indices_name_their_events() {
+    let mut checked = 0;
+    for seed in 1..=300u64 {
+        let what = format!("raw workload {seed}");
+        checked += assert_edges_name_their_events(&what, &raw_workload(seed));
+    }
+    assert!(checked > 0, "the raw workloads have edges");
+    checked = 0;
+    let flag = PreparedFlag::new(&library::mauritius());
+    let kit = TeamKit::uniform(ImplementKind::ThickMarker, &flag.colors_needed(&[]));
+    for idx in 0..6 {
+        let scenario = builtin(idx, &flag);
+        for policy in [
+            ReleasePolicy::KeepUntilColorChange,
+            ReleasePolicy::ReleaseEachCell,
+        ] {
+            for seed in [1, 2025] {
+                let cfg = ActivityConfig::default()
+                    .with_seed(seed)
+                    .with_policy(policy);
+                let mut team = team(scenario.team_size(&flag, &cfg));
+                let report = scenario
+                    .run_with_faults(&flag, &mut team, &kit, &cfg, &FaultPlan::none())
+                    .expect("runs");
+                let what = format!("{} seed {seed}, {policy:?}", scenario.name);
+                checked += assert_edges_name_their_events(&what, &report.trace);
+            }
+        }
+    }
+    assert!(checked > 0, "the built-ins have edges");
+}
+
+/// Seeded raw-engine workload `seed`: two to four processes taking a
+/// mutex, a two-unit pool or both (nested), with zero-length work and
+/// hand-offs mixed in.
+fn raw_workload(seed: u64) -> Trace {
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut eng = Engine::new();
+    let handoff = SimDuration::from_millis(next(&mut x) % 2);
+    let mutex = eng.add_resource("mutex", handoff);
+    let pool = eng.add_resource_pool("pool", 2, SimDuration::ZERO);
+    let procs = 2 + (next(&mut x) % 3) as usize;
+    for i in 0..procs {
+        let mut actions = Vec::new();
+        for _ in 0..1 + next(&mut x) % 4 {
+            let work = |x: &mut u64| Action::Work(SimDuration::from_millis(next(x) % 3 * 5));
+            match next(&mut x) % 4 {
+                0 => actions.push(work(&mut x)),
+                1 => actions.extend([Action::Acquire(mutex), work(&mut x), Action::Release(mutex)]),
+                2 => actions.extend([Action::Acquire(pool), work(&mut x), Action::Release(pool)]),
+                _ => actions.extend([
+                    Action::Acquire(pool),
+                    Action::Acquire(mutex),
+                    work(&mut x),
+                    Action::Release(mutex),
+                    Action::Release(pool),
+                ]),
+            }
+        }
+        eng.add_process(scripted(format!("p{i}"), actions));
+    }
+    eng.run()
+}
+
+/// The raw-engine workloads, writing a handful of shared cells.
 #[test]
 fn flat_pass_matches_the_reference_on_raw_engine_workloads() {
     let (mut tied, mut raced) = (0, 0);
     for seed in 1..=300u64 {
-        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        let mut eng = Engine::new();
-        let handoff = SimDuration::from_millis(next(&mut x) % 2);
-        let mutex = eng.add_resource("mutex", handoff);
-        let pool = eng.add_resource_pool("pool", 2, SimDuration::ZERO);
-        let procs = 2 + (next(&mut x) % 3) as usize;
-        for i in 0..procs {
-            let mut actions = Vec::new();
-            for _ in 0..1 + next(&mut x) % 4 {
-                let work = |x: &mut u64| Action::Work(SimDuration::from_millis(next(x) % 3 * 5));
-                match next(&mut x) % 4 {
-                    0 => actions.push(work(&mut x)),
-                    1 => actions.extend([
-                        Action::Acquire(mutex),
-                        work(&mut x),
-                        Action::Release(mutex),
-                    ]),
-                    2 => {
-                        actions.extend([Action::Acquire(pool), work(&mut x), Action::Release(pool)])
-                    }
-                    _ => actions.extend([
-                        Action::Acquire(pool),
-                        Action::Acquire(mutex),
-                        work(&mut x),
-                        Action::Release(mutex),
-                        Action::Release(pool),
-                    ]),
-                }
-            }
-            eng.add_process(scripted(format!("p{i}"), actions));
-        }
-        let trace = eng.run();
+        let trace = raw_workload(seed);
         let accesses = accesses_of(&trace, |p, k| ((p + k) % 3) as u32);
         let hb = assert_equivalent(&format!("raw workload {seed}"), &trace, &accesses);
         tied += hb.ties.len();
@@ -381,14 +436,13 @@ fn flat_pass_matches_the_reference_on_raw_engine_workloads() {
     assert!(tied > 0 && raced > 0, "ties {tied}, races {raced}");
 }
 
-/// The corner a one-pass clock needs care with: `p` takes the mutex
-/// twice at t=5 (zero-length work between), so two sync edges share the
-/// key `(p, 5, mutex)`. The replaced pass kept only the later one, whose
-/// release (`p`'s own) had not happened at the first grant, so `p` never
-/// joined `q`'s release and its next write races `q`'s. The flat pass
-/// keeps that verdict.
+/// `p` takes the mutex twice at t=5 (zero-length work between), so two
+/// sync edges into `p` share the time 5 and the mutex: one from `q`, one
+/// from `p` itself. Each grant joins its own edge's release, so `p`'s
+/// first grant is ordered after `q`'s release and `p`'s later write does
+/// not race `q`'s.
 #[test]
-fn a_repeated_grant_in_one_instant_joins_the_last_edge() {
+fn a_repeated_grant_in_one_instant_joins_its_own_edge() {
     let mut eng = Engine::new();
     let m = eng.add_resource("mutex", SimDuration::ZERO);
     let ms = SimDuration::from_millis;
@@ -426,18 +480,66 @@ fn a_repeated_grant_in_one_instant_joins_the_last_edge() {
     // q writes cell 0 in its only stroke; p writes it in its last one.
     let accesses = accesses_of(&trace, |proc, k| if proc == p && k < 2 { 1 } else { 0 });
     let hb = assert_equivalent("repeated grant", &trace, &accesses);
+    assert!(hb.races.is_empty(), "{:?}", hb.races);
+}
+
+/// `p` starts three strokes at t=5: a zero-length one, then, after its
+/// grant of the mutex from `q`, a zero-length and a long one. `q` paints
+/// cell 0, then cell 1, while it holds the mutex. `p`'s first t=5 stroke
+/// is unordered with `q`'s and races it on cell 0; the two after the
+/// grant are ordered after `q`'s release and paint cell 1 with no race.
+#[test]
+fn each_stroke_in_one_instant_is_judged_by_its_own_clock() {
+    use Action::{Acquire, Release, Work};
+    let mut eng = Engine::new();
+    let m = eng.add_resource("mutex", SimDuration::ZERO);
+    let ms = SimDuration::from_millis;
+    let q = vec![Acquire(m), Work(ms(3)), Work(ms(2)), Release(m)];
+    let p = vec![
+        Work(ms(5)),
+        Work(ms(0)),
+        Acquire(m),
+        Work(ms(0)),
+        Work(ms(10)),
+        Release(m),
+    ];
+    for (name, actions) in [("q", q), ("p", p)] {
+        eng.add_process(scripted(name.to_owned(), actions));
+    }
+    let trace = eng.run();
+    let starts: Vec<_> = accesses_of(&trace, |_, _| 0)
+        .iter()
+        .map(|a| (a.student, a.start))
+        .collect();
+    let (t0, t3, t5) = (SimTime(0), SimTime(3), SimTime(5));
+    assert_eq!(
+        starts,
+        [(0, t0), (1, t0), (0, t3), (1, t5), (1, t5), (1, t5)]
+    );
+    let edges: Vec<_> = sync_edges(&trace)
+        .iter()
+        .map(|e| (e.from.index(), e.to.index(), e.acquired_at))
+        .collect();
+    assert_eq!(edges, [(0, 1, t5)], "p's grant comes from q");
+    let accesses = accesses_of(&trace, |proc, k| match (proc, k) {
+        (0, 0) | (1, 1) => 0,
+        (1, 0) => 100,
+        _ => 1,
+    });
+    let hb = assert_equivalent("strokes in one instant", &trace, &accesses);
     assert_eq!(hb.races.len(), 1, "{:?}", hb.races);
-    assert_eq!(hb.race_spans, [(SimTime(0), SimTime(15))]);
+    assert_eq!(hb.races[0].subject, format!("cell {}", CellId(0)));
+    assert_eq!(hb.race_spans, [(t0, t5)]);
 }
 
 /// The same corner one step further: `p`'s two grants of the mutex at
 /// t=5 come from `u`, then from `s`, and `s` also released it at t=5
-/// before `u` took it. The edge kept for `(p, 5, mutex)` is the one from
-/// `s`, and at `p`'s first grant it names `s`'s *earlier* release — not
-/// the latest release, which is `u`'s. Joining it orders `p`'s next write
-/// after `s`'s first one: no race.
+/// before `u` took it. Both edges into `p` share the time 5 and the
+/// mutex, but `p`'s first grant joins `u`'s release, which is ordered
+/// after `s`'s first release through `u`'s own grant. So `p`'s next
+/// write is ordered after `s`'s first one: no race.
 #[test]
-fn a_repeated_grant_joins_an_older_release_the_last_edge_names() {
+fn a_repeated_grant_is_ordered_through_the_grants_between() {
     use Action::{Acquire, Release, Work};
     let mut eng = Engine::new();
     let m = eng.add_resource("mutex", SimDuration::ZERO);

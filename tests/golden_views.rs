@@ -298,7 +298,7 @@ fn scenario_4_views() {
             0x229706d9d6bfe1e3,
             0x0362866629b9c4f1,
             0xaf3951ff886d0a0c,
-            0x776b50e80e8ac7e6,
+            0xa3210cb9f72525be,
             0xfbfc5f690b69d938,
             0xf8766ad062c99531,
             0xcdc71eb4c5637cd3,
@@ -318,7 +318,7 @@ fn pipelined_views() {
             0x9c13bc3c8bcc9ed5,
             0x3a82e084537769d6,
             0x82c4fdc5c9e5814e,
-            0x04dbb61b51903329,
+            0xffc9acb73e402d5d,
             0x1edfad74863c8be1,
             0x6fb0ce9b55615dc3,
             0x2fdfa93f760605b1,
@@ -338,7 +338,7 @@ fn alternating_views() {
             0x3d650b9ebb18a706,
             0x0813e9713b525ecb,
             0x9bf3b5bd20b622c4,
-            0x3a2d621e97c6cc72,
+            0x26316477bc511e81,
             0xfbfc5f690b69d938,
             0xf8766ad062c99531,
             0xa5716633a17ffac4,
@@ -375,7 +375,7 @@ fn bell_cut_views() {
             0xccad92a0f0843183,
             0xc40c23b979b99fa6,
             0x635c57c20b217229,
-            0x32415e34dc3e9d14,
+            0x060db6ecb8f0e246,
             0xfbfc5f690b69d938,
             0xf8766ad062c99531,
             0x0ab66a546f6a6861,
@@ -397,7 +397,7 @@ fn dropout_views() {
             0xb56a2ad7b3071ee7,
             0x80349c18e4c2ddfd,
             0x63932312981f9589,
-            0x2c6894c3c871d1a6,
+            0x98c93a82036f0ba0,
             0xfbfc5f690b69d938,
             0xf8766ad062c99531,
             0xfffe32ea56fdce7f,
